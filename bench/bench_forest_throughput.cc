@@ -3,7 +3,7 @@
 //
 // Motivation (ROADMAP north star): an uncertain-data forest multiplies the
 // serving cost of a single UDT tree by its ensemble size, so the compiled
-// ForestPredictSession path — per-worker scratch, per-tree flat records,
+// PredictSession path — per-worker scratch, per-tree flat records,
 // allocation-free vote aggregation — is what makes N-tree serving viable
 // at traffic. This harness trains a bagged forest per data set / model
 // kind, re-checks the serving guarantee (compiled votes byte-identical to
@@ -29,7 +29,7 @@
 
 #include "api/compiled_forest.h"
 #include "api/forest.h"
-#include "api/forest_session.h"
+#include "api/predict_session.h"
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/timer.h"
@@ -133,7 +133,7 @@ void RunDataset(const char* dataset_name, const Dataset& train,
     std::vector<std::vector<double>> reference;
     PointerBatch(*forest, serve, 1, &reference);
     {
-      ForestPredictSession session(compiled);
+      PredictSession session(compiled);
       FlatBatchResult flat;
       UDT_CHECK(session
                     .PredictBatchInto(
@@ -153,7 +153,7 @@ void RunDataset(const char* dataset_name, const Dataset& train,
       Measurement pointer = TimePasses(
           [&] { PointerBatch(*forest, serve, threads, &pointer_out); });
 
-      ForestPredictSession session(compiled);
+      PredictSession session(compiled);
       FlatBatchResult flat;
       PredictOptions options;
       options.num_threads = threads;

@@ -2,17 +2,17 @@
 // construction and serving: CDF queries, scan construction, entropy
 // scoring, interval bounding, working-set partitioning, uncertain
 // classification, the thread scaling of the parallel construction engine,
-// and scalar-vs-batch flat-tree traversal.
+// and the flat-tree traversal kernels.
 //
 // Machine-readable output: unless --benchmark_out is given, results are
 // also written as google-benchmark JSON to BENCH_micro_kernels.json so
 // kernel timings can be tracked as a trajectory across commits. The
-// batch-traversal sweep additionally writes bench_common JsonRows to
+// flat-traversal sweep additionally writes bench_common JsonRows to
 // BENCH_micro_batch_kernels.json (--json=PATH overrides, --json=
-// disables) with batch-vs-scalar ns/tuple and speedup per configuration;
-// tools/check_bench_schema.py diffs it against the committed sidecar in
-// CI. Before timing, the sweep re-checks that the batch kernels are
-// byte-identical to the scalar ones on every tuple.
+// disables) with best-of and median ns/tuple per pool, model kind and
+// batch size; tools/check_bench_schema.py diffs it against the committed
+// sidecar in CI. While timing, the sweep re-checks that every kernel pass
+// is byte-identical to the pointer tree on every tuple.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,10 +30,12 @@
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "datagen/uci_like.h"
 #include "pdf/pdf_builder.h"
 #include "split/attribute_scan.h"
 #include "split/bounds.h"
 #include "split/fractional_tuple.h"
+#include "table/uncertainty_injector.h"
 #include "tree/classify.h"
 #include "tree/flat_tree.h"
 
@@ -211,173 +214,203 @@ BENCHMARK(BM_TreeBuildThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// ------------------------- batch traversal kernels -------------------------
+// ---------------------------- flat traversal ------------------------------
 
-// Shared fixture for the traversal benchmarks: the pool the kernels
-// classify and a compiled tree trained on it. Both live for the whole
-// process so every benchmark and the JSON sweep measure the same model.
-const Dataset& TraversalPool() {
-  static Dataset ds = BenchDataset(512, 4, 16, 6);
-  return ds;
-}
+#ifndef UDT_BENCH_BUILD_TYPE
+#define UDT_BENCH_BUILD_TYPE "unknown"
+#endif
 
-const CompiledModel& TraversalModel(ModelKind kind) {
-  static CompiledModel udt = [] {
+// One traversal fixture: a tuple pool plus a UDT-ES tree of each model
+// kind, compiled. Fixtures live for the whole process so every benchmark
+// and the JSON sweep measure the same models.
+struct TraversalFixture {
+  std::string name;
+  Dataset pool;
+  std::vector<Model> models;            // UDT, then AVG
+  std::vector<CompiledModel> compiled;  // index-aligned with models
+};
+
+TraversalFixture MakeTraversalFixture(std::string name, const Dataset& train,
+                                      Dataset pool) {
+  TraversalFixture fixture{std::move(name), std::move(pool), {}, {}};
+  for (ModelKind kind : {ModelKind::kUdt, ModelKind::kAveraging}) {
     TreeConfig config;
     config.algorithm = SplitAlgorithm::kUdtEs;
-    auto model = Trainer(config).Train(
-        TrainRequest::For(TraversalPool(), ModelKind::kUdt));
+    config.num_threads = 0;
+    auto model = Trainer(config).Train(TrainRequest::For(train, kind));
     UDT_CHECK(model.ok());
-    return model->Compile();
-  }();
-  static CompiledModel averaging = [] {
-    TreeConfig config;
-    config.algorithm = SplitAlgorithm::kUdtEs;
-    auto model = Trainer(config).Train(
-        TrainRequest::For(TraversalPool(), ModelKind::kAveraging));
-    UDT_CHECK(model.ok());
-    return model->Compile();
-  }();
-  return kind == ModelKind::kAveraging ? averaging : udt;
+    fixture.compiled.push_back(model->Compile());
+    fixture.models.push_back(*std::move(model));
+  }
+  return fixture;
 }
 
-// One pass over the pool: scalar per-tuple kernel when batch == 0,
-// otherwise the level-synchronous batch kernel in chunks of `batch`.
+// A Segment-shaped fixture, as the end-to-end benchmark serves it: 19
+// attributes, 7 classes, Gaussian pdfs over 10% of the domain with s = 20;
+// the tree trains on 2310 tuples and classifies 770 others.
+TraversalFixture SegmentFixture() {
+  auto spec = datagen::FindUciSpec("Segment");
+  UDT_CHECK(spec.ok());
+  datagen::SyntheticConfig config = datagen::MakeUciLikeConfig(*spec, 1.0);
+  config.num_tuples = 2310 + 770;
+  UncertaintyOptions uncertainty;
+  uncertainty.width_fraction = 0.10;
+  uncertainty.samples_per_pdf = 20;
+  uncertainty.error_model = ErrorModel::kGaussian;
+  auto data =
+      InjectUncertainty(datagen::GenerateSynthetic(config), uncertainty);
+  UDT_CHECK(data.ok());
+  std::vector<int> fold_of(static_cast<size_t>(data->num_tuples()));
+  for (size_t i = 0; i < fold_of.size(); ++i) fold_of[i] = i % 4 == 3;
+  auto [train, pool] = data->SplitByFold(fold_of, 1);
+  return MakeTraversalFixture("segment", train, std::move(pool));
+}
+
+// The two pools: 512 tuples x 4 numerical attributes, and Segment. They
+// disagree about the UDT kernel's single-tuple cost, so both are swept.
+const std::vector<TraversalFixture>& TraversalFixtures() {
+  static const std::vector<TraversalFixture> fixtures = [] {
+    std::vector<TraversalFixture> all;
+    Dataset pool4 = BenchDataset(512, 4, 16, 6);
+    all.push_back(MakeTraversalFixture("pool4", pool4, pool4));
+    all.push_back(SegmentFixture());
+    return all;
+  }();
+  return fixtures;
+}
+
+// One pass over the pool through the model kind's one flat kernel: the
+// UDT kernel in blocks of `batch` tuples (batch 1 is the single-tuple
+// path), or the AVG means walk tuple by tuple.
 double ClassifyPoolOnce(const FlatTree& flat, bool averaging, size_t batch,
                         const std::vector<const UncertainTuple*>& tuples,
                         const std::vector<double*>& rows,
                         FlatTraversalScratch* scratch) {
   const size_t n = tuples.size();
   WallTimer timer;
-  if (batch == 0) {
+  if (averaging) {
     for (size_t i = 0; i < n; ++i) {
-      if (averaging) {
-        ClassifyFlatMeans(flat, *tuples[i], scratch, rows[i]);
-      } else {
-        ClassifyFlat(flat, *tuples[i], scratch, rows[i]);
-      }
+      ClassifyFlatMeans(flat, *tuples[i], scratch, rows[i]);
     }
   } else {
     for (size_t begin = 0; begin < n; begin += batch) {
       const size_t count = std::min(batch, n - begin);
-      if (averaging) {
-        ClassifyFlatMeansBatch(flat, tuples.data() + begin,
-                               rows.data() + begin, count, scratch);
-      } else {
-        ClassifyFlatBatch(flat, tuples.data() + begin, rows.data() + begin,
-                          count, scratch);
-      }
+      ClassifyFlatBatch(flat, tuples.data() + begin, rows.data() + begin,
+                        count, scratch);
     }
   }
   return timer.ElapsedSeconds();
 }
 
-// Scalar vs level-synchronous batch traversal of the same compiled UDT
-// tree. The Arg is the batch size, with Arg(0) meaning the scalar
-// per-tuple kernel; the Arg(0) run must come first (registration order)
-// because it provides the baseline the batch runs report their "speedup"
-// counter against. The distributions are byte-identical at every arg
-// (tests/batch_traversal_test.cc); only the wall clock may move.
-void BM_FlatBatchTraversal(benchmark::State& state) {
-  const Dataset& ds = TraversalPool();
-  const FlatTree& flat = TraversalModel(ModelKind::kUdt).flat_tree();
-  const size_t k = static_cast<size_t>(flat.num_classes);
-  const size_t n = static_cast<size_t>(ds.num_tuples());
-  const size_t batch = static_cast<size_t>(state.range(0));
-  std::vector<double> storage(n * k);
-  std::vector<const UncertainTuple*> tuples(n);
-  std::vector<double*> rows(n);
-  for (size_t i = 0; i < n; ++i) {
-    tuples[i] = &ds.tuple(static_cast<int>(i));
-    rows[i] = storage.data() + i * k;
+// Row storage and the kernels' pointer arrays over one fixture's pool.
+struct PoolRows {
+  explicit PoolRows(const TraversalFixture& fixture) {
+    const size_t n = static_cast<size_t>(fixture.pool.num_tuples());
+    k = static_cast<size_t>(fixture.pool.num_classes());
+    storage.resize(n * k);
+    tuples.resize(n);
+    rows.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      tuples[i] = &fixture.pool.tuple(static_cast<int>(i));
+      rows[i] = storage.data() + i * k;
+    }
   }
+  size_t k = 0;
+  std::vector<double> storage;
+  std::vector<const UncertainTuple*> tuples;
+  std::vector<double*> rows;
+};
+
+// ns/tuple of the flat kernels. Args: {pool, batch}, pool 0 = pool4,
+// 1 = segment; batch 0 is the AVG means walk, batch >= 1 the UDT kernel in
+// blocks of that many tuples (1 = the single-tuple path). Distributions
+// are byte-identical to the pointer tree at every arg
+// (tests/traversal_differential_test.cc); only the wall clock may move.
+void BM_FlatTraversal(benchmark::State& state) {
+  const TraversalFixture& fixture =
+      TraversalFixtures()[static_cast<size_t>(state.range(0))];
+  const size_t batch = static_cast<size_t>(state.range(1));
+  const bool averaging = batch == 0;
+  const FlatTree& flat = fixture.compiled[averaging ? 1 : 0].flat_tree();
+  PoolRows pool(fixture);
   FlatTraversalScratch scratch;
   double total_seconds = 0.0;
   for (auto _ : state) {
-    total_seconds +=
-        ClassifyPoolOnce(flat, /*averaging=*/false, batch, tuples, rows,
-                         &scratch);
-    benchmark::DoNotOptimize(storage.data());
+    total_seconds += ClassifyPoolOnce(flat, averaging, batch, pool.tuples,
+                                      pool.rows, &scratch);
+    benchmark::DoNotOptimize(pool.storage.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-  const double mean_seconds =
-      state.iterations() > 0
-          ? total_seconds / static_cast<double>(state.iterations())
-          : 0.0;
-  static double scalar_mean_seconds = 0.0;
-  if (state.range(0) == 0) scalar_mean_seconds = mean_seconds;
-  state.counters["batch"] =
-      benchmark::Counter(static_cast<double>(state.range(0)));
-  // As in BM_TreeBuildThreads: report a speedup only when the scalar
-  // baseline ran in this process, so --benchmark_filter cannot poison the
-  // JSON trajectory with zeros.
-  if (mean_seconds > 0.0 && scalar_mean_seconds > 0.0) {
-    state.counters["speedup"] =
-        benchmark::Counter(scalar_mean_seconds / mean_seconds);
+  const double tuples = static_cast<double>(state.iterations()) *
+                        static_cast<double>(pool.tuples.size());
+  state.SetItemsProcessed(static_cast<int64_t>(tuples));
+  state.counters["batch"] = benchmark::Counter(static_cast<double>(batch));
+  if (tuples > 0.0) {
+    state.counters["ns_per_tuple"] =
+        benchmark::Counter(total_seconds * 1e9 / tuples);
   }
 }
-BENCHMARK(BM_FlatBatchTraversal)->Arg(0)->Arg(1)->Arg(7)->Arg(64)->Arg(256);
+BENCHMARK(BM_FlatTraversal)
+    ->ArgsProduct({{0, 1}, {0, 1, 7, 64, 256}});
 
-// The sidecar sweep behind BENCH_micro_batch_kernels.json: for each model
-// kind, first prove the batch kernel byte-identical to the scalar one on
-// every pool tuple, then report ns/tuple for the scalar kernel and for
-// each batch size, plus the resulting speedup. Runs outside
+// The sidecar sweep behind BENCH_micro_batch_kernels.json: per pool and
+// model kind, classify the pool through the kind's one flat kernel and
+// prove every row byte-identical to the pointer-tree oracle, then report
+// best-of and median ns/tuple over the repetitions. UDT rows cover
+// batches 1 / 7 / 64 / 256; the AVG means walk is per tuple. Runs outside
 // google-benchmark so the row set is fixed (the schema checker keys on
 // it) regardless of --benchmark_filter.
 void RunBatchKernelSweep(bench::JsonRows* sink) {
-  const Dataset& ds = TraversalPool();
-  const size_t n = static_cast<size_t>(ds.num_tuples());
-  constexpr int kRepetitions = 20;
-  constexpr size_t kSweepBatches[] = {1, 7, 64, 256};
+  constexpr int kRepetitions = 21;
+  constexpr size_t kUdtBatches[] = {1, 7, 64, 256};
+  constexpr size_t kAvgBatches[] = {1};
 
-  std::printf("batch traversal sweep: %zu tuples, %d repetitions, best-of\n",
-              n, kRepetitions);
-  for (ModelKind kind : {ModelKind::kUdt, ModelKind::kAveraging}) {
-    const bool averaging = kind == ModelKind::kAveraging;
-    const char* kernel = averaging ? "avg" : "udt";
-    const FlatTree& flat = TraversalModel(kind).flat_tree();
-    const size_t k = static_cast<size_t>(flat.num_classes);
-
-    std::vector<double> scalar_storage(n * k);
-    std::vector<double> batch_storage(n * k);
-    std::vector<const UncertainTuple*> tuples(n);
-    std::vector<double*> scalar_rows(n);
-    std::vector<double*> batch_rows(n);
-    for (size_t i = 0; i < n; ++i) {
-      tuples[i] = &ds.tuple(static_cast<int>(i));
-      scalar_rows[i] = scalar_storage.data() + i * k;
-      batch_rows[i] = batch_storage.data() + i * k;
-    }
-    FlatTraversalScratch scratch;
-
-    auto best_of = [&](size_t batch, const std::vector<double*>& rows) {
-      double best = 0.0;
-      for (int rep = 0; rep < kRepetitions; ++rep) {
-        const double seconds =
-            ClassifyPoolOnce(flat, averaging, batch, tuples, rows, &scratch);
-        if (rep == 0 || seconds < best) best = seconds;
+  std::printf("flat traversal sweep (%s build): %d repetitions, "
+              "best-of / median\n",
+              UDT_BENCH_BUILD_TYPE, kRepetitions);
+  for (const TraversalFixture& fixture : TraversalFixtures()) {
+    for (size_t m = 0; m < fixture.models.size(); ++m) {
+      const Model& model = fixture.models[m];
+      const bool averaging = model.kind() == ModelKind::kAveraging;
+      const FlatTree& flat = fixture.compiled[m].flat_tree();
+      PoolRows pool(fixture);
+      const size_t n = pool.tuples.size();
+      std::vector<double> oracle;
+      oracle.reserve(n * pool.k);
+      for (const UncertainTuple* tuple : pool.tuples) {
+        std::vector<double> row = model.ClassifyDistribution(*tuple);
+        oracle.insert(oracle.end(), row.begin(), row.end());
       }
-      return std::max(best, 1e-12) * 1e9 / static_cast<double>(n);
-    };
-
-    const double scalar_ns = best_of(0, scalar_rows);
-    for (size_t batch : kSweepBatches) {
-      const double batch_ns = best_of(batch, batch_rows);
-      // The serving guarantee, re-checked under this build's optimiser:
-      // the final batch pass left every row byte-identical to scalar.
-      UDT_CHECK(std::memcmp(batch_storage.data(), scalar_storage.data(),
-                            n * k * sizeof(double)) == 0);
-      const double speedup = scalar_ns / batch_ns;
-      std::printf("  %-4s batch=%-4zu  scalar %8.1f ns/tuple   batch %8.1f "
-                  "ns/tuple   speedup %5.2fx\n",
-                  kernel, batch, scalar_ns, batch_ns, speedup);
-      sink->AddRow()
-          .Str("kernel", kernel)
-          .Str("batch", std::to_string(batch))
-          .Int("tuples", static_cast<long long>(n))
-          .Num("scalar_ns_per_tuple", scalar_ns)
-          .Num("batch_ns_per_tuple", batch_ns)
-          .Num("speedup", speedup);
+      FlatTraversalScratch scratch;
+      for (size_t batch : averaging ? std::span<const size_t>(kAvgBatches)
+                                    : std::span<const size_t>(kUdtBatches)) {
+        std::vector<double> ns(kRepetitions);
+        for (double& sample : ns) {
+          sample = ClassifyPoolOnce(flat, averaging, batch, pool.tuples,
+                                    pool.rows, &scratch) *
+                   1e9 / static_cast<double>(n);
+          // The serving guarantee, re-checked under this build's
+          // optimiser: every row byte-identical to the pointer tree.
+          UDT_CHECK(std::memcmp(pool.storage.data(), oracle.data(),
+                                n * pool.k * sizeof(double)) == 0);
+        }
+        std::sort(ns.begin(), ns.end());
+        const double best = std::max(ns.front(), 1e-3);
+        const double median = ns[ns.size() / 2];
+        const char* kernel = averaging ? "avg" : "udt";
+        std::printf("  %-8s %-4s batch=%-4zu  best %8.1f ns/tuple   median "
+                    "%8.1f ns/tuple\n",
+                    fixture.name.c_str(), kernel, batch, best, median);
+        sink->AddRow()
+            .Str("pool", fixture.name)
+            .Str("kernel", kernel)
+            .Str("batch", std::to_string(batch))
+            .Str("build_type", UDT_BENCH_BUILD_TYPE)
+            .Int("tuples", static_cast<long long>(n))
+            .Int("nodes", flat.num_nodes())
+            .Num("ns_per_tuple_best", best)
+            .Num("ns_per_tuple_median", median);
+      }
     }
   }
 }
@@ -387,7 +420,7 @@ void RunBatchKernelSweep(bench::JsonRows* sink) {
 
 int main(int argc, char** argv) {
   // Default to a JSON sidecar for trajectory tracking; any explicit
-  // --benchmark_out wins. A --json=PATH flag belongs to the batch-kernel
+  // --benchmark_out wins. A --json=PATH flag belongs to the traversal
   // sweep (bench_common JsonRows) and is stripped before google-benchmark
   // parses the rest.
   udt::BenchOptions sweep_options;
@@ -417,7 +450,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The batch-kernel sweep runs first so its sidecar row set does not
+  // The traversal sweep runs first so its sidecar row set does not
   // depend on which BM_ benchmarks a filter selects.
   udt::bench::JsonRows sweep_sink("micro_batch_kernels", sweep_options);
   udt::RunBatchKernelSweep(&sweep_sink);

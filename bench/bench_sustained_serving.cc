@@ -10,7 +10,7 @@
 //   * pointer:  per-batch thread spawning over the pointer model
 //               (ClassifyDistribution shards joined per call — the v2
 //               ForEachShard execution model, kept here as the baseline),
-//   * compiled: one persistent PredictSession / ForestPredictSession per
+//   * compiled: one persistent PredictSession (tree or forest) per
 //               configuration (session-owned worker pool created once,
 //               zero threads spawned per batch, zero steady-state
 //               allocations),
@@ -38,7 +38,6 @@
 #include "api/compiled_forest.h"
 #include "api/compiled_model.h"
 #include "api/forest.h"
-#include "api/forest_session.h"
 #include "api/predict_session.h"
 #include "api/trainer.h"
 #include "bench_common.h"
@@ -283,7 +282,7 @@ int main(int argc, char** argv) {
     auto forest = udt::ForestTrainer(config).TrainUdt(train);
     UDT_CHECK(forest.ok());
     udt::CompiledForest compiled = forest->Compile();
-    udt::ForestPredictSession session(compiled);
+    udt::PredictSession session(compiled);
     udt::RunModel(
         "forest", serve, compiled.num_classes(),
         [&](size_t i, double* out) {

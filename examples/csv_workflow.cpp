@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
   udt::Trainer trainer(config);
   auto model = trainer.TrainUdt(train);
   UDT_CHECK(model.ok());
-  udt::PredictSession session(model->Compile());
+  const udt::CompiledModel served = model->Compile();
+  udt::PredictSession session(served);
   std::printf("trained UDT tree (%s), test accuracy %.3f\n",
               udt::TreeSummary(model->tree()).c_str(),
               udt::EvaluateAccuracy(session, test));
@@ -104,10 +105,10 @@ int main(int argc, char** argv) {
   // versioned container, so serving fleets can ship it without the
   // training config, and Load rebuilds the identical in-memory layout.
   std::string compiled_path = out_dir + "/udt_wine.compiled";
-  UDT_CHECK(session.model().Save(compiled_path).ok());
+  UDT_CHECK(served.Save(compiled_path).ok());
   auto compiled = udt::CompiledModel::Load(compiled_path);
   UDT_CHECK(compiled.ok());
-  UDT_CHECK(compiled->LayoutEquals(session.model()));
+  UDT_CHECK(compiled->LayoutEquals(served));
   udt::PredictSession reloaded_session(*compiled);
   UDT_CHECK(udt::EvaluateAccuracy(reloaded_session, test) ==
             udt::EvaluateAccuracy(session, test));

@@ -1,8 +1,8 @@
 // Forest workflow: train a bagged random-subspace UDT forest on noisy
 // sensor-style data, read its out-of-bag error, compare it against a
 // single UDT tree, then walk the serving path end to end — compile,
-// save/load the "udt-forest v1" artifact, and batch-classify through a
-// ForestPredictSession.
+// save/load the "udt-forest v1" artifact, and batch-classify through the
+// same PredictSession a single tree serves through.
 //
 // Run: build/examples/forest_workflow
 
@@ -12,7 +12,7 @@
 
 #include "api/compiled_forest.h"
 #include "api/forest.h"
-#include "api/forest_session.h"
+#include "api/predict_session.h"
 #include "api/trainer.h"
 #include "common/random.h"
 #include "eval/metrics.h"
@@ -81,7 +81,7 @@ int main() {
   UDT_CHECK(loaded.ok());
   UDT_CHECK(loaded->LayoutEquals(compiled));
 
-  udt::ForestPredictSession session(*loaded);
+  udt::PredictSession session(*loaded);
   auto batch = session.PredictBatch(test);
   UDT_CHECK(batch.ok());
 

@@ -3,7 +3,6 @@
 #include "api/container_tags.h"
 
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -31,15 +30,19 @@ bool FlatTreeEquals(const FlatTree& a, const FlatTree& b) {
 
 }  // namespace
 
+CompiledForest::CompiledForest(Schema schema, ModelKind kind,
+                               ForestVote vote, std::vector<FlatTree> trees)
+    : rep_(std::make_shared<const Rep>(
+          Rep{std::move(schema), kind, vote, std::move(trees)})) {}
+
 CompiledForest CompiledForest::Compile(const ForestModel& model) {
   std::vector<FlatTree> trees;
   trees.reserve(static_cast<size_t>(model.num_trees()));
   for (int t = 0; t < model.num_trees(); ++t) {
     trees.push_back(FlattenTree(model.tree(t).tree()));
   }
-  auto rep = std::make_shared<Rep>(
-      Rep{model.schema(), model.kind(), model.vote(), std::move(trees)});
-  return CompiledForest(std::move(rep));
+  return CompiledForest(model.schema(), model.kind(), model.vote(),
+                        std::move(trees));
 }
 
 CompiledForest ForestModel::Compile() const {
@@ -122,25 +125,15 @@ StatusOr<CompiledForest> CompiledForest::Deserialize(const std::string& text) {
     UDT_RETURN_NOT_OK(ValidateFlatTree(tree, schema, kContext));
     trees.push_back(std::move(tree));
   }
-  auto rep = std::make_shared<Rep>(
-      Rep{std::move(schema), kind, vote, std::move(trees)});
-  return CompiledForest(std::move(rep));
+  return CompiledForest(std::move(schema), kind, vote, std::move(trees));
 }
 
 Status CompiledForest::Save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out << Serialize();
-  out.close();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return wire::WriteTextFile(path, Serialize());
 }
 
 StatusOr<CompiledForest> CompiledForest::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  UDT_ASSIGN_OR_RETURN(std::string text, wire::ReadTextFile(path));
   return Deserialize(text);
 }
 

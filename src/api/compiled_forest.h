@@ -1,9 +1,11 @@
-// udt::CompiledForest — the immutable serving artifact of the ensemble
-// stack, mirroring what CompiledModel is to Model. ForestModel::Compile()
-// flattens every pointer tree into a FlatTree record block and bundles the
-// lot with the shared schema, model kind and vote rule. A CompiledForest
-// is one shared pointer wide — copy it freely across worker threads and
-// hand one to each udt::ForestPredictSession.
+// udt::CompiledForest — the one immutable serving artifact.
+// ForestModel::Compile() flattens every pointer tree into a FlatTree record
+// block and bundles the lot with the shared schema, model kind and vote
+// rule. A single tree is a one-tree probability-average forest
+// (CompiledModel holds one): zero-init, one add and a divide by 1.0 are
+// exact, so it serves the tree's bytes unchanged. A CompiledForest is one
+// shared pointer wide — copy it freely across worker threads and hand one
+// to each udt::PredictSession.
 //
 // Persistence is versioned and self-contained ("udt-forest v1"): the
 // header carries kind/vote/schema, then one flat-tree body per tree
@@ -67,6 +69,8 @@ class CompiledForest {
   static StatusOr<CompiledForest> Load(const std::string& path);
 
  private:
+  friend class CompiledModel;
+
   struct Rep {
     Schema schema;
     ModelKind kind;
@@ -74,8 +78,9 @@ class CompiledForest {
     std::vector<FlatTree> trees;
   };
 
-  explicit CompiledForest(std::shared_ptr<const Rep> rep)
-      : rep_(std::move(rep)) {}
+  // Wraps trusted (compiled or validated) flat trees.
+  CompiledForest(Schema schema, ModelKind kind, ForestVote vote,
+                 std::vector<FlatTree> trees);
 
   std::shared_ptr<const Rep> rep_;
 };

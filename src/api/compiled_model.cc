@@ -2,12 +2,9 @@
 
 #include "api/container_tags.h"
 
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "common/string_util.h"
 #include "table/schema_io.h"
 #include "tree/flat_tree_io.h"
 
@@ -22,37 +19,31 @@ namespace {
 constexpr char kMagic[] = "udt-compiled v1";
 constexpr char kContext[] = "udt-compiled";
 
+std::vector<FlatTree> OneTree(FlatTree tree) {
+  std::vector<FlatTree> trees;
+  trees.push_back(std::move(tree));
+  return trees;
+}
+
 }  // namespace
 
+CompiledModel::CompiledModel(Schema schema, ModelKind kind, FlatTree tree)
+    : forest_(std::move(schema), kind, ForestVote::kAverage,
+              OneTree(std::move(tree))) {}
+
 CompiledModel CompiledModel::Compile(const Model& model) {
-  auto rep = std::make_shared<Rep>(
-      Rep{model.schema(), model.kind(), FlattenTree(model.tree())});
-  return CompiledModel(std::move(rep));
+  return CompiledModel(model.schema(), model.kind(),
+                       FlattenTree(model.tree()));
 }
 
 CompiledModel Model::Compile() const { return CompiledModel::Compile(*this); }
 
-bool CompiledModel::LayoutEquals(const CompiledModel& other) const {
-  const FlatTree& a = rep_->tree;
-  const FlatTree& b = other.rep_->tree;
-  return rep_->kind == other.rep_->kind &&
-         SchemaEquals(rep_->schema, other.rep_->schema) &&
-         a.num_classes == b.num_classes &&
-         wire::BitwiseEquals(a.kind, b.kind) &&
-         wire::BitwiseEquals(a.attribute, b.attribute) &&
-         wire::BitwiseEquals(a.split_point, b.split_point) &&
-         wire::BitwiseEquals(a.first, b.first) &&
-         wire::BitwiseEquals(a.num_children, b.num_children) &&
-         wire::BitwiseEquals(a.child_table, b.child_table) &&
-         wire::BitwiseEquals(a.leaf_values, b.leaf_values);
-}
-
 std::string CompiledModel::Serialize() const {
   std::ostringstream out;
   out << kMagic << "\n";
-  out << "kind " << wire::KindTag(rep_->kind) << "\n";
-  WriteSchemaBlock(rep_->schema, out);
-  WriteFlatTreeBody(rep_->tree, out);
+  out << "kind " << wire::KindTag(kind()) << "\n";
+  WriteSchemaBlock(schema(), out);
+  WriteFlatTreeBody(flat_tree(), out);
   return out.str();
 }
 
@@ -76,25 +67,15 @@ StatusOr<CompiledModel> CompiledModel::Deserialize(const std::string& text) {
   UDT_ASSIGN_OR_RETURN(FlatTree flat,
                        ReadFlatTreeBody(&reader, schema.num_classes()));
   UDT_RETURN_NOT_OK(ValidateFlatTree(flat, schema, kContext));
-  auto rep =
-      std::make_shared<Rep>(Rep{std::move(schema), kind, std::move(flat)});
-  return CompiledModel(std::move(rep));
+  return CompiledModel(std::move(schema), kind, std::move(flat));
 }
 
 Status CompiledModel::Save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out << Serialize();
-  out.close();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return wire::WriteTextFile(path, Serialize());
 }
 
 StatusOr<CompiledModel> CompiledModel::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  UDT_ASSIGN_OR_RETURN(std::string text, wire::ReadTextFile(path));
   return Deserialize(text);
 }
 

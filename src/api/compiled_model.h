@@ -1,25 +1,26 @@
-// udt::CompiledModel — the immutable, shareable serving artifact of the
-// prediction API. Model::Compile() flattens the trained pointer tree into a
-// FlatTree (breadth-first struct-of-arrays records, pooled leaf
-// distribution table) and bundles it with the schema and model kind: the
-// exact set of facts a serving process needs, and nothing it doesn't (no
-// training config, no mutable state). A CompiledModel is two shared
-// pointers wide — copy it freely across worker threads and hand one to
-// each udt::PredictSession.
+// udt::CompiledModel — the compiled form of one udt::Model. Model::Compile()
+// flattens the trained pointer tree into a FlatTree (breadth-first
+// struct-of-arrays records, pooled leaf distribution table) and bundles it
+// with the schema and model kind: the exact set of facts a serving process
+// needs, and nothing it doesn't (no training config, no mutable state).
 //
-// Persistence is versioned and self-contained ("udt-compiled v1"): Save
-// writes the flat arrays with hexfloat doubles so Load rebuilds a
-// bitwise-identical in-memory layout, validated structurally (child ids,
-// table offsets, attribute kinds against the schema) before anything
-// traverses it.
+// A tree is served as a one-tree probability-average forest: a
+// CompiledModel holds a shared one-tree CompiledForest and converts to it
+// implicitly, so `PredictSession session(compiled)` and
+// `serve::Servable(compiled)` copy one shared pointer, never the flat
+// arrays. What CompiledModel adds is the tree's own persistence
+// ("udt-compiled v1"): Save writes the flat arrays with hexfloat doubles
+// so Load rebuilds a bitwise-identical in-memory layout, validated
+// structurally (child ids, table offsets, attribute kinds against the
+// schema) before anything traverses it.
 
 #ifndef UDT_API_COMPILED_MODEL_H_
 #define UDT_API_COMPILED_MODEL_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "api/compiled_forest.h"
 #include "api/model.h"
 #include "common/statusor.h"
 #include "table/attribute.h"
@@ -37,20 +38,26 @@ class CompiledModel {
 
   // ----------------------------------------------------------- metadata
 
-  ModelKind kind() const { return rep_->kind; }
-  const Schema& schema() const { return rep_->schema; }
-  const FlatTree& flat_tree() const { return rep_->tree; }
+  ModelKind kind() const { return forest_.kind(); }
+  const Schema& schema() const { return forest_.schema(); }
+  const FlatTree& flat_tree() const { return forest_.tree(0); }
   const std::vector<std::string>& class_names() const {
-    return rep_->schema.class_names();
+    return forest_.class_names();
   }
-  int num_classes() const { return rep_->schema.num_classes(); }
-  int num_nodes() const { return rep_->tree.num_nodes(); }
-  int num_leaves() const { return rep_->tree.num_leaves(); }
+  int num_classes() const { return forest_.num_classes(); }
+  int num_nodes() const { return flat_tree().num_nodes(); }
+  int num_leaves() const { return flat_tree().num_leaves(); }
+
+  // The one-tree forest this model serves as (shares the flat arrays).
+  // Implicit on purpose: every serving entry point takes a CompiledForest.
+  operator const CompiledForest&() const { return forest_; }
 
   // True when the two artifacts have bitwise-identical flat layouts (every
   // node record, table entry and double, plus kind and schema). Load after
   // Save reproduces the layout exactly, by this definition.
-  bool LayoutEquals(const CompiledModel& other) const;
+  bool LayoutEquals(const CompiledModel& other) const {
+    return forest_.LayoutEquals(other.forest_);
+  }
 
   // -------------------------------------------------------- persistence
 
@@ -64,16 +71,9 @@ class CompiledModel {
   static StatusOr<CompiledModel> Load(const std::string& path);
 
  private:
-  struct Rep {
-    Schema schema;
-    ModelKind kind;
-    FlatTree tree;
-  };
+  CompiledModel(Schema schema, ModelKind kind, FlatTree tree);
 
-  explicit CompiledModel(std::shared_ptr<const Rep> rep)
-      : rep_(std::move(rep)) {}
-
-  std::shared_ptr<const Rep> rep_;
+  CompiledForest forest_;
 };
 
 }  // namespace udt

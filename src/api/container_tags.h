@@ -1,7 +1,8 @@
 // Wire tags shared by the versioned persistence containers ("udt-model
 // v1", "udt-compiled v1", "udt-forest-model v1", "udt-forest v1"): the
-// ModelKind and ForestVote tag maps, plus the bitwise table comparison
-// LayoutEquals implementations build on. One copy keeps a tag a container
+// ModelKind and ForestVote tag maps, the bitwise table comparison
+// LayoutEquals implementations build on, and the file half of every
+// container's Save/Load. One copy keeps a tag a container
 // serialises parseable by every sibling container forever — adding an
 // enum value means touching exactly this header.
 
@@ -9,6 +10,8 @@
 #define UDT_API_CONTAINER_TAGS_H_
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,6 +50,25 @@ bool BitwiseEquals(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// Writes `text` to `path` in one go; IOError if the file cannot be opened
+// or written.
+inline Status WriteTextFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  if (!out) return Status::IOError("cannot open for write: " + path);
+  out << text;
+  out.close();
+  if (!out) return Status::IOError("write failed: " + path);
+  return Status::OK();
+}
+
+// Reads the whole file at `path`; IOError if it cannot be opened.
+inline StatusOr<std::string> ReadTextFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open for read: " + path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace wire

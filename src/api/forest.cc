@@ -1,11 +1,11 @@
 #include "api/forest.h"
 
 #include "api/container_tags.h"
+#include "api/predict_session.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -143,6 +143,26 @@ int ForestModel::Predict(const UncertainTuple& tuple) const {
   return ArgMax(ClassifyDistribution(tuple));
 }
 
+StatusOr<BatchResult> ForestModel::PredictBatch(
+    std::span<const UncertainTuple> tuples,
+    const PredictOptions& options) const {
+  // Thin shim over the compiled serving path: flatten once, run one
+  // session. Callers with steady traffic should Compile() once and hold
+  // their own PredictSession — that amortises both the flattening and the
+  // session's persistent worker pool, which this one-shot session tears
+  // down again on return.
+  PredictSession session(Compile());
+  return session.PredictBatch(tuples, options);
+}
+
+StatusOr<BatchResult> ForestModel::PredictBatch(
+    const Dataset& data, const PredictOptions& options) const {
+  return PredictBatch(
+      std::span<const UncertainTuple>(data.tuples().data(),
+                                      data.tuples().size()),
+      options);
+}
+
 std::string ForestModel::Serialize() const {
   std::ostringstream out;
   out << kMagic << "\n";
@@ -216,19 +236,11 @@ StatusOr<ForestModel> ForestModel::Deserialize(const std::string& text) {
 }
 
 Status ForestModel::Save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out << Serialize();
-  out.close();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return wire::WriteTextFile(path, Serialize());
 }
 
 StatusOr<ForestModel> ForestModel::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  UDT_ASSIGN_OR_RETURN(std::string text, wire::ReadTextFile(path));
   return Deserialize(text);
 }
 
@@ -377,12 +389,14 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
     *oob = OobEstimate{};
     oob->total_tuples = num_tuples;
     if (config.bootstrap && fresh > 0) {
-      const int k = forest.num_classes();
+      const size_t k = static_cast<size_t>(forest.num_classes());
       // Classify through the flat kernels — bitwise-identical to the
-      // pointer path, but one flatten per tree and one reused scratch/row
-      // instead of a fresh distribution vector per (tuple, tree). Only the
-      // fresh trees take part: a carried tree never drew a bag over this
-      // window, so it has no out-of-bag relation to score.
+      // pointer path — tree-outer: each fresh tree classifies the tuples
+      // its bag left out in one batch, and the votes fold into per-tuple
+      // accumulators in tree order. Only the fresh trees take part: a
+      // carried tree never drew a bag over this window, so it has no
+      // out-of-bag relation to score. The flat trees outlive the scratch
+      // (its rank cache keys on their addresses).
       std::vector<FlatTree> flat_trees;
       flat_trees.reserve(static_cast<size_t>(fresh));
       for (int t = carried; t < num_trees; ++t) {
@@ -390,28 +404,52 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
       }
       const bool averaging = kind == ModelKind::kAveraging;
       FlatTraversalScratch scratch;
-      std::vector<double> row(static_cast<size_t>(k));
-      std::vector<double> votes(static_cast<size_t>(k));
+      std::vector<double> votes(static_cast<size_t>(num_tuples) * k, 0.0);
+      std::vector<int> oob_trees(static_cast<size_t>(num_tuples), 0);
+      std::vector<int> members;
+      std::vector<const UncertainTuple*> tuples;
+      std::vector<double> row_block;
+      std::vector<double*> rows;
+      for (int t = carried; t < num_trees; ++t) {
+        const std::vector<double>& bag = bags[static_cast<size_t>(t)];
+        members.clear();
+        for (int i = 0; i < num_tuples; ++i) {
+          if (bag[static_cast<size_t>(i)] > 0.0) continue;  // trained on i
+          members.push_back(i);
+        }
+        const size_t m = members.size();
+        tuples.resize(m);
+        row_block.resize(m * k);
+        rows.resize(m);
+        for (size_t r = 0; r < m; ++r) {
+          tuples[r] = &train.tuple(members[r]);
+          rows[r] = row_block.data() + r * k;
+        }
+        const FlatTree& flat = flat_trees[static_cast<size_t>(t - carried)];
+        if (averaging) {
+          for (size_t r = 0; r < m; ++r) {
+            ClassifyFlatMeans(flat, *tuples[r], &scratch, rows[r]);
+          }
+        } else {
+          ClassifyFlatBatch(flat, tuples.data(), rows.data(), m, &scratch);
+        }
+        for (size_t r = 0; r < m; ++r) {
+          const size_t i = static_cast<size_t>(members[r]);
+          AccumulateForestVote(config.vote, rows[r], static_cast<int>(k),
+                               votes.data() + i * k);
+          ++oob_trees[i];
+        }
+      }
       int correct = 0;
       for (int i = 0; i < num_tuples; ++i) {
-        votes.assign(static_cast<size_t>(k), 0.0);
-        int oob_trees = 0;
-        for (int t = carried; t < num_trees; ++t) {
-          if (bags[static_cast<size_t>(t)][static_cast<size_t>(i)] > 0.0) {
-            continue;  // tree t trained on tuple i
-          }
-          const FlatTree& flat = flat_trees[static_cast<size_t>(t - carried)];
-          if (averaging) {
-            ClassifyFlatMeans(flat, train.tuple(i), &scratch, row.data());
-          } else {
-            ClassifyFlat(flat, train.tuple(i), &scratch, row.data());
-          }
-          AccumulateForestVote(config.vote, row.data(), k, votes.data());
-          ++oob_trees;
-        }
-        if (oob_trees == 0) continue;
+        const size_t ui = static_cast<size_t>(i);
+        if (oob_trees[ui] == 0) continue;
         ++oob->evaluated_tuples;
-        if (ArgMax(votes) == train.tuple(i).label) ++correct;
+        // First maximum, ties -> lowest class id, as udt::ArgMax.
+        const double* row = votes.data() + ui * k;
+        if (std::max_element(row, row + k) - row == train.tuple(i).label) {
+          ++correct;
+        }
       }
       // With zero evaluated tuples the rates keep their NaN defaults and
       // coverage stays 0 — the documented "no estimate" sentinel

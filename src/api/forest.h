@@ -15,10 +15,10 @@
 // guarantee the single-tree builder makes, lifted to the ensemble
 // (tests/forest_determinism_test.cc serialises and compares the bytes).
 //
-// Serving mirrors the single-tree stack: ForestModel (pointer trees,
+// Serving shares the single-tree stack: ForestModel (pointer trees,
 // source of truth, own Save/Load) -> CompiledForest (flat per-tree
-// records, api/compiled_forest.h) -> ForestPredictSession (per-worker
-// scratch, api/forest_session.h).
+// records, api/compiled_forest.h) -> PredictSession (per-worker scratch,
+// api/predict_session.h).
 
 #ifndef UDT_API_FOREST_H_
 #define UDT_API_FOREST_H_
@@ -149,11 +149,11 @@ class ForestModel {
 
   // Flattens every tree into the immutable serving artifact
   // (api/compiled_forest.h). Serving code should compile once and hold
-  // udt::ForestPredictSession values over the result.
+  // udt::PredictSession values over the result.
   [[nodiscard]] CompiledForest Compile() const;
 
   // Classifies a batch through a one-shot compiled session
-  // (api/forest_session.h); steady-traffic callers should hold a session.
+  // (api/predict_session.h); steady-traffic callers should hold a session.
   StatusOr<BatchResult> PredictBatch(std::span<const UncertainTuple> tuples,
                                      const PredictOptions& options = {}) const;
   StatusOr<BatchResult> PredictBatch(const Dataset& data,

@@ -2,7 +2,6 @@
 
 #include "api/container_tags.h"
 
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -225,19 +224,11 @@ StatusOr<Model> Model::Deserialize(const std::string& text) {
 }
 
 Status Model::Save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out << Serialize();
-  out.close();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return wire::WriteTextFile(path, Serialize());
 }
 
 StatusOr<Model> Model::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  UDT_ASSIGN_OR_RETURN(std::string text, wire::ReadTextFile(path));
   return Deserialize(text);
 }
 

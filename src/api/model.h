@@ -37,7 +37,7 @@ enum class ModelKind {
 const char* ModelKindToString(ModelKind kind);
 
 // Knobs for one prediction call — the single options struct every serving
-// layer consumes: PredictSession / ForestPredictSession batches, the
+// layer consumes: PredictSession batches (trees and forests), the
 // ServeSession wrapper, and the BatchingQueue's per-drain classification
 // (BatchingConfig embeds one). Sharding knobs (num_threads, grain) never
 // change results; the output-policy knobs (top_k, abstain_threshold) shape

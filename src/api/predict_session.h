@@ -1,9 +1,11 @@
 // udt::PredictSession — the per-worker serving handle of the prediction
-// API. A session borrows an immutable CompiledModel (shared, never copied)
-// and owns every piece of mutable state a prediction needs: per-thread
-// traversal scratch (fractional-mass stacks, constraint arrays) and the
-// streaming output buffers. All of it is reused call to call, so
-// steady-state prediction performs zero heap allocations per tuple.
+// API, for trees and forests alike. A session borrows an immutable
+// CompiledForest (shared, never copied; a CompiledModel converts to its
+// one-tree forest) and owns every piece of mutable state a prediction
+// needs: per-worker traversal scratch, a per-tree output row block the
+// vote aggregation consumes in place, and the streaming output buffers.
+// All of it is reused call to call, so steady-state prediction performs
+// zero heap allocations per tuple.
 //
 // The intended deployment shape:
 //
@@ -12,6 +14,13 @@
 //   // ... one PredictSession per worker thread:
 //   PredictSession session(compiled);
 //   auto result = session.PredictBatch(tuples);
+//
+// (ForestModel::Compile() feeds the same session.) Every entry point runs
+// one kernel per model kind — ClassifyFlatBatch for UDT, the means walk
+// ClassifyFlatMeans for AVG — tree-outer over the forest, then folds the
+// votes per tuple in tree order and divides once: bitwise-identical to
+// ForestModel::ClassifyDistribution, and for a one-tree forest to
+// Model::ClassifyDistribution.
 //
 // A session is cheap to construct and NOT thread-safe: give each request
 // worker its own. (PredictBatch with num_threads > 1 shards over a
@@ -34,10 +43,11 @@
 #include <span>
 #include <vector>
 
+#include "api/compiled_forest.h"
 #include "api/compiled_model.h"
 #include "api/model.h"
-#include "api/session_shard.h"
 #include "common/statusor.h"
+#include "common/task_pool.h"
 #include "tree/flat_tree.h"
 
 namespace udt {
@@ -73,30 +83,27 @@ struct FlatBatchResult {
 
 class PredictSession {
  public:
-  // Ownership contract: a CompiledModel is a shared handle (one
+  // Ownership contract: a CompiledForest is a shared handle (one
   // shared_ptr wide), and the session stores its own copy — so the
   // session co-owns the compiled artifact for its whole lifetime. A
   // model registry may retire/drop its reference while this session is
-  // mid-batch without dangling anything; the flat arrays are freed when
+  // mid-batch without dangling anything; the flat trees are freed when
   // the last session (or registry entry) lets go.
-  explicit PredictSession(CompiledModel model);
+  explicit PredictSession(CompiledForest forest);
 
-  // Same contract for callers that manage compiled artifacts behind
-  // shared_ptr (e.g. a registry handing out snapshots): the pointee's
-  // inner handle is copied, so the session stays valid even after
-  // `model` itself is reset. `model` must be non-null.
-  explicit PredictSession(std::shared_ptr<const CompiledModel> model);
-
-  const CompiledModel& model() const { return model_; }
-  int num_classes() const { return model_.num_classes(); }
+  const CompiledForest& forest() const { return forest_; }
+  int num_classes() const { return forest_.num_classes(); }
 
   // ------------------------------------------------------- single tuple
 
-  // Classifies one tuple into caller storage (num_classes doubles). The
-  // zero-allocation primitive every other entry point builds on.
+  // Classifies one tuple into caller storage (num_classes doubles): the
+  // batch kernels at n = 1. The zero-allocation primitive. Trusts the
+  // caller's tuple beyond its value count (checked); the batch entry
+  // points validate every tuple against the schema instead.
   void ClassifyInto(const UncertainTuple& tuple, double* out);
 
-  // Convenience allocating forms, result-compatible with the Model ones.
+  // Convenience allocating forms, result-compatible with the Model /
+  // ForestModel ones.
   std::vector<double> ClassifyDistribution(const UncertainTuple& tuple);
   int Predict(const UncertainTuple& tuple);
 
@@ -104,10 +111,11 @@ class PredictSession {
 
   // Classifies a batch, sharded over options.num_threads workers (0 = one
   // per hardware thread, 1 = inline; negative is an InvalidArgument
-  // error). Shards write straight into their final slots, so the result is
+  // error, and so is a tuple that does not match the schema). Shards
+  // write straight into their final slots, so the result is
   // bitwise-identical to the inline loop for every thread count — and to
-  // the pointer-tree traversal of the model this session was compiled
-  // from.
+  // the pointer-tree classification of the model this session was
+  // compiled from.
   StatusOr<BatchResult> PredictBatch(std::span<const UncertainTuple> tuples,
                                      const PredictOptions& options = {});
   StatusOr<BatchResult> PredictBatch(const Dataset& data,
@@ -150,9 +158,20 @@ class PredictSession {
   // first batch with num_threads > 1, then stable across calls (it only
   // grows when a batch requests more threads than the pool seats). Tests
   // and ops dashboards use this to verify the zero-spawn steady state.
-  int executor_workers() const { return executor_.num_workers(); }
+  int executor_workers() const { return pool_ ? pool_->num_workers() : 0; }
 
  private:
+  // Per-worker mutable state: traversal scratch shared by all trees, the
+  // block's per-tree rows the vote aggregation consumes, and the gather
+  // buffers that assemble the kernels' pointer-array arguments.
+  struct WorkerScratch {
+    FlatTraversalScratch traversal;
+    std::vector<double> tree_rows;
+    std::vector<double*> tree_row_ptrs;
+    std::vector<const UncertainTuple*> tuple_ptrs;
+    std::vector<double*> row_ptrs;
+  };
+
   // Shared body of both PredictBatchInto overloads; `tuple_at(i)` yields
   // a const UncertainTuple& for batch position i. Defined in the .cc —
   // both instantiations live there.
@@ -162,24 +181,37 @@ class PredictSession {
                               FlatBatchResult* out);
 
   // Scratch slot for worker `index`, created on first use, reused after.
-  FlatTraversalScratch* ScratchFor(size_t index);
-
-  // Resolves PredictOptions::num_threads against the batch size.
-  StatusOr<int> ResolveThreads(int num_threads, size_t batch_size) const;
+  WorkerScratch* ScratchFor(size_t index);
 
   // The session pool sized for `num_threads` (nullptr for inline
   // execution), with every scratch slot the pool's workers could touch
   // pre-created.
   TaskPool* EnsureExecutor(int num_threads);
 
-  void CheckTuple(const UncertainTuple& tuple) const;
+  // Shared body of every batch entry point: validates the options and
+  // every tuple, then classifies tuple_at(i) into row_at(i) (num_classes
+  // doubles) and its argmax into labels[i], sharded over the session
+  // pool. With `seconds` non-null each tuple runs as its own kernel
+  // launch and seconds[i] receives its wall time. Returns the scheduled
+  // width (see TaskPool::ParallelFor).
+  template <typename TupleAt, typename RowAt>
+  StatusOr<int> ClassifyBatch(size_t n, TupleAt tuple_at, RowAt row_at,
+                              const PredictOptions& options, int* labels,
+                              double* seconds);
 
-  CompiledModel model_;
-  std::vector<std::unique_ptr<FlatTraversalScratch>> scratch_;
+  // Classifies tuples[0..count) into rows[0..count): every tree's kernel
+  // over the whole block, votes folded per tuple in tree order, one final
+  // division.
+  void ClassifyBlock(WorkerScratch* scratch,
+                     const UncertainTuple* const* tuples,
+                     double* const* rows, size_t count);
+
+  CompiledForest forest_;
+  std::vector<std::unique_ptr<WorkerScratch>> scratch_;
   FlatBatchResult stream_;
   // Lazily created at the first multi-threaded batch, then reused for
   // every later call (see "Execution model" above).
-  session_internal::SessionExecutor executor_;
+  std::unique_ptr<TaskPool> pool_;
 };
 
 }  // namespace udt

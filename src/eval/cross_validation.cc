@@ -3,7 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include "api/forest_session.h"
+#include "api/predict_session.h"
 #include "eval/metrics.h"
 
 namespace udt {
@@ -92,7 +92,7 @@ StatusOr<ForestCrossValidationResult> RunForestCrossValidation(
     UDT_ASSIGN_OR_RETURN(ForestModel forest, trainer.Train(request));
     // Evaluate through the serving path: compile the fold's forest once
     // and run a session over the held-out fold.
-    ForestPredictSession session(forest.Compile());
+    PredictSession session(forest.Compile());
     result.cv.fold_accuracies.push_back(EvaluateAccuracy(session, test));
     result.cv.total_build_stats += stats;
     // A fold with zero evaluated tuples reports NaN rates (the OobEstimate

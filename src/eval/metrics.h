@@ -14,11 +14,10 @@
 
 namespace udt {
 
-// Forward declarations (api/forest.h, api/forest_session.h): the forest
-// overloads below take references only, so consumers that never touch
-// forests don't pay for the ensemble headers.
+// Forward declaration (api/forest.h): the forest overloads below take
+// references only, so consumers that never touch forests don't pay for
+// the ensemble header.
 class ForestModel;
-class ForestPredictSession;
 
 // Row-per-true-class confusion matrix with weighted helpers.
 class ConfusionMatrix {
@@ -47,7 +46,7 @@ class ConfusionMatrix {
 };
 
 // Classifies every tuple of `test` through an existing serving session
-// (one PredictBatch call) and tallies the matrix. `options` controls batch
+// (one PredictBatch call; a tree or a forest) and tallies the matrix. `options` controls batch
 // sharding and must be valid (a negative thread count is a checked error;
 // validate it at the serving edge with PredictSession::PredictBatch).
 ConfusionMatrix EvaluateConfusion(PredictSession& session, const Dataset& test,
@@ -61,13 +60,7 @@ ConfusionMatrix EvaluateConfusion(const Model& model, const Dataset& test,
 double EvaluateAccuracy(const Model& model, const Dataset& test,
                         const PredictOptions& options = {});
 
-// Ensemble counterparts: classify through a forest serving session (or a
-// one-shot compiled forest) and tally the same matrix.
-ConfusionMatrix EvaluateConfusion(ForestPredictSession& session,
-                                  const Dataset& test,
-                                  const PredictOptions& options = {});
-double EvaluateAccuracy(ForestPredictSession& session, const Dataset& test,
-                        const PredictOptions& options = {});
+// Ensemble counterparts of the one-shot overloads.
 ConfusionMatrix EvaluateConfusion(const ForestModel& forest,
                                   const Dataset& test,
                                   const PredictOptions& options = {});
@@ -93,10 +86,10 @@ struct AbstentionReport {
   double accuracy_overall = 0.0;
 };
 
-// Evaluates `test` through a forest session under `options`'s abstention
+// Evaluates `test` through a session under `options`'s abstention
 // threshold (sharding knobs honoured as usual). options.abstain_threshold
 // = 0 degenerates to coverage 1 and both accuracies equal.
-AbstentionReport EvaluateWithAbstention(ForestPredictSession& session,
+AbstentionReport EvaluateWithAbstention(PredictSession& session,
                                         const Dataset& test,
                                         const PredictOptions& options);
 // One-shot: compiles `forest` and evaluates through a fresh session.

@@ -158,6 +158,26 @@ void BatchingQueue::ServeBatch(std::vector<Pending>& batch,
     bound_ = std::move(handle);
   }
 
+  // A malformed request (wrong value count, a value of the wrong kind, a
+  // categorical pdf of the wrong width) fails alone with InvalidArgument;
+  // the rest of the drain is served. The kernels assume these invariants,
+  // so nothing unchecked may reach them.
+  const Schema& schema = bound_->servable.schema();
+  size_t kept = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Status valid = ValidateTupleValues(schema, *batch[i].tuple);
+    if (!valid.ok()) {
+      ServeResult result;
+      result.status = std::move(valid);
+      batch[i].done(std::move(result));
+      continue;
+    }
+    if (kept != i) batch[kept] = std::move(batch[i]);
+    ++kept;
+  }
+  batch.resize(kept);
+  if (batch.empty()) return;
+
   tuple_ptrs_.clear();
   tuple_ptrs_.reserve(batch.size());
   for (const Pending& request : batch) tuple_ptrs_.push_back(request.tuple);

@@ -30,7 +30,9 @@
 // thread. Completions (callbacks, future fulfilment) run on the drainer
 // thread — keep them cheap or hop executors yourself. The caller's tuple
 // must stay alive and unmodified until its completion runs; the queue
-// never copies tuples (that is what keeps admission O(1)).
+// never copies tuples (that is what keeps admission O(1)). A tuple that
+// does not match the served schema fails alone with InvalidArgument; the
+// rest of its micro-batch is served.
 
 #ifndef UDT_SERVE_BATCHING_QUEUE_H_
 #define UDT_SERVE_BATCHING_QUEUE_H_
@@ -164,8 +166,9 @@ class BatchingQueue {
 
   void DrainLoop();
   // Classifies `batch` against `handle` (rebinding the session if the
-  // snapshot changed) and completes every request. Runs on the drainer,
-  // no lock held.
+  // snapshot changed) and completes every request; a request whose tuple
+  // does not match the artifact's schema completes alone with
+  // InvalidArgument. Runs on the drainer, no lock held.
   void ServeBatch(std::vector<Pending>& batch, ModelHandle handle);
   static void FailBatch(std::vector<Pending>& batch, const Status& status);
 

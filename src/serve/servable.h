@@ -1,87 +1,31 @@
 // udt::serve::Servable — the one value type the serving front end traffics
-// in: either a compiled single tree ("udt-compiled v1", CompiledModel) or a
-// compiled ensemble ("udt-forest v1", CompiledForest), behind one face. The
-// registry stores Servables, the admission queue drains through them, and
-// neither has to care which container kind a version holds.
+// in, and ServeSession, its per-worker execution handle. A compiled tree
+// ("udt-compiled v1", CompiledModel) serves as a one-tree forest, so both
+// container kinds are one CompiledForest and both run through one
+// PredictSession: the registry stores Servables, the admission queue
+// drains through ServeSessions, and neither has a container kind to care
+// about.
 //
-// Both container kinds are shared handles (one or two shared_ptrs wide), so
-// a Servable copies in O(1) and co-owns its artifact: retiring a registry
-// entry while a session built from it is mid-batch never dangles — the flat
-// arrays live until the last Servable/session lets go. That ownership story
-// is the whole reason atomic hot swap works (see model_registry.h).
-//
-// ServeSession is the matching per-worker execution handle: it wraps a
-// PredictSession or ForestPredictSession (whichever the Servable needs) and
-// exposes the entry points the front end uses — single-tuple ClassifyInto,
-// the contiguous batch, and the gather (pointer-span) batch an admission
-// queue drains coalesced micro-batches through. Like the sessions it wraps,
-// a ServeSession is cheap to construct and NOT thread-safe: one per worker.
+// A CompiledForest is one shared pointer wide, so a Servable copies in
+// O(1) and co-owns its artifact: retiring a registry entry while a session
+// built from it is mid-batch never dangles — the flat arrays live until
+// the last Servable/session lets go. That ownership story is the whole
+// reason atomic hot swap works (see model_registry.h). Like every
+// PredictSession, a ServeSession is cheap to construct and NOT
+// thread-safe: one per worker.
 
 #ifndef UDT_SERVE_SERVABLE_H_
 #define UDT_SERVE_SERVABLE_H_
 
-#include <span>
-#include <string>
-#include <variant>
-
 #include "api/compiled_forest.h"
 #include "api/compiled_model.h"
-#include "api/forest_session.h"
 #include "api/predict_session.h"
-#include "common/statusor.h"
 
 namespace udt {
 namespace serve {
 
-// An immutable serving artifact: one compiled tree or one compiled forest.
-class Servable {
- public:
-  explicit Servable(CompiledModel model);
-  explicit Servable(CompiledForest forest);
-
-  bool is_forest() const;
-  int num_classes() const;
-  const Schema& schema() const;
-  // Total flat nodes (summed over trees for a forest) — an ops-dashboard
-  // size proxy.
-  int num_nodes() const;
-  // e.g. "udt-compiled v1 tree (57 nodes)" / "udt-forest v1 x8 trees".
-  std::string Describe() const;
-
-  // The wrapped containers, for callers that need the concrete kind
-  // (nullptr when this Servable holds the other kind).
-  const CompiledModel* model() const;
-  const CompiledForest* forest() const;
-
- private:
-  std::variant<CompiledModel, CompiledForest> artifact_;
-};
-
-// A per-worker execution handle over one Servable. Construction copies the
-// shared artifact handle, so the session outlives any registry entry it
-// was resolved from.
-class ServeSession {
- public:
-  explicit ServeSession(const Servable& servable);
-
-  int num_classes() const;
-
-  // Classifies one tuple into caller storage (num_classes doubles).
-  void ClassifyInto(const UncertainTuple& tuple, double* out);
-
-  // Contiguous batch, flat output; see PredictSession::PredictBatchInto.
-  Status PredictBatchInto(std::span<const UncertainTuple> tuples,
-                          const PredictOptions& options, FlatBatchResult* out);
-
-  // Gather batch for coalesced micro-batches whose tuples live in
-  // different clients' memory. Pointers must be non-null and alive until
-  // the call returns.
-  Status PredictBatchInto(std::span<const UncertainTuple* const> tuples,
-                          const PredictOptions& options, FlatBatchResult* out);
-
- private:
-  std::variant<PredictSession, ForestPredictSession> impl_;
-};
+using Servable = CompiledForest;
+using ServeSession = PredictSession;
 
 }  // namespace serve
 }  // namespace udt

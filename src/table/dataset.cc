@@ -48,19 +48,14 @@ int CategoricalPdf::MostLikely() const {
   return best;
 }
 
-Status Dataset::AddTuple(UncertainTuple tuple) {
-  if (static_cast<int>(tuple.values.size()) != schema_.num_attributes()) {
+Status ValidateTupleValues(const Schema& schema, const UncertainTuple& tuple) {
+  if (static_cast<int>(tuple.values.size()) != schema.num_attributes()) {
     return Status::InvalidArgument(StrFormat(
         "tuple has %d values, schema expects %d",
-        static_cast<int>(tuple.values.size()), schema_.num_attributes()));
+        static_cast<int>(tuple.values.size()), schema.num_attributes()));
   }
-  if (tuple.label < 0 || tuple.label >= schema_.num_classes()) {
-    return Status::InvalidArgument(
-        StrFormat("label %d out of range [0, %d)", tuple.label,
-                  schema_.num_classes()));
-  }
-  for (int j = 0; j < schema_.num_attributes(); ++j) {
-    const AttributeInfo& info = schema_.attribute(j);
+  for (int j = 0; j < schema.num_attributes(); ++j) {
+    const AttributeInfo& info = schema.attribute(j);
     const UncertainValue& value = tuple.values[static_cast<size_t>(j)];
     if (info.kind == AttributeKind::kNumerical && !value.is_numerical()) {
       return Status::InvalidArgument("categorical value in numerical column " +
@@ -76,6 +71,16 @@ Status Dataset::AddTuple(UncertainTuple tuple) {
             "categorical cardinality mismatch in column " + info.name);
       }
     }
+  }
+  return Status::OK();
+}
+
+Status Dataset::AddTuple(UncertainTuple tuple) {
+  UDT_RETURN_NOT_OK(ValidateTupleValues(schema_, tuple));
+  if (tuple.label < 0 || tuple.label >= schema_.num_classes()) {
+    return Status::InvalidArgument(
+        StrFormat("label %d out of range [0, %d)", tuple.label,
+                  schema_.num_classes()));
   }
   tuples_.push_back(std::move(tuple));
   return Status::OK();

@@ -112,6 +112,14 @@ struct UncertainTuple {
   int label = 0;
 };
 
+// Checks `tuple`'s values against `schema`: the value count, each value's
+// kind (numerical pdf vs categorical distribution) and each categorical
+// distribution's width. The label is not checked — serving tuples may be
+// unlabelled. Every traversal assumes these invariants, so the serving
+// entry points run this before classifying; Dataset::AddTuple runs it
+// too.
+Status ValidateTupleValues(const Schema& schema, const UncertainTuple& tuple);
+
 // Reduces every value of `tuple` to a certain one: numerical pdfs become a
 // point mass at their mean, categorical distributions collapse to their
 // most likely category (the Averaging view of a tuple, Section 4.1).
@@ -157,8 +165,8 @@ class Dataset {
   }
   const std::vector<UncertainTuple>& tuples() const { return tuples_; }
 
-  // Appends a tuple. Fails if the value count, value kinds or label do not
-  // match the schema.
+  // Appends a tuple. Fails if the values (see ValidateTupleValues) or the
+  // label do not match the schema.
   Status AddTuple(UncertainTuple tuple);
 
   // [min, max] over the supports of attribute j across all tuples (the

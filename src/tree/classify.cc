@@ -25,8 +25,9 @@ struct TraversalState {
 // replays the former recursion's statement order exactly — constraint
 // mutation, child visit, constraint restore — so a degenerate
 // hundred-thousand-node split chain costs heap capacity instead of
-// overflowing the machine stack. tree/flat_tree.cc uses the identical
-// scheme; both remain bitwise-identical to each other.
+// overflowing the machine stack. This traversal is the reference oracle
+// the flat serving kernels (tree/flat_tree.cc) are pinned to, bit for
+// bit.
 struct TraversalOp {
   enum Kind : uint8_t { kVisit = 0, kSetLo = 1, kSetHi = 2, kSetCategory = 3 };
   uint8_t kind;

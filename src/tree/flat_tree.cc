@@ -108,20 +108,6 @@ FlatTree FlattenTree(const DecisionTree& tree) {
   return flat;
 }
 
-// ---------------------------------------------------------------- kernels
-//
-// PropagateFlat mirrors the Propagate traversal of tree/classify.cc
-// statement for statement, reading struct-of-arrays records instead of
-// chasing TreeNode pointers. Identical control flow over identical
-// constraint state means the identical sequence of ConstrainedMass /
-// ConditionalCdf evaluations, weight products and leaf accumulations — the
-// bitwise guarantee. The former recursion is replayed by an explicit op
-// stack in the reusable scratch: each node visit pushes, in reverse, the
-// exact statement sequence the recursive body executed (constraint
-// mutation, child visit, constraint restore), so a pathological
-// million-node split chain costs heap capacity instead of overflowing the
-// machine stack.
-
 #if defined(__GNUC__) || defined(__clang__)
 #define UDT_PREFETCH(addr) __builtin_prefetch(addr)
 #else
@@ -129,98 +115,6 @@ FlatTree FlattenTree(const DecisionTree& tree) {
 #endif
 
 namespace {
-
-void PropagateFlat(const FlatTree& flat, const UncertainTuple& tuple,
-                   FlatTraversalScratch* scratch, double* out) {
-  std::vector<FlatTraversalOp>& ops = scratch->ops;
-  ops.clear();
-  ops.push_back({FlatTraversalOp::kVisit, 0, -1, 1.0});
-  while (!ops.empty()) {
-    const FlatTraversalOp op = ops.back();
-    ops.pop_back();
-    const size_t j_op = static_cast<size_t>(op.node_or_attribute);
-    switch (op.kind) {
-      case FlatTraversalOp::kSetLo:
-        scratch->lo[j_op] = op.value;
-        continue;
-      case FlatTraversalOp::kSetHi:
-        scratch->hi[j_op] = op.value;
-        continue;
-      case FlatTraversalOp::kSetCategory:
-        scratch->category[j_op] = op.category;
-        continue;
-      default:
-        break;
-    }
-
-    const double weight = op.value;
-    if (weight < kMinFractionWeight) continue;
-    const size_t i = static_cast<size_t>(op.node_or_attribute);
-    const int32_t node = op.node_or_attribute;
-    const FlatNodeKind kind = flat.node_kind(node);
-    if (kind == FlatNodeKind::kLeaf) {
-      const double* dist = flat.leaf_values.data() + flat.first[i];
-      for (int c = 0; c < flat.num_classes; ++c) {
-        out[c] += weight * dist[c];
-      }
-      continue;
-    }
-
-    const int32_t attribute = flat.attribute[i];
-    const size_t j = static_cast<size_t>(attribute);
-    if (kind == FlatNodeKind::kCategorical) {
-      const CategoricalPdf& dist = tuple.values[j].categorical();
-      const int32_t* children = flat.child_table.data() + flat.first[i];
-      if (scratch->category[j] >= 0) {
-        const int32_t child = children[scratch->category[j]];
-        UDT_DCHECK(child >= 0);
-        ops.push_back({FlatTraversalOp::kVisit, child, -1, weight});
-        continue;
-      }
-      // The recursion visited categories ascending, restoring category[j]
-      // to -1 between children; push each (set, visit, restore) triple in
-      // reverse so the pops replay that exact order.
-      for (int32_t v = flat.num_children[i] - 1; v >= 0; --v) {
-        double p = dist.probability(v);
-        if (p <= 0.0 || children[v] < 0) continue;
-        ops.push_back({FlatTraversalOp::kSetCategory, attribute, -1, 0.0});
-        ops.push_back({FlatTraversalOp::kVisit, children[v], -1, weight * p});
-        ops.push_back({FlatTraversalOp::kSetCategory, attribute, v, 0.0});
-      }
-      continue;
-    }
-
-    const SampledPdf& pdf = tuple.values[j].pdf();
-    double mass = ConstrainedMass(pdf, scratch->lo[j], scratch->hi[j]);
-    if (mass <= 0.0) continue;
-    double p_left = ConditionalCdf(pdf, scratch->lo[j], scratch->hi[j],
-                                   flat.split_point[i]);
-
-    // The recursive order was: narrow hi, visit left, restore hi, narrow
-    // lo, visit right, restore lo. Both saved bounds are read now — safe
-    // because a subtree always restores every bound it touches before
-    // control returns to this level.
-    double w_left = weight * p_left;
-    double w_right = weight - w_left;
-    const bool go_left = w_left >= kMinFractionWeight;
-    const bool go_right = w_right >= kMinFractionWeight;
-    if (go_right) {
-      double saved_lo = scratch->lo[j];
-      ops.push_back({FlatTraversalOp::kSetLo, attribute, -1, saved_lo});
-      ops.push_back(
-          {FlatTraversalOp::kVisit, flat.first[i] + 1, -1, w_right});
-      ops.push_back({FlatTraversalOp::kSetLo, attribute, -1,
-                     std::max(saved_lo, flat.split_point[i])});
-    }
-    if (go_left) {
-      double saved_hi = scratch->hi[j];
-      ops.push_back({FlatTraversalOp::kSetHi, attribute, -1, saved_hi});
-      ops.push_back({FlatTraversalOp::kVisit, flat.first[i], -1, w_left});
-      ops.push_back({FlatTraversalOp::kSetHi, attribute, -1,
-                     std::min(saved_hi, flat.split_point[i])});
-    }
-  }
-}
 
 // The final renormalisation, identical to ClassifyDistribution's epilogue.
 void Renormalise(int num_classes, double* out) {
@@ -237,16 +131,16 @@ void Renormalise(int num_classes, double* out) {
 
 // ------------------------------------------------------ batch machinery
 
-// DFS-preorder rank of every node, visiting children in the scalar
+// DFS-preorder rank of every node, visiting children in the pointer
 // traversal's order (numerical: left then right; categorical: present
 // children by ascending category). Two leaves reached by the same tuple
-// are accumulated by the scalar kernel in exactly this rank order, so the
-// batch kernel sorts its deferred leaf hits by rank to replay it.
-// Computed once per tree and cached in the scratch (see the lifetime
-// contract on FlatBatchScratch).
+// are accumulated by tree/classify.cc in exactly this rank order, so the
+// kernel sorts its deferred leaf hits by rank to replay it. Computed once
+// per tree and cached in the scratch (see the lifetime contract on
+// FlatTraversalScratch).
 const std::vector<int32_t>& DfsRanksFor(const FlatTree& flat,
-                                        FlatBatchScratch* bs) {
-  for (const FlatBatchScratch::RankCacheEntry& entry : bs->rank_cache) {
+                                        FlatTraversalScratch* bs) {
+  for (const FlatTraversalScratch::RankCacheEntry& entry : bs->rank_cache) {
     if (entry.tree == &flat) return entry.ranks;
   }
   bs->rank_cache.push_back({&flat, {}});
@@ -314,7 +208,7 @@ int32_t LookupCategory(const std::vector<FlatBatchConstraint>& arena,
 // a counting sort over the level's id range. Grouping turns the dispatch
 // switch of the processing loop into long same-kind runs (effectively
 // branch-free) and makes the node-record loads stride-1.
-void GroupFrontierByNode(FlatBatchScratch* bs) {
+void GroupFrontierByNode(FlatTraversalScratch* bs) {
   const std::vector<FlatBatchItem>& frontier = bs->frontier;
   int32_t min_id = frontier[0].node;
   int32_t max_id = frontier[0].node;
@@ -343,17 +237,6 @@ void GroupFrontierByNode(FlatBatchScratch* bs) {
 constexpr size_t kPrefetchAhead = 8;
 
 }  // namespace
-
-void ClassifyFlat(const FlatTree& flat, const UncertainTuple& tuple,
-                  FlatTraversalScratch* scratch, double* out) {
-  const size_t k = tuple.values.size();
-  scratch->lo.assign(k, -kInf);
-  scratch->hi.assign(k, kInf);
-  scratch->category.assign(k, -1);
-  std::fill(out, out + flat.num_classes, 0.0);
-  PropagateFlat(flat, tuple, scratch, out);
-  Renormalise(flat.num_classes, out);
-}
 
 void ClassifyFlatMeans(const FlatTree& flat, const UncertainTuple& tuple,
                        FlatTraversalScratch* scratch, double* out) {
@@ -388,15 +271,15 @@ void ClassifyFlatMeans(const FlatTree& flat, const UncertainTuple& tuple,
     }
     const size_t j = static_cast<size_t>(flat.attribute[i]);
     if (kind == FlatNodeKind::kCategorical) {
-      // A most-likely category beyond the node's arity (a tuple whose
-      // categorical pdf is wider than the schema's attribute) behaves like
-      // an absent child: in the pointer traversal every in-range category
-      // has probability zero, no leaf is reached, and the uniform fallback
-      // of the renormalisation applies. Bounds-check rather than read past
-      // the child table.
+      // A category outside the node's arity (a tuple whose categorical pdf
+      // is wider than the schema's attribute, or -1 for a numerical value
+      // in a categorical column) behaves like an absent child: no leaf is
+      // reached and the uniform fallback of the renormalisation applies.
+      // One unsigned compare bounds-checks both ends of the child table.
       const int32_t cat = scratch->mean_category[j];
       const int32_t child =
-          cat < flat.num_children[i]
+          static_cast<uint32_t>(cat) <
+                  static_cast<uint32_t>(flat.num_children[i])
               ? flat.child_table[static_cast<size_t>(flat.first[i]) +
                                  static_cast<size_t>(cat)]
               : -1;
@@ -410,7 +293,7 @@ void ClassifyFlatMeans(const FlatTree& flat, const UncertainTuple& tuple,
   Renormalise(flat.num_classes, out);
 }
 
-// ----------------------------------------------------- batch kernels
+// ------------------------------------------------------- UDT kernel
 //
 // Level-synchronous traversal: instead of finishing one tuple's tree walk
 // before starting the next, a frontier of (tuple, node, weight,
@@ -422,15 +305,15 @@ void ClassifyFlatMeans(const FlatTree& flat, const UncertainTuple& tuple,
 // that reach leaves are not accumulated on the spot (frontier order is
 // level order, not DFS order); they are collected as (tuple, DFS rank,
 // leaf, weight) hits and replayed per tuple in rank order, which is
-// precisely the scalar kernel's accumulation order. Identical per-split
-// arithmetic (shared with the scalar path via pdf/pdf_kernels.h) plus
-// identical accumulation order gives output bitwise-identical to n
-// ClassifyFlat calls — pinned by tests/batch_traversal_test.cc.
+// precisely the pointer traversal's accumulation order. Identical
+// per-split arithmetic (the fused pdf/pdf_kernels.h evaluation is bitwise
+// equal to tree/classify.cc's ConstrainedMass + ConditionalCdf) plus
+// identical accumulation order gives output bitwise-identical to
+// ClassifyDistribution for every batch size, one tuple included.
 //
 // Memory note: the frontier and hit buffers scale with the total number
-// of live fragments in the block, where the scalar path only ever holds
-// one root-leaf chain. For real trees fragments per tuple are modest; the
-// buffers retain capacity across calls.
+// of live fragments in the block. For real trees fragments per tuple are
+// modest; the buffers retain capacity across calls.
 
 void ClassifyFlatBatch(const FlatTree& flat,
                        const UncertainTuple* const* tuples,
@@ -438,7 +321,7 @@ void ClassifyFlatBatch(const FlatTree& flat,
                        FlatTraversalScratch* scratch) {
   UDT_CHECK(n <= static_cast<size_t>(
                      std::numeric_limits<int32_t>::max()));
-  FlatBatchScratch& bs = scratch->batch;
+  FlatTraversalScratch& bs = *scratch;
   const std::vector<int32_t>& ranks = DfsRanksFor(flat, &bs);
 
   bs.frontier.clear();
@@ -489,7 +372,7 @@ void ClassifyFlatBatch(const FlatTree& flat,
           const double p = dist.probability(v);
           if (p <= 0.0 || children[v] < 0) continue;
           const double w = item.weight * p;
-          // The scalar path lets the child visit's entry guard drop the
+          // The pointer path lets the child visit's entry guard drop the
           // fragment; dropping it at push time is the same observable
           // behaviour without a dead work item.
           if (w < kMinFractionWeight) continue;
@@ -507,7 +390,7 @@ void ClassifyFlatBatch(const FlatTree& flat,
                             &hi);
       const SampledPdf& pdf = tuple.values[j].pdf();
       // One fused lockstep evaluation yields both the constrained mass and
-      // p_left of the scalar path's ConstrainedMass + ConditionalCdf pair,
+      // p_left of the pointer path's ConstrainedMass + ConditionalCdf pair,
       // bit for bit (see pdf/pdf_kernels.h).
       const PdfSplitEval eval =
           PdfEvalNumericalSplit(pdf, lo, hi, flat.split_point[i]);
@@ -529,7 +412,7 @@ void ClassifyFlatBatch(const FlatTree& flat,
     }
   }
 
-  // Replay the deferred leaf hits in the scalar accumulation order: per
+  // Replay the deferred leaf hits in the pointer accumulation order: per
   // tuple, ascending DFS rank. A tuple never holds two fragments on the
   // same node (fragments split onto distinct children), so (tuple, rank)
   // is a strict key and the sort is fully deterministic.
@@ -543,101 +426,6 @@ void ClassifyFlatBatch(const FlatTree& flat,
     double* row = rows[hit.tuple];
     const double* dist = flat.leaf_values.data() + hit.leaf_offset;
     for (int c = 0; c < k; ++c) row[c] += hit.weight * dist[c];
-  }
-  for (size_t t = 0; t < n; ++t) Renormalise(k, rows[t]);
-}
-
-void ClassifyFlatMeansBatch(const FlatTree& flat,
-                            const UncertainTuple* const* tuples,
-                            double* const* rows, size_t n,
-                            FlatTraversalScratch* scratch) {
-  UDT_CHECK(n <= static_cast<size_t>(
-                     std::numeric_limits<int32_t>::max()));
-  FlatBatchScratch& bs = scratch->batch;
-  const int k = flat.num_classes;
-
-  // Reduce every tuple to its means up front (block-major), exactly the
-  // per-attribute reduction of ClassifyFlatMeans; tuples are independent,
-  // so computing them batch-first changes nothing.
-  const size_t attrs = n > 0 ? tuples[0]->values.size() : 0;
-  bs.mean_values.assign(n * attrs, 0.0);
-  bs.mean_categories.assign(n * attrs, -1);
-  for (size_t t = 0; t < n; ++t) {
-    const UncertainTuple& tuple = *tuples[t];
-    UDT_DCHECK(tuple.values.size() == attrs);
-    for (size_t j = 0; j < attrs; ++j) {
-      const UncertainValue& v = tuple.values[j];
-      if (v.is_numerical()) {
-        bs.mean_values[t * attrs + j] = v.pdf().Mean();
-      } else {
-        bs.mean_categories[t * attrs + j] =
-            v.categorical().MostLikely();
-      }
-    }
-  }
-
-  for (size_t t = 0; t < n; ++t) std::fill(rows[t], rows[t] + k, 0.0);
-
-  // Lockstep single-path walks: each round advances every live tuple one
-  // level, compacting finished walkers out in place. Unlike the full UDT
-  // kernel there is no grouping pass — a means walk never fragments, so a
-  // per-round counting sort would cost more than the one-node advance it
-  // organises (measured 2-6x slower than the scalar walk); the dense
-  // sweep with prefetch already exposes the memory-level parallelism
-  // across tuples. Weight and constraint fields of the items are unused —
-  // a means walk carries weight exactly 1.0 and needs no path
-  // constraints. Each tuple accumulates at most one leaf, so no rank
-  // replay is needed; a tuple whose walk breaks on an absent categorical
-  // child accumulates nothing and falls back to the uniform distribution
-  // in Renormalise, as in the scalar kernel.
-  bs.frontier.clear();
-  bs.frontier.reserve(n);
-  for (size_t t = 0; t < n; ++t) {
-    bs.frontier.push_back({static_cast<int32_t>(t), 0, -1, 1.0});
-  }
-  size_t live = bs.frontier.size();
-  while (live > 0) {
-    size_t out = 0;
-    for (size_t idx = 0; idx < live; ++idx) {
-      if (idx + kPrefetchAhead < live) {
-        const FlatBatchItem& pf = bs.frontier[idx + kPrefetchAhead];
-        if (flat.node_kind(pf.node) == FlatNodeKind::kLeaf) {
-          UDT_PREFETCH(flat.leaf_values.data() +
-                       flat.first[static_cast<size_t>(pf.node)]);
-        }
-      }
-      const FlatBatchItem item = bs.frontier[idx];
-      const size_t i = static_cast<size_t>(item.node);
-      const FlatNodeKind kind = flat.node_kind(item.node);
-      if (kind == FlatNodeKind::kLeaf) {
-        double* row = rows[item.tuple];
-        const double* dist = flat.leaf_values.data() + flat.first[i];
-        for (int c = 0; c < k; ++c) row[c] += 1.0 * dist[c];
-        continue;
-      }
-      const size_t j = static_cast<size_t>(flat.attribute[i]);
-      const size_t mean_index = static_cast<size_t>(item.tuple) * attrs + j;
-      int32_t next;
-      if (kind == FlatNodeKind::kCategorical) {
-        // Same out-of-arity bounds check as the scalar kernel: a
-        // most-likely category beyond the node's child table behaves like
-        // an absent child.
-        const int32_t cat = bs.mean_categories[mean_index];
-        next = cat < flat.num_children[i]
-                   ? flat.child_table[static_cast<size_t>(flat.first[i]) +
-                                      static_cast<size_t>(cat)]
-                   : -1;
-        if (next < 0) continue;
-      } else {
-        next = bs.mean_values[mean_index] <= flat.split_point[i]
-                   ? flat.first[i]
-                   : flat.first[i] + 1;
-      }
-      // out <= idx always, so the in-place compaction never overtakes
-      // the read cursor.
-      bs.frontier[out++] = {item.tuple, next, -1, 1.0};
-    }
-    live = out;
   }
   for (size_t t = 0; t < n; ++t) Renormalise(k, rows[t]);
 }

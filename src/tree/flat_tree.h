@@ -3,12 +3,12 @@
 // one record per node in breadth-first order (root at index 0, every node's
 // children contiguous), split thresholds and attribute ids in parallel
 // arrays, and all leaf class distributions pooled into one table (identical
-// distributions are stored once). The flat classification kernels below
-// replay the recursive traversal of tree/classify.cc with an explicit
-// operation stack over reusable scratch, performing the same floating-point
-// operations in the same order — their output is bitwise-identical to
+// distributions are stored once). One flat kernel per model kind follows:
+// the level-synchronous UDT kernel and the AVG means walk. Both perform the
+// floating-point operations of tree/classify.cc in the same order over
+// reusable scratch — their output is bitwise-identical to
 // ClassifyDistribution on the source tree, by construction and by test
-// (tests/predict_session_test.cc).
+// (tests/traversal_differential_test.cc).
 
 #ifndef UDT_TREE_FLAT_TREE_H_
 #define UDT_TREE_FLAT_TREE_H_
@@ -30,7 +30,7 @@ enum class FlatNodeKind : uint8_t {
 };
 
 // The serving-side tree: parallel per-node arrays plus two pooled tables.
-// Plain data, movable and copyable; CompiledModel wraps it immutably.
+// Plain data, movable and copyable; CompiledForest wraps it immutably.
 struct FlatTree {
   int num_classes = 0;
 
@@ -71,22 +71,9 @@ struct FlatTree {
 // to the source tree through the kernels below.
 FlatTree FlattenTree(const DecisionTree& tree);
 
-// One deferred operation of the scalar traversal's explicit stack: visit a
-// node with a fractional weight, or set/restore one per-attribute path
-// constraint. The stack replays the former recursion's statement order
-// exactly, but with O(depth) heap instead of O(depth) machine stack — deep
-// degenerate trees can no longer overflow the native stack.
-struct FlatTraversalOp {
-  enum Kind : uint8_t { kVisit = 0, kSetLo = 1, kSetHi = 2, kSetCategory = 3 };
-  uint8_t kind;
-  int32_t node_or_attribute;  // node id for kVisit, attribute otherwise
-  int32_t category;           // kSetCategory payload
-  double value;               // weight for kVisit, bound for kSetLo/kSetHi
-};
-
-// ----------------------------------------------------- batch work items
-// State of the level-synchronous batch kernel (ClassifyFlatBatch below).
-// All per-item path state is explicit data: a frontier of (tuple, node,
+// ---------------------------------------------------- batch work items
+// State of the level-synchronous kernel (ClassifyFlatBatch below). All
+// per-item path state is explicit data: a frontier of (tuple, node,
 // weight, constraint-chain) work items advances one tree level at a time.
 
 // One in-flight tuple fragment of the batch frontier.
@@ -110,9 +97,9 @@ struct FlatBatchConstraint {
 };
 
 // A fragment that reached a leaf. Accumulation is deferred and replayed in
-// DFS-preorder rank order per tuple, which is exactly the order the scalar
-// depth-first traversal adds leaf distributions — the float-summation
-// order that makes the batch kernel bitwise-identical to the scalar one.
+// DFS-preorder rank order per tuple, which is exactly the order the
+// pointer traversal's depth-first walk adds leaf distributions — the
+// float-summation order that makes the kernel bitwise-identical to it.
 struct FlatLeafHit {
   int32_t tuple;
   int32_t rank;         // DFS-preorder rank of the leaf node
@@ -120,26 +107,27 @@ struct FlatLeafHit {
   double weight;
 };
 
-// Reusable buffers of the batch kernels. Lifetime contract for the rank
-// cache: every distinct FlatTree pointer classified through one scratch
-// must stay alive (and unmoved) for the scratch's lifetime — true for
-// sessions, which co-own their compiled artifact; direct kernel callers
-// juggling short-lived trees should use a fresh scratch per tree.
-struct FlatBatchScratch {
+// Reusable per-worker traversal state. One instance supports any number of
+// sequential Classify* calls; after the first call on a given tree/schema
+// shape the kernels perform no heap allocation (all buffers retain their
+// capacity). Not thread-safe — use one scratch per worker thread.
+//
+// Lifetime contract for the rank cache: every distinct FlatTree pointer
+// classified through one scratch must stay alive (and unmoved) for the
+// scratch's lifetime — true for sessions, which co-own their compiled
+// artifact; direct kernel callers juggling short-lived trees should use a
+// fresh scratch per tree.
+struct FlatTraversalScratch {
+  // Level-synchronous frontier state of ClassifyFlatBatch.
   std::vector<FlatBatchItem> frontier;
   std::vector<FlatBatchItem> sorted;  // frontier grouped by node id
   std::vector<int32_t> group_offsets;
   std::vector<FlatBatchConstraint> constraints;
   std::vector<FlatLeafHit> hits;
 
-  // Shard-local gather buffers the sessions use to assemble the kernels'
-  // pointer-array arguments without per-call allocation.
-  std::vector<const UncertainTuple*> tuple_ptrs;
-  std::vector<double*> row_ptrs;
-
-  // Batch means cache for the averaging fast path (block-major).
-  std::vector<double> mean_values;
-  std::vector<int32_t> mean_categories;
+  // Means cache of the averaging walk.
+  std::vector<double> mean_value;
+  std::vector<int> mean_category;
 
   // DFS-preorder node ranks, one entry per tree seen by this scratch.
   struct RankCacheEntry {
@@ -149,37 +137,6 @@ struct FlatBatchScratch {
   std::vector<RankCacheEntry> rank_cache;
 };
 
-// Reusable per-worker traversal state. One instance supports any number of
-// sequential Classify* calls; after the first call on a given tree/schema
-// shape the kernels perform no heap allocation (all buffers retain their
-// capacity). Not thread-safe — use one scratch per worker thread.
-struct FlatTraversalScratch {
-  // Per-attribute path constraints, identical to classify.cc's
-  // TraversalState: the tuple's pdf conditioned to (lo, hi] per numerical
-  // attribute, fixed category per categorical attribute. The fractional
-  // masses ride the explicit op stack below (not the machine stack).
-  std::vector<double> lo;
-  std::vector<double> hi;
-  std::vector<int> category;
-
-  // The scalar traversal's explicit operation stack.
-  std::vector<FlatTraversalOp> ops;
-
-  // Means cache for the averaging fast path.
-  std::vector<double> mean_value;
-  std::vector<int> mean_category;
-
-  // Level-synchronous batch kernel state.
-  FlatBatchScratch batch;
-};
-
-// Full distribution-based classification (UDT traversal, Section 3.2) over
-// the flat layout. Writes the normalised class distribution into
-// out[0..num_classes); bitwise-identical to ClassifyDistribution(tree,
-// tuple) on the source tree.
-void ClassifyFlat(const FlatTree& flat, const UncertainTuple& tuple,
-                  FlatTraversalScratch* scratch, double* out);
-
 // Averaging classification (AVG, Section 4.1): reduces the tuple to its
 // means in scratch (no tuple materialised) and follows the single resulting
 // root-leaf path. Bitwise-identical to ClassifyDistribution(tree,
@@ -187,24 +144,19 @@ void ClassifyFlat(const FlatTree& flat, const UncertainTuple& tuple,
 void ClassifyFlatMeans(const FlatTree& flat, const UncertainTuple& tuple,
                        FlatTraversalScratch* scratch, double* out);
 
-// Level-synchronous batch form of ClassifyFlat: classifies tuples[0..n)
-// in one traversal whose frontier advances level by level, grouped by
-// node for branch-free dispatch and prefetching. Writes tuple t's
-// normalised distribution into rows[t][0..num_classes). The output is
-// bitwise-identical to n sequential ClassifyFlat calls (deferred leaf
-// hits are replayed in the scalar DFS accumulation order); pinned by
-// tests/batch_traversal_test.cc.
+// Full distribution-based classification (UDT traversal, Section 3.2) of
+// tuples[0..n) in one level-synchronous traversal: the frontier advances
+// level by level, grouped by node for branch-free dispatch and
+// prefetching. Writes tuple t's normalised class distribution into
+// rows[t][0..num_classes). Row t is bitwise-identical to
+// ClassifyDistribution(tree, *tuples[t]) on the source tree for every n,
+// n = 1 included (deferred leaf hits are replayed in the pointer
+// traversal's DFS accumulation order); pinned by
+// tests/traversal_differential_test.cc and tests/batch_traversal_test.cc.
 void ClassifyFlatBatch(const FlatTree& flat,
                        const UncertainTuple* const* tuples,
                        double* const* rows, size_t n,
                        FlatTraversalScratch* scratch);
-
-// Batch form of ClassifyFlatMeans: lockstep single-path walks, one per
-// tuple. Bitwise-identical to n sequential ClassifyFlatMeans calls.
-void ClassifyFlatMeansBatch(const FlatTree& flat,
-                            const UncertainTuple* const* tuples,
-                            double* const* rows, size_t n,
-                            FlatTraversalScratch* scratch);
 
 }  // namespace udt
 

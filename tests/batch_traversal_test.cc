@@ -1,11 +1,11 @@
-// The level-synchronous batch kernels' core guarantee: ClassifyFlatBatch /
-// ClassifyFlatMeansBatch and every session batch path routed through them
-// are byte-identical to the scalar per-tuple kernels — across batch sizes
-// (1 / 7 / 64), model kinds (UDT / averaging), single trees and forests,
-// and serving thread counts (1 / 4) — and to the pointer-tree oracle.
-// Also the explicit-stack traversal regression: a degenerate
-// 200k-deep split chain classifies without overflowing the machine stack
-// (both the pointer and the flat traversal used to recurse per node).
+// The flat kernels' core guarantee: ClassifyFlatBatch / ClassifyFlatMeans
+// and every session batch path routed through them are byte-identical to
+// the pointer-tree oracle and to the session's own single-tuple path —
+// across batch sizes (1 / 7 / 64), model kinds (UDT / averaging), single
+// trees and forests, and serving thread counts (1 / 4). Also the
+// explicit-stack traversal regression: a degenerate 200k-deep split chain
+// classifies without overflowing the machine stack (both the pointer and
+// the flat traversal used to recurse per node).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "api/compiled_forest.h"
 #include "api/compiled_model.h"
 #include "api/forest.h"
-#include "api/forest_session.h"
 #include "api/predict_session.h"
 #include "api/trainer.h"
 #include "common/random.h"
@@ -113,10 +112,10 @@ constexpr size_t kBatchSizes[] = {1, 7, 64};
 
 class BatchTraversalTest : public ::testing::TestWithParam<BatchCase> {};
 
-// Direct kernel matrix: ClassifyFlat(Means)Batch over prefixes of the
-// dataset against per-tuple ClassifyFlat(Means) with an independent
-// scratch, byte for byte.
-TEST_P(BatchTraversalTest, KernelMatchesScalarByteForByte) {
+// Direct kernel matrix: ClassifyFlatBatch (UDT) / ClassifyFlatMeans (AVG)
+// over prefixes of the dataset against the pointer-tree oracle, byte for
+// byte.
+TEST_P(BatchTraversalTest, KernelMatchesPointerOracleByteForByte) {
   const BatchCase& param = GetParam();
   Dataset ds = MakeCaseDataset(param.dataset);
 
@@ -129,36 +128,24 @@ TEST_P(BatchTraversalTest, KernelMatchesScalarByteForByte) {
   const bool averaging = param.model_kind == ModelKind::kAveraging;
   const size_t k = static_cast<size_t>(flat.num_classes);
 
-  FlatTraversalScratch scalar_scratch;
   FlatTraversalScratch batch_scratch;
   for (size_t n : kBatchSizes) {
     ASSERT_LE(n, static_cast<size_t>(ds.num_tuples()));
-    std::vector<double> scalar_rows(n * k);
     std::vector<double> batch_rows(n * k);
     std::vector<const UncertainTuple*> tuples(n);
     std::vector<double*> rows(n);
     for (size_t i = 0; i < n; ++i) {
       tuples[i] = &ds.tuple(static_cast<int>(i));
       rows[i] = batch_rows.data() + i * k;
-      if (averaging) {
-        ClassifyFlatMeans(flat, *tuples[i], &scalar_scratch,
-                          scalar_rows.data() + i * k);
-      } else {
-        ClassifyFlat(flat, *tuples[i], &scalar_scratch,
-                     scalar_rows.data() + i * k);
-      }
     }
     if (averaging) {
-      ClassifyFlatMeansBatch(flat, tuples.data(), rows.data(), n,
-                             &batch_scratch);
+      for (size_t i = 0; i < n; ++i) {
+        ClassifyFlatMeans(flat, *tuples[i], &batch_scratch, rows[i]);
+      }
     } else {
       ClassifyFlatBatch(flat, tuples.data(), rows.data(), n, &batch_scratch);
     }
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(RowsEqual(batch_rows.data() + i * k,
-                            scalar_rows.data() + i * k, k))
-          << "batch " << n << " row " << i;
-      // And both equal the pointer-tree oracle.
       std::vector<double> oracle = model->ClassifyDistribution(*tuples[i]);
       EXPECT_TRUE(RowsEqual(batch_rows.data() + i * k, oracle.data(), k))
           << "oracle mismatch, batch " << n << " row " << i;
@@ -218,8 +205,8 @@ TEST_P(BatchTraversalTest, TreeSessionMatchesScalarByteForByte) {
   }
 }
 
-// Forest matrix: ForestPredictSession batch paths against per-tuple
-// ClassifyInto and the pointer-forest oracle, byte for byte.
+// Forest matrix: PredictSession batch paths over a compiled forest against
+// per-tuple ClassifyInto and the pointer-forest oracle, byte for byte.
 TEST_P(BatchTraversalTest, ForestSessionMatchesScalarByteForByte) {
   const BatchCase& param = GetParam();
   Dataset ds = MakeCaseDataset(param.dataset);
@@ -231,7 +218,7 @@ TEST_P(BatchTraversalTest, ForestSessionMatchesScalarByteForByte) {
   auto forest = ForestTrainer(config).Train(TrainRequest::For(ds, param.model_kind));
   ASSERT_TRUE(forest.ok()) << forest.status().message();
 
-  ForestPredictSession session(forest->Compile());
+  PredictSession session(forest->Compile());
   const size_t k = static_cast<size_t>(session.num_classes());
   std::vector<double> expected(static_cast<size_t>(ds.num_tuples()) * k);
   for (int i = 0; i < ds.num_tuples(); ++i) {
@@ -325,13 +312,8 @@ TEST(DeepTreeTest, ChainTraversalDoesNotOverflowTheStack) {
   EXPECT_DOUBLE_EQ(pointer[0], 0.25);
   EXPECT_DOUBLE_EQ(pointer[1], 0.75);
 
-  // Flat scalar and batch kernels agree byte for byte.
+  // The flat kernel agrees byte for byte.
   FlatTree flat = FlattenTree(tree);
-  FlatTraversalScratch scratch;
-  std::vector<double> flat_row(2);
-  ClassifyFlat(flat, tuple, &scratch, flat_row.data());
-  EXPECT_TRUE(RowsEqual(flat_row.data(), pointer.data(), 2));
-
   FlatTraversalScratch batch_scratch;
   std::vector<double> batch_row(2);
   const UncertainTuple* tuples[] = {&tuple};

@@ -19,7 +19,7 @@
 
 #include "api/compiled_forest.h"
 #include "api/forest.h"
-#include "api/forest_session.h"
+#include "api/predict_session.h"
 #include "common/random.h"
 #include "datagen/japanese_vowel.h"
 #include "pdf/pdf_builder.h"
@@ -171,7 +171,7 @@ TEST_P(ForestDeterminismTest, CompiledVotesMatchPointerVotesBitwise) {
     CompiledForest compiled = forest->Compile();
     const size_t k = static_cast<size_t>(compiled.num_classes());
     for (int threads : {1, 4}) {
-      ForestPredictSession session(compiled);
+      PredictSession session(compiled);
       FlatBatchResult flat;
       PredictOptions options;
       options.num_threads = threads;

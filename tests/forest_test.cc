@@ -15,7 +15,7 @@
 
 #include "api/compiled_forest.h"
 #include "api/forest.h"
-#include "api/forest_session.h"
+#include "api/predict_session.h"
 #include "common/random.h"
 #include "core/node_build.h"
 #include "pdf/pdf_builder.h"
@@ -402,7 +402,7 @@ TEST(ForestSessionTest, MatchesPointerPathAndSingleThreadBatch) {
   auto forest = trainer.TrainUdt(ds);
   ASSERT_TRUE(forest.ok());
 
-  ForestPredictSession session(forest->Compile());
+  PredictSession session(forest->Compile());
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(session.ClassifyDistribution(ds.tuple(i)),
               forest->ClassifyDistribution(ds.tuple(i)))
@@ -430,7 +430,7 @@ TEST(ForestSessionTest, RejectsNegativeThreads) {
   ForestTrainer trainer(SmallConfig(2));
   auto forest = trainer.TrainUdt(ds);
   ASSERT_TRUE(forest.ok());
-  ForestPredictSession session(forest->Compile());
+  PredictSession session(forest->Compile());
   PredictOptions options;
   options.num_threads = -2;
   EXPECT_FALSE(session.PredictBatch(ds, options).ok());
@@ -445,7 +445,7 @@ TEST(ForestSessionTest, PersistentExecutorSpawnsOncePerSession) {
   ForestTrainer trainer(SmallConfig(4));
   auto forest = trainer.TrainUdt(ds);
   ASSERT_TRUE(forest.ok());
-  ForestPredictSession session(forest->Compile());
+  PredictSession session(forest->Compile());
 
   ASSERT_TRUE(session.PredictBatch(ds).ok());
   EXPECT_EQ(session.executor_workers(), 0);

@@ -450,7 +450,7 @@ TEST(PredictSessionTest, SharedCompiledModelAcrossSessions) {
   CompiledModel compiled = model->Compile();
   PredictSession a(compiled);
   PredictSession b(compiled);
-  EXPECT_EQ(&a.model().flat_tree(), &b.model().flat_tree());
+  EXPECT_EQ(&a.forest().tree(0), &b.forest().tree(0));
   auto ra = a.PredictBatch(ds);
   auto rb = b.PredictBatch(ds, {.num_threads = 2});
   ASSERT_TRUE(ra.ok() && rb.ok());

@@ -1,8 +1,9 @@
 // BatchingQueue: results byte-identical to a direct session, coalescing
 // (N concurrent submits -> at most ceil(N/max_batch) drains),
 // timeout-triggered partial batches, graceful shutdown (drain, then
-// reject-after-close), bounded-admission backpressure, and the
-// result-buffer reuse contracts the queue depends on.
+// reject-after-close), bounded-admission backpressure, malformed requests
+// failing alone, and the result-buffer reuse contracts the queue depends
+// on.
 
 #include <gtest/gtest.h>
 
@@ -85,6 +86,31 @@ class GatedProvider {
   int entered_ UDT_GUARDED_BY(mu_) = 0;
   bool open_ UDT_GUARDED_BY(mu_) = false;
 };
+
+// One numerical and one 3-way categorical column.
+Dataset MixedDataset(int tuples, uint64_t seed) {
+  Rng rng(seed);
+  auto schema = Schema::Create({{"x", AttributeKind::kNumerical, 0},
+                                {"channel", AttributeKind::kCategorical, 3}},
+                               {"A", "B", "C"});
+  UDT_CHECK(schema.ok());
+  Dataset ds(std::move(*schema));
+  for (int i = 0; i < tuples; ++i) {
+    UncertainTuple t;
+    t.label = i % 3;
+    auto pdf = MakeGaussianErrorPdf(
+        rng.Gaussian(static_cast<double>(t.label), 0.8), 1.0, 8);
+    UDT_CHECK(pdf.ok());
+    t.values.push_back(UncertainValue::Numerical(std::move(*pdf)));
+    std::vector<double> probs(3, 0.2);
+    probs[static_cast<size_t>((i + t.label) % 3)] = 0.6;
+    auto cat = CategoricalPdf::Create(std::move(probs));
+    UDT_CHECK(cat.ok());
+    t.values.push_back(UncertainValue::Categorical(std::move(*cat)));
+    UDT_CHECK(ds.AddTuple(std::move(t)).ok());
+  }
+  return ds;
+}
 
 ModelHandle MakeHandle(uint64_t seed) {
   return std::make_shared<const RegisteredModel>(
@@ -414,7 +440,7 @@ TEST(BatchingQueueTest, ResponseTapSeesOkResponsesButNeverShedOnes) {
 TEST(ResultReuseTest, BatchResultClearResetsScalarsAndVectors) {
   Dataset pool = NumericDataset(32, 2, 23);
   Servable servable = TrainServable(9);
-  PredictSession session(*servable.model());
+  PredictSession session(servable);
 
   PredictOptions options;
   options.num_threads = 2;
@@ -514,6 +540,85 @@ TEST(BatchingQueueTest, CallbackRendezvousExercisesCondVarTimeoutAndWake) {
     }
     EXPECT_TRUE(served_status.ok());
   }
+}
+
+// A malformed request must fail alone: `corrupt` turns a copy of a valid
+// tuple into one the mixed schema rejects. The bad request and a valid one
+// share one drain (max_batch 2, no deadline); the bad one gets
+// InvalidArgument, the valid one is served byte-identically to a direct
+// session, and the queue keeps serving afterwards. The session's batch
+// entry point rejects the same tuple with InvalidArgument too.
+template <typename Corrupt>
+void ExpectMalformedRequestFailsAlone(Corrupt corrupt) {
+  Dataset pool = MixedDataset(90, 31);
+  auto model = Trainer().TrainUdt(pool);
+  ASSERT_TRUE(model.ok());
+  ModelRegistry registry;
+  ASSERT_EQ(registry.Publish("prod", model->Compile()), 1u);
+
+  ServeSession direct(registry.Resolve("prod")->servable);
+  FlatBatchResult reference;
+  ASSERT_TRUE(direct
+                  .PredictBatchInto(
+                      std::span<const UncertainTuple>(pool.tuples().data(), 2),
+                      PredictOptions{}, &reference)
+                  .ok());
+  const size_t k = static_cast<size_t>(reference.num_classes);
+
+  UncertainTuple bad = pool.tuple(0);
+  corrupt(&bad);
+  const UncertainTuple* bad_ptr = &bad;
+  FlatBatchResult rejected;
+  EXPECT_EQ(direct
+                .PredictBatchInto(
+                    std::span<const UncertainTuple* const>(&bad_ptr, 1),
+                    PredictOptions{}, &rejected)
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  BatchingConfig config;
+  config.max_batch = 2;
+  config.max_delay_us = 60'000'000;
+  BatchingQueue queue(&registry, "prod", config);
+  std::future<ServeResult> bad_future = queue.Submit(&bad);
+  std::future<ServeResult> good_future = queue.Submit(&pool.tuple(0));
+  ServeResult bad_result = bad_future.get();
+  EXPECT_EQ(bad_result.status.code(), StatusCode::kInvalidArgument)
+      << bad_result.status.ToString();
+  ServeResult good = good_future.get();
+  ASSERT_TRUE(good.status.ok()) << good.status.ToString();
+  EXPECT_EQ(std::memcmp(good.distribution.data(),
+                        reference.distribution(0).data(), k * sizeof(double)),
+            0);
+  EXPECT_EQ(queue.stats().drains, 1u);
+
+  // The drainer survived: the next request is served (on Close).
+  std::future<ServeResult> next_future = queue.Submit(&pool.tuple(1));
+  queue.Close();
+  ServeResult next = next_future.get();
+  ASSERT_TRUE(next.status.ok()) << next.status.ToString();
+  EXPECT_EQ(std::memcmp(next.distribution.data(),
+                        reference.distribution(1).data(), k * sizeof(double)),
+            0);
+}
+
+TEST(MalformedRequestTest, WrongAttributeCountFailsAlone) {
+  ExpectMalformedRequestFailsAlone(
+      [](UncertainTuple* tuple) { tuple->values.pop_back(); });
+}
+
+TEST(MalformedRequestTest, NumericalValueInCategoricalColumnFailsAlone) {
+  ExpectMalformedRequestFailsAlone([](UncertainTuple* tuple) {
+    tuple->values[1] = UncertainValue::Numerical(SampledPdf::PointMass(1.0));
+  });
+}
+
+TEST(MalformedRequestTest, NarrowCategoricalPdfFailsAlone) {
+  ExpectMalformedRequestFailsAlone([](UncertainTuple* tuple) {
+    auto narrow = CategoricalPdf::Create({0.5, 0.5});
+    UDT_CHECK(narrow.ok());
+    tuple->values[1] = UncertainValue::Categorical(std::move(*narrow));
+  });
 }
 
 }  // namespace

@@ -6,12 +6,16 @@ bench_serving_throughput, bench_forest_throughput, bench_sustained_serving,
 bench_serve_frontend and bench_storage_compression (the storage tier's
 accuracy-vs-compression sweep, BENCH_storage_compression.json) write
 BENCH_<name>.json sidecars this script understands, as does the
-batch-vs-scalar traversal sweep inside bench_micro_kernels
-(BENCH_micro_batch_kernels.json). CI regenerates each file in the Release smoke job and this
-script fails on *schema* drift only — keys added or removed, value types
-changed, or the categorical dimensions (dataset / path / kind /
-batch_size...) no longer covering what the sidecar covers. Timing values
-are expected to move run to run and are deliberately not compared.
+flat-traversal sweep inside bench_micro_kernels
+(BENCH_micro_batch_kernels.json: pool x kernel x batch, ns/tuple).
+CI regenerates each file in the Release smoke job and this script fails
+on *schema* drift only — keys added or removed, value types changed, or
+the categorical dimensions (dataset / path / kind / batch_size...) no
+longer covering what the sidecar covers. Timing values are expected to
+move run to run and are deliberately not compared. Provenance strings
+(PROVENANCE_KEYS, e.g. the build type a row was measured under) must
+keep their key and type but are not part of a row's identity: a local
+RelWithDebInfo run still covers a sidecar recorded in Release.
 
 Rows must be strict JSON: NaN / Infinity (which Python's json module
 accepts by default, and which a degenerate measurement could print) are
@@ -28,6 +32,10 @@ import sys
 # String-valued keys define a row's identity (which configuration it
 # measures); numeric values are measurements and may drift freely.
 IDENTITY_TYPES = (str,)
+
+# String-valued keys that record where a row came from rather than what
+# it measures; excluded from identity.
+PROVENANCE_KEYS = frozenset({"build_type"})
 
 
 def _reject_constant(token):
@@ -85,6 +93,7 @@ def identity_of(rows):
                     (k, v)
                     for k, v in row.items()
                     if isinstance(v, IDENTITY_TYPES)
+                    and k not in PROVENANCE_KEYS
                 )
             )
         )
