@@ -12,7 +12,9 @@
 // over the serial build of the same algorithm.
 //
 // Every (data set, algorithm) cell is also emitted as a JSON row to
-// BENCH_fig6_execution_time.json for trajectory tracking across commits.
+// BENCH_fig6_execution_time.json for trajectory tracking across commits;
+// each row names the build type it was timed under (record the sidecar
+// from a Release build).
 
 #include <algorithm>
 #include <cstdio>
@@ -21,6 +23,10 @@
 #include "bench_common.h"
 #include "common/task_pool.h"
 #include "eval/experiment.h"
+
+#ifndef UDT_BENCH_BUILD_TYPE
+#define UDT_BENCH_BUILD_TYPE "unknown"
+#endif
 
 int main(int argc, char** argv) {
   udt::BenchOptions options = udt::ParseBenchOptions(argc, argv);
@@ -105,7 +111,8 @@ int main(int argc, char** argv) {
           .Str("algorithm", udt::SplitAlgorithmToString(algorithm))
           .Int("s", s)
           .Num("w", kW)
-          .Num("seconds", seconds);
+          .Num("seconds", seconds)
+          .Str("build_type", UDT_BENCH_BUILD_TYPE);
       if (scaled) {
         row.Int("threads", threads)
             .Num("parallel_seconds", parallel_seconds)

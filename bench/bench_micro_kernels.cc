@@ -81,8 +81,9 @@ BENCHMARK(BM_CdfQuery)->Arg(20)->Arg(100)->Arg(400);
 void BM_ScanBuild(benchmark::State& state) {
   Dataset ds = BenchDataset(static_cast<int>(state.range(0)), 1, 20, 1);
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   for (auto _ : state) {
-    AttributeScan scan = AttributeScan::Build(ds, set, 0, 3);
+    AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 3);
     benchmark::DoNotOptimize(scan.num_positions());
   }
 }

@@ -333,13 +333,28 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
   std::vector<Status> errors(static_cast<size_t>(num_trees), Status::OK());
   std::vector<BuildStats> tree_stats(static_cast<size_t>(num_trees));
 
+  const int fresh = num_trees - carried;
+  const int concurrency = TaskPool::EffectiveConcurrency(config.num_threads);
+  // The calling thread participates via Wait, so spawn one fewer worker.
+  std::optional<TaskPool> pool;
+  if (concurrency > 1 && fresh > 1) pool.emplace(concurrency - 1);
+
+  // One rank index serves every fresh tree: the bags reweight the shared
+  // build data, they never change its sample points.
+  std::optional<AttributeIndex> index;
+  if (fresh > 0) {
+    index = AttributeIndex::Build(build_data, pool ? &*pool : nullptr);
+  }
+  const AttributeIndex* shared_index = index ? &*index : nullptr;
+
   auto build_one = [&](int t) {
     const size_t ut = static_cast<size_t>(t);
     TreeBuilder builder(tree_configs[ut]);
     StatusOr<DecisionTree> tree =
         config.bootstrap
-            ? builder.BuildWeighted(build_data, bags[ut], &tree_stats[ut])
-            : builder.Build(build_data, &tree_stats[ut]);
+            ? builder.BuildWeighted(build_data, bags[ut], &tree_stats[ut],
+                                    shared_index)
+            : builder.Build(build_data, &tree_stats[ut], shared_index);
     if (tree.ok()) {
       built[ut].emplace(std::move(tree).value());
     } else {
@@ -347,19 +362,15 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
     }
   };
 
-  const int fresh = num_trees - carried;
-  const int concurrency = TaskPool::EffectiveConcurrency(config.num_threads);
-  if (concurrency <= 1 || fresh <= 1) {
+  if (!pool) {
     for (int t = carried; t < num_trees; ++t) build_one(t);
   } else {
-    // The calling thread participates via Wait, so spawn one fewer worker.
     // Each task writes only its own slots; no further synchronisation.
-    TaskPool pool(concurrency - 1);
     TaskGroup group;
     for (int t = carried; t < num_trees; ++t) {
-      pool.Submit(&group, [&build_one, t] { build_one(t); });
+      pool->Submit(&group, [&build_one, t] { build_one(t); });
     }
-    pool.Wait(&group);
+    pool->Wait(&group);
   }
 
   for (int t = carried; t < num_trees; ++t) {

@@ -113,6 +113,12 @@ Status ParseConfigLine(std::string_view line, TreeConfig* config) {
     }
     // Unknown keys: ignore (forward compatibility).
   }
+  // A loaded config is retrained from and audited; it must satisfy the
+  // same ranges a trainer enforces (strtod accepts "nan" and "inf").
+  Status valid = config->Validate();
+  if (!valid.ok()) {
+    return Status::InvalidArgument("invalid config: " + valid.message());
+  }
   return Status::OK();
 }
 

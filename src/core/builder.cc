@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -192,17 +193,18 @@ void ScheduleSubtree(const BuildContext& ctx, SubtreeJob job,
 TreeBuilder::TreeBuilder(TreeConfig config) : config_(std::move(config)) {}
 
 StatusOr<DecisionTree> TreeBuilder::Build(const Dataset& train,
-                                          BuildStats* stats) const {
+                                          BuildStats* stats,
+                                          const AttributeIndex* index) const {
   UDT_RETURN_NOT_OK(config_.Validate());
   if (train.empty()) {
     return Status::InvalidArgument("cannot build a tree on an empty data set");
   }
-  return BuildFromRoot(train, MakeRootWorkingSet(train), stats);
+  return BuildFromRoot(train, MakeRootWorkingSet(train), stats, index);
 }
 
 StatusOr<DecisionTree> TreeBuilder::BuildWeighted(
     const Dataset& train, const std::vector<double>& weights,
-    BuildStats* stats) const {
+    BuildStats* stats, const AttributeIndex* index) const {
   UDT_RETURN_NOT_OK(config_.Validate());
   if (train.empty()) {
     return Status::InvalidArgument("cannot build a tree on an empty data set");
@@ -221,12 +223,12 @@ StatusOr<DecisionTree> TreeBuilder::BuildWeighted(
     return Status::InvalidArgument("at least one weight must be positive");
   }
   return BuildFromRoot(train, MakeWeightedRootWorkingSet(train, weights),
-                       stats);
+                       stats, index);
 }
 
-StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(const Dataset& train,
-                                                  WorkingSet root_set,
-                                                  BuildStats* stats) const {
+StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(
+    const Dataset& train, WorkingSet root_set, BuildStats* stats,
+    const AttributeIndex* index) const {
   BuildStats local_stats;
   BuildContext ctx;
   ctx.node.data = &train;
@@ -243,16 +245,27 @@ StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(const Dataset& train,
 
   const int concurrency =
       TaskPool::EffectiveConcurrency(config_.num_threads);
+  // The calling thread participates via Wait, so spawn one fewer worker
+  // than the requested concurrency.
+  std::optional<TaskPool> pool;
+  if (concurrency > 1) pool.emplace(concurrency - 1);
+
+  // The rank index: the caller's shared one, else built here (its
+  // attributes fan out over the build's pool).
+  std::optional<AttributeIndex> own_index;
+  if (index == nullptr) {
+    own_index = AttributeIndex::Build(train, pool ? &*pool : nullptr);
+    index = &*own_index;
+  }
+  ctx.node.index = index;
+
   std::unique_ptr<TreeNode> root;
-  if (concurrency <= 1) {
+  if (!pool) {
     root = BuildSerial(ctx, root_set, /*depth=*/0, &used_categorical,
                        kRootNodeToken, ctx.stats);
   } else {
-    // The calling thread participates via Wait, so spawn one fewer worker
-    // than the requested concurrency.
-    TaskPool pool(concurrency - 1);
     Mutex stats_mu;
-    ctx.pool = &pool;
+    ctx.pool = &*pool;
     ctx.stats_mu = &stats_mu;
     TaskGroup group;
     ScheduleSubtree(ctx,
@@ -260,7 +273,7 @@ StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(const Dataset& train,
                                std::move(used_categorical), kRootNodeToken,
                                &root},
                     &group);
-    pool.Wait(&group);
+    pool->Wait(&group);
   }
 
   DecisionTree tree(train.schema(), std::move(root));

@@ -47,18 +47,20 @@ class TreeBuilder {
   explicit TreeBuilder(TreeConfig config);
 
   // Trains a tree on `train`. Fails on an empty data set or invalid
-  // config. `stats` may be null.
-  StatusOr<DecisionTree> Build(const Dataset& train,
-                               BuildStats* stats) const;
+  // config. `stats` may be null. `index`, when non-null, must be
+  // AttributeIndex::Build(train): callers training several trees on one
+  // data set build it once and share it. Null builds one for this call.
+  StatusOr<DecisionTree> Build(const Dataset& train, BuildStats* stats,
+                               const AttributeIndex* index = nullptr) const;
 
   // Trains a tree on `train` with per-tuple root weights — the bagged-
   // ensemble entry point (api/forest.h): weights[i] is tuple i's bootstrap
   // multiplicity, and tuples with weight <= 0 take no part in the build.
   // Requires one finite non-negative weight per tuple, at least one of
-  // them positive. `stats` may be null.
-  StatusOr<DecisionTree> BuildWeighted(const Dataset& train,
-                                       const std::vector<double>& weights,
-                                       BuildStats* stats) const;
+  // them positive. `stats` and `index` as for Build.
+  StatusOr<DecisionTree> BuildWeighted(
+      const Dataset& train, const std::vector<double>& weights,
+      BuildStats* stats, const AttributeIndex* index = nullptr) const;
 
   const TreeConfig& config() const { return config_; }
 
@@ -66,8 +68,8 @@ class TreeBuilder {
   // Shared implementation: grows the tree from an already-formed root
   // working set, serial or pooled per the config, then post-prunes.
   StatusOr<DecisionTree> BuildFromRoot(const Dataset& train,
-                                       WorkingSet root_set,
-                                       BuildStats* stats) const;
+                                       WorkingSet root_set, BuildStats* stats,
+                                       const AttributeIndex* index) const;
 
   TreeConfig config_;
 };

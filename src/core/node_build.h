@@ -48,6 +48,8 @@ struct NodeDecision {
 // Inputs shared by every node of one build.
 struct NodeBuildContext {
   const Dataset* data = nullptr;
+  // The rank index of *data, built once per training call.
+  const AttributeIndex* index = nullptr;
   const TreeConfig* config = nullptr;
   const SplitFinder* finder = nullptr;
   SplitOptions split_options;

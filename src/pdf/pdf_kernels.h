@@ -54,10 +54,20 @@ inline double PdfCdfAtOrBelow(const SampledPdf& pdf, double z) {
   return idx == 0 ? 0.0 : pdf.cumulative_data()[idx - 1];
 }
 
-// P(lo < X <= hi) under the path constraint — two lockstep searches.
-// Bitwise-identical to the scalar ConstrainedMass (F at +-inf resolves to
-// the exact 1.0 / 0.0 the scalar branches return; see header comment).
-inline double PdfConstrainedMass(const SampledPdf& pdf, double lo, double hi) {
+// The part of a pdf inside a path constraint (lo, hi]: the sample points
+// with indices in [begin, end) and their total mass F(hi) - F(lo).
+struct PdfWindow {
+  size_t begin;  // first point > lo
+  size_t end;    // first point > hi
+  double mass;
+};
+
+// Two lockstep searches give both window ends and the constrained mass.
+// `mass` is bitwise-identical to the scalar ConstrainedMass (F at +-inf
+// resolves to the exact 1.0 / 0.0 the scalar branches return; see header
+// comment); `begin` equals SampledPdf::FirstPointAbove(lo).
+inline PdfWindow PdfConstrainedWindow(const SampledPdf& pdf, double lo,
+                                      double hi) {
   const double* points = pdf.points_data();
   const double* cumulative = pdf.cumulative_data();
   const size_t n = static_cast<size_t>(pdf.num_points());
@@ -74,7 +84,12 @@ inline double PdfConstrainedMass(const SampledPdf& pdf, double lo, double hi) {
   const size_t idx_hi = base_hi + (points[base_hi] <= hi ? 1 : 0);
   const double lower = idx_lo == 0 ? 0.0 : cumulative[idx_lo - 1];
   const double upper = idx_hi == 0 ? 0.0 : cumulative[idx_hi - 1];
-  return upper - lower;
+  return PdfWindow{idx_lo, idx_hi, upper - lower};
+}
+
+// P(lo < X <= hi) under the path constraint.
+inline double PdfConstrainedMass(const SampledPdf& pdf, double lo, double hi) {
+  return PdfConstrainedWindow(pdf, lo, hi).mass;
 }
 
 // Everything a numerical tree node needs from one tuple's pdf: the

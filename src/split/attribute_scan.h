@@ -1,7 +1,7 @@
 // AttributeScan: the per-(node, attribute) view all split finders share.
 //
 // It merges the effective sample points of every fractional tuple in the
-// working set into one sorted axis and precomputes, for each position, the
+// working set into one sorted axis and answers, for each position, the
 // cumulative per-class probability mass (the paper's tuple-count function
 // Phi_{c,j}, Definition 6). With it:
 //   * candidate split points  = the positions (all but the last),
@@ -10,12 +10,25 @@
 //                             = two lookups per class,
 //   * interval end points Q_j = tuple support boundaries mapped to
 //     positions.
+//
+// Build cost is linear in the working set's sample events: the events
+// carry their AttributeIndex rank, a stable radix sort orders them (tied x
+// values keep working-set order), and one compress pass writes the
+// positions. Storage is compact: per position its x and the end of its
+// event run, per event its class and mass, and a full cumulative row only
+// every kCheckpoint positions. A lookup replays the (at most
+// kCheckpoint-1) positions after the checkpoint before it — the same
+// additions, in the same order, as a row-per-position running sum, so
+// every value is bitwise what that sum would hold. Sweeps over ascending
+// positions go through a ScanCursor, which advances instead of replaying.
 
 #ifndef UDT_SPLIT_ATTRIBUTE_SCAN_H_
 #define UDT_SPLIT_ATTRIBUTE_SCAN_H_
 
+#include <cstdint>
 #include <vector>
 
+#include "split/attribute_index.h"
 #include "split/fractional_tuple.h"
 #include "table/dataset.h"
 
@@ -24,15 +37,19 @@ namespace udt {
 // Built once per (node, numerical attribute); immutable afterwards.
 class AttributeScan {
  public:
+  // A cumulative class-mass row is stored every kCheckpoint positions.
+  static constexpr int kCheckpoint = 8;
+
   // An empty scan (no positions); Build() produces the real thing.
   AttributeScan() = default;
 
   // Builds the scan for `attribute` over `set`. Tuples contribute their
   // sample points restricted to their (lo, hi] constraint, with masses
   // scaled by weight / constrained-mass (the lazily-renormalised truncated
-  // pdf of Section 3.2).
-  static AttributeScan Build(const Dataset& data, const WorkingSet& set,
-                             int attribute, int num_classes);
+  // pdf of Section 3.2). `index` must be AttributeIndex::Build(data).
+  static AttributeScan Build(const Dataset& data, const AttributeIndex& index,
+                             const WorkingSet& set, int attribute,
+                             int num_classes);
 
   // Number of distinct candidate positions (distinct sample x values).
   int num_positions() const { return static_cast<int>(xs_.size()); }
@@ -44,11 +61,7 @@ class AttributeScan {
   int num_classes() const { return num_classes_; }
 
   // Total mass of class `cls` at positions <= idx.
-  double CumulativeMass(int idx, int cls) const {
-    return cumulative_[static_cast<size_t>(idx) *
-                           static_cast<size_t>(num_classes_) +
-                       static_cast<size_t>(cls)];
-  }
+  double CumulativeMass(int idx, int cls) const;
 
   // Class counts of the left side for a split at x(idx): out[c] = mass of
   // class c at positions <= idx.
@@ -77,12 +90,44 @@ class AttributeScan {
                      std::vector<double>* kc, std::vector<double>* mc) const;
 
  private:
+  friend class ScanCursor;
+
+  // Writes the cumulative row of position `idx` into row[0..num_classes).
+  void LoadRow(int idx, double* row) const;
+  // Adds the masses of position `idx`'s events to row[class].
+  void AddPosition(int idx, double* row) const;
+
   std::vector<double> xs_;
-  std::vector<double> cumulative_;  // row-major [position][class]
+  // Events of position p are [event_end_[p-1], event_end_[p]) (from 0 for
+  // p == 0), in rank order with ties in working-set order.
+  std::vector<uint32_t> event_end_;
+  std::vector<int32_t> event_class_;
+  std::vector<double> event_mass_;
+  // Row k (row-major [k][class]) is the cumulative mass at position
+  // k * kCheckpoint.
+  std::vector<double> checkpoints_;
   std::vector<double> class_totals_;
   std::vector<int> endpoint_positions_;
   double total_mass_ = 0.0;
   int num_classes_ = 0;
+};
+
+// Reads one scan's cumulative rows for a sequence of positions. A seek
+// forward from a held row at or past the target's checkpoint adds the
+// positions in between; any other seek restarts from the checkpoint row at
+// or before the target. Both chains are the scan's own additions, so
+// Seek(idx) is bitwise LeftCounts(idx), and an ascending sweep costs one
+// pass over its events. A cursor serves one scan for its whole lifetime.
+class ScanCursor {
+ public:
+  // The cumulative class masses at positions <= idx; valid until the next
+  // Seek.
+  const std::vector<double>& Seek(const AttributeScan& scan, int idx);
+
+ private:
+  const AttributeScan* scan_ = nullptr;  // the scan served (checked)
+  int pos_ = -1;
+  std::vector<double> row_;
 };
 
 }  // namespace udt

@@ -9,6 +9,7 @@ namespace udt {
 namespace split_internal {
 
 AttributeContext BuildContextForAttribute(const Dataset& data,
+                                          const AttributeIndex& index,
                                           const WorkingSet& set,
                                           int attribute,
                                           const SplitOptions& options,
@@ -18,7 +19,7 @@ AttributeContext BuildContextForAttribute(const Dataset& data,
   if (data.schema().attribute(attribute).kind != AttributeKind::kNumerical) {
     return ctx;  // empty scan: caller skips it
   }
-  ctx.scan = AttributeScan::Build(data, set, attribute, num_classes);
+  ctx.scan = AttributeScan::Build(data, index, set, attribute, num_classes);
   if (ctx.scan.num_positions() < 2) {
     ctx.scan = AttributeScan();  // no valid binary split
     return ctx;
@@ -44,15 +45,20 @@ void EvaluatePosition(const AttributeContext& ctx, int idx,
                       SplitCandidate* best, SplitCounters* counters,
                       EvalBuffers* buffers) {
   const AttributeScan& scan = ctx.scan;
-  scan.LeftCounts(idx, &buffers->left);
+  const std::vector<double>& left = buffers->cursor.Seek(scan, idx);
   double left_mass = 0.0;
-  for (double v : buffers->left) left_mass += v;
+  for (double v : left) left_mass += v;
   double right_mass = scan.total_mass() - left_mass;
   if (left_mass < options.min_side_mass || right_mass < options.min_side_mass) {
     return;  // degenerate split; not a candidate
   }
-  scan.RightCounts(idx, &buffers->right);
-  double score = scorer.Score(buffers->left, buffers->right);
+  // RightCounts(idx), computed from the row already in hand.
+  buffers->right.resize(left.size());
+  for (size_t c = 0; c < left.size(); ++c) {
+    const double v = scan.class_totals()[c] - left[c];
+    buffers->right[c] = v > 0.0 ? v : 0.0;
+  }
+  double score = scorer.Score(left, buffers->right);
   if (counters != nullptr) ++counters->dispersion_evaluations;
 
   SplitCandidate candidate;

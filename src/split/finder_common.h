@@ -37,19 +37,24 @@ struct AttributeContext {
   std::vector<EndpointInterval> intervals;
 };
 
-// Scratch buffers reused across candidate evaluations.
+// Scratch buffers reused across candidate evaluations of one attribute
+// context: the cursor turns ascending position sweeps (exhaustive search,
+// end points, interval interiors) into one pass over the scan's events,
+// so each AttributeContext gets a fresh EvalBuffers.
 struct EvalBuffers {
-  std::vector<double> left;
+  ScanCursor cursor;
   std::vector<double> right;
   IntervalMassStats stats;
 };
 
-// Builds the context for one numerical attribute. Returns a context with
-// an empty scan when the attribute admits no candidate (< 2 distinct
-// positions) or is categorical. Honors the percentile-end-point option: in
-// that mode every interval is conservatively classified heterogeneous (the
-// concavity theorems assume true support boundaries).
+// Builds the context for one numerical attribute from the training call's
+// rank index. Returns a context with an empty scan when the attribute
+// admits no candidate (< 2 distinct positions) or is categorical. Honors
+// the percentile-end-point option: in that mode every interval is
+// conservatively classified heterogeneous (the concavity theorems assume
+// true support boundaries).
 AttributeContext BuildContextForAttribute(const Dataset& data,
+                                          const AttributeIndex& index,
                                           const WorkingSet& set,
                                           int attribute,
                                           const SplitOptions& options,

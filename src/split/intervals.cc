@@ -1,5 +1,7 @@
 #include "split/intervals.h"
 
+#include <cmath>
+
 #include "common/logging.h"
 #include "common/math.h"
 
@@ -17,16 +19,31 @@ const char* IntervalKindToString(IntervalKind kind) {
   return "unknown";
 }
 
-IntervalKind ClassifyInterval(const AttributeScan& scan, int a_idx,
-                              int b_idx) {
+namespace {
+
+// Kind of the interval whose end points hold the cumulative rows at_a and
+// at_b (Definitions 2-4).
+IntervalKind KindFromRows(const std::vector<double>& at_a,
+                          const std::vector<double>& at_b) {
   int classes_with_mass = 0;
-  for (int c = 0; c < scan.num_classes(); ++c) {
-    double k = scan.CumulativeMass(b_idx, c) - scan.CumulativeMass(a_idx, c);
+  for (size_t c = 0; c < at_a.size(); ++c) {
+    double k = at_b[c] - at_a[c];
     if (k > kMassEpsilon) ++classes_with_mass;
   }
   if (classes_with_mass == 0) return IntervalKind::kEmpty;
   if (classes_with_mass == 1) return IntervalKind::kHomogeneous;
   return IntervalKind::kHeterogeneous;
+}
+
+}  // namespace
+
+IntervalKind ClassifyInterval(const AttributeScan& scan, int a_idx,
+                              int b_idx) {
+  std::vector<double> at_a;
+  std::vector<double> at_b;
+  scan.LeftCounts(a_idx, &at_a);
+  scan.LeftCounts(b_idx, &at_b);
+  return KindFromRows(at_a, at_b);
 }
 
 bool IntervalHasLinearGrowth(const AttributeScan& scan, int a_idx,
@@ -37,25 +54,27 @@ bool IntervalHasLinearGrowth(const AttributeScan& scan, int a_idx,
   double span = x_b - x_a;
   if (span <= 0.0) return false;
 
-  int num_classes = scan.num_classes();
+  std::vector<double> prev;
+  std::vector<double> at_b;
+  scan.LeftCounts(a_idx, &prev);
+  scan.LeftCounts(b_idx, &at_b);
   // Per-class slope implied by the interval totals: kc / span.
-  std::vector<double> slope(static_cast<size_t>(num_classes));
-  for (int c = 0; c < num_classes; ++c) {
-    slope[static_cast<size_t>(c)] =
-        (scan.CumulativeMass(b_idx, c) - scan.CumulativeMass(a_idx, c)) /
-        span;
+  std::vector<double> slope(prev.size());
+  for (size_t c = 0; c < prev.size(); ++c) {
+    slope[c] = (at_b[c] - prev[c]) / span;
   }
   // Every step inside the interval must match the slope, per class.
+  ScanCursor cursor;
   for (int idx = a_idx + 1; idx <= b_idx; ++idx) {
+    const std::vector<double>& row = cursor.Seek(scan, idx);
     double dx = scan.x(idx) - scan.x(idx - 1);
-    for (int c = 0; c < num_classes; ++c) {
-      double increment =
-          scan.CumulativeMass(idx, c) - scan.CumulativeMass(idx - 1, c);
-      if (std::fabs(increment - slope[static_cast<size_t>(c)] * dx) >
-          kMassEpsilon) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      double increment = row[c] - prev[c];
+      if (std::fabs(increment - slope[c] * dx) > kMassEpsilon) {
         return false;
       }
     }
+    prev = row;
   }
   return true;
 }
@@ -65,12 +84,17 @@ std::vector<EndpointInterval> SegmentIntoIntervals(
   std::vector<EndpointInterval> intervals;
   if (endpoints.size() < 2) return intervals;
   intervals.reserve(endpoints.size() - 1);
+  // One ascending cursor sweep over the end points' cumulative rows.
+  ScanCursor cursor;
+  std::vector<double> at_a = cursor.Seek(scan, endpoints[0]);
   for (size_t i = 0; i + 1 < endpoints.size(); ++i) {
     EndpointInterval interval;
     interval.a_idx = endpoints[i];
     interval.b_idx = endpoints[i + 1];
     UDT_DCHECK(interval.a_idx < interval.b_idx);
-    interval.kind = ClassifyInterval(scan, interval.a_idx, interval.b_idx);
+    const std::vector<double>& at_b = cursor.Seek(scan, interval.b_idx);
+    interval.kind = KindFromRows(at_a, at_b);
+    at_a = at_b;
     intervals.push_back(interval);
   }
   return intervals;

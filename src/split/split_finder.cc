@@ -82,6 +82,7 @@ SplitCandidate SplitFinder::SeedAttribute(
 }
 
 SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
+                                          const AttributeIndex& index,
                                           const WorkingSet& set,
                                           const SplitScorer& scorer,
                                           const SplitOptions& options,
@@ -96,13 +97,13 @@ SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
     // single scan alive — the paper's low-memory regime.
     SplitCandidate best;
     SplitCandidate no_seed;
-    split_internal::EvalBuffers buffers;
     for (int j = 0; j < num_attributes; ++j) {
       if (!options.AttributeAllowed(j)) continue;
       split_internal::AttributeContext ctx =
-          split_internal::BuildContextForAttribute(data, set, j, options,
-                                                   num_classes);
+          split_internal::BuildContextForAttribute(data, index, set, j,
+                                                   options, num_classes);
       if (ctx.scan.empty()) continue;
+      split_internal::EvalBuffers buffers;
       MergeCandidate(
           SearchAttribute(ctx, scorer, options, no_seed, counters, &buffers),
           &best);
@@ -123,8 +124,8 @@ SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
   ForEachAttribute(pool, num_attributes, [&](int j) {
     if (!options.AttributeAllowed(j)) return;  // slot stays empty
     AttributeSlot& slot = slots[static_cast<size_t>(j)];
-    slot.ctx = split_internal::BuildContextForAttribute(data, set, j, options,
-                                                        num_classes);
+    slot.ctx = split_internal::BuildContextForAttribute(data, index, set, j,
+                                                        options, num_classes);
     if (slot.ctx.scan.empty()) return;
     split_internal::EvalBuffers buffers;
     if (seeded) {

@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 
+#include "split/attribute_index.h"
 #include "split/dispersion.h"
 #include "split/fractional_tuple.h"
 #include "table/dataset.h"
@@ -130,11 +131,14 @@ class SplitFinder {
   virtual const char* name() const = 0;
 
   // Finds the best (attribute, split point) for the node whose working set
-  // is `set`. `scorer` carries the node's measure and parent counts.
+  // is `set`. `index` is AttributeIndex::Build(data), built once per
+  // training call. `scorer` carries the node's measure and parent counts.
   // Returns an invalid candidate when no attribute admits a valid split.
   // `counters` may be null. When `pool` is non-null the per-attribute
   // phases run as pool tasks; the result does not depend on it.
-  SplitCandidate FindBestSplit(const Dataset& data, const WorkingSet& set,
+  SplitCandidate FindBestSplit(const Dataset& data,
+                               const AttributeIndex& index,
+                               const WorkingSet& set,
                                const SplitScorer& scorer,
                                const SplitOptions& options,
                                SplitCounters* counters,

@@ -302,6 +302,35 @@ TEST(ModelPersistenceTest, DeserializeRejectsMalformed) {
                    .ok());
 }
 
+// strtod parses "nan"; the loaded config must still pass Validate().
+TEST(ModelPersistenceTest, LoadRejectsNanConfig) {
+  Dataset ds = MakeDataset(60, 2, 89);
+  Model model = TrainModel(ds, ModelKind::kUdt);
+  const std::string text = model.Serialize();
+  const std::string key = "pruning_confidence=";
+  const size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const size_t end = text.find(' ', at);
+  std::string poisoned = text;
+  poisoned.replace(at, end - at, key + "nan");
+  EXPECT_FALSE(Model::Deserialize(poisoned).ok());
+
+  std::string path = testing::TempDir() + "/udt_api_model_test_nan.model";
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    std::fwrite(poisoned.data(), 1, poisoned.size(), file);
+    std::fclose(file);
+  }
+  auto restored = Model::Load(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().message().find("pruning_confidence"),
+            std::string::npos)
+      << restored.status().message();
+}
+
 TEST(ModelPersistenceTest, LoadMissingFileFails) {
   auto missing = Model::Load("/nonexistent/path/model.txt");
   EXPECT_FALSE(missing.ok());

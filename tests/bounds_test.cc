@@ -61,7 +61,9 @@ TEST_P(BoundPropertyTest, BoundNeverExceedsInteriorMinimum) {
   const BoundCase& param = GetParam();
   Dataset ds = RandomUncertainDataset(24, 3, 12, param.seed);
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, ds.num_classes());
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan =
+      AttributeScan::Build(ds, index, set, 0, ds.num_classes());
   SplitScorer scorer(param.measure, ClassCounts(ds, set, ds.num_classes()));
 
   std::vector<EndpointInterval> intervals =
@@ -90,7 +92,9 @@ TEST_P(BoundPropertyTest, BoundHoldsOnCoarseIntervals) {
   const BoundCase& param = GetParam();
   Dataset ds = RandomUncertainDataset(20, 2, 10, param.seed + 1000);
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, ds.num_classes());
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan =
+      AttributeScan::Build(ds, index, set, 0, ds.num_classes());
   SplitScorer scorer(param.measure, ClassCounts(ds, set, ds.num_classes()));
 
   const std::vector<int>& eps = scan.endpoint_positions();

@@ -1,11 +1,13 @@
 // The construction engine's core guarantee: the tree built with
 // num_threads = N is bitwise-identical to the serial build for every N,
-// on every algorithm, including data with categorical attributes. The
-// suite serialises trees through tree_io and compares the bytes, and
-// checks training-set accuracy matches the serial baseline exactly.
+// on every algorithm, including data with categorical attributes and
+// tie-heavy data whose tuples share pdf grids. The suite serialises trees
+// through tree_io and compares the bytes, and checks training-set
+// accuracy matches the serial baseline exactly.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,30 @@ Dataset MixedDataset(int tuples, uint64_t seed) {
   return ds;
 }
 
+// Tie-heavy data: integer-valued attributes with one fixed error width, so
+// tuples sharing a value share their whole pdf grid and most x positions
+// carry events of several tuples and classes — the tie order the split
+// scans must keep fixed at every thread count.
+Dataset TieHeavyDataset(int tuples, int attributes, int classes, int s,
+                        uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  Dataset ds(Schema::Numerical(attributes, names));
+  for (int i = 0; i < tuples; ++i) {
+    UncertainTuple t;
+    t.label = i % classes;
+    for (int j = 0; j < attributes; ++j) {
+      const double value = std::round(rng.Gaussian(t.label * 1.5, 1.5));
+      auto pdf = MakeGaussianErrorPdf(value, 2.0, s);
+      UDT_CHECK(pdf.ok());
+      t.values.push_back(UncertainValue::Numerical(std::move(*pdf)));
+    }
+    UDT_CHECK(ds.AddTuple(std::move(t)).ok());
+  }
+  return ds;
+}
+
 double TrainAccuracy(const DecisionTree& tree, const Dataset& ds) {
   int correct = 0;
   for (int i = 0; i < ds.num_tuples(); ++i) {
@@ -98,6 +124,7 @@ std::string CaseName(const ::testing::TestParamInfo<DeterminismCase>& info) {
 Dataset MakeCaseDataset(const std::string& which) {
   if (which == "synthetic") return SyntheticDataset(150, 4, 3, 8, 42);
   if (which == "mixed") return MixedDataset(140, 7);
+  if (which == "ties") return TieHeavyDataset(160, 4, 3, 8, 19);
   // Japanese-vowel-like: pdfs from raw repeated measurements.
   datagen::JapaneseVowelConfig jv;
   jv.num_tuples = 120;
@@ -159,7 +186,7 @@ TEST_P(BuilderDeterminismTest, AutoThreadCountMatchesSerial) {
 
 std::vector<DeterminismCase> AllCases() {
   std::vector<DeterminismCase> cases;
-  for (const char* dataset : {"synthetic", "vowel", "mixed"}) {
+  for (const char* dataset : {"synthetic", "vowel", "mixed", "ties"}) {
     for (SplitAlgorithm algorithm :
          {SplitAlgorithm::kUdt, SplitAlgorithm::kUdtBp, SplitAlgorithm::kUdtLp,
           SplitAlgorithm::kUdtGp, SplitAlgorithm::kUdtEs}) {

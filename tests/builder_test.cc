@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <vector>
+
 #include "common/random.h"
 #include "core/builder.h"
 #include "pdf/pdf_builder.h"
@@ -110,6 +114,36 @@ TEST(BuilderTest, InvalidConfigRejected) {
   config = BaseConfig(SplitAlgorithm::kUdt);
   config.pruning_confidence = 1.5;
   EXPECT_FALSE(TreeBuilder(config).Build(ds, nullptr).ok());
+}
+
+// NaN fails every ordered comparison, so each range check must be written
+// to reject it; min_gain must be finite.
+TEST(BuilderTest, NanConfigFieldsRejected) {
+  Dataset ds = SeparableDataset(10, 1.0, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    std::function<void(TreeConfig*)> poison;
+  };
+  const std::vector<Case> cases = {
+      {"min_split_weight", [&](TreeConfig* c) { c->min_split_weight = nan; }},
+      {"min_gain", [&](TreeConfig* c) { c->min_gain = nan; }},
+      {"min_gain=inf", [&](TreeConfig* c) { c->min_gain = inf; }},
+      {"pruning_confidence",
+       [&](TreeConfig* c) { c->pruning_confidence = nan; }},
+      {"es_endpoint_sample_rate",
+       [&](TreeConfig* c) { c->split_options.es_endpoint_sample_rate = nan; }},
+      {"min_side_mass",
+       [&](TreeConfig* c) { c->split_options.min_side_mass = nan; }},
+  };
+  for (const Case& c : cases) {
+    TreeConfig config = BaseConfig(SplitAlgorithm::kUdtEs);
+    ASSERT_TRUE(config.Validate().ok());
+    c.poison(&config);
+    EXPECT_FALSE(config.Validate().ok()) << c.field;
+    EXPECT_FALSE(TreeBuilder(config).Build(ds, nullptr).ok()) << c.field;
+  }
 }
 
 TEST(BuilderTest, StatsPopulated) {

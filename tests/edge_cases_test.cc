@@ -48,10 +48,11 @@ TEST(EdgeCaseTest, ConstantAttributeNeverChosenForSplit) {
     ASSERT_TRUE(ds.AddTuple(t).ok());
   }
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(DispersionMeasure::kEntropy, ClassCounts(ds, set, 2));
   SplitCandidate best =
       MakeSplitFinder(SplitAlgorithm::kUdtGp)
-          ->FindBestSplit(ds, set, scorer, SplitOptions{}, nullptr);
+          ->FindBestSplit(ds, index, set, scorer, SplitOptions{}, nullptr);
   ASSERT_TRUE(best.valid);
   EXPECT_EQ(best.attribute, 1);
 }
@@ -67,9 +68,10 @@ TEST(EdgeCaseTest, ScanSkipsTuplesConstrainedOutOfSupport) {
                      1}).ok());
 
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   // Constrain the first tuple to (10, inf): no mass remains.
   set[0].lo[0] = 10.0;
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   EXPECT_EQ(scan.num_positions(), 1);  // only the point tuple survives
   EXPECT_NEAR(scan.total_mass(), 1.0, 1e-12);
 }
@@ -200,15 +202,16 @@ TEST(EdgeCaseTest, EsSampleRateOneMatchesGpExactly) {
     ASSERT_TRUE(ds.AddTuple(t).ok());
   }
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(DispersionMeasure::kEntropy, ClassCounts(ds, set, 2));
   SplitOptions options;
   options.es_endpoint_sample_rate = 1.0;
   SplitCounters es_counters, gp_counters;
   SplitCandidate es = MakeSplitFinder(SplitAlgorithm::kUdtEs)
-                          ->FindBestSplit(ds, set, scorer, options,
+                          ->FindBestSplit(ds, index, set, scorer, options,
                                           &es_counters);
   SplitCandidate gp = MakeSplitFinder(SplitAlgorithm::kUdtGp)
-                          ->FindBestSplit(ds, set, scorer, options,
+                          ->FindBestSplit(ds, index, set, scorer, options,
                                           &gp_counters);
   ASSERT_TRUE(es.valid && gp.valid);
   EXPECT_DOUBLE_EQ(es.score, gp.score);

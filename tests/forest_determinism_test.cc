@@ -4,7 +4,9 @@
 //   1. ForestTrainer with a fixed seed produces bitwise-identical saved
 //      forests (both the pointer "udt-forest-model v1" container and the
 //      compiled "udt-forest v1" container) at 1, 2, 4 and 8 threads, with
-//      and without random subspaces, for both model kinds.
+//      and without random subspaces, for both model kinds — every tree
+//      reading the one AttributeIndex the trainer builds for the run (the
+//      tie-heavy fixture makes that index's shared ranks carry many ties).
 //   2. Different seeds produce different forests (seed sensitivity — the
 //      determinism above is not the degenerate kind).
 //   3. CompiledForest batch predictions are byte-identical to the
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -78,9 +81,34 @@ Dataset MixedDataset(int tuples, uint64_t seed) {
   return ds;
 }
 
+// Tie-heavy data: integer-valued attributes with one fixed error width, so
+// tuples sharing a value share their whole pdf grid and most x positions
+// carry events of several tuples and classes — the tie order the split
+// scans must keep fixed at every thread count.
+Dataset TieHeavyDataset(int tuples, int attributes, int classes, int s,
+                        uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  Dataset ds(Schema::Numerical(attributes, names));
+  for (int i = 0; i < tuples; ++i) {
+    UncertainTuple t;
+    t.label = i % classes;
+    for (int j = 0; j < attributes; ++j) {
+      const double value = std::round(rng.Gaussian(t.label * 1.5, 1.5));
+      auto pdf = MakeGaussianErrorPdf(value, 2.0, s);
+      UDT_CHECK(pdf.ok());
+      t.values.push_back(UncertainValue::Numerical(std::move(*pdf)));
+    }
+    UDT_CHECK(ds.AddTuple(std::move(t)).ok());
+  }
+  return ds;
+}
+
 Dataset MakeCaseDataset(const std::string& which) {
   if (which == "synthetic") return SyntheticDataset(130, 4, 3, 8, 42);
   if (which == "mixed") return MixedDataset(120, 7);
+  if (which == "ties") return TieHeavyDataset(130, 4, 3, 8, 19);
   datagen::JapaneseVowelConfig jv;
   jv.num_tuples = 100;
   jv.num_attributes = 6;
@@ -199,6 +227,9 @@ INSTANTIATE_TEST_SUITE_P(
         ForestCase{"synthetic", ModelKind::kAveraging, 2},
         ForestCase{"mixed", ModelKind::kUdt, 0},
         ForestCase{"mixed", ModelKind::kUdt, 2},
+        ForestCase{"ties", ModelKind::kUdt, 0},
+        ForestCase{"ties", ModelKind::kUdt, 2},
+        ForestCase{"ties", ModelKind::kAveraging, 0},
         ForestCase{"vowel", ModelKind::kUdt,
                    ForestConfig::kSubspaceSqrt},
         ForestCase{"vowel", ModelKind::kAveraging, 0}),

@@ -127,6 +127,27 @@ TEST(PdfKernelsTest, ConstrainedMassBitwiseEqual) {
   }
 }
 
+// The split scans' window search: both ends match the scalar searches and
+// the mass matches PdfConstrainedMass bit for bit.
+TEST(PdfKernelsTest, ConstrainedWindowMatchesScalarSearches) {
+  Rng rng(23);
+  for (int n : {1, 2, 5, 12, 27}) {
+    SampledPdf pdf = RandomPdf(&rng, n);
+    std::vector<double> queries = InterestingQueries(pdf);
+    for (double lo : queries) {
+      for (double hi : queries) {
+        if (lo > hi) continue;
+        const PdfWindow window = PdfConstrainedWindow(pdf, lo, hi);
+        EXPECT_EQ(window.begin,
+                  static_cast<size_t>(pdf.FirstPointAbove(lo)));
+        EXPECT_EQ(window.end, static_cast<size_t>(pdf.FirstPointAbove(hi)));
+        EXPECT_EQ(window.mass, PdfConstrainedMass(pdf, lo, hi))
+            << "lo=" << lo << " hi=" << hi;
+      }
+    }
+  }
+}
+
 TEST(PdfKernelsTest, NumericalSplitEvalMatchesReferenceChain) {
   Rng rng(51);
   for (int n : {1, 2, 5, 12, 27}) {

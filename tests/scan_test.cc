@@ -29,7 +29,8 @@ Dataset ThreeTupleDataset() {
 TEST(ScanTest, PositionsSortedUnique) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   ASSERT_EQ(scan.num_positions(), 5);
   EXPECT_DOUBLE_EQ(scan.x(0), 0.0);
   EXPECT_DOUBLE_EQ(scan.x(1), 2.0);
@@ -41,7 +42,8 @@ TEST(ScanTest, PositionsSortedUnique) {
 TEST(ScanTest, CumulativeClassMasses) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   EXPECT_NEAR(scan.CumulativeMass(0, 0), 0.5, 1e-12);   // A mass at 0
   EXPECT_NEAR(scan.CumulativeMass(1, 0), 1.0, 1e-12);   // + mass at 2
   EXPECT_NEAR(scan.CumulativeMass(2, 0), 2.0, 1e-12);   // + t1
@@ -55,7 +57,8 @@ TEST(ScanTest, CumulativeClassMasses) {
 TEST(ScanTest, LeftRightCounts) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   std::vector<double> left, right;
   scan.LeftCounts(2, &left);
   scan.RightCounts(2, &right);
@@ -68,7 +71,8 @@ TEST(ScanTest, LeftRightCounts) {
 TEST(ScanTest, EndpointsAreSupportBoundaries) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   // Boundaries: t0 -> {0, 2}, t1 -> {4}, t2 -> {6, 8}. All distinct.
   const std::vector<int>& eps = scan.endpoint_positions();
   ASSERT_EQ(eps.size(), 5u);
@@ -79,10 +83,11 @@ TEST(ScanTest, EndpointsAreSupportBoundaries) {
 TEST(ScanTest, ConstraintsRestrictContribution) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   // Constrain t0 to (0, inf): only its sample at 2 remains, renormalised
   // to carry the tuple's full weight.
   set[0].lo[0] = 0.0;
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   ASSERT_EQ(scan.num_positions(), 4);  // 0 is gone
   EXPECT_DOUBLE_EQ(scan.x(0), 2.0);
   EXPECT_NEAR(scan.CumulativeMass(0, 0), 1.0, 1e-12);  // full weight at 2
@@ -91,8 +96,9 @@ TEST(ScanTest, ConstraintsRestrictContribution) {
 TEST(ScanTest, FractionalWeightsScaleMasses) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   set[2].weight = 0.5;
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   EXPECT_NEAR(scan.class_totals()[1], 0.5, 1e-12);
   EXPECT_NEAR(scan.total_mass(), 2.5, 1e-12);
 }
@@ -100,7 +106,8 @@ TEST(ScanTest, FractionalWeightsScaleMasses) {
 TEST(ScanTest, EmptyWorkingSet) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet empty;
-  AttributeScan scan = AttributeScan::Build(ds, empty, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, empty, 0, 2);
   EXPECT_TRUE(scan.empty());
   EXPECT_EQ(scan.num_positions(), 0);
 }
@@ -108,7 +115,8 @@ TEST(ScanTest, EmptyWorkingSet) {
 TEST(ScanTest, IntervalStatsPartitionTotals) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   std::vector<double> nc, kc, mc;
   scan.IntervalStats(1, 3, &nc, &kc, &mc);  // interval (2, 6]
   for (int c = 0; c < 2; ++c) {
@@ -131,7 +139,8 @@ TEST(IntervalTest, KindNames) {
 TEST(IntervalTest, ClassifyHomogeneousAndHeterogeneous) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   // (0, 2]: only class A mass -> homogeneous.
   EXPECT_EQ(ClassifyInterval(scan, 0, 1), IntervalKind::kHomogeneous);
   // (2, 6]: A mass at 4, B mass at 6 -> heterogeneous.
@@ -143,7 +152,8 @@ TEST(IntervalTest, ClassifyHomogeneousAndHeterogeneous) {
 TEST(IntervalTest, SegmentationCoversAxis) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   std::vector<EndpointInterval> intervals =
       SegmentIntoIntervals(scan, scan.endpoint_positions());
   ASSERT_EQ(intervals.size(), 4u);
@@ -164,7 +174,8 @@ TEST(IntervalTest, PointDataHasNoInteriorCandidates) {
     ASSERT_TRUE(ds.AddTuple(t).ok());
   }
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   std::vector<EndpointInterval> intervals =
       SegmentIntoIntervals(scan, scan.endpoint_positions());
   for (const EndpointInterval& interval : intervals) {

@@ -70,16 +70,17 @@ TEST_P(SplitEquivalenceTest, PrunedFinderMatchesExhaustiveChoice) {
   const EquivalenceCase& param = GetParam();
   Dataset ds = GenericDataset(24, 4, 3, 12, param.seed + 9000);
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(param.measure, ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   options.measure = param.measure;
 
   SplitCandidate exhaustive =
       MakeSplitFinder(SplitAlgorithm::kUdt)
-          ->FindBestSplit(ds, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
   SplitCandidate pruned =
       MakeSplitFinder(param.algorithm)
-          ->FindBestSplit(ds, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
 
   ASSERT_EQ(exhaustive.valid, pruned.valid);
   if (exhaustive.valid) {
@@ -95,6 +96,7 @@ TEST_P(SplitEquivalenceTest, ParallelScanMatchesSerial) {
   const EquivalenceCase& param = GetParam();
   Dataset ds = GenericDataset(20, 4, 3, 10, param.seed + 12000);
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(param.measure, ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   options.measure = param.measure;
@@ -102,12 +104,12 @@ TEST_P(SplitEquivalenceTest, ParallelScanMatchesSerial) {
   std::unique_ptr<SplitFinder> finder = MakeSplitFinder(param.algorithm);
   SplitCounters serial_counters;
   SplitCandidate serial =
-      finder->FindBestSplit(ds, set, scorer, options, &serial_counters);
+      finder->FindBestSplit(ds, index, set, scorer, options, &serial_counters);
 
   TaskPool pool(3);
   SplitCounters pooled_counters;
-  SplitCandidate pooled = finder->FindBestSplit(ds, set, scorer, options,
-                                                &pooled_counters, &pool);
+  SplitCandidate pooled = finder->FindBestSplit(
+      ds, index, set, scorer, options, &pooled_counters, &pool);
 
   ASSERT_EQ(pooled.valid, serial.valid);
   if (serial.valid) {
@@ -129,17 +131,18 @@ TEST_P(SplitEquivalenceTest, PrunedFinderMatchesExhaustiveScore) {
   const EquivalenceCase& param = GetParam();
   Dataset ds = GenericDataset(18, 3, 3, 10, param.seed);
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(param.measure, ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   options.measure = param.measure;
 
   SplitCandidate exhaustive =
       MakeSplitFinder(SplitAlgorithm::kUdt)
-          ->FindBestSplit(ds, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
   SplitCounters counters;
   SplitCandidate pruned =
       MakeSplitFinder(param.algorithm)
-          ->FindBestSplit(ds, set, scorer, options, &counters);
+          ->FindBestSplit(ds, index, set, scorer, options, &counters);
 
   ASSERT_EQ(exhaustive.valid, pruned.valid);
   if (exhaustive.valid) {
@@ -220,15 +223,16 @@ TEST_P(ResolutionEquivalenceTest, MatchesExhaustiveAcrossResolutions) {
     ASSERT_TRUE(ds.AddTuple(t).ok());
   }
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(DispersionMeasure::kEntropy,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   SplitCandidate exhaustive =
       MakeSplitFinder(SplitAlgorithm::kUdt)
-          ->FindBestSplit(ds, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
   SplitCandidate pruned =
       MakeSplitFinder(param.algorithm)
-          ->FindBestSplit(ds, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
   ASSERT_EQ(exhaustive.valid, pruned.valid);
   if (exhaustive.valid) {
     EXPECT_NEAR(pruned.score, exhaustive.score, 1e-9);
@@ -278,19 +282,20 @@ TEST(SplitEquivalencePointTest, AllFindersAgreeOnPointData) {
     ASSERT_TRUE(ds.AddTuple(t).ok());
   }
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(DispersionMeasure::kEntropy,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
 
   SplitCandidate reference =
       MakeSplitFinder(SplitAlgorithm::kAvg)
-          ->FindBestSplit(ds, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
   ASSERT_TRUE(reference.valid);
   for (SplitAlgorithm algorithm :
        {SplitAlgorithm::kUdt, SplitAlgorithm::kUdtBp, SplitAlgorithm::kUdtLp,
         SplitAlgorithm::kUdtGp, SplitAlgorithm::kUdtEs}) {
     SplitCandidate best = MakeSplitFinder(algorithm)->FindBestSplit(
-        ds, set, scorer, options, nullptr);
+        ds, index, set, scorer, options, nullptr);
     ASSERT_TRUE(best.valid);
     EXPECT_NEAR(best.score, reference.score, 1e-9);
     EXPECT_EQ(best.attribute, reference.attribute);

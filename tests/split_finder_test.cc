@@ -28,11 +28,12 @@ Dataset SeparablePointData() {
 SplitCandidate RunFinder(SplitAlgorithm algorithm, const Dataset& ds,
                          DispersionMeasure measure, SplitCounters* counters) {
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(measure, ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   options.measure = measure;
   return MakeSplitFinder(algorithm)
-      ->FindBestSplit(ds, set, scorer, options, counters);
+      ->FindBestSplit(ds, index, set, scorer, options, counters);
 }
 
 TEST(SplitFinderTest, AlgorithmNames) {
@@ -193,7 +194,8 @@ TEST(PercentileEndpointTest, PositionsSortedAndBounded) {
     ASSERT_TRUE(ds.AddTuple(t).ok());
   }
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   std::vector<int> eps = ComputePercentileEndpoints(scan, 9);
   ASSERT_GE(eps.size(), 2u);
   EXPECT_EQ(eps.front(), 0);
@@ -211,7 +213,8 @@ TEST(PercentileEndpointTest, CrossingsHitTargets) {
   UncertainTuple t{{UncertainValue::Numerical(std::move(*pdf))}, 0};
   ASSERT_TRUE(ds.AddTuple(t).ok());
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   std::vector<int> eps = ComputePercentileEndpoints(scan, 9);
   // 9 deciles + first + last = 11 positions.
   ASSERT_EQ(eps.size(), 11u);
@@ -232,18 +235,19 @@ TEST(PercentileEndpointTest, FindersAgreeInPercentileMode) {
     ASSERT_TRUE(ds.AddTuple(t).ok());
   }
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(DispersionMeasure::kEntropy,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
 
-  SplitCandidate exhaustive = MakeSplitFinder(SplitAlgorithm::kUdt)
-                                  ->FindBestSplit(ds, set, scorer, options,
-                                                  nullptr);
+  SplitCandidate exhaustive =
+      MakeSplitFinder(SplitAlgorithm::kUdt)
+          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
   options.use_percentile_endpoints = true;
   for (SplitAlgorithm algorithm :
        {SplitAlgorithm::kUdtGp, SplitAlgorithm::kUdtEs}) {
     SplitCandidate best = MakeSplitFinder(algorithm)->FindBestSplit(
-        ds, set, scorer, options, nullptr);
+        ds, index, set, scorer, options, nullptr);
     ASSERT_TRUE(best.valid);
     EXPECT_NEAR(best.score, exhaustive.score, 1e-9)
         << SplitAlgorithmToString(algorithm);

@@ -22,7 +22,8 @@ TEST(LinearGrowthTest, SingleUniformPdfIsLinear) {
   UncertainTuple t{{UncertainValue::Numerical(std::move(*pdf))}, 0};
   ASSERT_TRUE(ds.AddTuple(t).ok());
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   EXPECT_TRUE(IntervalHasLinearGrowth(scan, 0, scan.num_positions() - 1));
   EXPECT_TRUE(IntervalHasLinearGrowth(scan, 3, 17));
 }
@@ -34,7 +35,8 @@ TEST(LinearGrowthTest, GaussianPdfIsNotLinear) {
   UncertainTuple t{{UncertainValue::Numerical(std::move(*pdf))}, 0};
   ASSERT_TRUE(ds.AddTuple(t).ok());
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   EXPECT_FALSE(IntervalHasLinearGrowth(scan, 0, scan.num_positions() - 1));
 }
 
@@ -50,7 +52,8 @@ TEST(LinearGrowthTest, MisalignedUniformGridsAreNotLinear) {
   ASSERT_TRUE(ds.AddTuple(ta).ok());
   ASSERT_TRUE(ds.AddTuple(tb).ok());
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   // The overlapping middle region mixes both staircases.
   EXPECT_FALSE(
       IntervalHasLinearGrowth(scan, scan.num_positions() / 3,
@@ -70,7 +73,8 @@ TEST(LinearGrowthTest, AlignedGridsOfTwoClassesAreLinear) {
   ASSERT_TRUE(ds.AddTuple(ta).ok());
   ASSERT_TRUE(ds.AddTuple(tb).ok());
   WorkingSet set = MakeRootWorkingSet(ds);
-  AttributeScan scan = AttributeScan::Build(ds, set, 0, 2);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
   ASSERT_EQ(ClassifyInterval(scan, 0, scan.num_positions() - 1),
             IntervalKind::kHeterogeneous);
   EXPECT_TRUE(IntervalHasLinearGrowth(scan, 0, scan.num_positions() - 1));
@@ -97,16 +101,18 @@ TEST(Theorem3PruningTest, BpPrunesLinearIntervalsSafely) {
   }
 
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(DispersionMeasure::kEntropy,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
 
   SplitCounters bp_counters;
   SplitCandidate bp = MakeSplitFinder(SplitAlgorithm::kUdtBp)
-                          ->FindBestSplit(ds, set, scorer, options,
+                          ->FindBestSplit(ds, index, set, scorer, options,
                                           &bp_counters);
-  SplitCandidate udt = MakeSplitFinder(SplitAlgorithm::kUdt)
-                           ->FindBestSplit(ds, set, scorer, options, nullptr);
+  SplitCandidate udt =
+      MakeSplitFinder(SplitAlgorithm::kUdt)
+          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
   ASSERT_TRUE(bp.valid && udt.valid);
   EXPECT_NEAR(bp.score, udt.score, 1e-9);
   // The aligned 0-8/4-12 grids make the 0-4 and 8-12 regions homogeneous
@@ -127,13 +133,14 @@ TEST(Theorem3PruningTest, GainRatioDoesNotUseLinearPruning) {
   ASSERT_TRUE(ds.AddTuple(tb).ok());
 
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(DispersionMeasure::kGainRatio,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   options.measure = DispersionMeasure::kGainRatio;
   SplitCounters counters;
   MakeSplitFinder(SplitAlgorithm::kUdtBp)
-      ->FindBestSplit(ds, set, scorer, options, &counters);
+      ->FindBestSplit(ds, index, set, scorer, options, &counters);
   EXPECT_EQ(counters.intervals_pruned_linear, 0);
 }
 
@@ -149,11 +156,12 @@ TEST(Theorem3PruningTest, UniformAlignedDataNeedsOnlyEndpointEvals) {
     ASSERT_TRUE(ds.AddTuple(t).ok());
   }
   WorkingSet set = MakeRootWorkingSet(ds);
+  const AttributeIndex index = AttributeIndex::Build(ds);
   SplitScorer scorer(DispersionMeasure::kEntropy,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitCounters counters;
   MakeSplitFinder(SplitAlgorithm::kUdtBp)
-      ->FindBestSplit(ds, set, scorer, SplitOptions{}, &counters);
+      ->FindBestSplit(ds, index, set, scorer, SplitOptions{}, &counters);
   // Shared support: only two end points (first and last grid position) and
   // one linear interval between them -> at most 2 evaluations.
   EXPECT_LE(counters.dispersion_evaluations, 2);

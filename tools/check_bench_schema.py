@@ -7,7 +7,9 @@ bench_serve_frontend and bench_storage_compression (the storage tier's
 accuracy-vs-compression sweep, BENCH_storage_compression.json) write
 BENCH_<name>.json sidecars this script understands, as does the
 flat-traversal sweep inside bench_micro_kernels
-(BENCH_micro_batch_kernels.json: pool x kernel x batch, ns/tuple).
+(BENCH_micro_batch_kernels.json: pool x kernel x batch, ns/tuple) and
+bench_fig6_execution_time (BENCH_fig6_execution_time.json: data set x
+algorithm build seconds, the paper's Fig 6).
 CI regenerates each file in the Release smoke job and this script fails
 on *schema* drift only — keys added or removed, value types changed, or
 the categorical dimensions (dataset / path / kind / batch_size...) no
@@ -15,7 +17,8 @@ longer covering what the sidecar covers. Timing values are expected to
 move run to run and are deliberately not compared. Provenance strings
 (PROVENANCE_KEYS, e.g. the build type a row was measured under) must
 keep their key and type but are not part of a row's identity: a local
-RelWithDebInfo run still covers a sidecar recorded in Release.
+RelWithDebInfo run still covers a sidecar recorded in Release (both the
+micro-kernel and the Fig 6 sidecars carry build_type per row).
 
 Rows must be strict JSON: NaN / Infinity (which Python's json module
 accepts by default, and which a degenerate measurement could print) are
