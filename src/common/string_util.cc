@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +35,18 @@ std::string_view TrimWhitespace(std::string_view text) {
 std::optional<double> ParseDouble(std::string_view text) {
   text = TrimWhitespace(text);
   if (text.empty()) return std::nullopt;
+  // Fast path: from_chars reads the plain decimal tokens a CSV is made of
+  // without copying them, correctly rounded like strtod. Everything it
+  // rejects, stops short on, or reads as NaN or out of range ('+1', hex,
+  // '1e400', NaN payloads) falls through to strtod, which keeps the
+  // accept/reject set and every value as they were.
+  double fast = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), fast);
+  if (ec == std::errc() && ptr == text.data() + text.size() &&
+      !std::isnan(fast)) {
+    return fast;
+  }
   std::string buffer(text);
   char* end = nullptr;
   double value = std::strtod(buffer.c_str(), &end);

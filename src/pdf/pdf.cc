@@ -19,6 +19,11 @@ StatusOr<SampledPdf> SampledPdf::Create(std::vector<double> points,
   if (points.empty()) {
     return Status::InvalidArgument("pdf requires at least one sample point");
   }
+  // Input that is already canonical — strictly ascending points, every
+  // mass positive — needs no sort, merge or drop. Every grid factory, the
+  // calibrator and the storage decode hand over such input, so it is
+  // normalised in place; anything else goes through the sort below.
+  bool canonical = true;
   for (size_t i = 0; i < points.size(); ++i) {
     if (!std::isfinite(points[i]) || !std::isfinite(masses[i])) {
       return Status::InvalidArgument("pdf sample points must be finite");
@@ -26,50 +31,61 @@ StatusOr<SampledPdf> SampledPdf::Create(std::vector<double> points,
     if (masses[i] < 0.0) {
       return Status::InvalidArgument("pdf masses must be non-negative");
     }
-  }
-
-  // Sort jointly by point, then merge duplicates and drop zero masses.
-  std::vector<size_t> order(points.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return points[a] < points[b]; });
-
-  std::vector<double> sorted_points;
-  std::vector<double> sorted_masses;
-  sorted_points.reserve(points.size());
-  sorted_masses.reserve(points.size());
-  for (size_t idx : order) {
-    double x = points[idx];
-    double m = masses[idx];
-    if (m <= 0.0) continue;
-    if (!sorted_points.empty() && sorted_points.back() == x) {
-      sorted_masses.back() += m;
-    } else {
-      sorted_points.push_back(x);
-      sorted_masses.push_back(m);
+    if (!(masses[i] > 0.0) || (i > 0 && !(points[i - 1] < points[i]))) {
+      canonical = false;
     }
   }
-  if (sorted_points.empty()) {
-    return Status::InvalidArgument("pdf carries no positive mass");
+
+  if (canonical) {
+    // The sort path would have copied into exactly-sized vectors; keep
+    // the same footprint (MemoryUsageBytes counts capacity).
+    points.shrink_to_fit();
+    masses.shrink_to_fit();
+  } else {
+    // Sort jointly by point, then merge duplicates and drop zero masses.
+    std::vector<size_t> order(points.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](size_t a, size_t b) { return points[a] < points[b]; });
+
+    std::vector<double> sorted_points;
+    std::vector<double> sorted_masses;
+    sorted_points.reserve(points.size());
+    sorted_masses.reserve(points.size());
+    for (size_t idx : order) {
+      double x = points[idx];
+      double m = masses[idx];
+      if (m <= 0.0) continue;
+      if (!sorted_points.empty() && sorted_points.back() == x) {
+        sorted_masses.back() += m;
+      } else {
+        sorted_points.push_back(x);
+        sorted_masses.push_back(m);
+      }
+    }
+    if (sorted_points.empty()) {
+      return Status::InvalidArgument("pdf carries no positive mass");
+    }
+    points = std::move(sorted_points);
+    masses = std::move(sorted_masses);
   }
 
-  double total =
-      std::accumulate(sorted_masses.begin(), sorted_masses.end(), 0.0);
+  double total = std::accumulate(masses.begin(), masses.end(), 0.0);
   UDT_DCHECK(total > 0.0);
 
-  std::vector<double> cumulative(sorted_masses.size());
+  std::vector<double> cumulative(masses.size());
   KahanSum running;
   KahanSum mean_sum;
-  for (size_t i = 0; i < sorted_masses.size(); ++i) {
-    sorted_masses[i] /= total;
-    running.Add(sorted_masses[i]);
+  for (size_t i = 0; i < masses.size(); ++i) {
+    masses[i] /= total;
+    running.Add(masses[i]);
     cumulative[i] = running.value();
-    mean_sum.Add(sorted_points[i] * sorted_masses[i]);
+    mean_sum.Add(points[i] * masses[i]);
   }
   // Force exact normalisation at the top so F(support_max) == 1.
   cumulative.back() = 1.0;
 
-  return SampledPdf(std::move(sorted_points), std::move(sorted_masses),
+  return SampledPdf(std::move(points), std::move(masses),
                     std::move(cumulative), mean_sum.value());
 }
 

@@ -30,8 +30,10 @@ class SampledPdf {
   // Builds a pdf from parallel arrays of sample points and non-negative
   // masses. Points need not be sorted or unique: they are sorted, duplicates
   // are merged and zero-mass points dropped. Masses are renormalised to sum
-  // to one. Fails if the arrays mismatch, are empty, contain non-finite
-  // values, or carry no positive mass.
+  // to one. Input that is already strictly ascending with positive masses
+  // (every grid factory's) skips the sort and is normalised in place, with
+  // bit-identical results. Fails if the arrays mismatch, are empty, contain
+  // non-finite values, or carry no positive mass.
   static StatusOr<SampledPdf> Create(std::vector<double> points,
                                      std::vector<double> masses);
 

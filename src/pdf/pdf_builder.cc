@@ -16,6 +16,13 @@ std::vector<double> MidpointGrid(double lo, double hi, int s) {
   return grid;
 }
 
+// True when the error interval [lo, hi] = [v - width/2, v + width/2] has
+// no room for a grid: width 0, or a width so far below the ulp of a finite
+// v that both ends round back onto v. Either way the pdf is a point mass.
+bool ErrorSupportCollapses(double value, double width, double lo, double hi) {
+  return width == 0.0 || (std::isfinite(value) && lo == hi);
+}
+
 }  // namespace
 
 StatusOr<SampledPdf> MakeUniformPdf(double lo, double hi, int s) {
@@ -42,16 +49,23 @@ StatusOr<SampledPdf> MakeTruncatedGaussianPdf(double mean, double stddev,
 
 StatusOr<SampledPdf> MakeGaussianErrorPdf(double value, double width, int s) {
   if (width < 0.0) return Status::InvalidArgument("width must be >= 0");
-  if (width == 0.0) return SampledPdf::PointMass(value);
+  const double lo = value - width / 2.0;
+  const double hi = value + width / 2.0;
+  if (ErrorSupportCollapses(value, width, lo, hi)) {
+    return SampledPdf::PointMass(value);
+  }
   // Section 4.3: interval width w*|A|, standard deviation a quarter of it.
-  return MakeTruncatedGaussianPdf(value, width / 4.0, value - width / 2.0,
-                                  value + width / 2.0, s);
+  return MakeTruncatedGaussianPdf(value, width / 4.0, lo, hi, s);
 }
 
 StatusOr<SampledPdf> MakeUniformErrorPdf(double value, double width, int s) {
   if (width < 0.0) return Status::InvalidArgument("width must be >= 0");
-  if (width == 0.0) return SampledPdf::PointMass(value);
-  return MakeUniformPdf(value - width / 2.0, value + width / 2.0, s);
+  const double lo = value - width / 2.0;
+  const double hi = value + width / 2.0;
+  if (ErrorSupportCollapses(value, width, lo, hi)) {
+    return SampledPdf::PointMass(value);
+  }
+  return MakeUniformPdf(lo, hi, s);
 }
 
 StatusOr<SampledPdf> MakePdfFromSamples(const std::vector<double>& samples) {

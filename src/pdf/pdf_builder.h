@@ -28,11 +28,14 @@ StatusOr<SampledPdf> MakeTruncatedGaussianPdf(double mean, double stddev,
 
 // The paper's Gaussian error model for a recorded value v: support
 // [v - width/2, v + width/2], stddev = width/4 (Section 4.3). A zero width
-// yields a point mass at v.
+// yields a point mass at v, and so does a positive width too small to move
+// either end of the support off v in floating point (e.g. v = 1e17, whose
+// ulp is 16, with width 1.6).
 StatusOr<SampledPdf> MakeGaussianErrorPdf(double value, double width, int s);
 
 // The paper's uniform (quantisation) error model for a recorded value v:
-// uniform over [v - width/2, v + width/2]. A zero width yields a point mass.
+// uniform over [v - width/2, v + width/2]. A zero width, or one too small to
+// move either end of the support off v, yields a point mass.
 StatusOr<SampledPdf> MakeUniformErrorPdf(double value, double width, int s);
 
 // Empirical distribution of raw repeated measurements, each sample weighted

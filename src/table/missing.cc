@@ -146,13 +146,14 @@ StatusOr<Dataset> InjectUncertaintyWithMissing(
     }
   }
 
-  Dataset dataset(points.schema());
-  for (int i = 0; i < points.num_tuples(); ++i) {
-    UncertainTuple tuple;
-    tuple.label = points.label(i);
-    tuple.values.reserve(static_cast<size_t>(points.num_attributes()));
-    for (int j = 0; j < points.num_attributes(); ++j) {
-      if (points.is_missing(i, j)) {
+  return BuildUncertainTuples(
+      points, inject.samples_per_pdf,
+      [&](int i, int j) -> StatusOr<UncertainValue> {
+        if (!points.is_missing(i, j)) {
+          UDT_ASSIGN_OR_RETURN(SampledPdf pdf,
+                               make_pdf(points.value(i, j), j));
+          return UncertainValue::Numerical(std::move(pdf));
+        }
         int slice = options.class_conditional ? points.label(i) : 0;
         const std::optional<SampledPdf>& guess =
             guesses[static_cast<size_t>(slice)][static_cast<size_t>(j)];
@@ -160,16 +161,8 @@ StatusOr<Dataset> InjectUncertaintyWithMissing(
             options.class_conditional ? global_guess[static_cast<size_t>(j)]
                                       : guess;
         const SampledPdf& chosen = guess.has_value() ? *guess : *fallback;
-        tuple.values.push_back(UncertainValue::Numerical(chosen));
-      } else {
-        UDT_ASSIGN_OR_RETURN(SampledPdf pdf,
-                             make_pdf(points.value(i, j), j));
-        tuple.values.push_back(UncertainValue::Numerical(std::move(pdf)));
-      }
-    }
-    UDT_RETURN_NOT_OK(dataset.AddTuple(std::move(tuple)));
-  }
-  return dataset;
+        return UncertainValue::Numerical(chosen);
+      });
 }
 
 }  // namespace udt

@@ -13,6 +13,9 @@
 #ifndef UDT_TABLE_UNCERTAINTY_INJECTOR_H_
 #define UDT_TABLE_UNCERTAINTY_INJECTOR_H_
 
+#include <cstdint>
+#include <functional>
+
 #include "common/random.h"
 #include "common/statusor.h"
 #include "table/dataset.h"
@@ -38,11 +41,39 @@ struct UncertaintyOptions {
 };
 
 // Turns a point data set into an uncertain one: every value v becomes a pdf
-// with mean v, support width = width_fraction * |Aj| (clamped to a tiny
-// positive width if the attribute is constant). width_fraction == 0 yields
-// point masses, which makes UDT degenerate to AVG by construction.
+// with mean v, support width = width_fraction * |Aj|. A value whose width is
+// zero (width_fraction == 0, or a constant attribute) or too small to move
+// the support's ends off v in floating point becomes a point mass;
+// width_fraction == 0 thus makes UDT degenerate to AVG by construction.
+// Fails on a missing ('?') value, naming its row and attribute: missing
+// values need InjectUncertaintyWithMissing (table/missing.h).
+//
+// Tables of at least kMinSamplePointsForParallelInject sample points build
+// their tuples on every core; the result is bit-identical either way.
 StatusOr<Dataset> InjectUncertainty(const PointDataset& points,
                                     const UncertaintyOptions& options);
+
+// Injection work, in sample points (tuples x attributes x samples_per_pdf),
+// below which tuples are built inline on the calling thread and no pool is
+// created, so tests and small tables spawn no threads. Measured on a 4-CPU
+// x86 host (Release): one sample point costs 22-37 ns on one thread (the
+// exp and the pdf's allocations), so the cutoff is 1.5-2.5 ms of work,
+// against ~0.16 ms to start, run and join a 3-worker pool.
+inline constexpr int64_t kMinSamplePointsForParallelInject = int64_t{1} << 16;
+
+// Builds one UncertainValue per (tuple i, attribute j).
+using ValueFactory = std::function<StatusOr<UncertainValue>(int i, int j)>;
+
+// The tuple fan-out behind InjectUncertainty and
+// InjectUncertaintyWithMissing: calls make_value(i, j) for every value —
+// on all cores when tuples x attributes x samples_per_pdf reaches
+// kMinSamplePointsForParallelInject, inline otherwise — then appends the
+// tuples, labelled as in `points`, to a Dataset in tuple order. The first
+// error in tuple order is returned. make_value must be safe to call
+// concurrently.
+StatusOr<Dataset> BuildUncertainTuples(const PointDataset& points,
+                                       int samples_per_pdf,
+                                       const ValueFactory& make_value);
 
 // Section 4.4: returns a copy of `points` where each value is perturbed by
 // N(0, sigma^2) with sigma = (u * |Aj|) / 4. u == 0 returns an exact copy.

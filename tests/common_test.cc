@@ -2,7 +2,14 @@
 // utilities.
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -288,6 +295,96 @@ TEST(StringUtilTest, ParseDoubleRejectsGarbage) {
   EXPECT_FALSE(ParseDouble("3.25x").has_value());
   EXPECT_FALSE(ParseDouble("").has_value());
   EXPECT_FALSE(ParseDouble("abc").has_value());
+}
+
+// The strtod-only parser ParseDouble used before its from_chars fast path:
+// the reference the fast path must match token for token.
+std::optional<double> StrtodReference(std::string_view text) {
+  text = TrimWhitespace(text);
+  if (text.empty()) return std::nullopt;
+  std::string buffer(text);
+  char* end = nullptr;
+  double value = std::strtod(buffer.c_str(), &end);
+  if (end != buffer.c_str() + buffer.size()) return std::nullopt;
+  return value;
+}
+
+uint64_t BitsOf(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double DoubleFromBits(uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// '|'-separated token groups for the differential test below.
+// Specials, signs, hex and overflow: the strtod fallback's share.
+constexpr const char* kSpecials =
+    "inf|-inf|Infinity|INF|infinit|in|nan|-nan|NaN|nan(123)|nan(|+1|+1.5e3|"
+    "+inf|+nan|0x1p3|0X1P-2|-0x10|0x|1e400|-1e400|1e-400|-0|0|+0|-0.0";
+// Malformed tokens must stay rejected.
+constexpr const char* kMalformed =
+    "|1e|1e+|e5|.|-|+|1 2|1,5|--1|+-1|1.5x|1e5.5|1_000|0..1|1e5e5";
+// Plain forms from_chars reads itself.
+constexpr const char* kPlain =
+    ".5|5.|-.5|007|1E5|1e+05|1e-05|123456789012345678901|0.1|3.25";
+// Overflow and underflow edges, denormals.
+constexpr const char* kEdges =
+    "1.7976931348623157e308|1.7976931348623158e308|1.7976931348623159e308|"
+    "-1.7976931348623159e308|2e308|2.2250738585072014e-308|"
+    "2.2250738585072011e-308|4.9406564584124654e-324|"
+    "2.4703282292062328e-324|2.4703282292062327e-324|1e-320|-3e-310";
+// Blanks around the token are trimmed.
+constexpr const char* kPadded = " 1.5|1.5 |\t-2e3\r|\n3\n| nan |  +7 | 0x10 | ";
+
+TEST(StringUtilTest, ParseDoubleMatchesStrtodBitForBit) {
+  std::vector<std::string> tokens;
+  for (const char* group : {kSpecials, kMalformed, kPlain, kEdges, kPadded}) {
+    const std::vector<std::string> split = SplitString(group, '|');
+    tokens.insert(tokens.end(), split.begin(), split.end());
+  }
+
+  uint64_t state = 20240917;
+  auto next = [&state] {
+    const uint64_t out = SplitMix64(state);
+    state += 0x9E3779B97F4A7C15ULL;
+    return out;
+  };
+  constexpr int kRandomRounds = 4000;
+  tokens.reserve(tokens.size() + 6 * kRandomRounds);
+  for (int i = 0; i < kRandomRounds; ++i) {
+    // %.17g of a random bit pattern (NaNs and infinities included).
+    tokens.push_back(StrFormat("%.17g", DoubleFromBits(next())));
+    // A denormal: zero exponent field, random mantissa.
+    const uint64_t mantissa = next() & ((uint64_t{1} << 52) - 1);
+    tokens.push_back(StrFormat("%.17g", DoubleFromBits(mantissa)));
+    // Short decimals, as hand-written CSVs hold.
+    const int whole = static_cast<int>(next() % 2001) - 1000;
+    const unsigned fraction = static_cast<unsigned>(next() % 1000);
+    tokens.push_back(StrFormat("%d.%u", whole, fraction));
+    const double numerator = static_cast<double>(next() % 100000);
+    const double denominator = 1.0 + static_cast<double>(next() % 1000);
+    tokens.push_back(StrFormat("%.3g", numerator / denominator));
+    // Mantissas at exponents around the overflow and underflow edges.
+    const unsigned lead = static_cast<unsigned>(next() % 10);
+    const unsigned digits = static_cast<unsigned>(next() % 100000);
+    const int exponent = static_cast<int>(next() % 40);
+    tokens.push_back(StrFormat("%u.%ue%d", lead, digits, 290 + exponent));
+    tokens.push_back(StrFormat("%u.%ue-%d", lead, digits, 300 + exponent));
+  }
+
+  for (const std::string& token : tokens) {
+    const std::optional<double> want = StrtodReference(token);
+    const std::optional<double> got = ParseDouble(token);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "token '" << token << "'";
+    if (want.has_value()) {
+      EXPECT_EQ(BitsOf(*got), BitsOf(*want)) << "token '" << token << "'";
+    }
+  }
 }
 
 TEST(StringUtilTest, ParseIntValid) {

@@ -2,9 +2,15 @@
 // injection (w, s, error model) and controlled perturbation (u).
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+#include "pdf/pdf_builder.h"
+#include "table/csv.h"
 #include "table/uncertainty_injector.h"
 
 namespace udt {
@@ -104,6 +110,124 @@ TEST(InjectorTest, RejectsBadOptions) {
   EXPECT_FALSE(InjectUncertainty(points, options).ok());
   PointDataset empty(Schema::Numerical(1, {"A", "B"}));
   EXPECT_FALSE(InjectUncertainty(empty, UncertaintyOptions{}).ok());
+}
+
+TEST(InjectorTest, MissingCellIsNamedNotAGridError) {
+  auto points = ReadCsvFromString(
+      "a,b,class\n"
+      "1.0,2.0,x\n"
+      "3.0,?,y\n"
+      "5.0,6.0,x\n");
+  ASSERT_TRUE(points.ok());
+  auto ds = InjectUncertainty(*points, UncertaintyOptions{});
+  ASSERT_FALSE(ds.ok());
+  EXPECT_EQ(ds.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = ds.status().message();
+  EXPECT_NE(message.find("row 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("attribute b"), std::string::npos) << message;
+  EXPECT_NE(message.find("InjectUncertaintyWithMissing"), std::string::npos)
+      << message;
+}
+
+TEST(InjectorTest, RangeBelowTheUlpYieldsPointMasses) {
+  // |A| = 16 is one ulp of 1e17, so w * |A| = 1.6 cannot move v +- width/2
+  // off v: those values become point masses instead of failing.
+  PointDataset points(Schema::Numerical(2, {"A", "B"}));
+  ASSERT_TRUE(points.AddRow({1e17, 0.0}, 0).ok());
+  ASSERT_TRUE(points.AddRow({1e17 + 16.0, 1.0}, 1).ok());
+  for (ErrorModel model : {ErrorModel::kGaussian, ErrorModel::kUniform}) {
+    UncertaintyOptions options;
+    options.error_model = model;
+    auto ds = InjectUncertainty(points, options);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    for (int i = 0; i < 2; ++i) {
+      const SampledPdf& big = ds->tuple(i).values[0].pdf();
+      EXPECT_TRUE(big.is_point());
+      EXPECT_EQ(big.Mean(), points.value(i, 0));
+      EXPECT_EQ(ds->tuple(i).values[1].pdf().num_points(),
+                options.samples_per_pdf);
+    }
+  }
+}
+
+uint64_t BitsOf(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Bit-level equality of two pdfs.
+void ExpectSamePdf(const SampledPdf& a, const SampledPdf& b) {
+  ASSERT_EQ(a.num_points(), b.num_points());
+  for (int i = 0; i < a.num_points(); ++i) {
+    EXPECT_EQ(BitsOf(a.point(i)), BitsOf(b.point(i))) << "point " << i;
+    EXPECT_EQ(BitsOf(a.mass(i)), BitsOf(b.mass(i))) << "mass " << i;
+    EXPECT_EQ(BitsOf(a.cumulative_data()[i]), BitsOf(b.cumulative_data()[i]))
+        << "cumulative " << i;
+  }
+  EXPECT_EQ(BitsOf(a.Mean()), BitsOf(b.Mean()));
+}
+
+// One value through the error model's factory, as the injector calls it.
+StatusOr<SampledPdf> MakeErrorPdf(ErrorModel model, double v, double width,
+                                  int s) {
+  return model == ErrorModel::kGaussian ? MakeGaussianErrorPdf(v, width, s)
+                                        : MakeUniformErrorPdf(v, width, s);
+}
+
+TEST(InjectorTest, ParallelInjectionMatchesPerValueFactories) {
+  // Large enough to take the parallel fan-out on a multi-core host.
+  constexpr int kTuples = 400;
+  constexpr int kAttributes = 3;
+  PointDataset points(Schema::Numerical(kAttributes, {"A", "B", "C"}));
+  Rng rng(97);
+  for (int i = 0; i < kTuples; ++i) {
+    const double a = rng.Uniform(-5.0, 5.0);
+    const double b = rng.Gaussian(100.0, 30.0);
+    const double c = std::floor(rng.Uniform(0.0, 8.0));
+    ASSERT_TRUE(points.AddRow({a, b, c}, rng.UniformInt(3)).ok());
+  }
+  for (ErrorModel model : {ErrorModel::kGaussian, ErrorModel::kUniform}) {
+    UncertaintyOptions options;
+    options.error_model = model;
+    options.width_fraction = 0.2;
+    options.samples_per_pdf = 60;
+    const int s = options.samples_per_pdf;
+    ASSERT_GE(int64_t{kTuples} * kAttributes * s,
+              kMinSamplePointsForParallelInject);
+    auto ds = InjectUncertainty(points, options);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    ASSERT_EQ(ds->num_tuples(), kTuples);
+    for (int j = 0; j < kAttributes; ++j) {
+      auto [lo, hi] = points.AttributeRange(j);
+      const double width = options.width_fraction * (hi - lo);
+      for (int i = 0; i < kTuples; ++i) {
+        auto want = MakeErrorPdf(model, points.value(i, j), width, s);
+        ASSERT_TRUE(want.ok());
+        EXPECT_EQ(ds->tuple(i).label, points.label(i));
+        ExpectSamePdf(ds->tuple(i).values[static_cast<size_t>(j)].pdf(),
+                      *want);
+      }
+    }
+  }
+}
+
+TEST(InjectorTest, FanOutReturnsTheFirstErrorInTupleOrder) {
+  constexpr int kTuples = 2000;
+  PointDataset points(Schema::Numerical(1, {"A", "B"}));
+  for (int i = 0; i < kTuples; ++i) {
+    ASSERT_TRUE(points.AddRow({static_cast<double>(i)}, i % 2).ok());
+  }
+  // Every tuple from 700 on fails; whichever chunk fails first in time,
+  // tuple 700's error is the one reported.
+  auto ds = BuildUncertainTuples(
+      points, /*samples_per_pdf=*/100,
+      [&](int i, int /*j*/) -> StatusOr<UncertainValue> {
+        if (i >= 700) return Status::InvalidArgument(StrFormat("tuple %d", i));
+        return UncertainValue::Numerical(SampledPdf::PointMass(i));
+      });
+  ASSERT_FALSE(ds.ok());
+  EXPECT_EQ(ds.status().message(), "tuple 700");
 }
 
 TEST(PerturbTest, ZeroUIsIdentity) {

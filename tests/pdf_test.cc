@@ -1,6 +1,10 @@
 // Unit and property tests for the SampledPdf substrate and its builders.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +48,72 @@ TEST(SampledPdfTest, CreateRejectsBadInput) {
   EXPECT_FALSE(SampledPdf::Create({nan}, {1.0}).ok());
   double inf = INFINITY;
   EXPECT_FALSE(SampledPdf::Create({inf}, {1.0}).ok());
+}
+
+uint64_t BitsOf(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Bit-level equality of two pdfs: points, masses, cumulative masses, mean
+// and footprint.
+void ExpectSamePdf(const SampledPdf& a, const SampledPdf& b) {
+  ASSERT_EQ(a.num_points(), b.num_points());
+  for (int i = 0; i < a.num_points(); ++i) {
+    EXPECT_EQ(BitsOf(a.point(i)), BitsOf(b.point(i))) << "point " << i;
+    EXPECT_EQ(BitsOf(a.mass(i)), BitsOf(b.mass(i))) << "mass " << i;
+    EXPECT_EQ(BitsOf(a.cumulative_data()[i]), BitsOf(b.cumulative_data()[i]))
+        << "cumulative " << i;
+  }
+  EXPECT_EQ(BitsOf(a.Mean()), BitsOf(b.Mean()));
+  EXPECT_EQ(a.MemoryUsageBytes(), b.MemoryUsageBytes());
+}
+
+TEST(SampledPdfTest, SortedInputMatchesTheSortPathBitForBit) {
+  // Strictly ascending input with positive masses skips the sort; a
+  // shuffled copy of the same input takes it. Both must agree exactly.
+  uint64_t state = 4242;
+  auto next = [&state] {
+    const uint64_t out = SplitMix64(state);
+    state += 0x9E3779B97F4A7C15ULL;
+    return out;
+  };
+  auto unit = [&next] {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + next() % 150;
+    std::vector<double> points;
+    points.reserve(n);
+    const int scale = static_cast<int>(next() % 40);
+    double x = (unit() - 0.5) * std::ldexp(1.0, scale);
+    for (size_t i = 0; i < n; ++i) {
+      x += 1e-3 + unit();
+      points.push_back(x);
+    }
+    std::vector<double> masses;
+    masses.reserve(n);
+    for (size_t i = 0; i < n; ++i) masses.push_back(1e-6 + unit());
+
+    std::vector<size_t> order(n);
+    for (size_t i = 0; i < n; ++i) order[i] = i;
+    for (size_t i = n; i > 1; --i) std::swap(order[i - 1], order[next() % i]);
+    std::vector<double> shuffled_points;
+    std::vector<double> shuffled_masses;
+    shuffled_points.reserve(n);
+    shuffled_masses.reserve(n);
+    for (size_t idx : order) {
+      shuffled_points.push_back(points[idx]);
+      shuffled_masses.push_back(masses[idx]);
+    }
+
+    auto fast = SampledPdf::Create(points, masses);
+    auto sorted = SampledPdf::Create(shuffled_points, shuffled_masses);
+    ASSERT_TRUE(fast.ok());
+    ASSERT_TRUE(sorted.ok());
+    ExpectSamePdf(*fast, *sorted);
+  }
 }
 
 TEST(SampledPdfTest, PointMass) {
@@ -171,6 +241,29 @@ TEST(PdfBuilderTest, ZeroWidthErrorPdfIsPointMass) {
   auto u = MakeUniformErrorPdf(3.0, 0.0, 100);
   ASSERT_TRUE(u.ok());
   EXPECT_TRUE(u->is_point());
+}
+
+TEST(PdfBuilderTest, WidthBelowTheUlpIsPointMass) {
+  // The ulp of 1e17 is 16: v +- 0.8 rounds back onto v, so the support
+  // collapses and the pdf is a point mass, as for width 0.
+  for (double v : {1e17, 1e17 + 16.0, -1e17}) {
+    auto g = MakeGaussianErrorPdf(v, 1.6, 100);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    EXPECT_TRUE(g->is_point());
+    EXPECT_EQ(g->Mean(), v);
+    auto u = MakeUniformErrorPdf(v, 1.6, 100);
+    ASSERT_TRUE(u.ok()) << u.status().ToString();
+    EXPECT_TRUE(u->is_point());
+    EXPECT_EQ(u->Mean(), v);
+  }
+  // A width that does move the ends still builds a grid (duplicate grid
+  // points merge).
+  auto wide = MakeUniformErrorPdf(1e17, 64.0, 100);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_GT(wide->num_points(), 1);
+  // Non-finite values still fail rather than becoming point masses.
+  EXPECT_FALSE(MakeGaussianErrorPdf(std::nan(""), 1.0, 10).ok());
+  EXPECT_FALSE(MakeUniformErrorPdf(INFINITY, 1.0, 10).ok());
 }
 
 TEST(PdfBuilderTest, NegativeWidthRejected) {

@@ -1,8 +1,13 @@
 // Tests for the table substrate: schema, categorical distributions,
 // uncertain datasets, folds/splits and CSV round trips.
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "common/math.h"
 #include "common/random.h"
 #include "pdf/pdf_builder.h"
 #include "table/csv.h"
@@ -237,6 +242,46 @@ TEST(CsvTest, RoundTrip) {
   EXPECT_DOUBLE_EQ(parsed->value(0, 1), -2.25);
   EXPECT_EQ(parsed->label(1), 1);
   EXPECT_EQ(parsed->schema().class_name(0), "A");
+}
+
+TEST(CsvTest, RoundTripsRandomDoublesExactly) {
+  // %.17g names every finite double uniquely, so write -> read must give
+  // back the same bits: the parser's fast path may not round differently.
+  uint64_t state = 77;
+  auto next = [&state] {
+    const uint64_t out = SplitMix64(state);
+    state += 0x9E3779B97F4A7C15ULL;
+    return out;
+  };
+  auto bits_of = [](double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+  };
+  PointDataset ds(TwoClassSchema(3));
+  for (int i = 0; i < 500; ++i) {
+    std::vector<double> row;
+    while (row.size() < 3) {
+      const uint64_t bits = next();
+      double v = 0.0;
+      std::memcpy(&v, &bits, sizeof(v));
+      if (!std::isfinite(v)) continue;
+      // Mix raw bit patterns (any magnitude, denormals) with ordinary
+      // magnitudes.
+      row.push_back(row.size() == 2 ? std::ldexp(v, -std::ilogb(v)) : v);
+    }
+    ASSERT_TRUE(ds.AddRow(row, i % 2).ok());
+  }
+  auto parsed = ReadCsvFromString(WriteCsvToString(ds));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->num_tuples(), ds.num_tuples());
+  for (int i = 0; i < ds.num_tuples(); ++i) {
+    EXPECT_EQ(parsed->label(i), ds.label(i));
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_EQ(bits_of(parsed->value(i, j)), bits_of(ds.value(i, j)))
+          << "row " << i << " column " << j;
+    }
+  }
 }
 
 TEST(CsvTest, ParsesHeaderAndClasses) {
