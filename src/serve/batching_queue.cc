@@ -3,11 +3,31 @@
 #include <algorithm>
 #include <utility>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace udt {
 namespace serve {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+// admitted_at + max_delay_us, saturated at time_point::max(): converting a
+// huge delay (INT64_MAX meaning "never") to the clock's nanoseconds would
+// overflow and land the deadline in the past.
+Clock::time_point DrainDeadline(Clock::time_point admitted_at,
+                                int64_t max_delay_us) {
+  const int64_t headroom_us =
+      (Clock::time_point::max() - admitted_at) / std::chrono::microseconds(1);
+  if (max_delay_us >= headroom_us) return Clock::time_point::max();
+  return admitted_at + std::chrono::microseconds(max_delay_us);
+}
+
+}  // namespace
 
 BatchingQueue::BatchingQueue(SnapshotProvider provider,
                              const BatchingConfig& config)
@@ -32,10 +52,29 @@ BatchingQueue::BatchingQueue(const ModelRegistry* registry, std::string name,
 
 BatchingQueue::~BatchingQueue() { Close(); }
 
+void BatchingQueue::Pending::Complete(ServeResult result) {
+  if (auto* callback = std::get_if<ServeCallback>(&done)) {
+    (*callback)(std::move(result));
+  } else {
+    std::get<std::promise<ServeResult>>(done).set_value(std::move(result));
+  }
+}
+
 void BatchingQueue::SubmitWithCallback(const UncertainTuple* tuple,
                                        ServeCallback done) {
-  UDT_CHECK(tuple != nullptr);
   UDT_CHECK(done != nullptr);
+  Admit(Pending{tuple, std::move(done), {}});
+}
+
+std::future<ServeResult> BatchingQueue::Submit(const UncertainTuple* tuple) {
+  std::promise<ServeResult> promise;
+  std::future<ServeResult> future = promise.get_future();
+  Admit(Pending{tuple, std::move(promise), {}});
+  return future;
+}
+
+void BatchingQueue::Admit(Pending request) {
+  UDT_CHECK(request.tuple != nullptr);
   Status rejection;
   {
     MutexLock lock(&mu_);
@@ -47,8 +86,8 @@ void BatchingQueue::SubmitWithCallback(const UncertainTuple* tuple,
                     pending_.size()));
     } else {
       ++stats_.submitted;
-      pending_.push_back(
-          Pending{tuple, std::move(done), std::chrono::steady_clock::now()});
+      request.admitted_at = Clock::now();
+      pending_.push_back(std::move(request));
       // Wake the drainer when the batch fills; the first admission after
       // an idle stretch must wake it too, so it can arm the deadline.
       if (pending_.size() == 1 || pending_.size() >= config_.max_batch) {
@@ -62,16 +101,7 @@ void BatchingQueue::SubmitWithCallback(const UncertainTuple* tuple,
   // Submit or take arbitrary time.
   ServeResult result;
   result.status = std::move(rejection);
-  done(std::move(result));
-}
-
-std::future<ServeResult> BatchingQueue::Submit(const UncertainTuple* tuple) {
-  auto promise = std::make_shared<std::promise<ServeResult>>();
-  std::future<ServeResult> future = promise->get_future();
-  SubmitWithCallback(tuple, [promise](ServeResult result) {
-    promise->set_value(std::move(result));
-  });
-  return future;
+  request.Complete(std::move(result));
 }
 
 void BatchingQueue::Close() {
@@ -98,7 +128,13 @@ size_t BatchingQueue::pending() const {
 }
 
 void BatchingQueue::DrainLoop() {
-  const auto max_delay = std::chrono::microseconds(config_.max_delay_us);
+#ifdef __linux__
+  // Linux adds the thread's timer slack (50 µs by default) to every timed
+  // wait, so each windowed drain below would fire ~50 µs past its
+  // deadline. 1 ns is the smallest slack the kernel accepts (0 restores
+  // the default).
+  prctl(PR_SET_TIMERSLACK, 1, 0, 0, 0);
+#endif
   for (;;) {
     // Lock scope per drain iteration; ServeBatch runs unlocked below, so
     // admissions continue while a micro-batch classifies.
@@ -109,9 +145,10 @@ void BatchingQueue::DrainLoop() {
 
       // Coalescing window: wait for a full batch, the oldest request's
       // deadline, or shutdown (which serves whatever is pending, now).
-      const auto deadline = pending_.front().admitted_at + max_delay;
+      const auto deadline =
+          DrainDeadline(pending_.front().admitted_at, config_.max_delay_us);
       while (!closed_ && pending_.size() < config_.max_batch &&
-             std::chrono::steady_clock::now() < deadline) {
+             Clock::now() < deadline) {
         cv_.WaitUntil(lock, deadline);
       }
 
@@ -139,7 +176,7 @@ void BatchingQueue::FailBatch(std::vector<Pending>& batch,
   for (Pending& request : batch) {
     ServeResult result;
     result.status = status;
-    request.done(std::move(result));
+    request.Complete(std::move(result));
   }
   batch.clear();
 }
@@ -169,7 +206,7 @@ void BatchingQueue::ServeBatch(std::vector<Pending>& batch,
     if (!valid.ok()) {
       ServeResult result;
       result.status = std::move(valid);
-      batch[i].done(std::move(result));
+      batch[i].Complete(std::move(result));
       continue;
     }
     if (kept != i) batch[kept] = std::move(batch[i]);
@@ -220,7 +257,7 @@ void BatchingQueue::ServeBatch(std::vector<Pending>& batch,
     result.model_name = bound_->name;
     result.model_version = bound_->version;
     if (config_.response_tap) config_.response_tap(result);
-    batch[i].done(std::move(result));
+    batch[i].Complete(std::move(result));
   }
   batch.clear();
 }

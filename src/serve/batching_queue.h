@@ -11,7 +11,11 @@
 // microseconds — the classic size-or-deadline micro-batching rule. Under
 // heavy load batches fill instantly and the deadline never matters; under
 // trickle load a request waits at most max_delay_us before it is served
-// alone.
+// alone. The drainer runs with a 1 ns timer slack, so a windowed drain
+// fires at its deadline to within the thread wake-up latency, not the
+// kernel's default 50 µs late. Admission allocates nothing per request
+// beyond the std::promise behind Submit's future (SubmitWithCallback:
+// beyond the caller's callback); the deque's blocks are amortised.
 //
 // Hot swap. Each drain takes one registry snapshot (ModelHandle) before
 // classifying. The batch in flight when a new version is published
@@ -46,6 +50,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/mutex.h"
@@ -158,12 +163,23 @@ class BatchingQueue {
   size_t pending() const;
 
  private:
+  // One admitted request. Its completion is either the caller's callback
+  // or the promise behind Submit's future, held inline: no shared_ptr to
+  // the promise and no heap-stored std::function wrapping it.
   struct Pending {
     const UncertainTuple* tuple;
-    ServeCallback done;
+    std::variant<ServeCallback, std::promise<ServeResult>> done;
     std::chrono::steady_clock::time_point admitted_at;
+
+    // The one completion path: served, malformed, failed batch, rejected.
+    // Called exactly once per request.
+    void Complete(ServeResult result);
   };
 
+  // Shared admission for both Submit forms: enqueues `request` (stamping
+  // admitted_at under mu_, so stamp order is queue order) or, on
+  // rejection, completes it inline on the calling thread.
+  void Admit(Pending request);
   void DrainLoop();
   // Classifies `batch` against `handle` (rebinding the session if the
   // snapshot changed) and completes every request; a request whose tuple

@@ -1,9 +1,11 @@
 // BatchingQueue: results byte-identical to a direct session, coalescing
 // (N concurrent submits -> at most ceil(N/max_batch) drains),
-// timeout-triggered partial batches, graceful shutdown (drain, then
-// reject-after-close), bounded-admission backpressure, malformed requests
-// failing alone, and the result-buffer reuse contracts the queue depends
-// on.
+// timeout-triggered partial batches, the deadline as a floor (and a
+// saturated "never" deadline), the drainer's timer slack, graceful
+// shutdown (drain, then reject-after-close), bounded-admission
+// backpressure with inline rejections, mixed future/callback drains,
+// malformed requests failing alone, and the result-buffer reuse contracts
+// the queue depends on.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +13,13 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "api/trainer.h"
 #include "common/mutex.h"
@@ -354,6 +361,178 @@ TEST(BatchingQueueTest, CallbackFormCompletesOnce) {
   ServeResult result = done.get_future().get();
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(calls.load(), 1);
+}
+
+// A max_delay_us too large to express as a clock deadline (INT64_MAX,
+// "never") must saturate, not overflow into the past: the lone request
+// stays pending until Close() serves it.
+TEST(BatchingQueueTest, HugeMaxDelayNeverDrainsEarly) {
+  Dataset pool = NumericDataset(4, 2, 41);
+  ModelHandle handle = MakeHandle(41);
+  BatchingConfig config;
+  config.max_batch = 64;
+  config.max_delay_us = std::numeric_limits<int64_t>::max();
+  BatchingQueue queue([handle] { return handle; }, config);
+
+  std::future<ServeResult> future = queue.Submit(&pool.tuple(0));
+  EXPECT_EQ(future.wait_for(std::chrono::milliseconds(2)),
+            std::future_status::timeout);
+  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_EQ(queue.stats().drains, 0u);
+
+  queue.Close();
+  EXPECT_TRUE(future.get().status.ok());
+  EXPECT_EQ(queue.stats().served, 1u);
+}
+
+// The deadline is a floor: a lone request in a window that max_batch never
+// fills is not served before max_delay_us has passed since it was
+// submitted.
+TEST(BatchingQueueTest, DeadlineIsAFloor) {
+  Dataset pool = NumericDataset(4, 2, 43);
+  ModelHandle handle = MakeHandle(43);
+  BatchingConfig config;
+  config.max_batch = 64;
+  config.max_delay_us = 2000;
+  BatchingQueue queue([handle] { return handle; }, config);
+
+  for (int i = 0; i < 3; ++i) {
+    const auto begin = std::chrono::steady_clock::now();
+    ServeResult result = queue.Submit(&pool.tuple(i)).get();
+    const auto waited = std::chrono::steady_clock::now() - begin;
+    ASSERT_TRUE(result.status.ok());
+    EXPECT_GE(waited, std::chrono::microseconds(2000));
+  }
+}
+
+#ifdef __linux__
+// Completions run on the drainer, which sets its own timer slack to 1 ns
+// so timed waits are not pushed past the deadline by the 50 µs default.
+TEST(BatchingQueueTest, DrainerRunsWithFineTimerSlack) {
+  Dataset pool = NumericDataset(4, 2, 45);
+  ModelHandle handle = MakeHandle(45);
+  BatchingConfig config;
+  config.max_delay_us = 100;
+  BatchingQueue queue([handle] { return handle; }, config);
+
+  std::promise<int> slack;
+  queue.SubmitWithCallback(&pool.tuple(0), [&slack](ServeResult) {
+    slack.set_value(prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0));
+  });
+  const int slack_ns = slack.get_future().get();
+  EXPECT_GT(slack_ns, 0);
+  EXPECT_LE(slack_ns, 1000);
+}
+#endif
+
+// A rejected request completes inline, exactly once, on the caller's
+// thread: the future is ready when Submit returns, the callback has run
+// before SubmitWithCallback returns.
+void ExpectRejectedInline(BatchingQueue& queue, const UncertainTuple* tuple) {
+  std::future<ServeResult> future = queue.Submit(tuple);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(future.get().status.code(), StatusCode::kUnavailable);
+
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  std::thread::id ran_on;
+  StatusCode code = StatusCode::kOk;
+  queue.SubmitWithCallback(tuple, [&](ServeResult result) {
+    ++calls;
+    ran_on = std::this_thread::get_id();
+    code = result.status.code();
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_EQ(code, StatusCode::kUnavailable);
+}
+
+TEST(BatchingQueueTest, RejectionsCompleteInlineExactlyOnce) {
+  Dataset pool = NumericDataset(4, 2, 47);
+  GatedProvider gate(MakeHandle(47));
+  BatchingConfig config;
+  config.max_batch = 1;
+  config.max_queue = 1;
+  config.max_delay_us = 0;
+  BatchingQueue queue(gate.AsProvider(), config);
+
+  // Full: the drainer parks in the gate holding the first request, the
+  // second fills the admission bound.
+  std::future<ServeResult> first = queue.Submit(&pool.tuple(0));
+  gate.AwaitEntered(1);
+  std::future<ServeResult> second = queue.Submit(&pool.tuple(1));
+  ASSERT_EQ(queue.pending(), 1u);
+  ExpectRejectedInline(queue, &pool.tuple(2));
+
+  gate.Open();
+  EXPECT_TRUE(first.get().status.ok());
+  EXPECT_TRUE(second.get().status.ok());
+
+  // Closed.
+  queue.Close();
+  ExpectRejectedInline(queue, &pool.tuple(3));
+
+  BatchingQueue::Stats stats = queue.stats();
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.served, 2u);
+  EXPECT_EQ(stats.rejected, 4u);
+}
+
+// Future and callback requests interleaved in one drain: each completes
+// once and matches the direct session byte for byte.
+TEST(BatchingQueueTest, MixedFormsShareOneDrain) {
+  Dataset pool = NumericDataset(8, 2, 49);
+  ModelHandle handle = MakeHandle(49);
+  ServeSession direct(handle->servable);
+  FlatBatchResult reference;
+  ASSERT_TRUE(direct
+                  .PredictBatchInto(
+                      std::span<const UncertainTuple>(pool.tuples().data(),
+                                                      pool.tuples().size()),
+                      PredictOptions{}, &reference)
+                  .ok());
+  const size_t k = static_cast<size_t>(reference.num_classes);
+
+  BatchingConfig config;
+  config.max_batch = 8;
+  config.max_delay_us = 60'000'000;  // only the full batch drains
+  BatchingQueue queue([handle] { return handle; }, config);
+
+  std::vector<std::future<ServeResult>> futures(8);
+  std::vector<std::promise<ServeResult>> callbacks(8);
+  std::vector<std::atomic<int>> calls(8);
+  for (size_t i = 0; i < 8; ++i) {
+    const UncertainTuple* tuple = &pool.tuple(static_cast<int>(i));
+    if (i % 2 == 0) {
+      futures[i] = queue.Submit(tuple);
+      continue;
+    }
+    futures[i] = callbacks[i].get_future();
+    auto done = [&callbacks, &calls, i](ServeResult result) {
+      calls[i].fetch_add(1);
+      callbacks[i].set_value(std::move(result));
+    };
+    queue.SubmitWithCallback(tuple, std::move(done));
+  }
+  for (size_t i = 0; i < 8; ++i) {
+    ServeResult result = futures[i].get();
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.label, reference.labels[i]);
+    ASSERT_EQ(result.distribution.size(), k);
+    EXPECT_EQ(std::memcmp(result.distribution.data(),
+                          reference.distribution(i).data(),
+                          k * sizeof(double)),
+              0);
+    if (i % 2 == 1) {
+      EXPECT_EQ(calls[i].load(), 1);
+    }
+  }
+  queue.Close();
+  BatchingQueue::Stats stats = queue.stats();
+  EXPECT_EQ(stats.drains, 1u);
+  EXPECT_EQ(stats.max_drain, 8u);
+  EXPECT_EQ(stats.served, 8u);
 }
 
 // The reuse contracts the queue (and any serving loop) recycles result
