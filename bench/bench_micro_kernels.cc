@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "api/compiled_model.h"
+#include "api/compiled_forest.h"
 #include "api/predict_session.h"
 #include "api/trainer.h"
 #include "bench_common.h"
@@ -228,7 +228,7 @@ struct TraversalFixture {
   std::string name;
   Dataset pool;
   std::vector<Model> models;            // UDT, then AVG
-  std::vector<CompiledModel> compiled;  // index-aligned with models
+  std::vector<CompiledForest> compiled;  // index-aligned with models
 };
 
 TraversalFixture MakeTraversalFixture(std::string name, const Dataset& train,
@@ -332,7 +332,7 @@ void BM_FlatTraversal(benchmark::State& state) {
       TraversalFixtures()[static_cast<size_t>(state.range(0))];
   const size_t batch = static_cast<size_t>(state.range(1));
   const bool averaging = batch == 0;
-  const FlatTree& flat = fixture.compiled[averaging ? 1 : 0].flat_tree();
+  const FlatTree& flat = fixture.compiled[averaging ? 1 : 0].tree(0);
   PoolRows pool(fixture);
   FlatTraversalScratch scratch;
   double total_seconds = 0.0;
@@ -373,7 +373,7 @@ void RunBatchKernelSweep(bench::JsonRows* sink) {
     for (size_t m = 0; m < fixture.models.size(); ++m) {
       const Model& model = fixture.models[m];
       const bool averaging = model.kind() == ModelKind::kAveraging;
-      const FlatTree& flat = fixture.compiled[m].flat_tree();
+      const FlatTree& flat = fixture.compiled[m].tree(0);
       PoolRows pool(fixture);
       const size_t n = pool.tuples.size();
       std::vector<double> oracle;

@@ -35,6 +35,7 @@
 #include "api/trainer.h"
 #include "bench_common.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "pdf/pdf_builder.h"
 #include "serve/batching_queue.h"
 #include "serve/model_registry.h"
@@ -48,7 +49,7 @@ Dataset NumericDataset(int tuples, int attributes, int classes, int s,
                        uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(attributes, names));
   for (int i = 0; i < tuples; ++i) {
     UncertainTuple t;

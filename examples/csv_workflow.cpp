@@ -7,8 +7,8 @@
 //   3. train a distribution-based udt::Model with udt::Trainer
 //   4. persist the model to disk with Model::Save and load it back with
 //      Model::Load (schema and config travel inside the file)
-//   5. compile a serving artifact (CompiledModel::Save / Load) and check
-//      the reloaded flat layout serves identical predictions
+//   5. compile a serving artifact (a one-tree CompiledForest, Save / Load)
+//      and check the reloaded flat layout serves identical predictions
 //   6. extract human-readable IF-THEN rules and a Graphviz rendering
 //
 // Run: build/examples/csv_workflow [output-directory]
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   udt::Trainer trainer(config);
   auto model = trainer.TrainUdt(train);
   UDT_CHECK(model.ok());
-  const udt::CompiledModel served = model->Compile();
+  const udt::CompiledForest served = model->Compile();
   udt::PredictSession session(served);
   std::printf("trained UDT tree (%s), test accuracy %.3f\n",
               udt::TreeSummary(model->tree()).c_str(),
@@ -101,12 +101,13 @@ int main(int argc, char** argv) {
   std::printf("model persisted to %s and reloaded: predictions identical\n",
               model_path.c_str());
 
-  // 5. The serving artifact: the flat compiled layout has its own
-  // versioned container, so serving fleets can ship it without the
-  // training config, and Load rebuilds the identical in-memory layout.
+  // 5. The serving artifact: the compiled tree is a one-tree forest and
+  // persists in the compiled-forest container ("udt-forest v1"), so
+  // serving fleets can ship it without the training config, and Load
+  // rebuilds the identical in-memory layout.
   std::string compiled_path = out_dir + "/udt_wine.compiled";
   UDT_CHECK(served.Save(compiled_path).ok());
-  auto compiled = udt::CompiledModel::Load(compiled_path);
+  auto compiled = udt::CompiledForest::Load(compiled_path);
   UDT_CHECK(compiled.ok());
   UDT_CHECK(compiled->LayoutEquals(served));
   udt::PredictSession reloaded_session(*compiled);

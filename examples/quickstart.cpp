@@ -8,7 +8,7 @@
 // prints both trees, compares training accuracy (2/3 vs 1.0, as in the
 // paper's Section 4 walk-through), and classifies one uncertain test tuple
 // showing the probabilistic output of Fig 1 — first alone, then through the
-// serving path: Model::Compile -> udt::CompiledModel -> udt::PredictSession.
+// serving path: Model::Compile -> udt::CompiledForest -> udt::PredictSession.
 //
 // Run: build/examples/quickstart
 
@@ -90,11 +90,12 @@ int main() {
               train.schema().class_name(dist->Predict(test)).c_str());
 
   // The same result serving-style: compile the tree into an immutable flat
-  // artifact once, then serve batches through a reusable PredictSession
-  // (per-worker scratch, zero allocations per tuple once warm).
-  udt::CompiledModel compiled = dist->Compile();
+  // artifact once (a one-tree CompiledForest), then serve batches through
+  // a reusable PredictSession (per-worker scratch, zero allocations per
+  // tuple once warm).
+  udt::CompiledForest compiled = dist->Compile();
   std::printf("\n== Compiled model: %d flat nodes, %d leaves ==\n",
-              compiled.num_nodes(), compiled.num_leaves());
+              compiled.num_nodes(), compiled.tree(0).num_leaves());
   udt::PredictSession session(compiled);
 
   std::vector<udt::UncertainTuple> batch(train.tuples());

@@ -45,7 +45,18 @@ CompiledForest CompiledForest::Compile(const ForestModel& model) {
                         std::move(trees));
 }
 
+CompiledForest CompiledForest::Compile(const Model& model) {
+  std::vector<FlatTree> trees;
+  trees.push_back(FlattenTree(model.tree()));
+  return CompiledForest(model.schema(), model.kind(), ForestVote::kAverage,
+                        std::move(trees));
+}
+
 CompiledForest ForestModel::Compile() const {
+  return CompiledForest::Compile(*this);
+}
+
+CompiledForest Model::Compile() const {
   return CompiledForest::Compile(*this);
 }
 

@@ -1,16 +1,16 @@
-// udt::CompiledForest — the one immutable serving artifact.
-// ForestModel::Compile() flattens every pointer tree into a FlatTree record
-// block and bundles the lot with the shared schema, model kind and vote
-// rule. A single tree is a one-tree probability-average forest
-// (CompiledModel holds one): zero-init, one add and a divide by 1.0 are
+// udt::CompiledForest — the one immutable serving artifact, for trees and
+// forests alike. ForestModel::Compile() flattens every pointer tree into a
+// FlatTree record block and bundles the lot with the shared schema, model
+// kind and vote rule. Model::Compile() makes a one-tree
+// probability-average forest: zero-init, one add and a divide by 1.0 are
 // exact, so it serves the tree's bytes unchanged. A CompiledForest is one
 // shared pointer wide — copy it freely across worker threads and hand one
 // to each udt::PredictSession.
 //
-// Persistence is versioned and self-contained ("udt-forest v1"): the
-// header carries kind/vote/schema, then one flat-tree body per tree
-// (tree/flat_tree_io.h, hexfloat doubles), each structurally validated on
-// load before anything traverses it.
+// Persistence is versioned and self-contained ("udt-forest v1", the one
+// compiled container): the header carries kind/vote/schema, then one
+// flat-tree body per tree (tree/flat_tree_io.h, hexfloat doubles), each
+// structurally validated on load before anything traverses it.
 
 #ifndef UDT_API_COMPILED_FOREST_H_
 #define UDT_API_COMPILED_FOREST_H_
@@ -27,13 +27,17 @@
 
 namespace udt {
 
-// An immutable compiled forest. Obtain one from ForestModel::Compile,
-// CompiledForest::Compile, or Load/Deserialize.
+// An immutable compiled forest. Obtain one from Model::Compile,
+// ForestModel::Compile, CompiledForest::Compile, or Load/Deserialize.
 class CompiledForest {
  public:
   // Flattens every tree of the forest. The artifact classifies
   // bitwise-identically to the source ForestModel.
   static CompiledForest Compile(const ForestModel& model);
+
+  // Flattens the model's tree into a one-tree ForestVote::kAverage forest.
+  // The artifact classifies bitwise-identically to the source Model.
+  static CompiledForest Compile(const Model& model);
 
   // ----------------------------------------------------------- metadata
 
@@ -69,8 +73,6 @@ class CompiledForest {
   static StatusOr<CompiledForest> Load(const std::string& path);
 
  private:
-  friend class CompiledModel;
-
   struct Rep {
     Schema schema;
     ModelKind kind;

@@ -24,7 +24,7 @@
 
 namespace udt {
 
-class CompiledModel;
+class CompiledForest;
 
 // What the model does with a test tuple before traversal.
 enum class ModelKind {
@@ -39,9 +39,9 @@ const char* ModelKindToString(ModelKind kind);
 // Knobs for one prediction call — the single options struct every serving
 // layer consumes: PredictSession batches (trees and forests), the
 // ServeSession wrapper, and the BatchingQueue's per-drain classification
-// (BatchingConfig embeds one). Sharding knobs (num_threads, grain) never
-// change results; the output-policy knobs (top_k, abstain_threshold) shape
-// what a ServeResult reports on top of the distribution.
+// (BatchingConfig embeds one). The sharding knob (num_threads) never
+// changes results; the output-policy knobs (top_k, abstain_threshold)
+// shape what a ServeResult reports on top of the distribution.
 struct PredictOptions {
   // Worker threads the batch is sharded over: 1 runs inline on the calling
   // thread, 0 uses one thread per hardware thread, values above the batch
@@ -49,17 +49,10 @@ struct PredictOptions {
   // Status (they used to silently run inline). Sessions run multi-threaded
   // batches on a persistent session-owned worker pool, created lazily at
   // the first batch with num_threads > 1 and reused for every later call
-  // — steady-state serving never spawns threads per batch.
+  // — steady-state serving never spawns threads per batch. A worker
+  // shard holds at least max(1, 8 / num_trees) tuples, so tiny batches
+  // stay on one or two threads instead of waking the whole pool.
   int num_threads = 1;
-
-  // Minimum tuples per worker shard (micro-batch grain): a batch of n
-  // tuples fans out over at most ceil(n / grain) workers, so tiny batches
-  // stay on one or two threads instead of waking the whole pool. 0 picks
-  // the session default (8 tuples for tree sessions; forest sessions
-  // divide by the tree count, since each tuple there carries one
-  // traversal per tree). The grain never changes results, only how the
-  // work is spread.
-  size_t grain = 0;
 
   // When true, BatchResult::tuple_seconds records per-tuple wall time
   // (costs two clock reads per tuple).
@@ -99,7 +92,7 @@ struct BatchResult {
   // Wall time of the whole call, including sharding overhead.
   double total_seconds = 0.0;
   // Threads the batch was scheduled across (caller included), after
-  // clamping to the batch size and after grain clamping — small batches
+  // clamping to the batch size and to the minimum shard — small batches
   // report less than the requested num_threads. An upper bound: the
   // dynamic chunk schedule may engage fewer threads, never more.
   int num_threads_used = 1;
@@ -154,11 +147,11 @@ class Model {
   // Argmax of ClassifyDistribution (ties -> lowest class id).
   int Predict(const UncertainTuple& tuple) const;
 
-  // Flattens the tree into an immutable, shareable serving artifact
-  // (api/compiled_model.h). The compiled model classifies
-  // bitwise-identically to this one; serving code should compile once and
-  // hold udt::PredictSession values over the result.
-  [[nodiscard]] CompiledModel Compile() const;
+  // Flattens the tree into an immutable, shareable serving artifact: a
+  // one-tree CompiledForest (api/compiled_forest.h). It classifies
+  // bitwise-identically to this model; serving code should compile once
+  // and hold udt::PredictSession values over the result.
+  [[nodiscard]] CompiledForest Compile() const;
 
   // Classifies a batch. A thin shim over the compiled path: compiles the
   // tree and runs one PredictSession over it (options.num_threads workers;

@@ -12,12 +12,11 @@ namespace udt {
 
 namespace {
 
-// Default micro-batch grain: the minimum tuples one worker shard is worth
-// when PredictOptions::grain is 0. Small batches then occupy
-// ceil(n / grain) workers instead of fanning single tuples across the
-// whole pool. Scaled down by the tree count (each tuple carries one
-// traversal per tree), never below one tuple.
-constexpr size_t kDefaultShardGrain = 8;
+// Micro-batch grain: the minimum tuples one worker shard is worth. Small
+// batches then occupy ceil(n / grain) workers instead of fanning single
+// tuples across the whole pool. Scaled down by the tree count (each tuple
+// carries one traversal per tree), never below one tuple.
+constexpr size_t kShardGrain = 8;
 
 // Resolves a PredictOptions::num_threads request against a batch size:
 // negative is an InvalidArgument error, 0 means one per hardware thread
@@ -159,11 +158,8 @@ StatusOr<int> PredictSession::ClassifyBatch(size_t n, TupleAt tuple_at,
     classify_range(0, 0, n);
     return 1;
   }
-  const size_t grain =
-      options.grain > 0
-          ? options.grain
-          : std::max<size_t>(1, kDefaultShardGrain /
-                                    static_cast<size_t>(forest_.num_trees()));
+  const size_t grain = std::max<size_t>(
+      1, kShardGrain / static_cast<size_t>(forest_.num_trees()));
   return pool->ParallelFor(n, grain, num_threads, classify_range);
 }
 

@@ -1,16 +1,16 @@
 // udt::PredictSession — the per-worker serving handle of the prediction
 // API, for trees and forests alike. A session borrows an immutable
-// CompiledForest (shared, never copied; a CompiledModel converts to its
-// one-tree forest) and owns every piece of mutable state a prediction
-// needs: per-worker traversal scratch, a per-tree output row block the
-// vote aggregation consumes in place, and the streaming output buffers.
+// CompiledForest (shared, never copied; a compiled tree is a one-tree
+// forest) and owns every piece of mutable state a prediction needs:
+// per-worker traversal scratch, a per-tree output row block the vote
+// aggregation consumes in place, and the streaming output buffers.
 // All of it is reused call to call, so steady-state prediction performs
 // zero heap allocations per tuple.
 //
 // The intended deployment shape:
 //
-//   Model model = *Model::Load(path);          // source of truth
-//   CompiledModel compiled = model.Compile();  // immutable, share freely
+//   Model model = *Model::Load(path);           // source of truth
+//   CompiledForest compiled = model.Compile();  // immutable, share freely
 //   // ... one PredictSession per worker thread:
 //   PredictSession session(compiled);
 //   auto result = session.PredictBatch(tuples);
@@ -33,8 +33,9 @@
 // serving spawns zero threads per call. A later batch asking for more
 // threads than the pool seats replaces it with a larger one (join idle
 // workers, spawn the new set), so traffic with a stable thread count
-// builds the pool exactly once. Batches smaller than grain * num_threads
-// occupy proportionally fewer workers (PredictOptions::grain).
+// builds the pool exactly once. Work is handed out in chunks of at least
+// max(1, 8 / num_trees) tuples, so small batches occupy proportionally
+// fewer workers.
 
 #ifndef UDT_API_PREDICT_SESSION_H_
 #define UDT_API_PREDICT_SESSION_H_
@@ -44,7 +45,6 @@
 #include <vector>
 
 #include "api/compiled_forest.h"
-#include "api/compiled_model.h"
 #include "api/model.h"
 #include "common/statusor.h"
 #include "common/task_pool.h"

@@ -99,9 +99,8 @@ struct BatchingConfig {
   size_t max_queue = 4096;
   // The one PredictOptions each drain classifies under: num_threads picks
   // the session's persistent pool width (1 = classify inline on the
-  // drainer thread), grain the shard size, and the output-policy fields
-  // (top_k, abstain_threshold) shape every ServeResult. Replaces the
-  // pre-unification num_threads/grain pair.
+  // drainer thread), and the output-policy fields (top_k,
+  // abstain_threshold) shape every ServeResult.
   PredictOptions predict;
   // Observability tap: when set, invoked on the drainer thread with every
   // successfully classified response just before its completion runs —

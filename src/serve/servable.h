@@ -1,9 +1,8 @@
 // udt::serve::Servable — the one value type the serving front end traffics
 // in, and ServeSession, its per-worker execution handle. A compiled tree
-// ("udt-compiled v1", CompiledModel) serves as a one-tree forest, so both
-// container kinds are one CompiledForest and both run through one
+// is a one-tree CompiledForest, so trees and forests run through one
 // PredictSession: the registry stores Servables, the admission queue
-// drains through ServeSessions, and neither has a container kind to care
+// drains through ServeSessions, and neither has a model kind to care
 // about.
 //
 // A CompiledForest is one shared pointer wide, so a Servable copies in
@@ -18,7 +17,6 @@
 #define UDT_SERVE_SERVABLE_H_
 
 #include "api/compiled_forest.h"
-#include "api/compiled_model.h"
 #include "api/predict_session.h"
 
 namespace udt {

@@ -56,8 +56,8 @@ struct AdaptiveServerOptions {
   std::string model_name = "adaptive";
 
   // Queue shape; `predict` is the loop's one PredictOptions (threads,
-  // grain, top_k, abstain_threshold). The response_tap slot is taken by
-  // the server itself (rejected if set).
+  // top_k, abstain_threshold). The response_tap slot is taken by the
+  // server itself (rejected if set).
   serve::BatchingConfig batching;
 
   DriftMonitorOptions drift;

@@ -1,5 +1,5 @@
 // The schema block shared by every versioned udt container ("udt-model
-// v1", "udt-compiled v1", "udt-forest v1", ...): a line-oriented classes +
+// v1", "udt-forest-model v1", "udt-forest v1"): a line-oriented classes +
 // attributes section. Historically each container carried its own copy of
 // the writer and parser; this header is the single implementation they all
 // delegate to, so a format fix lands everywhere at once.

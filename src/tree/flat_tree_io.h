@@ -1,8 +1,8 @@
-// Text serialisation of the flat serving layout, shared by the versioned
-// serving containers ("udt-compiled v1" wraps one body, "udt-forest v1"
-// wraps one per tree). The body is self-delimiting — a tables header
-// declares every count up front — so containers can concatenate bodies and
-// a truncated file fails cleanly. Doubles travel as hexfloats: the loaded
+// Text serialisation of the flat serving layout, written by the compiled
+// container ("udt-forest v1" wraps one body per tree; a compiled tree is a
+// one-tree forest). The body is self-delimiting — a tables header declares
+// every count up front — so bodies concatenate and a truncated file fails
+// cleanly. Doubles travel as hexfloats: the loaded
 // layout is bitwise-identical to the saved one.
 //
 // Body shape:

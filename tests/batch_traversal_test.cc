@@ -17,11 +17,11 @@
 #include <vector>
 
 #include "api/compiled_forest.h"
-#include "api/compiled_model.h"
 #include "api/forest.h"
 #include "api/predict_session.h"
 #include "api/trainer.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "pdf/pdf_builder.h"
 #include "tree/classify.h"
 #include "tree/flat_tree.h"
@@ -34,7 +34,7 @@ Dataset SyntheticDataset(int tuples, int attributes, int classes, int s,
                          uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(attributes, names));
   for (int i = 0; i < tuples; ++i) {
     UncertainTuple t;
@@ -123,8 +123,8 @@ TEST_P(BatchTraversalTest, KernelMatchesPointerOracleByteForByte) {
   config.algorithm = SplitAlgorithm::kUdtEs;
   auto model = Trainer(config).Train(TrainRequest::For(ds, param.model_kind));
   ASSERT_TRUE(model.ok()) << model.status().ToString();
-  CompiledModel compiled = model->Compile();
-  const FlatTree& flat = compiled.flat_tree();
+  CompiledForest compiled = model->Compile();
+  const FlatTree& flat = compiled.tree(0);
   const bool averaging = param.model_kind == ModelKind::kAveraging;
   const size_t k = static_cast<size_t>(flat.num_classes);
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "pdf/pdf_builder.h"
 #include "split/attribute_scan.h"
 #include "split/bounds.h"
@@ -22,7 +23,7 @@ Dataset RandomUncertainDataset(int tuples, int classes, int s,
                                uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(1, names));
   for (int i = 0; i < tuples; ++i) {
     double center = rng.Uniform(0.0, 10.0);

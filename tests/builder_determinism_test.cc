@@ -13,6 +13,7 @@
 
 #include "api/trainer.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/builder.h"
 #include "datagen/japanese_vowel.h"
 #include "pdf/pdf_builder.h"
@@ -28,7 +29,7 @@ Dataset SyntheticDataset(int tuples, int attributes, int classes, int s,
                          uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(attributes, names));
   for (int i = 0; i < tuples; ++i) {
     UncertainTuple t;
@@ -83,7 +84,7 @@ Dataset TieHeavyDataset(int tuples, int attributes, int classes, int s,
                         uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(attributes, names));
   for (int i = 0; i < tuples; ++i) {
     UncertainTuple t;

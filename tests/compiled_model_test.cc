@@ -1,7 +1,9 @@
-// CompiledModel: flattening invariants (breadth-first layout, pooled leaf
-// table) and the versioned serialisation contract — Save/Load must rebuild
-// a bitwise-identical in-memory layout, and malformed or hostile input must
-// fail with a Status.
+// A compiled tree (Model::Compile, a one-tree CompiledForest): flattening
+// invariants (breadth-first layout, pooled leaf table) and the versioned
+// "udt-forest v1" serialisation contract — Save/Load must rebuild a
+// bitwise-identical in-memory layout, and malformed or hostile input must
+// fail with a Status. The hand-written tables below are the direct
+// coverage of ValidateFlatTree's cycle, wrap and kind checks.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "api/compiled_model.h"
+#include "api/compiled_forest.h"
 #include "api/predict_session.h"
 #include "api/trainer.h"
 #include "common/random.h"
@@ -62,15 +64,15 @@ Dataset MixedDataset(int tuples, uint64_t seed) {
   return ds;
 }
 
-CompiledModel CompileFresh(const Dataset& ds) {
+CompiledForest CompileFresh(const Dataset& ds) {
   auto model = Trainer().TrainUdt(ds);
   UDT_CHECK(model.ok());
   return model->Compile();
 }
 
 TEST(FlattenTest, BreadthFirstLayoutInvariants) {
-  CompiledModel compiled = CompileFresh(NumericDataset(150, 3, 21));
-  const FlatTree& flat = compiled.flat_tree();
+  CompiledForest compiled = CompileFresh(NumericDataset(150, 3, 21));
+  const FlatTree& flat = compiled.tree(0);
   ASSERT_GE(flat.num_nodes(), 3);
   EXPECT_EQ(flat.num_classes, 3);
   EXPECT_GT(flat.num_leaves(), 0);
@@ -96,8 +98,8 @@ TEST(FlattenTest, BreadthFirstLayoutInvariants) {
 }
 
 TEST(FlattenTest, LeafDistributionsArePooled) {
-  CompiledModel compiled = CompileFresh(NumericDataset(150, 3, 33));
-  const FlatTree& flat = compiled.flat_tree();
+  CompiledForest compiled = CompileFresh(NumericDataset(150, 3, 33));
+  const FlatTree& flat = compiled.tree(0);
   // The pool stores at most one entry per leaf, and every leaf offset must
   // point at a whole distribution inside the pool.
   EXPECT_LE(flat.leaf_values.size(),
@@ -110,9 +112,9 @@ TEST(FlattenTest, LeafDistributionsArePooled) {
 
 TEST(CompiledPersistenceTest, SerializeRoundTripIsLayoutIdentical) {
   for (bool mixed : {false, true}) {
-    CompiledModel compiled = mixed ? CompileFresh(MixedDataset(120, 5))
+    CompiledForest compiled = mixed ? CompileFresh(MixedDataset(120, 5))
                                    : CompileFresh(NumericDataset(150, 3, 21));
-    auto restored = CompiledModel::Deserialize(compiled.Serialize());
+    auto restored = CompiledForest::Deserialize(compiled.Serialize());
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     EXPECT_TRUE(restored->LayoutEquals(compiled)) << "mixed=" << mixed;
     EXPECT_EQ(restored->kind(), compiled.kind());
@@ -124,11 +126,11 @@ TEST(CompiledPersistenceTest, SaveLoadFileRoundTrip) {
   Dataset ds = MixedDataset(120, 9);
   auto model = Trainer().TrainUdt(ds);
   ASSERT_TRUE(model.ok());
-  CompiledModel compiled = model->Compile();
+  CompiledForest compiled = model->Compile();
 
   std::string path = testing::TempDir() + "/udt_compiled_model_test.compiled";
   ASSERT_TRUE(compiled.Save(path).ok());
-  auto restored = CompiledModel::Load(path);
+  auto restored = CompiledForest::Load(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   std::remove(path.c_str());
 
@@ -146,106 +148,120 @@ TEST(CompiledPersistenceTest, SaveLoadFileRoundTrip) {
   }
 }
 
+TEST(CompiledPersistenceTest, IsAOneTreeAverageForest) {
+  CompiledForest compiled = CompileFresh(NumericDataset(60, 2, 5));
+  EXPECT_EQ(compiled.num_trees(), 1);
+  EXPECT_EQ(compiled.vote(), ForestVote::kAverage);
+  EXPECT_EQ(compiled.Serialize().rfind("udt-forest v1\nkind udt\nvote avg\n",
+                                       0),
+            0u);
+}
+
 TEST(CompiledPersistenceTest, AveragingKindSurvivesRoundTrip) {
   Dataset ds = NumericDataset(90, 2, 61);
   auto model = Trainer().TrainAveraging(ds);
   ASSERT_TRUE(model.ok());
-  CompiledModel compiled = model->Compile();
-  auto restored = CompiledModel::Deserialize(compiled.Serialize());
+  CompiledForest compiled = model->Compile();
+  auto restored = CompiledForest::Deserialize(compiled.Serialize());
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->kind(), ModelKind::kAveraging);
   EXPECT_TRUE(restored->LayoutEquals(compiled));
 }
 
 TEST(CompiledPersistenceTest, DeserializeRejectsMalformed) {
-  EXPECT_FALSE(CompiledModel::Deserialize("").ok());
-  EXPECT_FALSE(CompiledModel::Deserialize("not-a-compiled-model").ok());
+  EXPECT_FALSE(CompiledForest::Deserialize("").ok());
+  EXPECT_FALSE(CompiledForest::Deserialize("not-a-compiled-model").ok());
   // A v1 *model* container is not a compiled container.
-  EXPECT_FALSE(CompiledModel::Deserialize("udt-model v1\nkind udt\n").ok());
+  EXPECT_FALSE(CompiledForest::Deserialize("udt-model v1\nkind udt\n").ok());
   EXPECT_FALSE(
-      CompiledModel::Deserialize("udt-compiled v1\nkind bogus\n").ok());
+      CompiledForest::Deserialize("udt-forest v1\nkind bogus\n").ok());
   // Hostile counts fail with a Status, not a bad_alloc.
   EXPECT_FALSE(
-      CompiledModel::Deserialize("udt-compiled v1\nkind udt\n"
-                                 "classes 2000000000\n")
+      CompiledForest::Deserialize("udt-forest v1\nkind udt\nvote avg\n"
+                                  "classes 2000000000\n")
           .ok());
 }
 
 TEST(CompiledPersistenceTest, DeserializeRejectsStructurallyInvalid) {
   // Valid header, structurally broken tree sections: every variant must be
-  // caught by validation, never crash a traversal later.
+  // caught by validation, never crash a traversal later. Each case names
+  // the check that must reject it, so none passes for an unrelated reason.
   const std::string header =
-      "udt-compiled v1\nkind udt\nclasses 2\nA\nB\n"
-      "attributes 1\nattr num 0 x\n";
-  // Root's left child id points backwards (cycle).
-  EXPECT_FALSE(CompiledModel::Deserialize(
-                   header +
-                   "tables nodes=3 children=0 leaves=4\n"
-                   "n 1 0 0x1p+0 0 0\n"
-                   "n 0 -1 0x0p+0 0 0\n"
-                   "n 0 -1 0x0p+0 2 0\n")
-                   .ok());
-  // Left child id of INT32_MAX: the range check must not wrap.
-  EXPECT_FALSE(CompiledModel::Deserialize(
-                   header +
-                   "tables nodes=3 children=0 leaves=4\n"
-                   "n 1 0 0x1p+0 2147483647 0\n"
-                   "n 0 -1 0x0p+0 0 0\n"
-                   "n 0 -1 0x0p+0 2 0\n"
-                   "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n")
-                   .ok());
-  // Leaf offset beyond the pooled table.
-  EXPECT_FALSE(CompiledModel::Deserialize(
-                   header +
-                   "tables nodes=3 children=0 leaves=4\n"
-                   "n 1 0 0x1p+0 1 0\n"
-                   "n 0 -1 0x0p+0 0 0\n"
-                   "n 0 -1 0x0p+0 4 0\n"
-                   "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n")
-                   .ok());
-  // Numerical split on a categorical attribute id.
+      "udt-forest v1\nkind udt\nvote avg\nclasses 2\nA\nB\n"
+      "attributes 1\nattr num 0 x\ntrees 1\n";
   const std::string cat_header =
-      "udt-compiled v1\nkind udt\nclasses 2\nA\nB\n"
-      "attributes 1\nattr cat 3 c\n";
-  EXPECT_FALSE(CompiledModel::Deserialize(
-                   cat_header +
-                   "tables nodes=3 children=0 leaves=4\n"
-                   "n 1 0 0x1p+0 1 0\n"
-                   "n 0 -1 0x0p+0 0 0\n"
-                   "n 0 -1 0x0p+0 2 0\n"
-                   "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n")
-                   .ok());
-  // Truncated leaf table.
-  EXPECT_FALSE(CompiledModel::Deserialize(
-                   header +
-                   "tables nodes=1 children=0 leaves=2\n"
-                   "n 0 -1 0x0p+0 0 0\n"
-                   "0x1p-1\n")
-                   .ok());
+      "udt-forest v1\nkind udt\nvote avg\nclasses 2\nA\nB\n"
+      "attributes 1\nattr cat 3 c\ntrees 1\n";
+  const std::string leaves = "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n";
+  struct Case {
+    std::string text;
+    const char* error;
+  };
+  const Case cases[] = {
+      // Root's left child id points backwards (cycle).
+      {header + "tables nodes=3 children=0 leaves=4\n"
+                "n 1 0 0x1p+0 0 0\n"
+                "n 0 -1 0x0p+0 0 0\n"
+                "n 0 -1 0x0p+0 2 0\n" +
+           leaves,
+       "numerical child out of range"},
+      // Left child id of INT32_MAX: the range check must not wrap.
+      {header + "tables nodes=3 children=0 leaves=4\n"
+                "n 1 0 0x1p+0 2147483647 0\n"
+                "n 0 -1 0x0p+0 0 0\n"
+                "n 0 -1 0x0p+0 2 0\n" +
+           leaves,
+       "numerical child out of range"},
+      // Leaf offset beyond the pooled table.
+      {header + "tables nodes=3 children=0 leaves=4\n"
+                "n 1 0 0x1p+0 1 0\n"
+                "n 0 -1 0x0p+0 0 0\n"
+                "n 0 -1 0x0p+0 4 0\n" +
+           leaves,
+       "leaf offset out of range"},
+      // Numerical split on a categorical attribute id.
+      {cat_header + "tables nodes=3 children=0 leaves=4\n"
+                    "n 1 0 0x1p+0 1 0\n"
+                    "n 0 -1 0x0p+0 0 0\n"
+                    "n 0 -1 0x0p+0 2 0\n" +
+           leaves,
+       "bad numerical attribute id"},
+      // Truncated leaf table.
+      {header + "tables nodes=1 children=0 leaves=2\n"
+                "n 0 -1 0x0p+0 0 0\n"
+                "0x1p-1\n",
+       "leaf table holds 1 entries"},
+  };
+  for (const Case& c : cases) {
+    auto parsed = CompiledForest::Deserialize(c.text);
+    ASSERT_FALSE(parsed.ok()) << c.error;
+    EXPECT_NE(parsed.status().message().find(c.error), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(CompiledPersistenceTest, AcceptsMinimalValidArtifact) {
   // Smallest well-formed artifact: a single leaf. Doubles written as
   // hexfloats must load to the exact bit pattern.
   const std::string text =
-      "udt-compiled v1\nkind udt\nclasses 2\nA\nB\n"
-      "attributes 1\nattr num 0 x\n"
+      "udt-forest v1\nkind udt\nvote avg\nclasses 2\nA\nB\n"
+      "attributes 1\nattr num 0 x\ntrees 1\n"
       "tables nodes=1 children=0 leaves=2\n"
       "n 0 -1 0x0p+0 0 0\n"
       "0x1.5555555555555p-2 0x1.5555555555556p-1\n";
-  auto compiled = CompiledModel::Deserialize(text);
+  auto compiled = CompiledForest::Deserialize(text);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   EXPECT_EQ(compiled->num_nodes(), 1);
-  EXPECT_EQ(compiled->flat_tree().leaf_values[0], 0x1.5555555555555p-2);
-  EXPECT_EQ(compiled->flat_tree().leaf_values[1], 0x1.5555555555556p-1);
+  EXPECT_EQ(compiled->tree(0).leaf_values[0], 0x1.5555555555555p-2);
+  EXPECT_EQ(compiled->tree(0).leaf_values[1], 0x1.5555555555556p-1);
   // And a second encode/decode is stable.
-  auto again = CompiledModel::Deserialize(compiled->Serialize());
+  auto again = CompiledForest::Deserialize(compiled->Serialize());
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->LayoutEquals(*compiled));
 }
 
 TEST(CompiledPersistenceTest, LoadMissingFileFails) {
-  auto missing = CompiledModel::Load("/nonexistent/path/model.compiled");
+  auto missing = CompiledForest::Load("/nonexistent/path/model.compiled");
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
 }

@@ -24,6 +24,7 @@
 #include "api/forest.h"
 #include "api/predict_session.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "datagen/japanese_vowel.h"
 #include "pdf/pdf_builder.h"
 
@@ -34,7 +35,7 @@ Dataset SyntheticDataset(int tuples, int attributes, int classes, int s,
                          uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(attributes, names));
   for (int i = 0; i < tuples; ++i) {
     UncertainTuple t;
@@ -89,7 +90,7 @@ Dataset TieHeavyDataset(int tuples, int attributes, int classes, int s,
                         uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(attributes, names));
   for (int i = 0; i < tuples; ++i) {
     UncertainTuple t;

@@ -17,6 +17,7 @@
 #include "api/forest.h"
 #include "api/predict_session.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/node_build.h"
 #include "pdf/pdf_builder.h"
 #include "tree/classify.h"
@@ -29,7 +30,7 @@ Dataset SyntheticDataset(int tuples, int attributes, int classes, int s,
                          uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(attributes, names));
   for (int i = 0; i < tuples; ++i) {
     UncertainTuple t;
@@ -383,7 +384,7 @@ TEST(CompiledForestTest, RejectsHostileInput) {
   std::string good = forest->Compile().Serialize();
 
   EXPECT_FALSE(CompiledForest::Deserialize("").ok());
-  EXPECT_FALSE(CompiledForest::Deserialize("udt-compiled v1\n").ok());
+  EXPECT_FALSE(CompiledForest::Deserialize("udt-forest-model v1\n").ok());
   EXPECT_FALSE(
       CompiledForest::Deserialize(good.substr(0, good.size() / 2)).ok());
 
@@ -456,10 +457,7 @@ TEST(ForestSessionTest, PersistentExecutorSpawnsOncePerSession) {
   ASSERT_TRUE(session.PredictBatch(ds, {.num_threads = 4}).ok());
   EXPECT_EQ(session.executor_workers(), 3);
   for (int round = 0; round < 30; ++round) {
-    auto batch = session.PredictBatch(ds, {.num_threads = 1 + round % 4,
-                                           .grain = (round % 3 == 0)
-                                               ? size_t{1}
-                                               : size_t{0}});
+    auto batch = session.PredictBatch(ds, {.num_threads = 1 + round % 4});
     ASSERT_TRUE(batch.ok());
     ASSERT_EQ(session.executor_workers(), 3) << "round " << round;
     ASSERT_EQ(batch->labels, reference->labels) << "round " << round;

@@ -1,5 +1,5 @@
 // The serving API's core guarantee: predictions through the compiled flat
-// layout (CompiledModel + PredictSession) are byte-identical to the
+// layout (CompiledForest + PredictSession) are byte-identical to the
 // pointer-tree traversal, for every tree the builder-determinism fixtures
 // produce (synthetic Gaussian, Japanese-vowel-like, mixed categorical), on
 // every split algorithm, for both model kinds, at 1 and 4 threads, through
@@ -12,10 +12,11 @@
 #include <utility>
 #include <vector>
 
-#include "api/compiled_model.h"
+#include "api/compiled_forest.h"
 #include "api/predict_session.h"
 #include "api/trainer.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "datagen/japanese_vowel.h"
 #include "pdf/pdf_builder.h"
 
@@ -27,7 +28,7 @@ Dataset SyntheticDataset(int tuples, int attributes, int classes, int s,
                          uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(attributes, names));
   for (int i = 0; i < tuples; ++i) {
     UncertainTuple t;
@@ -320,9 +321,11 @@ TEST(PredictSessionTest, PersistentExecutorSpawnsOncePerSession) {
   EXPECT_EQ(session.executor_workers(), 7);
 }
 
-TEST(PredictSessionTest, ByteIdenticalAcrossThreadCountsAndGrains) {
+TEST(PredictSessionTest, ByteIdenticalAcrossThreadCountsAndBatchSizes) {
   // The acceptance criterion of the executor refactor: every thread count
-  // and every grain produces byte-identical output to the inline loop.
+  // produces byte-identical output to the inline loop. The batch sizes
+  // straddle the 8-tuple shard grain (one tuple, a partial chunk, exactly
+  // one chunk, one past it, many chunks), so every chunk geometry is run.
   Dataset ds = SyntheticDataset(150, 4, 3, 8, 42);
   auto model = Trainer().TrainUdt(ds);
   ASSERT_TRUE(model.ok());
@@ -335,22 +338,27 @@ TEST(PredictSessionTest, ByteIdenticalAcrossThreadCountsAndGrains) {
                                                       ds.tuples().size()),
                       {.num_threads = 1}, &reference)
                   .ok());
+  const size_t k = static_cast<size_t>(reference.num_classes);
   for (int threads : {2, 4, 8}) {
-    for (size_t grain : {size_t{0}, size_t{1}, size_t{5}, size_t{1000}}) {
+    for (size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                     size_t{150}}) {
       FlatBatchResult flat;
-      PredictOptions options;
-      options.num_threads = threads;
-      options.grain = grain;
       ASSERT_TRUE(session
                       .PredictBatchInto(
-                          std::span<const UncertainTuple>(
-                              ds.tuples().data(), ds.tuples().size()),
-                          options, &flat)
+                          std::span<const UncertainTuple>(ds.tuples().data(),
+                                                          n),
+                          {.num_threads = threads}, &flat)
                       .ok());
-      EXPECT_EQ(flat.labels, reference.labels)
-          << "threads " << threads << " grain " << grain;
-      EXPECT_TRUE(BytesEqual(flat.distributions, reference.distributions))
-          << "threads " << threads << " grain " << grain;
+      const std::vector<int> labels(reference.labels.begin(),
+                                    reference.labels.begin() +
+                                        static_cast<std::ptrdiff_t>(n));
+      const std::vector<double> distributions(
+          reference.distributions.begin(),
+          reference.distributions.begin() +
+              static_cast<std::ptrdiff_t>(n * k));
+      EXPECT_EQ(flat.labels, labels) << "threads " << threads << " n " << n;
+      EXPECT_TRUE(BytesEqual(flat.distributions, distributions))
+          << "threads " << threads << " n " << n;
     }
   }
 }
@@ -441,13 +449,13 @@ TEST(PredictSessionTest, InterleavedPushSizesMatchOneShotBatch) {
   EXPECT_TRUE(BytesEqual(all_distributions, oneshot.distributions));
 }
 
-TEST(PredictSessionTest, SharedCompiledModelAcrossSessions) {
+TEST(PredictSessionTest, SharedCompiledTreeAcrossSessions) {
   // One compiled artifact, many sessions (the per-worker deployment
   // shape): results agree and the artifact is never copied.
   Dataset ds = MixedDataset(80, 3);
   auto model = Trainer().TrainUdt(ds);
   ASSERT_TRUE(model.ok());
-  CompiledModel compiled = model->Compile();
+  CompiledForest compiled = model->Compile();
   PredictSession a(compiled);
   PredictSession b(compiled);
   EXPECT_EQ(&a.forest().tree(0), &b.forest().tree(0));

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/math.h"
+#include "common/string_util.h"
 #include "common/task_pool.h"
 #include "split/attribute_index.h"
 #include "split/attribute_scan.h"
@@ -113,7 +114,7 @@ Case RandomCase(uint64_t seed) {
   const int num_classes = 2 + rng.Below(8);
   std::vector<std::string> names;
   for (int c = 0; c < num_classes; ++c) {
-    names.push_back("c" + std::to_string(c));
+    names.push_back(StrFormat("c%d", c));
   }
   Dataset data(Schema::Numerical(1, names));
   const int num_tuples = 1 + rng.Below(90);

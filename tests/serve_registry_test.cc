@@ -36,7 +36,7 @@ Dataset NumericDataset(int tuples, int attributes, uint64_t seed) {
   return ds;
 }
 
-CompiledModel TrainCompiled(uint64_t seed) {
+CompiledForest TrainCompiled(uint64_t seed) {
   auto model = Trainer().TrainUdt(NumericDataset(90, 2, seed));
   UDT_CHECK(model.ok());
   return model->Compile();
@@ -112,7 +112,7 @@ TEST(ModelRegistryTest, RetireAllForgetsTheName) {
 
 TEST(ModelRegistryTest, RetiredSnapshotKeepsServingByteIdentically) {
   Dataset pool = NumericDataset(32, 2, 77);
-  CompiledModel compiled = TrainCompiled(5);
+  CompiledForest compiled = TrainCompiled(5);
   const int k = compiled.num_classes();
 
   ModelRegistry registry;
@@ -161,7 +161,7 @@ TEST(ModelRegistryTest, HoldsForestServables) {
 // is copied).
 TEST(SessionOwnershipTest, SessionOutlivesSharedPtrOwner) {
   Dataset pool = NumericDataset(16, 2, 79);
-  auto compiled = std::make_shared<const CompiledModel>(TrainCompiled(6));
+  auto compiled = std::make_shared<const CompiledForest>(TrainCompiled(6));
   const size_t k = static_cast<size_t>(compiled->num_classes());
 
   PredictSession by_value(*compiled);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/task_pool.h"
 #include "core/builder.h"
 #include "pdf/pdf_builder.h"
@@ -23,7 +24,7 @@ Dataset GenericDataset(int tuples, int attributes, int classes, int s,
                        uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(attributes, names));
   for (int i = 0; i < tuples; ++i) {
     UncertainTuple t;

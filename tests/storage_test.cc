@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "api/compiled_model.h"
+#include "api/compiled_forest.h"
 #include "api/trainer.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -39,7 +39,7 @@ Dataset LatticeDataset(int tuples, int attributes, int classes, int s,
                        uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back("c" + std::to_string(c));
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
   Dataset ds(Schema::Numerical(attributes, names));
   for (int i = 0; i < tuples; ++i) {
     UncertainTuple t;
@@ -604,7 +604,7 @@ TEST_F(DatasetFileTest, RejectsLabelOutOfClassRange) {
 // Satellite of the same PR: every schema_io read path reports the
 // offending absolute line number, including bodies parsed through nested
 // readers (flat trees inside compiled containers).
-TEST(LineNumberDiagnosticsTest, CompiledModelErrorsCarryLineNumbers) {
+TEST(LineNumberDiagnosticsTest, CompiledTreeErrorsCarryLineNumbers) {
   const Dataset train = LatticeDataset(60, 2, 2, 6, 9);
   Trainer trainer;
   auto model = trainer.TrainUdt(train);
@@ -617,7 +617,7 @@ TEST(LineNumberDiagnosticsTest, CompiledModelErrorsCarryLineNumbers) {
   const int total_lines = static_cast<int>(lines.size());
   std::string truncated;
   for (int i = 0; i + 1 < total_lines; ++i) truncated += lines[i] + "\n";
-  auto broken = CompiledModel::Deserialize(truncated);
+  auto broken = CompiledForest::Deserialize(truncated);
   ASSERT_FALSE(broken.ok());
   EXPECT_NE(broken.status().message().find(
                 StrFormat("line %d", total_lines)),
@@ -631,7 +631,7 @@ TEST(LineNumberDiagnosticsTest, CompiledModelErrorsCarryLineNumbers) {
       corrupt_lines[i] = "n bogus";
       std::string corrupt;
       for (const std::string& l : corrupt_lines) corrupt += l + "\n";
-      auto bad = CompiledModel::Deserialize(corrupt);
+      auto bad = CompiledForest::Deserialize(corrupt);
       ASSERT_FALSE(bad.ok());
       EXPECT_NE(bad.status().message().find(
                     StrFormat("line %zu", i + 1)),

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "api/compiled_forest.h"
-#include "api/compiled_model.h"
 #include "api/forest.h"
 #include "api/model.h"
 #include "api/predict_session.h"

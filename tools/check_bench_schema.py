@@ -2,8 +2,8 @@
 """Check a freshly generated bench JSON against its committed sidecar.
 
 The bench harnesses emit one JSON object per line (bench_common JsonRows):
-bench_serving_throughput, bench_forest_throughput, bench_sustained_serving,
-bench_serve_frontend and bench_storage_compression (the storage tier's
+bench_serving_throughput (tree and forest rows), bench_serve_frontend,
+bench_adaptive_serving and bench_storage_compression (the storage tier's
 accuracy-vs-compression sweep, BENCH_storage_compression.json) write
 BENCH_<name>.json sidecars this script understands, as does the
 flat-traversal sweep inside bench_micro_kernels
@@ -17,8 +17,9 @@ longer covering what the sidecar covers. Timing values are expected to
 move run to run and are deliberately not compared. Provenance strings
 (PROVENANCE_KEYS, e.g. the build type a row was measured under) must
 keep their key and type but are not part of a row's identity: a local
-RelWithDebInfo run still covers a sidecar recorded in Release (both the
-micro-kernel and the Fig 6 sidecars carry build_type per row).
+RelWithDebInfo run still covers a sidecar recorded in Release (the
+serving-throughput, micro-kernel and Fig 6 sidecars carry build_type per
+row).
 
 Rows must be strict JSON: NaN / Infinity (which Python's json module
 accepts by default, and which a degenerate measurement could print) are
