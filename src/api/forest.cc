@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -208,17 +207,17 @@ StatusOr<ForestModel> ForestModel::Deserialize(const std::string& text) {
   trees.reserve(static_cast<size_t>(*num_trees));
   for (int t = 0; t < *num_trees; ++t) {
     UDT_RETURN_NOT_OK(reader.Next("tree frame"));
-    int index = -1;
-    long long bytes = -1;
-    if (std::sscanf(reader.line().c_str(), "tree %d %lld", &index, &bytes) !=
-            2 ||
-        index != t || bytes < 1 ||
-        bytes > static_cast<long long>(text.size())) {
+    const std::vector<std::string> frame = SplitString(reader.line(), ' ');
+    std::optional<uint64_t> bytes;
+    if (frame.size() == 3 && frame[0] == "tree" && ParseInt(frame[1]) == t) {
+      bytes = ParseUint64(frame[2]);
+    }
+    if (!bytes || *bytes < 1 || *bytes > text.size()) {
       return reader.Error("bad tree frame: " + reader.line());
     }
-    std::string body(static_cast<size_t>(bytes), '\0');
-    in.read(body.data(), bytes);
-    if (in.gcount() != bytes) {
+    std::string body(static_cast<size_t>(*bytes), '\0');
+    in.read(body.data(), static_cast<std::streamsize>(*bytes));
+    if (in.gcount() != static_cast<std::streamsize>(*bytes)) {
       return reader.Error("truncated tree body");
     }
     // The raw read consumed the body's lines behind the reader; account

@@ -1,12 +1,12 @@
 #include "storage/dataset_file.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "storage/quantized_dataset.h"
 
 namespace udt {
 namespace {
@@ -52,8 +52,7 @@ Status ReadDictRow(LineReader* reader, int width, std::vector<uint16_t>* row) {
   return Status::OK();
 }
 
-}  // namespace
-
+// Emits `data` in the layout documented in dataset_file.h.
 Status WriteDatasetFile(const QuantizedDataset& data,
                         size_t source_decoded_bytes,
                         const std::string& path) {
@@ -120,6 +119,8 @@ Status WriteDatasetFile(const QuantizedDataset& data,
   if (!out) return Status::IOError("write failed: " + path);
   return Status::OK();
 }
+
+}  // namespace
 
 StatusOr<DatasetFileStats> ConvertDatasetToFile(
     const Dataset& source, const std::string& path,
@@ -203,10 +204,10 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
     return reader->Error("column count does not match the schema");
   }
 
-  std::vector<Column> columns(static_cast<size_t>(*num_columns));
+  std::vector<QuantizedColumn> columns(static_cast<size_t>(*num_columns));
   std::vector<uint16_t> row;
   for (int j = 0; j < *num_columns; ++j) {
-    Column& column = columns[static_cast<size_t>(j)];
+    QuantizedColumn& column = columns[static_cast<size_t>(j)];
     const AttributeInfo& info = schema.attribute(j);
     column.kind = info.kind;
 
@@ -226,6 +227,7 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
       return reader->Error("bad dictionary size: " + reader->line());
     }
 
+    int width = 0;
     if (info.kind == AttributeKind::kNumerical) {
       if (tokens[2] != "num" || tokens[3] != "grid") {
         return reader->Error("column kind does not match the schema");
@@ -258,21 +260,21 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
           AttributeGrid::FromSortedPoints(std::move(points));
       if (!grid.ok()) return reader->Error(grid.status().message());
       column.grid = std::move(grid).value();
-      column.width = column.grid.num_points();
+      width = column.grid.num_points();
     } else {
       if (tokens[2] != "cat" || tokens[3] != "width") {
         return reader->Error("column kind does not match the schema");
       }
-      std::optional<int> width = ParseInt(tokens[4]);
-      if (!width || *width != info.num_categories) {
+      std::optional<int> categories = ParseInt(tokens[4]);
+      if (!categories || *categories != info.num_categories) {
         return reader->Error("category width does not match the schema");
       }
-      column.width = *width;
+      width = *categories;
     }
 
-    column.dict = PdfDictionary(column.width);
+    column.dict = PdfDictionary(width);
     for (int64_t d = 0; d < *dict_entries; ++d) {
-      UDT_RETURN_NOT_OK(ReadDictRow(reader.get(), column.width, &row));
+      UDT_RETURN_NOT_OK(ReadDictRow(reader.get(), width, &row));
       column.dict.Append(row.data());
     }
   }
@@ -326,20 +328,22 @@ Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
 
   LineReader* reader = reader_.get();
   UDT_RETURN_NOT_OK(reader->Next("chunk header"));
-  long long header_chunk = -1;
-  long long header_tuples = -1;
-  if (std::sscanf(reader->line().c_str(), "chunk %lld tuples %lld",
-                  &header_chunk, &header_tuples) != 2 ||
-      header_chunk != chunk) {
+  const std::vector<std::string> header_tokens =
+      SplitString(reader->line(), ' ');
+  if (header_tokens.size() != 4 || header_tokens[0] != "chunk" ||
+      header_tokens[2] != "tuples" ||
+      ParseCount(header_tokens[1], kMaxTuples) != chunk) {
     return reader->Error("bad chunk header: " + reader->line());
   }
+  const std::optional<int64_t> header_tuples =
+      ParseCount(header_tokens[3], kMaxChunkTuples);
   const int64_t begin = chunk * chunk_tuples_;
   const int64_t expected =
       std::min<int64_t>(begin + chunk_tuples_, num_tuples_) - begin;
   if (header_tuples != expected) {
     return reader->Error(
-        StrFormat("chunk %lld holds %lld tuples, expected %lld",
-                  static_cast<long long>(chunk), header_tuples,
+        StrFormat("chunk %lld holds %s tuples, expected %lld",
+                  static_cast<long long>(chunk), header_tokens[3].c_str(),
                   static_cast<long long>(expected)));
   }
   const size_t count = static_cast<size_t>(expected);
@@ -371,7 +375,7 @@ Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
         tokens[1] != StrFormat("%d", j)) {
       return reader->Error("bad id column line");
     }
-    const Column& column = columns_[static_cast<size_t>(j)];
+    const QuantizedColumn& column = columns_[static_cast<size_t>(j)];
     std::vector<uint32_t>& column_ids = ids[static_cast<size_t>(j)];
     column_ids.reserve(count);
     for (size_t i = 0; i < count; ++i) {
@@ -388,20 +392,8 @@ Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
     UncertainTuple tuple;
     tuple.label = labels[i];
     tuple.values.reserve(static_cast<size_t>(num_attributes));
-    for (int j = 0; j < num_attributes; ++j) {
-      Column& column = columns_[static_cast<size_t>(j)];
-      const uint32_t id = ids[static_cast<size_t>(j)][i];
-      if (column.kind == AttributeKind::kNumerical) {
-        UDT_ASSIGN_OR_RETURN(std::shared_ptr<const SampledPdf> pdf,
-                             column.cache.Get(column.grid, column.dict, id));
-        tuple.values.push_back(
-            UncertainValue::NumericalShared(std::move(pdf)));
-      } else {
-        UDT_ASSIGN_OR_RETURN(
-            CategoricalPdf pdf,
-            DecodeCategorical(column.dict.entry(id), column.width));
-        tuple.values.push_back(UncertainValue::Categorical(std::move(pdf)));
-      }
+    for (size_t j = 0; j < columns_.size(); ++j) {
+      UDT_RETURN_NOT_OK(columns_[j].Decode(ids[j][i], &tuple.values));
     }
     UDT_RETURN_NOT_OK(out->AddTuple(std::move(tuple)));
   }
@@ -418,15 +410,15 @@ Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
 
 size_t DatasetReader::MemoryUsageBytes() const {
   size_t bytes = sizeof(DatasetReader);
-  for (const Column& column : columns_) {
-    bytes += column.grid.MemoryUsageBytes() + column.dict.MemoryUsageBytes();
+  for (const QuantizedColumn& column : columns_) {
+    bytes += column.MemoryUsageBytes();
   }
   return bytes;
 }
 
 int64_t DatasetReader::dictionary_entries() const {
   int64_t total = 0;
-  for (const Column& column : columns_) {
+  for (const QuantizedColumn& column : columns_) {
     total += column.dict.num_entries();
   }
   return total;

@@ -43,16 +43,10 @@
 
 #include "common/statusor.h"
 #include "storage/pdf_storage.h"
-#include "storage/quantized_dataset.h"
+#include "storage/quantized_pdf.h"
 #include "table/schema_io.h"
 
 namespace udt {
-
-// Writes `data` as a "udt-dataset v1" container. `source_decoded_bytes`
-// records the exact (unshared) footprint the source data set would occupy
-// decoded — the figure out-of-core demos compare their budget against.
-Status WriteDatasetFile(const QuantizedDataset& data,
-                        size_t source_decoded_bytes, const std::string& path);
 
 // What ConvertDatasetToFile measured while writing.
 struct DatasetFileStats {
@@ -67,7 +61,11 @@ struct DatasetFileStats {
   size_t file_bytes = 0;
 };
 
-// Quantizes `source` under `options` and writes it to `path`.
+// Quantizes `source` under `options` and writes it to `path` as a
+// "udt-dataset v1" container, the one writer of the format. The header's
+// source-bytes figure is the source's unshared decoded footprint
+// (Dataset::MemoryBreakdown), the figure out-of-core demos compare their
+// budget against.
 StatusOr<DatasetFileStats> ConvertDatasetToFile(
     const Dataset& source, const std::string& path,
     const QuantizationOptions& options = {});
@@ -111,14 +109,6 @@ class DatasetReader final : public PdfStorage {
   Status Rewind();
 
  private:
-  struct Column {
-    AttributeKind kind = AttributeKind::kNumerical;
-    int width = 0;
-    AttributeGrid grid;  // numerical only
-    PdfDictionary dict;
-    DecodedPdfCache cache;  // numerical only
-  };
-
   explicit DatasetReader(Schema schema) : schema_(std::move(schema)) {}
 
   // The stream and reader live behind pointers so the reader type stays
@@ -126,7 +116,7 @@ class DatasetReader final : public PdfStorage {
   std::unique_ptr<std::ifstream> in_;
   std::unique_ptr<LineReader> reader_;
   Schema schema_;
-  std::vector<Column> columns_;
+  std::vector<QuantizedColumn> columns_;
   int bins_ = 0;
   int chunk_tuples_ = 0;
   int64_t num_tuples_ = 0;

@@ -21,31 +21,33 @@ StatusOr<QuantizedDataset> QuantizedDataset::FromDataset(
   const int num_attributes = source.num_attributes();
   const int num_tuples = source.num_tuples();
   result.columns_.resize(static_cast<size_t>(num_attributes));
+  result.ids_.resize(static_cast<size_t>(num_attributes));
   result.labels_.reserve(static_cast<size_t>(num_tuples));
   for (int i = 0; i < num_tuples; ++i) {
     result.labels_.push_back(source.tuple(i).label);
   }
 
   for (int j = 0; j < num_attributes; ++j) {
-    Column& column = result.columns_[static_cast<size_t>(j)];
+    QuantizedColumn& column = result.columns_[static_cast<size_t>(j)];
+    std::vector<uint32_t>& ids = result.ids_[static_cast<size_t>(j)];
     const AttributeInfo& info = source.schema().attribute(j);
     column.kind = info.kind;
-    column.ids.reserve(static_cast<size_t>(num_tuples));
+    ids.reserve(static_cast<size_t>(num_tuples));
 
     if (info.kind == AttributeKind::kCategorical) {
-      column.width = info.num_categories;
-      column.dict = PdfDictionary(column.width);
-      std::vector<double> weights(static_cast<size_t>(column.width), 0.0);
+      const int width = info.num_categories;
+      column.dict = PdfDictionary(width);
+      std::vector<double> weights(static_cast<size_t>(width), 0.0);
       for (int i = 0; i < num_tuples; ++i) {
         const CategoricalPdf& pdf = source.tuple(i).values[
             static_cast<size_t>(j)].categorical();
-        UDT_CHECK(pdf.num_categories() == column.width);
-        for (int c = 0; c < column.width; ++c) {
+        UDT_CHECK(pdf.num_categories() == width);
+        for (int c = 0; c < width; ++c) {
           weights[static_cast<size_t>(c)] = pdf.probability(c);
         }
         const std::vector<uint16_t> fixed =
-            FixedPointMasses(weights.data(), column.width);
-        column.ids.push_back(column.dict.Intern(fixed.data()));
+            FixedPointMasses(weights.data(), width);
+        ids.push_back(column.dict.Intern(fixed.data()));
       }
       continue;
     }
@@ -75,12 +77,11 @@ StatusOr<QuantizedDataset> QuantizedDataset::FromDataset(
       const auto [lo, hi] = source.AttributeRange(j);
       column.grid = AttributeGrid::Uniform(lo, hi, options.bins);
     }
-    column.width = column.grid.num_points();
-    column.dict = PdfDictionary(column.width);
+    column.dict = PdfDictionary(column.grid.num_points());
     for (int i = 0; i < num_tuples; ++i) {
       const std::vector<uint16_t> fixed = QuantizeToGrid(
           source.tuple(i).values[static_cast<size_t>(j)].pdf(), column.grid);
-      column.ids.push_back(column.dict.Intern(fixed.data()));
+      ids.push_back(column.dict.Intern(fixed.data()));
     }
   }
   return result;
@@ -113,24 +114,13 @@ Status QuantizedDataset::AppendRange(int64_t begin, int64_t end,
     return Status::InvalidArgument(
         "destination schema does not match the storage schema");
   }
-  const int num_attributes = schema_.num_attributes();
   for (int64_t i = begin; i < end; ++i) {
     UncertainTuple tuple;
     tuple.label = labels_[static_cast<size_t>(i)];
-    tuple.values.reserve(static_cast<size_t>(num_attributes));
-    for (int j = 0; j < num_attributes; ++j) {
-      Column& column = columns_[static_cast<size_t>(j)];
-      const uint32_t id = column.ids[static_cast<size_t>(i)];
-      if (column.kind == AttributeKind::kNumerical) {
-        UDT_ASSIGN_OR_RETURN(std::shared_ptr<const SampledPdf> pdf,
-                             column.cache.Get(column.grid, column.dict, id));
-        tuple.values.push_back(UncertainValue::NumericalShared(std::move(pdf)));
-      } else {
-        UDT_ASSIGN_OR_RETURN(
-            CategoricalPdf pdf,
-            DecodeCategorical(column.dict.entry(id), column.width));
-        tuple.values.push_back(UncertainValue::Categorical(std::move(pdf)));
-      }
+    tuple.values.reserve(columns_.size());
+    for (size_t j = 0; j < columns_.size(); ++j) {
+      UDT_RETURN_NOT_OK(columns_[j].Decode(ids_[j][static_cast<size_t>(i)],
+                                           &tuple.values));
     }
     UDT_RETURN_NOT_OK(out->AddTuple(std::move(tuple)));
   }
@@ -140,16 +130,16 @@ Status QuantizedDataset::AppendRange(int64_t begin, int64_t end,
 size_t QuantizedDataset::MemoryUsageBytes() const {
   size_t bytes = sizeof(QuantizedDataset) +
                  sizeof(int32_t) * labels_.capacity();
-  for (const Column& column : columns_) {
-    bytes += column.grid.MemoryUsageBytes() + column.dict.MemoryUsageBytes() +
-             sizeof(uint32_t) * column.ids.capacity();
+  for (size_t j = 0; j < columns_.size(); ++j) {
+    bytes += columns_[j].MemoryUsageBytes() +
+             sizeof(uint32_t) * ids_[j].capacity();
   }
   return bytes;
 }
 
 int64_t QuantizedDataset::dictionary_entries() const {
   int64_t total = 0;
-  for (const Column& column : columns_) {
+  for (const QuantizedColumn& column : columns_) {
     total += column.dict.num_entries();
   }
   return total;
@@ -163,7 +153,7 @@ double QuantizedDataset::dictionary_hit_rate() const {
 }
 
 const AttributeGrid& QuantizedDataset::grid(int attribute) const {
-  const Column& column = columns_[static_cast<size_t>(attribute)];
+  const QuantizedColumn& column = columns_[static_cast<size_t>(attribute)];
   UDT_CHECK(column.kind == AttributeKind::kNumerical);
   return column.grid;
 }
@@ -174,7 +164,7 @@ const PdfDictionary& QuantizedDataset::dictionary(int attribute) const {
 
 const std::vector<uint32_t>& QuantizedDataset::column_ids(
     int attribute) const {
-  return columns_[static_cast<size_t>(attribute)].ids;
+  return ids_[static_cast<size_t>(attribute)];
 }
 
 }  // namespace udt

@@ -68,21 +68,13 @@ class QuantizedDataset final : public PdfStorage {
   Status AppendRange(int64_t begin, int64_t end, Dataset* out);
 
  private:
-  struct Column {
-    AttributeKind kind = AttributeKind::kNumerical;
-    int width = 0;            // grid points (num) or categories (cat)
-    AttributeGrid grid;       // numerical only
-    PdfDictionary dict;
-    std::vector<uint32_t> ids;  // one per tuple
-    DecodedPdfCache cache;      // numerical only
-  };
-
   QuantizedDataset(Schema schema, QuantizationOptions options)
       : schema_(std::move(schema)), options_(options) {}
 
   Schema schema_;
   QuantizationOptions options_;
-  std::vector<Column> columns_;
+  std::vector<QuantizedColumn> columns_;
+  std::vector<std::vector<uint32_t>> ids_;  // per attribute, one per tuple
   std::vector<int32_t> labels_;
 };
 

@@ -239,4 +239,23 @@ StatusOr<std::shared_ptr<const SampledPdf>> DecodedPdfCache::Get(
   return slot;
 }
 
+Status QuantizedColumn::Decode(uint32_t id,
+                               std::vector<UncertainValue>* out) {
+  if (kind == AttributeKind::kNumerical) {
+    UDT_ASSIGN_OR_RETURN(std::shared_ptr<const SampledPdf> pdf,
+                         cache.Get(grid, dict, id));
+    out->push_back(UncertainValue::NumericalShared(std::move(pdf)));
+    return Status::OK();
+  }
+  if (id >= dict.num_entries()) {
+    return Status::InvalidArgument(
+        StrFormat("dictionary id %u out of range (dictionary holds %u)", id,
+                  dict.num_entries()));
+  }
+  UDT_ASSIGN_OR_RETURN(CategoricalPdf pdf,
+                       DecodeCategorical(dict.entry(id), dict.width()));
+  out->push_back(UncertainValue::Categorical(std::move(pdf)));
+  return Status::OK();
+}
+
 }  // namespace udt

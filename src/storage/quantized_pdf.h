@@ -171,6 +171,28 @@ class DecodedPdfCache {
   std::vector<std::shared_ptr<const SampledPdf>> decoded_;
 };
 
+// One attribute's resident quantized state. Both PdfStorage backends, the
+// in-memory QuantizedDataset and the file-backed DatasetReader, hold one
+// per attribute and turn a dictionary id back into a value through Decode.
+struct QuantizedColumn {
+  AttributeKind kind = AttributeKind::kNumerical;
+  AttributeGrid grid;     // numerical only
+  PdfDictionary dict;     // width: grid points (num) or categories (cat)
+  DecodedPdfCache cache;  // numerical only
+
+  // Decodes dictionary entry `id` and appends the value to `out`.
+  // Numerical entries go through the cache, so every value decoded from
+  // one id shares one SampledPdf. Fails on an id outside the dictionary
+  // or an entry without mass.
+  Status Decode(uint32_t id, std::vector<UncertainValue>* out);
+
+  // Grid + dictionary. Excludes the cache: decoded pdfs are accounted on
+  // the data set they end up in.
+  size_t MemoryUsageBytes() const {
+    return grid.MemoryUsageBytes() + dict.MemoryUsageBytes();
+  }
+};
+
 }  // namespace udt
 
 #endif  // UDT_STORAGE_QUANTIZED_PDF_H_

@@ -9,7 +9,6 @@
 #include "common/string_util.h"
 #include "eval/metrics.h"
 #include "serve/servable.h"
-#include "storage/append_writer.h"
 #include "storage/dataset_file.h"
 #include "table/schema_io.h"
 
@@ -168,18 +167,15 @@ StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
                   trainer_.config().num_trees});
   }
 
-  // The spill path assembles the training window through the container
-  // append path and trains out of core from the re-opened file; the
-  // in-memory train set doubles as the grid source, so the quantization
-  // axes cover exactly the window being spilled.
+  // The spill path writes the training split as a "udt-dataset v1"
+  // container and trains out of core from the re-opened file; the grids
+  // are fixed from the split itself, so they cover exactly the window
+  // being spilled.
   std::optional<DatasetReader> spilled;
   if (policy_.spill_to_storage) {
-    UDT_ASSIGN_OR_RETURN(
-        DatasetAppendWriter writer,
-        DatasetAppendWriter::Open(policy_.spill_path, train,
-                                  policy_.spill_options));
-    UDT_RETURN_NOT_OK(writer.AppendAll(train));
-    UDT_RETURN_NOT_OK(writer.Finalize().status());
+    UDT_RETURN_NOT_OK(ConvertDatasetToFile(train, policy_.spill_path,
+                                           policy_.spill_options)
+                          .status());
     UDT_ASSIGN_OR_RETURN(spilled,
                          DatasetReader::Open(policy_.spill_path));
     request.dataset = nullptr;

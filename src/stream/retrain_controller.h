@@ -7,10 +7,10 @@
 //   1. splits the window into a training set and a deterministic holdout,
 //   2. trains a candidate forest through the unified TrainRequest entry
 //      point — optionally warm-starting from the incumbent's first
-//      warm_trees trees, optionally spilling the training split through
-//      the "udt-dataset v1" append path and training out-of-core from the
-//      re-opened container (the storage round-trip the compact tier
-//      guarantees is lossless at serving precision),
+//      warm_trees trees, optionally spilling the training split to a
+//      "udt-dataset v1" container (ConvertDatasetToFile) and training
+//      out-of-core from the re-opened file (the storage round-trip the
+//      compact tier guarantees is lossless at serving precision),
 //   3. validates the candidate against the holdout and against the
 //      incumbent's holdout accuracy,
 //   4. publishes the candidate through the ModelRegistry (atomic hot swap:
@@ -70,8 +70,8 @@ struct RetrainPolicy {
   // warm start); 0 retrains every tree from scratch.
   int warm_trees = 0;
 
-  // When true, the training split is written through DatasetAppendWriter
-  // to `spill_path` and the candidate trains from the re-opened
+  // When true, the training split is written by ConvertDatasetToFile to
+  // `spill_path` and the candidate trains from the re-opened
   // DatasetReader (TrainRequest::ForStorage) — the out-of-core window
   // assembly. When false the window trains in memory.
   bool spill_to_storage = false;

@@ -1,8 +1,8 @@
 #include "tree/flat_tree_io.h"
 
-#include <cstdio>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/string_util.h"
@@ -17,7 +17,7 @@ namespace {
 // while still refusing allocations a hostile header could demand (the cap
 // bounds each table at half a gigabyte).
 constexpr int kMaxDeclaredCount = 1 << 20;
-constexpr long long kMaxTableCount = 1ll << 26;
+constexpr int kMaxTableCount = 1 << 26;
 
 // Reads one table line of exactly `count` space-separated tokens parsed by
 // `parse_one`. Serialize writes each table on a single line; a count
@@ -44,6 +44,17 @@ Status ReadTokenLine(LineReader* reader, size_t count, const char* what,
     out->push_back(*value);
   }
   return Status::OK();
+}
+
+// Parses one `<key><count>` token of the tables line ("nodes=3"); nullopt
+// unless the key matches and the count lies in [0, max].
+std::optional<int> ParseKeyedCount(const std::string& token,
+                                   std::string_view key, int max) {
+  if (token.compare(0, key.size(), key) != 0) return std::nullopt;
+  std::optional<int> value =
+      ParseInt(std::string_view(token).substr(key.size()));
+  if (!value || *value > max) return std::nullopt;
+  return value;
 }
 
 std::optional<int32_t> ParseInt32(const std::string& token) {
@@ -84,26 +95,29 @@ void WriteFlatTreeBody(const FlatTree& flat, std::ostream& out) {
 
 StatusOr<FlatTree> ReadFlatTreeBody(LineReader* reader, int num_classes) {
   UDT_RETURN_NOT_OK(reader->Next("tables"));
-  int num_nodes = -1;
-  long long num_child_entries = -1;
-  long long num_leaf_values = -1;
-  if (std::sscanf(reader->line().c_str(),
-                  "tables nodes=%d children=%lld leaves=%lld", &num_nodes,
-                  &num_child_entries, &num_leaf_values) != 3 ||
-      num_nodes < 1 || num_nodes > kMaxDeclaredCount ||
-      num_child_entries < 0 || num_child_entries > kMaxTableCount ||
-      num_leaf_values < 0 || num_leaf_values > kMaxTableCount) {
+  const std::vector<std::string> header = SplitString(reader->line(), ' ');
+  if (header.size() != 4 || header[0] != "tables") {
+    return reader->Error("bad tables line: " + reader->line());
+  }
+  const std::optional<int> num_nodes =
+      ParseKeyedCount(header[1], "nodes=", kMaxDeclaredCount);
+  const std::optional<int> num_child_entries =
+      ParseKeyedCount(header[2], "children=", kMaxTableCount);
+  const std::optional<int> num_leaf_values =
+      ParseKeyedCount(header[3], "leaves=", kMaxTableCount);
+  if (!num_nodes || *num_nodes < 1 || !num_child_entries ||
+      !num_leaf_values) {
     return reader->Error("bad tables line: " + reader->line());
   }
 
   FlatTree flat;
   flat.num_classes = num_classes;
-  flat.kind.reserve(static_cast<size_t>(num_nodes));
-  flat.attribute.reserve(static_cast<size_t>(num_nodes));
-  flat.split_point.reserve(static_cast<size_t>(num_nodes));
-  flat.first.reserve(static_cast<size_t>(num_nodes));
-  flat.num_children.reserve(static_cast<size_t>(num_nodes));
-  for (int i = 0; i < num_nodes; ++i) {
+  flat.kind.reserve(static_cast<size_t>(*num_nodes));
+  flat.attribute.reserve(static_cast<size_t>(*num_nodes));
+  flat.split_point.reserve(static_cast<size_t>(*num_nodes));
+  flat.first.reserve(static_cast<size_t>(*num_nodes));
+  flat.num_children.reserve(static_cast<size_t>(*num_nodes));
+  for (int i = 0; i < *num_nodes; ++i) {
     UDT_RETURN_NOT_OK(reader->Next("node record"));
     const std::string& line = reader->line();
     std::vector<std::string> fields = SplitString(line, ' ');
@@ -127,10 +141,10 @@ StatusOr<FlatTree> ReadFlatTreeBody(LineReader* reader, int num_classes) {
   }
 
   UDT_RETURN_NOT_OK(ReadTokenLine(
-      reader, static_cast<size_t>(num_child_entries), "child",
+      reader, static_cast<size_t>(*num_child_entries), "child",
       [](const std::string& t) { return ParseInt32(t); }, &flat.child_table));
   UDT_RETURN_NOT_OK(ReadTokenLine(
-      reader, static_cast<size_t>(num_leaf_values), "leaf",
+      reader, static_cast<size_t>(*num_leaf_values), "leaf",
       [](const std::string& t) { return ParseDouble(t); }, &flat.leaf_values));
   return flat;
 }

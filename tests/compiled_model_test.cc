@@ -231,6 +231,12 @@ TEST(CompiledPersistenceTest, DeserializeRejectsStructurallyInvalid) {
                 "n 0 -1 0x0p+0 0 0\n"
                 "0x1p-1\n",
        "leaf table holds 1 entries"},
+      // Node count 2^32 + 1: must not wrap to the valid one-leaf tree that
+      // follows it.
+      {header + "tables nodes=4294967297 children=0 leaves=2\n"
+                "n 0 -1 0x0p+0 0 0\n"
+                "0x1p-1 0x1p-1\n",
+       "line 10: bad tables line"},
   };
   for (const Case& c : cases) {
     auto parsed = CompiledForest::Deserialize(c.text);

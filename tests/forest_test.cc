@@ -348,6 +348,14 @@ TEST(ForestModelTest, RejectsHostileInput) {
   ASSERT_NE(frame, std::string::npos);
   bad.replace(frame, 7, "tree 0 999999999 ");
   EXPECT_FALSE(ForestModel::Deserialize(bad).ok());
+  // Frame index 2^32: must not wrap onto tree 0.
+  std::string wrapped = good;
+  wrapped.replace(frame, 7, "tree 4294967296 ");
+  auto parsed = ForestModel::Deserialize(wrapped);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("line 4: bad tree frame"),
+            std::string::npos)
+      << parsed.status().message();
 }
 
 TEST(CompiledForestTest, CompileRoundTripsLayout) {

@@ -583,6 +583,28 @@ TEST_F(DatasetFileTest, RejectsOutOfRangeDictionaryIds) {
             std::string::npos);
 }
 
+TEST_F(DatasetFileTest, RejectsTrailingTokensOnChunkHeader) {
+  int header_line = 0;
+  MutateFile([&header_line](std::vector<std::string>* lines) {
+    for (size_t i = 0; i < lines->size(); ++i) {
+      if ((*lines)[i] == "chunk 0 tuples 32") {
+        (*lines)[i] += " junk";
+        header_line = static_cast<int>(i) + 1;
+        break;
+      }
+    }
+  });
+  ASSERT_GT(header_line, 0);
+  auto reader = DatasetReader::Open(path_);
+  ASSERT_TRUE(reader.ok());
+  auto pooled = MaterializeDataset(&*reader);
+  ASSERT_FALSE(pooled.ok());
+  const std::string want =
+      "line " + std::to_string(header_line) + ": bad chunk header";
+  EXPECT_NE(pooled.status().message().find(want), std::string::npos)
+      << pooled.status().message();
+}
+
 TEST_F(DatasetFileTest, RejectsLabelOutOfClassRange) {
   MutateFile([](std::vector<std::string>* lines) {
     for (std::string& line : *lines) {

@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "pdf/pdf_builder.h"
 #include "serve/model_registry.h"
+#include "storage/dataset_file.h"
 #include "stream/drift_monitor.h"
 #include "stream/retrain_controller.h"
 
@@ -334,6 +335,12 @@ TEST(RetrainControllerTest, SpillPathTrainsOutOfCore) {
   EXPECT_TRUE(report->published);
   EXPECT_EQ(report->version, 2u);
   EXPECT_EQ(registry.Resolve("prod")->version, 2u);
+
+  // The spilled container holds exactly the training split.
+  auto spilled = DatasetReader::Open(policy.spill_path);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().message();
+  EXPECT_EQ(spilled->num_tuples(),
+            report->window_tuples - report->holdout_tuples);
 }
 
 TEST(RetrainControllerTest, PolicyValidation) {

@@ -48,12 +48,23 @@ unrepresentable:
                    Status is [[nodiscard]]; a bare (void) is the blanket
                    suppression the nodiscard audit exists to prevent.
 
+  scanf-parse      sscanf / strto* / ato* / std::sto* calls under src/
+                   outside src/common/string_util.cc. Out-of-range %d is
+                   undefined behaviour (glibc wraps 2^32 + 1 to 1) and a
+                   format string accepts trailing tokens, so a container
+                   reader built on them admits lines it should reject.
+                   Readers split a line into tokens and parse each with
+                   the bounded ParseInt / ParseUint64 / ParseDouble, which
+                   wrap the C parsers in one place.
+
 Per-line opt-outs, always with a reason after the colon:
 
   // lint-ok(naked-mutex): <reason>     (same line or the line above)
 
 src/common/mutex.h is exempt from naked-mutex wholesale (it is the one
-wrapper). Generated/vendored code would be listed in EXEMPT_PATHS.
+wrapper), src/common/string_util.cc from scanf-parse (it is the one
+place the C parsers are wrapped). Generated/vendored code would be
+listed in EXEMPT_PATHS.
 
 Usage:
   check_source_conventions.py [--root DIR]     lint the repo (default .)
@@ -82,6 +93,7 @@ SOURCE_EXTENSIONS = (".h", ".cc")
 # Files exempt from specific rules, path-relative to the repo root.
 EXEMPT_PATHS = {
     "src/common/mutex.h": {"naked-mutex"},  # the wrapper itself
+    "src/common/string_util.cc": {"scanf-parse"},  # the bounded parsers
 }
 
 OPT_OUT_RE = re.compile(r"//\s*lint-ok\((?P<rule>[a-z-]+)\):\s*\S")
@@ -99,6 +111,9 @@ SERIALIZE_SINK_RE = re.compile(
 )
 ESCAPE_RE = re.compile(r"\bUDT_NO_THREAD_SAFETY_ANALYSIS\b")
 VOID_STATUS_RE = re.compile(r"\(void\)[^;/]*\b[Ss]tatus\b")
+SCANF_PARSE_RE = re.compile(
+    r"\b(?:v?[sf]?scanf|strto\w+|ato(?:i|l|ll|f)"
+    r"|std::sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
 COMMENT_RE = re.compile(r"//.*$")
 
 
@@ -148,6 +163,7 @@ def check_file(relpath, lines):
             unordered_names.add(m.group(1))
 
     in_seeded_datagen = "datagen" in relpath
+    in_src = relpath.startswith("src/")
     for i, line in enumerate(lines):
         m = NAKED_MUTEX_RE.search(line)
         if m and not is_comment_or_string(line, m.start()):
@@ -204,6 +220,14 @@ def check_file(relpath, lines):
                     "unjustified-void-status", i,
                     "(void)-discarded Status without a same-line"
                     " justification comment")
+
+        m = SCANF_PARSE_RE.search(line)
+        if in_src and m and not is_comment_or_string(line, m.start()):
+            report(
+                "scanf-parse", i,
+                f"{m.group(0).rstrip('( ')} parses unbounded — split the"
+                " line into tokens and use ParseInt / ParseUint64 /"
+                " ParseDouble from common/string_util.h")
 
     if relpath.endswith(".h"):
         guard = expected_guard(relpath)
@@ -267,6 +291,12 @@ SELF_TEST_CASES = [
     ("src/bad/dropped.cc",
      "void F() { (void)DoThing().status(); }\n",
      {"unjustified-void-status"}),
+    ("src/bad/frame.cc",
+     "#include <cstdio>\n"
+     "bool Frame(const char* line, int* index) {\n"
+     "  return std::sscanf(line, \"tree %d\", index) == 1;\n"
+     "}\n",
+     {"scanf-parse"}),
     # Justified / exempt lines that must NOT fire.
     ("src/good/justified.cc",
      "// Reason: ctor runs before any thread exists.\n"
@@ -274,6 +304,15 @@ SELF_TEST_CASES = [
      "void G() { (void)Best().status(); }  // advisory only, logged above\n"
      "// lint-ok(naked-mutex): illustrative comment in a doc string\n"
      "// std::mutex in prose is fine anyway\n",
+     set()),
+    ("src/common/string_util.cc",
+     "#include <cstdlib>\n"
+     "long Parse(const char* s) { return std::strtol(s, nullptr, 10); }\n",
+     set()),
+    ("tests/good/parse_test.cc",
+     "#include <string>\n"
+     "int Parse(const std::string& s) { return std::stoi(s); }\n"
+     "// sscanf(line, ...) in prose is fine\n",
      set()),
     ("src/good/seeded_datagen.cc",
      "#include <random>\nstd::random_device rd;  // datagen path is exempt\n",
