@@ -37,7 +37,6 @@
 #include "datagen/synthetic.h"
 #include "eval/metrics.h"
 #include "storage/dataset_file.h"
-#include "storage/pdf_storage.h"
 #include "table/uncertainty_injector.h"
 
 namespace udt {

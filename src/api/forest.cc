@@ -256,17 +256,7 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
   if (request.seed) config.seed = *request.seed;
   UDT_RETURN_NOT_OK(config.Validate());
 
-  // Out-of-core source: one pooled materialisation feeds every tree — the
-  // bags reweight the shared working set per tree, they never duplicate it.
-  std::optional<Dataset> materialized;
-  const Dataset* source = request.dataset;
-  if (request.storage != nullptr) {
-    UDT_ASSIGN_OR_RETURN(Dataset loaded,
-                         MaterializeDataset(request.storage, request.budget));
-    materialized.emplace(std::move(loaded));
-    source = &*materialized;
-  }
-  const Dataset& train = *source;
+  const Dataset& train = *request.dataset;
   const ModelKind kind = request.kind;
   OobEstimate* oob = request.oob;
   BuildStats* stats = request.stats;

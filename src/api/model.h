@@ -28,10 +28,8 @@ class CompiledForest;
 
 // What the model does with a test tuple before traversal.
 enum class ModelKind {
-  kAveraging,          // AVG (Section 4.1): tuple reduced to its means
-  kDistributionBased,  // UDT (Section 4.2): full fractional propagation
-  // Alias kept for call sites written against the serving-era name.
-  kUdt = kDistributionBased,
+  kAveraging,  // AVG (Section 4.1): tuple reduced to its means
+  kUdt,        // UDT (Section 4.2): full fractional propagation
 };
 
 const char* ModelKindToString(ModelKind kind);

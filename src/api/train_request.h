@@ -9,15 +9,17 @@
 //   request.stats = &stats;
 //   StatusOr<Model> model = trainer.Train(request);
 //
-//   TrainRequest from_disk = TrainRequest::ForStorage(&reader);
-//   from_disk.budget = budget;
-//   StatusOr<ForestModel> forest = forest_trainer.Train(from_disk);
+// Trainers see only in-memory Datasets. Out-of-core training materialises
+// a "udt-dataset v1" file first (storage/dataset_file.h) and then trains
+// through the same request:
 //
-// This struct is the only training entry point: the pre-request
-// multi-signature wrappers served their one deprecation cycle (PR 9) and
-// were removed. Every call site — including the streaming
-// RetrainController, which trains exclusively through requests —
-// constructs a TrainRequest.
+//   StatusOr<Dataset> pooled = MaterializeDataset(&reader, budget);
+//   StatusOr<ForestModel> forest =
+//       forest_trainer.Train(TrainRequest::For(*pooled));
+//
+// This struct is the only training entry point. Every call site —
+// including the streaming RetrainController, which trains exclusively
+// through requests — constructs a TrainRequest.
 
 #ifndef UDT_API_TRAIN_REQUEST_H_
 #define UDT_API_TRAIN_REQUEST_H_
@@ -29,7 +31,6 @@
 #include "api/model.h"
 #include "common/status.h"
 #include "core/builder.h"
-#include "storage/pdf_storage.h"
 #include "table/dataset.h"
 
 namespace udt {
@@ -37,24 +38,14 @@ namespace udt {
 class ForestModel;   // api/forest.h
 struct OobEstimate;  // api/forest.h
 
-// One training run, fully described. Exactly one source (dataset or
-// storage) must be set; everything else is optional and defaulted.
+// One training run, fully described. The dataset source must be set;
+// everything else is optional and defaulted.
 struct TrainRequest {
   // ------------------------------------------------------------- source
-  // In-memory source: trains directly on `*dataset` (must outlive the
-  // Train call). Mutually exclusive with `storage`.
+  // Trains directly on `*dataset` (must outlive the Train call).
   const Dataset* dataset = nullptr;
 
-  // Out-of-core source: one pooled, budget-checked materialisation
-  // (storage/pdf_storage.h) feeds the build — for forests, every tree of
-  // the ensemble shares it. Mutually exclusive with `dataset`.
-  PdfStorage* storage = nullptr;
-
-  // Materialisation ceiling for the storage source; ignored for the
-  // in-memory source (it is already materialised).
-  StorageBudget budget;
-
-  // Optional per-tuple root weights over a *dataset* source (one finite
+  // Optional per-tuple root weights over the dataset (one finite
   // non-negative weight per tuple, at least one positive; weight <= 0
   // excludes the tuple) — the bagged/boosted entry point, previously
   // reachable only through TreeBuilder::BuildWeighted. Single-tree only:
@@ -95,14 +86,6 @@ struct TrainRequest {
                           ModelKind kind = ModelKind::kUdt) {
     TrainRequest request;
     request.dataset = &data;
-    request.kind = kind;
-    return request;
-  }
-
-  static TrainRequest ForStorage(PdfStorage* storage,
-                                 ModelKind kind = ModelKind::kUdt) {
-    TrainRequest request;
-    request.storage = storage;
     request.kind = kind;
     return request;
   }

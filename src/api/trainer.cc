@@ -9,20 +9,14 @@
 namespace udt {
 
 Status TrainRequest::Validate() const {
-  if ((dataset == nullptr) == (storage == nullptr)) {
-    return Status::InvalidArgument(
-        "TrainRequest needs exactly one source: set dataset or storage");
+  if (dataset == nullptr) {
+    return Status::InvalidArgument("TrainRequest needs a dataset");
   }
-  if (!weights.empty()) {
-    if (dataset == nullptr) {
-      return Status::InvalidArgument(
-          "TrainRequest::weights requires the in-memory dataset source");
-    }
-    if (weights.size() != static_cast<size_t>(dataset->num_tuples())) {
-      return Status::InvalidArgument(
-          StrFormat("TrainRequest::weights holds %zu weights for %d tuples",
-                    weights.size(), dataset->num_tuples()));
-    }
+  if (!weights.empty() &&
+      weights.size() != static_cast<size_t>(dataset->num_tuples())) {
+    return Status::InvalidArgument(
+        StrFormat("TrainRequest::weights holds %zu weights for %d tuples",
+                  weights.size(), dataset->num_tuples()));
   }
   if (num_threads < -1) {
     return Status::InvalidArgument(
@@ -50,17 +44,6 @@ StatusOr<Model> Trainer::Train(const TrainRequest& request) const {
         "TrainRequest::warm_start carries forest trees; use ForestTrainer");
   }
 
-  // Out-of-core source: one pooled, budget-checked materialisation (see
-  // storage/pdf_storage.h), then the in-memory path below.
-  std::optional<Dataset> materialized;
-  const Dataset* source = request.dataset;
-  if (request.storage != nullptr) {
-    UDT_ASSIGN_OR_RETURN(Dataset loaded,
-                         MaterializeDataset(request.storage, request.budget));
-    materialized.emplace(std::move(loaded));
-    source = &*materialized;
-  }
-
   TreeConfig config = config_;
   if (request.num_threads >= 0) config.num_threads = request.num_threads;
   if (request.seed) config.subspace_seed = *request.seed;
@@ -71,9 +54,10 @@ StatusOr<Model> Trainer::Train(const TrainRequest& request) const {
     config.algorithm = SplitAlgorithm::kAvg;
   }
 
+  const Dataset& source = *request.dataset;
   std::optional<Dataset> means;
-  if (request.kind == ModelKind::kAveraging) means = source->ToMeans();
-  const Dataset& build_data = means ? *means : *source;
+  if (request.kind == ModelKind::kAveraging) means = source.ToMeans();
+  const Dataset& build_data = means ? *means : source;
 
   TreeBuilder builder(config);
   StatusOr<DecisionTree> tree =

@@ -6,11 +6,11 @@
 // code selects the family with a ModelKind argument instead of a type.
 //
 // Training is requested through one TrainRequest struct
-// (api/train_request.h) that names the source (in-memory dataset or
-// budgeted storage backend), kind, optional per-tuple weights, and thread
-// and seed overrides. The pre-request multi-signature entry points served
-// their one deprecation cycle (PR 9) and are gone; the
-// TrainUdt/TrainAveraging shorthands are the convenience layer and stay.
+// (api/train_request.h) that names the in-memory dataset, kind, optional
+// per-tuple weights, and thread and seed overrides. Trainers see only
+// Datasets: a "udt-dataset v1" file trains after MaterializeDataset
+// (storage/dataset_file.h) has turned it into one. The
+// TrainUdt/TrainAveraging shorthands are the convenience layer.
 
 #ifndef UDT_API_TRAINER_H_
 #define UDT_API_TRAINER_H_
@@ -20,7 +20,6 @@
 #include "common/statusor.h"
 #include "core/builder.h"
 #include "core/config.h"
-#include "storage/pdf_storage.h"
 #include "table/dataset.h"
 
 namespace udt {
@@ -43,7 +42,7 @@ class Trainer {
   }
 
   // The unified entry point: trains one model as described by `request`
-  // (source, kind, weights, thread/seed overrides — see
+  // (dataset, kind, weights, thread/seed overrides — see
   // api/train_request.h). For kAveraging the data is reduced to pdf means
   // and the exhaustive point search is used (the config's algorithm is
   // overridden to kAvg), exactly as the paper's AVG baseline; for kUdt the

@@ -17,8 +17,8 @@
 namespace udt {
 
 // Which model family a cross-validation run trains. Historically a
-// separate enum; now the api layer's ModelKind (kAveraging /
-// kDistributionBased) is used directly.
+// separate enum; now the api layer's ModelKind (kAveraging / kUdt) is
+// used directly.
 using ClassifierKind = ModelKind;
 
 struct CrossValidationResult {

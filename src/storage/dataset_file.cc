@@ -15,10 +15,10 @@ constexpr char kMagic[] = "udt-dataset v1";
 constexpr char kContext[] = "udt-dataset";
 
 // Hostile-header allocation caps: every declared count is bounded before
-// anything is reserved.
-constexpr int64_t kMaxTuples = 1ll << 26;
-constexpr int64_t kMaxDictEntries = 1ll << 22;
-constexpr int kMaxChunkTuples = 1 << 20;
+// anything is reserved. The writer enforces the same caps.
+constexpr int64_t kMaxTuples = QuantizationOptions::kMaxTuples;
+constexpr int64_t kMaxDictEntries = QuantizationOptions::kMaxDictEntries;
+constexpr int kMaxChunkTuples = QuantizationOptions::kMaxChunkTuples;
 
 // Parses one bounded non-negative count token.
 std::optional<int64_t> ParseCount(std::string_view token, int64_t max) {
@@ -92,8 +92,8 @@ Status WriteDatasetFile(const QuantizedDataset& data,
     }
   }
 
-  const int64_t num_chunks = data.num_chunks();
   const int64_t chunk_tuples = data.options().chunk_tuples;
+  const int64_t num_chunks = (num_tuples + chunk_tuples - 1) / chunk_tuples;
   out << "chunks " << num_chunks << "\n";
   for (int64_t c = 0; c < num_chunks; ++c) {
     const int64_t begin = c * chunk_tuples;
@@ -125,8 +125,22 @@ Status WriteDatasetFile(const QuantizedDataset& data,
 StatusOr<DatasetFileStats> ConvertDatasetToFile(
     const Dataset& source, const std::string& path,
     const QuantizationOptions& options) {
+  if (source.num_tuples() > kMaxTuples) {
+    return Status::InvalidArgument(
+        StrFormat("source holds %d tuples, above the container cap %lld",
+                  source.num_tuples(), static_cast<long long>(kMaxTuples)));
+  }
   UDT_ASSIGN_OR_RETURN(QuantizedDataset quantized,
                        QuantizedDataset::FromDataset(source, options));
+  for (int j = 0; j < source.num_attributes(); ++j) {
+    const uint32_t entries = quantized.dictionary(j).num_entries();
+    if (entries > kMaxDictEntries) {
+      return Status::InvalidArgument(StrFormat(
+          "attribute %d quantizes to %u dictionary entries, above the "
+          "container cap %lld",
+          j, entries, static_cast<long long>(kMaxDictEntries)));
+    }
+  }
   const DatasetMemoryBreakdown breakdown = source.MemoryBreakdown();
   UDT_RETURN_NOT_OK(
       WriteDatasetFile(quantized, breakdown.unshared_total_bytes, path));
@@ -301,8 +315,6 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
   result.num_tuples_ = *num_tuples;
   result.num_chunks_ = *num_chunks;
   result.source_decoded_bytes_ = static_cast<size_t>(*source_bytes);
-  result.chunks_pos_ = in->tellg();
-  result.chunks_line_ = reader->line_number();
   result.in_ = std::move(in);
   result.reader_ = std::move(reader);
   return result;
@@ -318,7 +330,7 @@ Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
   if (chunk != next_chunk_) {
     return Status::InvalidArgument(StrFormat(
         "chunks must be streamed in ascending order: asked for %lld, next "
-        "is %lld (Rewind to restart)",
+        "is %lld",
         static_cast<long long>(chunk), static_cast<long long>(next_chunk_)));
   }
   if (!SchemaEquals(out->schema(), schema_)) {
@@ -424,18 +436,25 @@ int64_t DatasetReader::dictionary_entries() const {
   return total;
 }
 
-Status DatasetReader::Rewind() {
-  // Reset the streaming bookkeeping before touching the stream: if the
-  // seek below fails, the reader must still be left fully rewound — not
-  // half-rewound with next_chunk_ stale and a line counter frozen at the
-  // previous failure point, where a later diagnostic would report the old
-  // position instead of the true one.
-  next_chunk_ = 0;
-  reader_ = std::make_unique<LineReader>(*in_, kContext, chunks_line_);
-  in_->clear();
-  in_->seekg(chunks_pos_);
-  if (!*in_) return Status::IOError("seek failed on the dataset file");
-  return Status::OK();
+StatusOr<Dataset> MaterializeDataset(DatasetReader* reader,
+                                     const StorageBudget& budget) {
+  UDT_CHECK(reader != nullptr);
+  Dataset out(reader->schema());
+  const int64_t chunks = reader->num_chunks();
+  for (int64_t c = 0; c < chunks; ++c) {
+    UDT_RETURN_NOT_OK(reader->AppendChunk(c, &out));
+    if (budget.max_materialized_bytes > 0) {
+      const size_t used = out.MemoryUsageBytes();
+      if (used > budget.max_materialized_bytes) {
+        return Status::OutOfRange(StrFormat(
+            "materialised working set exceeds the memory budget after chunk "
+            "%lld of %lld: %zu > %zu bytes",
+            static_cast<long long>(c + 1), static_cast<long long>(chunks),
+            used, budget.max_materialized_bytes));
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace udt

@@ -30,6 +30,11 @@
 // load once and stay in memory; the per-chunk id rows stream. That is what
 // makes the reader out-of-core — its resident footprint is the dictionary
 // footprint, independent of N.
+//
+// Out-of-core training is two explicit calls: MaterializeDataset streams
+// the file into one pooled, budget-checked Dataset, and the ordinary
+// in-memory TrainRequest::For(dataset) trains on it. The trainers never
+// see the storage representation, only ordinary SampledPdfs.
 
 #ifndef UDT_STORAGE_DATASET_FILE_H_
 #define UDT_STORAGE_DATASET_FILE_H_
@@ -42,8 +47,8 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "storage/pdf_storage.h"
 #include "storage/quantized_pdf.h"
+#include "table/dataset.h"
 #include "table/schema_io.h"
 
 namespace udt {
@@ -73,40 +78,31 @@ StatusOr<DatasetFileStats> ConvertDatasetToFile(
 // Chunk-streaming reader over a "udt-dataset v1" file. Open parses the
 // resident part (header, schema, grids, dictionaries) and stops at the
 // first chunk; AppendChunk then decodes one chunk at a time, in ascending
-// order, sharing decoded pdf instances across chunks (and across passes —
-// Rewind seeks back to the first chunk without dropping the decode
-// caches). Parse errors carry the absolute 1-based line number.
-class DatasetReader final : public PdfStorage {
+// order, sharing decoded pdf instances across chunks. The reader makes one
+// pass. Parse errors carry the absolute 1-based line number.
+class DatasetReader {
  public:
   [[nodiscard]] static StatusOr<DatasetReader> Open(const std::string& path);
 
   DatasetReader(DatasetReader&&) = default;
   DatasetReader& operator=(DatasetReader&&) = default;
 
-  // ---------------------------------------------------------- PdfStorage
-
-  const Schema& schema() const override { return schema_; }
-  int64_t num_tuples() const override { return num_tuples_; }
-  int64_t num_chunks() const override { return num_chunks_; }
+  const Schema& schema() const { return schema_; }
+  int64_t num_tuples() const { return num_tuples_; }
+  int64_t num_chunks() const { return num_chunks_; }
   // Streaming: `chunk` must be exactly the next unread chunk (0, 1, ...).
   // Reading the final chunk also consumes and checks the `end` sentinel,
   // so a truncated file fails on its last chunk, not silently.
-  Status AppendChunk(int64_t chunk, Dataset* out) override;
+  Status AppendChunk(int64_t chunk, Dataset* out);
   // Grids + dictionaries — the only per-data parts held resident; the id
   // rows stream through the chunk buffer and are not retained.
-  size_t MemoryUsageBytes() const override;
-
-  // ------------------------------------------------------- introspection
+  size_t MemoryUsageBytes() const;
 
   int bins() const { return bins_; }
   int chunk_tuples() const { return chunk_tuples_; }
   // The header's record of the source's exact decoded footprint.
   size_t source_decoded_bytes() const { return source_decoded_bytes_; }
   int64_t dictionary_entries() const;
-
-  // Seeks back to the first chunk for another streaming pass. The decode
-  // caches survive, so a second pass reuses every already-decoded pdf.
-  Status Rewind();
 
  private:
   explicit DatasetReader(Schema schema) : schema_(std::move(schema)) {}
@@ -123,9 +119,27 @@ class DatasetReader final : public PdfStorage {
   int64_t num_chunks_ = 0;
   size_t source_decoded_bytes_ = 0;
   int64_t next_chunk_ = 0;
-  std::streampos chunks_pos_;  // stream position of the first chunk line
-  int chunks_line_ = 0;        // line count at that position
 };
+
+// Memory ceiling for a training materialisation. The budget is enforced
+// against the *pooled* footprint (Dataset::MemoryUsageBytes, which counts
+// each shared pdf instance once) — the bytes the working set actually
+// occupies — so a source whose exact decoded size dwarfs the budget still
+// trains as long as its distinct distributions fit.
+struct StorageBudget {
+  // 0 = unlimited.
+  size_t max_materialized_bytes = 0;
+};
+
+// Streams chunks 0..num_chunks()-1 of a freshly opened `reader` into one
+// Dataset, checking `budget` against the materialised footprint after
+// every chunk, so an oversized source fails at the first chunk that
+// bursts the ceiling instead of after decoding everything. Tuples that
+// share a dictionary entry share one decoded pdf instance. Fails
+// (OutOfRange) on a burst budget. Open rejects a file without tuples, so
+// the result is never empty.
+StatusOr<Dataset> MaterializeDataset(DatasetReader* reader,
+                                     const StorageBudget& budget = {});
 
 }  // namespace udt
 

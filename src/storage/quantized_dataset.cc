@@ -1,12 +1,9 @@
 #include "storage/quantized_dataset.h"
 
-#include <algorithm>
 #include <set>
-#include <utility>
+#include <vector>
 
 #include "common/logging.h"
-#include "common/string_util.h"
-#include "table/schema_io.h"
 
 namespace udt {
 
@@ -85,46 +82,6 @@ StatusOr<QuantizedDataset> QuantizedDataset::FromDataset(
     }
   }
   return result;
-}
-
-int64_t QuantizedDataset::num_chunks() const {
-  const int64_t chunk = options_.chunk_tuples;
-  return (num_tuples() + chunk - 1) / chunk;
-}
-
-Status QuantizedDataset::AppendChunk(int64_t chunk, Dataset* out) {
-  if (chunk < 0 || chunk >= num_chunks()) {
-    return Status::InvalidArgument(
-        StrFormat("chunk %lld out of range (storage holds %lld)",
-                  static_cast<long long>(chunk),
-                  static_cast<long long>(num_chunks())));
-  }
-  const int64_t begin = chunk * options_.chunk_tuples;
-  const int64_t end =
-      std::min<int64_t>(begin + options_.chunk_tuples, num_tuples());
-  return AppendRange(begin, end, out);
-}
-
-Status QuantizedDataset::AppendRange(int64_t begin, int64_t end,
-                                     Dataset* out) {
-  if (begin < 0 || end > num_tuples() || begin > end) {
-    return Status::InvalidArgument("bad tuple range");
-  }
-  if (!SchemaEquals(out->schema(), schema_)) {
-    return Status::InvalidArgument(
-        "destination schema does not match the storage schema");
-  }
-  for (int64_t i = begin; i < end; ++i) {
-    UncertainTuple tuple;
-    tuple.label = labels_[static_cast<size_t>(i)];
-    tuple.values.reserve(columns_.size());
-    for (size_t j = 0; j < columns_.size(); ++j) {
-      UDT_RETURN_NOT_OK(columns_[j].Decode(ids_[j][static_cast<size_t>(i)],
-                                           &tuple.values));
-    }
-    UDT_RETURN_NOT_OK(out->AddTuple(std::move(tuple)));
-  }
-  return Status::OK();
 }
 
 size_t QuantizedDataset::MemoryUsageBytes() const {

@@ -2,10 +2,10 @@
 // an uncertain data set. Per attribute it holds one AttributeGrid (numeric
 // axis, stored once), one PdfDictionary of distinct quantized mass
 // vectors, and one uint32 dictionary id per tuple; labels are a flat int32
-// column. It is both the compression result (FromDataset) and a
-// PdfStorage backend, so the trainers can materialise straight from it —
-// and it is what the "udt-dataset v1" writer serialises
-// (storage/dataset_file.h).
+// column. It is the "udt-dataset v1" writer's intermediate form
+// (ConvertDatasetToFile, storage/dataset_file.h): FromDataset quantizes,
+// the writer serialises. Decoding happens only on the read side
+// (DatasetReader), through the same QuantizedColumn::Decode.
 
 #ifndef UDT_STORAGE_QUANTIZED_DATASET_H_
 #define UDT_STORAGE_QUANTIZED_DATASET_H_
@@ -14,13 +14,12 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "storage/pdf_storage.h"
 #include "storage/quantized_pdf.h"
 #include "table/dataset.h"
 
 namespace udt {
 
-class QuantizedDataset final : public PdfStorage {
+class QuantizedDataset {
  public:
   // Quantizes `source` column by column. Numerical attributes whose
   // distinct sample points fit in options.bins keep them exactly (the
@@ -31,21 +30,11 @@ class QuantizedDataset final : public PdfStorage {
   static StatusOr<QuantizedDataset> FromDataset(
       const Dataset& source, const QuantizationOptions& options = {});
 
-  // ---------------------------------------------------------- PdfStorage
-
-  const Schema& schema() const override { return schema_; }
-  int64_t num_tuples() const override {
-    return static_cast<int64_t>(labels_.size());
-  }
-  int64_t num_chunks() const override;
-  // Decodes [chunk * chunk_tuples, ...) through the per-attribute decode
-  // caches: tuples sharing a dictionary entry share one SampledPdf
-  // instance in `out`.
-  Status AppendChunk(int64_t chunk, Dataset* out) override;
+  const Schema& schema() const { return schema_; }
+  int64_t num_tuples() const { return static_cast<int64_t>(labels_.size()); }
   // Resident bytes of the quantized representation (grids + dictionaries +
-  // id columns + labels). Excludes the decode caches — decoded pdfs are
-  // accounted on the materialised Dataset they end up in.
-  size_t MemoryUsageBytes() const override;
+  // id columns + labels).
+  size_t MemoryUsageBytes() const;
 
   // -------------------------------------------------------- introspection
 
@@ -57,15 +46,12 @@ class QuantizedDataset final : public PdfStorage {
   int64_t dictionary_entries() const;
   double dictionary_hit_rate() const;
 
-  // Per-attribute pieces, for the file writer and the bench. `grid`
+  // Per-attribute pieces, for the file writer. `grid`
   // requires a numerical attribute.
   const AttributeGrid& grid(int attribute) const;
   const PdfDictionary& dictionary(int attribute) const;
   const std::vector<uint32_t>& column_ids(int attribute) const;
   const std::vector<int32_t>& labels() const { return labels_; }
-
-  // Decodes tuples [begin, end) into `out` (schema must match).
-  Status AppendRange(int64_t begin, int64_t end, Dataset* out);
 
  private:
   QuantizedDataset(Schema schema, QuantizationOptions options)

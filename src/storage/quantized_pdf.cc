@@ -31,9 +31,10 @@ Status QuantizationOptions::Validate() const {
         StrFormat("quantization bins must be in [2, %d], got %d", kMaxBins,
                   bins));
   }
-  if (chunk_tuples < 1) {
+  if (chunk_tuples < 1 || chunk_tuples > kMaxChunkTuples) {
     return Status::InvalidArgument(
-        StrFormat("chunk_tuples must be positive, got %d", chunk_tuples));
+        StrFormat("chunk_tuples must be in [1, %d], got %d", kMaxChunkTuples,
+                  chunk_tuples));
   }
   return Status::OK();
 }

@@ -50,8 +50,15 @@ struct QuantizationOptions {
   int bins = 64;
 
   // Tuples per chunk of the columnar container (the unit the out-of-core
-  // reader streams and the unit AppendChunk decodes).
+  // reader streams and decodes).
+  static constexpr int kMaxChunkTuples = 1 << 20;
   int chunk_tuples = 1024;
+
+  // Container caps the "udt-dataset v1" reader enforces before it
+  // allocates anything (storage/dataset_file.h); the writer refuses a
+  // source over them, so it never writes a file the reader rejects.
+  static constexpr int64_t kMaxTuples = 1ll << 26;
+  static constexpr int64_t kMaxDictEntries = 1ll << 22;  // per attribute
 
   Status Validate() const;
 };
@@ -171,9 +178,9 @@ class DecodedPdfCache {
   std::vector<std::shared_ptr<const SampledPdf>> decoded_;
 };
 
-// One attribute's resident quantized state. Both PdfStorage backends, the
-// in-memory QuantizedDataset and the file-backed DatasetReader, hold one
-// per attribute and turn a dictionary id back into a value through Decode.
+// One attribute's resident quantized state. The writer's QuantizedDataset
+// builds one per attribute; the file-backed DatasetReader loads one per
+// attribute and turns a dictionary id back into a value through Decode.
 struct QuantizedColumn {
   AttributeKind kind = AttributeKind::kNumerical;
   AttributeGrid grid;     // numerical only

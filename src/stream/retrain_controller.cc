@@ -168,18 +168,18 @@ StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
   }
 
   // The spill path writes the training split as a "udt-dataset v1"
-  // container and trains out of core from the re-opened file; the grids
+  // container, re-opens it and trains on the materialised file; the grids
   // are fixed from the split itself, so they cover exactly the window
   // being spilled.
-  std::optional<DatasetReader> spilled;
+  std::optional<Dataset> spilled;
   if (policy_.spill_to_storage) {
     UDT_RETURN_NOT_OK(ConvertDatasetToFile(train, policy_.spill_path,
                                            policy_.spill_options)
                           .status());
-    UDT_ASSIGN_OR_RETURN(spilled,
+    UDT_ASSIGN_OR_RETURN(DatasetReader reader,
                          DatasetReader::Open(policy_.spill_path));
-    request.dataset = nullptr;
-    request.storage = &spilled.value();
+    UDT_ASSIGN_OR_RETURN(spilled, MaterializeDataset(&reader));
+    request.dataset = &*spilled;
   }
 
   UDT_ASSIGN_OR_RETURN(ForestModel candidate, trainer_.Train(request));

@@ -8,9 +8,10 @@
 //   2. trains a candidate forest through the unified TrainRequest entry
 //      point — optionally warm-starting from the incumbent's first
 //      warm_trees trees, optionally spilling the training split to a
-//      "udt-dataset v1" container (ConvertDatasetToFile) and training
-//      out-of-core from the re-opened file (the storage round-trip the
-//      compact tier guarantees is lossless at serving precision),
+//      "udt-dataset v1" container (ConvertDatasetToFile) and training on
+//      the re-opened, materialised file (DatasetReader::Open, then
+//      MaterializeDataset — the storage round-trip the compact tier
+//      guarantees is lossless at serving precision),
 //   3. validates the candidate against the holdout and against the
 //      incumbent's holdout accuracy,
 //   4. publishes the candidate through the ModelRegistry (atomic hot swap:
@@ -71,9 +72,9 @@ struct RetrainPolicy {
   int warm_trees = 0;
 
   // When true, the training split is written by ConvertDatasetToFile to
-  // `spill_path` and the candidate trains from the re-opened
-  // DatasetReader (TrainRequest::ForStorage) — the out-of-core window
-  // assembly. When false the window trains in memory.
+  // `spill_path`, re-opened with DatasetReader::Open and materialised with
+  // MaterializeDataset, and the candidate trains on that Dataset — the
+  // out-of-core window assembly. When false the window trains in memory.
   bool spill_to_storage = false;
   std::string spill_path;
   QuantizationOptions spill_options;

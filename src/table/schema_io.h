@@ -35,13 +35,9 @@ namespace udt {
 class LineReader {
  public:
   // `context` tags error messages, e.g. "udt-model". `in` must outlive
-  // the reader. `start_line_number` seeds the 1-based line counter for
-  // readers that resume mid-file (a rewound chunk stream seeks back to a
-  // known position and keeps reporting absolute line numbers).
-  LineReader(std::istream& in, std::string context, int start_line_number = 0)
-      : in_(in),
-        context_(std::move(context)),
-        line_number_(start_line_number) {}
+  // the reader.
+  LineReader(std::istream& in, std::string context)
+      : in_(in), context_(std::move(context)) {}
 
   // Loads the next line into line(); `what` names the expected content in
   // the truncation error.

@@ -1,7 +1,7 @@
 // TrainRequest — the unified entry point (ISSUE 9 satellite; the old
 // multi-signature wrappers finished their deprecation cycle and were
 // removed in ISSUE 10). Contracts under test:
-//   * request validation rejects inconsistent sources and facade-mismatched
+//   * request validation rejects a missing dataset and facade-mismatched
 //     knobs (weights on forests, warm starts on single trees);
 //   * the overrides do what they say: num_threads never changes bytes,
 //     seed changes forest bags, warm_start carries incumbent trees
@@ -9,15 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "api/forest.h"
 #include "api/trainer.h"
 #include "common/random.h"
 #include "pdf/pdf_builder.h"
-#include "storage/dataset_file.h"
 
 namespace udt {
 namespace {
@@ -39,10 +36,6 @@ Dataset SmallDataset(int tuples, uint64_t seed) {
   return ds;
 }
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
 TEST(TrainRequestTest, ValidationRejectsInconsistentRequests) {
   const Dataset data = SmallDataset(24, 7);
   Trainer trainer;
@@ -50,18 +43,6 @@ TEST(TrainRequestTest, ValidationRejectsInconsistentRequests) {
 
   // No source at all.
   EXPECT_FALSE(trainer.Train(TrainRequest{}).ok());
-
-  // Both sources at once.
-  auto reader_or = [&] {
-    const std::string path = TempPath("train_request_both.udt");
-    UDT_CHECK(ConvertDatasetToFile(data, path).ok());
-    return DatasetReader::Open(path);
-  }();
-  ASSERT_TRUE(reader_or.ok());
-  TrainRequest both = TrainRequest::For(data);
-  both.storage = &reader_or.value();
-  EXPECT_FALSE(trainer.Train(both).ok());
-  EXPECT_FALSE(forest_trainer.Train(both).ok());
 
   // Forest-only out-param on the single-tree facade.
   OobEstimate oob;

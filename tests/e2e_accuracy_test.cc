@@ -48,8 +48,7 @@ TEST(EndToEndAccuracyTest, UdtBeatsAvgWithMatchedErrorModel) {
     TreeConfig config;
     config.algorithm = SplitAlgorithm::kUdtEs;
     auto avg = CvAccuracy(*ds, config, ClassifierKind::kAveraging, 4, seed);
-    auto udt =
-        CvAccuracy(*ds, config, ClassifierKind::kDistributionBased, 4, seed);
+    auto udt = CvAccuracy(*ds, config, ClassifierKind::kUdt, 4, seed);
     ASSERT_TRUE(avg.ok() && udt.ok());
     total_avg += *avg;
     total_udt += *udt;
@@ -70,7 +69,7 @@ TEST(EndToEndAccuracyTest, ZeroWidthDegeneratesToAvg) {
   TreeConfig config;
   config.algorithm = SplitAlgorithm::kUdt;
   auto avg = CvAccuracy(*ds, config, ClassifierKind::kAveraging, 4, 7);
-  auto udt = CvAccuracy(*ds, config, ClassifierKind::kDistributionBased, 4, 7);
+  auto udt = CvAccuracy(*ds, config, ClassifierKind::kUdt, 4, 7);
   ASSERT_TRUE(avg.ok() && udt.ok());
   EXPECT_DOUBLE_EQ(*avg, *udt);
 }
@@ -88,8 +87,7 @@ TEST(EndToEndAccuracyTest, GrossOverWideningHurts) {
     EXPECT_TRUE(ds.ok());
     TreeConfig config;
     config.algorithm = SplitAlgorithm::kUdtEs;
-    auto acc =
-        CvAccuracy(*ds, config, ClassifierKind::kDistributionBased, 4, 3);
+    auto acc = CvAccuracy(*ds, config, ClassifierKind::kUdt, 4, 3);
     EXPECT_TRUE(acc.ok());
     return *acc;
   };
@@ -105,8 +103,7 @@ TEST(EndToEndAccuracyTest, JapaneseVowelUdtBeatsAvg) {
   TreeConfig tree_config;
   tree_config.algorithm = SplitAlgorithm::kUdtEs;
   auto avg = CvAccuracy(ds, tree_config, ClassifierKind::kAveraging, 3, 31);
-  auto udt =
-      CvAccuracy(ds, tree_config, ClassifierKind::kDistributionBased, 3, 31);
+  auto udt = CvAccuracy(ds, tree_config, ClassifierKind::kUdt, 3, 31);
   ASSERT_TRUE(avg.ok() && udt.ok());
   // The paper reports 81.89% -> 87.30%; at our reduced scale we assert the
   // direction with a small tolerance for fold noise.
@@ -129,8 +126,7 @@ TEST(EndToEndAccuracyTest, AllUdtAlgorithmsSameAccuracy) {
         SplitAlgorithm::kUdtGp, SplitAlgorithm::kUdtEs}) {
     TreeConfig config;
     config.algorithm = algorithm;
-    auto acc =
-        CvAccuracy(*ds, config, ClassifierKind::kDistributionBased, 3, 23);
+    auto acc = CvAccuracy(*ds, config, ClassifierKind::kUdt, 3, 23);
     ASSERT_TRUE(acc.ok());
     if (reference < 0.0) {
       reference = *acc;
@@ -151,8 +147,7 @@ TEST(EndToEndAccuracyTest, GiniMeasureAlsoLearns) {
   TreeConfig config;
   config.algorithm = SplitAlgorithm::kUdtEs;
   config.measure = DispersionMeasure::kGini;
-  auto acc =
-      CvAccuracy(*ds, config, ClassifierKind::kDistributionBased, 4, 41);
+  auto acc = CvAccuracy(*ds, config, ClassifierKind::kUdt, 4, 41);
   ASSERT_TRUE(acc.ok());
   EXPECT_GT(*acc, 0.7);
 }
@@ -167,8 +162,7 @@ TEST(EndToEndAccuracyTest, GainRatioMeasureAlsoLearns) {
   TreeConfig config;
   config.algorithm = SplitAlgorithm::kUdtGp;
   config.measure = DispersionMeasure::kGainRatio;
-  auto acc =
-      CvAccuracy(*ds, config, ClassifierKind::kDistributionBased, 4, 43);
+  auto acc = CvAccuracy(*ds, config, ClassifierKind::kUdt, 4, 43);
   ASSERT_TRUE(acc.ok());
   EXPECT_GT(*acc, 0.7);
 }

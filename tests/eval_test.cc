@@ -71,9 +71,8 @@ TEST(CrossValidationTest, SeparableDataScoresHigh) {
   TreeConfig config;
   config.algorithm = SplitAlgorithm::kUdtGp;
   Rng rng(3);
-  auto result = RunCrossValidation(ds, config,
-                                   ClassifierKind::kDistributionBased, 5,
-                                   &rng);
+  auto result =
+      RunCrossValidation(ds, config, ClassifierKind::kUdt, 5, &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->fold_accuracies.size(), 5u);
   EXPECT_GT(result->mean_accuracy, 0.9);
@@ -95,13 +94,9 @@ TEST(CrossValidationTest, RejectsBadArguments) {
   Dataset ds = EasyDataset(10, 6);
   TreeConfig config;
   Rng rng(1);
-  EXPECT_FALSE(RunCrossValidation(ds, config,
-                                  ClassifierKind::kDistributionBased, 1,
-                                  &rng)
+  EXPECT_FALSE(RunCrossValidation(ds, config, ClassifierKind::kUdt, 1, &rng)
                    .ok());
-  EXPECT_FALSE(RunCrossValidation(ds, config,
-                                  ClassifierKind::kDistributionBased, 11,
-                                  &rng)
+  EXPECT_FALSE(RunCrossValidation(ds, config, ClassifierKind::kUdt, 11, &rng)
                    .ok());
 }
 
@@ -109,10 +104,8 @@ TEST(CrossValidationTest, DeterministicInSeed) {
   Dataset ds = EasyDataset(50, 7);
   TreeConfig config;
   Rng rng_a(9), rng_b(9);
-  auto a = RunCrossValidation(ds, config, ClassifierKind::kDistributionBased,
-                              5, &rng_a);
-  auto b = RunCrossValidation(ds, config, ClassifierKind::kDistributionBased,
-                              5, &rng_b);
+  auto a = RunCrossValidation(ds, config, ClassifierKind::kUdt, 5, &rng_a);
+  auto b = RunCrossValidation(ds, config, ClassifierKind::kUdt, 5, &rng_b);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->mean_accuracy, b->mean_accuracy);
 }
@@ -189,7 +182,7 @@ TEST(ExperimentTest, MeasureTreeBuildReportsWork) {
 TEST(ExperimentTest, CvAccuracyHelper) {
   Dataset ds = EasyDataset(60, 10);
   TreeConfig config;
-  auto acc = CvAccuracy(ds, config, ClassifierKind::kDistributionBased, 4,
+  auto acc = CvAccuracy(ds, config, ClassifierKind::kUdt, 4,
                         123);
   ASSERT_TRUE(acc.ok());
   EXPECT_GT(*acc, 0.85);

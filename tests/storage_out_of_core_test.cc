@@ -18,7 +18,6 @@
 #include "datagen/synthetic.h"
 #include "eval/metrics.h"
 #include "storage/dataset_file.h"
-#include "storage/pdf_storage.h"
 #include "table/uncertainty_injector.h"
 
 namespace udt {
@@ -119,9 +118,9 @@ TEST_F(OutOfCoreTest, TreeFromFileMatchesExactTrainingWithinOnePercent) {
 
   auto reader = DatasetReader::Open(path_);
   ASSERT_TRUE(reader.ok());
-  TrainRequest request = TrainRequest::ForStorage(&*reader);
-  request.budget = *budget_;
-  auto from_file = trainer.Train(request);
+  auto pooled = MaterializeDataset(&*reader, *budget_);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().message();
+  auto from_file = trainer.TrainUdt(*pooled);
   ASSERT_TRUE(from_file.ok()) << from_file.status().message();
   const double file_accuracy = EvaluateAccuracy(*from_file, *test_);
 
@@ -140,13 +139,14 @@ TEST_F(OutOfCoreTest, ForestFromFileMatchesExactTrainingWithinOnePercent) {
   ASSERT_TRUE(exact.ok());
   const double exact_accuracy = EvaluateAccuracy(*exact, *test_);
 
+  // One pooled materialisation feeds every tree: the bags reweight the
+  // shared working set, they never duplicate it.
   auto reader = DatasetReader::Open(path_);
   ASSERT_TRUE(reader.ok());
+  auto pooled = MaterializeDataset(&*reader, *budget_);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().message();
   OobEstimate oob;
-  TrainRequest request = TrainRequest::ForStorage(&*reader);
-  request.budget = *budget_;
-  request.oob = &oob;
-  auto from_file = trainer.Train(request);
+  auto from_file = trainer.TrainUdt(*pooled, &oob);
   ASSERT_TRUE(from_file.ok()) << from_file.status().message();
   EXPECT_EQ(from_file->num_trees(), 8);
   const double file_accuracy = EvaluateAccuracy(*from_file, *test_);
@@ -162,12 +162,9 @@ TEST_F(OutOfCoreTest, TooTightBudgetFailsCleanly) {
   ASSERT_TRUE(reader.ok());
   StorageBudget tiny;
   tiny.max_materialized_bytes = 4096;
-  Trainer trainer;
-  TrainRequest request = TrainRequest::ForStorage(&*reader);
-  request.budget = tiny;
-  auto model = trainer.Train(request);
-  ASSERT_FALSE(model.ok());
-  EXPECT_NE(model.status().message().find("memory budget"),
+  auto pooled = MaterializeDataset(&*reader, tiny);
+  ASSERT_FALSE(pooled.ok());
+  EXPECT_NE(pooled.status().message().find("memory budget"),
             std::string::npos);
 }
 

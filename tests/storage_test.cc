@@ -23,7 +23,6 @@
 #include "eval/metrics.h"
 #include "pdf/pdf_builder.h"
 #include "storage/dataset_file.h"
-#include "storage/pdf_storage.h"
 #include "storage/quantized_dataset.h"
 #include "storage/quantized_pdf.h"
 #include "table/dataset.h"
@@ -86,6 +85,16 @@ Dataset MixedLatticeDataset(int tuples, uint64_t seed) {
 
 std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
+}
+
+// Quantizes `source` into a "udt-dataset v1" file and materialises it back:
+// the pooled working set out-of-core training sees.
+StatusOr<Dataset> PooledThroughFile(const Dataset& source,
+                                    const QuantizationOptions& options = {}) {
+  const std::string path = TempPath("storage_pooled.udtds");
+  UDT_RETURN_NOT_OK(ConvertDatasetToFile(source, path, options).status());
+  UDT_ASSIGN_OR_RETURN(DatasetReader reader, DatasetReader::Open(path));
+  return MaterializeDataset(&reader);
 }
 
 // ------------------------------------------------------------ fixed point
@@ -284,7 +293,7 @@ TEST(QuantizedDatasetTest, MaterializedTuplesShareDecodedPdfs) {
   const Dataset source = LatticeDataset(300, 2, 2, 10, 11);
   auto quantized = QuantizedDataset::FromDataset(source);
   ASSERT_TRUE(quantized.ok());
-  auto pooled = MaterializeDataset(&*quantized);
+  auto pooled = PooledThroughFile(source);
   ASSERT_TRUE(pooled.ok());
   ASSERT_EQ(pooled->num_tuples(), source.num_tuples());
   const DatasetMemoryBreakdown breakdown = pooled->MemoryBreakdown();
@@ -300,9 +309,7 @@ TEST(QuantizedDatasetTest, MaterializedTuplesShareDecodedPdfs) {
 
 TEST(QuantizedDatasetTest, HandlesCategoricalColumns) {
   const Dataset source = MixedLatticeDataset(200, 13);
-  auto quantized = QuantizedDataset::FromDataset(source);
-  ASSERT_TRUE(quantized.ok());
-  auto pooled = MaterializeDataset(&*quantized);
+  auto pooled = PooledThroughFile(source);
   ASSERT_TRUE(pooled.ok());
   ASSERT_EQ(pooled->num_tuples(), 200);
   // Category distributions round-trip within fixed-point rounding.
@@ -312,25 +319,6 @@ TEST(QuantizedDatasetTest, HandlesCategoricalColumns) {
     EXPECT_NEAR(decoded.probability(c), original.probability(c),
                 4.0 / kQuantizedOne);
   }
-}
-
-TEST(ExactPdfStorageTest, MaterializesIdenticalTuplesUnderBudget) {
-  const Dataset source = LatticeDataset(100, 2, 2, 8, 3);
-  ExactPdfStorage storage(&source, 32);
-  EXPECT_EQ(storage.num_chunks(), 4);
-  auto copy = MaterializeDataset(&storage);
-  ASSERT_TRUE(copy.ok());
-  ASSERT_EQ(copy->num_tuples(), 100);
-  // Copies share the source's pdf instances outright.
-  EXPECT_EQ(copy->tuple(0).values[0].pdf_instance(),
-            source.tuple(0).values[0].pdf_instance());
-
-  StorageBudget tight;
-  tight.max_materialized_bytes = 1024;  // far below 100 tuples of pdfs
-  auto burst = MaterializeDataset(&storage, tight);
-  ASSERT_FALSE(burst.ok());
-  EXPECT_NE(burst.status().message().find("memory budget"),
-            std::string::npos);
 }
 
 // ----------------------------------------------------- convergence (ISSUE)
@@ -347,9 +335,7 @@ TEST(QuantizationConvergenceTest, LargeBinBudgetMatchesExactSplit) {
 
   QuantizationOptions options;
   options.bins = 2048;  // >> distinct sample points of the lattice fixture
-  auto quantized = QuantizedDataset::FromDataset(train, options);
-  ASSERT_TRUE(quantized.ok());
-  auto pooled = MaterializeDataset(&*quantized);
+  auto pooled = PooledThroughFile(train, options);
   ASSERT_TRUE(pooled.ok());
   auto converged = trainer.TrainUdt(*pooled);
   ASSERT_TRUE(converged.ok());
@@ -435,67 +421,27 @@ TEST_F(DatasetFileTest, RoundTripsThroughReader) {
   }
 }
 
-TEST_F(DatasetFileTest, RewindSupportsASecondPass) {
-  auto reader = DatasetReader::Open(path_);
-  ASSERT_TRUE(reader.ok());
-  auto first = MaterializeDataset(&*reader);
-  ASSERT_TRUE(first.ok());
-  // The stream is exhausted; a fresh pass needs Rewind.
-  Dataset scratch(reader->schema());
-  EXPECT_FALSE(reader->AppendChunk(0, &scratch).ok());
-  ASSERT_TRUE(reader->Rewind().ok());
-  auto second = MaterializeDataset(&*reader);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->num_tuples(), first->num_tuples());
-  // Decode caches survive the rewind: both passes share instances.
-  EXPECT_EQ(second->tuple(0).values[0].pdf_instance(),
-            first->tuple(0).values[0].pdf_instance());
-}
+TEST(DatasetFileWriterTest, RejectsChunkSizeTheReaderWouldRefuse) {
+  // The reader caps chunk_tuples at 2^20; one more used to write a file
+  // that every Open then refused. The writer must refuse it up front,
+  // before it creates the file.
+  const Dataset source = LatticeDataset(10, 1, 2, 4, 3);
+  const std::string path = TempPath("storage_oversized_chunk.udtds");
+  std::remove(path.c_str());
+  QuantizationOptions options;
+  options.chunk_tuples = (1 << 20) + 1;
+  auto stats = ConvertDatasetToFile(source, path, options);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::ifstream(path).good()) << "no file may be written";
 
-TEST_F(DatasetFileTest, RewindAfterFailedSeekReplaysIdenticalData) {
-  // Regression: a failed out-of-range AppendChunk mid-stream must not
-  // poison the reader — Rewind resets both the stream position and the
-  // line counter, so a full second pass decodes the same tuples.
-  auto reader = DatasetReader::Open(path_);
-  ASSERT_TRUE(reader.ok());
-  Dataset partial(reader->schema());
-  ASSERT_TRUE(reader->AppendChunk(0, &partial).ok());
-  EXPECT_FALSE(reader->AppendChunk(5, &partial).ok());  // only 4 chunks
-
-  ASSERT_TRUE(reader->Rewind().ok());
-  auto replay = MaterializeDataset(&*reader);
-  ASSERT_TRUE(replay.ok()) << replay.status().message();
-  ASSERT_EQ(replay->num_tuples(), source_.num_tuples());
-  for (int i = 0; i < replay->num_tuples(); ++i) {
-    EXPECT_EQ(replay->tuple(i).label, source_.tuple(i).label);
-  }
-}
-
-TEST_F(DatasetFileTest, RewindResetsErrorLineNumbers) {
-  // Regression: the reader's diagnostic line counter must rewind with the
-  // stream. Corrupt one chunk row; the parse error after a Rewind has to
-  // name the same absolute line as the first pass (the counter used to
-  // keep accumulating across rewinds).
-  MutateFile([](std::vector<std::string>* lines) {
-    for (auto& l : *lines) {
-      if (l.rfind("c ", 0) == 0) {
-        l = "c bogus";
-        break;
-      }
-    }
-  });
-  auto reader = DatasetReader::Open(path_);
-  ASSERT_TRUE(reader.ok());
-  Dataset out(reader->schema());
-  const Status first = reader->AppendChunk(0, &out);
-  ASSERT_FALSE(first.ok());
-
-  ASSERT_TRUE(reader->Rewind().ok());
-  Dataset again(reader->schema());
-  const Status second = reader->AppendChunk(0, &again);
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(first.message(), second.message());
-  EXPECT_NE(first.message().find("line "), std::string::npos);
+  // At the cap itself the file is written and reads back.
+  options.chunk_tuples = 1 << 20;
+  ASSERT_TRUE(ConvertDatasetToFile(source, path, options).ok());
+  auto reader = DatasetReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().message();
+  EXPECT_EQ(reader->num_chunks(), 1);
+  std::remove(path.c_str());
 }
 
 TEST_F(DatasetFileTest, ChunksMustStreamInOrder) {

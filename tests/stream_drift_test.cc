@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -341,6 +342,46 @@ TEST(RetrainControllerTest, SpillPathTrainsOutOfCore) {
   ASSERT_TRUE(spilled.ok()) << spilled.status().message();
   EXPECT_EQ(spilled->num_tuples(),
             report->window_tuples - report->holdout_tuples);
+}
+
+TEST(RetrainControllerTest, SpilledBootstrapTrainsOnExactlyTheDecodedFile) {
+  // The spill is ConvertDatasetToFile, DatasetReader::Open and
+  // MaterializeDataset, then the ordinary in-memory request: a spilled
+  // bootstrap must be byte-identical to those calls made by hand.
+  serve::ModelRegistry registry;
+  RetrainPolicy policy;
+  policy.spill_to_storage = true;
+  policy.spill_path =
+      std::string(::testing::TempDir()) + "/retrain_spill_bytes.udt";
+  policy.spill_options.chunk_tuples = 8;
+  const ForestTrainer trainer = SmallForestTrainer();
+  RetrainController controller(&registry, "prod",
+                               Schema::Numerical(2, {"neg", "pos"}), trainer,
+                               policy);
+  const Dataset seed = TwoClassDataset(60, 13);
+  ASSERT_TRUE(controller.Bootstrap(seed).ok());
+  ASSERT_NE(controller.incumbent(), nullptr);
+
+  const std::string path =
+      std::string(::testing::TempDir()) + "/retrain_spill_by_hand.udt";
+  ASSERT_TRUE(ConvertDatasetToFile(seed, path, policy.spill_options).ok());
+  auto reader = DatasetReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().message();
+  auto decoded = MaterializeDataset(&*reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  TrainRequest request = TrainRequest::For(*decoded);
+  request.seed = trainer.config().seed;
+  auto by_hand = trainer.Train(request);
+  ASSERT_TRUE(by_hand.ok()) << by_hand.status().message();
+  EXPECT_EQ(controller.incumbent()->Serialize(), by_hand->Serialize());
+
+  // The spill is really taken: the exact seed data trains a different
+  // forest than its quantized round trip.
+  auto exact = trainer.TrainUdt(seed);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_NE(controller.incumbent()->Serialize(), exact->Serialize());
+  std::remove(path.c_str());
+  std::remove(policy.spill_path.c_str());
 }
 
 TEST(RetrainControllerTest, PolicyValidation) {

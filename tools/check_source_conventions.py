@@ -57,6 +57,15 @@ unrepresentable:
                    the bounded ParseInt / ParseUint64 / ParseDouble, which
                    wrap the C parsers in one place.
 
+  layer-include    A quoted #include "<dir>/..." in src/<y>/ whose <dir>
+                   the udt_<y> library cannot reach through the
+                   target_link_libraries(udt_<x> ...) graph in the root
+                   CMakeLists.txt. The layering then lives only in CMake:
+                   a header from a library the including layer does not
+                   link (say api re-including storage) is a violation,
+                   not a link error waiting for the first caller. Skipped
+                   when the root has no CMakeLists.txt.
+
 Per-line opt-outs, always with a reason after the colon:
 
   // lint-ok(naked-mutex): <reason>     (same line or the line above)
@@ -115,6 +124,8 @@ SCANF_PARSE_RE = re.compile(
     r"\b(?:v?[sf]?scanf|strto\w+|ato(?:i|l|ll|f)"
     r"|std::sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
 COMMENT_RE = re.compile(r"//.*$")
+LINK_RE = re.compile(r"target_link_libraries\(\s*udt_(\w+)([^)]*)\)")
+LAYER_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(\w+)/')
 
 
 def is_comment_or_string(line, match_start):
@@ -148,7 +159,33 @@ def expected_guard(relpath):
     return "UDT_" + re.sub(r"[^A-Za-z0-9]", "_", trimmed).upper() + "_"
 
 
-def check_file(relpath, lines):
+def layer_reach(root):
+    """Maps each src/<x> layer with a udt_<x> library to the set of layers
+    it reaches through target_link_libraries (itself included), or returns
+    None when the root has no CMakeLists.txt."""
+    path = os.path.join(root, "CMakeLists.txt")
+    if not os.path.isfile(path):
+        return None
+    with open(path, encoding="utf-8") as f:
+        text = "\n".join(re.sub(r"#.*$", "", line)
+                         for line in f.read().splitlines())
+    links = {}
+    for m in LINK_RE.finditer(text):
+        links.setdefault(m.group(1), set()).update(
+            re.findall(r"\budt_(\w+)", m.group(2)))
+    reach = {}
+    for layer in links:
+        seen, stack = {layer}, [layer]
+        while stack:
+            for dep in links.get(stack.pop(), ()):
+                if dep not in seen:
+                    seen.add(dep)
+                    stack.append(dep)
+        reach[layer] = seen
+    return reach
+
+
+def check_file(relpath, lines, layers=None):
     violations = []
     exempt = EXEMPT_PATHS.get(relpath, set())
 
@@ -164,6 +201,9 @@ def check_file(relpath, lines):
 
     in_seeded_datagen = "datagen" in relpath
     in_src = relpath.startswith("src/")
+    parts = relpath.split("/")
+    layer = parts[1] if in_src and len(parts) > 2 else None
+    reachable = (layers or {}).get(layer)
     for i, line in enumerate(lines):
         m = NAKED_MUTEX_RE.search(line)
         if m and not is_comment_or_string(line, m.start()):
@@ -229,6 +269,15 @@ def check_file(relpath, lines):
                 " line into tokens and use ParseInt / ParseUint64 /"
                 " ParseDouble from common/string_util.h")
 
+        m = LAYER_INCLUDE_RE.match(line)
+        if (reachable is not None and m and m.group(1) in layers
+                and m.group(1) not in reachable):
+            report(
+                "layer-include", i,
+                f"src/{layer}/ includes {m.group(1)}/ but udt_{layer} does"
+                f" not link udt_{m.group(1)} (directly or transitively) in"
+                " CMakeLists.txt")
+
     if relpath.endswith(".h"):
         guard = expected_guard(relpath)
         text = "\n".join(lines)
@@ -247,6 +296,7 @@ def check_file(relpath, lines):
 
 def lint_tree(root):
     violations = []
+    layers = layer_reach(root)
     for top in LINTED_DIRS:
         base = os.path.join(root, top)
         if not os.path.isdir(base):
@@ -259,7 +309,7 @@ def lint_tree(root):
                 relpath = os.path.relpath(path, root).replace(os.sep, "/")
                 with open(path, encoding="utf-8") as f:
                     lines = f.read().splitlines()
-                violations.extend(check_file(relpath, lines))
+                violations.extend(check_file(relpath, lines, layers))
     return violations
 
 
@@ -317,12 +367,33 @@ SELF_TEST_CASES = [
     ("src/good/seeded_datagen.cc",
      "#include <random>\nstd::random_device rd;  // datagen path is exempt\n",
      set()),
+    # Layering against SELF_TEST_CMAKE: api reaches core and, through it,
+    # common, but not storage (the commented-out link must not count).
+    ("src/api/layered.cc",
+     '#include "storage/dataset_file.h"\n',
+     {"layer-include"}),
+    ("src/api/linked.cc",
+     '#include "api/model.h"\n#include "core/builder.h"\n'
+     '#include "common/status.h"\n',
+     set()),
 ]
+
+SELF_TEST_CMAKE = (
+    "add_library(udt_common STATIC src/common/status.cc)\n"
+    "target_link_libraries(udt_common PUBLIC Threads::Threads)\n"
+    "target_link_libraries(udt_storage PUBLIC udt_common)\n"
+    "target_link_libraries(udt_core PUBLIC\n  udt_common)\n"
+    "# target_link_libraries(udt_api PUBLIC udt_storage)\n"
+    "target_link_libraries(udt_api PUBLIC udt_core Threads::Threads)\n"
+)
 
 
 def self_test():
     failures = []
     with tempfile.TemporaryDirectory() as root:
+        with open(os.path.join(root, "CMakeLists.txt"), "w",
+                  encoding="utf-8") as f:
+            f.write(SELF_TEST_CMAKE)
         for relpath, contents, _ in SELF_TEST_CASES:
             path = os.path.join(root, relpath)
             os.makedirs(os.path.dirname(path), exist_ok=True)
