@@ -17,11 +17,11 @@ namespace udt {
 // Sorts `items` by the low `key_bits` bits of key(item), ascending and
 // stable: ceil(key_bits / 8) counting passes, each skipped when every item
 // shares that digit. `scratch` is the ping-pong buffer (resized as
-// needed; callers may reuse it across calls). Requires 0 <= key_bits <= 64
-// and key(item) < 2^key_bits.
-template <typename T, typename KeyFn>
-void RadixSortByKey(std::vector<T>* items, std::vector<T>* scratch,
-                    int key_bits, KeyFn key) {
+// needed; callers may reuse it across calls). `Vec` is a std::vector of
+// any allocator. Requires 0 <= key_bits <= 64 and key(item) < 2^key_bits.
+template <typename Vec, typename KeyFn>
+void RadixSortByKey(Vec* items, Vec* scratch, int key_bits, KeyFn key) {
+  using T = typename Vec::value_type;
   const size_t n = items->size();
   const int passes = (key_bits + 7) / 8;
   if (n < 2 || passes == 0) return;

@@ -63,34 +63,36 @@ void MergeStats(const BuildContext& ctx, const BuildStats& local) {
 // Depth-first recursion; `used_categorical` is mutated-and-restored along
 // the path. Also the inline fallback inside pool tasks for small subtrees
 // (with `scan_pool` null: small sets never fan out their scans).
-std::unique_ptr<TreeNode> BuildSerial(const BuildContext& ctx,
-                                      const WorkingSet& set, int depth,
+std::unique_ptr<TreeNode> BuildSerial(const BuildContext& ctx, NodeSet set,
+                                      int depth,
                                       std::vector<bool>* used_categorical,
                                       uint64_t token, BuildStats* stats) {
   NodeDecision decision =
-      DecideNode(ctx.node, set, depth, *used_categorical, token,
+      DecideNode(ctx.node, &set, depth, *used_categorical, token,
                  /*scan_pool=*/nullptr, stats);
+  set = NodeSet();  // the children hold what they need
   switch (decision.kind) {
     case NodeDecision::Kind::kLeaf:
       break;
     case NodeDecision::Kind::kNumerical:
       decision.node->left =
-          BuildSerial(ctx, decision.left, depth + 1, used_categorical,
-                      ChildNodeToken(token, 0), stats);
+          BuildSerial(ctx, std::move(decision.left), depth + 1,
+                      used_categorical, ChildNodeToken(token, 0), stats);
       decision.node->right =
-          BuildSerial(ctx, decision.right, depth + 1, used_categorical,
-                      ChildNodeToken(token, 1), stats);
+          BuildSerial(ctx, std::move(decision.right), depth + 1,
+                      used_categorical, ChildNodeToken(token, 1), stats);
       break;
     case NodeDecision::Kind::kCategorical: {
       size_t attr = static_cast<size_t>(decision.categorical_attribute);
       (*used_categorical)[attr] = true;
       decision.node->children.reserve(decision.buckets.size());
       for (size_t b = 0; b < decision.buckets.size(); ++b) {
-        WorkingSet& bucket = decision.buckets[b];
+        NodeSet& bucket = decision.buckets[b];
         decision.node->children.push_back(
-            bucket.empty()
+            bucket.tuples.empty()
                 ? MakeFallbackLeaf(decision.node->class_counts, stats)
-                : BuildSerial(ctx, bucket, depth + 1, used_categorical,
+                : BuildSerial(ctx, std::move(bucket), depth + 1,
+                              used_categorical,
                               ChildNodeToken(token, static_cast<int>(b)),
                               stats));
       }
@@ -103,7 +105,7 @@ std::unique_ptr<TreeNode> BuildSerial(const BuildContext& ctx,
 
 // One queued subtree: build the tree hanging off `slot`.
 struct SubtreeJob {
-  WorkingSet set;
+  NodeSet set;
   int depth = 0;
   // Snapshot of the ancestors' categorical usage; parallel subtrees cannot
   // share the backtracking vector of the serial recursion.
@@ -121,13 +123,12 @@ void RunSubtreeTask(const BuildContext& ctx, SubtreeJob job,
                     TaskGroup* group) {
   BuildStats local;
   TaskPool* scan_pool =
-      job.set.size() >= kMinTuplesForParallelScan ? ctx.pool : nullptr;
+      job.set.tuples.size() >= kMinTuplesForParallelScan ? ctx.pool : nullptr;
   NodeDecision decision =
-      DecideNode(ctx.node, job.set, job.depth, job.used_categorical,
+      DecideNode(ctx.node, &job.set, job.depth, job.used_categorical,
                  job.token, scan_pool, &local);
   // Free the parent's working set before the children are queued.
-  job.set.clear();
-  job.set.shrink_to_fit();
+  job.set = NodeSet();
 
   TreeNode* node = decision.node.get();
   *job.slot = std::move(decision.node);
@@ -151,7 +152,7 @@ void RunSubtreeTask(const BuildContext& ctx, SubtreeJob job,
           decision.categorical_attribute)] = true;
       node->children.resize(decision.buckets.size());
       for (size_t b = 0; b < decision.buckets.size(); ++b) {
-        if (decision.buckets[b].empty()) {
+        if (decision.buckets[b].tuples.empty()) {
           node->children[b] = MakeFallbackLeaf(node->class_counts, &local);
         } else {
           ScheduleSubtree(
@@ -173,10 +174,10 @@ void ScheduleSubtree(const BuildContext& ctx, SubtreeJob job,
                      TaskGroup* group) {
   // Small subtrees are built inline right here: queueing them would cost
   // more (allocations + pool lock round-trips) than the work itself.
-  if (job.set.size() < kMinTuplesForSubtreeTask) {
+  if (job.set.tuples.size() < kMinTuplesForSubtreeTask) {
     BuildStats local;
-    *job.slot = BuildSerial(ctx, job.set, job.depth, &job.used_categorical,
-                            job.token, &local);
+    *job.slot = BuildSerial(ctx, std::move(job.set), job.depth,
+                            &job.used_categorical, job.token, &local);
     MergeStats(ctx, local);
     return;
   }
@@ -227,8 +228,9 @@ StatusOr<DecisionTree> TreeBuilder::BuildWeighted(
 }
 
 StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(
-    const Dataset& train, WorkingSet root_set, BuildStats* stats,
+    const Dataset& train, WorkingSet root_tuples, BuildStats* stats,
     const AttributeIndex* index) const {
+  if (index != nullptr) UDT_RETURN_NOT_OK(index->CheckMatches(train));
   BuildStats local_stats;
   BuildContext ctx;
   ctx.node.data = &train;
@@ -259,10 +261,14 @@ StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(
   }
   ctx.node.index = index;
 
+  // The root's event lists: the build's one gather and sort.
+  NodeSet root_set =
+      MakeNodeSet(train, *index, std::move(root_tuples), pool ? &*pool : nullptr);
+
   std::unique_ptr<TreeNode> root;
   if (!pool) {
-    root = BuildSerial(ctx, root_set, /*depth=*/0, &used_categorical,
-                       kRootNodeToken, ctx.stats);
+    root = BuildSerial(ctx, std::move(root_set), /*depth=*/0,
+                       &used_categorical, kRootNodeToken, ctx.stats);
   } else {
     Mutex stats_mu;
     ctx.pool = &*pool;

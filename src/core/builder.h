@@ -49,7 +49,8 @@ class TreeBuilder {
   // Trains a tree on `train`. Fails on an empty data set or invalid
   // config. `stats` may be null. `index`, when non-null, must be
   // AttributeIndex::Build(train): callers training several trees on one
-  // data set build it once and share it. Null builds one for this call.
+  // data set build it once and share it; an index of another shape fails
+  // with InvalidArgument. Null builds one for this call.
   StatusOr<DecisionTree> Build(const Dataset& train, BuildStats* stats,
                                const AttributeIndex* index = nullptr) const;
 
@@ -68,7 +69,8 @@ class TreeBuilder {
   // Shared implementation: grows the tree from an already-formed root
   // working set, serial or pooled per the config, then post-prunes.
   StatusOr<DecisionTree> BuildFromRoot(const Dataset& train,
-                                       WorkingSet root_set, BuildStats* stats,
+                                       WorkingSet root_tuples,
+                                       BuildStats* stats,
                                        const AttributeIndex* index) const;
 
   TreeConfig config_;

@@ -73,7 +73,7 @@ std::unique_ptr<TreeNode> MakeFallbackLeaf(const std::vector<double>& counts,
   return child;
 }
 
-NodeDecision DecideNode(const NodeBuildContext& ctx, const WorkingSet& set,
+NodeDecision DecideNode(const NodeBuildContext& ctx, NodeSet* set,
                         int depth, const std::vector<bool>& used_categorical,
                         uint64_t node_token, TaskPool* scan_pool,
                         BuildStats* stats) {
@@ -84,7 +84,8 @@ NodeDecision DecideNode(const NodeBuildContext& ctx, const WorkingSet& set,
   decision.node = std::make_unique<TreeNode>();
   TreeNode* node = decision.node.get();
 
-  std::vector<double> counts = ClassCounts(data, set, data.num_classes());
+  std::vector<double> counts =
+      ClassCounts(data, set->tuples, data.num_classes());
   double total = 0.0;
   for (double c : counts) total += c;
   FillNodeStatistics(node, counts);
@@ -92,7 +93,7 @@ NodeDecision DecideNode(const NodeBuildContext& ctx, const WorkingSet& set,
 
   // Stopping rules (pre-pruning).
   if (depth >= config.max_depth || total < config.min_split_weight ||
-      IsPure(node->class_counts) || set.empty()) {
+      IsPure(node->class_counts) || set->tuples.empty()) {
     ++stats->leaves;
     return decision;
   }
@@ -116,7 +117,7 @@ NodeDecision DecideNode(const NodeBuildContext& ctx, const WorkingSet& set,
   // Best numerical split; the per-attribute scans run as `scan_pool` tasks
   // when the scheduler hands one in.
   SplitCandidate best = ctx.finder->FindBestSplit(
-      data, *ctx.index, set, scorer, options, &stats->counters, scan_pool);
+      data, *ctx.index, *set, scorer, options, &stats->counters, scan_pool);
 
   // Categorical candidates (Section 7.2); an attribute used by an ancestor
   // cannot yield further gain and is skipped.
@@ -128,7 +129,7 @@ NodeDecision DecideNode(const NodeBuildContext& ctx, const WorkingSet& set,
     if (used_categorical[static_cast<size_t>(j)]) continue;
     if (!options.AttributeAllowed(j)) continue;
     CategoricalSplitResult result = EvaluateCategoricalSplit(
-        data, set, j, scorer, options, &stats->counters);
+        data, set->tuples, j, scorer, options, &stats->counters);
     if (!result.valid) continue;
     SplitCandidate candidate;
     candidate.valid = true;
@@ -149,11 +150,11 @@ NodeDecision DecideNode(const NodeBuildContext& ctx, const WorkingSet& set,
   if (best_categorical >= 0) {
     int num_categories =
         data.schema().attribute(best_categorical).num_categories;
-    PartitionWorkingSetCategorical(data, set, best_categorical,
-                                   num_categories, &decision.buckets);
+    PartitionNodeSetCategorical(data, set, best_categorical, num_categories,
+                                &decision.buckets, scan_pool);
     int populated = 0;
-    for (const WorkingSet& bucket : decision.buckets) {
-      if (!bucket.empty()) ++populated;
+    for (const NodeSet& bucket : decision.buckets) {
+      if (!bucket.tuples.empty()) ++populated;
     }
     if (populated < 2) {  // degenerate in practice; make a leaf
       decision.buckets.clear();
@@ -167,13 +168,13 @@ NodeDecision DecideNode(const NodeBuildContext& ctx, const WorkingSet& set,
     return decision;
   }
 
-  PartitionWorkingSet(data, set, best.attribute, best.split_point,
-                      &decision.left, &decision.right);
-  if (decision.left.empty() || decision.right.empty()) {
+  PartitionNodeSet(data, *ctx.index, set, best.attribute, best.split_point,
+                   &decision.left, &decision.right, scan_pool);
+  if (decision.left.tuples.empty() || decision.right.tuples.empty()) {
     // Guarded against by min_side_mass, but weight drops of micro-fragments
     // can in principle empty a side; fall back to a leaf.
-    decision.left.clear();
-    decision.right.clear();
+    decision.left = NodeSet();
+    decision.right = NodeSet();
     ++stats->leaves;
     return decision;
   }

@@ -5,6 +5,13 @@
 // node's inputs. Both the serial recursion and the task-based scheduler in
 // core/builder.cc consume NodeDecision, which is what keeps the two
 // construction orders bitwise-identical.
+//
+// A node's working set is a NodeSet (split/fractional_tuple.h): its
+// fractional tuples plus one rank-ordered event list per numerical
+// attribute. The root's lists are gathered and radix-sorted once; every
+// split hands its children lists filtered from the node's own in one pass
+// per attribute (PartitionNodeSet), so no node below the root gathers or
+// sorts. The split scans compress those lists.
 
 #ifndef UDT_CORE_NODE_BUILD_H_
 #define UDT_CORE_NODE_BUILD_H_
@@ -37,12 +44,12 @@ struct NodeDecision {
   std::unique_ptr<TreeNode> node;
 
   // kNumerical: the two sides of the best split.
-  WorkingSet left;
-  WorkingSet right;
+  NodeSet left;
+  NodeSet right;
 
   // kCategorical: one working set per category (possibly empty buckets).
   int categorical_attribute = -1;
-  std::vector<WorkingSet> buckets;
+  std::vector<NodeSet> buckets;
 };
 
 // Inputs shared by every node of one build.
@@ -71,15 +78,16 @@ uint64_t ChildNodeToken(uint64_t parent_token, int child_index);
 std::vector<uint8_t> SampleAttributeSubspace(uint64_t seed, uint64_t token,
                                              int num_attributes, int k);
 
-// Evaluates one node. `used_categorical` marks categorical attributes an
-// ancestor already split on. `node_token` is the node's ChildNodeToken
-// chain value (kRootNodeToken at the root); it only matters when the
-// config enables random subspaces. When `scan_pool` is non-null the
-// numerical split search fans its per-attribute scans out as pool tasks;
-// the result is bitwise-identical either way. `stats` accumulates
-// node/leaf counts and split counters and must not be shared across
-// concurrent calls.
-NodeDecision DecideNode(const NodeBuildContext& ctx, const WorkingSet& set,
+// Evaluates one node. A split consumes `set`'s event lists to make the
+// children's; `set` keeps its tuples. `used_categorical` marks categorical
+// attributes an ancestor already split on. `node_token` is the node's
+// ChildNodeToken chain value (kRootNodeToken at the root); it only matters
+// when the config enables random subspaces. When `scan_pool` is non-null
+// the split search and the partitioning fan their per-attribute work out
+// as pool tasks; the result is bitwise-identical either way. `stats`
+// accumulates node/leaf counts and split counters and must not be shared
+// across concurrent calls.
+NodeDecision DecideNode(const NodeBuildContext& ctx, NodeSet* set,
                         int depth, const std::vector<bool>& used_categorical,
                         uint64_t node_token, TaskPool* scan_pool,
                         BuildStats* stats);

@@ -77,6 +77,35 @@ AttributeIndex::Column AttributeIndex::BuildColumn(const Dataset& data,
   return column;
 }
 
+Status AttributeIndex::CheckMatches(const Dataset& data) const {
+  if (num_tuples_ != data.num_tuples() ||
+      columns_.size() != static_cast<size_t>(data.num_attributes())) {
+    return Status::InvalidArgument(
+        "attribute index was built for a data set of another shape");
+  }
+  for (size_t j = 0; j < columns_.size(); ++j) {
+    if (data.schema().attribute(static_cast<int>(j)).kind !=
+        AttributeKind::kNumerical) {
+      continue;
+    }
+    const Column& column = columns_[j];
+    if (column.offsets.size() != static_cast<size_t>(num_tuples_) + 1) {
+      return Status::InvalidArgument(
+          "attribute index lacks a numerical attribute of the data set");
+    }
+    for (size_t t = 0; t < static_cast<size_t>(num_tuples_); ++t) {
+      const int points =
+          data.tuple(static_cast<int>(t)).values[j].pdf().num_points();
+      if (column.offsets[t + 1] - column.offsets[t] !=
+          static_cast<size_t>(points)) {
+        return Status::InvalidArgument(
+            "attribute index point counts differ from the data set's");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 AttributeIndex AttributeIndex::Build(const Dataset& data, TaskPool* pool) {
   AttributeIndex index;
   index.num_tuples_ = data.num_tuples();

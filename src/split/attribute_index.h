@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "table/dataset.h"
 
 namespace udt {
@@ -33,6 +34,12 @@ class AttributeIndex {
   static AttributeIndex Build(const Dataset& data, TaskPool* pool = nullptr);
 
   int num_tuples() const { return num_tuples_; }
+
+  // OK when this index can serve `data`: the same tuple and attribute
+  // counts and, on every numerical attribute, the same number of sample
+  // points per tuple. InvalidArgument otherwise — an index built from
+  // another data set would be read out of bounds.
+  Status CheckMatches(const Dataset& data) const;
 
   // Ranks of tuple `tuple`'s sample points on numerical attribute
   // `attribute`, aligned with its pdf: ranks(a, t)[p] is the rank of

@@ -11,16 +11,19 @@
 //   * interval end points Q_j = tuple support boundaries mapped to
 //     positions.
 //
-// Build cost is linear in the working set's sample events: the events
-// carry their AttributeIndex rank, a stable radix sort orders them (tied x
-// values keep working-set order), and one compress pass writes the
-// positions. Storage is compact: per position its x and the end of its
-// event run, per event its class and mass, and a full cumulative row only
-// every kCheckpoint positions. A lookup replays the (at most
-// kCheckpoint-1) positions after the checkpoint before it — the same
-// additions, in the same order, as a row-per-position running sum, so
-// every value is bitwise what that sum would hold. Sweeps over ascending
-// positions go through a ScanCursor, which advances instead of replaying.
+// A scan is built by compressing the node's rank-ordered event list for
+// the attribute (split/fractional_tuple.h: a root gathers and radix-sorts
+// its lists, every other node filters its parent's): one pass writes one
+// position per distinct rank. An event's mass is its raw pdf mass times its
+// tuple's share, weight / window mass, so it is bitwise the mass the
+// gather always computed. The scan is a view over the list, which must
+// outlive it: it keeps per tuple its class and share, per position its x
+// and the end of its event run, and a full cumulative row only every
+// kCheckpoint positions. A lookup replays the (at most kCheckpoint-1)
+// positions after the checkpoint before it — the same additions, in the
+// same order, as a row-per-position running sum, so every value is bitwise
+// what that sum would hold. Sweeps over ascending positions go through a
+// ScanCursor, which advances instead of replaying.
 
 #ifndef UDT_SPLIT_ATTRIBUTE_SCAN_H_
 #define UDT_SPLIT_ATTRIBUTE_SCAN_H_
@@ -28,6 +31,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/default_init.h"
 #include "split/attribute_index.h"
 #include "split/fractional_tuple.h"
 #include "table/dataset.h"
@@ -35,6 +39,7 @@
 namespace udt {
 
 // Built once per (node, numerical attribute); immutable afterwards.
+// Move-only: it may point into its own storage.
 class AttributeScan {
  public:
   // A cumulative class-mass row is stored every kCheckpoint positions.
@@ -42,21 +47,36 @@ class AttributeScan {
 
   // An empty scan (no positions); Build() produces the real thing.
   AttributeScan() = default;
+  AttributeScan(AttributeScan&&) = default;
+  AttributeScan& operator=(AttributeScan&&) = default;
+  AttributeScan(const AttributeScan&) = delete;
+  AttributeScan& operator=(const AttributeScan&) = delete;
 
-  // Builds the scan for `attribute` over `set`. Tuples contribute their
-  // sample points restricted to their (lo, hi] constraint, with masses
-  // scaled by weight / constrained-mass (the lazily-renormalised truncated
-  // pdf of Section 3.2). `index` must be AttributeIndex::Build(data).
+  // Builds the scan for `attribute` over `set` by compressing
+  // set.lists[attribute], which the scan reads for its lifetime. Tuples
+  // contribute their sample points restricted to their (lo, hi]
+  // constraint, with masses scaled by weight / constrained-mass (the
+  // lazily-renormalised truncated pdf of Section 3.2). `index` must be
+  // AttributeIndex::Build(data).
+  static AttributeScan Build(const Dataset& data, const AttributeIndex& index,
+                             const NodeSet& set, int attribute,
+                             int num_classes);
+
+  // The same scan for a bare working set: gathers its event list
+  // (GatherAttributeEvents), as a root does, and owns it.
   static AttributeScan Build(const Dataset& data, const AttributeIndex& index,
                              const WorkingSet& set, int attribute,
                              int num_classes);
 
   // Number of distinct candidate positions (distinct sample x values).
-  int num_positions() const { return static_cast<int>(xs_.size()); }
-  bool empty() const { return xs_.empty(); }
+  int num_positions() const { return static_cast<int>(event_end_.size()); }
+  bool empty() const { return event_end_.empty(); }
 
   // x value of position `idx` (ascending in idx).
-  double x(int idx) const { return xs_[static_cast<size_t>(idx)]; }
+  double x(int idx) const {
+    return index_->value(
+        attribute_, events_[event_end_[static_cast<size_t>(idx)] - 1].rank);
+  }
 
   int num_classes() const { return num_classes_; }
 
@@ -81,6 +101,14 @@ class AttributeScan {
     return endpoint_positions_;
   }
 
+  // Per interval between consecutive end points (endpoint_positions()[i],
+  // endpoint_positions()[i+1]]: how many classes gain more than
+  // kMassEpsilon of mass across it, capped at 2 — the interval is empty,
+  // homogeneous or heterogeneous (Definitions 2-4) for 0, 1 or 2.
+  const std::vector<uint8_t>& endpoint_interval_classes() const {
+    return endpoint_interval_classes_;
+  }
+
   // Interval statistics for the half-open interval (x(a_idx), x(b_idx)]:
   //   nc[c] = mass at positions <= a_idx        (paper: Phi_c(-inf, a])
   //   kc[c] = mass in (a_idx, b_idx]            (paper: Phi_c(a, b])
@@ -92,22 +120,41 @@ class AttributeScan {
  private:
   friend class ScanCursor;
 
+  // A tuple's class and the factor from its raw pdf masses to its masses
+  // in the node.
+  struct TupleShare {
+    double scale;  // weight / window mass
+    int32_t cls;
+  };
+
+  // Compresses `list`, the events of `tuples` on `attribute`, into
+  // `scan`, which reads `list` from then on.
+  static void Compress(const Dataset& data, const AttributeIndex& index,
+                       const WorkingSet& tuples, const AttributeEvents& list,
+                       int attribute, AttributeScan* scan);
+
   // Writes the cumulative row of position `idx` into row[0..num_classes).
   void LoadRow(int idx, double* row) const;
   // Adds the masses of position `idx`'s events to row[class].
   void AddPosition(int idx, double* row) const;
 
-  std::vector<double> xs_;
+  // The event list read: borrowed from a NodeSet, or `owned_`'s (a moved
+  // vector keeps its buffer, so a moved scan still points at it). A
+  // position's x is its events' rank, read back through the index.
+  const SampleEvent* events_ = nullptr;
+  AttributeEvents owned_;
+  const AttributeIndex* index_ = nullptr;
+  int attribute_ = -1;
+  std::vector<TupleShare> shares_;  // per tuple of the working set
   // Events of position p are [event_end_[p-1], event_end_[p]) (from 0 for
   // p == 0), in rank order with ties in working-set order.
-  std::vector<uint32_t> event_end_;
-  std::vector<int32_t> event_class_;
-  std::vector<double> event_mass_;
+  DefaultInitVector<uint32_t> event_end_;
   // Row k (row-major [k][class]) is the cumulative mass at position
   // k * kCheckpoint.
-  std::vector<double> checkpoints_;
+  DefaultInitVector<double> checkpoints_;
   std::vector<double> class_totals_;
   std::vector<int> endpoint_positions_;
+  std::vector<uint8_t> endpoint_interval_classes_;
   double total_mass_ = 0.0;
   int num_classes_ = 0;
 };

@@ -10,8 +10,7 @@ namespace split_internal {
 
 AttributeContext BuildContextForAttribute(const Dataset& data,
                                           const AttributeIndex& index,
-                                          const WorkingSet& set,
-                                          int attribute,
+                                          const NodeSet& set, int attribute,
                                           const SplitOptions& options,
                                           int num_classes) {
   AttributeContext ctx;
@@ -35,7 +34,7 @@ AttributeContext BuildContextForAttribute(const Dataset& data,
     }
   } else {
     ctx.endpoints = ctx.scan.endpoint_positions();
-    ctx.intervals = SegmentIntoIntervals(ctx.scan, ctx.endpoints);
+    ctx.intervals = EndpointIntervals(ctx.scan);
   }
   return ctx;
 }

@@ -47,16 +47,15 @@ struct EvalBuffers {
   IntervalMassStats stats;
 };
 
-// Builds the context for one numerical attribute from the training call's
-// rank index. Returns a context with an empty scan when the attribute
+// Builds the context for one numerical attribute by compressing the
+// node's event list for it. Returns a context with an empty scan when the attribute
 // admits no candidate (< 2 distinct positions) or is categorical. Honors
 // the percentile-end-point option: in that mode every interval is
 // conservatively classified heterogeneous (the concavity theorems assume
 // true support boundaries).
 AttributeContext BuildContextForAttribute(const Dataset& data,
                                           const AttributeIndex& index,
-                                          const WorkingSet& set,
-                                          int attribute,
+                                          const NodeSet& set, int attribute,
                                           const SplitOptions& options,
                                           int num_classes);
 

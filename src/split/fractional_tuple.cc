@@ -1,17 +1,237 @@
 #include "split/fractional_tuple.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "common/logging.h"
 #include "common/math.h"
+#include "common/radix_sort.h"
+#include "common/task_pool.h"
 #include "pdf/pdf_kernels.h"
 
 namespace udt {
 
 namespace {
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// A parent tuple's index in a child working set when it has none there.
+constexpr int32_t kAbsent = -1;
+
+// How many working-set entries ahead the gather prefetches (measured best
+// at 3-4 on a 4-CPU x86 host; 4 absorbs more memory latency).
+constexpr size_t kPrefetchDistance = 4;
+
+// Runs fn(j) for every attribute j < n: in order when `pool` is null, as
+// pool tasks otherwise. The calls must write disjoint state.
+template <typename Fn>
+void ForEachAttribute(TaskPool* pool, size_t n, Fn fn) {
+  if (pool == nullptr || n <= 1) {
+    for (size_t j = 0; j < n; ++j) fn(j);
+    return;
+  }
+  pool->ParallelFor(n, /*grain=*/1,
+                    [&fn](int /*slot*/, size_t begin, size_t end) {
+                      for (size_t j = begin; j < end; ++j) fn(j);
+                    });
+}
+
+bool IsNumerical(const Dataset& data, size_t attribute) {
+  return data.schema().attribute(static_cast<int>(attribute)).kind ==
+         AttributeKind::kNumerical;
+}
+
+// PartitionWorkingSet. When `to` is non-null it receives, per tuple f of
+// `set`, its index in `left` at (*to)[2f] and in `right` at (*to)[2f+1]
+// (kAbsent when that side dropped it).
+void PartitionTuples(const Dataset& data, const WorkingSet& set,
+                     int attribute, double split_point, WorkingSet* left,
+                     WorkingSet* right, std::vector<int32_t>* to) {
+  UDT_CHECK(left != nullptr && right != nullptr);
+  left->clear();
+  right->clear();
+  if (to != nullptr) to->assign(2 * set.size(), kAbsent);
+  size_t j = static_cast<size_t>(attribute);
+  for (size_t f = 0; f < set.size(); ++f) {
+    const FractionalTuple& ft = set[f];
+    const SampledPdf& pdf =
+        data.tuple(ft.tuple_index).values[j].pdf();
+    double p_left = ConditionalCdf(pdf, ft.lo[j], ft.hi[j], split_point);
+    double w_left = ft.weight * p_left;
+    double w_right = ft.weight - w_left;
+    if (w_left >= kMinFractionWeight) {
+      if (to != nullptr) (*to)[2 * f] = static_cast<int32_t>(left->size());
+      FractionalTuple t = ft;
+      t.weight = w_left;
+      t.hi[j] = std::min(t.hi[j], split_point);
+      left->push_back(std::move(t));
+    }
+    if (w_right >= kMinFractionWeight) {
+      if (to != nullptr) {
+        (*to)[2 * f + 1] = static_cast<int32_t>(right->size());
+      }
+      FractionalTuple t = ft;
+      t.weight = w_right;
+      t.lo[j] = std::max(t.lo[j], split_point);
+      right->push_back(std::move(t));
+    }
+  }
+}
+
+// PartitionWorkingSetCategorical. When `to` is non-null it receives, per
+// tuple f of `set`, its index in bucket v at (*to)[f * num_categories + v]
+// (kAbsent when the bucket has no copy of it).
+void PartitionTuplesCategorical(const Dataset& data, const WorkingSet& set,
+                                int attribute, int num_categories,
+                                std::vector<WorkingSet>* buckets,
+                                std::vector<int32_t>* to) {
+  UDT_CHECK(buckets != nullptr);
+  buckets->assign(static_cast<size_t>(num_categories), WorkingSet());
+  const size_t k = static_cast<size_t>(num_categories);
+  if (to != nullptr) to->assign(k * set.size(), kAbsent);
+  size_t j = static_cast<size_t>(attribute);
+  for (size_t f = 0; f < set.size(); ++f) {
+    const FractionalTuple& ft = set[f];
+    const CategoricalPdf& dist =
+        data.tuple(ft.tuple_index).values[j].categorical();
+    if (ft.category[j] >= 0) {
+      // Already fixed by an ancestor split; the whole weight follows it.
+      WorkingSet& bucket = (*buckets)[static_cast<size_t>(ft.category[j])];
+      if (to != nullptr) {
+        (*to)[f * k + static_cast<size_t>(ft.category[j])] =
+            static_cast<int32_t>(bucket.size());
+      }
+      bucket.push_back(ft);
+      continue;
+    }
+    for (int v = 0; v < num_categories; ++v) {
+      double w = ft.weight * dist.probability(v);
+      if (w < kMinFractionWeight) continue;
+      WorkingSet& bucket = (*buckets)[static_cast<size_t>(v)];
+      if (to != nullptr) {
+        (*to)[f * k + static_cast<size_t>(v)] =
+            static_cast<int32_t>(bucket.size());
+      }
+      FractionalTuple t = ft;
+      t.weight = w;
+      t.category[j] = v;
+      bucket.push_back(std::move(t));
+    }
+  }
+}
+
+// The children's lists on an attribute the split leaves alone: every
+// child tuple keeps its parent tuple's window and events, so one pass over
+// `parent` writes each event to every child holding a copy of its tuple
+// (to[f * k + c], as PartitionTuples* record it), in parent order. Frees
+// `parent`.
+void FilterEvents(AttributeEvents* parent, const std::vector<int32_t>& to,
+                  NodeSet* const* children, size_t k, size_t attribute) {
+  const size_t n = parent->window_size.size();
+  std::vector<SampleEvent*> out(k);
+  for (size_t c = 0; c < k; ++c) {
+    AttributeEvents& child = children[c]->lists[attribute];
+    const size_t child_tuples = children[c]->tuples.size();
+    child.window_mass.resize(child_tuples);
+    child.window_size.resize(child_tuples);
+    size_t total = 0;
+    for (size_t f = 0; f < n; ++f) {
+      const int32_t cf = to[f * k + c];
+      if (cf == kAbsent) continue;
+      child.window_mass[static_cast<size_t>(cf)] = parent->window_mass[f];
+      child.window_size[static_cast<size_t>(cf)] = parent->window_size[f];
+      total += parent->window_size[f];
+    }
+    // One slack slot: the loop below writes every event to every child
+    // and advances only the children that keep it.
+    child.events.resize(total + 1);
+    out[c] = child.events.data();
+  }
+  for (const SampleEvent& event : parent->events) {
+    const uint32_t flag = event.tag & 1u;
+    const int32_t* dst = to.data() + static_cast<size_t>(event.tag >> 1) * k;
+    for (size_t c = 0; c < k; ++c) {
+      const int32_t cf = dst[c];
+      *out[c] = SampleEvent{event.rank,
+                            (static_cast<uint32_t>(cf) << 1) | flag,
+                            event.mass};
+      out[c] += cf != kAbsent ? 1 : 0;
+    }
+  }
+  for (size_t c = 0; c < k; ++c) {
+    AttributeEvents& child = children[c]->lists[attribute];
+    UDT_DCHECK(out[c] + 1 == child.events.data() + child.events.size());
+    child.events.pop_back();
+  }
+  *parent = AttributeEvents();
+}
+
+// One child's list on the split attribute: the events of `parent` in
+// [begin, end) — the child's side of the split point — of the tuples
+// whose new window holds mass (to[2f + side]). Windows come from one
+// window search per child tuple; a tuple's first and last kept events are
+// its new window ends, so they carry the boundary flag.
+void CutEvents(const Dataset& data, const AttributeIndex& index,
+               size_t attribute, const AttributeEvents& parent,
+               const SampleEvent* begin, const SampleEvent* end,
+               const std::vector<int32_t>& to, size_t side, NodeSet* child) {
+  AttributeEvents& list = child->lists[attribute];
+  const size_t num_tuples = child->tuples.size();
+  list.window_mass.resize(num_tuples);
+  list.window_size.resize(num_tuples);
+  size_t total = 0;
+  for (size_t cf = 0; cf < num_tuples; ++cf) {
+    const FractionalTuple& ft = child->tuples[cf];
+    const PdfWindow window = PdfConstrainedWindow(
+        data.tuple(ft.tuple_index).values[attribute].pdf(),
+        ft.lo[attribute], ft.hi[attribute]);
+    list.window_mass[cf] = window.mass;
+    list.window_size[cf] =
+        window.mass > 0.0 ? static_cast<uint32_t>(window.end - window.begin)
+                          : 0;
+    total += list.window_size[cf];
+  }
+
+  // A child window can hold mass where its parent window held none only
+  // when a pdf's cumulative row dips at its forced final 1.0 (tail masses
+  // below an ulp): the parent list then lacks the tuple's events, and this
+  // child gathers its list instead.
+  for (size_t f = 0; f < parent.window_size.size(); ++f) {
+    const int32_t cf = to[2 * f + side];
+    if (cf != kAbsent && parent.window_size[f] == 0 &&
+        list.window_size[static_cast<size_t>(cf)] != 0) {
+      list = GatherAttributeEvents(data, index, child->tuples,
+                                   static_cast<int>(attribute));
+      return;
+    }
+  }
+
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> last(num_tuples, kNone);
+  list.events.resize(total);
+  size_t n = 0;
+  for (const SampleEvent* event = begin; event != end; ++event) {
+    const int32_t cf = to[2 * static_cast<size_t>(event->tag >> 1) + side];
+    if (cf == kAbsent || list.window_size[static_cast<size_t>(cf)] == 0) {
+      continue;
+    }
+    uint32_t& prev = last[static_cast<size_t>(cf)];
+    UDT_CHECK(n < total);
+    list.events[n] = SampleEvent{
+        event->rank,
+        (static_cast<uint32_t>(cf) << 1) | (prev == kNone ? 1u : 0u),
+        event->mass};
+    prev = static_cast<uint32_t>(n++);
+  }
+  UDT_CHECK(n == total);
+  for (uint32_t e : last) {
+    if (e != kNone) list.events[e].tag |= 1u;
+  }
+}
+
 }  // namespace
 
 WorkingSet MakeRootWorkingSet(const Dataset& data) {
@@ -47,6 +267,80 @@ WorkingSet MakeWeightedRootWorkingSet(const Dataset& data,
     ft.category.assign(k, -1);
     set.push_back(std::move(ft));
   }
+  return set;
+}
+
+AttributeEvents GatherAttributeEvents(const Dataset& data,
+                                      const AttributeIndex& index,
+                                      const WorkingSet& set, int attribute) {
+  UDT_DCHECK(index.num_tuples() == data.num_tuples());
+  UDT_CHECK(set.size() <= std::numeric_limits<uint32_t>::max() >> 1);
+  const size_t j = static_cast<size_t>(attribute);
+
+  AttributeEvents list;
+  list.window_mass.resize(set.size());
+  list.window_size.assign(set.size(), 0);
+  size_t max_events = 0;
+  for (const FractionalTuple& ft : set) {
+    max_events += index.num_points(attribute, ft.tuple_index);
+  }
+  DefaultInitVector<SampleEvent>& events = list.events;
+  events.reserve(max_events);
+  uint32_t min_rank = std::numeric_limits<uint32_t>::max();
+  uint32_t max_rank = 0;
+  for (size_t i = 0; i < set.size(); ++i) {
+    // Each tuple's pdf, ranks and constraint sit behind their own pointers;
+    // start the loads of a tuple a few iterations ahead of its search.
+    if (i + kPrefetchDistance < set.size()) {
+      const FractionalTuple& ahead = set[i + kPrefetchDistance];
+      const SampledPdf& pdf = data.tuple(ahead.tuple_index).values[j].pdf();
+      __builtin_prefetch(pdf.points_data());
+      __builtin_prefetch(pdf.cumulative_data());
+      __builtin_prefetch(index.ranks(attribute, ahead.tuple_index));
+      __builtin_prefetch(ahead.lo.data() + j);
+      __builtin_prefetch(ahead.hi.data() + j);
+    }
+    const FractionalTuple& ft = set[i];
+    const SampledPdf& pdf = data.tuple(ft.tuple_index).values[j].pdf();
+    UDT_DCHECK(static_cast<size_t>(pdf.num_points()) ==
+               index.num_points(attribute, ft.tuple_index));
+    const PdfWindow window = PdfConstrainedWindow(pdf, ft.lo[j], ft.hi[j]);
+    list.window_mass[i] = window.mass;
+    if (window.mass <= 0.0) continue;  // no mass under the constraint
+    list.window_size[i] = static_cast<uint32_t>(window.end - window.begin);
+    const uint32_t* ranks = index.ranks(attribute, ft.tuple_index);
+    const uint32_t tag = static_cast<uint32_t>(i) << 1;
+    for (size_t p = window.begin; p < window.end; ++p) {
+      const bool boundary = p == window.begin || p + 1 == window.end;
+      events.push_back(SampleEvent{ranks[p], tag | (boundary ? 1u : 0u),
+                                   pdf.mass(static_cast<int>(p))});
+    }
+    min_rank = std::min(min_rank, ranks[window.begin]);
+    max_rank = std::max(max_rank, ranks[window.end - 1]);
+  }
+  if (events.empty()) return list;
+
+  // Order by rank. Only the working set's rank span needs sorting, which
+  // shrinks the passes of small sets; stability keeps ties in working-set
+  // order.
+  DefaultInitVector<SampleEvent> scratch;
+  RadixSortByKey(&events, &scratch, std::bit_width(max_rank - min_rank),
+                 [min_rank](const SampleEvent& event) {
+                   return static_cast<uint64_t>(event.rank - min_rank);
+                 });
+  return list;
+}
+
+NodeSet MakeNodeSet(const Dataset& data, const AttributeIndex& index,
+                    WorkingSet tuples, TaskPool* pool) {
+  NodeSet set;
+  set.tuples = std::move(tuples);
+  set.lists.resize(static_cast<size_t>(data.num_attributes()));
+  ForEachAttribute(pool, set.lists.size(), [&](size_t j) {
+    if (!IsNumerical(data, j)) return;
+    set.lists[j] = GatherAttributeEvents(data, index, set.tuples,
+                                         static_cast<int>(j));
+  });
   return set;
 }
 
@@ -95,55 +389,71 @@ double TotalWeight(const WorkingSet& set) {
 void PartitionWorkingSet(const Dataset& data, const WorkingSet& set,
                          int attribute, double split_point, WorkingSet* left,
                          WorkingSet* right) {
-  UDT_CHECK(left != nullptr && right != nullptr);
-  left->clear();
-  right->clear();
-  size_t j = static_cast<size_t>(attribute);
-  for (const FractionalTuple& ft : set) {
-    const SampledPdf& pdf =
-        data.tuple(ft.tuple_index).values[j].pdf();
-    double p_left = ConditionalCdf(pdf, ft.lo[j], ft.hi[j], split_point);
-    double w_left = ft.weight * p_left;
-    double w_right = ft.weight - w_left;
-    if (w_left >= kMinFractionWeight) {
-      FractionalTuple t = ft;
-      t.weight = w_left;
-      t.hi[j] = std::min(t.hi[j], split_point);
-      left->push_back(std::move(t));
-    }
-    if (w_right >= kMinFractionWeight) {
-      FractionalTuple t = ft;
-      t.weight = w_right;
-      t.lo[j] = std::max(t.lo[j], split_point);
-      right->push_back(std::move(t));
-    }
-  }
+  PartitionTuples(data, set, attribute, split_point, left, right,
+                  /*to=*/nullptr);
 }
 
 void PartitionWorkingSetCategorical(const Dataset& data,
                                     const WorkingSet& set, int attribute,
                                     int num_categories,
                                     std::vector<WorkingSet>* buckets) {
-  UDT_CHECK(buckets != nullptr);
-  buckets->assign(static_cast<size_t>(num_categories), WorkingSet());
-  size_t j = static_cast<size_t>(attribute);
-  for (const FractionalTuple& ft : set) {
-    const CategoricalPdf& dist =
-        data.tuple(ft.tuple_index).values[j].categorical();
-    if (ft.category[j] >= 0) {
-      // Already fixed by an ancestor split; the whole weight follows it.
-      (*buckets)[static_cast<size_t>(ft.category[j])].push_back(ft);
-      continue;
+  PartitionTuplesCategorical(data, set, attribute, num_categories, buckets,
+                             /*to=*/nullptr);
+}
+
+void PartitionNodeSet(const Dataset& data, const AttributeIndex& index,
+                      NodeSet* set, int attribute, double split_point,
+                      NodeSet* left, NodeSet* right, TaskPool* pool) {
+  UDT_CHECK(set != nullptr && left != nullptr && right != nullptr);
+  std::vector<int32_t> to;
+  PartitionTuples(data, set->tuples, attribute, split_point, &left->tuples,
+                  &right->tuples, &to);
+  const size_t num_lists = set->lists.size();
+  left->lists.assign(num_lists, AttributeEvents());
+  right->lists.assign(num_lists, AttributeEvents());
+  NodeSet* const children[2] = {left, right};
+  ForEachAttribute(pool, num_lists, [&](size_t j) {
+    if (!IsNumerical(data, j)) return;
+    AttributeEvents& parent = set->lists[j];
+    if (j != static_cast<size_t>(attribute)) {
+      FilterEvents(&parent, to, children, 2, j);
+      return;
     }
-    for (int v = 0; v < num_categories; ++v) {
-      double w = ft.weight * dist.probability(v);
-      if (w < kMinFractionWeight) continue;
-      FractionalTuple t = ft;
-      t.weight = w;
-      t.category[j] = v;
-      (*buckets)[static_cast<size_t>(v)].push_back(std::move(t));
-    }
+    // Rank order is x order: the left side is a prefix.
+    const SampleEvent* begin = parent.events.data();
+    const SampleEvent* end = begin + parent.events.size();
+    const SampleEvent* cut = std::partition_point(
+        begin, end, [&](const SampleEvent& event) {
+          return index.value(attribute, event.rank) <= split_point;
+        });
+    CutEvents(data, index, j, parent, begin, cut, to, 0, left);
+    CutEvents(data, index, j, parent, cut, end, to, 1, right);
+    parent = AttributeEvents();
+  });
+}
+
+void PartitionNodeSetCategorical(const Dataset& data, NodeSet* set,
+                                 int attribute, int num_categories,
+                                 std::vector<NodeSet>* buckets,
+                                 TaskPool* pool) {
+  UDT_CHECK(set != nullptr && buckets != nullptr);
+  std::vector<WorkingSet> tuples;
+  std::vector<int32_t> to;
+  PartitionTuplesCategorical(data, set->tuples, attribute, num_categories,
+                             &tuples, &to);
+  const size_t num_lists = set->lists.size();
+  buckets->assign(static_cast<size_t>(num_categories), NodeSet());
+  std::vector<NodeSet*> children;
+  for (size_t v = 0; v < buckets->size(); ++v) {
+    NodeSet& bucket = (*buckets)[v];
+    bucket.tuples = std::move(tuples[v]);
+    bucket.lists.resize(num_lists);
+    children.push_back(&bucket);
   }
+  ForEachAttribute(pool, num_lists, [&](size_t j) {
+    if (!IsNumerical(data, j)) return;
+    FilterEvents(&set->lists[j], to, children.data(), children.size(), j);
+  });
 }
 
 }  // namespace udt

@@ -100,4 +100,20 @@ std::vector<EndpointInterval> SegmentIntoIntervals(
   return intervals;
 }
 
+std::vector<EndpointInterval> EndpointIntervals(const AttributeScan& scan) {
+  const std::vector<int>& endpoints = scan.endpoint_positions();
+  const std::vector<uint8_t>& classes = scan.endpoint_interval_classes();
+  UDT_DCHECK(classes.size() + 1 == endpoints.size() || endpoints.empty());
+  std::vector<EndpointInterval> intervals(classes.size());
+  for (size_t i = 0; i < classes.size(); ++i) {
+    EndpointInterval& interval = intervals[i];
+    interval.a_idx = endpoints[i];
+    interval.b_idx = endpoints[i + 1];
+    interval.kind = classes[i] == 0   ? IntervalKind::kEmpty
+                    : classes[i] == 1 ? IntervalKind::kHomogeneous
+                                      : IntervalKind::kHeterogeneous;
+  }
+  return intervals;
+}
+
 }  // namespace udt

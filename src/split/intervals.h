@@ -43,6 +43,11 @@ IntervalKind ClassifyInterval(const AttributeScan& scan, int a_idx,
 std::vector<EndpointInterval> SegmentIntoIntervals(
     const AttributeScan& scan, const std::vector<int>& endpoints);
 
+// SegmentIntoIntervals(scan, scan.endpoint_positions()), read from the
+// interval classes the scan recorded while it was built instead of a sweep
+// over its rows.
+std::vector<EndpointInterval> EndpointIntervals(const AttributeScan& scan);
+
 // Theorem 3: if every class's tuple count grows linearly inside a
 // heterogeneous interval, an end point of the interval is also optimal and
 // the interior may be skipped. With discrete sample masses, linear growth

@@ -88,13 +88,24 @@ SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
                                           const SplitOptions& options,
                                           SplitCounters* counters,
                                           TaskPool* pool) const {
+  return FindBestSplit(data, index, MakeNodeSet(data, index, set, pool),
+                       scorer, options, counters, pool);
+}
+
+SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
+                                          const AttributeIndex& index,
+                                          const NodeSet& set,
+                                          const SplitScorer& scorer,
+                                          const SplitOptions& options,
+                                          SplitCounters* counters,
+                                          TaskPool* pool) const {
   const int num_attributes = data.num_attributes();
   const int num_classes = data.num_classes();
   const bool seeded = NeedsGlobalSeed();
 
   if (pool == nullptr && !seeded) {
     // Serial local finder (UDT/AVG/BP/LP): one attribute at a time keeps a
-    // single scan alive — the paper's low-memory regime.
+    // single scan alive.
     SplitCandidate best;
     SplitCandidate no_seed;
     for (int j = 0; j < num_attributes; ++j) {

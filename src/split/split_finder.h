@@ -131,11 +131,21 @@ class SplitFinder {
   virtual const char* name() const = 0;
 
   // Finds the best (attribute, split point) for the node whose working set
-  // is `set`. `index` is AttributeIndex::Build(data), built once per
-  // training call. `scorer` carries the node's measure and parent counts.
-  // Returns an invalid candidate when no attribute admits a valid split.
-  // `counters` may be null. When `pool` is non-null the per-attribute
-  // phases run as pool tasks; the result does not depend on it.
+  // is `set`; each attribute's scan compresses the set's event list.
+  // `index` is AttributeIndex::Build(data), built once per training call.
+  // `scorer` carries the node's measure and parent counts. Returns an
+  // invalid candidate when no attribute admits a valid split. `counters`
+  // may be null. When `pool` is non-null the per-attribute phases run as
+  // pool tasks; the result does not depend on it.
+  SplitCandidate FindBestSplit(const Dataset& data,
+                               const AttributeIndex& index,
+                               const NodeSet& set, const SplitScorer& scorer,
+                               const SplitOptions& options,
+                               SplitCounters* counters,
+                               TaskPool* pool = nullptr) const;
+
+  // The same search over a bare working set, whose event lists are
+  // gathered first as a root's are (MakeNodeSet).
   SplitCandidate FindBestSplit(const Dataset& data,
                                const AttributeIndex& index,
                                const WorkingSet& set,

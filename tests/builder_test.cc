@@ -103,6 +103,49 @@ TEST(BuilderTest, EmptyDatasetRejected) {
   EXPECT_FALSE(tree.ok());
 }
 
+// A caller's shared rank index must have been built from the data set
+// being trained on; one of another shape is rejected, not read out of
+// bounds.
+TEST(BuilderTest, MismatchedAttributeIndexRejected) {
+  const Dataset ds = SeparableDataset(30, 1.0, 3);
+  const TreeBuilder builder(BaseConfig(SplitAlgorithm::kUdt));
+  const std::vector<double> weights(30, 1.0);
+
+  // Fewer tuples.
+  const AttributeIndex fewer =
+      AttributeIndex::Build(SeparableDataset(20, 1.0, 3));
+  auto tree = builder.Build(ds, nullptr, &fewer);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+  auto weighted = builder.BuildWeighted(ds, weights, nullptr, &fewer);
+  ASSERT_FALSE(weighted.ok());
+  EXPECT_EQ(weighted.status().code(), StatusCode::kInvalidArgument);
+
+  // Same tuple count, but every pdf has fewer sample points.
+  Dataset coarse(Schema::Numerical(1, {"A", "B"}));
+  for (int i = 0; i < ds.num_tuples(); ++i) {
+    auto pdf = MakeGaussianErrorPdf(static_cast<double>(i), 0.4, 5);
+    ASSERT_TRUE(pdf.ok());
+    UncertainTuple t{{UncertainValue::Numerical(std::move(*pdf))}, i % 2};
+    ASSERT_TRUE(coarse.AddTuple(t).ok());
+  }
+  const AttributeIndex fewer_points = AttributeIndex::Build(coarse);
+  tree = builder.Build(ds, nullptr, &fewer_points);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+  weighted = builder.BuildWeighted(ds, weights, nullptr, &fewer_points);
+  ASSERT_FALSE(weighted.ok());
+  EXPECT_EQ(weighted.status().code(), StatusCode::kInvalidArgument);
+
+  // The matching index is accepted and builds the same tree as none.
+  const AttributeIndex matching = AttributeIndex::Build(ds);
+  auto shared = builder.Build(ds, nullptr, &matching);
+  auto own = builder.Build(ds, nullptr);
+  ASSERT_TRUE(shared.ok());
+  ASSERT_TRUE(own.ok());
+  EXPECT_EQ(SerializeTree(*shared), SerializeTree(*own));
+}
+
 TEST(BuilderTest, InvalidConfigRejected) {
   Dataset ds = SeparableDataset(10, 1.0, 1);
   TreeConfig config = BaseConfig(SplitAlgorithm::kUdt);

@@ -11,6 +11,14 @@
 // Working sets are SplitMix64-seeded: random weights and (lo, hi]
 // windows, point masses, pdfs on a coarse shared grid and duplicated
 // tuples (so many x values tie), and 2-9 classes.
+//
+// A second family pins the child scans below the root: a node's children
+// get their event lists by filtering the node's own (PartitionNodeSet,
+// PartitionNodeSetCategorical), and every list and every scan built from
+// it must equal, bit for bit, the gather over the partitioned child
+// working set — through two levels of splits, with straddling tuples,
+// tuples dropped below kMinFractionWeight, zero-mass windows, -0.0 and
+// +0.0 sharing a rank, bagged root weights and categorical buckets.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +35,7 @@
 #include "split/attribute_index.h"
 #include "split/attribute_scan.h"
 #include "split/fractional_tuple.h"
+#include "split/intervals.h"
 
 namespace udt {
 namespace {
@@ -250,6 +259,20 @@ void CheckIntervalStats(const AttributeScan& scan, const ReferenceScan& ref,
   ExpectRowsIdentical(mc, want_m, "IntervalStats mc", b);
 }
 
+// The interval kinds the scan records while it is built are the ones a
+// sweep over its end points' rows finds.
+void ExpectIntervalsMatchSweep(const AttributeScan& scan) {
+  const std::vector<EndpointInterval> recorded = EndpointIntervals(scan);
+  const std::vector<EndpointInterval> swept =
+      SegmentIntoIntervals(scan, scan.endpoint_positions());
+  ASSERT_EQ(recorded.size(), swept.size());
+  for (size_t i = 0; i < swept.size(); ++i) {
+    EXPECT_EQ(recorded[i].a_idx, swept[i].a_idx) << "interval " << i;
+    EXPECT_EQ(recorded[i].b_idx, swept[i].b_idx) << "interval " << i;
+    EXPECT_EQ(recorded[i].kind, swept[i].kind) << "interval " << i;
+  }
+}
+
 void CheckCase(uint64_t seed) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   const Case c = RandomCase(seed);
@@ -265,6 +288,7 @@ void CheckCase(uint64_t seed) {
   }
   const int n = scan.num_positions();
   EXPECT_EQ(scan.endpoint_positions(), ref.endpoints);
+  ExpectIntervalsMatchSweep(scan);
   ExpectRowsIdentical(scan.class_totals(), ref.rows.back(), "totals", n - 1);
 
   std::vector<double> left, right;
@@ -328,6 +352,330 @@ TEST(ScanPropertyTest, LongScansCrossManyCheckpoints) {
     CheckCase(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// ---------------------------------------------------------------------
+// Filtered child lists against the gather.
+
+// Two or three numerical attributes and, in half the cases, one
+// categorical attribute with three categories.
+struct NodeCase {
+  Dataset data;
+  WorkingSet set;
+  int num_classes;
+};
+
+// A sample point that is sometimes -0.0 or +0.0, so the two zeros meet on
+// one rank.
+double SignedZeroGridPoint(Stream* rng) {
+  switch (rng->Below(8)) {
+    case 0:
+      return -0.0;
+    case 1:
+      return 0.0;
+    default:
+      return rng->GridPoint();
+  }
+}
+
+SampledPdf RandomNodePdf(Stream* rng) {
+  if (rng->Below(4) != 0) return RandomPdf(rng);
+  std::vector<double> points;
+  std::vector<double> masses;
+  const int n = 1 + rng->Below(8);
+  for (int i = 0; i < n; ++i) {
+    points.push_back(SignedZeroGridPoint(rng));
+    masses.push_back(0.05 + rng->Unit());
+  }
+  auto pdf = SampledPdf::Create(std::move(points), std::move(masses));
+  UDT_CHECK(pdf.ok());
+  return *pdf;
+}
+
+NodeCase RandomNodeCase(uint64_t seed) {
+  Stream rng(seed);
+  const int num_classes = 2 + rng.Below(5);
+  const int num_numerical = 2 + rng.Below(2);
+  const bool categorical = rng.Below(2) == 0;
+  std::vector<AttributeInfo> attributes;
+  for (int j = 0; j < num_numerical; ++j) {
+    attributes.push_back({StrFormat("x%d", j), AttributeKind::kNumerical, 0});
+  }
+  if (categorical) {
+    attributes.push_back({"channel", AttributeKind::kCategorical, 3});
+  }
+  std::vector<std::string> names;
+  for (int c = 0; c < num_classes; ++c) names.push_back(StrFormat("c%d", c));
+  auto schema = Schema::Create(attributes, names);
+  UDT_CHECK(schema.ok());
+  Dataset data(std::move(*schema));
+  const int num_attributes = data.num_attributes();
+
+  const int num_tuples = 1 + rng.Below(70);
+  for (int i = 0; i < num_tuples; ++i) {
+    UncertainTuple tuple;
+    tuple.label = rng.Below(num_classes);
+    for (int j = 0; j < num_numerical; ++j) {
+      if (i > 0 && rng.Below(4) == 0) {
+        tuple.values.push_back(data.tuple(rng.Below(i)).values[
+            static_cast<size_t>(j)]);
+      } else {
+        tuple.values.push_back(UncertainValue::Numerical(RandomNodePdf(&rng)));
+      }
+    }
+    if (categorical) {
+      std::vector<double> probs = {0.05 + rng.Unit(), 0.05 + rng.Unit(),
+                                   rng.Below(3) == 0 ? 0.0 : rng.Unit()};
+      auto dist = CategoricalPdf::Create(std::move(probs));
+      UDT_CHECK(dist.ok());
+      tuple.values.push_back(UncertainValue::Categorical(std::move(*dist)));
+    }
+    UDT_CHECK(data.AddTuple(std::move(tuple)).ok());
+  }
+
+  WorkingSet set;
+  if (rng.Below(4) == 0) {
+    // A bagged root: integer multiplicities, some tuples never drawn.
+    std::vector<double> weights(static_cast<size_t>(num_tuples));
+    for (double& w : weights) w = static_cast<double>(rng.Below(4));
+    weights[0] = 1.0;
+    set = MakeWeightedRootWorkingSet(data, weights);
+  } else {
+    for (int i = 0; i < num_tuples; ++i) {
+      const int fragments = rng.Below(3);
+      for (int f = 0; f < fragments; ++f) {
+        FractionalTuple ft;
+        ft.tuple_index = rng.Below(num_tuples);
+        switch (rng.Below(6)) {
+          case 0:
+            ft.weight = 1.0;
+            break;
+          case 1:  // so light that a split side drops below the threshold
+            ft.weight = kMinFractionWeight * (1.0 + 4.0 * rng.Unit());
+            break;
+          default:
+            ft.weight = 0.01 + 2.0 * rng.Unit();
+        }
+        ft.lo.assign(static_cast<size_t>(num_attributes), -kInf);
+        ft.hi.assign(static_cast<size_t>(num_attributes), kInf);
+        ft.category.assign(static_cast<size_t>(num_attributes), -1);
+        for (int j = 0; j < num_numerical; ++j) {
+          // Windows between grid points hold no mass at all.
+          double lo = RandomBound(&rng, -kInf);
+          double hi = RandomBound(&rng, kInf);
+          if (lo > hi) std::swap(lo, hi);
+          ft.lo[static_cast<size_t>(j)] = lo;
+          ft.hi[static_cast<size_t>(j)] = hi;
+        }
+        if (categorical && rng.Below(3) == 0) {
+          ft.category[static_cast<size_t>(num_numerical)] = rng.Below(3);
+        }
+        set.push_back(std::move(ft));
+      }
+    }
+  }
+  return NodeCase{std::move(data), std::move(set), num_classes};
+}
+
+bool IsNumerical(const Dataset& data, int j) {
+  return data.schema().attribute(j).kind == AttributeKind::kNumerical;
+}
+
+// Bitwise equality of two event lists.
+void ExpectListsIdentical(const AttributeEvents& got,
+                          const AttributeEvents& want) {
+  ASSERT_EQ(got.events.size(), want.events.size());
+  for (size_t e = 0; e < want.events.size(); ++e) {
+    ASSERT_EQ(got.events[e].rank, want.events[e].rank) << "event " << e;
+    ASSERT_EQ(got.events[e].tag, want.events[e].tag) << "event " << e;
+    ASSERT_EQ(Bits(got.events[e].mass), Bits(want.events[e].mass))
+        << "event " << e;
+  }
+  ASSERT_EQ(got.window_size, want.window_size);
+  ASSERT_EQ(got.window_mass.size(), want.window_mass.size());
+  for (size_t f = 0; f < want.window_mass.size(); ++f) {
+    ASSERT_EQ(Bits(got.window_mass[f]), Bits(want.window_mass[f]))
+        << "tuple " << f;
+  }
+}
+
+// Bitwise equality of two scans through their whole interface.
+void ExpectScansIdentical(const AttributeScan& got, const AttributeScan& want,
+                          uint64_t seed) {
+  ASSERT_EQ(got.num_positions(), want.num_positions());
+  ASSERT_EQ(got.endpoint_positions(), want.endpoint_positions());
+  const int n = want.num_positions();
+  if (n == 0) return;
+  ExpectRowsIdentical(got.class_totals(), want.class_totals(), "totals",
+                      n - 1);
+  ASSERT_EQ(Bits(got.total_mass()), Bits(want.total_mass()));
+  std::vector<double> got_row, want_row;
+  ScanCursor cursor;
+  for (int idx = 0; idx < n; ++idx) {
+    ASSERT_EQ(Bits(got.x(idx)), Bits(want.x(idx))) << "idx=" << idx;
+    got.LeftCounts(idx, &got_row);
+    want.LeftCounts(idx, &want_row);
+    ExpectRowsIdentical(got_row, want_row, "LeftCounts", idx);
+    ExpectRowsIdentical(cursor.Seek(got, idx), want_row, "sweep", idx);
+  }
+  Stream rng(seed ^ 0xF117E5ULL);
+  for (int i = 0; i < 2 * n; ++i) {
+    const int idx = rng.Below(n);
+    want.LeftCounts(idx, &want_row);
+    ExpectRowsIdentical(cursor.Seek(got, idx), want_row, "seek", idx);
+  }
+}
+
+// Every numerical list of `node` is the gather over its tuples, and so is
+// every scan compressed from it.
+void ExpectMatchesGather(const NodeCase& c, const AttributeIndex& index,
+                         const NodeSet& node, uint64_t seed) {
+  ASSERT_EQ(node.lists.size(), static_cast<size_t>(c.data.num_attributes()));
+  for (int j = 0; j < c.data.num_attributes(); ++j) {
+    if (!IsNumerical(c.data, j)) continue;
+    SCOPED_TRACE("attribute " + std::to_string(j));
+    ExpectListsIdentical(node.lists[static_cast<size_t>(j)],
+                         GatherAttributeEvents(c.data, index, node.tuples, j));
+    if (::testing::Test::HasFatalFailure()) return;
+    const AttributeScan filtered =
+        AttributeScan::Build(c.data, index, node, j, c.num_classes);
+    ExpectScansIdentical(
+        filtered,
+        AttributeScan::Build(c.data, index, node.tuples, j, c.num_classes),
+        seed);
+    if (::testing::Test::HasFatalFailure()) return;
+    ExpectIntervalsMatchSweep(filtered);
+  }
+}
+
+// A split point on attribute j: a sample x of the node (its left side is
+// then a prefix of whole ranks), a point between the grid's values, or a
+// signed zero.
+double RandomSplitPoint(const NodeCase& c, const AttributeIndex& index,
+                        const NodeSet& node, int j, Stream* rng) {
+  switch (rng->Below(5)) {
+    case 0:
+      return rng->Below(2) == 0 ? -0.0 : 0.0;
+    case 1:
+      return 6.0 * rng->Unit() - 3.0;
+    default: {
+      const AttributeScan scan =
+          AttributeScan::Build(c.data, index, node, j, c.num_classes);
+      if (scan.empty()) return rng->GridPoint();
+      return scan.x(rng->Below(scan.num_positions()));
+    }
+  }
+}
+
+// Splits `node` (consuming its lists) at a random attribute and point,
+// checks both children against the gather, and recurses `depth` more
+// levels. Pooled and serial partitions must agree.
+void SplitAndCheck(const NodeCase& c, const AttributeIndex& index,
+                   NodeSet node, int depth, Stream* rng, TaskPool* pool,
+                   uint64_t seed) {
+  if (node.tuples.empty()) return;
+  const int j = rng->Below(c.data.num_attributes());
+  SCOPED_TRACE("split attribute " + std::to_string(j));
+  const WorkingSet parent = node.tuples;
+  std::vector<NodeSet> children;
+  if (IsNumerical(c.data, j)) {
+    const double z = RandomSplitPoint(c, index, node, j, rng);
+    NodeSet serial_node = node;
+    NodeSet left, right, pooled_left, pooled_right;
+    PartitionNodeSet(c.data, index, &serial_node, j, z, &left, &right);
+    PartitionNodeSet(c.data, index, &node, j, z, &pooled_left, &pooled_right,
+                     pool);
+    // The tuples are PartitionWorkingSet's.
+    WorkingSet want_left, want_right;
+    PartitionWorkingSet(c.data, parent, j, z, &want_left, &want_right);
+    ASSERT_EQ(left.tuples.size(), want_left.size());
+    ASSERT_EQ(right.tuples.size(), want_right.size());
+    for (const NodeSet* pooled : {&pooled_left, &pooled_right}) {
+      const NodeSet& serial = pooled == &pooled_left ? left : right;
+      for (size_t a = 0; a < serial.lists.size(); ++a) {
+        ExpectListsIdentical(pooled->lists[a], serial.lists[a]);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    // The parent's lists are released.
+    for (const AttributeEvents& list : node.lists) {
+      EXPECT_TRUE(list.events.empty());
+    }
+    children.push_back(std::move(left));
+    children.push_back(std::move(right));
+  } else {
+    const int num_categories = c.data.schema().attribute(j).num_categories;
+    PartitionNodeSetCategorical(c.data, &node, j, num_categories, &children,
+                                pool);
+    std::vector<WorkingSet> want;
+    PartitionWorkingSetCategorical(c.data, parent, j, num_categories, &want);
+    ASSERT_EQ(children.size(), want.size());
+    for (size_t v = 0; v < want.size(); ++v) {
+      ASSERT_EQ(children[v].tuples.size(), want[v].size());
+    }
+  }
+  for (size_t b = 0; b < children.size(); ++b) {
+    SCOPED_TRACE("child " + std::to_string(b));
+    ExpectMatchesGather(c, index, children[b], seed);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (depth > 0) {
+      SplitAndCheck(c, index, std::move(children[b]), depth - 1, rng, pool,
+                    seed);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(ChildScanPropertyTest, FilteredListsMatchGatherBitwise) {
+  TaskPool pool(3);
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const NodeCase c = RandomNodeCase(seed);
+    const AttributeIndex index = AttributeIndex::Build(c.data);
+    NodeSet root = MakeNodeSet(c.data, index, c.set, &pool);
+    ExpectMatchesGather(c, index, root, seed);
+    if (::testing::Test::HasFatalFailure()) return;
+    Stream rng(seed * 0x9E3779B97F4A7C15ULL);
+    SplitAndCheck(c, index, std::move(root), /*depth=*/2, &rng, &pool, seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// A pdf whose cumulative row rounds above its forced final 1.0 (two tail
+// masses below an ulp): cumulative = {.., .., 1.0, 1.0 + ulp, 1.0}. A
+// tuple constrained to (2.5, inf) holds no mass there, so its parent list
+// has none of its events; split at 3.5, its left window (2.5, 3.5] holds
+// the ulp at x = 3. The child must still get the gather's list.
+TEST(ChildScanPropertyTest, ChildWindowWithMassTheParentLacked) {
+  Dataset data(Schema::Numerical(2, {"A", "B"}));
+  auto dip = SampledPdf::Create(
+      {0.0, 1.0, 2.0, 3.0, 4.0},
+      {0x1.9495d1c0d5311p-1, 0x1.91f1cb18ce1afp-2, 0x1.0f53f16c838fdp-1,
+       0x1.79ca10c924223p-67, 0x1.79ca10c924223p-67});
+  ASSERT_TRUE(dip.ok());
+  ASSERT_GT(dip->cumulative_data()[3], dip->cumulative_data()[4]);
+  for (int i = 0; i < 6; ++i) {
+    UncertainTuple tuple;
+    tuple.label = i % 2;
+    tuple.values.push_back(UncertainValue::Numerical(
+        i == 0 ? *dip : SampledPdf::PointMass(0.5 * i)));
+    tuple.values.push_back(
+        UncertainValue::Numerical(SampledPdf::PointMass(-0.25 * i)));
+    ASSERT_TRUE(data.AddTuple(std::move(tuple)).ok());
+  }
+  WorkingSet set = MakeRootWorkingSet(data);
+  set[0].lo[0] = 2.5;
+  const AttributeIndex index = AttributeIndex::Build(data);
+  NodeSet node = MakeNodeSet(data, index, set);
+  ASSERT_EQ(node.lists[0].window_size[0], 0u);
+
+  NodeSet left, right;
+  PartitionNodeSet(data, index, &node, 0, 3.5, &left, &right);
+  ASSERT_EQ(left.tuples.front().tuple_index, 0);
+  ASSERT_GT(left.lists[0].window_size[0], 0u);
+  const NodeCase c{std::move(data), set, 2};
+  ExpectMatchesGather(c, index, left, 1);
+  ExpectMatchesGather(c, index, right, 2);
 }
 
 // The index's attributes build as pool tasks; the result must not depend
