@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the kernels that dominate tree
-// construction and serving: CDF queries, scan construction, entropy
-// scoring, interval bounding, working-set partitioning, uncertain
-// classification, the thread scaling of the parallel construction engine,
-// and the flat-tree traversal kernels.
+// construction and serving: CDF queries, root and child scan
+// construction, entropy scoring, interval bounding, working-set
+// partitioning, uncertain classification, the thread scaling of the
+// parallel construction engine, and the flat-tree traversal kernels.
 //
 // Machine-readable output: unless --benchmark_out is given, results are
 // also written as google-benchmark JSON to BENCH_micro_kernels.json so
@@ -88,6 +88,41 @@ void BM_ScanBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScanBuild)->Arg(50)->Arg(200)->Arg(800);
+
+// The scans below the root: one split of a two-attribute root (at x = 1.0
+// on attribute 0) and the two children's scans on attribute 1, which the
+// split leaves alone. Second argument 1: the children's lists are filtered
+// from the root's (PartitionNodeSet) and compressed — no gather, no sort.
+// 0: the children's working sets are partitioned and each scan gathers
+// and sorts its events, as a root's does.
+void BM_ChildScanBuild(benchmark::State& state) {
+  Dataset ds = BenchDataset(static_cast<int>(state.range(0)), 2, 20, 1);
+  const bool filter = state.range(1) != 0;
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet root = MakeNodeSet(ds, index, MakeRootWorkingSet(ds));
+  for (auto _ : state) {
+    state.PauseTiming();
+    NodeSet parent = root;
+    NodeSet left, right;
+    state.ResumeTiming();
+    int positions = 0;
+    if (filter) {
+      PartitionNodeSet(ds, index, &parent, 0, 1.0, &left, &right);
+      positions = AttributeScan::Build(ds, index, left, 1, 3).num_positions() +
+                  AttributeScan::Build(ds, index, right, 1, 3).num_positions();
+    } else {
+      PartitionWorkingSet(ds, parent.tuples, 0, 1.0, &left.tuples,
+                          &right.tuples);
+      positions =
+          AttributeScan::Build(ds, index, left.tuples, 1, 3).num_positions() +
+          AttributeScan::Build(ds, index, right.tuples, 1, 3).num_positions();
+    }
+    benchmark::DoNotOptimize(positions);
+  }
+}
+BENCHMARK(BM_ChildScanBuild)
+    ->ArgsProduct({{50, 200, 800}, {0, 1}})
+    ->ArgNames({"tuples", "filter"});
 
 void BM_EntropyScore(benchmark::State& state) {
   SplitScorer scorer(DispersionMeasure::kEntropy, {10.0, 20.0, 30.0});

@@ -1,8 +1,9 @@
 // Stable LSD radix sort on unsigned integer keys, eight bits per pass. The
-// split-search engine orders its sample events with it (split/attribute_
-// index.cc, split/attribute_scan.cc): linear in the input, and stable, so
-// items with equal keys keep their input order — which is what keeps tied
-// attribute values in working-set order at every thread count.
+// split-search engine ranks its sample points and orders a root's sample
+// events with it (split/attribute_index.cc, split/fractional_tuple.cc):
+// linear in the input, and stable, so items with equal keys keep their
+// input order — which is what keeps tied attribute values in working-set
+// order at every thread count.
 
 #ifndef UDT_COMMON_RADIX_SORT_H_
 #define UDT_COMMON_RADIX_SORT_H_

@@ -169,6 +169,23 @@ class TaskPool {
   std::vector<std::thread> workers_;
 };
 
+// Runs fn(i) for every i < n: in ascending order on the calling thread
+// when `pool` is null or n <= 1, else as one-index chunks of
+// pool->ParallelFor. The calls must write disjoint, index-addressed state;
+// the fixed-order reductions after such a loop keep its result
+// schedule-independent.
+template <typename Fn>
+void ForEachIndex(TaskPool* pool, size_t n, Fn&& fn) {
+  if (pool == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->ParallelFor(n, /*grain=*/1,
+                    [&fn](int /*slot*/, size_t begin, size_t end) {
+                      for (size_t i = begin; i < end; ++i) fn(i);
+                    });
+}
+
 }  // namespace udt
 
 #endif  // UDT_COMMON_TASK_POOL_H_

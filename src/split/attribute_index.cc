@@ -110,18 +110,10 @@ AttributeIndex AttributeIndex::Build(const Dataset& data, TaskPool* pool) {
   AttributeIndex index;
   index.num_tuples_ = data.num_tuples();
   index.columns_.resize(static_cast<size_t>(data.num_attributes()));
-  auto build = [&data, &index](size_t j) {
+  // Each task writes only its own column.
+  ForEachIndex(pool, index.columns_.size(), [&data, &index](size_t j) {
     index.columns_[j] = BuildColumn(data, static_cast<int>(j));
-  };
-  if (pool == nullptr) {
-    for (size_t j = 0; j < index.columns_.size(); ++j) build(j);
-  } else {
-    // Each task writes only its own column.
-    pool->ParallelFor(index.columns_.size(), /*grain=*/1,
-                      [&build](int /*slot*/, size_t begin, size_t end) {
-                        for (size_t j = begin; j < end; ++j) build(j);
-                      });
-  }
+  });
   return index;
 }
 

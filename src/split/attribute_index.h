@@ -2,9 +2,10 @@
 // SLIQ, Mehta et al., EDBT 1996, fitted to sampled pdfs). Built once per
 // training call, it gives every (tuple, sample point) of every numerical
 // attribute a dense uint32 rank: equal x values share a rank, ranks ascend
-// with x, and a per-attribute table maps each rank back to its x. The
-// per-node AttributeScans then order their sample events by rank with a
-// linear radix sort instead of comparing doubles (split/attribute_scan.h).
+// with x, and a per-attribute table maps each rank back to its x. A root's
+// event lists are then ordered by rank with a linear radix sort instead of
+// comparing doubles, and every other node's lists are filtered from its
+// parent's in that order (split/fractional_tuple.h).
 //
 // Immutable once built; any number of concurrent scans and tree builds may
 // share one index (ForestTrainer shares one across every tree).

@@ -53,17 +53,18 @@ class AttributeScan {
   AttributeScan& operator=(const AttributeScan&) = delete;
 
   // Builds the scan for `attribute` over `set` by compressing
-  // set.lists[attribute], which the scan reads for its lifetime. Tuples
-  // contribute their sample points restricted to their (lo, hi]
-  // constraint, with masses scaled by weight / constrained-mass (the
-  // lazily-renormalised truncated pdf of Section 3.2). `index` must be
-  // AttributeIndex::Build(data).
+  // set.lists[attribute]. Tuples contribute their sample points restricted
+  // to their (lo, hi] constraint, with masses scaled by weight /
+  // constrained-mass (the lazily-renormalised truncated pdf of Section
+  // 3.2). `index` must be AttributeIndex::Build(data). The scan reads the
+  // list and `index` for its lifetime.
   static AttributeScan Build(const Dataset& data, const AttributeIndex& index,
                              const NodeSet& set, int attribute,
                              int num_classes);
 
   // The same scan for a bare working set: gathers its event list
-  // (GatherAttributeEvents), as a root does, and owns it.
+  // (GatherAttributeEvents), as a root does, and owns it; it still reads
+  // `index`.
   static AttributeScan Build(const Dataset& data, const AttributeIndex& index,
                              const WorkingSet& set, int attribute,
                              int num_classes);

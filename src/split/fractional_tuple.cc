@@ -25,20 +25,6 @@ constexpr int32_t kAbsent = -1;
 // at 3-4 on a 4-CPU x86 host; 4 absorbs more memory latency).
 constexpr size_t kPrefetchDistance = 4;
 
-// Runs fn(j) for every attribute j < n: in order when `pool` is null, as
-// pool tasks otherwise. The calls must write disjoint state.
-template <typename Fn>
-void ForEachAttribute(TaskPool* pool, size_t n, Fn fn) {
-  if (pool == nullptr || n <= 1) {
-    for (size_t j = 0; j < n; ++j) fn(j);
-    return;
-  }
-  pool->ParallelFor(n, /*grain=*/1,
-                    [&fn](int /*slot*/, size_t begin, size_t end) {
-                      for (size_t j = begin; j < end; ++j) fn(j);
-                    });
-}
-
 bool IsNumerical(const Dataset& data, size_t attribute) {
   return data.schema().attribute(static_cast<int>(attribute)).kind ==
          AttributeKind::kNumerical;
@@ -336,7 +322,7 @@ NodeSet MakeNodeSet(const Dataset& data, const AttributeIndex& index,
   NodeSet set;
   set.tuples = std::move(tuples);
   set.lists.resize(static_cast<size_t>(data.num_attributes()));
-  ForEachAttribute(pool, set.lists.size(), [&](size_t j) {
+  ForEachIndex(pool, set.lists.size(), [&](size_t j) {
     if (!IsNumerical(data, j)) return;
     set.lists[j] = GatherAttributeEvents(data, index, set.tuples,
                                          static_cast<int>(j));
@@ -412,7 +398,7 @@ void PartitionNodeSet(const Dataset& data, const AttributeIndex& index,
   left->lists.assign(num_lists, AttributeEvents());
   right->lists.assign(num_lists, AttributeEvents());
   NodeSet* const children[2] = {left, right};
-  ForEachAttribute(pool, num_lists, [&](size_t j) {
+  ForEachIndex(pool, num_lists, [&](size_t j) {
     if (!IsNumerical(data, j)) return;
     AttributeEvents& parent = set->lists[j];
     if (j != static_cast<size_t>(attribute)) {
@@ -450,7 +436,7 @@ void PartitionNodeSetCategorical(const Dataset& data, NodeSet* set,
     bucket.lists.resize(num_lists);
     children.push_back(&bucket);
   }
-  ForEachAttribute(pool, num_lists, [&](size_t j) {
+  ForEachIndex(pool, num_lists, [&](size_t j) {
     if (!IsNumerical(data, j)) return;
     FilterEvents(&set->lists[j], to, children.data(), children.size(), j);
   });

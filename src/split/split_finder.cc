@@ -1,7 +1,6 @@
 #include "split/split_finder.h"
 
 #include <cmath>
-#include <functional>
 #include <vector>
 
 #include "common/logging.h"
@@ -21,25 +20,6 @@ void MergeCandidate(const SplitCandidate& candidate, SplitCandidate* best) {
   if (candidate.valid && (!best->valid || candidate.BetterThan(*best))) {
     *best = candidate;
   }
-}
-
-// Runs fn(0), ..., fn(n-1): in index order when `pool` is null, through
-// the pool's shared ParallelFor primitive otherwise (the same executor
-// the serving sessions run on — one parallel-loop mechanism for training
-// and serving). The callbacks must write to disjoint state; the fixed-
-// order reductions after each loop keep the result schedule-independent.
-void ForEachAttribute(TaskPool* pool, int n,
-                      const std::function<void(int)>& fn) {
-  if (pool == nullptr || n <= 1) {
-    for (int j = 0; j < n; ++j) fn(j);
-    return;
-  }
-  pool->ParallelFor(static_cast<size_t>(n), /*grain=*/1,
-                    [&fn](int /*slot*/, size_t begin, size_t end) {
-                      for (size_t j = begin; j < end; ++j) {
-                        fn(static_cast<int>(j));
-                      }
-                    });
 }
 }  // namespace
 
@@ -132,9 +112,10 @@ SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
   };
   std::vector<AttributeSlot> slots(static_cast<size_t>(num_attributes));
 
-  ForEachAttribute(pool, num_attributes, [&](int j) {
+  ForEachIndex(pool, slots.size(), [&](size_t a) {
+    const int j = static_cast<int>(a);
     if (!options.AttributeAllowed(j)) return;  // slot stays empty
-    AttributeSlot& slot = slots[static_cast<size_t>(j)];
+    AttributeSlot& slot = slots[a];
     slot.ctx = split_internal::BuildContextForAttribute(data, index, set, j,
                                                         options, num_classes);
     if (slot.ctx.scan.empty()) return;
@@ -157,8 +138,8 @@ SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
     for (const AttributeSlot& slot : slots) {
       MergeCandidate(slot.seed, &global_seed);
     }
-    ForEachAttribute(pool, num_attributes, [&](int j) {
-      AttributeSlot& slot = slots[static_cast<size_t>(j)];
+    ForEachIndex(pool, slots.size(), [&](size_t a) {
+      AttributeSlot& slot = slots[a];
       if (slot.ctx.scan.empty()) return;
       split_internal::EvalBuffers buffers;
       slot.best = SearchAttribute(slot.ctx, scorer, options, global_seed,
