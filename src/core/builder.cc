@@ -262,8 +262,8 @@ StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(
   ctx.node.index = index;
 
   // The root's event lists: the build's one gather and sort.
-  NodeSet root_set =
-      MakeNodeSet(train, *index, std::move(root_tuples), pool ? &*pool : nullptr);
+  NodeSet root_set = MakeNodeSet(train, *index, std::move(root_tuples),
+                                 pool ? &*pool : nullptr);
 
   std::unique_ptr<TreeNode> root;
   if (!pool) {

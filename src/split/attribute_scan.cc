@@ -14,8 +14,8 @@ AttributeScan AttributeScan::Build(const Dataset& data,
                                    int num_classes) {
   AttributeScan scan;
   scan.num_classes_ = num_classes;
-  Compress(data, index, set.tuples, set.lists[static_cast<size_t>(attribute)],
-           attribute, &scan);
+  scan.Compress(data, index, set.tuples,
+                set.lists[static_cast<size_t>(attribute)], attribute);
   return scan;
 }
 
@@ -26,30 +26,27 @@ AttributeScan AttributeScan::Build(const Dataset& data,
   AttributeScan scan;
   scan.num_classes_ = num_classes;
   scan.owned_ = GatherAttributeEvents(data, index, set, attribute);
-  Compress(data, index, set, scan.owned_, attribute, &scan);
+  scan.Compress(data, index, set, scan.owned_, attribute);
   return scan;
 }
 
 void AttributeScan::Compress(const Dataset& data, const AttributeIndex& index,
                              const WorkingSet& tuples,
-                             const AttributeEvents& list, int attribute,
-                             AttributeScan* scan) {
-  const size_t k = static_cast<size_t>(scan->num_classes_);
-  scan->class_totals_.assign(k, 0.0);
+                             const AttributeEvents& list, int attribute) {
+  const size_t k = static_cast<size_t>(num_classes_);
+  class_totals_.assign(k, 0.0);
   const DefaultInitVector<SampleEvent>& events = list.events;
   if (events.empty()) return;
-  scan->events_ = events.data();
-  scan->index_ = &index;
-  scan->attribute_ = attribute;
+  events_ = events.data();
+  index_ = &index;
+  attribute_ = attribute;
 
-  // Every event's mass is raw * scale with the gather's scale expression,
-  // so it is bitwise the mass the gather computed.
-  scan->shares_.resize(tuples.size());
+  // An event's mass is its raw pdf mass times its tuple's scale.
+  shares_.resize(tuples.size());
   for (size_t f = 0; f < tuples.size(); ++f) {
     if (list.window_size[f] == 0) continue;  // no events
-    scan->shares_[f] =
-        TupleShare{tuples[f].weight / list.window_mass[f],
-                   data.tuple(tuples[f].tuple_index).label};
+    shares_[f] = TupleShare{tuples[f].weight / list.window_mass[f],
+                            data.tuple(tuples[f].tuple_index).label};
   }
 
   // One position per distinct rank, with a running per-class sum that is
@@ -57,46 +54,46 @@ void AttributeScan::Compress(const Dataset& data, const AttributeIndex& index,
   // event, then cut to the positions written. At every end point the
   // running row also classifies the interval the end point closes.
   const size_t num_events = events.size();
-  scan->event_end_.resize(num_events);
-  scan->checkpoints_.resize((num_events + kCheckpoint - 1) / kCheckpoint * k);
+  event_end_.resize(num_events);
+  checkpoints_.resize((num_events + kCheckpoint - 1) / kCheckpoint * k);
 
-  std::vector<double>& running = scan->class_totals_;
+  std::vector<double>& running = class_totals_;
   std::vector<double> at_endpoint;
   size_t position = 0;
   for (size_t e = 0; e < num_events; ++position) {
     const uint32_t rank = events[e].rank;
     bool endpoint = false;
     for (; e < num_events && events[e].rank == rank; ++e) {
-      const TupleShare& share = scan->shares_[events[e].tag >> 1];
+      const TupleShare& share = shares_[events[e].tag >> 1];
       running[static_cast<size_t>(share.cls)] += events[e].mass * share.scale;
       endpoint |= (events[e].tag & 1u) != 0;
     }
-    scan->event_end_[position] = static_cast<uint32_t>(e);
+    event_end_[position] = static_cast<uint32_t>(e);
     if (endpoint) {
-      if (!scan->endpoint_positions_.empty()) {
+      if (!endpoint_positions_.empty()) {
         uint8_t classes = 0;
         for (size_t c = 0; c < k; ++c) {
           if (running[c] - at_endpoint[c] > kMassEpsilon) ++classes;
         }
-        scan->endpoint_interval_classes_.push_back(std::min<uint8_t>(classes, 2));
+        endpoint_interval_classes_.push_back(std::min<uint8_t>(classes, 2));
       }
-      scan->endpoint_positions_.push_back(static_cast<int>(position));
+      endpoint_positions_.push_back(static_cast<int>(position));
       at_endpoint = running;
     }
     if (position % kCheckpoint == 0) {
       std::copy(running.begin(), running.end(),
-                scan->checkpoints_.begin() +
+                checkpoints_.begin() +
                     static_cast<std::ptrdiff_t>(position / kCheckpoint * k));
     }
   }
-  scan->event_end_.resize(position);
-  scan->checkpoints_.resize((position + kCheckpoint - 1) / kCheckpoint * k);
-  scan->total_mass_ = 0.0;
-  for (double t : running) scan->total_mass_ += t;
+  event_end_.resize(position);
+  checkpoints_.resize((position + kCheckpoint - 1) / kCheckpoint * k);
+  total_mass_ = 0.0;
+  for (double t : running) total_mass_ += t;
 
-  UDT_DCHECK(!scan->endpoint_positions_.empty());
-  UDT_DCHECK(scan->endpoint_positions_.front() == 0);
-  UDT_DCHECK(scan->endpoint_positions_.back() == scan->num_positions() - 1);
+  UDT_DCHECK(!endpoint_positions_.empty());
+  UDT_DCHECK(endpoint_positions_.front() == 0);
+  UDT_DCHECK(endpoint_positions_.back() == num_positions() - 1);
 }
 
 void AttributeScan::AddPosition(int idx, double* row) const {

@@ -14,16 +14,16 @@
 // A scan is built by compressing the node's rank-ordered event list for
 // the attribute (split/fractional_tuple.h: a root gathers and radix-sorts
 // its lists, every other node filters its parent's): one pass writes one
-// position per distinct rank. An event's mass is its raw pdf mass times its
-// tuple's share, weight / window mass, so it is bitwise the mass the
-// gather always computed. The scan is a view over the list, which must
-// outlive it: it keeps per tuple its class and share, per position its x
-// and the end of its event run, and a full cumulative row only every
-// kCheckpoint positions. A lookup replays the (at most kCheckpoint-1)
-// positions after the checkpoint before it — the same additions, in the
-// same order, as a row-per-position running sum, so every value is bitwise
-// what that sum would hold. Sweeps over ascending positions go through a
-// ScanCursor, which advances instead of replaying.
+// position per distinct rank. An event's mass is pdf.mass(p) * (weight /
+// window mass), evaluated in that order wherever it is read. The scan is a
+// view over the list and the rank index, which must outlive it: it keeps
+// per tuple its class and share (weight / window mass), per position the
+// end of its event run, and a full cumulative row only every kCheckpoint
+// positions. A lookup replays the (at most kCheckpoint-1) positions after
+// the checkpoint before it — the same additions, in the same order, as a
+// row-per-position running sum, so every value is bitwise what that sum
+// would hold. Sweeps over ascending positions go through a ScanCursor,
+// which advances instead of replaying.
 
 #ifndef UDT_SPLIT_ATTRIBUTE_SCAN_H_
 #define UDT_SPLIT_ATTRIBUTE_SCAN_H_
@@ -128,11 +128,11 @@ class AttributeScan {
     int32_t cls;
   };
 
-  // Compresses `list`, the events of `tuples` on `attribute`, into
-  // `scan`, which reads `list` from then on.
-  static void Compress(const Dataset& data, const AttributeIndex& index,
-                       const WorkingSet& tuples, const AttributeEvents& list,
-                       int attribute, AttributeScan* scan);
+  // Compresses `list`, the events of `tuples` on `attribute`, into this
+  // empty scan, which reads `list` from then on.
+  void Compress(const Dataset& data, const AttributeIndex& index,
+                const WorkingSet& tuples, const AttributeEvents& list,
+                int attribute);
 
   // Writes the cumulative row of position `idx` into row[0..num_classes).
   void LoadRow(int idx, double* row) const;

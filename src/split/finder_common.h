@@ -48,11 +48,11 @@ struct EvalBuffers {
 };
 
 // Builds the context for one numerical attribute by compressing the
-// node's event list for it. Returns a context with an empty scan when the attribute
-// admits no candidate (< 2 distinct positions) or is categorical. Honors
-// the percentile-end-point option: in that mode every interval is
-// conservatively classified heterogeneous (the concavity theorems assume
-// true support boundaries).
+// node's event list for it. Returns a context with an empty scan when the
+// attribute admits no candidate (< 2 distinct positions) or is
+// categorical. Honors the percentile-end-point option: in that mode every
+// interval is conservatively classified heterogeneous (the concavity
+// theorems assume true support boundaries).
 AttributeContext BuildContextForAttribute(const Dataset& data,
                                           const AttributeIndex& index,
                                           const NodeSet& set, int attribute,

@@ -19,8 +19,8 @@
 // but the split one a tuple keeps its window and its events unchanged, and
 // on the split attribute a child keeps the parent's events on its side of
 // the split point. The split scans (split/attribute_scan.h) compress these
-// lists; the raw pdf mass an event carries is scaled by the tuple's weight
-// over its window mass there, the same expression the gather used.
+// lists, scaling the raw pdf mass an event carries by its tuple's weight
+// over its window mass.
 
 #ifndef UDT_SPLIT_FRACTIONAL_TUPLE_H_
 #define UDT_SPLIT_FRACTIONAL_TUPLE_H_
