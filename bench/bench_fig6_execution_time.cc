@@ -11,13 +11,17 @@
 // --threads workers (bitwise-identical output), reported as the speedup
 // over the serial build of the same algorithm.
 //
+// Serial and parallel builds take the same best-of-N (N = 2 at reduced
+// scale, 1 at --full), so the speedup compares like with like.
+//
 // Every (data set, algorithm) cell is also emitted as a JSON row to
 // BENCH_fig6_execution_time.json for trajectory tracking across commits;
 // each row names the build type it was timed under (record the sidecar
-// from a Release build).
+// from a Release build) and the host's CPU count (`nproc`).
 
 #include <algorithm>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -39,6 +43,10 @@ int main(int argc, char** argv) {
   // Resolve --threads=0 ("one per hardware thread") to the actual count
   // so the printed columns and the JSON rows name the real concurrency.
   const int threads = udt::TaskPool::EffectiveConcurrency(options.num_threads);
+  const int nproc = static_cast<int>(std::thread::hardware_concurrency());
+  // Best of two runs at reduced scale to damp cold-start noise; serial and
+  // parallel builds alike.
+  const int repetitions = options.full ? 1 : 2;
   udt::bench::JsonRows json("fig6_execution_time", options);
 
   const std::vector<udt::SplitAlgorithm> kAlgorithms = {
@@ -67,21 +75,24 @@ int main(int argc, char** argv) {
     double es_seconds = 0.0;
     double udt_speedup = 0.0;
     double es_speedup = 0.0;
-    for (udt::SplitAlgorithm algorithm : kAlgorithms) {
-      udt::TreeConfig config;
-      config.algorithm = algorithm;
-      // AVG trains on the means view, as Trainer::TrainAveraging does.
-      // Best of two runs at reduced scale to damp cold-start noise.
-      int repetitions = options.full ? 1 : 2;
-      double seconds = 0.0;
+    // The best build time of `config` over `repetitions` runs. AVG trains
+    // on the means view, as Trainer::TrainAveraging does.
+    auto best_seconds = [&](const udt::TreeConfig& config) {
+      double best = 0.0;
       for (int rep = 0; rep < repetitions; ++rep) {
-        auto stats = algorithm == udt::SplitAlgorithm::kAvg
+        auto stats = config.algorithm == udt::SplitAlgorithm::kAvg
                          ? udt::MeasureTreeBuild(ds->ToMeans(), config)
                          : udt::MeasureTreeBuild(*ds, config);
         UDT_CHECK(stats.ok());
-        seconds = rep == 0 ? stats->build_seconds
-                           : std::min(seconds, stats->build_seconds);
+        best = rep == 0 ? stats->build_seconds
+                        : std::min(best, stats->build_seconds);
       }
+      return best;
+    };
+    for (udt::SplitAlgorithm algorithm : kAlgorithms) {
+      udt::TreeConfig config;
+      config.algorithm = algorithm;
+      const double seconds = best_seconds(config);
       std::printf(" %9.3f", seconds);
       if (algorithm == udt::SplitAlgorithm::kAvg) avg_seconds = seconds;
       if (algorithm == udt::SplitAlgorithm::kUdtEs) es_seconds = seconds;
@@ -97,9 +108,7 @@ int main(int argc, char** argv) {
       if (scaled) {
         udt::TreeConfig parallel_config = config;
         parallel_config.num_threads = threads;
-        auto stats = udt::MeasureTreeBuild(*ds, parallel_config);
-        UDT_CHECK(stats.ok());
-        parallel_seconds = stats->build_seconds;
+        parallel_seconds = best_seconds(parallel_config);
         speedup = parallel_seconds > 0.0 ? seconds / parallel_seconds : 0.0;
         if (algorithm == udt::SplitAlgorithm::kUdt) udt_speedup = speedup;
         if (algorithm == udt::SplitAlgorithm::kUdtEs) es_speedup = speedup;
@@ -112,7 +121,8 @@ int main(int argc, char** argv) {
           .Int("s", s)
           .Num("w", kW)
           .Num("seconds", seconds)
-          .Str("build_type", UDT_BENCH_BUILD_TYPE);
+          .Str("build_type", UDT_BENCH_BUILD_TYPE)
+          .Int("nproc", nproc);
       if (scaled) {
         row.Int("threads", threads)
             .Num("parallel_seconds", parallel_seconds)

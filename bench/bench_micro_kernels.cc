@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the kernels that dominate tree
 // construction and serving: CDF queries, root and child scan
-// construction, entropy scoring, interval bounding, working-set
+// construction, the split search's set-up (rank index and root lists),
+// entropy scoring, interval bounding, working-set
 // partitioning, uncertain classification, the thread scaling of the
 // parallel construction engine, and the flat-tree traversal kernels.
 //
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "api/trainer.h"
 #include "bench_common.h"
 #include "common/random.h"
+#include "common/task_pool.h"
 #include "common/timer.h"
 #include "datagen/uci_like.h"
 #include "pdf/pdf_builder.h"
@@ -99,7 +102,7 @@ void BM_ChildScanBuild(benchmark::State& state) {
   Dataset ds = BenchDataset(static_cast<int>(state.range(0)), 2, 20, 1);
   const bool filter = state.range(1) != 0;
   const AttributeIndex index = AttributeIndex::Build(ds);
-  const NodeSet root = MakeNodeSet(ds, index, MakeRootWorkingSet(ds));
+  const NodeSet root = MakeRootNodeSet(ds, index, MakeRootWorkingSet(ds));
   for (auto _ : state) {
     state.PauseTiming();
     NodeSet parent = root;
@@ -123,6 +126,26 @@ void BM_ChildScanBuild(benchmark::State& state) {
 BENCHMARK(BM_ChildScanBuild)
     ->ArgsProduct({{50, 200, 800}, {0, 1}})
     ->ArgNames({"tuples", "filter"});
+
+// A build's split-search set-up at Segment shape (2310 tuples x 19
+// attributes x 20 sample points) on Arg workers, as a build of that width
+// runs it: the rank index, which writes the root's lists as it ranks, and
+// the root NodeSet that takes them (TakeRootNodeSet). Read the wall-clock
+// column: at 4 workers the CPU column is the calling thread's share.
+void BM_RootSetup(benchmark::State& state) {
+  static const Dataset* const ds = new Dataset(BenchDataset(2310, 19, 20, 5));
+  const int threads = static_cast<int>(state.range(0));
+  std::optional<TaskPool> pool;
+  if (threads > 1) pool.emplace(threads - 1);
+  TaskPool* const workers = pool ? &*pool : nullptr;
+  for (auto _ : state) {
+    AttributeIndex index = AttributeIndex::Build(*ds, workers);
+    const NodeSet root =
+        TakeRootNodeSet(*ds, &index, MakeRootWorkingSet(*ds), workers);
+    benchmark::DoNotOptimize(root.lists.data());
+  }
+}
+BENCHMARK(BM_RootSetup)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_EntropyScore(benchmark::State& state) {
   SplitScorer scorer(DispersionMeasure::kEntropy, {10.0, 20.0, 30.0});

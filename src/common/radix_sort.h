@@ -1,6 +1,7 @@
 // Stable LSD radix sort on unsigned integer keys, eight bits per pass. The
-// split-search engine ranks its sample points and orders a root's sample
-// events with it (split/attribute_index.cc, split/fractional_tuple.cc):
+// split-search engine ranks its sample points with it, and the order of
+// that sort is the root's event order (split/attribute_index.cc; the
+// reference gather of split/fractional_tuple.cc sorts events with it too):
 // linear in the input, and stable, so items with equal keys keep their
 // input order — which is what keeps tied attribute values in working-set
 // order at every thread count.

@@ -252,18 +252,22 @@ StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(
   std::optional<TaskPool> pool;
   if (concurrency > 1) pool.emplace(concurrency - 1);
 
-  // The rank index: the caller's shared one, else built here (its
-  // attributes fan out over the build's pool).
+  // The rank index and the root's event lists, which the index wrote
+  // while it ranked the points: a caller's shared index keeps its lists
+  // and the root filters them by bag weight; an index built here (its
+  // attributes fan out over the build's pool) hands them over.
   std::optional<AttributeIndex> own_index;
+  NodeSet root_set;
   if (index == nullptr) {
     own_index = AttributeIndex::Build(train, pool ? &*pool : nullptr);
     index = &*own_index;
+    root_set = TakeRootNodeSet(train, &*own_index, std::move(root_tuples),
+                               pool ? &*pool : nullptr);
+  } else {
+    root_set = MakeRootNodeSet(train, *index, std::move(root_tuples),
+                               pool ? &*pool : nullptr);
   }
   ctx.node.index = index;
-
-  // The root's event lists: the build's one gather and sort.
-  NodeSet root_set = MakeNodeSet(train, *index, std::move(root_tuples),
-                                 pool ? &*pool : nullptr);
 
   std::unique_ptr<TreeNode> root;
   if (!pool) {

@@ -38,6 +38,15 @@ void FillNodeStatistics(TreeNode* node, std::vector<double> counts) {
 
 }  // namespace
 
+bool StopsBeforeSearch(const std::vector<double>& counts, int depth,
+                       const TreeConfig& config) {
+  double total = 0.0;
+  for (double c : counts) total += c;
+  // An empty set has no class with mass, so it is pure.
+  return depth >= config.max_depth || total < config.min_split_weight ||
+         IsPure(counts);
+}
+
 uint64_t ChildNodeToken(uint64_t parent_token, int child_index) {
   // Multiply-then-mix keeps sibling tokens and cousin tokens decorrelated;
   // the odd multiplier makes (parent, index) -> pre-mix input injective.
@@ -86,14 +95,10 @@ NodeDecision DecideNode(const NodeBuildContext& ctx, NodeSet* set,
 
   std::vector<double> counts =
       ClassCounts(data, set->tuples, data.num_classes());
-  double total = 0.0;
-  for (double c : counts) total += c;
-  FillNodeStatistics(node, counts);
+  const bool stops = StopsBeforeSearch(counts, depth, config);
+  FillNodeStatistics(node, std::move(counts));
   ++stats->nodes;
-
-  // Stopping rules (pre-pruning).
-  if (depth >= config.max_depth || total < config.min_split_weight ||
-      IsPure(node->class_counts) || set->tuples.empty()) {
+  if (stops) {
     ++stats->leaves;
     return decision;
   }
@@ -147,11 +152,16 @@ NodeDecision DecideNode(const NodeBuildContext& ctx, NodeSet* set,
     return decision;
   }
 
+  // Children that will stop get no lists: they never read them.
+  const ChildStops child_stops = [&](const WorkingSet& child) {
+    return StopsBeforeSearch(ClassCounts(data, child, data.num_classes()),
+                             depth + 1, config);
+  };
   if (best_categorical >= 0) {
     int num_categories =
         data.schema().attribute(best_categorical).num_categories;
     PartitionNodeSetCategorical(data, set, best_categorical, num_categories,
-                                &decision.buckets, scan_pool);
+                                &decision.buckets, scan_pool, child_stops);
     int populated = 0;
     for (const NodeSet& bucket : decision.buckets) {
       if (!bucket.tuples.empty()) ++populated;
@@ -169,7 +179,7 @@ NodeDecision DecideNode(const NodeBuildContext& ctx, NodeSet* set,
   }
 
   PartitionNodeSet(data, *ctx.index, set, best.attribute, best.split_point,
-                   &decision.left, &decision.right, scan_pool);
+                   &decision.left, &decision.right, scan_pool, child_stops);
   if (decision.left.tuples.empty() || decision.right.tuples.empty()) {
     // Guarded against by min_side_mass, but weight drops of micro-fragments
     // can in principle empty a side; fall back to a leaf.

@@ -8,10 +8,11 @@
 //
 // A node's working set is a NodeSet (split/fractional_tuple.h): its
 // fractional tuples plus one rank-ordered event list per numerical
-// attribute. The root's lists are gathered and radix-sorted once; every
-// split hands its children lists filtered from the node's own in one pass
-// per attribute (PartitionNodeSet), so no node below the root gathers or
-// sorts. The split scans compress those lists.
+// attribute. The root's lists come from the rank index, which wrote them
+// while it ranked the points; every split hands its children lists
+// filtered from the node's own in one pass per attribute
+// (PartitionNodeSet), so no node gathers or sorts. A child that
+// StopsBeforeSearch gets no lists. The split scans compress those lists.
 
 #ifndef UDT_CORE_NODE_BUILD_H_
 #define UDT_CORE_NODE_BUILD_H_
@@ -77,6 +78,14 @@ uint64_t ChildNodeToken(uint64_t parent_token, int child_index);
 // Requires 0 < k < num_attributes.
 std::vector<uint8_t> SampleAttributeSubspace(uint64_t seed, uint64_t token,
                                              int num_attributes, int k);
+
+// The pre-pruning rules: a node at `depth` whose class weights are
+// `counts` (ClassCounts of its working set) becomes a leaf before any
+// split search — at max_depth, below min_split_weight, or pure (an empty
+// set is pure). DecideNode applies it to a node, and to the node's
+// children before it partitions, so that a stopping child gets no lists.
+bool StopsBeforeSearch(const std::vector<double>& counts, int depth,
+                       const TreeConfig& config);
 
 // Evaluates one node. A split consumes `set`'s event lists to make the
 // children's; `set` keeps its tuples. `used_categorical` marks categorical

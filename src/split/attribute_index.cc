@@ -6,11 +6,13 @@
 #include "common/logging.h"
 #include "common/radix_sort.h"
 #include "common/task_pool.h"
+#include "pdf/pdf_kernels.h"
 
 namespace udt {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr uint64_t kSignBit = uint64_t{1} << 63;
 
 // Maps doubles to unsigned keys with the same order: flip every bit of a
@@ -26,10 +28,16 @@ double KeyValue(uint64_t key) {
                                                      : ~key);
 }
 
+// One (tuple, point) in the sort: its order key, its flat index into the
+// column's ranks and masses, and the tag of its root event (tuple << 1 |
+// window-boundary flag; kOutsideWindow for a point the root never sees).
 struct KeyedPoint {
   uint64_t key;
-  uint32_t id;  // flat (tuple, point) index into the column's ranks
+  uint32_t id;
+  uint32_t tag;
 };
+
+constexpr uint32_t kOutsideWindow = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
 
@@ -41,6 +49,8 @@ AttributeIndex::Column AttributeIndex::BuildColumn(const Dataset& data,
   }
   const size_t j = static_cast<size_t>(attribute);
   const size_t num_tuples = static_cast<size_t>(data.num_tuples());
+  // The largest tag, (num_tuples - 1) << 1 | 1, stays below kOutsideWindow.
+  UDT_CHECK(num_tuples <= std::numeric_limits<uint32_t>::max() >> 1);
   column.offsets.resize(num_tuples + 1);
   size_t total = 0;
   for (size_t t = 0; t < num_tuples; ++t) {
@@ -51,29 +61,65 @@ AttributeIndex::Column AttributeIndex::BuildColumn(const Dataset& data,
   column.offsets[num_tuples] = total;
   UDT_CHECK(total <= std::numeric_limits<uint32_t>::max());
 
-  std::vector<KeyedPoint> points;
-  points.reserve(total);
+  // One sequential pass over the pdfs reads every point and mass, and
+  // each tuple's root window: the whole pdf, [0, n) holding
+  // cumulative[n-1], found by the gather's own window search.
+  AttributeEvents& root = column.root;
+  root.window_mass.resize(num_tuples);
+  root.window_size.resize(num_tuples);
+  DefaultInitVector<KeyedPoint> points(total);
+  DefaultInitVector<KeyedPoint> scratch(total);
+  DefaultInitVector<double> masses(total);
+  size_t num_events = 0;
   for (size_t t = 0; t < num_tuples; ++t) {
     const SampledPdf& pdf = data.tuple(static_cast<int>(t)).values[j].pdf();
-    for (int p = 0; p < pdf.num_points(); ++p) {
-      points.push_back(KeyedPoint{OrderKey(pdf.point(p)),
-                                  static_cast<uint32_t>(points.size())});
+    const PdfWindow window = PdfConstrainedWindow(pdf, -kInf, kInf);
+    const bool has_mass = window.mass > 0.0;
+    root.window_mass[t] = window.mass;
+    root.window_size[t] =
+        has_mass ? static_cast<uint32_t>(window.end - window.begin) : 0;
+    num_events += root.window_size[t];
+    const uint32_t tag = static_cast<uint32_t>(t) << 1;
+    const size_t base = column.offsets[t];
+    for (size_t p = 0; p < static_cast<size_t>(pdf.num_points()); ++p) {
+      uint32_t root_tag = kOutsideWindow;
+      if (has_mass && p >= window.begin && p < window.end) {
+        const bool boundary = p == window.begin || p + 1 == window.end;
+        root_tag = tag | (boundary ? 1u : 0u);
+      }
+      const uint32_t id = static_cast<uint32_t>(base + p);
+      const double x = pdf.point(static_cast<int>(p));
+      points[id] = KeyedPoint{OrderKey(x), id, root_tag};
+      masses[id] = pdf.mass(static_cast<int>(p));
     }
   }
-  std::vector<KeyedPoint> scratch;
   RadixSortByKey(&points, &scratch, 64,
                  [](const KeyedPoint& point) { return point.key; });
+  scratch = DefaultInitVector<KeyedPoint>();
 
-  column.ranks.resize(total);
-  uint32_t rank = 0;
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (i == 0 || points[i].key != points[i - 1].key) {
-      if (i > 0) ++rank;
-      column.values.push_back(KeyValue(points[i].key));
-    }
-    column.ranks[points[i].id] = rank;
+  size_t num_values = total == 0 ? 0 : 1;
+  for (size_t i = 1; i < total; ++i) {
+    num_values += points[i].key != points[i - 1].key ? 1 : 0;
   }
-  column.values.shrink_to_fit();
+  column.values.reserve(num_values);
+  column.ranks.resize(total);
+  root.events.resize(num_events);
+  // Sorted order is rank order with ties in tuple-then-point order — the
+  // root's event order.
+  SampleEvent* event = root.events.data();
+  uint32_t rank = 0;
+  for (size_t i = 0; i < total; ++i) {
+    const KeyedPoint& point = points[i];
+    if (i == 0 || point.key != points[i - 1].key) {
+      if (i > 0) ++rank;
+      column.values.push_back(KeyValue(point.key));
+    }
+    column.ranks[point.id] = rank;
+    if (point.tag != kOutsideWindow) {
+      *event++ = SampleEvent{rank, point.tag, masses[point.id]};
+    }
+  }
+  UDT_CHECK(event == root.events.data() + num_events);
   return column;
 }
 

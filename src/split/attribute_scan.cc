@@ -35,61 +35,74 @@ void AttributeScan::Compress(const Dataset& data, const AttributeIndex& index,
                              const AttributeEvents& list, int attribute) {
   const size_t k = static_cast<size_t>(num_classes_);
   class_totals_.assign(k, 0.0);
-  const DefaultInitVector<SampleEvent>& events = list.events;
-  if (events.empty()) return;
-  events_ = events.data();
+  const size_t num_events = list.events.size();
+  if (num_events == 0) return;
+  events_ = list.events.data();
   index_ = &index;
   attribute_ = attribute;
 
-  // An event's mass is its raw pdf mass times its tuple's scale.
+  // An event's mass is its raw pdf mass times its tuple's scale. Each
+  // tuple with events flags at most two of them as window ends.
   shares_.resize(tuples.size());
+  size_t max_endpoints = 0;
   for (size_t f = 0; f < tuples.size(); ++f) {
     if (list.window_size[f] == 0) continue;  // no events
     shares_[f] = TupleShare{tuples[f].weight / list.window_mass[f],
                             data.tuple(tuples[f].tuple_index).label};
+    max_endpoints += 2;
   }
 
   // One position per distinct rank, with a running per-class sum that is
   // checkpointed every kCheckpoint positions. Sized for one position per
   // event, then cut to the positions written. At every end point the
   // running row also classifies the interval the end point closes.
-  const size_t num_events = events.size();
   event_end_.resize(num_events);
   checkpoints_.resize((num_events + kCheckpoint - 1) / kCheckpoint * k);
+  endpoint_positions_.reserve(max_endpoints);
+  endpoint_interval_classes_.reserve(max_endpoints);
 
-  std::vector<double>& running = class_totals_;
-  std::vector<double> at_endpoint;
+  // The loop reads and writes only through these restrict pointers, so
+  // no store to a position's end or checkpoint can alias the running row
+  // or the row at the last end point, which stay in `rows`.
+  std::vector<double> rows(2 * k, 0.0);
+  double* __restrict running = rows.data();
+  double* __restrict at_endpoint = running + k;
+  const SampleEvent* __restrict events = events_;
+  const TupleShare* __restrict shares = shares_.data();
+  uint32_t* __restrict event_end = event_end_.data();
+  double* __restrict checkpoints = checkpoints_.data();
+
   size_t position = 0;
   for (size_t e = 0; e < num_events; ++position) {
     const uint32_t rank = events[e].rank;
-    bool endpoint = false;
-    for (; e < num_events && events[e].rank == rank; ++e) {
-      const TupleShare& share = shares_[events[e].tag >> 1];
-      running[static_cast<size_t>(share.cls)] += events[e].mass * share.scale;
-      endpoint |= (events[e].tag & 1u) != 0;
-    }
-    event_end_[position] = static_cast<uint32_t>(e);
-    if (endpoint) {
+    uint32_t tags = 0;  // bit 0: some event of the position is a window end
+    do {
+      const SampleEvent event = events[e];
+      const TupleShare share = shares[event.tag >> 1];
+      running[share.cls] += event.mass * share.scale;
+      tags |= event.tag;
+    } while (++e < num_events && events[e].rank == rank);
+    event_end[position] = static_cast<uint32_t>(e);
+    if ((tags & 1u) != 0) {
       if (!endpoint_positions_.empty()) {
         uint8_t classes = 0;
         for (size_t c = 0; c < k; ++c) {
-          if (running[c] - at_endpoint[c] > kMassEpsilon) ++classes;
+          classes += running[c] - at_endpoint[c] > kMassEpsilon ? 1 : 0;
         }
         endpoint_interval_classes_.push_back(std::min<uint8_t>(classes, 2));
       }
       endpoint_positions_.push_back(static_cast<int>(position));
-      at_endpoint = running;
+      std::copy(running, running + k, at_endpoint);
     }
     if (position % kCheckpoint == 0) {
-      std::copy(running.begin(), running.end(),
-                checkpoints_.begin() +
-                    static_cast<std::ptrdiff_t>(position / kCheckpoint * k));
+      std::copy(running, running + k, checkpoints + position / kCheckpoint * k);
     }
   }
   event_end_.resize(position);
   checkpoints_.resize((position + kCheckpoint - 1) / kCheckpoint * k);
+  std::copy(running, running + k, class_totals_.begin());
   total_mass_ = 0.0;
-  for (double t : running) total_mass_ += t;
+  for (double t : class_totals_) total_mass_ += t;
 
   UDT_DCHECK(!endpoint_positions_.empty());
   UDT_DCHECK(endpoint_positions_.front() == 0);

@@ -12,8 +12,8 @@
 //     positions.
 //
 // A scan is built by compressing the node's rank-ordered event list for
-// the attribute (split/fractional_tuple.h: a root gathers and radix-sorts
-// its lists, every other node filters its parent's): one pass writes one
+// the attribute (split/fractional_tuple.h: a root takes its lists from the
+// rank index, every other node filters its parent's): one pass writes one
 // position per distinct rank. An event's mass is pdf.mass(p) * (weight /
 // window mass), evaluated in that order wherever it is read. The scan is a
 // view over the list and the rank index, which must outlive it: it keeps
@@ -62,9 +62,8 @@ class AttributeScan {
                              const NodeSet& set, int attribute,
                              int num_classes);
 
-  // The same scan for a bare working set: gathers its event list
-  // (GatherAttributeEvents), as a root does, and owns it; it still reads
-  // `index`.
+  // The same scan for a bare working set: gathers and sorts its event
+  // list (GatherAttributeEvents) and owns it; it still reads `index`.
   static AttributeScan Build(const Dataset& data, const AttributeIndex& index,
                              const WorkingSet& set, int attribute,
                              int num_classes);

@@ -112,11 +112,12 @@ void PartitionTuplesCategorical(const Dataset& data, const WorkingSet& set,
 // The children's lists on an attribute the split leaves alone: every
 // child tuple keeps its parent tuple's window and events, so one pass over
 // `parent` writes each event to every child holding a copy of its tuple
-// (to[f * k + c], as PartitionTuples* record it), in parent order. Frees
-// `parent`.
-void FilterEvents(AttributeEvents* parent, const std::vector<int32_t>& to,
-                  NodeSet* const* children, size_t k, size_t attribute) {
-  const size_t n = parent->window_size.size();
+// (to[f * k + c] for k children, as PartitionTuples* record it), in parent
+// order.
+void FilterEvents(const AttributeEvents& parent, const std::vector<int32_t>& to,
+                  const std::vector<NodeSet*>& children, size_t attribute) {
+  const size_t n = parent.window_size.size();
+  const size_t k = children.size();
   std::vector<SampleEvent*> out(k);
   for (size_t c = 0; c < k; ++c) {
     AttributeEvents& child = children[c]->lists[attribute];
@@ -127,16 +128,16 @@ void FilterEvents(AttributeEvents* parent, const std::vector<int32_t>& to,
     for (size_t f = 0; f < n; ++f) {
       const int32_t cf = to[f * k + c];
       if (cf == kAbsent) continue;
-      child.window_mass[static_cast<size_t>(cf)] = parent->window_mass[f];
-      child.window_size[static_cast<size_t>(cf)] = parent->window_size[f];
-      total += parent->window_size[f];
+      child.window_mass[static_cast<size_t>(cf)] = parent.window_mass[f];
+      child.window_size[static_cast<size_t>(cf)] = parent.window_size[f];
+      total += parent.window_size[f];
     }
     // One slack slot: the loop below writes every event to every child
     // and advances only the children that keep it.
     child.events.resize(total + 1);
     out[c] = child.events.data();
   }
-  for (const SampleEvent& event : parent->events) {
+  for (const SampleEvent& event : parent.events) {
     const uint32_t flag = event.tag & 1u;
     const int32_t* dst = to.data() + static_cast<size_t>(event.tag >> 1) * k;
     for (size_t c = 0; c < k; ++c) {
@@ -152,7 +153,37 @@ void FilterEvents(AttributeEvents* parent, const std::vector<int32_t>& to,
     UDT_DCHECK(out[c] + 1 == child.events.data() + child.events.size());
     child.events.pop_back();
   }
-  *parent = AttributeEvents();
+}
+
+// The children of a partition that get lists: those `stops` does not
+// stop, each given one empty list per attribute (a stopped child keeps
+// none). `*listed_to` becomes `to` (stride children.size()) cut down to
+// the listed children's columns, in order: the map FilterEvents reads.
+std::vector<NodeSet*> ListedChildren(const std::vector<NodeSet*>& children,
+                                     size_t num_lists, const ChildStops& stops,
+                                     const std::vector<int32_t>& to,
+                                     std::vector<int32_t>* listed_to) {
+  std::vector<NodeSet*> listed;
+  std::vector<size_t> columns;
+  for (size_t c = 0; c < children.size(); ++c) {
+    if (stops && stops(children[c]->tuples)) {
+      children[c]->lists.clear();
+      continue;
+    }
+    children[c]->lists.assign(num_lists, AttributeEvents());
+    listed.push_back(children[c]);
+    columns.push_back(c);
+  }
+  if (listed.empty()) return listed;
+  const size_t k = children.size();
+  const size_t n = to.size() / k;
+  listed_to->resize(n * columns.size());
+  for (size_t f = 0; f < n; ++f) {
+    for (size_t c = 0; c < columns.size(); ++c) {
+      (*listed_to)[f * columns.size() + c] = to[f * k + columns[c]];
+    }
+  }
+  return listed;
 }
 
 // One child's list on the split attribute: the events of `parent` in
@@ -330,6 +361,55 @@ NodeSet MakeNodeSet(const Dataset& data, const AttributeIndex& index,
   return set;
 }
 
+NodeSet MakeRootNodeSet(const Dataset& data, const AttributeIndex& index,
+                        WorkingSet tuples, TaskPool* pool) {
+  UDT_DCHECK(index.num_tuples() == data.num_tuples());
+  NodeSet set;
+  set.tuples = std::move(tuples);
+  set.lists.resize(static_cast<size_t>(data.num_attributes()));
+  // Tuple t of the data set sits at to[t] in the root (kAbsent when a bag
+  // omitted it). Ascending tuple order keeps the filtered ties in
+  // working-set order.
+  std::vector<int32_t> to(static_cast<size_t>(index.num_tuples()), kAbsent);
+  int prev = -1;
+  for (size_t f = 0; f < set.tuples.size(); ++f) {
+    const int t = set.tuples[f].tuple_index;
+    UDT_CHECK(t > prev && t < index.num_tuples());
+    to[static_cast<size_t>(t)] = static_cast<int32_t>(f);
+    prev = t;
+  }
+  const std::vector<NodeSet*> root = {&set};
+  ForEachIndex(pool, set.lists.size(), [&](size_t j) {
+    if (!IsNumerical(data, j)) return;
+    FilterEvents(index.root_events(static_cast<int>(j)), to, root, j);
+  });
+  return set;
+}
+
+NodeSet TakeRootNodeSet(const Dataset& data, AttributeIndex* index,
+                        WorkingSet tuples, TaskPool* pool) {
+  UDT_CHECK(index != nullptr);
+  const size_t num_lists = static_cast<size_t>(data.num_attributes());
+  if (tuples.size() != static_cast<size_t>(index->num_tuples())) {
+    NodeSet set = MakeRootNodeSet(data, *index, std::move(tuples), pool);
+    for (size_t j = 0; j < num_lists; ++j) {
+      index->TakeRootEvents(static_cast<int>(j));
+    }
+    return set;
+  }
+  // Every tuple, in order: the index's lists are the root's.
+  for (size_t f = 0; f < tuples.size(); ++f) {
+    UDT_CHECK(tuples[f].tuple_index == static_cast<int>(f));
+  }
+  NodeSet set;
+  set.tuples = std::move(tuples);
+  set.lists.resize(num_lists);
+  for (size_t j = 0; j < num_lists; ++j) {
+    set.lists[j] = index->TakeRootEvents(static_cast<int>(j));
+  }
+  return set;
+}
+
 // Both functions route through the branchless lockstep kernels of
 // pdf/pdf_kernels.h; their results are bitwise-identical to the previous
 // std::upper_bound formulation (same cumulative reads, same arithmetic
@@ -389,20 +469,27 @@ void PartitionWorkingSetCategorical(const Dataset& data,
 
 void PartitionNodeSet(const Dataset& data, const AttributeIndex& index,
                       NodeSet* set, int attribute, double split_point,
-                      NodeSet* left, NodeSet* right, TaskPool* pool) {
+                      NodeSet* left, NodeSet* right, TaskPool* pool,
+                      const ChildStops& stops) {
   UDT_CHECK(set != nullptr && left != nullptr && right != nullptr);
   std::vector<int32_t> to;
   PartitionTuples(data, set->tuples, attribute, split_point, &left->tuples,
                   &right->tuples, &to);
   const size_t num_lists = set->lists.size();
-  left->lists.assign(num_lists, AttributeEvents());
-  right->lists.assign(num_lists, AttributeEvents());
-  NodeSet* const children[2] = {left, right};
+  const std::vector<NodeSet*> sides = {left, right};
+  std::vector<int32_t> listed_to;
+  const std::vector<NodeSet*> listed =
+      ListedChildren(sides, num_lists, stops, to, &listed_to);
+  if (listed.empty()) {
+    set->lists.clear();
+    return;
+  }
   ForEachIndex(pool, num_lists, [&](size_t j) {
     if (!IsNumerical(data, j)) return;
     AttributeEvents& parent = set->lists[j];
     if (j != static_cast<size_t>(attribute)) {
-      FilterEvents(&parent, to, children, 2, j);
+      FilterEvents(parent, listed_to, listed, j);
+      parent = AttributeEvents();
       return;
     }
     // Rank order is x order: the left side is a prefix.
@@ -412,16 +499,19 @@ void PartitionNodeSet(const Dataset& data, const AttributeIndex& index,
         begin, end, [&](const SampleEvent& event) {
           return index.value(attribute, event.rank) <= split_point;
         });
-    CutEvents(data, index, j, parent, begin, cut, to, 0, left);
-    CutEvents(data, index, j, parent, cut, end, to, 1, right);
+    for (size_t side = 0; side < 2; ++side) {
+      if (sides[side]->lists.empty()) continue;  // stopped: no lists
+      CutEvents(data, index, j, parent, side == 0 ? begin : cut,
+                side == 0 ? cut : end, to, side, sides[side]);
+    }
     parent = AttributeEvents();
   });
 }
 
 void PartitionNodeSetCategorical(const Dataset& data, NodeSet* set,
                                  int attribute, int num_categories,
-                                 std::vector<NodeSet>* buckets,
-                                 TaskPool* pool) {
+                                 std::vector<NodeSet>* buckets, TaskPool* pool,
+                                 const ChildStops& stops) {
   UDT_CHECK(set != nullptr && buckets != nullptr);
   std::vector<WorkingSet> tuples;
   std::vector<int32_t> to;
@@ -433,12 +523,19 @@ void PartitionNodeSetCategorical(const Dataset& data, NodeSet* set,
   for (size_t v = 0; v < buckets->size(); ++v) {
     NodeSet& bucket = (*buckets)[v];
     bucket.tuples = std::move(tuples[v]);
-    bucket.lists.resize(num_lists);
     children.push_back(&bucket);
+  }
+  std::vector<int32_t> listed_to;
+  const std::vector<NodeSet*> listed =
+      ListedChildren(children, num_lists, stops, to, &listed_to);
+  if (listed.empty()) {
+    set->lists.clear();
+    return;
   }
   ForEachIndex(pool, num_lists, [&](size_t j) {
     if (!IsNumerical(data, j)) return;
-    FilterEvents(&set->lists[j], to, children.data(), children.size(), j);
+    FilterEvents(set->lists[j], listed_to, listed, j);
+    set->lists[j] = AttributeEvents();
   });
 }
 

@@ -13,19 +13,23 @@
 // A tree node's working set is a NodeSet: its fractional tuples plus, per
 // numerical attribute, their sample events in AttributeIndex rank order
 // (the presorted attribute lists of SLIQ, Mehta et al., EDBT 1996, and
-// SPRINT, Shafer et al., VLDB 1996). Only the root gathers and radix-sorts
-// its events. Partitioning appends each child's tuples in parent order, so
-// a child's events are a stable filter of its parent's: on every attribute
-// but the split one a tuple keeps its window and its events unchanged, and
-// on the split attribute a child keeps the parent's events on its side of
-// the split point. The split scans (split/attribute_scan.h) compress these
-// lists, scaling the raw pdf mass an event carries by its tuple's weight
-// over its window mass.
+// SPRINT, Shafer et al., VLDB 1996). Nothing in a build gathers or sorts
+// events: a root takes its lists from the rank index, which wrote them
+// while it ranked the points, and filters them by bag weight when it does
+// not hold every tuple. Partitioning appends each child's tuples in parent
+// order, so a child's events are a stable filter of its parent's: on every
+// attribute but the split one a tuple keeps its window and its events
+// unchanged, and on the split attribute a child keeps the parent's events
+// on its side of the split point. A child that the stopping rules make a
+// leaf gets no lists at all. The split scans (split/attribute_scan.h)
+// compress these lists, scaling the raw pdf mass an event carries by its
+// tuple's weight over its window mass.
 
 #ifndef UDT_SPLIT_FRACTIONAL_TUPLE_H_
 #define UDT_SPLIT_FRACTIONAL_TUPLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/default_init.h"
@@ -60,28 +64,9 @@ struct FractionalTuple {
 // The fractional tuples of a tree node.
 using WorkingSet = std::vector<FractionalTuple>;
 
-// One (fractional tuple, effective sample point) of a numerical attribute,
-// 16 bytes: the point's AttributeIndex rank, the tuple's position in its
-// working set (tag >> 1) with a flag marking the first or last point of
-// the tuple's window (tag & 1), and the point's raw pdf.mass(p).
-struct SampleEvent {
-  uint32_t rank;
-  uint32_t tag;
-  double mass;
-};
-
-// A working set's events on one numerical attribute, ordered by rank with
-// ties in working-set order, and each tuple's window on the attribute: its
-// constrained mass F(hi) - F(lo) and its number of events (0 when the
-// window holds no mass — such a tuple has no events).
-struct AttributeEvents {
-  DefaultInitVector<SampleEvent> events;
-  std::vector<double> window_mass;
-  std::vector<uint32_t> window_size;
-};
-
 // A tree node's working set: its fractional tuples and one event list per
-// attribute (empty for categorical attributes).
+// attribute (empty for categorical attributes). A node that stops before
+// its split search has no lists (`lists` is empty).
 struct NodeSet {
   WorkingSet tuples;
   std::vector<AttributeEvents> lists;
@@ -99,17 +84,35 @@ WorkingSet MakeWeightedRootWorkingSet(const Dataset& data,
 
 // Gathers `set`'s events on numerical attribute `attribute`: one window
 // search per tuple, then a stable radix sort by rank. `index` must be
-// AttributeIndex::Build(data). This is how a root gets its lists, and the
-// reference the filtered lists of PartitionNodeSet are tested against.
+// AttributeIndex::Build(data). The reference the index's root lists and
+// the filtered lists of PartitionNodeSet are tested against; a build
+// calls it only for a split child whose window gained mass its parent's
+// lacked (see PartitionNodeSet).
 AttributeEvents GatherAttributeEvents(const Dataset& data,
                                       const AttributeIndex& index,
                                       const WorkingSet& set, int attribute);
 
-// A root NodeSet: `tuples` with their gathered lists for every numerical
-// attribute. The attributes gather as parallel tasks when `pool` is
-// non-null; the result does not depend on it.
+// A NodeSet for any working set: `tuples` with their gathered lists for
+// every numerical attribute. The attributes gather as parallel tasks when
+// `pool` is non-null; the result does not depend on it.
 NodeSet MakeNodeSet(const Dataset& data, const AttributeIndex& index,
                     WorkingSet tuples, TaskPool* pool = nullptr);
+
+// A root NodeSet with its lists from `index`'s root lists, without a
+// gather or a sort. `tuples` must be a root working set of `data`
+// (MakeRootWorkingSet or MakeWeightedRootWorkingSet: unconstrained, in
+// ascending tuple order). Each list is one pass over the index's that
+// keeps the events of `tuples`'s tuples — a bag's omitted tuples drop out
+// — and the index keeps its lists. The attributes run as parallel tasks
+// when `pool` is non-null. Equals MakeNodeSet(data, index, tuples).
+NodeSet MakeRootNodeSet(const Dataset& data, const AttributeIndex& index,
+                        WorkingSet tuples, TaskPool* pool = nullptr);
+
+// MakeRootNodeSet for a caller that owns `index` and needs its root lists
+// no more: when `tuples` holds every tuple the lists move into the root
+// without a copy, else each is filtered as above and then freed.
+NodeSet TakeRootNodeSet(const Dataset& data, AttributeIndex* index,
+                        WorkingSet tuples, TaskPool* pool = nullptr);
 
 // Probability mass of `pdf` restricted to the constraint (lo, hi], i.e.
 // F(hi) - F(lo). Infinite bounds denote "unconstrained".
@@ -146,25 +149,34 @@ void PartitionWorkingSetCategorical(const Dataset& data,
                                     int num_categories,
                                     std::vector<WorkingSet>* buckets);
 
+// Whether a child's working set stops before its split search: such a
+// child becomes a leaf and never reads its lists, so it gets none.
+using ChildStops = std::function<bool(const WorkingSet&)>;
+
 // PartitionWorkingSet over a NodeSet: the tuples split as above, and one
-// pass per attribute turns each of `set`'s lists into the two children's
-// lists, freeing it as soon as they exist (`set` keeps its tuples). On the
-// split attribute the children keep the events on their side of
-// `split_point`, with windows and boundary flags from one window search
+// pass per attribute turns each of `set`'s lists into the lists of the
+// children that `stops` does not stop (every child when `stops` is
+// empty), freeing it as soon as they exist (`set` keeps its tuples). A
+// stopped child's `lists` stay empty, and when both children stop no pass
+// runs. On the split attribute the children keep the events on their side
+// of `split_point`, with windows and boundary flags from one window search
 // per child tuple. The attributes run as parallel tasks when `pool` is
 // non-null; the result does not depend on it. Each child list equals
 // GatherAttributeEvents over the child's tuples.
 void PartitionNodeSet(const Dataset& data, const AttributeIndex& index,
                       NodeSet* set, int attribute, double split_point,
-                      NodeSet* left, NodeSet* right, TaskPool* pool = nullptr);
+                      NodeSet* left, NodeSet* right, TaskPool* pool = nullptr,
+                      const ChildStops& stops = ChildStops());
 
 // PartitionWorkingSetCategorical over a NodeSet: the numerical windows do
-// not change, so every bucket's lists are filters of `set`'s, made in one
-// pass per attribute as above.
+// not change, so every listed bucket's lists are filters of `set`'s, made
+// in one pass per attribute as above; buckets that `stops` stops get no
+// lists.
 void PartitionNodeSetCategorical(const Dataset& data, NodeSet* set,
                                  int attribute, int num_categories,
                                  std::vector<NodeSet>* buckets,
-                                 TaskPool* pool = nullptr);
+                                 TaskPool* pool = nullptr,
+                                 const ChildStops& stops = ChildStops());
 
 }  // namespace udt
 

@@ -82,6 +82,14 @@ SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
   const int num_attributes = data.num_attributes();
   const int num_classes = data.num_classes();
   const bool seeded = NeedsGlobalSeed();
+  // A node that searches has a list per numerical attribute, one window
+  // per tuple; only a node that stops before its search may lack them.
+  UDT_CHECK(set.lists.size() == static_cast<size_t>(num_attributes));
+  for (int j = 0; j < num_attributes; ++j) {
+    UDT_CHECK(data.schema().attribute(j).kind != AttributeKind::kNumerical ||
+              set.lists[static_cast<size_t>(j)].window_size.size() ==
+                  set.tuples.size());
+  }
 
   if (pool == nullptr && !seeded) {
     // Serial local finder (UDT/AVG/BP/LP): one attribute at a time keeps a

@@ -136,7 +136,9 @@ class SplitFinder {
   // `scorer` carries the node's measure and parent counts. Returns an
   // invalid candidate when no attribute admits a valid split. `counters`
   // may be null. When `pool` is non-null the per-attribute phases run as
-  // pool tasks; the result does not depend on it.
+  // pool tasks; the result does not depend on it. `set` must hold a list
+  // per numerical attribute, one window per tuple (checked): a node that
+  // stopped before its search has none.
   SplitCandidate FindBestSplit(const Dataset& data,
                                const AttributeIndex& index,
                                const NodeSet& set, const SplitScorer& scorer,
@@ -145,7 +147,7 @@ class SplitFinder {
                                TaskPool* pool = nullptr) const;
 
   // The same search over a bare working set, whose event lists are
-  // gathered first as a root's are (MakeNodeSet).
+  // gathered and sorted first (MakeNodeSet).
   SplitCandidate FindBestSplit(const Dataset& data,
                                const AttributeIndex& index,
                                const WorkingSet& set,

@@ -25,7 +25,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,7 @@
 #include "split/attribute_scan.h"
 #include "split/fractional_tuple.h"
 #include "split/intervals.h"
+#include "split/split_finder.h"
 
 namespace udt {
 namespace {
@@ -583,9 +586,9 @@ double RandomSplitPoint(const NodeCase& c, const AttributeIndex& index,
 // levels. Pooled and serial partitions must agree. A numerical split
 // attribute holds mass in every tuple's window (ConditionalCdf's
 // contract).
-void SplitAndCheck(const NodeCase& c, const AttributeIndex& index,
-                   NodeSet node, int depth, Stream* rng, TaskPool* pool,
-                   uint64_t seed) {
+// The attributes `node` may split on: categorical ones, and numerical ones
+// on which every tuple's window holds mass.
+std::vector<int> SplittableAttributes(const NodeCase& c, const NodeSet& node) {
   std::vector<int> splittable;
   for (int a = 0; a < c.data.num_attributes(); ++a) {
     const std::vector<uint32_t>& sizes =
@@ -595,6 +598,13 @@ void SplitAndCheck(const NodeCase& c, const AttributeIndex& index,
       splittable.push_back(a);
     }
   }
+  return splittable;
+}
+
+void SplitAndCheck(const NodeCase& c, const AttributeIndex& index,
+                   NodeSet node, int depth, Stream* rng, TaskPool* pool,
+                   uint64_t seed) {
+  const std::vector<int> splittable = SplittableAttributes(c, node);
   if (node.tuples.empty() || splittable.empty()) return;
   const int j = splittable[static_cast<size_t>(
       rng->Below(static_cast<int>(splittable.size())))];
@@ -704,6 +714,210 @@ TEST(ChildScanPropertyTest, ChildWindowWithMassTheParentLacked) {
   const NodeCase c{std::move(data), set, 2};
   ExpectMatchesGather(c, index, left, 1);
   ExpectMatchesGather(c, index, right, 2);
+}
+
+// A split whose one child stops before its search (`stopped`: 0 left,
+// 1 right, 2 both) gives that child no lists, leaves its sibling's lists
+// equal to the gather, and releases the parent's.
+TEST(ChildScanPropertyTest, StoppedChildrenGetNoLists) {
+  TaskPool pool(3);
+  int checked = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const NodeCase c = RandomNodeCase(seed);
+    const AttributeIndex index = AttributeIndex::Build(c.data);
+    NodeSet node = MakeNodeSet(c.data, index, c.set);
+    std::vector<int> numerical;
+    for (int a : SplittableAttributes(c, node)) {
+      if (IsNumerical(c.data, a)) numerical.push_back(a);
+    }
+    if (node.tuples.empty() || numerical.empty()) continue;
+    Stream rng(seed * 0x2545F4914F6CDD1DULL);
+    const int j = numerical[static_cast<size_t>(
+        rng.Below(static_cast<int>(numerical.size())))];
+    const double z = RandomSplitPoint(c, index, node, j, &rng);
+    const int stopped = static_cast<int>(seed % 3);
+    NodeSet left, right;
+    const ChildStops stops = [&](const WorkingSet& child) {
+      return stopped == 2 || &child == &(stopped == 0 ? left : right).tuples;
+    };
+    PartitionNodeSet(c.data, index, &node, j, z, &left, &right,
+                     seed % 2 == 0 ? &pool : nullptr, stops);
+    WorkingSet want_left, want_right;
+    PartitionWorkingSet(c.data, c.set, j, z, &want_left, &want_right);
+    ASSERT_EQ(left.tuples.size(), want_left.size());
+    ASSERT_EQ(right.tuples.size(), want_right.size());
+    for (const AttributeEvents& list : node.lists) {
+      EXPECT_TRUE(list.events.empty());
+    }
+    if (stopped != 1) {
+      EXPECT_TRUE(left.lists.empty());
+    }
+    if (stopped != 0) {
+      EXPECT_TRUE(right.lists.empty());
+    }
+    if (stopped == 0) ExpectMatchesGather(c, index, right, seed);
+    if (stopped == 1) ExpectMatchesGather(c, index, left, seed);
+    if (::testing::Test::HasFatalFailure()) return;
+    ++checked;
+  }
+  EXPECT_GT(checked, 150);
+}
+
+// The categorical partition lists only the buckets that do not stop.
+TEST(ChildScanPropertyTest, StoppedBucketsGetNoLists) {
+  int checked = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const NodeCase c = RandomNodeCase(seed);
+    const int j = c.data.num_attributes() - 1;
+    if (IsNumerical(c.data, j)) continue;
+    const AttributeIndex index = AttributeIndex::Build(c.data);
+    NodeSet node = MakeNodeSet(c.data, index, c.set);
+    std::vector<NodeSet> buckets;
+    const size_t stopped = seed % 3;
+    const ChildStops stops = [&](const WorkingSet& child) {
+      return &child == &buckets[stopped].tuples;
+    };
+    PartitionNodeSetCategorical(c.data, &node, j, 3, &buckets, nullptr, stops);
+    ASSERT_EQ(buckets.size(), 3u);
+    for (size_t v = 0; v < buckets.size(); ++v) {
+      SCOPED_TRACE("bucket " + std::to_string(v));
+      if (v == stopped) {
+        EXPECT_TRUE(buckets[v].lists.empty());
+      } else {
+        ExpectMatchesGather(c, index, buckets[v], seed);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 50);
+}
+
+// ---------------------------------------------------------------------
+// Root lists from the rank index against the gather.
+
+// Every list of `got` is, bit for bit, the list MakeNodeSet gathers and
+// sorts for the same tuples.
+void ExpectRootMatchesGather(const NodeCase& c, const AttributeIndex& index,
+                             const NodeSet& got, uint64_t seed) {
+  const NodeSet want = MakeNodeSet(c.data, index, got.tuples);
+  ASSERT_EQ(got.lists.size(), want.lists.size());
+  for (size_t j = 0; j < want.lists.size(); ++j) {
+    SCOPED_TRACE("attribute " + std::to_string(j));
+    ExpectListsIdentical(got.lists[j], want.lists[j]);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  ExpectMatchesGather(c, index, got, seed);
+}
+
+// The unweighted root and bags with multiplicities 0-3, all served by one
+// index: filtered from its lists (which it keeps), or taken from an index
+// the caller owns (moved for the whole data set, filtered and freed for a
+// bag). The cases hold -0.0 and +0.0 on one rank, x values tied across
+// tuples and one-point pdfs.
+TEST(RootListPropertyTest, IndexRootListsMatchGatherBitwise) {
+  TaskPool pool(3);
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const NodeCase c = RandomNodeCase(seed);
+    const size_t num_tuples = static_cast<size_t>(c.data.num_tuples());
+    const AttributeIndex shared =
+        AttributeIndex::Build(c.data, seed % 2 == 0 ? &pool : nullptr);
+    Stream rng(seed ^ 0xBA66EDULL);
+    std::vector<WorkingSet> roots = {MakeRootWorkingSet(c.data)};
+    for (int bag = 0; bag < 3; ++bag) {
+      std::vector<double> weights(num_tuples);
+      for (double& w : weights) w = static_cast<double>(rng.Below(4));
+      const int drawn = rng.Below(static_cast<int>(num_tuples));
+      weights[static_cast<size_t>(drawn)] = 2.0;
+      roots.push_back(MakeWeightedRootWorkingSet(c.data, weights));
+    }
+    for (size_t r = 0; r < roots.size(); ++r) {
+      SCOPED_TRACE("root " + std::to_string(r));
+      TaskPool* const workers = r % 2 == 0 ? &pool : nullptr;
+      const NodeSet root = MakeRootNodeSet(c.data, shared, roots[r], workers);
+      ExpectRootMatchesGather(c, shared, root, seed);
+      if (::testing::Test::HasFatalFailure()) return;
+
+      AttributeIndex owned = AttributeIndex::Build(c.data);
+      const NodeSet taken = TakeRootNodeSet(c.data, &owned, roots[r]);
+      ExpectRootMatchesGather(c, owned, taken, seed);
+      if (::testing::Test::HasFatalFailure()) return;
+      for (int j = 0; j < c.data.num_attributes(); ++j) {
+        EXPECT_TRUE(owned.root_events(j).events.empty());
+        EXPECT_TRUE(owned.root_events(j).window_mass.empty());
+      }
+    }
+    // The shared index still holds the unweighted root's lists.
+    const NodeSet again = MakeRootNodeSet(c.data, shared, roots[0]);
+    ExpectRootMatchesGather(c, shared, again, seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// One-point pdfs: each tuple has a single event, and it carries the
+// boundary flag. Ties across tuples, and -0.0 against +0.0, keep tuple
+// order.
+TEST(RootListPropertyTest, OnePointPdfsAreBoundaryEvents) {
+  Dataset data(Schema::Numerical(2, {"A", "B"}));
+  const double xs[] = {0.0, -0.0, 1.5, -0.0, 1.5, 0.0, -2.0, 1.5};
+  for (size_t i = 0; i < std::size(xs); ++i) {
+    const double x = xs[i];
+    const double y = xs[std::size(xs) - 1 - i];
+    UncertainTuple tuple;
+    tuple.label = static_cast<int>(i % 2);
+    tuple.values.push_back(UncertainValue::Numerical(SampledPdf::PointMass(x)));
+    tuple.values.push_back(UncertainValue::Numerical(SampledPdf::PointMass(y)));
+    ASSERT_TRUE(data.AddTuple(std::move(tuple)).ok());
+  }
+  const AttributeIndex index = AttributeIndex::Build(data);
+  const NodeCase c{data, MakeRootWorkingSet(data), 2};
+  const std::vector<double> bag = {0, 2, 1, 0, 3, 1, 1, 0};
+  std::vector<WorkingSet> roots;
+  roots.push_back(MakeRootWorkingSet(data));
+  roots.push_back(MakeWeightedRootWorkingSet(data, bag));
+  for (const WorkingSet& tuples : roots) {
+    const NodeSet root = MakeRootNodeSet(data, index, tuples);
+    ExpectRootMatchesGather(c, index, root, 1);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (const AttributeEvents& list : root.lists) {
+      ASSERT_EQ(list.events.size(), root.tuples.size());
+      for (const SampleEvent& event : list.events) {
+        EXPECT_EQ(event.tag & 1u, 1u);
+        EXPECT_EQ(Bits(event.mass), Bits(1.0));
+      }
+    }
+  }
+  // Rank order with ties in tuple order: -2.0, then the four zeros
+  // (tuples 0, 1, 3, 5), then the three 1.5s (tuples 2, 4, 7).
+  const std::vector<uint32_t> want_tuples = {6, 0, 1, 3, 5, 2, 4, 7};
+  const AttributeEvents& list = index.root_events(0);
+  ASSERT_EQ(list.events.size(), want_tuples.size());
+  for (size_t e = 0; e < want_tuples.size(); ++e) {
+    EXPECT_EQ(list.events[e].tag >> 1, want_tuples[e]) << "event " << e;
+  }
+}
+
+// A node that reaches the split search must have its lists: a stopped
+// child's empty lists are rejected there rather than read.
+TEST(RootListDeathTest, SearchWithoutListsAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const NodeCase c = RandomNodeCase(3);
+  const AttributeIndex index = AttributeIndex::Build(c.data);
+  NodeSet node;
+  node.tuples = MakeRootWorkingSet(c.data);
+  const std::unique_ptr<SplitFinder> finder =
+      MakeSplitFinder(SplitAlgorithm::kUdtEs);
+  const std::vector<double> counts =
+      ClassCounts(c.data, node.tuples, c.num_classes);
+  const SplitScorer scorer(DispersionMeasure::kEntropy, counts);
+  const SplitOptions options;
+  const auto search = [&] {
+    finder->FindBestSplit(c.data, index, node, scorer, options, nullptr);
+  };
+  EXPECT_DEATH(search(), "lists");
 }
 
 // The index's attributes build as pool tasks; the result must not depend
