@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks of the kernels that dominate tree
-// construction and serving: CDF queries, root and child scan
-// construction, the split search's set-up (rank index and root lists),
-// entropy scoring, interval bounding, working-set
-// partitioning, uncertain classification, the thread scaling of the
-// parallel construction engine, and the flat-tree traversal kernels.
+// construction and serving: uncertainty injection, CDF queries, root and
+// child scan construction, the split search's set-up (rank index and root
+// lists), entropy scoring, interval bounding, working-set partitioning,
+// uncertain classification, the thread scaling of the parallel
+// construction engine, and the flat-tree traversal kernels.
 //
 // Machine-readable output: unless --benchmark_out is given, results are
 // also written as google-benchmark JSON to BENCH_micro_kernels.json so
@@ -16,6 +16,7 @@
 // is byte-identical to the pointer tree on every tuple.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -33,6 +34,7 @@
 #include "common/random.h"
 #include "common/task_pool.h"
 #include "common/timer.h"
+#include "datagen/synthetic.h"
 #include "datagen/uci_like.h"
 #include "pdf/pdf_builder.h"
 #include "split/attribute_scan.h"
@@ -61,6 +63,13 @@ Dataset BenchDataset(int tuples, int attributes, int s, uint64_t seed) {
   return ds;
 }
 
+// Minor page faults taken so far by the whole process.
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
 void BM_PdfBuildGaussian(benchmark::State& state) {
   int s = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -69,6 +78,40 @@ void BM_PdfBuildGaussian(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PdfBuildGaussian)->Arg(20)->Arg(100)->Arg(400);
+
+// CSV-free injection at Segment shape (2310 tuples x 19 attributes, s =
+// 20, Gaussian over 10% of each domain) on Arg threads, as a train_csv job
+// runs it: every pdf's samples are written, normalised and put in their
+// tuple's block. minflt_per_iter counts the page faults the process takes
+// per injection (fresh sample blocks touch fresh pages).
+void BM_InjectUncertainty(benchmark::State& state) {
+  static const PointDataset* const points = [] {
+    auto spec = datagen::FindUciSpec("Segment");
+    UDT_CHECK(spec.ok());
+    datagen::SyntheticConfig config = datagen::MakeUciLikeConfig(*spec, 1.0);
+    config.num_tuples = 2310;
+    return new PointDataset(datagen::GenerateSynthetic(config));
+  }();
+  UncertaintyOptions options;
+  options.width_fraction = 0.10;
+  options.samples_per_pdf = 20;
+  options.error_model = ErrorModel::kGaussian;
+  const int threads = static_cast<int>(state.range(0));
+  const long faults_before = MinorFaults();
+  for (auto _ : state) {
+    auto data = InjectUncertainty(*points, options, threads);
+    UDT_CHECK(data.ok());
+    benchmark::DoNotOptimize(data->tuples().data());
+  }
+  state.counters["minflt_per_iter"] = benchmark::Counter(
+      static_cast<double>(MinorFaults() - faults_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_InjectUncertainty)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_CdfQuery(benchmark::State& state) {
   auto pdf = MakeGaussianErrorPdf(0.0, 2.0, static_cast<int>(state.range(0)));
@@ -132,18 +175,23 @@ BENCHMARK(BM_ChildScanBuild)
 // runs it: the rank index, which writes the root's lists as it ranks, and
 // the root NodeSet that takes them (TakeRootNodeSet). Read the wall-clock
 // column: at 4 workers the CPU column is the calling thread's share.
+// minflt_per_iter counts the page faults the process takes per set-up.
 void BM_RootSetup(benchmark::State& state) {
   static const Dataset* const ds = new Dataset(BenchDataset(2310, 19, 20, 5));
   const int threads = static_cast<int>(state.range(0));
   std::optional<TaskPool> pool;
   if (threads > 1) pool.emplace(threads - 1);
   TaskPool* const workers = pool ? &*pool : nullptr;
+  const long faults_before = MinorFaults();
   for (auto _ : state) {
     AttributeIndex index = AttributeIndex::Build(*ds, workers);
     const NodeSet root =
         TakeRootNodeSet(*ds, &index, MakeRootWorkingSet(*ds), workers);
     benchmark::DoNotOptimize(root.lists.data());
   }
+  state.counters["minflt_per_iter"] = benchmark::Counter(
+      static_cast<double>(MinorFaults() - faults_before),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_RootSetup)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 

@@ -10,7 +10,7 @@
 // bounded-memory chunks. This harness measures the trade: for each bin
 // count it converts the training set to a container file, materialises it
 // back through the chunk-streamed DatasetReader (dictionary-shared pdf
-// instances), trains a tree, and compares held-out accuracy against the
+// slices), trains a tree, and compares held-out accuracy against the
 // exact baseline — alongside the exact decoded footprint, the resident
 // quantized footprint (grids + dictionaries + id columns), the pooled
 // materialised working set, the private-copy (unshared) cost the pool
@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
       .Num("dict_hit_rate", 0.0)
       .Num("compression_ratio", 1.0)
       .Num("convert_seconds", 0.0)
-      .Num("train_seconds", exact_seconds);
+      .Num("train_seconds", exact_seconds)
+      .Str("build_type", UDT_BENCH_BUILD_TYPE);
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "bench_storage.udtds")
@@ -181,7 +182,8 @@ int main(int argc, char** argv) {
         .Num("dict_hit_rate", stats->dictionary_hit_rate)
         .Num("compression_ratio", ratio)
         .Num("convert_seconds", convert_seconds)
-        .Num("train_seconds", train_seconds);
+        .Num("train_seconds", train_seconds)
+        .Str("build_type", UDT_BENCH_BUILD_TYPE);
   }
 
   std::filesystem::remove(path);

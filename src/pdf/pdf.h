@@ -15,16 +15,22 @@
 #define UDT_PDF_PDF_H_
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/statusor.h"
 
 namespace udt {
 
 // Immutable discrete probability distribution over a bounded support.
-// Cheap to copy by design (a Dataset shares tuples across folds by value);
-// the vectors are the only storage.
+//
+// A SampledPdf is a handle to one slice of doubles laid out as
+// [n, mean | points[n] | masses[n] | cumulative[n]], inside a heap block
+// that several pdfs may share (PdfBlockWriter below: an injected tuple
+// keeps all its pdfs in one block). Copying a pdf shares its slice; the
+// block lives until its last handle goes.
 class SampledPdf {
  public:
   // Builds a pdf from parallel arrays of sample points and non-negative
@@ -33,31 +39,40 @@ class SampledPdf {
   // to one. Input that is already strictly ascending with positive masses
   // (every grid factory's) skips the sort and is normalised in place, with
   // bit-identical results. Fails if the arrays mismatch, are empty, contain
-  // non-finite values, or carry no positive mass.
+  // non-finite values, or carry no positive mass. The pdf gets a block of
+  // its own.
   static StatusOr<SampledPdf> Create(std::vector<double> points,
                                      std::vector<double> masses);
 
   // A distribution concentrated at a single value (a certain attribute).
   static SampledPdf PointMass(double x);
 
+  // Doubles ahead of a slice's points: n and the mean.
+  static constexpr size_t kHeader = 2;
+
+  // Doubles in the slice of a pdf with n sample points.
+  static constexpr size_t SliceSize(int n) {
+    return kHeader + 3 * static_cast<size_t>(n);
+  }
+
   // Number of distinct sample points (the paper's s, after deduplication).
-  int num_points() const { return static_cast<int>(points_.size()); }
+  int num_points() const { return static_cast<int>(slice_[0]); }
 
   // i-th sample point, ascending order. Requires 0 <= i < num_points().
-  double point(int i) const { return points_[static_cast<size_t>(i)]; }
+  double point(int i) const { return points_data()[i]; }
 
   // Mass at the i-th sample point; strictly positive.
-  double mass(int i) const { return masses_[static_cast<size_t>(i)]; }
+  double mass(int i) const { return points_data()[num_points() + i]; }
 
   // Smallest / largest sample point: the support [a_ij, b_ij] of the paper.
-  double support_min() const { return points_.front(); }
-  double support_max() const { return points_.back(); }
+  double support_min() const { return points_data()[0]; }
+  double support_max() const { return points_data()[num_points() - 1]; }
 
   // True if the whole mass sits on one point.
-  bool is_point() const { return points_.size() == 1; }
+  bool is_point() const { return num_points() == 1; }
 
   // Expected value (the representative value used by the AVG approach).
-  double Mean() const { return mean_; }
+  double Mean() const { return slice_[1]; }
 
   // Variance of the discrete distribution.
   double Variance() const;
@@ -68,8 +83,10 @@ class SampledPdf {
   // Raw array views for the branchless batch kernels (pdf/pdf_kernels.h):
   // num_points() ascending unique sample points and their prefix-sum
   // cumulative masses (cumulative_data()[num_points()-1] is exactly 1.0).
-  const double* points_data() const { return points_.data(); }
-  const double* cumulative_data() const { return cumulative_.data(); }
+  const double* points_data() const { return slice_.get() + kHeader; }
+  const double* cumulative_data() const {
+    return points_data() + 2 * num_points();
+  }
 
   // P(lo < X <= hi) = F(hi) - F(lo). Returns 0 when hi <= lo.
   double MassInHalfOpen(double lo, double hi) const;
@@ -78,26 +95,84 @@ class SampledPdf {
   // if none. Used by the split scanners to enumerate candidates.
   int FirstPointAbove(double z) const;
 
+  // Identity of the shared slice: equal for a pdf and its copies.
+  const double* slice() const { return slice_.get(); }
+
   // Human-readable one-line summary, e.g. "{-1:0.625, 1:0.125, 10:0.25}".
   std::string ToString() const;
 
-  // Heap + struct footprint of this pdf: sizeof(SampledPdf) plus the three
-  // sample arrays' allocations. The storage tier's memory accounting
-  // (table/dataset.h MemoryBreakdown) sums this per distinct instance.
-  size_t MemoryUsageBytes() const;
+  // Bytes of this pdf's slice, SliceSize(num_points()) doubles. The handle
+  // lives in its owner, and a block's shared header is not counted. The
+  // storage tier's memory accounting (table/dataset.h MemoryBreakdown) sums
+  // this per distinct slice.
+  size_t MemoryUsageBytes() const {
+    return sizeof(double) * SliceSize(num_points());
+  }
 
  private:
-  SampledPdf(std::vector<double> points, std::vector<double> masses,
-             std::vector<double> cumulative, double mean)
-      : points_(std::move(points)),
-        masses_(std::move(masses)),
-        cumulative_(std::move(cumulative)),
-        mean_(mean) {}
+  friend class PdfBlockWriter;
 
-  std::vector<double> points_;      // ascending, unique
-  std::vector<double> masses_;      // positive, sums to 1
-  std::vector<double> cumulative_;  // cumulative_[i] = sum(masses_[0..i])
-  double mean_;
+  explicit SampledPdf(std::shared_ptr<const double[]> slice)
+      : slice_(std::move(slice)) {}
+
+  std::shared_ptr<const double[]> slice_;
+};
+
+// Writes pdfs into one heap block whose pdfs then share it: a tuple's
+// pdfs live side by side and cost one allocation. Stage a raw pdf and
+// Commit it (Create's normalisation, in place), or append a finished one;
+// Seal the block, then take handles with pdf(i). Not thread-safe: one
+// thread writes a block. Open starts the next block.
+class PdfBlockWriter {
+ public:
+  // The raw arrays of a staged pdf, n entries each.
+  struct RawPdf {
+    double* points;
+    double* masses;
+  };
+
+  // Starts a new block with room for `capacity` doubles (the sum of
+  // SampledPdf::SliceSize over the pdfs to come); it grows if that is
+  // short. Drops this writer's hold on the previous block. A fresh writer
+  // is open with capacity 0, so its first pdf sizes the block exactly.
+  void Open(size_t capacity);
+
+  // Stages a pdf of n >= 1 raw sample points: write both arrays, then call
+  // Commit before anything else.
+  RawPdf Stage(int n);
+
+  // Normalises the staged pdf exactly as SampledPdf::Create would (same
+  // validation, same operations in the same order). On failure the staged
+  // pdf is dropped and the block is unchanged.
+  Status Commit();
+
+  // A point mass at finite x (SampledPdf::PointMass).
+  void AppendPointMass(double x);
+
+  // A verbatim copy of `pdf`.
+  void Append(const SampledPdf& pdf);
+
+  int num_pdfs() const { return static_cast<int>(offsets_.size()); }
+
+  // Ends the block, trimming it to the slices written.
+  void Seal();
+
+  // The i-th pdf written. Requires Seal() and 0 <= i < num_pdfs().
+  SampledPdf pdf(int i) const {
+    return SampledPdf(std::shared_ptr<const double[]>(
+        block_, block_.get() + offsets_[static_cast<size_t>(i)]));
+  }
+
+ private:
+  // Makes room for `size` more doubles.
+  double* Reserve(size_t size);
+  void Resize(size_t capacity);
+
+  std::shared_ptr<double[]> block_;
+  size_t capacity_ = 0;
+  size_t used_ = 0;
+  int staged_ = 0;  // points of the staged pdf, 0 when none
+  std::vector<size_t> offsets_;
 };
 
 }  // namespace udt

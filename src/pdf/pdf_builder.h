@@ -38,6 +38,14 @@ StatusOr<SampledPdf> MakeGaussianErrorPdf(double value, double width, int s);
 // move either end of the support off v, yields a point mass.
 StatusOr<SampledPdf> MakeUniformErrorPdf(double value, double width, int s);
 
+// Write the pdf MakeGaussianErrorPdf / MakeUniformErrorPdf would return,
+// bit for bit, as the next pdf of `block` (at most SliceSize(s) doubles),
+// so that many pdfs can share one block.
+Status AppendGaussianErrorPdf(double value, double width, int s,
+                              PdfBlockWriter* block);
+Status AppendUniformErrorPdf(double value, double width, int s,
+                             PdfBlockWriter* block);
+
 // Empirical distribution of raw repeated measurements, each sample weighted
 // equally (duplicates merge). This is how the "JapaneseVowel" pdfs are
 // modelled from the 7-29 raw samples per value. Fails on empty input.

@@ -29,7 +29,7 @@ double KeyValue(uint64_t key) {
 }
 
 // One (tuple, point) in the sort: its order key, its flat index into the
-// column's ranks and masses, and the tag of its root event (tuple << 1 |
+// column's masses, and the tag of its root event (tuple << 1 |
 // window-boundary flag; kOutsideWindow for a point the root never sees).
 struct KeyedPoint {
   uint64_t key;
@@ -102,7 +102,6 @@ AttributeIndex::Column AttributeIndex::BuildColumn(const Dataset& data,
     num_values += points[i].key != points[i - 1].key ? 1 : 0;
   }
   column.values.reserve(num_values);
-  column.ranks.resize(total);
   root.events.resize(num_events);
   // Sorted order is rank order with ties in tuple-then-point order — the
   // root's event order.
@@ -114,7 +113,6 @@ AttributeIndex::Column AttributeIndex::BuildColumn(const Dataset& data,
       if (i > 0) ++rank;
       column.values.push_back(KeyValue(point.key));
     }
-    column.ranks[point.id] = rank;
     if (point.tag != kOutsideWindow) {
       *event++ = SampleEvent{rank, point.tag, masses[point.id]};
     }

@@ -1,11 +1,12 @@
 // AttributeIndex: the presort-once half of the split search (the idea of
 // SLIQ, Mehta et al., EDBT 1996, fitted to sampled pdfs). Built once per
-// training call, it gives every (tuple, sample point) of every numerical
-// attribute a dense uint32 rank: equal x values share a rank, ranks ascend
-// with x, and a per-attribute table maps each rank back to its x. The
-// pass that assigns the ranks also writes the unweighted root's event list
-// per attribute: the sort is stable in tuple-then-point order and a root's
-// windows are whole pdfs, so its events are the sorted points themselves.
+// training call, it gives every sample point of every numerical attribute
+// a dense uint32 rank: equal x values share a rank, ranks ascend with x,
+// and a per-attribute table maps each rank back to its x (and, by binary
+// search, each x to its rank). The pass that assigns the ranks also writes
+// the unweighted root's event list per attribute: the sort is stable in
+// tuple-then-point order and a root's windows are whole pdfs, so its
+// events are the sorted points themselves.
 // Every root takes its lists from there (split/fractional_tuple.h: moved
 // when the build owns the index, filtered by bag weight when it is
 // shared), and every other node filters its parent's.
@@ -17,12 +18,14 @@
 #ifndef UDT_SPLIT_ATTRIBUTE_INDEX_H_
 #define UDT_SPLIT_ATTRIBUTE_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/default_init.h"
+#include "common/logging.h"
 #include "common/status.h"
 #include "table/dataset.h"
 
@@ -69,12 +72,15 @@ class AttributeIndex {
   // another data set would be read out of bounds.
   Status CheckMatches(const Dataset& data) const;
 
-  // Ranks of tuple `tuple`'s sample points on numerical attribute
-  // `attribute`, aligned with its pdf: ranks(a, t)[p] is the rank of
-  // data.tuple(t).values[a].pdf().point(p).
-  const uint32_t* ranks(int attribute, int tuple) const {
-    const Column& column = columns_[static_cast<size_t>(attribute)];
-    return column.ranks.data() + column.offsets[static_cast<size_t>(tuple)];
+  // Rank of `x` on numerical `attribute`, found by binary search in the
+  // rank -> x table from rank `from` on. Requires x to be a sample point
+  // of the attribute with rank >= from; -0.0 and +0.0 share one rank.
+  uint32_t Rank(int attribute, double x, uint32_t from = 0) const {
+    const std::vector<double>& values =
+        columns_[static_cast<size_t>(attribute)].values;
+    const auto it = std::lower_bound(values.begin() + from, values.end(), x);
+    UDT_DCHECK(it != values.end() && *it == x);
+    return static_cast<uint32_t>(it - values.begin());
   }
 
   // Number of sample points tuple `tuple` has on `attribute`.
@@ -105,17 +111,16 @@ class AttributeIndex {
   }
 
   // Moves the root list of `attribute` out of the index, which keeps its
-  // ranks and values: a build that owns its index hands the lists to its
-  // root without a copy.
+  // values: a build that owns its index hands the lists to its root
+  // without a copy.
   AttributeEvents TakeRootEvents(int attribute) {
     return std::move(columns_[static_cast<size_t>(attribute)].root);
   }
 
  private:
   struct Column {
-    std::vector<size_t> offsets;        // num_tuples + 1 starts into `ranks`
-    DefaultInitVector<uint32_t> ranks;  // one per (tuple, sample point)
-    std::vector<double> values;         // rank -> x, strictly ascending
+    std::vector<size_t> offsets;  // num_tuples + 1 starts of tuples' points
+    std::vector<double> values;   // rank -> x, strictly ascending
     AttributeEvents root;
   };
 

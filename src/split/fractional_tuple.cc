@@ -306,14 +306,13 @@ AttributeEvents GatherAttributeEvents(const Dataset& data,
   uint32_t min_rank = std::numeric_limits<uint32_t>::max();
   uint32_t max_rank = 0;
   for (size_t i = 0; i < set.size(); ++i) {
-    // Each tuple's pdf, ranks and constraint sit behind their own pointers;
-    // start the loads of a tuple a few iterations ahead of its search.
+    // Each tuple's pdf and constraint sit behind their own pointers; start
+    // the loads of a tuple a few iterations ahead of its search.
     if (i + kPrefetchDistance < set.size()) {
       const FractionalTuple& ahead = set[i + kPrefetchDistance];
       const SampledPdf& pdf = data.tuple(ahead.tuple_index).values[j].pdf();
       __builtin_prefetch(pdf.points_data());
       __builtin_prefetch(pdf.cumulative_data());
-      __builtin_prefetch(index.ranks(attribute, ahead.tuple_index));
       __builtin_prefetch(ahead.lo.data() + j);
       __builtin_prefetch(ahead.hi.data() + j);
     }
@@ -325,15 +324,18 @@ AttributeEvents GatherAttributeEvents(const Dataset& data,
     list.window_mass[i] = window.mass;
     if (window.mass <= 0.0) continue;  // no mass under the constraint
     list.window_size[i] = static_cast<uint32_t>(window.end - window.begin);
-    const uint32_t* ranks = index.ranks(attribute, ft.tuple_index);
+    // A pdf's points ascend, so each search starts past the last rank.
     const uint32_t tag = static_cast<uint32_t>(i) << 1;
+    uint32_t rank = 0;
     for (size_t p = window.begin; p < window.end; ++p) {
       const bool boundary = p == window.begin || p + 1 == window.end;
-      events.push_back(SampleEvent{ranks[p], tag | (boundary ? 1u : 0u),
+      rank = index.Rank(attribute, pdf.point(static_cast<int>(p)),
+                        p == window.begin ? 0 : rank + 1);
+      events.push_back(SampleEvent{rank, tag | (boundary ? 1u : 0u),
                                    pdf.mass(static_cast<int>(p))});
+      if (p == window.begin) min_rank = std::min(min_rank, rank);
     }
-    min_rank = std::min(min_rank, ranks[window.begin]);
-    max_rank = std::max(max_rank, ranks[window.end - 1]);
+    max_rank = std::max(max_rank, rank);
   }
   if (events.empty()) return list;
 

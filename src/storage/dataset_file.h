@@ -78,7 +78,7 @@ StatusOr<DatasetFileStats> ConvertDatasetToFile(
 // Chunk-streaming reader over a "udt-dataset v1" file. Open parses the
 // resident part (header, schema, grids, dictionaries) and stops at the
 // first chunk; AppendChunk then decodes one chunk at a time, in ascending
-// order, sharing decoded pdf instances across chunks. The reader makes one
+// order, sharing decoded pdf slices across chunks. The reader makes one
 // pass. Parse errors carry the absolute 1-based line number.
 class DatasetReader {
  public:
@@ -123,7 +123,7 @@ class DatasetReader {
 
 // Memory ceiling for a training materialisation. The budget is enforced
 // against the *pooled* footprint (Dataset::MemoryUsageBytes, which counts
-// each shared pdf instance once) — the bytes the working set actually
+// each shared pdf slice once) — the bytes the working set actually
 // occupies — so a source whose exact decoded size dwarfs the budget still
 // trains as long as its distinct distributions fit.
 struct StorageBudget {
@@ -135,7 +135,7 @@ struct StorageBudget {
 // Dataset, checking `budget` against the materialised footprint after
 // every chunk, so an oversized source fails at the first chunk that
 // bursts the ceiling instead of after decoding everything. Tuples that
-// share a dictionary entry share one decoded pdf instance. Fails
+// share a dictionary entry share one decoded pdf slice. Fails
 // (OutOfRange) on a burst budget. Open rejects a file without tuples, so
 // the result is never empty.
 StatusOr<Dataset> MaterializeDataset(DatasetReader* reader,

@@ -221,7 +221,7 @@ size_t PdfDictionary::MemoryUsageBytes() const {
   return bytes;
 }
 
-StatusOr<std::shared_ptr<const SampledPdf>> DecodedPdfCache::Get(
+StatusOr<SampledPdf> DecodedPdfCache::Get(
     const AttributeGrid& grid, const PdfDictionary& dict, uint32_t id) {
   if (id >= dict.num_entries()) {
     return Status::InvalidArgument(
@@ -231,21 +231,18 @@ StatusOr<std::shared_ptr<const SampledPdf>> DecodedPdfCache::Get(
   if (decoded_.size() < dict.num_entries()) {
     decoded_.resize(dict.num_entries());
   }
-  std::shared_ptr<const SampledPdf>& slot = decoded_[id];
-  if (slot == nullptr) {
-    UDT_ASSIGN_OR_RETURN(SampledPdf pdf,
-                         DecodeNumerical(grid, dict.entry(id)));
-    slot = std::make_shared<const SampledPdf>(std::move(pdf));
+  std::optional<SampledPdf>& slot = decoded_[id];
+  if (!slot.has_value()) {
+    UDT_ASSIGN_OR_RETURN(slot, DecodeNumerical(grid, dict.entry(id)));
   }
-  return slot;
+  return *slot;
 }
 
 Status QuantizedColumn::Decode(uint32_t id,
                                std::vector<UncertainValue>* out) {
   if (kind == AttributeKind::kNumerical) {
-    UDT_ASSIGN_OR_RETURN(std::shared_ptr<const SampledPdf> pdf,
-                         cache.Get(grid, dict, id));
-    out->push_back(UncertainValue::NumericalShared(std::move(pdf)));
+    UDT_ASSIGN_OR_RETURN(SampledPdf pdf, cache.Get(grid, dict, id));
+    out->push_back(UncertainValue::Numerical(std::move(pdf)));
     return Status::OK();
   }
   if (id >= dict.num_entries()) {

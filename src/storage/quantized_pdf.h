@@ -19,15 +19,15 @@
 // Decoding a dictionary entry yields an ordinary SampledPdf (positive-mass
 // bins only, renormalised), so the split search, the batch kernels and the
 // serving stack run on quantized data unchanged. DecodedPdfCache decodes
-// each entry once into a shared instance; every tuple referencing that
-// entry shares it (UncertainValue::NumericalShared), which is what keeps
-// the materialised working set far below the exact footprint.
+// each entry once; every tuple referencing that entry holds a copy of its
+// handle and so shares its sample slice, which is what keeps the
+// materialised working set far below the exact footprint.
 
 #ifndef UDT_STORAGE_QUANTIZED_PDF_H_
 #define UDT_STORAGE_QUANTIZED_PDF_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -164,18 +164,17 @@ class PdfDictionary {
 };
 
 // Decode-once pool over one attribute's dictionary: Get materialises entry
-// `id` on first use and hands every caller the same shared instance, so a
-// data set assembled through one cache shares pdfs exactly as often as the
-// dictionary deduplicated them. Not thread-safe; materialisation is a
-// single-threaded pass.
+// `id` on first use and hands every caller a copy of the same handle, so a
+// data set assembled through one cache shares pdf slices exactly as often
+// as the dictionary deduplicated them. Not thread-safe; materialisation is
+// a single-threaded pass.
 class DecodedPdfCache {
  public:
-  StatusOr<std::shared_ptr<const SampledPdf>> Get(const AttributeGrid& grid,
-                                                  const PdfDictionary& dict,
-                                                  uint32_t id);
+  StatusOr<SampledPdf> Get(const AttributeGrid& grid,
+                           const PdfDictionary& dict, uint32_t id);
 
  private:
-  std::vector<std::shared_ptr<const SampledPdf>> decoded_;
+  std::vector<std::optional<SampledPdf>> decoded_;
 };
 
 // One attribute's resident quantized state. The writer's QuantizedDataset
@@ -189,7 +188,7 @@ struct QuantizedColumn {
 
   // Decodes dictionary entry `id` and appends the value to `out`.
   // Numerical entries go through the cache, so every value decoded from
-  // one id shares one SampledPdf. Fails on an id outside the dictionary
+  // one id shares one pdf slice. Fails on an id outside the dictionary
   // or an entry without mass.
   Status Decode(uint32_t id, std::vector<UncertainValue>* out);
 

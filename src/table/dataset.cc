@@ -115,7 +115,7 @@ DatasetMemoryBreakdown Dataset::MemoryBreakdown() const {
   DatasetMemoryBreakdown b;
   b.num_tuples = static_cast<int64_t>(tuples_.size());
   b.tuple_bytes = sizeof(Dataset) + sizeof(UncertainTuple) * tuples_.capacity();
-  std::unordered_set<const SampledPdf*> seen;
+  std::unordered_set<const double*> seen;
   for (const UncertainTuple& t : tuples_) {
     b.num_values += static_cast<int64_t>(t.values.size());
     b.tuple_bytes += sizeof(UncertainValue) * t.values.capacity();

@@ -5,7 +5,6 @@
 #define UDT_TABLE_DATASET_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -49,23 +48,15 @@ class CategoricalPdf {
 // One attribute value of an uncertain tuple: either a numerical pdf or a
 // categorical distribution.
 //
-// Numerical pdfs live behind an immutable shared handle: copying a value
-// (fold splits, bootstrap views, storage-tier materialisation) bumps a
-// refcount instead of duplicating three sample arrays, and values decoded
-// from the same dictionary entry of a quantized container
-// (storage/quantized_dataset.h) share one SampledPdf instance outright.
-// Dataset::MemoryUsageBytes counts each distinct instance once.
+// A numerical value holds its SampledPdf handle inline: copying a value
+// (fold splits, bootstrap views, retrain windows) shares the pdf's sample
+// slice instead of duplicating it. An injected tuple's pdfs share one block
+// (pdf/pdf.h PdfBlockWriter), and values decoded from the same dictionary
+// entry of a quantized container (storage/quantized_dataset.h) share one
+// slice outright. Dataset::MemoryUsageBytes counts each distinct slice once.
 class UncertainValue {
  public:
   static UncertainValue Numerical(SampledPdf pdf) {
-    return UncertainValue(std::make_shared<const SampledPdf>(std::move(pdf)));
-  }
-  // Adopts an already-materialised shared pdf without copying it — the
-  // storage tier's dictionary decode hands the same instance to every
-  // tuple carrying that distribution. `pdf` must be non-null.
-  static UncertainValue NumericalShared(
-      std::shared_ptr<const SampledPdf> pdf) {
-    UDT_CHECK(pdf != nullptr);
     return UncertainValue(std::move(pdf));
   }
   static UncertainValue Categorical(CategoricalPdf pdf) {
@@ -73,25 +64,15 @@ class UncertainValue {
   }
 
   bool is_numerical() const {
-    return std::holds_alternative<std::shared_ptr<const SampledPdf>>(value_);
+    return std::holds_alternative<SampledPdf>(value_);
   }
 
   // Requires is_numerical().
-  const SampledPdf& pdf() const {
-    return *std::get<std::shared_ptr<const SampledPdf>>(value_);
-  }
+  const SampledPdf& pdf() const { return std::get<SampledPdf>(value_); }
 
-  // Identity of the shared pdf instance (memory accounting and sharing
+  // Identity of the pdf's sample slice (memory accounting and sharing
   // introspection). Requires is_numerical().
-  const SampledPdf* pdf_instance() const {
-    return std::get<std::shared_ptr<const SampledPdf>>(value_).get();
-  }
-
-  // The shared handle itself, for callers that propagate sharing (e.g.
-  // TupleToMeans on an already-pooled data set). Requires is_numerical().
-  const std::shared_ptr<const SampledPdf>& shared_pdf() const {
-    return std::get<std::shared_ptr<const SampledPdf>>(value_);
-  }
+  const double* pdf_instance() const { return pdf().slice(); }
 
   // Requires !is_numerical().
   const CategoricalPdf& categorical() const {
@@ -99,12 +80,15 @@ class UncertainValue {
   }
 
  private:
-  explicit UncertainValue(std::shared_ptr<const SampledPdf> pdf)
-      : value_(std::move(pdf)) {}
+  explicit UncertainValue(SampledPdf pdf) : value_(std::move(pdf)) {}
   explicit UncertainValue(CategoricalPdf pdf) : value_(std::move(pdf)) {}
 
-  std::variant<std::shared_ptr<const SampledPdf>, CategoricalPdf> value_;
+  std::variant<SampledPdf, CategoricalPdf> value_;
 };
+
+// A value is a pdf handle or a probability vector, never more: tuples are
+// vectors of values, and the data sets hold hundreds of thousands of them.
+static_assert(sizeof(UncertainValue) <= 32);
 
 // A training/testing tuple: k uncertain values plus a class label id.
 struct UncertainTuple {
@@ -125,23 +109,27 @@ Status ValidateTupleValues(const Schema& schema, const UncertainTuple& tuple);
 // most likely category (the Averaging view of a tuple, Section 4.1).
 UncertainTuple TupleToMeans(const UncertainTuple& tuple);
 
-// Exact in-memory footprint of a Dataset, split by where the bytes live.
-// Shared pdf instances are counted once under `pdf_bytes`; what sharing
-// saves is visible as the gap to `unshared_pdf_bytes` (the footprint the
-// same data would have if every tuple owned a private copy — the figure
-// the storage-tier memory budget is compared against).
+// In-memory footprint of a Dataset, split by where the bytes live. A
+// numerical value's pdf handle sits inside its UncertainValue (tuple
+// bytes); its samples are a slice of SampledPdf::SliceSize(n) doubles
+// in a shared block. Each distinct slice is counted once under
+// `pdf_bytes`; what sharing saves is visible as the gap to
+// `unshared_pdf_bytes` (the footprint the same data would have if every
+// value owned a private slice — the figure the storage-tier memory budget
+// is compared against). Blocks' allocator and refcount headers are not
+// counted.
 struct DatasetMemoryBreakdown {
   int64_t num_tuples = 0;
   int64_t num_values = 0;          // tuple values across all tuples
-  int64_t unique_pdfs = 0;         // distinct SampledPdf instances
-  size_t tuple_bytes = 0;          // tuple structs + value handles
-  size_t pdf_bytes = 0;            // distinct pdf payloads, counted once
-  size_t unshared_pdf_bytes = 0;   // pdf payloads counted per reference
+  int64_t unique_pdfs = 0;         // distinct pdf sample slices
+  size_t tuple_bytes = 0;          // tuple structs + values (pdf handles)
+  size_t pdf_bytes = 0;            // distinct pdf slices, counted once
+  size_t unshared_pdf_bytes = 0;   // pdf slices counted per reference
   size_t categorical_bytes = 0;    // categorical probability vectors
   // tuple_bytes + pdf_bytes + categorical_bytes (== MemoryUsageBytes()).
   size_t total_bytes = 0;
-  // tuple_bytes + unshared_pdf_bytes + categorical_bytes: the exact
-  // footprint without instance sharing.
+  // tuple_bytes + unshared_pdf_bytes + categorical_bytes: the footprint
+  // without slice sharing.
   size_t unshared_total_bytes = 0;
   // Mean bytes per tuple under each accounting.
   double bytes_per_tuple = 0.0;
@@ -178,7 +166,7 @@ class Dataset {
   std::vector<int> ClassHistogram() const;
 
   // Heap + struct footprint of the data set, counting each shared pdf
-  // instance once (see DatasetMemoryBreakdown). Excludes the schema.
+  // slice once (see DatasetMemoryBreakdown). Excludes the schema.
   size_t MemoryUsageBytes() const;
 
   // The per-component breakdown behind MemoryUsageBytes, including the

@@ -148,11 +148,11 @@ StatusOr<Dataset> InjectUncertaintyWithMissing(
 
   return BuildUncertainTuples(
       points, inject.samples_per_pdf,
-      [&](int i, int j) -> StatusOr<UncertainValue> {
+      [&](int i, int j, PdfBlockWriter* block) -> Status {
         if (!points.is_missing(i, j)) {
-          UDT_ASSIGN_OR_RETURN(SampledPdf pdf,
-                               make_pdf(points.value(i, j), j));
-          return UncertainValue::Numerical(std::move(pdf));
+          return AppendErrorPdf(inject.error_model, points.value(i, j),
+                                widths[static_cast<size_t>(j)],
+                                inject.samples_per_pdf, block);
         }
         int slice = options.class_conditional ? points.label(i) : 0;
         const std::optional<SampledPdf>& guess =
@@ -160,8 +160,8 @@ StatusOr<Dataset> InjectUncertaintyWithMissing(
         const std::optional<SampledPdf>& fallback =
             options.class_conditional ? global_guess[static_cast<size_t>(j)]
                                       : guess;
-        const SampledPdf& chosen = guess.has_value() ? *guess : *fallback;
-        return UncertainValue::Numerical(chosen);
+        block->Append(guess.has_value() ? *guess : *fallback);
+        return Status::OK();
       });
 }
 

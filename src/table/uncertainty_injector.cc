@@ -8,17 +8,6 @@
 
 namespace udt {
 
-namespace {
-
-// Section 4.3's error model for one recorded value v.
-StatusOr<SampledPdf> MakeErrorPdf(ErrorModel model, double v, double width,
-                                  int s) {
-  return model == ErrorModel::kGaussian ? MakeGaussianErrorPdf(v, width, s)
-                                        : MakeUniformErrorPdf(v, width, s);
-}
-
-}  // namespace
-
 const char* ErrorModelToString(ErrorModel model) {
   switch (model) {
     case ErrorModel::kGaussian:
@@ -29,8 +18,16 @@ const char* ErrorModelToString(ErrorModel model) {
   return "Unknown";
 }
 
+Status AppendErrorPdf(ErrorModel model, double value, double width, int s,
+                      PdfBlockWriter* block) {
+  return model == ErrorModel::kGaussian
+             ? AppendGaussianErrorPdf(value, width, s, block)
+             : AppendUniformErrorPdf(value, width, s, block);
+}
+
 StatusOr<Dataset> InjectUncertainty(const PointDataset& points,
-                                    const UncertaintyOptions& options) {
+                                    const UncertaintyOptions& options,
+                                    int num_threads) {
   if (options.width_fraction < 0.0) {
     return Status::InvalidArgument("width_fraction must be >= 0");
   }
@@ -61,44 +58,51 @@ StatusOr<Dataset> InjectUncertainty(const PointDataset& points,
 
   return BuildUncertainTuples(
       points, options.samples_per_pdf,
-      [&](int i, int j) -> StatusOr<UncertainValue> {
-        const double v = points.value(i, j);
-        const double width = widths[static_cast<size_t>(j)];
-        const int s = options.samples_per_pdf;
-        UDT_ASSIGN_OR_RETURN(SampledPdf pdf,
-                             MakeErrorPdf(options.error_model, v, width, s));
-        return UncertainValue::Numerical(std::move(pdf));
-      });
+      [&](int i, int j, PdfBlockWriter* block) {
+        return AppendErrorPdf(options.error_model, points.value(i, j),
+                              widths[static_cast<size_t>(j)],
+                              options.samples_per_pdf, block);
+      },
+      num_threads);
 }
 
 StatusOr<Dataset> BuildUncertainTuples(const PointDataset& points,
                                        int samples_per_pdf,
-                                       const ValueFactory& make_value) {
+                                       const PdfFactory& write_pdf,
+                                       int num_threads) {
   const size_t n = static_cast<size_t>(points.num_tuples());
   const int k = points.num_attributes();
+  const size_t block_capacity =
+      static_cast<size_t>(k) * SampledPdf::SliceSize(samples_per_pdf);
   // Index-addressed slots: whichever thread builds tuple i writes only
-  // tuples[i] and errors[i], so the result cannot depend on scheduling.
+  // tuples[i] and errors[i], and only that thread writes tuple i's block,
+  // so the result cannot depend on scheduling.
   std::vector<UncertainTuple> tuples(n);
   std::vector<Status> errors(n);
   auto build = [&](int /*slot*/, size_t begin, size_t end) {
+    PdfBlockWriter block;
     for (size_t i = begin; i < end; ++i) {
+      block.Open(block_capacity);
+      for (int j = 0; j < k; ++j) {
+        Status status = write_pdf(static_cast<int>(i), j, &block);
+        if (!status.ok()) {
+          // The append below stops at this tuple, so the rest of the
+          // chunk is never read.
+          errors[i] = std::move(status);
+          return;
+        }
+      }
+      block.Seal();
       UncertainTuple& tuple = tuples[i];
       tuple.label = points.label(static_cast<int>(i));
       tuple.values.reserve(static_cast<size_t>(k));
       for (int j = 0; j < k; ++j) {
-        StatusOr<UncertainValue> value = make_value(static_cast<int>(i), j);
-        if (!value.ok()) {
-          // The append below stops at this tuple, so the rest of the
-          // chunk is never read.
-          errors[i] = value.status();
-          return;
-        }
-        tuple.values.push_back(std::move(value).value());
+        tuple.values.push_back(UncertainValue::Numerical(block.pdf(j)));
       }
     }
   };
   const int64_t work = static_cast<int64_t>(n) * k * samples_per_pdf;
-  const int width = TaskPool::EffectiveConcurrency(0);
+  const int width = TaskPool::EffectiveConcurrency(num_threads);
   if (width > 1 && work >= kMinSamplePointsForParallelInject) {
     TaskPool pool(width - 1);
     pool.ParallelFor(n, /*grain=*/1, build);

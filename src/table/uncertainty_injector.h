@@ -48,32 +48,46 @@ struct UncertaintyOptions {
 // Fails on a missing ('?') value, naming its row and attribute: missing
 // values need InjectUncertaintyWithMissing (table/missing.h).
 //
-// Tables of at least kMinSamplePointsForParallelInject sample points build
-// their tuples on every core; the result is bit-identical either way.
+// Each tuple's pdfs are written into one block that they share (pdf/pdf.h
+// PdfBlockWriter), so a tuple copied out of the result keeps only its own
+// samples alive. Tables of at least kMinSamplePointsForParallelInject
+// sample points build their tuples on `num_threads` threads
+// (TaskPool::EffectiveConcurrency: 0 means one per core); the result is
+// bit-identical whatever the width.
 StatusOr<Dataset> InjectUncertainty(const PointDataset& points,
-                                    const UncertaintyOptions& options);
+                                    const UncertaintyOptions& options,
+                                    int num_threads = 0);
 
 // Injection work, in sample points (tuples x attributes x samples_per_pdf),
 // below which tuples are built inline on the calling thread and no pool is
 // created, so tests and small tables spawn no threads. Measured on a 4-CPU
-// x86 host (Release): one sample point costs 22-37 ns on one thread (the
-// exp and the pdf's allocations), so the cutoff is 1.5-2.5 ms of work,
-// against ~0.16 ms to start, run and join a 3-worker pool.
+// x86 host (Release, BM_InjectUncertainty): one sample point costs ~28 ns
+// on one thread (the exp and the normalisation), so the cutoff is ~1.8 ms
+// of work, against ~0.16 ms to start, run and join a 3-worker pool.
 inline constexpr int64_t kMinSamplePointsForParallelInject = int64_t{1} << 16;
 
-// Builds one UncertainValue per (tuple i, attribute j).
-using ValueFactory = std::function<StatusOr<UncertainValue>(int i, int j)>;
+// Writes Section 4.3's error-model pdf for a recorded value v (support
+// width `width`, s sample points) as the next pdf of `block`: what
+// MakeGaussianErrorPdf / MakeUniformErrorPdf return, bit for bit.
+Status AppendErrorPdf(ErrorModel model, double value, double width, int s,
+                      PdfBlockWriter* block);
+
+// Writes the pdf of (tuple i, attribute j), at most samples_per_pdf
+// points, as the next pdf of `block`.
+using PdfFactory = std::function<Status(int i, int j, PdfBlockWriter* block)>;
 
 // The tuple fan-out behind InjectUncertainty and
-// InjectUncertaintyWithMissing: calls make_value(i, j) for every value —
-// on all cores when tuples x attributes x samples_per_pdf reaches
+// InjectUncertaintyWithMissing: calls write_pdf(i, j, block) for every
+// value, attributes in order into one block per tuple — on `num_threads`
+// threads when tuples x attributes x samples_per_pdf reaches
 // kMinSamplePointsForParallelInject, inline otherwise — then appends the
 // tuples, labelled as in `points`, to a Dataset in tuple order. The first
-// error in tuple order is returned. make_value must be safe to call
+// error in tuple order is returned. write_pdf must be safe to call
 // concurrently.
 StatusOr<Dataset> BuildUncertainTuples(const PointDataset& points,
                                        int samples_per_pdf,
-                                       const ValueFactory& make_value);
+                                       const PdfFactory& write_pdf,
+                                       int num_threads = 0);
 
 // Section 4.4: returns a copy of `points` where each value is perturbed by
 // N(0, sigma^2) with sigma = (u * |Aj|) / 4. u == 0 returns an exact copy.

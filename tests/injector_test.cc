@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
+#include "common/task_pool.h"
 #include "pdf/pdf_builder.h"
 #include "table/csv.h"
 #include "table/uncertainty_injector.h"
@@ -212,6 +213,57 @@ TEST(InjectorTest, ParallelInjectionMatchesPerValueFactories) {
   }
 }
 
+TEST(InjectorTest, EveryPdfMatchesItsFactoryAtOneThreadAndOnEveryCore) {
+  // Above the parallel cutoff. Attribute C is constant, so its pdfs are
+  // point masses and its tuples' blocks end up shorter than reserved.
+  constexpr int kTuples = 300;
+  constexpr int kAttributes = 4;
+  PointDataset points(Schema::Numerical(kAttributes, {"A", "B"}));
+  Rng rng(2024);
+  for (int i = 0; i < kTuples; ++i) {
+    const double a = rng.Uniform(-5.0, 5.0);
+    const double b = rng.Gaussian(100.0, 30.0);
+    const double d = std::floor(rng.Uniform(0.0, 8.0));
+    ASSERT_TRUE(points.AddRow({a, b, 7.0, d}, rng.UniformInt(2)).ok());
+  }
+  for (ErrorModel model : {ErrorModel::kGaussian, ErrorModel::kUniform}) {
+    UncertaintyOptions options;
+    options.error_model = model;
+    options.width_fraction = 0.1;
+    options.samples_per_pdf = 60;
+    const int s = options.samples_per_pdf;
+    ASSERT_GE(int64_t{kTuples} * kAttributes * s,
+              kMinSamplePointsForParallelInject);
+    for (int threads : {1, TaskPool::EffectiveConcurrency(0)}) {
+      SCOPED_TRACE(StrFormat("%s, %d threads", ErrorModelToString(model),
+                             threads));
+      auto ds = InjectUncertainty(points, options, threads);
+      ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+      ASSERT_EQ(ds->num_tuples(), kTuples);
+      for (int i = 0; i < kTuples; ++i) {
+        const UncertainTuple& tuple = ds->tuple(i);
+        EXPECT_EQ(tuple.label, points.label(i));
+        for (int j = 0; j < kAttributes; ++j) {
+          auto [lo, hi] = points.AttributeRange(j);
+          const double width = options.width_fraction * (hi - lo);
+          auto want = MakeErrorPdf(model, points.value(i, j), width, s);
+          ASSERT_TRUE(want.ok());
+          const SampledPdf& got = tuple.values[static_cast<size_t>(j)].pdf();
+          ExpectSamePdf(got, *want);
+          EXPECT_EQ(got.MemoryUsageBytes(), want->MemoryUsageBytes());
+          // One block per tuple: its slices sit back to back.
+          if (j > 0) {
+            const SampledPdf& before =
+                tuple.values[static_cast<size_t>(j - 1)].pdf();
+            EXPECT_EQ(got.slice(), before.slice() + SampledPdf::SliceSize(
+                                                        before.num_points()));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(InjectorTest, FanOutReturnsTheFirstErrorInTupleOrder) {
   constexpr int kTuples = 2000;
   PointDataset points(Schema::Numerical(1, {"A", "B"}));
@@ -222,9 +274,10 @@ TEST(InjectorTest, FanOutReturnsTheFirstErrorInTupleOrder) {
   // tuple 700's error is the one reported.
   auto ds = BuildUncertainTuples(
       points, /*samples_per_pdf=*/100,
-      [&](int i, int /*j*/) -> StatusOr<UncertainValue> {
+      [&](int i, int /*j*/, PdfBlockWriter* block) -> Status {
         if (i >= 700) return Status::InvalidArgument(StrFormat("tuple %d", i));
-        return UncertainValue::Numerical(SampledPdf::PointMass(i));
+        block->AppendPointMass(i);
+        return Status::OK();
       });
   ASSERT_FALSE(ds.ok());
   EXPECT_EQ(ds.status().message(), "tuple 700");

@@ -11,6 +11,7 @@
 #include "common/math.h"
 #include "pdf/pdf.h"
 #include "pdf/pdf_builder.h"
+#include "table/dataset.h"
 
 namespace udt {
 namespace {
@@ -68,6 +69,55 @@ void ExpectSamePdf(const SampledPdf& a, const SampledPdf& b) {
   }
   EXPECT_EQ(BitsOf(a.Mean()), BitsOf(b.Mean()));
   EXPECT_EQ(a.MemoryUsageBytes(), b.MemoryUsageBytes());
+}
+
+TEST(SampledPdfTest, CopiesShareTheSlice) {
+  auto pdf = MakeGaussianErrorPdf(3.0, 2.0, 20);
+  ASSERT_TRUE(pdf.ok());
+  const SampledPdf copy = *pdf;
+  EXPECT_EQ(copy.slice(), pdf->slice());
+  const UncertainValue value = UncertainValue::Numerical(*pdf);
+  // The copy is what is under test.
+  // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+  const UncertainValue copied = value;
+  EXPECT_EQ(copied.pdf_instance(), value.pdf_instance());
+  EXPECT_EQ(copied.pdf_instance(), pdf->slice());
+  EXPECT_EQ(pdf->MemoryUsageBytes(),
+            sizeof(double) * SampledPdf::SliceSize(20));
+}
+
+TEST(PdfBlockWriterTest, PdfsShareOneBlockAndMatchTheirFactories) {
+  auto shuffled = SampledPdf::Create({2.0, 1.0, 2.0}, {1.0, 1.0, 2.0});
+  ASSERT_TRUE(shuffled.ok());
+  PdfBlockWriter block;
+  // Room for two 8-point pdfs only: the third pdf grows the block.
+  block.Open(2 * SampledPdf::SliceSize(8));
+  ASSERT_TRUE(AppendGaussianErrorPdf(1.0, 0.5, 8, &block).ok());
+  block.AppendPointMass(-2.0);
+  ASSERT_TRUE(AppendUniformErrorPdf(5.0, 1.0, 8, &block).ok());
+  block.Append(*shuffled);
+  // A pdf that fails to commit leaves the block as it was.
+  const PdfBlockWriter::RawPdf raw = block.Stage(2);
+  raw.points[0] = 0.0;
+  raw.points[1] = 1.0;
+  raw.masses[0] = -1.0;
+  raw.masses[1] = 1.0;
+  EXPECT_FALSE(block.Commit().ok());
+  block.Seal();
+  ASSERT_EQ(block.num_pdfs(), 4);
+  ExpectSamePdf(block.pdf(0), *MakeGaussianErrorPdf(1.0, 0.5, 8));
+  ExpectSamePdf(block.pdf(1), SampledPdf::PointMass(-2.0));
+  ExpectSamePdf(block.pdf(2), *MakeUniformErrorPdf(5.0, 1.0, 8));
+  ExpectSamePdf(block.pdf(3), *shuffled);
+  for (int i = 1; i < block.num_pdfs(); ++i) {
+    const SampledPdf before = block.pdf(i - 1);
+    EXPECT_EQ(block.pdf(i).slice(),
+              before.slice() + SampledPdf::SliceSize(before.num_points()));
+  }
+  // Handles keep their block alive after the writer moves on.
+  const SampledPdf kept = block.pdf(2);
+  block.Open(0);
+  ExpectSamePdf(kept, *MakeUniformErrorPdf(5.0, 1.0, 8));
 }
 
 TEST(SampledPdfTest, SortedInputMatchesTheSortPathBitForBit) {

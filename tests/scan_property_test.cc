@@ -944,7 +944,11 @@ TEST(AttributeIndexTest, PoolBuildMatchesSerial) {
     }
     for (int t = 0; t < data.num_tuples(); ++t) {
       for (size_t p = 0; p < serial.num_points(j, t); ++p) {
-        EXPECT_EQ(serial.ranks(j, t)[p], pooled.ranks(j, t)[p]);
+        const double x = data.tuple(t)
+                             .values[static_cast<size_t>(j)]
+                             .pdf()
+                             .point(static_cast<int>(p));
+        EXPECT_EQ(serial.Rank(j, x), pooled.Rank(j, x));
       }
     }
   }
@@ -957,11 +961,11 @@ TEST(AttributeIndexTest, RanksAreDenseAndOrdered) {
   for (int t = 0; t < c.data.num_tuples(); ++t) {
     const SampledPdf& pdf = c.data.tuple(t).values[0].pdf();
     ASSERT_EQ(index.num_points(0, t), static_cast<size_t>(pdf.num_points()));
-    const uint32_t* ranks = index.ranks(0, t);
     for (int p = 0; p < pdf.num_points(); ++p) {
-      EXPECT_EQ(index.value(0, ranks[p]), pdf.point(p));
+      EXPECT_EQ(index.value(0, index.Rank(0, pdf.point(p))), pdf.point(p));
       if (p > 0) {
-        EXPECT_LT(ranks[p - 1], ranks[p]);
+        EXPECT_LT(index.Rank(0, pdf.point(p - 1)),
+                  index.Rank(0, pdf.point(p)));
       }
     }
   }
@@ -980,8 +984,8 @@ TEST(AttributeIndexTest, SignedZerosShareOneRank) {
   }
   const AttributeIndex index = AttributeIndex::Build(data);
   EXPECT_EQ(index.num_values(0), 3);
-  EXPECT_EQ(index.ranks(0, 0)[0], index.ranks(0, 1)[0]);
-  EXPECT_EQ(Bits(index.value(0, index.ranks(0, 0)[0])), Bits(0.0));
+  EXPECT_EQ(index.Rank(0, -0.0), index.Rank(0, 0.0));
+  EXPECT_EQ(Bits(index.value(0, index.Rank(0, -0.0))), Bits(0.0));
 }
 
 }  // namespace

@@ -58,9 +58,9 @@ class OutOfCoreTest : public testing::Test {
     stats_ = new DatasetFileStats(*stats);
 
     // The budget the demo trains under: well below the exact decoded
-    // footprint (~22.7 MB) AND below what even the decoded quantized
-    // tuples would cost as private copies (~2.6 MB), yet well above the
-    // pooled working set (~0.5 MB) — instance sharing is what makes the
+    // footprint (~22.2 MB) AND below what even the decoded quantized
+    // tuples would cost as private copies (~2.0 MB), yet well above the
+    // pooled working set (~0.5 MB) — slice sharing is what makes the
     // budget satisfiable, not just quantization.
     budget_ = new StorageBudget();
     budget_->max_materialized_bytes = stats_->source_decoded_bytes / 16;
@@ -105,7 +105,7 @@ TEST_F(OutOfCoreTest, SourceExceedsBudgetButPooledWorkingSetFits) {
   ASSERT_TRUE(pooled.ok()) << pooled.status().message();
   EXPECT_EQ(pooled->num_tuples(), train_->num_tuples());
   EXPECT_LE(pooled->MemoryUsageBytes(), budget_->max_materialized_bytes);
-  // ... while the same tuples without instance sharing would burst it.
+  // ... while the same tuples without slice sharing would burst it.
   EXPECT_GT(pooled->MemoryBreakdown().unshared_total_bytes,
             budget_->max_materialized_bytes);
 }

@@ -225,7 +225,7 @@ TEST(PdfDictionaryTest, DecodedCacheSharesInstances) {
   auto second = cache.Get(*grid, dict, 0);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->get(), second->get());  // same instance, not a copy
+  EXPECT_EQ(first->slice(), second->slice());  // same slice, not a copy
   EXPECT_FALSE(cache.Get(*grid, dict, 7).ok());  // id out of range
 }
 
@@ -235,19 +235,19 @@ TEST(DatasetMemoryTest, BreakdownCountsSharedInstancesOnce) {
   Dataset ds(Schema::Numerical(1, {"a", "b"}));
   auto pdf = SampledPdf::Create({0.0, 1.0, 2.0}, {0.25, 0.5, 0.25});
   ASSERT_TRUE(pdf.ok());
-  auto shared = std::make_shared<const SampledPdf>(std::move(*pdf));
+  const SampledPdf shared = *pdf;
   for (int i = 0; i < 4; ++i) {
     UncertainTuple t;
     t.label = i % 2;
-    t.values.push_back(UncertainValue::NumericalShared(shared));
+    t.values.push_back(UncertainValue::Numerical(shared));
     ASSERT_TRUE(ds.AddTuple(std::move(t)).ok());
   }
   const DatasetMemoryBreakdown breakdown = ds.MemoryBreakdown();
   EXPECT_EQ(breakdown.num_tuples, 4);
   EXPECT_EQ(breakdown.num_values, 4);
   EXPECT_EQ(breakdown.unique_pdfs, 1);
-  EXPECT_EQ(breakdown.pdf_bytes, shared->MemoryUsageBytes());
-  EXPECT_EQ(breakdown.unshared_pdf_bytes, 4 * shared->MemoryUsageBytes());
+  EXPECT_EQ(breakdown.pdf_bytes, shared.MemoryUsageBytes());
+  EXPECT_EQ(breakdown.unshared_pdf_bytes, 4 * shared.MemoryUsageBytes());
   EXPECT_EQ(breakdown.total_bytes, breakdown.tuple_bytes +
                                        breakdown.pdf_bytes +
                                        breakdown.categorical_bytes);
@@ -298,7 +298,7 @@ TEST(QuantizedDatasetTest, MaterializedTuplesShareDecodedPdfs) {
   ASSERT_EQ(pooled->num_tuples(), source.num_tuples());
   const DatasetMemoryBreakdown breakdown = pooled->MemoryBreakdown();
   // Every tuple value referencing the same dictionary entry shares one
-  // decoded instance.
+  // decoded slice.
   EXPECT_EQ(breakdown.unique_pdfs, quantized->dictionary_entries());
   EXPECT_LT(breakdown.total_bytes, breakdown.unshared_total_bytes / 2);
   // Labels survive the round trip.

@@ -4,21 +4,32 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/math.h"
 #include "common/random.h"
+#include "core/builder.h"
 #include "pdf/pdf_builder.h"
 #include "table/csv.h"
 #include "table/dataset.h"
 #include "table/point_dataset.h"
+#include "table/uncertainty_injector.h"
+#include "tree/classify.h"
 
 namespace udt {
 namespace {
 
 Schema TwoClassSchema(int attrs) {
   return Schema::Numerical(attrs, {"A", "B"});
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
 }
 
 UncertainTuple NumTuple(std::vector<double> means, int label) {
@@ -206,6 +217,47 @@ TEST(DatasetTest, RandomSplitStratified) {
   std::vector<int> hist = test.ClassHistogram();
   EXPECT_EQ(hist[0], 15);
   EXPECT_EQ(hist[1], 15);
+}
+
+TEST(DatasetTest, CopiedOutTupleOutlivesItsDataset) {
+  // Injected tuples share one sample block each; a tuple copied out of
+  // the data set (as folds and retrain windows do) keeps its own block
+  // alive after the data set is gone.
+  PointDataset points(TwoClassSchema(3));
+  Rng rng(77);
+  for (int i = 0; i < 120; ++i) {
+    const int label = i % 2;
+    ASSERT_TRUE(points
+                    .AddRow({rng.Gaussian(label * 2.0, 1.0),
+                             rng.Uniform(0.0, 10.0),
+                             rng.Gaussian(5.0 - label, 2.0)},
+                            label)
+                    .ok());
+  }
+  UncertaintyOptions options;
+  options.samples_per_pdf = 20;
+  auto injected = InjectUncertainty(points, options);
+  ASSERT_TRUE(injected.ok());
+  auto data = std::make_unique<Dataset>(std::move(injected).value());
+  TreeConfig config;
+  config.algorithm = SplitAlgorithm::kUdtEs;
+  auto tree = TreeBuilder(config).Build(*data, nullptr);
+  ASSERT_TRUE(tree.ok());
+
+  std::vector<UncertainTuple> kept;
+  std::vector<std::vector<double>> want;
+  for (int i = 0; i < data->num_tuples(); i += 7) {
+    kept.push_back(data->tuple(i));
+    want.push_back(ClassifyDistribution(*tree, data->tuple(i)));
+  }
+  data.reset();
+  for (size_t k = 0; k < kept.size(); ++k) {
+    const std::vector<double> got = ClassifyDistribution(*tree, kept[k]);
+    ASSERT_EQ(got.size(), want[k].size());
+    for (size_t c = 0; c < got.size(); ++c) {
+      EXPECT_EQ(Bits(got[c]), Bits(want[k][c])) << "tuple " << k;
+    }
+  }
 }
 
 TEST(PointDatasetTest, AddRowValidates) {

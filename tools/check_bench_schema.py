@@ -18,8 +18,8 @@ move run to run and are deliberately not compared. Provenance strings
 (PROVENANCE_KEYS, e.g. the build type a row was measured under) must
 keep their key and type but are not part of a row's identity: a local
 RelWithDebInfo run still covers a sidecar recorded in Release (the
-serving-throughput, micro-kernel and Fig 6 sidecars carry build_type per
-row).
+serving-throughput, micro-kernel, Fig 6 and storage-compression sidecars
+carry build_type per row).
 
 Rows must be strict JSON: NaN / Infinity (which Python's json module
 accepts by default, and which a degenerate measurement could print) are
