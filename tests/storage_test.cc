@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -565,6 +566,317 @@ TEST_F(DatasetFileTest, RejectsLabelOutOfClassRange) {
   auto pooled = MaterializeDataset(&*reader);
   ASSERT_FALSE(pooled.ok());
   EXPECT_NE(pooled.status().message().find("bad label"), std::string::npos);
+}
+
+// ------------------------------------- fixed point against the reference
+
+// The sort-based largest-remainder routine FixedPointMasses replaced: sort
+// every (remainder, index) pair, largest first and ties to the lower
+// index, and hand the leftover units out round-robin in that order.
+std::vector<uint16_t> ReferenceFixedPointMasses(const double* weights,
+                                                int count) {
+  double total = 0.0;
+  for (int i = 0; i < count; ++i) total += weights[i];
+  std::vector<uint16_t> fixed(static_cast<size_t>(count), 0);
+  std::vector<std::pair<double, int>> remainders;
+  int64_t assigned = 0;
+  for (int i = 0; i < count; ++i) {
+    const double exact =
+        weights[i] / total * static_cast<double>(kQuantizedOne);
+    const double floored = std::floor(exact);
+    const uint32_t units = static_cast<uint32_t>(
+        std::min(floored, static_cast<double>(kQuantizedOne)));
+    fixed[static_cast<size_t>(i)] = static_cast<uint16_t>(units);
+    assigned += units;
+    remainders.emplace_back(exact - floored, i);
+  }
+  int64_t leftover = static_cast<int64_t>(kQuantizedOne) - assigned;
+  std::sort(remainders.begin(), remainders.end(),
+            [](const std::pair<double, int>& a,
+               const std::pair<double, int>& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
+            });
+  for (size_t k = 0; leftover > 0; k = (k + 1) % remainders.size()) {
+    ++fixed[static_cast<size_t>(remainders[k].second)];
+    --leftover;
+  }
+  while (leftover < 0) {
+    size_t argmax = 0;
+    for (size_t i = 1; i < fixed.size(); ++i) {
+      if (fixed[i] > fixed[argmax]) argmax = i;
+    }
+    --fixed[argmax];
+    ++leftover;
+  }
+  return fixed;
+}
+
+// One seeded weight vector of `width` entries in one of the shapes the
+// rounding has to get right.
+std::vector<double> ReferenceCase(Rng* rng, int width, int shape) {
+  std::vector<double> weights(static_cast<size_t>(width), 0.0);
+  switch (shape) {
+    case 0:  // dense positive weights
+      for (double& w : weights) w = rng->Uniform(0.0, 1.0) + 1e-12;
+      break;
+    case 1:  // sparse: most bins zero, a pdf's few samples elsewhere
+      for (int k = 0; k < std::min(width, 20); ++k) {
+        weights[static_cast<size_t>(rng->UniformInt(width))] +=
+            rng->Uniform(0.0, 1.0) + 1e-12;
+      }
+      break;
+    case 2:  // whole units: every scaled weight lands on an integer
+    {
+      int units = static_cast<int>(kQuantizedOne);
+      for (int k = 0; k < std::min(width, 24) && units > 0; ++k) {
+        const int take = k + 1 == std::min(width, 24)
+                             ? units
+                             : rng->UniformIntRange(0, units);
+        weights[static_cast<size_t>(rng->UniformInt(width))] +=
+            static_cast<double>(take);
+        units -= take;
+      }
+      if (units > 0) weights[0] += static_cast<double>(units);
+      break;
+    }
+    case 3:  // tied remainders: a few repeated values
+    {
+      const double values[3] = {rng->Uniform(0.1, 1.0), rng->Uniform(0.1, 1.0),
+                                0.0};
+      for (double& w : weights) w = values[rng->UniformInt(3)];
+      weights[static_cast<size_t>(rng->UniformInt(width))] = values[0];
+      break;
+    }
+    case 4:  // all equal
+      for (double& w : weights) w = 0.5;
+      break;
+    case 5:  // one non-zero bin
+      weights[static_cast<size_t>(rng->UniformInt(width))] =
+          rng->Uniform(1e-6, 1e6);
+      break;
+    default:  // wide dynamic range: tiny masses beside large ones
+      for (double& w : weights) {
+        w = rng->Bernoulli(0.5) ? 0.0
+                                : std::ldexp(rng->Uniform(0.5, 1.0),
+                                             rng->UniformIntRange(-60, 4));
+      }
+      weights[static_cast<size_t>(rng->UniformInt(width))] = 1.0;
+      break;
+  }
+  return weights;
+}
+
+TEST(FixedPointMassesTest, MatchesSortedReferenceBitForBit) {
+  Rng rng(20231);
+  const int widths[] = {1, 2, 3, 19, 64, 65, 4096};
+  int cases = 0;
+  int exact_cases = 0;  // vectors with at least one zero remainder
+  for (int round = 0; round < 260; ++round) {
+    for (int width : widths) {
+      for (int shape = 0; shape < 7; ++shape) {
+        if (width == 4096 && round % 8 != 0) continue;
+        const std::vector<double> weights = ReferenceCase(&rng, width, shape);
+        const std::vector<uint16_t> want =
+            ReferenceFixedPointMasses(weights.data(), width);
+        ASSERT_EQ(FixedPointMasses(weights.data(), width), want)
+            << "width " << width << " shape " << shape << " round " << round;
+        if (shape == 2) ++exact_cases;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GE(cases, 10000);
+  EXPECT_GT(exact_cases, 0);
+
+  // A total that overflows to infinity floors every weight to 0 units, so
+  // the leftover (the whole scale) exceeds the count of positive
+  // remainders (none) and the round-robin wraps over every bin. For
+  // finite totals the floors never sum above the scale (the summation
+  // error is far below one unit), so the shave path after the hand-out
+  // is a guard that no finite input reaches.
+  for (int width : {2, 64, 4096}) {
+    const std::vector<double> huge(static_cast<size_t>(width),
+                                   std::numeric_limits<double>::max());
+    EXPECT_EQ(FixedPointMasses(huge.data(), width),
+              ReferenceFixedPointMasses(huge.data(), width))
+        << "width " << width;
+  }
+}
+
+// ------------------------------------------ reader parity, hostile tokens
+
+// A hand-made two-column container (numerical grid of 2 points, one
+// 3-category column, 6 dictionary entries each, 7 classes, one chunk of
+// five tuples). `target` names the line a case rewrites; `{}` in `line`
+// stands for the token under test.
+std::string ParityContainer(const std::string& target, const std::string& line,
+                            bool crlf) {
+  std::vector<std::pair<std::string, std::string>> lines = {
+      {"", "udt-dataset v1"},
+      {"quantized", "quantized bins 64 chunk 8"},
+      {"", "tuples 5"},
+      {"", "source bytes 1000"},
+      {"", "classes 7"},
+  };
+  for (int c = 0; c < 7; ++c) lines.push_back({"", StrFormat("c%d", c)});
+  lines.push_back({"", "attributes 2"});
+  lines.push_back({"", "attr num 0 x"});
+  lines.push_back({"", "attr cat 3 k"});
+  lines.push_back({"", "columns 2"});
+  lines.push_back({"", "column 0 num grid 2 dict 6"});
+  lines.push_back({"", "g -0x1p+0 0x1.8p+1"});
+  lines.push_back({"dict", "d 65535 0"});
+  for (int d = 1; d < 6; ++d) {
+    lines.push_back({"", StrFormat("d %d %d", d, 65535 - d)});
+  }
+  lines.push_back({"", "column 1 cat width 3 dict 6"});
+  for (int d = 0; d < 6; ++d) {
+    lines.push_back({"", StrFormat("d %d 1 %d", d, 65534 - d)});
+  }
+  lines.push_back({"", "chunks 1"});
+  lines.push_back({"chunk", "chunk 0 tuples 5"});
+  lines.push_back({"label", "l 4 1 2 0 6"});
+  lines.push_back({"id", "c 0 3 1 2 0 0"});
+  lines.push_back({"", "c 1 0 5 2 1 1"});
+  lines.push_back({"", "end"});
+  std::string text;
+  for (const auto& [kind, content] : lines) {
+    text += kind == target ? line : content;
+    text += kind == target && crlf ? "\r\n" : "\n";
+  }
+  return text;
+}
+
+// Open + materialise; "OK" or the first failure's message.
+std::string ReadOutcome(const std::string& text) {
+  const std::string path = TempPath("storage_parity.udtds");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  std::string outcome = "OK";
+  auto reader = DatasetReader::Open(path);
+  if (!reader.ok()) {
+    outcome = reader.status().message();
+  } else {
+    auto pooled = MaterializeDataset(&*reader);
+    if (!pooled.ok()) outcome = pooled.status().message();
+  }
+  std::remove(path.c_str());
+  return outcome;
+}
+
+TEST(DatasetReaderParityTest, HostileTokensKeepTheirVerdictAndMessage) {
+  // Line templates: `{}` is replaced by the token under test.
+  const std::vector<std::pair<std::string, std::string>> targets = {
+      {"quantized", "quantized bins {} chunk 8"},
+      {"dict", "d {} 7"},
+      {"chunk", "chunk 0 tuples {}"},
+      {"label", "l {} 1 2 0 6"},
+      {"id", "c 0 {} 1 2 0 0"},
+  };
+  struct Input {
+    const char* name;
+    std::string token;
+    std::string suffix;  // appended to the line after substitution
+    bool crlf;
+  };
+  const std::vector<Input> inputs = {
+      {"plus", "+5", "", false},
+      {"minus zero", "-0", "", false},
+      {"leading zeros", "0005", "", false},
+      {"u16 overflow", "65536", "", false},
+      {"u32 overflow", "4294967296", "", false},
+      {"double space", "", "", false},
+      {"trailing space", "5", " ", false},
+      {"leading tab", "\t5", "", false},
+      {"tab separator", "5\t1", "", false},
+      {"trailing junk", "5x", "", false},
+      {"crlf", "5", "", true},
+  };
+  // What the reader answered before its tokens became views: "OK" or the
+  // message after the "udt-dataset: " prefix, one row per input above.
+  const std::vector<std::string> want = {
+      // quantized
+      "line 2: bad quantized line: quantized bins +5 chunk 8",
+      "line 2: bad quantized line: quantized bins -0 chunk 8",
+      "OK",
+      "line 2: bad quantized line: quantized bins 65536 chunk 8",
+      "line 2: bad quantized line: quantized bins 4294967296 chunk 8",
+      "line 2: bad quantized line: quantized bins  chunk 8",
+      "line 2: expected quantized line",
+      "OK",
+      "line 2: bad quantized line: quantized bins 5\t1 chunk 8",
+      "line 2: bad quantized line: quantized bins 5x chunk 8",
+      "OK",
+      // dict
+      "OK",
+      "OK",
+      "OK",
+      "line 19: bad dictionary mass: 65536",
+      "line 19: bad dictionary mass: 4294967296",
+      "line 19: bad dictionary mass: ",
+      "line 19: bad dictionary entry line",
+      "OK",
+      "line 19: bad dictionary mass: 5\t1",
+      "line 19: bad dictionary mass: 5x",
+      "OK",
+      // chunk
+      "line 33: chunk 0 holds +5 tuples, expected 5",
+      "line 33: chunk 0 holds -0 tuples, expected 5",
+      "OK",
+      "line 33: chunk 0 holds 65536 tuples, expected 5",
+      "line 33: chunk 0 holds 4294967296 tuples, expected 5",
+      "line 33: chunk 0 holds  tuples, expected 5",
+      "line 33: bad chunk header: chunk 0 tuples 5 ",
+      "OK",
+      "line 33: chunk 0 holds 5\t1 tuples, expected 5",
+      "line 33: chunk 0 holds 5x tuples, expected 5",
+      "OK",
+      // label
+      "OK",
+      "OK",
+      "OK",
+      "line 34: bad label: 65536",
+      "line 34: bad label: 4294967296",
+      "line 34: bad label: ",
+      "line 34: bad label line",
+      "OK",
+      "line 34: bad label: 5\t1",
+      "line 34: bad label: 5x",
+      "OK",
+      // id
+      "line 35: dictionary id out of range: +5",
+      "line 35: dictionary id out of range: -0",
+      "OK",
+      "line 35: dictionary id out of range: 65536",
+      "line 35: dictionary id out of range: 4294967296",
+      "line 35: dictionary id out of range: ",
+      "line 35: bad id column line",
+      "OK",
+      "line 35: dictionary id out of range: 5\t1",
+      "line 35: dictionary id out of range: 5x",
+      "OK",
+  };
+
+  ASSERT_EQ(want.size(), targets.size() * inputs.size());
+  size_t k = 0;
+  for (const auto& [target, pattern] : targets) {
+    for (const Input& input : inputs) {
+      std::string line = pattern;
+      line.replace(line.find("{}"), 2, input.token);
+      line += input.suffix;
+      const std::string got =
+          ReadOutcome(ParityContainer(target, line, input.crlf));
+      const std::string expected =
+          want[k] == "OK" ? want[k] : "udt-dataset: " + want[k];
+      EXPECT_EQ(got, expected) << target << ": " << input.name;
+      ++k;
+    }
+  }
+  // The untouched container reads.
+  EXPECT_EQ(ReadOutcome(ParityContainer("none", "", false)), "OK");
 }
 
 // ------------------------------------------- line-numbered diagnostics
