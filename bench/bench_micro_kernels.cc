@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks of the kernels that dominate tree
-// construction and serving: uncertainty injection, CDF queries, root and
-// child scan construction, the split search's set-up (rank index and root
-// lists), entropy scoring, interval bounding, working-set partitioning,
-// uncertain classification, the thread scaling of the parallel
-// construction engine, and the flat-tree traversal kernels.
+// construction and serving: uncertainty injection, the retrain spill's
+// udt-dataset v1 round trip, CDF queries, root and child scan
+// construction, the split search's set-up (rank index and root lists),
+// entropy scoring, interval bounding, working-set partitioning, uncertain
+// classification, the thread scaling of the parallel construction engine,
+// and the flat-tree traversal kernels.
 //
 // Machine-readable output: unless --benchmark_out is given, results are
 // also written as google-benchmark JSON to BENCH_micro_kernels.json so
@@ -17,11 +18,13 @@
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <span>
 #include <string>
@@ -32,6 +35,7 @@
 #include "api/trainer.h"
 #include "bench_common.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/task_pool.h"
 #include "common/timer.h"
 #include "datagen/synthetic.h"
@@ -40,6 +44,8 @@
 #include "split/attribute_scan.h"
 #include "split/bounds.h"
 #include "split/fractional_tuple.h"
+#include "storage/dataset_file.h"
+#include "storage/quantized_dataset.h"
 #include "table/uncertainty_injector.h"
 #include "tree/classify.h"
 #include "tree/flat_tree.h"
@@ -110,6 +116,87 @@ void BM_InjectUncertainty(benchmark::State& state) {
 BENCHMARK(BM_InjectUncertainty)
     ->Arg(1)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The adaptive loop's retrain spill at its Segment shape (768 tuples x 19
+// attributes, s = 20, Gaussian over 10% of each domain; default
+// QuantizationOptions: 64 bins, one 1024-tuple chunk), one layer per
+// Arg: 0 the whole round trip (ConvertDatasetToFile, DatasetReader::Open,
+// MaterializeDataset), 1 QuantizedDataset::FromDataset, 2
+// ConvertDatasetToFile (quantize + emit; emit is the difference to 1), 3
+// Open (header, grids, 8.6k dictionary rows), 4 MaterializeDataset of a
+// freshly opened reader (the Open is not timed). minflt_per_iter counts
+// the process's page faults per iteration.
+void BM_SpillRoundTrip(benchmark::State& state) {
+  static const Dataset* const split = [] {
+    auto spec = datagen::FindUciSpec("Segment");
+    UDT_CHECK(spec.ok());
+    datagen::SyntheticConfig config = datagen::MakeUciLikeConfig(*spec, 1.0);
+    config.num_tuples = 768;
+    UncertaintyOptions options;
+    options.width_fraction = 0.10;
+    options.samples_per_pdf = 20;
+    options.error_model = ErrorModel::kGaussian;
+    auto data = InjectUncertainty(datagen::GenerateSynthetic(config), options);
+    UDT_CHECK(data.ok());
+    return new Dataset(std::move(data).value());
+  }();
+  static const char* const kLayers[] = {"round trip", "quantize", "convert",
+                                        "open", "materialize"};
+  const int layer = static_cast<int>(state.range(0));
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       StrFormat("bench_spill_%d.udtds", static_cast<int>(getpid())))
+          .string();
+  UDT_CHECK(ConvertDatasetToFile(*split, path).ok());
+  const long faults_before = MinorFaults();
+  for (auto _ : state) {
+    switch (layer) {
+      case 1: {
+        auto quantized = QuantizedDataset::FromDataset(*split);
+        UDT_CHECK(quantized.ok());
+        benchmark::DoNotOptimize(quantized->labels().data());
+        break;
+      }
+      case 2:
+        UDT_CHECK(ConvertDatasetToFile(*split, path).ok());
+        break;
+      case 3: {
+        auto reader = DatasetReader::Open(path);
+        UDT_CHECK(reader.ok());
+        benchmark::DoNotOptimize(reader->num_tuples());
+        break;
+      }
+      case 4: {
+        state.PauseTiming();
+        auto reader = DatasetReader::Open(path);
+        UDT_CHECK(reader.ok());
+        state.ResumeTiming();
+        auto pooled = MaterializeDataset(&*reader);
+        UDT_CHECK(pooled.ok());
+        benchmark::DoNotOptimize(pooled->tuples().data());
+        break;
+      }
+      default: {
+        UDT_CHECK(ConvertDatasetToFile(*split, path).ok());
+        auto reader = DatasetReader::Open(path);
+        UDT_CHECK(reader.ok());
+        auto pooled = MaterializeDataset(&*reader);
+        UDT_CHECK(pooled.ok());
+        benchmark::DoNotOptimize(pooled->tuples().data());
+        break;
+      }
+    }
+  }
+  state.counters["minflt_per_iter"] = benchmark::Counter(
+      static_cast<double>(MinorFaults() - faults_before),
+      benchmark::Counter::kAvgIterations);
+  state.SetLabel(kLayers[layer]);
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_SpillRoundTrip)
+    ->DenseRange(0, 4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
