@@ -24,6 +24,21 @@ std::vector<std::string> SplitString(std::string_view text, char delimiter) {
   return fields;
 }
 
+void SplitStringViews(std::string_view text, char delimiter,
+                      std::vector<std::string_view>* fields) {
+  fields->clear();
+  size_t start = 0;
+  while (true) {
+    const size_t pos = text.find(delimiter, start);
+    if (pos == std::string_view::npos) {
+      fields->push_back(text.substr(start));
+      return;
+    }
+    fields->push_back(text.substr(start, pos - start));
+    start = pos + 1;
+  }
+}
+
 std::string_view TrimWhitespace(std::string_view text) {
   const char* kWhitespace = " \t\r\n\f\v";
   size_t begin = text.find_first_not_of(kWhitespace);
@@ -55,6 +70,17 @@ std::optional<double> ParseDouble(std::string_view text) {
 }
 
 std::optional<int> ParseInt(std::string_view text) {
+  // Fast path: an unsigned from_chars that consumes the whole token saw
+  // nothing but digits, where strtol reads the same value. Everything else
+  // (whitespace, a sign, junk, more than 32 bits) takes the strtol path,
+  // which keeps the accept/reject set as it was.
+  uint32_t fast = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), fast);
+  if (ec == std::errc() && ptr == text.data() + text.size()) {
+    if (fast > 2147483647u) return std::nullopt;
+    return static_cast<int>(fast);
+  }
   text = TrimWhitespace(text);
   if (text.empty()) return std::nullopt;
   std::string buffer(text);
@@ -66,6 +92,11 @@ std::optional<int> ParseInt(std::string_view text) {
 }
 
 std::optional<uint64_t> ParseUint64(std::string_view text) {
+  // Fast path, as in ParseInt: a token of digits only that fits 64 bits.
+  uint64_t fast = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), fast);
+  if (ec == std::errc() && ptr == text.data() + text.size()) return fast;
   text = TrimWhitespace(text);
   if (text.empty()) return std::nullopt;
   // strtoull silently accepts "-1" (wrapping) and "+1"; digits only here.

@@ -15,6 +15,12 @@ namespace udt {
 // Splits `text` on `delimiter`; keeps empty fields ("a,,b" -> 3 fields).
 std::vector<std::string> SplitString(std::string_view text, char delimiter);
 
+// SplitString without copies: replaces `fields` with views into `text`
+// (which must outlive them). Reusing one `fields` vector across lines makes
+// the split allocation-free.
+void SplitStringViews(std::string_view text, char delimiter,
+                      std::vector<std::string_view>* fields);
+
 // Removes leading and trailing ASCII whitespace.
 std::string_view TrimWhitespace(std::string_view text);
 
@@ -22,10 +28,14 @@ std::string_view TrimWhitespace(std::string_view text);
 std::optional<double> ParseDouble(std::string_view text);
 
 // Parses a non-negative integer; returns nullopt on malformed input.
+// Surrounding whitespace, a sign ("+5", "-0") and leading zeros are
+// accepted. A plain run of digits parses in place; anything else takes a
+// copy through strtol.
 std::optional<int> ParseInt(std::string_view text);
 
 // Parses a non-negative 64-bit integer (decimal); returns nullopt on
-// malformed input, a sign character, or overflow.
+// malformed input, a sign character, or overflow. Surrounding whitespace
+// is accepted. A plain run of digits parses in place.
 std::optional<uint64_t> ParseUint64(std::string_view text);
 
 // printf-style formatting into std::string.

@@ -1,7 +1,10 @@
 #include "storage/dataset_file.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -27,30 +30,100 @@ std::optional<int64_t> ParseCount(std::string_view token, int64_t max) {
   return static_cast<int64_t>(*value);
 }
 
-// Reads one dictionary entry line ("d" + width u16 tokens) into `row`.
-Status ReadDictRow(LineReader* reader, int width, std::vector<uint16_t>* row) {
-  UDT_RETURN_NOT_OK(reader->Next("dictionary entry"));
-  const std::vector<std::string> tokens = SplitString(reader->line(), ' ');
-  if (tokens.size() != static_cast<size_t>(width) + 1 || tokens[0] != "d") {
-    return reader->Error("bad dictionary entry line");
-  }
-  row->clear();
-  row->reserve(static_cast<size_t>(width));
-  uint32_t sum = 0;
+// Parses a dictionary entry line the way the writer emits it: "d", then
+// `width` tokens of plain digits, each at most kQuantizedOne and preceded
+// by one space. Returns false on any other line, leaving the verdict to
+// the general parse; a line it accepts, the general parse reads the same.
+bool ParsePlainDictRow(std::string_view line, int width, uint16_t* row) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  if (p == end || *p++ != 'd') return false;
   for (int i = 0; i < width; ++i) {
-    std::optional<int> mass = ParseInt(tokens[static_cast<size_t>(i) + 1]);
-    if (!mass || *mass > static_cast<int>(kQuantizedOne)) {
-      return reader->Error("bad dictionary mass: " +
-                           tokens[static_cast<size_t>(i) + 1]);
-    }
-    row->push_back(static_cast<uint16_t>(*mass));
-    sum += static_cast<uint32_t>(*mass);
+    if (p == end || *p++ != ' ') return false;
+    uint32_t mass = 0;
+    const auto [next, ec] = std::from_chars(p, end, mass);
+    if (ec != std::errc() || mass > kQuantizedOne) return false;
+    row[i] = static_cast<uint16_t>(mass);
+    p = next;
   }
+  return p == end;
+}
+
+// Reads one dictionary entry line ("d" + width u16 tokens) into `row`.
+// `tokens` is the caller's scratch for lines ParsePlainDictRow leaves to
+// the general parse.
+Status ReadDictRow(LineReader* reader, int width,
+                   std::vector<std::string_view>* tokens,
+                   std::vector<uint16_t>* row) {
+  UDT_RETURN_NOT_OK(reader->Next("dictionary entry"));
+  row->resize(static_cast<size_t>(width));
+  if (!ParsePlainDictRow(reader->line(), width, row->data())) {
+    SplitStringViews(reader->line(), ' ', tokens);
+    if (tokens->size() != static_cast<size_t>(width) + 1 ||
+        (*tokens)[0] != "d") {
+      return reader->Error("bad dictionary entry line");
+    }
+    for (size_t i = 0; i < row->size(); ++i) {
+      const std::string_view token = (*tokens)[i + 1];
+      std::optional<int> mass = ParseInt(token);
+      if (!mass || *mass > static_cast<int>(kQuantizedOne)) {
+        return reader->Error("bad dictionary mass: " + std::string(token));
+      }
+      (*row)[i] = static_cast<uint16_t>(*mass);
+    }
+  }
+  uint32_t sum = 0;
+  for (uint16_t mass : *row) sum += mass;
   if (sum == 0) {
     return reader->Error("dictionary entry carries no mass");
   }
   return Status::OK();
 }
+
+// Text emitter of the writer: a line is formatted straight into a reused
+// buffer and handed to the stream with one write. Integers go through
+// std::to_chars, which prints the digits operator<< prints without the
+// stream's per-value sentry and locale work.
+class LineWriter {
+ public:
+  explicit LineWriter(std::ostream& out) : out_(out) {}
+
+  // Starts a line with its one-letter tag ('d', 'l', 'c', 'g') that will
+  // carry at most `values` values.
+  void Begin(char tag, size_t values) {
+    const size_t bytes = 2 + values * kMaxValueChars;
+    if (buffer_.size() < bytes) buffer_.resize(bytes);
+    end_ = buffer_.data();
+    *end_++ = tag;
+  }
+
+  // Appends " <value>" in decimal.
+  void AppendInt(int64_t value) {
+    *end_++ = ' ';
+    end_ = std::to_chars(end_, end_ + kMaxValueChars - 1, value).ptr;
+  }
+
+  // Appends " <value as printf %a>": the hexfloat every udt container uses
+  // for doubles.
+  void AppendHexFloat(double value) {
+    end_ += std::snprintf(end_, kMaxValueChars, " %a", value);
+  }
+
+  // Ends the line and writes it.
+  void End() {
+    *end_++ = '\n';
+    out_.write(buffer_.data(), end_ - buffer_.data());
+  }
+
+ private:
+  // Room for one " <value>": an int64 takes at most 20 characters, a %a
+  // double at most 24.
+  static constexpr size_t kMaxValueChars = 32;
+
+  std::ostream& out_;
+  std::vector<char> buffer_;
+  char* end_ = nullptr;
+};
 
 // Emits `data` in the layout documented in dataset_file.h.
 Status WriteDatasetFile(const QuantizedDataset& data,
@@ -68,6 +141,7 @@ Status WriteDatasetFile(const QuantizedDataset& data,
   out << "source bytes " << source_decoded_bytes << "\n";
   WriteSchemaBlock(schema, out);
 
+  LineWriter line(out);
   out << "columns " << schema.num_attributes() << "\n";
   for (int j = 0; j < schema.num_attributes(); ++j) {
     const PdfDictionary& dict = data.dictionary(j);
@@ -75,20 +149,18 @@ Status WriteDatasetFile(const QuantizedDataset& data,
       const AttributeGrid& grid = data.grid(j);
       out << "column " << j << " num grid " << grid.num_points() << " dict "
           << dict.num_entries() << "\n";
-      out << "g";
-      for (double point : grid.points()) {
-        out << StrFormat(" %a", point);
-      }
-      out << "\n";
+      line.Begin('g', grid.points().size());
+      for (double point : grid.points()) line.AppendHexFloat(point);
+      line.End();
     } else {
       out << "column " << j << " cat width " << dict.width() << " dict "
           << dict.num_entries() << "\n";
     }
     for (uint32_t id = 0; id < dict.num_entries(); ++id) {
       const uint16_t* row = dict.entry(id);
-      out << "d";
-      for (int i = 0; i < dict.width(); ++i) out << ' ' << row[i];
-      out << "\n";
+      line.Begin('d', static_cast<size_t>(dict.width()));
+      for (int i = 0; i < dict.width(); ++i) line.AppendInt(row[i]);
+      line.End();
     }
   }
 
@@ -99,18 +171,19 @@ Status WriteDatasetFile(const QuantizedDataset& data,
     const int64_t begin = c * chunk_tuples;
     const int64_t end = std::min(begin + chunk_tuples, num_tuples);
     out << "chunk " << c << " tuples " << (end - begin) << "\n";
-    out << "l";
+    line.Begin('l', static_cast<size_t>(end - begin));
     for (int64_t i = begin; i < end; ++i) {
-      out << ' ' << data.labels()[static_cast<size_t>(i)];
+      line.AppendInt(data.labels()[static_cast<size_t>(i)]);
     }
-    out << "\n";
+    line.End();
     for (int j = 0; j < schema.num_attributes(); ++j) {
       const std::vector<uint32_t>& ids = data.column_ids(j);
-      out << "c " << j;
+      line.Begin('c', static_cast<size_t>(end - begin) + 1);
+      line.AppendInt(j);
       for (int64_t i = begin; i < end; ++i) {
-        out << ' ' << ids[static_cast<size_t>(i)];
+        line.AppendInt(ids[static_cast<size_t>(i)]);
       }
-      out << "\n";
+      line.End();
     }
   }
   out << "end\n";
@@ -168,21 +241,17 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
     return reader->Error("bad magic line: " + reader->line());
   }
 
+  // Token views into the current line, reused by every split below.
+  std::vector<std::string_view> tokens;
   UDT_RETURN_NOT_OK(reader->Next("quantized"));
-  {
-    const std::vector<std::string> tokens =
-        SplitString(reader->line(), ' ');
-    if (tokens.size() != 5 || tokens[0] != "quantized" ||
-        tokens[1] != "bins" || tokens[3] != "chunk") {
-      return reader->Error("expected quantized line");
-    }
+  SplitStringViews(reader->line(), ' ', &tokens);
+  if (tokens.size() != 5 || tokens[0] != "quantized" || tokens[1] != "bins" ||
+      tokens[3] != "chunk") {
+    return reader->Error("expected quantized line");
   }
-  const std::vector<std::string> quantized_tokens =
-      SplitString(reader->line(), ' ');
   std::optional<int64_t> bins =
-      ParseCount(quantized_tokens[2], QuantizationOptions::kMaxBins);
-  std::optional<int64_t> chunk_tuples =
-      ParseCount(quantized_tokens[4], kMaxChunkTuples);
+      ParseCount(tokens[2], QuantizationOptions::kMaxBins);
+  std::optional<int64_t> chunk_tuples = ParseCount(tokens[4], kMaxChunkTuples);
   if (!bins || *bins < 1 || !chunk_tuples || *chunk_tuples < 1) {
     return reader->Error("bad quantized line: " + reader->line());
   }
@@ -192,7 +261,7 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
     return reader->Error("expected tuples line");
   }
   std::optional<int64_t> num_tuples =
-      ParseCount(reader->line().substr(7), kMaxTuples);
+      ParseCount(std::string_view(reader->line()).substr(7), kMaxTuples);
   if (!num_tuples || *num_tuples < 1) {
     return reader->Error("bad tuple count");
   }
@@ -202,7 +271,7 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
     return reader->Error("expected source bytes line");
   }
   std::optional<uint64_t> source_bytes =
-      ParseUint64(reader->line().substr(13));
+      ParseUint64(std::string_view(reader->line()).substr(13));
   if (!source_bytes) {
     return reader->Error("bad source bytes");
   }
@@ -213,7 +282,8 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
   if (reader->line().rfind("columns ", 0) != 0) {
     return reader->Error("expected columns line");
   }
-  std::optional<int> num_columns = ParseInt(reader->line().substr(8));
+  std::optional<int> num_columns =
+      ParseInt(std::string_view(reader->line()).substr(8));
   if (!num_columns || *num_columns != schema.num_attributes()) {
     return reader->Error("column count does not match the schema");
   }
@@ -226,8 +296,7 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
     column.kind = info.kind;
 
     UDT_RETURN_NOT_OK(reader->Next("column header"));
-    const std::vector<std::string> tokens =
-        SplitString(reader->line(), ' ');
+    SplitStringViews(reader->line(), ' ', &tokens);
     if (tokens.size() != 7 || tokens[0] != "column" || tokens[5] != "dict") {
       return reader->Error("bad column header: " + reader->line());
     }
@@ -252,20 +321,18 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
         return reader->Error("bad grid size: " + reader->line());
       }
       UDT_RETURN_NOT_OK(reader->Next("grid"));
-      const std::vector<std::string> grid_tokens =
-          SplitString(reader->line(), ' ');
-      if (grid_tokens.size() != static_cast<size_t>(*grid_points) + 1 ||
-          grid_tokens[0] != "g") {
+      SplitStringViews(reader->line(), ' ', &tokens);
+      if (tokens.size() != static_cast<size_t>(*grid_points) + 1 ||
+          tokens[0] != "g") {
         return reader->Error("bad grid line");
       }
       std::vector<double> points;
       points.reserve(static_cast<size_t>(*grid_points));
       for (int64_t g = 0; g < *grid_points; ++g) {
-        std::optional<double> point =
-            ParseDouble(grid_tokens[static_cast<size_t>(g) + 1]);
+        const std::string_view token = tokens[static_cast<size_t>(g) + 1];
+        std::optional<double> point = ParseDouble(token);
         if (!point) {
-          return reader->Error("bad grid point: " +
-                               grid_tokens[static_cast<size_t>(g) + 1]);
+          return reader->Error("bad grid point: " + std::string(token));
         }
         points.push_back(*point);
       }
@@ -288,7 +355,7 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
 
     column.dict = PdfDictionary(width);
     for (int64_t d = 0; d < *dict_entries; ++d) {
-      UDT_RETURN_NOT_OK(ReadDictRow(reader.get(), width, &row));
+      UDT_RETURN_NOT_OK(ReadDictRow(reader.get(), width, &tokens, &row));
       column.dict.Append(row.data());
     }
   }
@@ -298,7 +365,7 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
     return reader->Error("expected chunks line");
   }
   std::optional<int64_t> num_chunks =
-      ParseCount(reader->line().substr(7), kMaxTuples);
+      ParseCount(std::string_view(reader->line()).substr(7), kMaxTuples);
   const int64_t expected_chunks =
       (*num_tuples + *chunk_tuples - 1) / *chunk_tuples;
   if (!num_chunks || *num_chunks != expected_chunks) {
@@ -339,39 +406,37 @@ Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
   }
 
   LineReader* reader = reader_.get();
+  std::vector<std::string_view>& tokens = tokens_;
   UDT_RETURN_NOT_OK(reader->Next("chunk header"));
-  const std::vector<std::string> header_tokens =
-      SplitString(reader->line(), ' ');
-  if (header_tokens.size() != 4 || header_tokens[0] != "chunk" ||
-      header_tokens[2] != "tuples" ||
-      ParseCount(header_tokens[1], kMaxTuples) != chunk) {
+  SplitStringViews(reader->line(), ' ', &tokens);
+  if (tokens.size() != 4 || tokens[0] != "chunk" || tokens[2] != "tuples" ||
+      ParseCount(tokens[1], kMaxTuples) != chunk) {
     return reader->Error("bad chunk header: " + reader->line());
   }
   const std::optional<int64_t> header_tuples =
-      ParseCount(header_tokens[3], kMaxChunkTuples);
+      ParseCount(tokens[3], kMaxChunkTuples);
   const int64_t begin = chunk * chunk_tuples_;
   const int64_t expected =
       std::min<int64_t>(begin + chunk_tuples_, num_tuples_) - begin;
   if (header_tuples != expected) {
     return reader->Error(
         StrFormat("chunk %lld holds %s tuples, expected %lld",
-                  static_cast<long long>(chunk), header_tokens[3].c_str(),
+                  static_cast<long long>(chunk), std::string(tokens[3]).c_str(),
                   static_cast<long long>(expected)));
   }
   const size_t count = static_cast<size_t>(expected);
 
   UDT_RETURN_NOT_OK(reader->Next("labels"));
-  const std::vector<std::string> label_tokens =
-      SplitString(reader->line(), ' ');
-  if (label_tokens.size() != count + 1 || label_tokens[0] != "l") {
+  SplitStringViews(reader->line(), ' ', &tokens);
+  if (tokens.size() != count + 1 || tokens[0] != "l") {
     return reader->Error("bad label line");
   }
   std::vector<int> labels;
   labels.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    std::optional<int> label = ParseInt(label_tokens[i + 1]);
+    std::optional<int> label = ParseInt(tokens[i + 1]);
     if (!label || *label >= schema_.num_classes()) {
-      return reader->Error("bad label: " + label_tokens[i + 1]);
+      return reader->Error("bad label: " + std::string(tokens[i + 1]));
     }
     labels.push_back(*label);
   }
@@ -381,10 +446,13 @@ Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
       static_cast<size_t>(num_attributes));
   for (int j = 0; j < num_attributes; ++j) {
     UDT_RETURN_NOT_OK(reader->Next("id column"));
-    const std::vector<std::string> tokens =
-        SplitString(reader->line(), ' ');
+    SplitStringViews(reader->line(), ' ', &tokens);
+    char index[16];
+    const char* index_end =
+        std::to_chars(index, index + sizeof(index), j).ptr;
     if (tokens.size() != count + 2 || tokens[0] != "c" ||
-        tokens[1] != StrFormat("%d", j)) {
+        tokens[1] != std::string_view(
+                         index, static_cast<size_t>(index_end - index))) {
       return reader->Error("bad id column line");
     }
     const QuantizedColumn& column = columns_[static_cast<size_t>(j)];
@@ -394,7 +462,8 @@ Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
       std::optional<int64_t> id =
           ParseCount(tokens[i + 2], kMaxDictEntries - 1);
       if (!id || *id >= column.dict.num_entries()) {
-        return reader->Error("dictionary id out of range: " + tokens[i + 2]);
+        return reader->Error("dictionary id out of range: " +
+                             std::string(tokens[i + 2]));
       }
       column_ids.push_back(static_cast<uint32_t>(*id));
     }

@@ -43,6 +43,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -119,6 +120,8 @@ class DatasetReader {
   int64_t num_chunks_ = 0;
   size_t source_decoded_bytes_ = 0;
   int64_t next_chunk_ = 0;
+  // Token views into the reader's current line, reused across chunks.
+  std::vector<std::string_view> tokens_;
 };
 
 // Memory ceiling for a training materialisation. The budget is enforced

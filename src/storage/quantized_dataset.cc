@@ -24,6 +24,7 @@ StatusOr<QuantizedDataset> QuantizedDataset::FromDataset(
     result.labels_.push_back(source.tuple(i).label);
   }
 
+  QuantizeScratch scratch;
   for (int j = 0; j < num_attributes; ++j) {
     QuantizedColumn& column = result.columns_[static_cast<size_t>(j)];
     std::vector<uint32_t>& ids = result.ids_[static_cast<size_t>(j)];
@@ -42,9 +43,8 @@ StatusOr<QuantizedDataset> QuantizedDataset::FromDataset(
         for (int c = 0; c < width; ++c) {
           weights[static_cast<size_t>(c)] = pdf.probability(c);
         }
-        const std::vector<uint16_t> fixed =
-            FixedPointMasses(weights.data(), width);
-        ids.push_back(column.dict.Intern(fixed.data()));
+        ids.push_back(column.dict.Intern(
+            FixedPointMasses(weights.data(), width, &scratch)));
       }
       continue;
     }
@@ -76,9 +76,9 @@ StatusOr<QuantizedDataset> QuantizedDataset::FromDataset(
     }
     column.dict = PdfDictionary(column.grid.num_points());
     for (int i = 0; i < num_tuples; ++i) {
-      const std::vector<uint16_t> fixed = QuantizeToGrid(
-          source.tuple(i).values[static_cast<size_t>(j)].pdf(), column.grid);
-      ids.push_back(column.dict.Intern(fixed.data()));
+      ids.push_back(column.dict.Intern(QuantizeToGrid(
+          source.tuple(i).values[static_cast<size_t>(j)].pdf(), column.grid,
+          &scratch)));
     }
   }
   return result;

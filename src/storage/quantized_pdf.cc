@@ -11,16 +11,32 @@
 namespace udt {
 namespace {
 
-// FNV-1a over a dictionary row's bytes.
+// Hash of a dictionary row, four masses (one 64-bit word) per step.
 uint64_t HashRow(const uint16_t* masses, int width) {
-  uint64_t h = 1469598103934665603ull;
-  const unsigned char* bytes = reinterpret_cast<const unsigned char*>(masses);
-  const size_t n = static_cast<size_t>(width) * sizeof(uint16_t);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
+  constexpr uint64_t kMul = 0xFF51AFD7ED558CCDull;
+  uint64_t h = 0x9E3779B97F4A7C15ull ^ static_cast<uint64_t>(width);
+  int i = 0;
+  for (; i + 4 <= width; i += 4) {
+    uint64_t word;
+    std::memcpy(&word, masses + i, sizeof(word));
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
   }
-  return h;
+  for (; i < width; ++i) {
+    h = (h ^ masses[i]) * kMul;
+    h ^= h >> 32;
+  }
+  h ^= h >> 29;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  return h ^ (h >> 32);
+}
+
+// The order the leftover units are handed out in: larger remainder first,
+// ties to the lower index.
+bool HandOutFirst(const std::pair<double, int>& a,
+                  const std::pair<double, int>& b) {
+  if (a.first != b.first) return a.first > b.first;
+  return a.second < b.second;
 }
 
 }  // namespace
@@ -85,52 +101,79 @@ AttributeGrid AttributeGrid::Uniform(double lo, double hi, int bins) {
 int AttributeGrid::NearestIndex(double x) const {
   UDT_CHECK(!points_.empty());
   const auto it = std::lower_bound(points_.begin(), points_.end(), x);
-  if (it == points_.end()) return num_points() - 1;
-  if (it == points_.begin()) return 0;
-  const int hi = static_cast<int>(it - points_.begin());
-  const int lo = hi - 1;
-  return (x - points_[static_cast<size_t>(lo)] <=
-          points_[static_cast<size_t>(hi)] - x)
-             ? lo
-             : hi;
+  return NearestIndexFrom(static_cast<int>(it - points_.begin()), x);
 }
 
-std::vector<uint16_t> FixedPointMasses(const double* weights, int count) {
-  UDT_CHECK(count >= 1);
+int AttributeGrid::NearestIndexFrom(int above, double x) const {
+  if (above == num_points()) return num_points() - 1;
+  if (above == 0) return 0;
+  const int lo = above - 1;
+  return (x - points_[static_cast<size_t>(lo)] <=
+          points_[static_cast<size_t>(above)] - x)
+             ? lo
+             : above;
+}
+
+namespace {
+
+// FixedPointMasses over a count-wide row whose positive weights are
+// scratch->positive, in ascending index order. A zero weight takes 0
+// units with remainder 0 and adds nothing to the total, so skipping the
+// zeros changes no bit of the result.
+const uint16_t* FixedPointOfPositive(int count, QuantizeScratch* scratch) {
+  const std::vector<std::pair<int, double>>& positive = scratch->positive;
   double total = 0.0;
-  for (int i = 0; i < count; ++i) {
-    UDT_CHECK(weights[i] >= 0.0);
-    total += weights[i];
-  }
+  for (const auto& [index, weight] : positive) total += weight;
   UDT_CHECK(total > 0.0);
 
-  std::vector<uint16_t> fixed(static_cast<size_t>(count), 0);
-  // (fractional remainder, index) per weight, for the leftover hand-out.
-  std::vector<std::pair<double, int>> remainders;
-  remainders.reserve(static_cast<size_t>(count));
+  std::vector<uint16_t>& fixed = scratch->fixed;
+  fixed.assign(static_cast<size_t>(count), 0);
+  // (fractional remainder, index) of every weight whose remainder is
+  // positive: only those can come first in the hand-out order.
+  std::vector<std::pair<double, int>>& remainders = scratch->remainders;
+  remainders.clear();
   int64_t assigned = 0;
-  for (int i = 0; i < count; ++i) {
-    const double exact =
-        weights[i] / total * static_cast<double>(kQuantizedOne);
+  for (const auto& [index, weight] : positive) {
+    const double exact = weight / total * static_cast<double>(kQuantizedOne);
     const double floored = std::floor(exact);
     const uint32_t units =
         static_cast<uint32_t>(std::min(floored,
                                        static_cast<double>(kQuantizedOne)));
-    fixed[static_cast<size_t>(i)] = static_cast<uint16_t>(units);
+    fixed[static_cast<size_t>(index)] = static_cast<uint16_t>(units);
     assigned += units;
-    remainders.emplace_back(exact - floored, i);
+    const double remainder = exact - floored;
+    if (remainder > 0.0) remainders.emplace_back(remainder, index);
   }
 
   int64_t leftover = static_cast<int64_t>(kQuantizedOne) - assigned;
-  std::sort(remainders.begin(), remainders.end(),
-            [](const std::pair<double, int>& a,
-               const std::pair<double, int>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  for (size_t k = 0; leftover > 0; k = (k + 1) % remainders.size()) {
-    ++fixed[static_cast<size_t>(remainders[k].second)];
-    --leftover;
+  if (leftover > 0 &&
+      leftover <= static_cast<int64_t>(remainders.size())) {
+    // Each unit goes to one of the `leftover` first remainders of the
+    // order, all positive: rank just those.
+    const auto last = remainders.begin() + leftover;
+    if (last != remainders.end()) {
+      std::nth_element(remainders.begin(), last, remainders.end(),
+                       HandOutFirst);
+    }
+    for (auto it = remainders.begin(); it != last; ++it) {
+      ++fixed[static_cast<size_t>(it->second)];
+    }
+    leftover = 0;
+  } else if (leftover > 0) {
+    // More units than positive remainders: the hand-out wraps onto the
+    // zero remainders too, which follow the positive ones in index order.
+    std::sort(remainders.begin(), remainders.end(), HandOutFirst);
+    std::vector<bool> ranked(static_cast<size_t>(count), false);
+    for (const auto& [remainder, index] : remainders) {
+      ranked[static_cast<size_t>(index)] = true;
+    }
+    for (int i = 0; i < count; ++i) {
+      if (!ranked[static_cast<size_t>(i)]) remainders.emplace_back(0.0, i);
+    }
+    for (size_t k = 0; leftover > 0; k = (k + 1) % remainders.size()) {
+      ++fixed[static_cast<size_t>(remainders[k].second)];
+      --leftover;
+    }
   }
   // Floating-point slack can (rarely) over-assign; shave the largest bins.
   while (leftover < 0) {
@@ -141,17 +184,57 @@ std::vector<uint16_t> FixedPointMasses(const double* weights, int count) {
     --fixed[argmax];
     ++leftover;
   }
-  return fixed;
+  return fixed.data();
+}
+
+}  // namespace
+
+const uint16_t* FixedPointMasses(const double* weights, int count,
+                                 QuantizeScratch* scratch) {
+  UDT_CHECK(count >= 1);
+  scratch->positive.clear();
+  for (int i = 0; i < count; ++i) {
+    UDT_CHECK(weights[i] >= 0.0);
+    if (weights[i] != 0.0) scratch->positive.emplace_back(i, weights[i]);
+  }
+  return FixedPointOfPositive(count, scratch);
+}
+
+std::vector<uint16_t> FixedPointMasses(const double* weights, int count) {
+  QuantizeScratch scratch;
+  FixedPointMasses(weights, count, &scratch);
+  return std::move(scratch.fixed);
+}
+
+const uint16_t* QuantizeToGrid(const SampledPdf& pdf,
+                               const AttributeGrid& grid,
+                               QuantizeScratch* scratch) {
+  const int bins = grid.num_points();
+  const double* axis = grid.points().data();
+  std::vector<std::pair<int, double>>& positive = scratch->positive;
+  positive.clear();
+  // The points ascend, so the first grid point not below each one only
+  // moves forward, and so does the nearest bin: a bin's masses arrive
+  // together, summed in point order.
+  int above = 0;
+  for (int i = 0; i < pdf.num_points(); ++i) {
+    const double x = pdf.point(i);
+    while (above < bins && axis[above] < x) ++above;
+    const int bin = grid.NearestIndexFrom(above, x);
+    if (!positive.empty() && positive.back().first == bin) {
+      positive.back().second += pdf.mass(i);
+    } else {
+      positive.emplace_back(bin, pdf.mass(i));
+    }
+  }
+  return FixedPointOfPositive(bins, scratch);
 }
 
 std::vector<uint16_t> QuantizeToGrid(const SampledPdf& pdf,
                                      const AttributeGrid& grid) {
-  std::vector<double> weights(static_cast<size_t>(grid.num_points()), 0.0);
-  for (int i = 0; i < pdf.num_points(); ++i) {
-    weights[static_cast<size_t>(grid.NearestIndex(pdf.point(i)))] +=
-        pdf.mass(i);
-  }
-  return FixedPointMasses(weights.data(), grid.num_points());
+  QuantizeScratch scratch;
+  QuantizeToGrid(pdf, grid, &scratch);
+  return std::move(scratch.fixed);
 }
 
 StatusOr<SampledPdf> DecodeNumerical(const AttributeGrid& grid,
@@ -189,15 +272,43 @@ StatusOr<CategoricalPdf> DecodeCategorical(const uint16_t* masses,
 
 uint32_t PdfDictionary::Intern(const uint16_t* masses) {
   UDT_CHECK(width_ > 0);
-  const uint64_t hash = HashRow(masses, width_);
-  std::vector<uint32_t>& bucket = buckets_[hash];
-  const size_t row_bytes = static_cast<size_t>(width_) * sizeof(uint16_t);
-  for (uint32_t id : bucket) {
-    if (std::memcmp(entry(id), masses, row_bytes) == 0) return id;
+  if (hashes_.size() != num_entries() ||
+      2 * (hashes_.size() + 1) > slots_.size()) {
+    Reindex();
   }
-  const uint32_t id = Append(masses);
-  bucket.push_back(id);
-  return id;
+  const uint64_t hash = HashRow(masses, width_);
+  const size_t row_bytes = static_cast<size_t>(width_) * sizeof(uint16_t);
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = static_cast<size_t>(hash) & mask;; s = (s + 1) & mask) {
+    if (slots_[s] == 0) {
+      const uint32_t id = Append(masses);
+      hashes_.push_back(hash);
+      slots_[s] = id + 1;
+      return id;
+    }
+    const uint32_t id = slots_[s] - 1;
+    if (hashes_[id] == hash &&
+        std::memcmp(entry(id), masses, row_bytes) == 0) {
+      return id;
+    }
+  }
+}
+
+void PdfDictionary::Reindex() {
+  const uint32_t entries = num_entries();
+  for (uint32_t id = static_cast<uint32_t>(hashes_.size()); id < entries;
+       ++id) {
+    hashes_.push_back(HashRow(entry(id), width_));
+  }
+  size_t size = std::max<size_t>(16, slots_.size());
+  while (size < 2 * (static_cast<size_t>(entries) + 1)) size *= 2;
+  slots_.assign(size, 0);
+  const size_t mask = size - 1;
+  for (uint32_t id = 0; id < entries; ++id) {
+    size_t s = static_cast<size_t>(hashes_[id]) & mask;
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = id + 1;
+  }
 }
 
 uint32_t PdfDictionary::Append(const uint16_t* masses) {
@@ -208,17 +319,10 @@ uint32_t PdfDictionary::Append(const uint16_t* masses) {
 }
 
 size_t PdfDictionary::MemoryUsageBytes() const {
-  size_t bytes = sizeof(PdfDictionary) + sizeof(uint16_t) * pool_.capacity();
-  // The hash index: buckets plus their id vectors (rough but honest — the
-  // write path carries it, the read path's stays empty).
-  bytes += buckets_.size() *
-           (sizeof(uint64_t) + sizeof(std::vector<uint32_t>) +
-            sizeof(void*) * 2);
-  for (const auto& [hash, ids] : buckets_) {
-    (void)hash;
-    bytes += sizeof(uint32_t) * ids.capacity();
-  }
-  return bytes;
+  // The index is the write path's; the read path's stays empty.
+  return sizeof(PdfDictionary) + sizeof(uint16_t) * pool_.capacity() +
+         sizeof(uint32_t) * slots_.capacity() +
+         sizeof(uint64_t) * hashes_.capacity();
 }
 
 StatusOr<SampledPdf> DecodedPdfCache::Get(

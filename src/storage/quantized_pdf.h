@@ -28,7 +28,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/statusor.h"
@@ -88,6 +88,11 @@ class AttributeGrid {
   // a non-empty grid.
   int NearestIndex(double x) const;
 
+  // NearestIndex(x) given `above`, the index of the first grid point not
+  // below x (std::lower_bound's answer, num_points() if none) — the form
+  // a forward walk over ascending samples has at hand.
+  int NearestIndexFrom(int above, double x) const;
+
   size_t MemoryUsageBytes() const {
     return sizeof(AttributeGrid) + sizeof(double) * points_.capacity();
   }
@@ -99,15 +104,35 @@ class AttributeGrid {
   std::vector<double> points_;  // strictly ascending, finite
 };
 
+// Buffers of the quantize path, reused from one value to the next so a
+// column quantizes without allocating per value.
+struct QuantizeScratch {
+  std::vector<std::pair<int, double>> positive;    // (index, weight > 0)
+  std::vector<std::pair<double, int>> remainders;  // (remainder, index)
+  std::vector<uint16_t> fixed;                     // the quantized row
+};
+
 // Rounds non-negative weights (positive total) to uint16 fixed point
 // summing to exactly kQuantizedOne: floor the scaled weights, then hand
 // the leftover units to the largest fractional remainders (ties -> lowest
-// index), so the result is deterministic and order-independent of nothing.
+// index), one each in that order, wrapping round while units remain, so
+// the result is deterministic. Zero weights cost one comparison each;
+// only the positive remainders are ranked, and only as far as the
+// leftover reaches. The full order of every remainder is built just when
+// the leftover outnumbers them (a total that overflows to infinity).
+// Writes count entries to scratch->fixed and returns them.
+const uint16_t* FixedPointMasses(const double* weights, int count,
+                                 QuantizeScratch* scratch);
 std::vector<uint16_t> FixedPointMasses(const double* weights, int count);
 
-// Snaps `pdf`'s mass onto `grid` (each sample point to its nearest bin)
-// and fixes the result to uint16 point. The returned vector is dense:
-// grid.num_points() entries.
+// Snaps `pdf`'s mass onto `grid` (each sample point to its nearest bin,
+// found by one forward walk over the grid since the points ascend) and
+// fixes the result to uint16 point: grid.num_points() entries, written to
+// scratch->fixed and returned. Only the bins the pdf reaches are visited
+// before the row is written out.
+const uint16_t* QuantizeToGrid(const SampledPdf& pdf,
+                               const AttributeGrid& grid,
+                               QuantizeScratch* scratch);
 std::vector<uint16_t> QuantizeToGrid(const SampledPdf& pdf,
                                      const AttributeGrid& grid);
 
@@ -141,7 +166,8 @@ class PdfDictionary {
   }
 
   // Returns the id of `masses` (width() entries), appending it if no equal
-  // entry exists yet — the write path's dedup.
+  // entry exists yet — the write path's dedup. Ids follow first
+  // appearance, so the hash never shows in the ids.
   uint32_t Intern(const uint16_t* masses);
 
   // Appends `masses` verbatim without consulting the index — the read
@@ -157,10 +183,18 @@ class PdfDictionary {
   size_t MemoryUsageBytes() const;
 
  private:
+  // Rebuilds the index over every row, at least twice as many slots as
+  // rows (rows Append added are indexed here too).
+  void Reindex();
+
   int width_ = 0;
   std::vector<uint16_t> pool_;  // num_entries() x width_ rows
-  // FNV-1a hash of a row -> candidate ids (collisions resolved by memcmp).
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
+  // Intern's index, built on the first Intern (the read path has none):
+  // open-addressing slots holding id + 1 (0 = empty), a power of two in
+  // size and at most half full, with linear probing; hashes_[id] is row
+  // id's hash, checked before the rows are compared.
+  std::vector<uint32_t> slots_;
+  std::vector<uint64_t> hashes_;
 };
 
 // Decode-once pool over one attribute's dictionary: Get materialises entry

@@ -704,6 +704,64 @@ TEST(FixedPointMassesTest, MatchesSortedReferenceBitForBit) {
   }
 }
 
+// QuantizeToGrid walks the grid once per pdf instead of searching it per
+// sample point; each point must still land in NearestIndex's bin (ties
+// low), and the row must match the sorted reference bit for bit.
+TEST(QuantizeToGridTest, MatchesPerPointSearchReference) {
+  Rng rng(777);
+  int cases = 0;
+  for (int round = 0; round < 400; ++round) {
+    // Uniform grids (the dense-attribute case) and irregular exact ones.
+    const int bins = 1 + rng.UniformInt(80);
+    AttributeGrid grid;
+    if (round % 2 == 0) {
+      grid = AttributeGrid::Uniform(-3.0, 5.0, bins);
+    } else {
+      std::vector<double> points;
+      double x = rng.Uniform(-4.0, 0.0);
+      for (int g = 0; g < bins; ++g) {
+        points.push_back(x);
+        x += 0.125 * (1 + rng.UniformInt(8));  // exact binary steps
+      }
+      auto exact = AttributeGrid::FromSortedPoints(std::move(points));
+      ASSERT_TRUE(exact.ok());
+      grid = std::move(exact).value();
+    }
+    // Sample points: some beyond either end, some exactly on grid points
+    // or on midpoints between neighbours (ties).
+    std::vector<double> xs;
+    std::vector<double> masses;
+    const int s = 1 + rng.UniformInt(24);
+    for (int p = 0; p < s; ++p) {
+      const int g = rng.UniformInt(grid.num_points());
+      double x = rng.Uniform(grid.point(0) - 1.0,
+                             grid.point(grid.num_points() - 1) + 1.0);
+      if (p % 3 == 0) x = grid.point(g);
+      if (p % 3 == 1 && g + 1 < grid.num_points()) {
+        x = 0.5 * (grid.point(g) + grid.point(g + 1));
+      }
+      xs.push_back(x);
+      masses.push_back(rng.Uniform(0.01, 1.0));
+    }
+    auto pdf = SampledPdf::Create(xs, masses);
+    ASSERT_TRUE(pdf.ok());
+    std::vector<double> weights(static_cast<size_t>(grid.num_points()), 0.0);
+    for (int p = 0; p < pdf->num_points(); ++p) {
+      weights[static_cast<size_t>(grid.NearestIndex(pdf->point(p)))] +=
+          pdf->mass(p);
+    }
+    const std::vector<uint16_t> want =
+        ReferenceFixedPointMasses(weights.data(), grid.num_points());
+    QuantizeScratch scratch;
+    const uint16_t* got = QuantizeToGrid(*pdf, grid, &scratch);
+    ASSERT_EQ(std::vector<uint16_t>(got, got + grid.num_points()), want)
+        << "round " << round;
+    ASSERT_EQ(QuantizeToGrid(*pdf, grid), want) << "round " << round;
+    ++cases;
+  }
+  EXPECT_EQ(cases, 400);
+}
+
 // ------------------------------------------ reader parity, hostile tokens
 
 // A hand-made two-column container (numerical grid of 2 points, one
