@@ -145,10 +145,8 @@ void BM_SpillRoundTrip(benchmark::State& state) {
   static const char* const kLayers[] = {"round trip", "quantize", "convert",
                                         "open", "materialize"};
   const int layer = static_cast<int>(state.range(0));
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       StrFormat("bench_spill_%d.udtds", static_cast<int>(getpid())))
-          .string();
+  const std::string path = std::filesystem::temp_directory_path().string() +
+                           StrFormat("/bench_spill_%d.udtds", getpid());
   UDT_CHECK(ConvertDatasetToFile(*split, path).ok());
   const long faults_before = MinorFaults();
   for (auto _ : state) {

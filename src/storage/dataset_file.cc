@@ -448,8 +448,7 @@ Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
     UDT_RETURN_NOT_OK(reader->Next("id column"));
     SplitStringViews(reader->line(), ' ', &tokens);
     char index[16];
-    const char* index_end =
-        std::to_chars(index, index + sizeof(index), j).ptr;
+    const char* index_end = std::to_chars(index, index + sizeof(index), j).ptr;
     if (tokens.size() != count + 2 || tokens[0] != "c" ||
         tokens[1] != std::string_view(
                          index, static_cast<size_t>(index_end - index))) {

@@ -146,8 +146,7 @@ const uint16_t* FixedPointOfPositive(int count, QuantizeScratch* scratch) {
   }
 
   int64_t leftover = static_cast<int64_t>(kQuantizedOne) - assigned;
-  if (leftover > 0 &&
-      leftover <= static_cast<int64_t>(remainders.size())) {
+  if (leftover > 0 && leftover <= static_cast<int64_t>(remainders.size())) {
     // Each unit goes to one of the `leftover` first remainders of the
     // order, all positive: rank just those.
     const auto last = remainders.begin() + leftover;
@@ -206,8 +205,7 @@ std::vector<uint16_t> FixedPointMasses(const double* weights, int count) {
   return std::move(scratch.fixed);
 }
 
-const uint16_t* QuantizeToGrid(const SampledPdf& pdf,
-                               const AttributeGrid& grid,
+const uint16_t* QuantizeToGrid(const SampledPdf& pdf, const AttributeGrid& grid,
                                QuantizeScratch* scratch) {
   const int bins = grid.num_points();
   const double* axis = grid.points().data();
@@ -287,8 +285,7 @@ uint32_t PdfDictionary::Intern(const uint16_t* masses) {
       return id;
     }
     const uint32_t id = slots_[s] - 1;
-    if (hashes_[id] == hash &&
-        std::memcmp(entry(id), masses, row_bytes) == 0) {
+    if (hashes_[id] == hash && std::memcmp(entry(id), masses, row_bytes) == 0) {
       return id;
     }
   }

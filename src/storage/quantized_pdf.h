@@ -130,8 +130,7 @@ std::vector<uint16_t> FixedPointMasses(const double* weights, int count);
 // fixes the result to uint16 point: grid.num_points() entries, written to
 // scratch->fixed and returned. Only the bins the pdf reaches are visited
 // before the row is written out.
-const uint16_t* QuantizeToGrid(const SampledPdf& pdf,
-                               const AttributeGrid& grid,
+const uint16_t* QuantizeToGrid(const SampledPdf& pdf, const AttributeGrid& grid,
                                QuantizeScratch* scratch);
 std::vector<uint16_t> QuantizeToGrid(const SampledPdf& pdf,
                                      const AttributeGrid& grid);

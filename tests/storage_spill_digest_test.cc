@@ -61,8 +61,7 @@ Dataset SegmentSplit() {
   options.width_fraction = 0.10;
   options.samples_per_pdf = 20;
   options.error_model = ErrorModel::kGaussian;
-  auto data =
-      InjectUncertainty(datagen::GenerateSynthetic(config), options);
+  auto data = InjectUncertainty(datagen::GenerateSynthetic(config), options);
   UDT_CHECK(data.ok());
   return std::move(data).value();
 }

@@ -616,62 +616,59 @@ std::vector<uint16_t> ReferenceFixedPointMasses(const double* weights,
 // rounding has to get right.
 std::vector<double> ReferenceCase(Rng* rng, int width, int shape) {
   std::vector<double> weights(static_cast<size_t>(width), 0.0);
-  switch (shape) {
-    case 0:  // dense positive weights
-      for (double& w : weights) w = rng->Uniform(0.0, 1.0) + 1e-12;
-      break;
-    case 1:  // sparse: most bins zero, a pdf's few samples elsewhere
-      for (int k = 0; k < std::min(width, 20); ++k) {
-        weights[static_cast<size_t>(rng->UniformInt(width))] +=
-            rng->Uniform(0.0, 1.0) + 1e-12;
-      }
-      break;
-    case 2:  // whole units: every scaled weight lands on an integer
-    {
-      int units = static_cast<int>(kQuantizedOne);
-      for (int k = 0; k < std::min(width, 24) && units > 0; ++k) {
-        const int take = k + 1 == std::min(width, 24)
-                             ? units
-                             : rng->UniformIntRange(0, units);
-        weights[static_cast<size_t>(rng->UniformInt(width))] +=
-            static_cast<double>(take);
-        units -= take;
-      }
-      if (units > 0) weights[0] += static_cast<double>(units);
-      break;
+  const auto bin = [&] { return static_cast<size_t>(rng->UniformInt(width)); };
+  if (shape == 0) {  // dense positive weights
+    for (double& w : weights) w = rng->Uniform(1e-12, 1.0);
+  } else if (shape == 1) {  // a pdf's few samples, most bins zero
+    for (int k = 0; k < 20; ++k) weights[bin()] += rng->Uniform(1e-12, 1.0);
+  } else if (shape == 2) {  // whole units: scaled weights land on integers
+    int units = static_cast<int>(kQuantizedOne);
+    for (int k = 0; k < 24; ++k) {
+      const int take = rng->UniformIntRange(0, units);
+      weights[bin()] += static_cast<double>(take);
+      units -= take;
     }
-    case 3:  // tied remainders: a few repeated values
-    {
-      const double values[3] = {rng->Uniform(0.1, 1.0), rng->Uniform(0.1, 1.0),
-                                0.0};
-      for (double& w : weights) w = values[rng->UniformInt(3)];
-      weights[static_cast<size_t>(rng->UniformInt(width))] = values[0];
-      break;
+    weights[bin()] += static_cast<double>(units);
+  } else if (shape == 3) {  // tied remainders: two values repeated
+    const double tie = rng->Uniform(0.1, 1.0);
+    const double other = rng->Uniform(0.1, 1.0);
+    for (double& w : weights) {
+      const int pick = rng->UniformInt(3);
+      w = pick == 0 ? tie : (pick == 1 ? other : 0.0);
     }
-    case 4:  // all equal
-      for (double& w : weights) w = 0.5;
-      break;
-    case 5:  // one non-zero bin
-      weights[static_cast<size_t>(rng->UniformInt(width))] =
-          rng->Uniform(1e-6, 1e6);
-      break;
-    default:  // wide dynamic range: tiny masses beside large ones
-      for (double& w : weights) {
-        w = rng->Bernoulli(0.5) ? 0.0
-                                : std::ldexp(rng->Uniform(0.5, 1.0),
-                                             rng->UniformIntRange(-60, 4));
+    weights[bin()] = tie;
+  } else if (shape == 4) {  // all equal
+    for (double& w : weights) w = 0.5;
+  } else if (shape == 5) {  // one non-zero bin
+    weights[bin()] = rng->Uniform(1e-6, 1e6);
+  } else {  // wide dynamic range: tiny masses beside large ones
+    for (double& w : weights) {
+      if (rng->Bernoulli(0.5)) {
+        w = std::ldexp(rng->Uniform(0.5, 1.0), rng->UniformIntRange(-60, 4));
       }
-      weights[static_cast<size_t>(rng->UniformInt(width))] = 1.0;
-      break;
+    }
+    weights[bin()] = 1.0;
   }
   return weights;
+}
+
+// True if some positive weight scales to a whole number of units, i.e.
+// leaves a zero remainder.
+bool HasZeroRemainder(const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  for (double w : weights) {
+    const double exact = w / total * static_cast<double>(kQuantizedOne);
+    if (w > 0.0 && exact == std::floor(exact)) return true;
+  }
+  return false;
 }
 
 TEST(FixedPointMassesTest, MatchesSortedReferenceBitForBit) {
   Rng rng(20231);
   const int widths[] = {1, 2, 3, 19, 64, 65, 4096};
   int cases = 0;
-  int exact_cases = 0;  // vectors with at least one zero remainder
+  int exact_cases = 0;  // vectors with a positive weight on a whole unit
   for (int round = 0; round < 260; ++round) {
     for (int width : widths) {
       for (int shape = 0; shape < 7; ++shape) {
@@ -681,13 +678,13 @@ TEST(FixedPointMassesTest, MatchesSortedReferenceBitForBit) {
             ReferenceFixedPointMasses(weights.data(), width);
         ASSERT_EQ(FixedPointMasses(weights.data(), width), want)
             << "width " << width << " shape " << shape << " round " << round;
-        if (shape == 2) ++exact_cases;
+        if (HasZeroRemainder(weights)) ++exact_cases;
         ++cases;
       }
     }
   }
   EXPECT_GE(cases, 10000);
-  EXPECT_GT(exact_cases, 0);
+  EXPECT_GT(exact_cases, 1000);
 
   // A total that overflows to infinity floors every weight to 0 units, so
   // the leftover (the whole scale) exceeds the count of positive
