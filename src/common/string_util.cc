@@ -10,18 +10,9 @@
 namespace udt {
 
 std::vector<std::string> SplitString(std::string_view text, char delimiter) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    size_t pos = text.find(delimiter, start);
-    if (pos == std::string_view::npos) {
-      fields.emplace_back(text.substr(start));
-      break;
-    }
-    fields.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return fields;
+  std::vector<std::string_view> views;
+  SplitStringViews(text, delimiter, &views);
+  return std::vector<std::string>(views.begin(), views.end());
 }
 
 void SplitStringViews(std::string_view text, char delimiter,
