@@ -126,8 +126,10 @@ BENCHMARK(BM_InjectUncertainty)
 // MaterializeDataset), 1 QuantizedDataset::FromDataset, 2
 // ConvertDatasetToFile (quantize + emit; emit is the difference to 1), 3
 // Open (header, grids, 8.6k dictionary rows), 4 MaterializeDataset of a
-// freshly opened reader (the Open is not timed). minflt_per_iter counts
-// the process's page faults per iteration.
+// freshly opened reader (the Open is not timed). The second Arg is the
+// width the layers run column-parallel at: the threads of a task pool
+// made before timing (1 runs inline, as a null pool does).
+// minflt_per_iter counts the process's page faults per iteration.
 void BM_SpillRoundTrip(benchmark::State& state) {
   static const Dataset* const split = [] {
     auto spec = datagen::FindUciSpec("Segment");
@@ -145,6 +147,10 @@ void BM_SpillRoundTrip(benchmark::State& state) {
   static const char* const kLayers[] = {"round trip", "quantize", "convert",
                                         "open", "materialize"};
   const int layer = static_cast<int>(state.range(0));
+  const int width = static_cast<int>(state.range(1));
+  std::optional<TaskPool> pool_storage;
+  if (width > 1) pool_storage.emplace(width - 1);
+  TaskPool* pool = pool_storage ? &*pool_storage : nullptr;
   const std::string path = std::filesystem::temp_directory_path().string() +
                            StrFormat("/bench_spill_%d.udtds", getpid());
   UDT_CHECK(ConvertDatasetToFile(*split, path).ok());
@@ -152,35 +158,35 @@ void BM_SpillRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     switch (layer) {
       case 1: {
-        auto quantized = QuantizedDataset::FromDataset(*split);
+        auto quantized = QuantizedDataset::FromDataset(*split, {}, pool);
         UDT_CHECK(quantized.ok());
         benchmark::DoNotOptimize(quantized->labels().data());
         break;
       }
       case 2:
-        UDT_CHECK(ConvertDatasetToFile(*split, path).ok());
+        UDT_CHECK(ConvertDatasetToFile(*split, path, {}, pool).ok());
         break;
       case 3: {
-        auto reader = DatasetReader::Open(path);
+        auto reader = DatasetReader::Open(path, pool);
         UDT_CHECK(reader.ok());
         benchmark::DoNotOptimize(reader->num_tuples());
         break;
       }
       case 4: {
         state.PauseTiming();
-        auto reader = DatasetReader::Open(path);
+        auto reader = DatasetReader::Open(path, pool);
         UDT_CHECK(reader.ok());
         state.ResumeTiming();
-        auto pooled = MaterializeDataset(&*reader);
+        auto pooled = MaterializeDataset(&*reader, {}, pool);
         UDT_CHECK(pooled.ok());
         benchmark::DoNotOptimize(pooled->tuples().data());
         break;
       }
       default: {
-        UDT_CHECK(ConvertDatasetToFile(*split, path).ok());
-        auto reader = DatasetReader::Open(path);
+        UDT_CHECK(ConvertDatasetToFile(*split, path, {}, pool).ok());
+        auto reader = DatasetReader::Open(path, pool);
         UDT_CHECK(reader.ok());
-        auto pooled = MaterializeDataset(&*reader);
+        auto pooled = MaterializeDataset(&*reader, {}, pool);
         UDT_CHECK(pooled.ok());
         benchmark::DoNotOptimize(pooled->tuples().data());
         break;
@@ -190,11 +196,11 @@ void BM_SpillRoundTrip(benchmark::State& state) {
   state.counters["minflt_per_iter"] = benchmark::Counter(
       static_cast<double>(MinorFaults() - faults_before),
       benchmark::Counter::kAvgIterations);
-  state.SetLabel(kLayers[layer]);
+  state.SetLabel(StrFormat("%s, width %d", kLayers[layer], width));
   std::remove(path.c_str());
 }
 BENCHMARK(BM_SpillRoundTrip)
-    ->DenseRange(0, 4)
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {1, 4}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

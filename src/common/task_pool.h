@@ -169,21 +169,34 @@ class TaskPool {
   std::vector<std::thread> workers_;
 };
 
-// Runs fn(i) for every i < n: in ascending order on the calling thread
-// when `pool` is null or n <= 1, else as one-index chunks of
-// pool->ParallelFor. The calls must write disjoint, index-addressed state;
-// the fixed-order reductions after such a loop keep its result
-// schedule-independent.
+// Runs fn(slot, i) for every i < n: in ascending order on the calling
+// thread under slot 0 when `pool` is null, else as one-index chunks of
+// pool->ParallelFor under the slot of the thread that claims them (inline
+// when n <= 1). The calls must write disjoint, index-addressed state; the
+// fixed-order reductions after such a loop keep its result
+// schedule-independent. `slot` lets the calls reuse per-slot scratch
+// sized by NumSlots(pool).
 template <typename Fn>
-void ForEachIndex(TaskPool* pool, size_t n, Fn&& fn) {
-  if (pool == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
+void ForEachSlotIndex(TaskPool* pool, size_t n, Fn&& fn) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
   pool->ParallelFor(n, /*grain=*/1,
-                    [&fn](int /*slot*/, size_t begin, size_t end) {
-                      for (size_t i = begin; i < end; ++i) fn(i);
+                    [&fn](int slot, size_t begin, size_t end) {
+                      for (size_t i = begin; i < end; ++i) fn(slot, i);
                     });
+}
+
+// ForEachSlotIndex for calls that keep no per-slot scratch: fn(i).
+template <typename Fn>
+void ForEachIndex(TaskPool* pool, size_t n, Fn&& fn) {
+  ForEachSlotIndex(pool, n, [&fn](int /*slot*/, size_t i) { fn(i); });
+}
+
+// Slots ForEachSlotIndex can pass for `pool`.
+inline int NumSlots(const TaskPool* pool) {
+  return pool == nullptr ? 1 : pool->num_slots();
 }
 
 }  // namespace udt

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -49,70 +50,109 @@ bool ParsePlainDictRow(std::string_view line, int width, uint16_t* row) {
   return p == end;
 }
 
-// Reads one dictionary entry line ("d" + width u16 tokens) into `row`.
-// `tokens` is the caller's scratch for lines ParsePlainDictRow leaves to
-// the general parse.
-Status ReadDictRow(LineReader* reader, int width,
-                   std::vector<std::string_view>* tokens,
-                   std::vector<uint16_t>* row) {
-  UDT_RETURN_NOT_OK(reader->Next("dictionary entry"));
-  row->resize(static_cast<size_t>(width));
-  if (!ParsePlainDictRow(reader->line(), width, row->data())) {
-    SplitStringViews(reader->line(), ' ', tokens);
+// Parses one dictionary entry line ("d" + width u16 tokens), line
+// `line_number` of `reader`'s stream, into `row`. `tokens` is the
+// caller's scratch for lines ParsePlainDictRow leaves to the general
+// parse.
+Status ParseDictRow(const LineReader& reader, int line_number,
+                    std::string_view line, int width,
+                    std::vector<std::string_view>* tokens, uint16_t* row) {
+  if (!ParsePlainDictRow(line, width, row)) {
+    SplitStringViews(line, ' ', tokens);
     if (tokens->size() != static_cast<size_t>(width) + 1 ||
         (*tokens)[0] != "d") {
-      return reader->Error("bad dictionary entry line");
+      return reader.ErrorAt(line_number, "bad dictionary entry line");
     }
-    for (size_t i = 0; i < row->size(); ++i) {
-      const std::string_view token = (*tokens)[i + 1];
+    for (int i = 0; i < width; ++i) {
+      const std::string_view token = (*tokens)[static_cast<size_t>(i) + 1];
       std::optional<int> mass = ParseInt(token);
       if (!mass || *mass > static_cast<int>(kQuantizedOne)) {
-        return reader->Error("bad dictionary mass: " + std::string(token));
+        return reader.ErrorAt(line_number,
+                              "bad dictionary mass: " + std::string(token));
       }
-      (*row)[i] = static_cast<uint16_t>(*mass);
+      row[i] = static_cast<uint16_t>(*mass);
     }
   }
   uint32_t sum = 0;
-  for (uint16_t mass : *row) sum += mass;
+  for (int i = 0; i < width; ++i) sum += row[i];
   if (sum == 0) {
-    return reader->Error("dictionary entry carries no mass");
+    return reader.ErrorAt(line_number, "dictionary entry carries no mass");
   }
   return Status::OK();
 }
 
-// Text emitter of the writer: a line is formatted straight into a reused
-// buffer and handed to the stream with one write. Integers go through
-// std::to_chars, which prints the digits operator<< prints without the
-// stream's per-value sentry and locale work.
-class LineWriter {
+// One column's dictionary rows as the resident pass read them: the lines
+// back to back, parsed once the pass is over.
+struct DictionaryText {
+  int width = 0;
+  int first_line = 0;  // line number of row 0
+  std::string text;
+  std::vector<size_t> ends;  // end offset of each row in `text`
+
+  size_t num_rows() const { return ends.size(); }
+  std::string_view row(size_t r) const {
+    const size_t begin = r == 0 ? 0 : ends[r - 1];
+    return std::string_view(text).substr(begin, ends[r] - begin);
+  }
+};
+
+// Parses `rows` into `dict`, stopping at the first bad row.
+Status ParseDictionary(const LineReader& reader, const DictionaryText& rows,
+                       PdfDictionary* dict) {
+  std::vector<std::string_view> tokens;
+  std::vector<uint16_t> row(static_cast<size_t>(rows.width));
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    UDT_RETURN_NOT_OK(ParseDictRow(reader,
+                                   rows.first_line + static_cast<int>(r),
+                                   rows.row(r), rows.width, &tokens,
+                                   row.data()));
+    dict->Append(row.data());
+  }
+  return Status::OK();
+}
+
+// Text emitter of the writer: lines are formatted straight into a
+// growing buffer, which goes to the stream with one write. Integers go
+// through std::to_chars, which prints the digits operator<< prints
+// without the stream's per-value sentry and locale work.
+class TextBuffer {
  public:
-  explicit LineWriter(std::ostream& out) : out_(out) {}
+  // Appends `text` verbatim.
+  void Append(std::string_view text) {
+    Reserve(text.size());
+    std::memcpy(text_.data() + size_, text.data(), text.size());
+    size_ += text.size();
+  }
 
   // Starts a line with its one-letter tag ('d', 'l', 'c', 'g') that will
   // carry at most `values` values.
   void Begin(char tag, size_t values) {
-    const size_t bytes = 2 + values * kMaxValueChars;
-    if (buffer_.size() < bytes) buffer_.resize(bytes);
-    end_ = buffer_.data();
-    *end_++ = tag;
+    Reserve(2 + values * kMaxValueChars);
+    text_[size_++] = tag;
   }
 
   // Appends " <value>" in decimal.
   void AppendInt(int64_t value) {
-    *end_++ = ' ';
-    end_ = std::to_chars(end_, end_ + kMaxValueChars - 1, value).ptr;
+    char* end = text_.data() + size_;
+    *end++ = ' ';
+    end = std::to_chars(end, end + kMaxValueChars - 1, value).ptr;
+    size_ = static_cast<size_t>(end - text_.data());
   }
 
   // Appends " <value as printf %a>": the hexfloat every udt container uses
   // for doubles.
   void AppendHexFloat(double value) {
-    end_ += std::snprintf(end_, kMaxValueChars, " %a", value);
+    size_ += static_cast<size_t>(
+        std::snprintf(text_.data() + size_, kMaxValueChars, " %a", value));
   }
 
-  // Ends the line and writes it.
-  void End() {
-    *end_++ = '\n';
-    out_.write(buffer_.data(), end_ - buffer_.data());
+  // Ends the line.
+  void End() { text_[size_++] = '\n'; }
+
+  // Writes the buffered text to `out` and empties the buffer.
+  void WriteTo(std::ostream& out) {
+    out.write(text_.data(), static_cast<std::streamsize>(size_));
+    size_ = 0;
   }
 
  private:
@@ -120,15 +160,45 @@ class LineWriter {
   // double at most 24.
   static constexpr size_t kMaxValueChars = 32;
 
-  std::ostream& out_;
-  std::vector<char> buffer_;
-  char* end_ = nullptr;
+  void Reserve(size_t bytes) {
+    if (text_.size() < size_ + bytes) {
+      text_.resize(std::max(size_ + bytes, 2 * text_.size()));
+    }
+  }
+
+  std::vector<char> text_;
+  size_t size_ = 0;
 };
 
-// Emits `data` in the layout documented in dataset_file.h.
+// Formats attribute j's section of the resident part: its column header,
+// grid line (numerical columns) and dictionary rows.
+void FormatColumn(const QuantizedDataset& data, int j, TextBuffer* text) {
+  const PdfDictionary& dict = data.dictionary(j);
+  if (data.schema().attribute(j).kind == AttributeKind::kNumerical) {
+    const AttributeGrid& grid = data.grid(j);
+    text->Append(StrFormat("column %d num grid %d dict %u\n", j,
+                           grid.num_points(), dict.num_entries()));
+    text->Begin('g', grid.points().size());
+    for (double point : grid.points()) text->AppendHexFloat(point);
+    text->End();
+  } else {
+    text->Append(StrFormat("column %d cat width %d dict %u\n", j,
+                           dict.width(), dict.num_entries()));
+  }
+  for (uint32_t id = 0; id < dict.num_entries(); ++id) {
+    const uint16_t* row = dict.entry(id);
+    text->Begin('d', static_cast<size_t>(dict.width()));
+    for (int i = 0; i < dict.width(); ++i) text->AppendInt(row[i]);
+    text->End();
+  }
+}
+
+// Emits `data` in the layout documented in dataset_file.h. The column
+// sections are formatted on `pool`'s threads, each into its own buffer,
+// and written in column order.
 Status WriteDatasetFile(const QuantizedDataset& data,
-                        size_t source_decoded_bytes,
-                        const std::string& path) {
+                        size_t source_decoded_bytes, const std::string& path,
+                        TaskPool* pool) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for write: " + path);
 
@@ -141,50 +211,43 @@ Status WriteDatasetFile(const QuantizedDataset& data,
   out << "source bytes " << source_decoded_bytes << "\n";
   WriteSchemaBlock(schema, out);
 
-  LineWriter line(out);
   out << "columns " << schema.num_attributes() << "\n";
-  for (int j = 0; j < schema.num_attributes(); ++j) {
-    const PdfDictionary& dict = data.dictionary(j);
-    if (schema.attribute(j).kind == AttributeKind::kNumerical) {
-      const AttributeGrid& grid = data.grid(j);
-      out << "column " << j << " num grid " << grid.num_points() << " dict "
-          << dict.num_entries() << "\n";
-      line.Begin('g', grid.points().size());
-      for (double point : grid.points()) line.AppendHexFloat(point);
-      line.End();
-    } else {
-      out << "column " << j << " cat width " << dict.width() << " dict "
-          << dict.num_entries() << "\n";
-    }
-    for (uint32_t id = 0; id < dict.num_entries(); ++id) {
-      const uint16_t* row = dict.entry(id);
-      line.Begin('d', static_cast<size_t>(dict.width()));
-      for (int i = 0; i < dict.width(); ++i) line.AppendInt(row[i]);
-      line.End();
-    }
-  }
+  // Each section is formatted into a local buffer and moved into place,
+  // so no two threads write one cache line.
+  std::vector<TextBuffer> sections(
+      static_cast<size_t>(schema.num_attributes()));
+  ForEachIndex(pool, sections.size(), [&data, &sections](size_t j) {
+    TextBuffer section;
+    FormatColumn(data, static_cast<int>(j), &section);
+    sections[j] = std::move(section);
+  });
+  for (TextBuffer& section : sections) section.WriteTo(out);
 
+  TextBuffer text;
   const int64_t chunk_tuples = data.options().chunk_tuples;
   const int64_t num_chunks = (num_tuples + chunk_tuples - 1) / chunk_tuples;
   out << "chunks " << num_chunks << "\n";
   for (int64_t c = 0; c < num_chunks; ++c) {
     const int64_t begin = c * chunk_tuples;
     const int64_t end = std::min(begin + chunk_tuples, num_tuples);
-    out << "chunk " << c << " tuples " << (end - begin) << "\n";
-    line.Begin('l', static_cast<size_t>(end - begin));
+    text.Append(StrFormat("chunk %lld tuples %lld\n",
+                          static_cast<long long>(c),
+                          static_cast<long long>(end - begin)));
+    text.Begin('l', static_cast<size_t>(end - begin));
     for (int64_t i = begin; i < end; ++i) {
-      line.AppendInt(data.labels()[static_cast<size_t>(i)]);
+      text.AppendInt(data.labels()[static_cast<size_t>(i)]);
     }
-    line.End();
+    text.End();
     for (int j = 0; j < schema.num_attributes(); ++j) {
       const std::vector<uint32_t>& ids = data.column_ids(j);
-      line.Begin('c', static_cast<size_t>(end - begin) + 1);
-      line.AppendInt(j);
+      text.Begin('c', static_cast<size_t>(end - begin) + 1);
+      text.AppendInt(j);
       for (int64_t i = begin; i < end; ++i) {
-        line.AppendInt(ids[static_cast<size_t>(i)]);
+        text.AppendInt(ids[static_cast<size_t>(i)]);
       }
-      line.End();
+      text.End();
     }
+    text.WriteTo(out);
   }
   out << "end\n";
 
@@ -197,14 +260,14 @@ Status WriteDatasetFile(const QuantizedDataset& data,
 
 StatusOr<DatasetFileStats> ConvertDatasetToFile(
     const Dataset& source, const std::string& path,
-    const QuantizationOptions& options) {
+    const QuantizationOptions& options, TaskPool* pool) {
   if (source.num_tuples() > kMaxTuples) {
     return Status::InvalidArgument(
         StrFormat("source holds %d tuples, above the container cap %lld",
                   source.num_tuples(), static_cast<long long>(kMaxTuples)));
   }
   UDT_ASSIGN_OR_RETURN(QuantizedDataset quantized,
-                       QuantizedDataset::FromDataset(source, options));
+                       QuantizedDataset::FromDataset(source, options, pool));
   for (int j = 0; j < source.num_attributes(); ++j) {
     const uint32_t entries = quantized.dictionary(j).num_entries();
     if (entries > kMaxDictEntries) {
@@ -214,15 +277,14 @@ StatusOr<DatasetFileStats> ConvertDatasetToFile(
           j, entries, static_cast<long long>(kMaxDictEntries)));
     }
   }
-  const DatasetMemoryBreakdown breakdown = source.MemoryBreakdown();
-  UDT_RETURN_NOT_OK(
-      WriteDatasetFile(quantized, breakdown.unshared_total_bytes, path));
+  const size_t source_bytes = source.UnsharedMemoryUsageBytes();
+  UDT_RETURN_NOT_OK(WriteDatasetFile(quantized, source_bytes, path, pool));
 
   DatasetFileStats stats;
   stats.num_tuples = quantized.num_tuples();
   stats.dictionary_entries = quantized.dictionary_entries();
   stats.dictionary_hit_rate = quantized.dictionary_hit_rate();
-  stats.source_decoded_bytes = breakdown.unshared_total_bytes;
+  stats.source_decoded_bytes = source_bytes;
   stats.quantized_bytes = quantized.MemoryUsageBytes();
   std::ifstream written(path, std::ios::binary | std::ios::ate);
   if (written) {
@@ -231,11 +293,27 @@ StatusOr<DatasetFileStats> ConvertDatasetToFile(
   return stats;
 }
 
-StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
-  auto in = std::make_unique<std::ifstream>(path);
-  if (!*in) return Status::IOError("cannot open for read: " + path);
-  auto reader = std::make_unique<LineReader>(*in, kContext);
+namespace {
 
+// The resident part of a container as its sequential pass reads it.
+struct ResidentPart {
+  int64_t bins = 0;
+  int64_t chunk_tuples = 0;
+  int64_t num_tuples = 0;
+  uint64_t source_bytes = 0;
+  std::optional<Schema> schema;
+  // One per column of the file; the dictionaries stay empty until their
+  // rows are parsed.
+  std::vector<QuantizedColumn> columns;
+  // The dictionary rows of every column whose rows the pass began.
+  std::vector<DictionaryText> dictionaries;
+  int64_t num_chunks = 0;
+};
+
+// Reads the resident part through `reader` in one pass, checking every
+// line except the dictionary rows, which it only collects. Stops at the
+// first bad line; `part` then holds the dictionary rows read before it.
+Status ReadResident(LineReader* reader, ResidentPart* part) {
   UDT_RETURN_NOT_OK(reader->Next("magic"));
   if (reader->line() != kMagic) {
     return reader->Error("bad magic line: " + reader->line());
@@ -255,6 +333,8 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
   if (!bins || *bins < 1 || !chunk_tuples || *chunk_tuples < 1) {
     return reader->Error("bad quantized line: " + reader->line());
   }
+  part->bins = *bins;
+  part->chunk_tuples = *chunk_tuples;
 
   UDT_RETURN_NOT_OK(reader->Next("tuples"));
   if (reader->line().rfind("tuples ", 0) != 0) {
@@ -265,6 +345,7 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
   if (!num_tuples || *num_tuples < 1) {
     return reader->Error("bad tuple count");
   }
+  part->num_tuples = *num_tuples;
 
   UDT_RETURN_NOT_OK(reader->Next("source bytes"));
   if (reader->line().rfind("source bytes ", 0) != 0) {
@@ -275,8 +356,10 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
   if (!source_bytes) {
     return reader->Error("bad source bytes");
   }
+  part->source_bytes = *source_bytes;
 
-  UDT_ASSIGN_OR_RETURN(Schema schema, ReadSchemaBlock(reader.get()));
+  UDT_ASSIGN_OR_RETURN(part->schema, ReadSchemaBlock(reader));
+  const Schema& schema = *part->schema;
 
   UDT_RETURN_NOT_OK(reader->Next("columns"));
   if (reader->line().rfind("columns ", 0) != 0) {
@@ -288,10 +371,10 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
     return reader->Error("column count does not match the schema");
   }
 
-  std::vector<QuantizedColumn> columns(static_cast<size_t>(*num_columns));
-  std::vector<uint16_t> row;
+  part->columns.resize(static_cast<size_t>(*num_columns));
+  part->dictionaries.reserve(static_cast<size_t>(*num_columns));
   for (int j = 0; j < *num_columns; ++j) {
-    QuantizedColumn& column = columns[static_cast<size_t>(j)];
+    QuantizedColumn& column = part->columns[static_cast<size_t>(j)];
     const AttributeInfo& info = schema.attribute(j);
     column.kind = info.kind;
 
@@ -354,9 +437,13 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
     }
 
     column.dict = PdfDictionary(width);
+    DictionaryText& rows = part->dictionaries.emplace_back();
+    rows.width = width;
+    rows.first_line = reader->line_number() + 1;
     for (int64_t d = 0; d < *dict_entries; ++d) {
-      UDT_RETURN_NOT_OK(ReadDictRow(reader.get(), width, &tokens, &row));
-      column.dict.Append(row.data());
+      UDT_RETURN_NOT_OK(reader->Next("dictionary entry"));
+      rows.text += reader->line();
+      rows.ends.push_back(rows.text.size());
     }
   }
 
@@ -374,20 +461,49 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path) {
                   reader->line().c_str(),
                   static_cast<long long>(expected_chunks)));
   }
+  part->num_chunks = *num_chunks;
+  return Status::OK();
+}
 
-  DatasetReader result(std::move(schema));
-  result.columns_ = std::move(columns);
-  result.bins_ = static_cast<int>(*bins);
-  result.chunk_tuples_ = static_cast<int>(*chunk_tuples);
-  result.num_tuples_ = *num_tuples;
-  result.num_chunks_ = *num_chunks;
-  result.source_decoded_bytes_ = static_cast<size_t>(*source_bytes);
+}  // namespace
+
+StatusOr<DatasetReader> DatasetReader::Open(const std::string& path,
+                                            TaskPool* pool) {
+  auto in = std::make_unique<std::ifstream>(path);
+  if (!*in) return Status::IOError("cannot open for read: " + path);
+  auto reader = std::make_unique<LineReader>(*in, kContext);
+
+  ResidentPart part;
+  const Status resident = ReadResident(reader.get(), &part);
+  // Each column parses its own rows. Every row the pass collected comes
+  // before the line it stopped at, so a bad row, the first in file order,
+  // is the verdict.
+  std::vector<Status> parsed(part.dictionaries.size());
+  ForEachIndex(pool, parsed.size(), [&](size_t j) {
+    PdfDictionary& dict = part.columns[j].dict;
+    PdfDictionary local(dict.width());  // moved in: see WriteDatasetFile
+    parsed[j] = ParseDictionary(*reader, part.dictionaries[j], &local);
+    dict = std::move(local);
+  });
+  for (const Status& column_status : parsed) {
+    UDT_RETURN_NOT_OK(column_status);
+  }
+  UDT_RETURN_NOT_OK(resident);
+
+  DatasetReader result(std::move(*part.schema));
+  result.columns_ = std::move(part.columns);
+  result.bins_ = static_cast<int>(part.bins);
+  result.chunk_tuples_ = static_cast<int>(part.chunk_tuples);
+  result.num_tuples_ = part.num_tuples;
+  result.num_chunks_ = part.num_chunks;
+  result.source_decoded_bytes_ = static_cast<size_t>(part.source_bytes);
   result.in_ = std::move(in);
   result.reader_ = std::move(reader);
   return result;
 }
 
-Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
+Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out,
+                                 TaskPool* pool) {
   if (chunk < 0 || chunk >= num_chunks_) {
     return Status::InvalidArgument(
         StrFormat("chunk %lld out of range (file holds %lld)",
@@ -468,12 +584,31 @@ Status DatasetReader::AppendChunk(int64_t chunk, Dataset* out) {
     }
   }
 
+  // Each column decodes its ids through its own cache. A column stops at
+  // its first failure; the tuples are then assembled in order up to the
+  // first failing tuple, whose lowest failing column is the verdict.
+  std::vector<std::vector<UncertainValue>> values(columns_.size());
+  std::vector<size_t> failed_at(columns_.size(), count);
+  std::vector<Status> failure(columns_.size());
+  ForEachIndex(pool, columns_.size(), [&](size_t j) {
+    std::vector<UncertainValue> decoded;  // moved in: see WriteDatasetFile
+    decoded.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      failure[j] = columns_[j].Decode(ids[j][i], &decoded);
+      if (!failure[j].ok()) {
+        failed_at[j] = i;
+        break;
+      }
+    }
+    values[j] = std::move(decoded);
+  });
   for (size_t i = 0; i < count; ++i) {
     UncertainTuple tuple;
     tuple.label = labels[i];
-    tuple.values.reserve(static_cast<size_t>(num_attributes));
+    tuple.values.reserve(columns_.size());
     for (size_t j = 0; j < columns_.size(); ++j) {
-      UDT_RETURN_NOT_OK(columns_[j].Decode(ids[j][i], &tuple.values));
+      if (failed_at[j] == i) return failure[j];
+      tuple.values.push_back(std::move(values[j][i]));
     }
     UDT_RETURN_NOT_OK(out->AddTuple(std::move(tuple)));
   }
@@ -505,14 +640,16 @@ int64_t DatasetReader::dictionary_entries() const {
 }
 
 StatusOr<Dataset> MaterializeDataset(DatasetReader* reader,
-                                     const StorageBudget& budget) {
+                                     const StorageBudget& budget,
+                                     TaskPool* pool) {
   UDT_CHECK(reader != nullptr);
   Dataset out(reader->schema());
+  DatasetFootprint footprint;
   const int64_t chunks = reader->num_chunks();
   for (int64_t c = 0; c < chunks; ++c) {
-    UDT_RETURN_NOT_OK(reader->AppendChunk(c, &out));
+    UDT_RETURN_NOT_OK(reader->AppendChunk(c, &out, pool));
     if (budget.max_materialized_bytes > 0) {
-      const size_t used = out.MemoryUsageBytes();
+      const size_t used = footprint.Update(out);
       if (used > budget.max_materialized_bytes) {
         return Status::OutOfRange(StrFormat(
             "materialised working set exceeds the memory budget after chunk "

@@ -37,17 +37,24 @@
 // see the storage representation, only ordinary SampledPdfs.
 //
 // Cost: the adaptive loop spills every scheduled retrain split through
-// this format on the feedback caller's thread, so no text layer makes a
-// string per token. The writer formats each dictionary, label and id
-// line with std::to_chars into one reused buffer and writes it once.
-// Open parses a dictionary row shaped as the writer emits it ("d" and
-// plain digit runs, one space apart) in one pass over the line; any other
-// line is split into string_views and parsed token by token, which
-// decides its verdict and message. At the retrain split's Segment shape
-// (768 tuples x 19 attributes, s = 20, ~8.6k dictionary rows of 64
-// masses) BM_SpillRoundTrip reads ~15 ms for ConvertDatasetToFile (~7 ms
-// of it quantizing), ~3.5 ms for Open and ~6 ms for MaterializeDataset
-// (Release, 4-vCPU x86).
+// this format, at the width its forest trains at. Each attribute has its
+// own grid, dictionary, id row and decode cache, so every layer runs its
+// column body on a TaskPool (inline without one), and the bytes, the
+// decoded pdfs and every reader verdict are the same at any width. No
+// text layer makes a string per token. The writer formats each column's
+// header, grid and dictionary rows with std::to_chars into the column's
+// own buffer and writes the buffers in column order. Open reads the
+// resident lines in one pass, then parses each column's dictionary rows:
+// a row shaped as the writer emits it ("d" and plain digit runs, one
+// space apart) in one pass over the line, any other line split into
+// string_views and parsed token by token, which decides its verdict and
+// message; a bad row is reported only if no earlier line failed. At the
+// retrain split's Segment shape (768 tuples x 19 attributes, s = 20,
+// ~8.6k dictionary rows of 64 masses) BM_SpillRoundTrip reads, width 1
+// -> 4 (Release, 4-vCPU x86, medians of 10): round trip 23 -> 12 ms,
+// quantize 7.6 -> 2.0 ms, ConvertDatasetToFile 12.5 -> 4.2 ms, Open
+// 4.3 -> 2.1 ms (its serial line read is ~1.5 ms) and MaterializeDataset
+// 7.1 -> 3.3 ms.
 
 #ifndef UDT_STORAGE_DATASET_FILE_H_
 #define UDT_STORAGE_DATASET_FILE_H_
@@ -61,6 +68,7 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "common/task_pool.h"
 #include "storage/quantized_pdf.h"
 #include "table/dataset.h"
 #include "table/schema_io.h"
@@ -83,20 +91,25 @@ struct DatasetFileStats {
 // Quantizes `source` under `options` and writes it to `path` as a
 // "udt-dataset v1" container, the one writer of the format. The header's
 // source-bytes figure is the source's unshared decoded footprint
-// (Dataset::MemoryBreakdown), the figure out-of-core demos compare their
-// budget against.
+// (Dataset::UnsharedMemoryUsageBytes), the figure out-of-core demos
+// compare their budget against. Columns quantize and format on `pool`'s
+// threads (inline when null); the bytes do not depend on the pool.
 StatusOr<DatasetFileStats> ConvertDatasetToFile(
     const Dataset& source, const std::string& path,
-    const QuantizationOptions& options = {});
+    const QuantizationOptions& options = {}, TaskPool* pool = nullptr);
 
 // Chunk-streaming reader over a "udt-dataset v1" file. Open parses the
 // resident part (header, schema, grids, dictionaries) and stops at the
 // first chunk; AppendChunk then decodes one chunk at a time, in ascending
 // order, sharing decoded pdf slices across chunks. The reader makes one
-// pass. Parse errors carry the absolute 1-based line number.
+// pass. Parse errors carry the absolute 1-based line number; with or
+// without a pool, a file's verdict is its first bad line.
 class DatasetReader {
  public:
-  [[nodiscard]] static StatusOr<DatasetReader> Open(const std::string& path);
+  // Reads the resident lines in one pass, then parses each column's
+  // dictionary rows on `pool`'s threads (inline when null).
+  [[nodiscard]] static StatusOr<DatasetReader> Open(const std::string& path,
+                                                    TaskPool* pool = nullptr);
 
   DatasetReader(DatasetReader&&) = default;
   DatasetReader& operator=(DatasetReader&&) = default;
@@ -106,8 +119,10 @@ class DatasetReader {
   int64_t num_chunks() const { return num_chunks_; }
   // Streaming: `chunk` must be exactly the next unread chunk (0, 1, ...).
   // Reading the final chunk also consumes and checks the `end` sentinel,
-  // so a truncated file fails on its last chunk, not silently.
-  Status AppendChunk(int64_t chunk, Dataset* out);
+  // so a truncated file fails on its last chunk, not silently. Each
+  // column decodes its ids on `pool`'s threads (inline when null); the
+  // tuples are assembled in order.
+  Status AppendChunk(int64_t chunk, Dataset* out, TaskPool* pool = nullptr);
   // Grids + dictionaries — the only per-data parts held resident; the id
   // rows stream through the chunk buffer and are not retained.
   size_t MemoryUsageBytes() const;
@@ -150,12 +165,15 @@ struct StorageBudget {
 // Streams chunks 0..num_chunks()-1 of a freshly opened `reader` into one
 // Dataset, checking `budget` against the materialised footprint after
 // every chunk, so an oversized source fails at the first chunk that
-// bursts the ceiling instead of after decoding everything. Tuples that
-// share a dictionary entry share one decoded pdf slice. Fails
-// (OutOfRange) on a burst budget. Open rejects a file without tuples, so
-// the result is never empty.
+// bursts the ceiling instead of after decoding everything. The footprint
+// is a running sum (DatasetFootprint), so each chunk's check walks only
+// that chunk. Tuples that share a dictionary entry share one decoded pdf
+// slice. Fails (OutOfRange) on a burst budget. Open rejects a file
+// without tuples, so the result is never empty. Chunks decode on `pool`'s
+// threads (AppendChunk).
 StatusOr<Dataset> MaterializeDataset(DatasetReader* reader,
-                                     const StorageBudget& budget = {});
+                                     const StorageBudget& budget = {},
+                                     TaskPool* pool = nullptr);
 
 }  // namespace udt
 

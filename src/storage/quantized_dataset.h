@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "common/task_pool.h"
 #include "storage/quantized_pdf.h"
 #include "table/dataset.h"
 
@@ -26,9 +27,11 @@ class QuantizedDataset {
   // decode is lossless up to uint16 mass rounding); denser attributes
   // snap to a uniform grid over the observed range. Categorical columns
   // dictionary-compress their probability vectors at full width. Fails on
-  // an empty source or invalid options.
+  // an empty source or invalid options. Columns quantize independently, on
+  // `pool`'s threads when given (inline when null), with the same result.
   static StatusOr<QuantizedDataset> FromDataset(
-      const Dataset& source, const QuantizationOptions& options = {});
+      const Dataset& source, const QuantizationOptions& options = {},
+      TaskPool* pool = nullptr);
 
   const Schema& schema() const { return schema_; }
   int64_t num_tuples() const { return static_cast<int64_t>(labels_.size()); }

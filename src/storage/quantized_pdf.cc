@@ -145,7 +145,12 @@ const uint16_t* FixedPointOfPositive(int count, QuantizeScratch* scratch) {
     if (remainder > 0.0) remainders.emplace_back(remainder, index);
   }
 
+  // Never negative: each floor is at most its exact share, and the
+  // shares sum to the scale up to a relative error below count x 2^-52
+  // (the total is a sum of the same finite non-negative weights), far
+  // under one unit, so the floors sum to at most kQuantizedOne.
   int64_t leftover = static_cast<int64_t>(kQuantizedOne) - assigned;
+  UDT_DCHECK(leftover >= 0);
   if (leftover > 0 && leftover <= static_cast<int64_t>(remainders.size())) {
     // Each unit goes to one of the `leftover` first remainders of the
     // order, all positive: rank just those.
@@ -157,7 +162,6 @@ const uint16_t* FixedPointOfPositive(int count, QuantizeScratch* scratch) {
     for (auto it = remainders.begin(); it != last; ++it) {
       ++fixed[static_cast<size_t>(it->second)];
     }
-    leftover = 0;
   } else if (leftover > 0) {
     // More units than positive remainders: the hand-out wraps onto the
     // zero remainders too, which follow the positive ones in index order.
@@ -173,15 +177,6 @@ const uint16_t* FixedPointOfPositive(int count, QuantizeScratch* scratch) {
       ++fixed[static_cast<size_t>(remainders[k].second)];
       --leftover;
     }
-  }
-  // Floating-point slack can (rarely) over-assign; shave the largest bins.
-  while (leftover < 0) {
-    size_t argmax = 0;
-    for (size_t i = 1; i < fixed.size(); ++i) {
-      if (fixed[i] > fixed[argmax]) argmax = i;
-    }
-    --fixed[argmax];
-    ++leftover;
   }
   return fixed.data();
 }

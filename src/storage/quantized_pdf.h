@@ -199,8 +199,9 @@ class PdfDictionary {
 // Decode-once pool over one attribute's dictionary: Get materialises entry
 // `id` on first use and hands every caller a copy of the same handle, so a
 // data set assembled through one cache shares pdf slices exactly as often
-// as the dictionary deduplicated them. Not thread-safe; materialisation is
-// a single-threaded pass.
+// as the dictionary deduplicated them. Not thread-safe: one thread at a
+// time decodes through a cache (materialisation runs each column's cache
+// on one task).
 class DecodedPdfCache {
  public:
   StatusOr<SampledPdf> Get(const AttributeGrid& grid,

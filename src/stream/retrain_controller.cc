@@ -7,6 +7,7 @@
 #include "api/train_request.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/task_pool.h"
 #include "eval/metrics.h"
 #include "serve/servable.h"
 #include "storage/dataset_file.h"
@@ -170,15 +171,22 @@ StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
   // The spill path writes the training split as a "udt-dataset v1"
   // container, re-opens it and trains on the materialised file; the grids
   // are fixed from the split itself, so they cover exactly the window
-  // being spilled.
+  // being spilled. Its layers run column-parallel at the width the forest
+  // trains at, on a pool of their own (the caller is one of its threads).
   std::optional<Dataset> spilled;
   if (policy_.spill_to_storage) {
+    const int width =
+        TaskPool::EffectiveConcurrency(trainer_.config().num_threads);
+    std::optional<TaskPool> pool;
+    if (width > 1) pool.emplace(width - 1);
+    TaskPool* spill_pool = pool ? &*pool : nullptr;
     UDT_RETURN_NOT_OK(ConvertDatasetToFile(train, policy_.spill_path,
-                                           policy_.spill_options)
+                                           policy_.spill_options, spill_pool)
                           .status());
     UDT_ASSIGN_OR_RETURN(DatasetReader reader,
-                         DatasetReader::Open(policy_.spill_path));
-    UDT_ASSIGN_OR_RETURN(spilled, MaterializeDataset(&reader));
+                         DatasetReader::Open(policy_.spill_path, spill_pool));
+    UDT_ASSIGN_OR_RETURN(spilled,
+                         MaterializeDataset(&reader, {}, spill_pool));
     request.dataset = &*spilled;
   }
 

@@ -74,7 +74,9 @@ struct RetrainPolicy {
   // When true, the training split is written by ConvertDatasetToFile to
   // `spill_path`, re-opened with DatasetReader::Open and materialised with
   // MaterializeDataset, and the candidate trains on that Dataset — the
-  // out-of-core window assembly. When false the window trains in memory.
+  // out-of-core window assembly. The three run column-parallel on a task
+  // pool as wide as the forest trains (the trainer's num_threads), made
+  // for the spill. When false the window trains in memory.
   bool spill_to_storage = false;
   std::string spill_path;
   QuantizationOptions spill_options;

@@ -107,6 +107,40 @@ std::vector<int> Dataset::ClassHistogram() const {
   return histogram;
 }
 
+namespace {
+
+// The data set's own struct and its tuple array.
+size_t TupleArrayBytes(const std::vector<UncertainTuple>& tuples) {
+  return sizeof(Dataset) + sizeof(UncertainTuple) * tuples.capacity();
+}
+
+// Adds `tuple`'s values to `b`: their handles to tuple_bytes, each pdf
+// slice per reference to unshared_pdf_bytes and categorical vectors to
+// categorical_bytes. With `seen`, a slice new to it also counts once
+// under pdf_bytes and unique_pdfs.
+void AccountValues(const UncertainTuple& tuple,
+                   std::unordered_set<const double*>* seen,
+                   DatasetMemoryBreakdown* b) {
+  b->num_values += static_cast<int64_t>(tuple.values.size());
+  b->tuple_bytes += sizeof(UncertainValue) * tuple.values.capacity();
+  for (const UncertainValue& v : tuple.values) {
+    if (v.is_numerical()) {
+      const size_t bytes = v.pdf().MemoryUsageBytes();
+      b->unshared_pdf_bytes += bytes;
+      if (seen != nullptr && seen->insert(v.pdf_instance()).second) {
+        b->pdf_bytes += bytes;
+        ++b->unique_pdfs;
+      }
+    } else {
+      b->categorical_bytes +=
+          sizeof(double) *
+          static_cast<size_t>(v.categorical().num_categories());
+    }
+  }
+}
+
+}  // namespace
+
 size_t Dataset::MemoryUsageBytes() const {
   return MemoryBreakdown().total_bytes;
 }
@@ -114,24 +148,9 @@ size_t Dataset::MemoryUsageBytes() const {
 DatasetMemoryBreakdown Dataset::MemoryBreakdown() const {
   DatasetMemoryBreakdown b;
   b.num_tuples = static_cast<int64_t>(tuples_.size());
-  b.tuple_bytes = sizeof(Dataset) + sizeof(UncertainTuple) * tuples_.capacity();
+  b.tuple_bytes = TupleArrayBytes(tuples_);
   std::unordered_set<const double*> seen;
-  for (const UncertainTuple& t : tuples_) {
-    b.num_values += static_cast<int64_t>(t.values.size());
-    b.tuple_bytes += sizeof(UncertainValue) * t.values.capacity();
-    for (const UncertainValue& v : t.values) {
-      if (v.is_numerical()) {
-        const size_t bytes = v.pdf().MemoryUsageBytes();
-        b.unshared_pdf_bytes += bytes;
-        if (seen.insert(v.pdf_instance()).second) b.pdf_bytes += bytes;
-      } else {
-        b.categorical_bytes +=
-            sizeof(double) *
-            static_cast<size_t>(v.categorical().num_categories());
-      }
-    }
-  }
-  b.unique_pdfs = static_cast<int64_t>(seen.size());
+  for (const UncertainTuple& t : tuples_) AccountValues(t, &seen, &b);
   b.total_bytes = b.tuple_bytes + b.pdf_bytes + b.categorical_bytes;
   b.unshared_total_bytes =
       b.tuple_bytes + b.unshared_pdf_bytes + b.categorical_bytes;
@@ -142,6 +161,24 @@ DatasetMemoryBreakdown Dataset::MemoryBreakdown() const {
         static_cast<double>(b.unshared_total_bytes) / n;
   }
   return b;
+}
+
+size_t Dataset::UnsharedMemoryUsageBytes() const {
+  DatasetMemoryBreakdown b;
+  for (const UncertainTuple& t : tuples_) AccountValues(t, nullptr, &b);
+  return TupleArrayBytes(tuples_) + b.tuple_bytes + b.unshared_pdf_bytes +
+         b.categorical_bytes;
+}
+
+size_t DatasetFootprint::Update(const Dataset& data) {
+  const std::vector<UncertainTuple>& tuples = data.tuples();
+  UDT_DCHECK(accounted_tuples_ <= tuples.size());
+  for (size_t i = accounted_tuples_; i < tuples.size(); ++i) {
+    AccountValues(tuples[i], &seen_, &values_);
+  }
+  accounted_tuples_ = tuples.size();
+  return TupleArrayBytes(tuples) + values_.tuple_bytes + values_.pdf_bytes +
+         values_.categorical_bytes;
 }
 
 UncertainTuple TupleToMeans(const UncertainTuple& tuple) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -173,6 +174,10 @@ class Dataset {
   // per-tuple averages the compression bench and docs report.
   DatasetMemoryBreakdown MemoryBreakdown() const;
 
+  // MemoryBreakdown().unshared_total_bytes alone: the same per-value sum,
+  // without the distinct-slice set only the pooled figure needs.
+  size_t UnsharedMemoryUsageBytes() const;
+
   // Replaces every numerical pdf by a point mass at its mean: the data the
   // Averaging approach trains on (Section 4.1).
   Dataset ToMeans() const;
@@ -195,6 +200,23 @@ class Dataset {
  private:
   Schema schema_;
   std::vector<UncertainTuple> tuples_;
+};
+
+// Running pooled footprint of one Dataset that only grows by AddTuple.
+// Update accounts the tuples added since its previous call and returns
+// the footprint, which equals data.MemoryUsageBytes() exactly: a caller
+// that checks the footprint after every appended chunk walks each value
+// once instead of recounting the whole data set per chunk.
+class DatasetFootprint {
+ public:
+  size_t Update(const Dataset& data);
+
+ private:
+  size_t accounted_tuples_ = 0;
+  // The accounted tuples' values (tuple_bytes holds their value handles
+  // only; the tuple array is re-measured by every Update).
+  DatasetMemoryBreakdown values_;
+  std::unordered_set<const double*> seen_;
 };
 
 }  // namespace udt

@@ -30,8 +30,12 @@ Status LineReader::Next(std::string_view what) {
 }
 
 Status LineReader::Error(std::string_view message) const {
+  return ErrorAt(line_number_, message);
+}
+
+Status LineReader::ErrorAt(int line_number, std::string_view message) const {
   return Status::InvalidArgument(StrFormat("%s: line %d: %s", context_.c_str(),
-                                           line_number_,
+                                           line_number,
                                            std::string(message).c_str()));
 }
 

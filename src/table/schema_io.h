@@ -62,6 +62,10 @@ class LineReader {
   // the current position.
   Status Error(std::string_view message) const;
 
+  // Error() for line `line_number` of the same stream, for a caller that
+  // keeps lines and parses them after reading on.
+  Status ErrorAt(int line_number, std::string_view message) const;
+
  private:
   std::istream& in_;
   std::string context_;

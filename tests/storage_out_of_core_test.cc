@@ -157,6 +157,34 @@ TEST_F(OutOfCoreTest, ForestFromFileMatchesExactTrainingWithinOnePercent) {
   EXPECT_GT(oob.evaluated_tuples, 0);
 }
 
+// MaterializeDataset checks its budget against a running footprint; it
+// must equal the full recount after every chunk.
+TEST_F(OutOfCoreTest, RunningFootprintEqualsRecountAfterEveryChunk) {
+  auto reader = DatasetReader::Open(path_);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_GT(reader->num_chunks(), 1);
+  Dataset pooled(reader->schema());
+  DatasetFootprint footprint;
+  for (int64_t c = 0; c < reader->num_chunks(); ++c) {
+    ASSERT_TRUE(reader->AppendChunk(c, &pooled).ok());
+    EXPECT_EQ(footprint.Update(pooled), pooled.MemoryUsageBytes())
+        << "after chunk " << c;
+  }
+
+  // The exact source too, grown in uneven steps: its pdfs share per-tuple
+  // blocks but never a slice.
+  Dataset exact(train_->schema());
+  DatasetFootprint exact_footprint;
+  int added = 0;
+  for (int step = 1; added < train_->num_tuples(); step *= 3) {
+    for (int i = 0; i < step && added < train_->num_tuples(); ++i) {
+      ASSERT_TRUE(exact.AddTuple(train_->tuple(added++)).ok());
+    }
+    EXPECT_EQ(exact_footprint.Update(exact), exact.MemoryUsageBytes())
+        << "after " << added << " tuples";
+  }
+}
+
 TEST_F(OutOfCoreTest, TooTightBudgetFailsCleanly) {
   auto reader = DatasetReader::Open(path_);
   ASSERT_TRUE(reader.ok());

@@ -21,6 +21,7 @@
 #include "api/trainer.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "common/task_pool.h"
 #include "eval/metrics.h"
 #include "pdf/pdf_builder.h"
 #include "storage/dataset_file.h"
@@ -763,10 +764,11 @@ TEST(QuantizeToGridTest, MatchesPerPointSearchReference) {
 
 // A hand-made two-column container (numerical grid of 2 points, one
 // 3-category column, 6 dictionary entries each, 7 classes, one chunk of
-// five tuples). `target` names the line a case rewrites; `{}` in `line`
-// stands for the token under test.
-std::string ParityContainer(const std::string& target, const std::string& line,
-                            bool crlf) {
+// five tuples). `rewrites` maps the name of a line to the text a case
+// puts there instead.
+std::string ParityContainer(
+    const std::vector<std::pair<std::string, std::string>>& rewrites,
+    bool crlf) {
   std::vector<std::pair<std::string, std::string>> lines = {
       {"", "udt-dataset v1"},
       {"quantized", "quantized bins 64 chunk 8"},
@@ -780,16 +782,17 @@ std::string ParityContainer(const std::string& target, const std::string& line,
   lines.push_back({"", "attr cat 3 k"});
   lines.push_back({"", "columns 2"});
   lines.push_back({"", "column 0 num grid 2 dict 6"});
-  lines.push_back({"", "g -0x1p+0 0x1.8p+1"});
+  lines.push_back({"grid", "g -0x1p+0 0x1.8p+1"});
   lines.push_back({"dict", "d 65535 0"});
   for (int d = 1; d < 6; ++d) {
     lines.push_back({"", StrFormat("d %d %d", d, 65535 - d)});
   }
-  lines.push_back({"", "column 1 cat width 3 dict 6"});
-  for (int d = 0; d < 6; ++d) {
+  lines.push_back({"column 1", "column 1 cat width 3 dict 6"});
+  lines.push_back({"dict 1", "d 0 1 65534"});
+  for (int d = 1; d < 6; ++d) {
     lines.push_back({"", StrFormat("d %d 1 %d", d, 65534 - d)});
   }
-  lines.push_back({"", "chunks 1"});
+  lines.push_back({"chunks", "chunks 1"});
   lines.push_back({"chunk", "chunk 0 tuples 5"});
   lines.push_back({"label", "l 4 1 2 0 6"});
   lines.push_back({"id", "c 0 3 1 2 0 0"});
@@ -797,25 +800,46 @@ std::string ParityContainer(const std::string& target, const std::string& line,
   lines.push_back({"", "end"});
   std::string text;
   for (const auto& [kind, content] : lines) {
-    text += kind == target ? line : content;
-    text += kind == target && crlf ? "\r\n" : "\n";
+    const auto rewrite =
+        std::find_if(rewrites.begin(), rewrites.end(),
+                     [&kind](const auto& r) { return r.first == kind; });
+    const bool rewritten = !kind.empty() && rewrite != rewrites.end();
+    text += rewritten ? rewrite->second : content;
+    text += rewritten && crlf ? "\r\n" : "\n";
   }
   return text;
 }
 
+// The container with the line named `target` replaced by `line`.
+std::string ParityContainer(const std::string& target, const std::string& line,
+                            bool crlf) {
+  return ParityContainer({{target, line}}, crlf);
+}
+
+// A pool `width` threads wide, the caller included; null at width 1.
+std::unique_ptr<TaskPool> PoolOfWidth(int width) {
+  return width > 1 ? std::make_unique<TaskPool>(width - 1) : nullptr;
+}
+
+// The reader's widths under test: inline, and one thread per hardware
+// thread (at least 2, so the pool path always runs).
+std::vector<int> ReaderWidths() {
+  return {1, std::max(2, TaskPool::EffectiveConcurrency(0))};
+}
+
 // Open + materialise; "OK" or the first failure's message.
-std::string ReadOutcome(const std::string& text) {
+std::string ReadOutcome(const std::string& text, TaskPool* pool = nullptr) {
   const std::string path = TempPath("storage_parity.udtds");
   {
     std::ofstream out(path, std::ios::binary);
     out << text;
   }
   std::string outcome = "OK";
-  auto reader = DatasetReader::Open(path);
+  auto reader = DatasetReader::Open(path, pool);
   if (!reader.ok()) {
     outcome = reader.status().message();
   } else {
-    auto pooled = MaterializeDataset(&*reader);
+    auto pooled = MaterializeDataset(&*reader, {}, pool);
     if (!pooled.ok()) outcome = pooled.status().message();
   }
   std::remove(path.c_str());
@@ -916,22 +940,76 @@ TEST(DatasetReaderParityTest, HostileTokensKeepTheirVerdictAndMessage) {
   };
 
   ASSERT_EQ(want.size(), targets.size() * inputs.size());
-  size_t k = 0;
-  for (const auto& [target, pattern] : targets) {
-    for (const Input& input : inputs) {
-      std::string line = pattern;
-      line.replace(line.find("{}"), 2, input.token);
-      line += input.suffix;
-      const std::string got =
-          ReadOutcome(ParityContainer(target, line, input.crlf));
-      const std::string expected =
-          want[k] == "OK" ? want[k] : "udt-dataset: " + want[k];
-      EXPECT_EQ(got, expected) << target << ": " << input.name;
-      ++k;
+  for (int width : ReaderWidths()) {
+    const std::unique_ptr<TaskPool> pool = PoolOfWidth(width);
+    size_t k = 0;
+    for (const auto& [target, pattern] : targets) {
+      for (const Input& input : inputs) {
+        std::string line = pattern;
+        line.replace(line.find("{}"), 2, input.token);
+        line += input.suffix;
+        const std::string got =
+            ReadOutcome(ParityContainer(target, line, input.crlf), pool.get());
+        const std::string expected =
+            want[k] == "OK" ? want[k] : "udt-dataset: " + want[k];
+        EXPECT_EQ(got, expected)
+            << target << ": " << input.name << " (width " << width << ")";
+        ++k;
+      }
+    }
+    // The untouched container reads.
+    EXPECT_EQ(ReadOutcome(ParityContainer("none", "", false), pool.get()),
+              "OK");
+  }
+}
+
+// Dictionary rows are parsed after the pass that checks every other
+// resident line, yet a file's verdict stays its first bad line: a bad row
+// beats any bad line after it, and a bad line before a row beats the row.
+TEST(DatasetReaderParityTest, FirstBadLineWinsAtEveryWidth) {
+  const std::string bad_header = "column 1 cat width 3 dixt 6";
+  struct Case {
+    const char* name;
+    std::vector<std::pair<std::string, std::string>> rewrites;
+    std::string want;
+  };
+  const std::vector<Case> cases = {
+      {"bad header alone",
+       {{"column 1", bad_header}},
+       "line 25: bad column header: " + bad_header},
+      {"bad mass before bad header",
+       {{"dict", "d 65536 7"}, {"column 1", bad_header}},
+       "line 19: bad dictionary mass: 65536"},
+      {"massless row before bad header",
+       {{"dict", "d 0 0"}, {"column 1", bad_header}},
+       "line 19: dictionary entry carries no mass"},
+      {"bad row shape before bad header",
+       {{"dict", "d 5"}, {"column 1", bad_header}},
+       "line 19: bad dictionary entry line"},
+      {"earlier column's row before a later column's row",
+       {{"dict", "d 5x 7"}, {"dict 1", "d 0 0 0"}},
+       "line 19: bad dictionary mass: 5x"},
+      {"later column's row before the chunks line",
+       {{"dict 1", "d 0 0 0"}, {"chunks", "chunks 2"}},
+       "line 26: dictionary entry carries no mass"},
+      {"bad grid before a later column's bad row",
+       {{"grid", "g 1 x"}, {"dict 1", "d 0 0 0"}},
+       "line 18: bad grid point: x"},
+      {"bad row in an overlong dictionary before the chunks line",
+       {{"column 1", "column 1 cat width 3 dict 7"}},
+       "line 32: bad dictionary entry line"},
+      {"bad row in an overlong dictionary before the end of the file",
+       {{"column 1", "column 1 cat width 3 dict 600"}},
+       "line 32: bad dictionary entry line"},
+  };
+  for (int width : ReaderWidths()) {
+    const std::unique_ptr<TaskPool> pool = PoolOfWidth(width);
+    for (const Case& c : cases) {
+      EXPECT_EQ(ReadOutcome(ParityContainer(c.rewrites, false), pool.get()),
+                "udt-dataset: " + c.want)
+          << c.name << " (width " << width << ")";
     }
   }
-  // The untouched container reads.
-  EXPECT_EQ(ReadOutcome(ParityContainer("none", "", false)), "OK");
 }
 
 // ------------------------------------------- line-numbered diagnostics

@@ -384,6 +384,45 @@ TEST(RetrainControllerTest, SpilledBootstrapTrainsOnExactlyTheDecodedFile) {
   std::remove(policy.spill_path.c_str());
 }
 
+TEST(RetrainControllerTest, SpilledRetrainPublishesTheSameForestAtEveryWidth) {
+  // The spill runs column-parallel at the width the forest trains at; the
+  // published forest must not depend on it.
+  std::vector<std::string> bootstrapped;
+  std::vector<std::string> retrained;
+  for (int threads : {1, 4}) {
+    serve::ModelRegistry registry;
+    RetrainPolicy policy;
+    policy.window_capacity = 48;
+    policy.min_window = 32;
+    policy.spill_to_storage = true;
+    policy.spill_path = std::string(::testing::TempDir()) +
+                        "/retrain_spill_width_" + std::to_string(threads) +
+                        ".udt";
+    policy.spill_options.chunk_tuples = 8;
+    ForestConfig config;
+    config.num_trees = 3;
+    config.seed = 5;
+    config.num_threads = threads;
+    RetrainController controller(&registry, "prod",
+                                 Schema::Numerical(2, {"neg", "pos"}),
+                                 ForestTrainer(config), policy);
+    ASSERT_TRUE(controller.Bootstrap(TwoClassDataset(60, 11)).ok());
+    bootstrapped.push_back(controller.incumbent()->Serialize());
+
+    const Dataset feed = TwoClassDataset(40, 12);
+    for (const UncertainTuple& t : feed.tuples()) {
+      ASSERT_TRUE(controller.AddLabeled(t).ok());
+    }
+    auto report = controller.Retrain("drift");
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    ASSERT_TRUE(report->published);
+    retrained.push_back(controller.incumbent()->Serialize());
+    std::remove(policy.spill_path.c_str());
+  }
+  EXPECT_EQ(bootstrapped[0], bootstrapped[1]);
+  EXPECT_EQ(retrained[0], retrained[1]);
+}
+
 TEST(RetrainControllerTest, PolicyValidation) {
   RetrainPolicy policy;
   policy.min_window = 1;
