@@ -63,11 +63,6 @@ double GiniGivenTotal(const std::vector<double>& counts, double total);
 // (the gain-ratio split-info term, evaluated once per candidate split).
 double EntropyFromPair(double a, double b);
 
-// True if |a - b| <= eps.
-inline bool AlmostEqual(double a, double b, double eps = kMassEpsilon) {
-  return std::fabs(a - b) <= eps;
-}
-
 // SplitMix64 finaliser: full 64-bit avalanche in a few cycles. The one
 // mixing function behind every deterministic stream derivation (per-node
 // subspace tokens in core/node_build.cc, per-tree bag/subspace seeds in

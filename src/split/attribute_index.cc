@@ -63,7 +63,7 @@ AttributeIndex::Column AttributeIndex::BuildColumn(const Dataset& data,
 
   // One sequential pass over the pdfs reads every point and mass, and
   // each tuple's root window: the whole pdf, [0, n) holding
-  // cumulative[n-1], found by the gather's own window search.
+  // cumulative[n-1], found by the window search every list uses.
   AttributeEvents& root = column.root;
   root.window_mass.resize(num_tuples);
   root.window_size.resize(num_tuples);

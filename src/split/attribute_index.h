@@ -2,11 +2,10 @@
 // SLIQ, Mehta et al., EDBT 1996, fitted to sampled pdfs). Built once per
 // training call, it gives every sample point of every numerical attribute
 // a dense uint32 rank: equal x values share a rank, ranks ascend with x,
-// and a per-attribute table maps each rank back to its x (and, by binary
-// search, each x to its rank). The pass that assigns the ranks also writes
-// the unweighted root's event list per attribute: the sort is stable in
-// tuple-then-point order and a root's windows are whole pdfs, so its
-// events are the sorted points themselves.
+// and a per-attribute table maps each rank back to its x. The pass that
+// assigns the ranks also writes the unweighted root's event list per
+// attribute: the sort is stable in tuple-then-point order and a root's
+// windows are whole pdfs, so its events are the sorted points themselves.
 // Every root takes its lists from there (split/fractional_tuple.h: moved
 // when the build owns the index, filtered by bag weight when it is
 // shared), and every other node filters its parent's.
@@ -18,14 +17,12 @@
 #ifndef UDT_SPLIT_ATTRIBUTE_INDEX_H_
 #define UDT_SPLIT_ATTRIBUTE_INDEX_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/default_init.h"
-#include "common/logging.h"
 #include "common/status.h"
 #include "table/dataset.h"
 
@@ -72,24 +69,6 @@ class AttributeIndex {
   // another data set would be read out of bounds.
   Status CheckMatches(const Dataset& data) const;
 
-  // Rank of `x` on numerical `attribute`, found by binary search in the
-  // rank -> x table from rank `from` on. Requires x to be a sample point
-  // of the attribute with rank >= from; -0.0 and +0.0 share one rank.
-  uint32_t Rank(int attribute, double x, uint32_t from = 0) const {
-    const std::vector<double>& values =
-        columns_[static_cast<size_t>(attribute)].values;
-    const auto it = std::lower_bound(values.begin() + from, values.end(), x);
-    UDT_DCHECK(it != values.end() && *it == x);
-    return static_cast<uint32_t>(it - values.begin());
-  }
-
-  // Number of sample points tuple `tuple` has on `attribute`.
-  size_t num_points(int attribute, int tuple) const {
-    const Column& column = columns_[static_cast<size_t>(attribute)];
-    const size_t t = static_cast<size_t>(tuple);
-    return column.offsets[t + 1] - column.offsets[t];
-  }
-
   // The x value of `rank` (ascending in rank). -0.0 and +0.0 share one
   // rank and read back as +0.0.
   double value(int attribute, uint32_t rank) const {
@@ -103,9 +82,10 @@ class AttributeIndex {
   }
 
   // The unweighted root's list on numerical `attribute`: every tuple's
-  // whole-pdf window, its events tagged with the tuple's data-set index —
-  // bit for bit GatherAttributeEvents over MakeRootWorkingSet(data).
-  // Empty (no windows) once taken.
+  // whole-pdf window (its mass and point count, 0 points when it holds no
+  // mass), and the window's points as events in rank order, ties in tuple
+  // order, tagged with the tuple's data-set index and flagged at the
+  // window's ends. Empty (no windows) once taken.
   const AttributeEvents& root_events(int attribute) const {
     return columns_[static_cast<size_t>(attribute)].root;
   }

@@ -19,17 +19,6 @@ AttributeScan AttributeScan::Build(const Dataset& data,
   return scan;
 }
 
-AttributeScan AttributeScan::Build(const Dataset& data,
-                                   const AttributeIndex& index,
-                                   const WorkingSet& set, int attribute,
-                                   int num_classes) {
-  AttributeScan scan;
-  scan.num_classes_ = num_classes;
-  scan.owned_ = GatherAttributeEvents(data, index, set, attribute);
-  scan.Compress(data, index, set, scan.owned_, attribute);
-  return scan;
-}
-
 void AttributeScan::Compress(const Dataset& data, const AttributeIndex& index,
                              const WorkingSet& tuples,
                              const AttributeEvents& list, int attribute) {

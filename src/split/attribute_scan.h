@@ -39,7 +39,7 @@
 namespace udt {
 
 // Built once per (node, numerical attribute); immutable afterwards.
-// Move-only: it may point into its own storage.
+// Move-only, so a node's scan buffers are never copied by accident.
 class AttributeScan {
  public:
   // A cumulative class-mass row is stored every kCheckpoint positions.
@@ -56,16 +56,10 @@ class AttributeScan {
   // set.lists[attribute]. Tuples contribute their sample points restricted
   // to their (lo, hi] constraint, with masses scaled by weight /
   // constrained-mass (the lazily-renormalised truncated pdf of Section
-  // 3.2). `index` must be AttributeIndex::Build(data). The scan reads the
-  // list and `index` for its lifetime.
+  // 3.2). `index` must be AttributeIndex::Build(data). The scan borrows
+  // the list and `index`: both must outlive it.
   static AttributeScan Build(const Dataset& data, const AttributeIndex& index,
                              const NodeSet& set, int attribute,
-                             int num_classes);
-
-  // The same scan for a bare working set: gathers and sorts its event
-  // list (GatherAttributeEvents) and owns it; it still reads `index`.
-  static AttributeScan Build(const Dataset& data, const AttributeIndex& index,
-                             const WorkingSet& set, int attribute,
                              int num_classes);
 
   // Number of distinct candidate positions (distinct sample x values).
@@ -138,11 +132,9 @@ class AttributeScan {
   // Adds the masses of position `idx`'s events to row[class].
   void AddPosition(int idx, double* row) const;
 
-  // The event list read: borrowed from a NodeSet, or `owned_`'s (a moved
-  // vector keeps its buffer, so a moved scan still points at it). A
-  // position's x is its events' rank, read back through the index.
+  // The event list read, borrowed from a NodeSet. A position's x is its
+  // events' rank, read back through the index.
   const SampleEvent* events_ = nullptr;
-  AttributeEvents owned_;
   const AttributeIndex* index_ = nullptr;
   int attribute_ = -1;
   std::vector<TupleShare> shares_;  // per tuple of the working set

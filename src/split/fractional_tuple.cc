@@ -1,14 +1,11 @@
 #include "split/fractional_tuple.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstddef>
 #include <limits>
 
 #include "common/logging.h"
 #include "common/math.h"
-#include "common/radix_sort.h"
 #include "common/task_pool.h"
 #include "pdf/pdf_kernels.h"
 
@@ -21,25 +18,21 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // A parent tuple's index in a child working set when it has none there.
 constexpr int32_t kAbsent = -1;
 
-// How many working-set entries ahead the gather prefetches (measured best
-// at 3-4 on a 4-CPU x86 host; 4 absorbs more memory latency).
-constexpr size_t kPrefetchDistance = 4;
-
 bool IsNumerical(const Dataset& data, size_t attribute) {
   return data.schema().attribute(static_cast<int>(attribute)).kind ==
          AttributeKind::kNumerical;
 }
 
-// PartitionWorkingSet. When `to` is non-null it receives, per tuple f of
-// `set`, its index in `left` at (*to)[2f] and in `right` at (*to)[2f+1]
-// (kAbsent when that side dropped it).
+// PartitionNodeSet's tuples. `to` receives, per tuple f of `set`, its
+// index in `left` at (*to)[2f] and in `right` at (*to)[2f+1] (kAbsent when
+// that side dropped it).
 void PartitionTuples(const Dataset& data, const WorkingSet& set,
                      int attribute, double split_point, WorkingSet* left,
                      WorkingSet* right, std::vector<int32_t>* to) {
   UDT_CHECK(left != nullptr && right != nullptr);
   left->clear();
   right->clear();
-  if (to != nullptr) to->assign(2 * set.size(), kAbsent);
+  to->assign(2 * set.size(), kAbsent);
   size_t j = static_cast<size_t>(attribute);
   for (size_t f = 0; f < set.size(); ++f) {
     const FractionalTuple& ft = set[f];
@@ -49,16 +42,14 @@ void PartitionTuples(const Dataset& data, const WorkingSet& set,
     double w_left = ft.weight * p_left;
     double w_right = ft.weight - w_left;
     if (w_left >= kMinFractionWeight) {
-      if (to != nullptr) (*to)[2 * f] = static_cast<int32_t>(left->size());
+      (*to)[2 * f] = static_cast<int32_t>(left->size());
       FractionalTuple t = ft;
       t.weight = w_left;
       t.hi[j] = std::min(t.hi[j], split_point);
       left->push_back(std::move(t));
     }
     if (w_right >= kMinFractionWeight) {
-      if (to != nullptr) {
-        (*to)[2 * f + 1] = static_cast<int32_t>(right->size());
-      }
+      (*to)[2 * f + 1] = static_cast<int32_t>(right->size());
       FractionalTuple t = ft;
       t.weight = w_right;
       t.lo[j] = std::max(t.lo[j], split_point);
@@ -67,9 +58,9 @@ void PartitionTuples(const Dataset& data, const WorkingSet& set,
   }
 }
 
-// PartitionWorkingSetCategorical. When `to` is non-null it receives, per
-// tuple f of `set`, its index in bucket v at (*to)[f * num_categories + v]
-// (kAbsent when the bucket has no copy of it).
+// PartitionNodeSetCategorical's tuples. `to` receives, per tuple f of
+// `set`, its index in bucket v at (*to)[f * num_categories + v] (kAbsent
+// when the bucket has no copy of it).
 void PartitionTuplesCategorical(const Dataset& data, const WorkingSet& set,
                                 int attribute, int num_categories,
                                 std::vector<WorkingSet>* buckets,
@@ -77,7 +68,7 @@ void PartitionTuplesCategorical(const Dataset& data, const WorkingSet& set,
   UDT_CHECK(buckets != nullptr);
   buckets->assign(static_cast<size_t>(num_categories), WorkingSet());
   const size_t k = static_cast<size_t>(num_categories);
-  if (to != nullptr) to->assign(k * set.size(), kAbsent);
+  to->assign(k * set.size(), kAbsent);
   size_t j = static_cast<size_t>(attribute);
   for (size_t f = 0; f < set.size(); ++f) {
     const FractionalTuple& ft = set[f];
@@ -86,10 +77,8 @@ void PartitionTuplesCategorical(const Dataset& data, const WorkingSet& set,
     if (ft.category[j] >= 0) {
       // Already fixed by an ancestor split; the whole weight follows it.
       WorkingSet& bucket = (*buckets)[static_cast<size_t>(ft.category[j])];
-      if (to != nullptr) {
-        (*to)[f * k + static_cast<size_t>(ft.category[j])] =
-            static_cast<int32_t>(bucket.size());
-      }
+      (*to)[f * k + static_cast<size_t>(ft.category[j])] =
+          static_cast<int32_t>(bucket.size());
       bucket.push_back(ft);
       continue;
     }
@@ -97,10 +86,8 @@ void PartitionTuplesCategorical(const Dataset& data, const WorkingSet& set,
       double w = ft.weight * dist.probability(v);
       if (w < kMinFractionWeight) continue;
       WorkingSet& bucket = (*buckets)[static_cast<size_t>(v)];
-      if (to != nullptr) {
-        (*to)[f * k + static_cast<size_t>(v)] =
-            static_cast<int32_t>(bucket.size());
-      }
+      (*to)[f * k + static_cast<size_t>(v)] =
+          static_cast<int32_t>(bucket.size());
       FractionalTuple t = ft;
       t.weight = w;
       t.category[j] = v;
@@ -186,13 +173,15 @@ std::vector<NodeSet*> ListedChildren(const std::vector<NodeSet*>& children,
   return listed;
 }
 
-// One child's list on the split attribute: the events of `parent` in
+// One child's list on the split attribute: the parent's events in
 // [begin, end) — the child's side of the split point — of the tuples
 // whose new window holds mass (to[2f + side]). Windows come from one
 // window search per child tuple; a tuple's first and last kept events are
-// its new window ends, so they carry the boundary flag.
-void CutEvents(const Dataset& data, const AttributeIndex& index,
-               size_t attribute, const AttributeEvents& parent,
+// its new window ends, so they carry the boundary flag. A child window
+// holds mass only inside a parent window that held mass (PartitionNodeSet
+// requires it on the split attribute), so the parent listed every event
+// the child keeps; the count check below aborts if it did not.
+void CutEvents(const Dataset& data, size_t attribute,
                const SampleEvent* begin, const SampleEvent* end,
                const std::vector<int32_t>& to, size_t side, NodeSet* child) {
   AttributeEvents& list = child->lists[attribute];
@@ -210,20 +199,6 @@ void CutEvents(const Dataset& data, const AttributeIndex& index,
         window.mass > 0.0 ? static_cast<uint32_t>(window.end - window.begin)
                           : 0;
     total += list.window_size[cf];
-  }
-
-  // A child window can hold mass where its parent window held none only
-  // when a pdf's cumulative row dips at its forced final 1.0 (tail masses
-  // below an ulp): the parent list then lacks the tuple's events, and this
-  // child gathers its list instead.
-  for (size_t f = 0; f < parent.window_size.size(); ++f) {
-    const int32_t cf = to[2 * f + side];
-    if (cf != kAbsent && parent.window_size[f] == 0 &&
-        list.window_size[static_cast<size_t>(cf)] != 0) {
-      list = GatherAttributeEvents(data, index, child->tuples,
-                                   static_cast<int>(attribute));
-      return;
-    }
   }
 
   constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
@@ -284,82 +259,6 @@ WorkingSet MakeWeightedRootWorkingSet(const Dataset& data,
     ft.category.assign(k, -1);
     set.push_back(std::move(ft));
   }
-  return set;
-}
-
-AttributeEvents GatherAttributeEvents(const Dataset& data,
-                                      const AttributeIndex& index,
-                                      const WorkingSet& set, int attribute) {
-  UDT_DCHECK(index.num_tuples() == data.num_tuples());
-  UDT_CHECK(set.size() <= std::numeric_limits<uint32_t>::max() >> 1);
-  const size_t j = static_cast<size_t>(attribute);
-
-  AttributeEvents list;
-  list.window_mass.resize(set.size());
-  list.window_size.assign(set.size(), 0);
-  size_t max_events = 0;
-  for (const FractionalTuple& ft : set) {
-    max_events += index.num_points(attribute, ft.tuple_index);
-  }
-  DefaultInitVector<SampleEvent>& events = list.events;
-  events.reserve(max_events);
-  uint32_t min_rank = std::numeric_limits<uint32_t>::max();
-  uint32_t max_rank = 0;
-  for (size_t i = 0; i < set.size(); ++i) {
-    // Each tuple's pdf and constraint sit behind their own pointers; start
-    // the loads of a tuple a few iterations ahead of its search.
-    if (i + kPrefetchDistance < set.size()) {
-      const FractionalTuple& ahead = set[i + kPrefetchDistance];
-      const SampledPdf& pdf = data.tuple(ahead.tuple_index).values[j].pdf();
-      __builtin_prefetch(pdf.points_data());
-      __builtin_prefetch(pdf.cumulative_data());
-      __builtin_prefetch(ahead.lo.data() + j);
-      __builtin_prefetch(ahead.hi.data() + j);
-    }
-    const FractionalTuple& ft = set[i];
-    const SampledPdf& pdf = data.tuple(ft.tuple_index).values[j].pdf();
-    UDT_DCHECK(static_cast<size_t>(pdf.num_points()) ==
-               index.num_points(attribute, ft.tuple_index));
-    const PdfWindow window = PdfConstrainedWindow(pdf, ft.lo[j], ft.hi[j]);
-    list.window_mass[i] = window.mass;
-    if (window.mass <= 0.0) continue;  // no mass under the constraint
-    list.window_size[i] = static_cast<uint32_t>(window.end - window.begin);
-    // A pdf's points ascend, so each search starts past the last rank.
-    const uint32_t tag = static_cast<uint32_t>(i) << 1;
-    uint32_t rank = 0;
-    for (size_t p = window.begin; p < window.end; ++p) {
-      const bool boundary = p == window.begin || p + 1 == window.end;
-      rank = index.Rank(attribute, pdf.point(static_cast<int>(p)),
-                        p == window.begin ? 0 : rank + 1);
-      events.push_back(SampleEvent{rank, tag | (boundary ? 1u : 0u),
-                                   pdf.mass(static_cast<int>(p))});
-      if (p == window.begin) min_rank = std::min(min_rank, rank);
-    }
-    max_rank = std::max(max_rank, rank);
-  }
-  if (events.empty()) return list;
-
-  // Order by rank. Only the working set's rank span needs sorting, which
-  // shrinks the passes of small sets; stability keeps ties in working-set
-  // order.
-  DefaultInitVector<SampleEvent> scratch;
-  RadixSortByKey(&events, &scratch, std::bit_width(max_rank - min_rank),
-                 [min_rank](const SampleEvent& event) {
-                   return static_cast<uint64_t>(event.rank - min_rank);
-                 });
-  return list;
-}
-
-NodeSet MakeNodeSet(const Dataset& data, const AttributeIndex& index,
-                    WorkingSet tuples, TaskPool* pool) {
-  NodeSet set;
-  set.tuples = std::move(tuples);
-  set.lists.resize(static_cast<size_t>(data.num_attributes()));
-  ForEachIndex(pool, set.lists.size(), [&](size_t j) {
-    if (!IsNumerical(data, j)) return;
-    set.lists[j] = GatherAttributeEvents(data, index, set.tuples,
-                                         static_cast<int>(j));
-  });
   return set;
 }
 
@@ -427,18 +326,6 @@ double ConditionalCdf(const SampledPdf& pdf, double lo, double hi, double z) {
   return eval.p_left;
 }
 
-double ConditionalMean(const SampledPdf& pdf, double lo, double hi) {
-  double mass = ConstrainedMass(pdf, lo, hi);
-  UDT_DCHECK(mass > 0.0);
-  if (lo == -kInf && hi == kInf) return pdf.Mean();
-  KahanSum sum;
-  for (int i = 0; i < pdf.num_points(); ++i) {
-    double x = pdf.point(i);
-    if (x > lo && x <= hi) sum.Add(x * pdf.mass(i));
-  }
-  return sum.value() / mass;
-}
-
 std::vector<double> ClassCounts(const Dataset& data, const WorkingSet& set,
                                 int num_classes) {
   std::vector<double> counts(static_cast<size_t>(num_classes), 0.0);
@@ -452,21 +339,6 @@ double TotalWeight(const WorkingSet& set) {
   KahanSum sum;
   for (const FractionalTuple& ft : set) sum.Add(ft.weight);
   return sum.value();
-}
-
-void PartitionWorkingSet(const Dataset& data, const WorkingSet& set,
-                         int attribute, double split_point, WorkingSet* left,
-                         WorkingSet* right) {
-  PartitionTuples(data, set, attribute, split_point, left, right,
-                  /*to=*/nullptr);
-}
-
-void PartitionWorkingSetCategorical(const Dataset& data,
-                                    const WorkingSet& set, int attribute,
-                                    int num_categories,
-                                    std::vector<WorkingSet>* buckets) {
-  PartitionTuplesCategorical(data, set, attribute, num_categories, buckets,
-                             /*to=*/nullptr);
 }
 
 void PartitionNodeSet(const Dataset& data, const AttributeIndex& index,
@@ -503,8 +375,8 @@ void PartitionNodeSet(const Dataset& data, const AttributeIndex& index,
         });
     for (size_t side = 0; side < 2; ++side) {
       if (sides[side]->lists.empty()) continue;  // stopped: no lists
-      CutEvents(data, index, j, parent, side == 0 ? begin : cut,
-                side == 0 ? cut : end, to, side, sides[side]);
+      CutEvents(data, j, side == 0 ? begin : cut, side == 0 ? cut : end, to,
+                side, sides[side]);
     }
     parent = AttributeEvents();
   });

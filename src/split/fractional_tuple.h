@@ -13,17 +13,17 @@
 // A tree node's working set is a NodeSet: its fractional tuples plus, per
 // numerical attribute, their sample events in AttributeIndex rank order
 // (the presorted attribute lists of SLIQ, Mehta et al., EDBT 1996, and
-// SPRINT, Shafer et al., VLDB 1996). Nothing in a build gathers or sorts
-// events: a root takes its lists from the rank index, which wrote them
-// while it ranked the points, and filters them by bag weight when it does
-// not hold every tuple. Partitioning appends each child's tuples in parent
-// order, so a child's events are a stable filter of its parent's: on every
-// attribute but the split one a tuple keeps its window and its events
-// unchanged, and on the split attribute a child keeps the parent's events
-// on its side of the split point. A child that the stopping rules make a
-// leaf gets no lists at all. The split scans (split/attribute_scan.h)
-// compress these lists, scaling the raw pdf mass an event carries by its
-// tuple's weight over its window mass.
+// SPRINT, Shafer et al., VLDB 1996). Lists are made one way, and never by
+// gathering or sorting events: a root takes its lists from the rank index,
+// which wrote them while it ranked the points, and filters them by bag
+// weight when it does not hold every tuple. Partitioning appends each
+// child's tuples in parent order, so a child's events are a stable filter
+// of its parent's: on every attribute but the split one a tuple keeps its
+// window and its events unchanged, and on the split attribute a child
+// keeps the parent's events on its side of the split point. A child that
+// the stopping rules make a leaf gets no lists at all. The split scans
+// (split/attribute_scan.h) compress these lists, scaling the raw pdf mass
+// an event carries by its tuple's weight over its window mass.
 
 #ifndef UDT_SPLIT_FRACTIONAL_TUPLE_H_
 #define UDT_SPLIT_FRACTIONAL_TUPLE_H_
@@ -82,29 +82,13 @@ WorkingSet MakeRootWorkingSet(const Dataset& data);
 WorkingSet MakeWeightedRootWorkingSet(const Dataset& data,
                                       const std::vector<double>& weights);
 
-// Gathers `set`'s events on numerical attribute `attribute`: one window
-// search per tuple, then a stable radix sort by rank. `index` must be
-// AttributeIndex::Build(data). The reference the index's root lists and
-// the filtered lists of PartitionNodeSet are tested against; a build
-// calls it only for a split child whose window gained mass its parent's
-// lacked (see PartitionNodeSet).
-AttributeEvents GatherAttributeEvents(const Dataset& data,
-                                      const AttributeIndex& index,
-                                      const WorkingSet& set, int attribute);
-
-// A NodeSet for any working set: `tuples` with their gathered lists for
-// every numerical attribute. The attributes gather as parallel tasks when
-// `pool` is non-null; the result does not depend on it.
-NodeSet MakeNodeSet(const Dataset& data, const AttributeIndex& index,
-                    WorkingSet tuples, TaskPool* pool = nullptr);
-
-// A root NodeSet with its lists from `index`'s root lists, without a
-// gather or a sort. `tuples` must be a root working set of `data`
-// (MakeRootWorkingSet or MakeWeightedRootWorkingSet: unconstrained, in
-// ascending tuple order). Each list is one pass over the index's that
-// keeps the events of `tuples`'s tuples — a bag's omitted tuples drop out
-// — and the index keeps its lists. The attributes run as parallel tasks
-// when `pool` is non-null. Equals MakeNodeSet(data, index, tuples).
+// A root NodeSet with its lists from `index`'s root lists. `tuples` must
+// be a root working set of `data` (MakeRootWorkingSet or
+// MakeWeightedRootWorkingSet: unconstrained, in ascending tuple order).
+// Each list is one pass over the index's that keeps the events of
+// `tuples`'s tuples — a bag's omitted tuples drop out — and the index
+// keeps its lists. The attributes run as parallel tasks
+// when `pool` is non-null; the result does not depend on it.
 NodeSet MakeRootNodeSet(const Dataset& data, const AttributeIndex& index,
                         WorkingSet tuples, TaskPool* pool = nullptr);
 
@@ -121,10 +105,6 @@ double ConstrainedMass(const SampledPdf& pdf, double lo, double hi);
 // P(X <= z | lo < X <= hi). Requires positive constrained mass.
 double ConditionalCdf(const SampledPdf& pdf, double lo, double hi, double z);
 
-// Mean of the distribution conditioned to (lo, hi]. Requires positive
-// constrained mass. Equals pdf.Mean() when unconstrained.
-double ConditionalMean(const SampledPdf& pdf, double lo, double hi);
-
 // Weighted per-class counts of a working set (the leaf distributions and
 // stopping tests use this).
 std::vector<double> ClassCounts(const Dataset& data, const WorkingSet& set,
@@ -133,45 +113,36 @@ std::vector<double> ClassCounts(const Dataset& data, const WorkingSet& set,
 // Total weight of a working set.
 double TotalWeight(const WorkingSet& set);
 
-// Splits `set` on numerical attribute `attribute` at `split_point` into the
-// tuples going left (value <= z) and right. Tuples straddling the point are
-// divided into two fractional tuples with tightened constraints; fragments
-// lighter than kMinFractionWeight are dropped.
-void PartitionWorkingSet(const Dataset& data, const WorkingSet& set,
-                         int attribute, double split_point, WorkingSet* left,
-                         WorkingSet* right);
-
-// Splits `set` on categorical attribute `attribute` into one bucket per
-// category, weighting each copy by the tuple's category probability
-// (Section 7.2).
-void PartitionWorkingSetCategorical(const Dataset& data,
-                                    const WorkingSet& set, int attribute,
-                                    int num_categories,
-                                    std::vector<WorkingSet>* buckets);
-
 // Whether a child's working set stops before its split search: such a
 // child becomes a leaf and never reads its lists, so it gets none.
 using ChildStops = std::function<bool(const WorkingSet&)>;
 
-// PartitionWorkingSet over a NodeSet: the tuples split as above, and one
-// pass per attribute turns each of `set`'s lists into the lists of the
-// children that `stops` does not stop (every child when `stops` is
+// Splits `set` on numerical attribute `attribute` at `split_point` into
+// the tuples going left (value <= z) and right. Tuples straddling the
+// point are divided into two fractional tuples with tightened constraints;
+// fragments lighter than kMinFractionWeight are dropped. Every tuple's
+// window on the split attribute must hold mass (ConditionalCdf's rule,
+// which a build keeps: a root window is the whole pdf, and a split keeps a
+// child only where its side of the window holds mass).
+//
+// One pass per attribute then turns each of `set`'s lists into the lists
+// of the children that `stops` does not stop (every child when `stops` is
 // empty), freeing it as soon as they exist (`set` keeps its tuples). A
 // stopped child's `lists` stay empty, and when both children stop no pass
 // runs. On the split attribute the children keep the events on their side
 // of `split_point`, with windows and boundary flags from one window search
 // per child tuple. The attributes run as parallel tasks when `pool` is
-// non-null; the result does not depend on it. Each child list equals
-// GatherAttributeEvents over the child's tuples.
+// non-null; the result does not depend on it.
 void PartitionNodeSet(const Dataset& data, const AttributeIndex& index,
                       NodeSet* set, int attribute, double split_point,
                       NodeSet* left, NodeSet* right, TaskPool* pool = nullptr,
                       const ChildStops& stops = ChildStops());
 
-// PartitionWorkingSetCategorical over a NodeSet: the numerical windows do
-// not change, so every listed bucket's lists are filters of `set`'s, made
-// in one pass per attribute as above; buckets that `stops` stops get no
-// lists.
+// Splits `set` on categorical attribute `attribute` into one bucket per
+// category, weighting each copy by the tuple's category probability
+// (Section 7.2). The numerical windows do not change, so every listed
+// bucket's lists are filters of `set`'s, made in one pass per attribute as
+// above; buckets that `stops` stops get no lists.
 void PartitionNodeSetCategorical(const Dataset& data, NodeSet* set,
                                  int attribute, int num_categories,
                                  std::vector<NodeSet>* buckets,

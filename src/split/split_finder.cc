@@ -63,17 +63,6 @@ SplitCandidate SplitFinder::SeedAttribute(
 
 SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
                                           const AttributeIndex& index,
-                                          const WorkingSet& set,
-                                          const SplitScorer& scorer,
-                                          const SplitOptions& options,
-                                          SplitCounters* counters,
-                                          TaskPool* pool) const {
-  return FindBestSplit(data, index, MakeNodeSet(data, index, set, pool),
-                       scorer, options, counters, pool);
-}
-
-SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
-                                          const AttributeIndex& index,
                                           const NodeSet& set,
                                           const SplitScorer& scorer,
                                           const SplitOptions& options,

@@ -131,7 +131,9 @@ class SplitFinder {
   virtual const char* name() const = 0;
 
   // Finds the best (attribute, split point) for the node whose working set
-  // is `set`; each attribute's scan compresses the set's event list.
+  // is `set`; each attribute's scan compresses the set's event list (made
+  // as split/fractional_tuple.h describes: a root's from the rank index,
+  // a child's filtered from its parent's).
   // `index` is AttributeIndex::Build(data), built once per training call.
   // `scorer` carries the node's measure and parent counts. Returns an
   // invalid candidate when no attribute admits a valid split. `counters`
@@ -142,16 +144,6 @@ class SplitFinder {
   SplitCandidate FindBestSplit(const Dataset& data,
                                const AttributeIndex& index,
                                const NodeSet& set, const SplitScorer& scorer,
-                               const SplitOptions& options,
-                               SplitCounters* counters,
-                               TaskPool* pool = nullptr) const;
-
-  // The same search over a bare working set, whose event lists are
-  // gathered and sorted first (MakeNodeSet).
-  SplitCandidate FindBestSplit(const Dataset& data,
-                               const AttributeIndex& index,
-                               const WorkingSet& set,
-                               const SplitScorer& scorer,
                                const SplitOptions& options,
                                SplitCounters* counters,
                                TaskPool* pool = nullptr) const;

@@ -63,8 +63,9 @@ TEST_P(BoundPropertyTest, BoundNeverExceedsInteriorMinimum) {
   Dataset ds = RandomUncertainDataset(24, 3, 12, param.seed);
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   AttributeScan scan =
-      AttributeScan::Build(ds, index, set, 0, ds.num_classes());
+      AttributeScan::Build(ds, index, node, 0, ds.num_classes());
   SplitScorer scorer(param.measure, ClassCounts(ds, set, ds.num_classes()));
 
   std::vector<EndpointInterval> intervals =
@@ -94,8 +95,9 @@ TEST_P(BoundPropertyTest, BoundHoldsOnCoarseIntervals) {
   Dataset ds = RandomUncertainDataset(20, 2, 10, param.seed + 1000);
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   AttributeScan scan =
-      AttributeScan::Build(ds, index, set, 0, ds.num_classes());
+      AttributeScan::Build(ds, index, node, 0, ds.num_classes());
   SplitScorer scorer(param.measure, ClassCounts(ds, set, ds.num_classes()));
 
   const std::vector<int>& eps = scan.endpoint_positions();

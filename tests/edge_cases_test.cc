@@ -12,6 +12,7 @@
 #include "pdf/pdf_builder.h"
 #include "split/attribute_scan.h"
 #include "split/split_finder.h"
+#include "split_reference.h"
 #include "table/uncertainty_injector.h"
 #include "tree/classify.h"
 
@@ -49,10 +50,11 @@ TEST(EdgeCaseTest, ConstantAttributeNeverChosenForSplit) {
   }
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(DispersionMeasure::kEntropy, ClassCounts(ds, set, 2));
   SplitCandidate best =
       MakeSplitFinder(SplitAlgorithm::kUdtGp)
-          ->FindBestSplit(ds, index, set, scorer, SplitOptions{}, nullptr);
+          ->FindBestSplit(ds, index, node, scorer, SplitOptions{}, nullptr);
   ASSERT_TRUE(best.valid);
   EXPECT_EQ(best.attribute, 1);
 }
@@ -69,9 +71,11 @@ TEST(EdgeCaseTest, ScanSkipsTuplesConstrainedOutOfSupport) {
 
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  // Constrain the first tuple to (10, inf): no mass remains.
+  // Constrain the first tuple to (10, inf): no mass remains. No build
+  // constrains a root, so the lists come from the test reference.
   set[0].lo[0] = 10.0;
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = GatherNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   EXPECT_EQ(scan.num_positions(), 1);  // only the point tuple survives
   EXPECT_NEAR(scan.total_mass(), 1.0, 1e-12);
 }
@@ -84,12 +88,13 @@ TEST(EdgeCaseTest, TinyFractionalWeightsAreDropped) {
   ASSERT_TRUE(pdf.ok());
   UncertainTuple t{{UncertainValue::Numerical(std::move(*pdf))}, 0};
   ASSERT_TRUE(ds.AddTuple(t).ok());
-  WorkingSet set = MakeRootWorkingSet(ds);
-  WorkingSet left, right;
-  PartitionWorkingSet(ds, set, 0, 0.0, &left, &right);
-  EXPECT_TRUE(left.empty());
-  ASSERT_EQ(right.size(), 1u);
-  EXPECT_NEAR(right[0].weight, 1.0, 1e-9);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  NodeSet set = MakeRootNodeSet(ds, index, MakeRootWorkingSet(ds));
+  NodeSet left, right;
+  PartitionNodeSet(ds, index, &set, 0, 0.0, &left, &right);
+  EXPECT_TRUE(left.tuples.empty());
+  ASSERT_EQ(right.tuples.size(), 1u);
+  EXPECT_NEAR(right.tuples[0].weight, 1.0, 1e-9);
 }
 
 TEST(EdgeCaseTest, SingleTupleDataset) {
@@ -184,7 +189,6 @@ TEST(EdgeCaseTest, UnconstrainedConditionalHelpersMatchPlain) {
   auto pdf = MakeGaussianErrorPdf(2.0, 1.0, 33);
   ASSERT_TRUE(pdf.ok());
   EXPECT_DOUBLE_EQ(ConstrainedMass(*pdf, -kInf, kInf), 1.0);
-  EXPECT_DOUBLE_EQ(ConditionalMean(*pdf, -kInf, kInf), pdf->Mean());
   EXPECT_DOUBLE_EQ(ConditionalCdf(*pdf, -kInf, kInf, 2.0),
                    pdf->CdfAtOrBelow(2.0));
 }
@@ -203,15 +207,16 @@ TEST(EdgeCaseTest, EsSampleRateOneMatchesGpExactly) {
   }
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(DispersionMeasure::kEntropy, ClassCounts(ds, set, 2));
   SplitOptions options;
   options.es_endpoint_sample_rate = 1.0;
   SplitCounters es_counters, gp_counters;
   SplitCandidate es = MakeSplitFinder(SplitAlgorithm::kUdtEs)
-                          ->FindBestSplit(ds, index, set, scorer, options,
+                          ->FindBestSplit(ds, index, node, scorer, options,
                                           &es_counters);
   SplitCandidate gp = MakeSplitFinder(SplitAlgorithm::kUdtGp)
-                          ->FindBestSplit(ds, index, set, scorer, options,
+                          ->FindBestSplit(ds, index, node, scorer, options,
                                           &gp_counters);
   ASSERT_TRUE(es.valid && gp.valid);
   EXPECT_DOUBLE_EQ(es.score, gp.score);

@@ -1,7 +1,9 @@
 // Tests for fractional tuples (Section 3.2): conditional probabilities,
-// working-set partitioning and weight conservation.
+// working-set partitioning and weight conservation. Partitions are the
+// build's own, read from the children's tuples.
 
 #include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,18 @@ Dataset OneAttrDataset() {
   EXPECT_TRUE(ds.AddTuple(t1).ok());
   EXPECT_TRUE(ds.AddTuple(t2).ok());
   return ds;
+}
+
+// The tuples of `ds`'s root, split on attribute 0 at `z` as a build
+// splits a node.
+void PartitionRoot(const Dataset& ds, double z, WorkingSet* left,
+                   WorkingSet* right) {
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  NodeSet root = MakeRootNodeSet(ds, index, MakeRootWorkingSet(ds));
+  NodeSet l, r;
+  PartitionNodeSet(ds, index, &root, 0, z, &l, &r);
+  *left = std::move(l.tuples);
+  *right = std::move(r.tuples);
 }
 
 TEST(FractionalTest, RootWorkingSetUnconstrained) {
@@ -60,14 +74,6 @@ TEST(FractionalTest, ConditionalCdfRenormalises) {
   EXPECT_DOUBLE_EQ(ConditionalCdf(*pdf, 0.0, 3.0, -1.0), 0.0);
 }
 
-TEST(FractionalTest, ConditionalMean) {
-  auto pdf = SampledPdf::Create({0, 1, 2, 3}, {1, 1, 1, 1});
-  ASSERT_TRUE(pdf.ok());
-  EXPECT_NEAR(ConditionalMean(*pdf, -kInf, kInf), 1.5, 1e-12);
-  EXPECT_NEAR(ConditionalMean(*pdf, 0.0, 2.0), 1.5, 1e-12);   // {1,2}
-  EXPECT_NEAR(ConditionalMean(*pdf, 1.0, kInf), 2.5, 1e-12);  // {2,3}
-}
-
 TEST(FractionalTest, ClassCountsWeighted) {
   Dataset ds = OneAttrDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
@@ -80,9 +86,8 @@ TEST(FractionalTest, ClassCountsWeighted) {
 
 TEST(FractionalTest, PartitionSplitsStraddlingTuples) {
   Dataset ds = OneAttrDataset();
-  WorkingSet set = MakeRootWorkingSet(ds);
   WorkingSet left, right;
-  PartitionWorkingSet(ds, set, 0, 2.0, &left, &right);
+  PartitionRoot(ds, 2.0, &left, &right);
 
   // t0 straddles (P(<=2) = .75), t1 goes right, t2 straddles (P(<=2) = .5).
   ASSERT_EQ(left.size(), 2u);
@@ -102,10 +107,9 @@ TEST(FractionalTest, PartitionSplitsStraddlingTuples) {
 
 TEST(FractionalTest, PartitionConservesWeight) {
   Dataset ds = OneAttrDataset();
-  WorkingSet set = MakeRootWorkingSet(ds);
   for (double z : {0.0, 0.5, 1.0, 2.0, 2.5, 5.0, 7.9}) {
     WorkingSet left, right;
-    PartitionWorkingSet(ds, set, 0, z, &left, &right);
+    PartitionRoot(ds, z, &left, &right);
     EXPECT_NEAR(TotalWeight(left) + TotalWeight(right), 3.0, 1e-9)
         << "split at " << z;
   }
@@ -113,25 +117,27 @@ TEST(FractionalTest, PartitionConservesWeight) {
 
 TEST(FractionalTest, RepeatedPartitionUsesConditionalPdf) {
   Dataset ds = OneAttrDataset();
-  WorkingSet set = MakeRootWorkingSet(ds);
-  WorkingSet left, right;
-  PartitionWorkingSet(ds, set, 0, 2.0, &left, &right);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  NodeSet root = MakeRootNodeSet(ds, index, MakeRootWorkingSet(ds));
+  NodeSet left, right;
+  PartitionNodeSet(ds, index, &root, 0, 2.0, &left, &right);
+  const double left_weight = TotalWeight(left.tuples);
   // Split the left side again at 0: within (  -inf, 2], t0's conditional
   // distribution is {0,1,2} each 1/3 -> P(<=0) = 1/3.
-  WorkingSet ll, lr;
-  PartitionWorkingSet(ds, left, 0, 0.0, &ll, &lr);
-  ASSERT_FALSE(ll.empty());
-  EXPECT_EQ(ll[0].tuple_index, 0);
-  EXPECT_NEAR(ll[0].weight, 0.25, 1e-12);        // 0.75 * 1/3
-  EXPECT_NEAR(lr[0].weight, 0.5, 1e-12);         // 0.75 * 2/3
-  EXPECT_NEAR(TotalWeight(ll) + TotalWeight(lr), TotalWeight(left), 1e-9);
+  NodeSet ll, lr;
+  PartitionNodeSet(ds, index, &left, 0, 0.0, &ll, &lr);
+  ASSERT_FALSE(ll.tuples.empty());
+  EXPECT_EQ(ll.tuples[0].tuple_index, 0);
+  EXPECT_NEAR(ll.tuples[0].weight, 0.25, 1e-12);  // 0.75 * 1/3
+  EXPECT_NEAR(lr.tuples[0].weight, 0.5, 1e-12);   // 0.75 * 2/3
+  EXPECT_NEAR(TotalWeight(ll.tuples) + TotalWeight(lr.tuples), left_weight,
+              1e-9);
 }
 
 TEST(FractionalTest, PartitionAllLeftWhenSplitBeyondSupport) {
   Dataset ds = OneAttrDataset();
-  WorkingSet set = MakeRootWorkingSet(ds);
   WorkingSet left, right;
-  PartitionWorkingSet(ds, set, 0, 100.0, &left, &right);
+  PartitionRoot(ds, 100.0, &left, &right);
   EXPECT_EQ(left.size(), 3u);
   EXPECT_TRUE(right.empty());
 }
@@ -146,15 +152,16 @@ TEST(FractionalTest, CategoricalPartitionDistributesWeight) {
   UncertainTuple t{{UncertainValue::Categorical(*dist)}, 0};
   ASSERT_TRUE(ds.AddTuple(t).ok());
 
-  WorkingSet set = MakeRootWorkingSet(ds);
-  std::vector<WorkingSet> buckets;
-  PartitionWorkingSetCategorical(ds, set, 0, 3, &buckets);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  NodeSet set = MakeRootNodeSet(ds, index, MakeRootWorkingSet(ds));
+  std::vector<NodeSet> buckets;
+  PartitionNodeSetCategorical(ds, &set, 0, 3, &buckets);
   ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_NEAR(buckets[0][0].weight, 0.2, 1e-12);
-  EXPECT_NEAR(buckets[1][0].weight, 0.3, 1e-12);
-  EXPECT_NEAR(buckets[2][0].weight, 0.5, 1e-12);
+  EXPECT_NEAR(buckets[0].tuples[0].weight, 0.2, 1e-12);
+  EXPECT_NEAR(buckets[1].tuples[0].weight, 0.3, 1e-12);
+  EXPECT_NEAR(buckets[2].tuples[0].weight, 0.5, 1e-12);
   // Category becomes fixed in each bucket.
-  EXPECT_EQ(buckets[2][0].category[0], 2);
+  EXPECT_EQ(buckets[2].tuples[0].category[0], 2);
 }
 
 TEST(FractionalTest, CategoricalPartitionRespectsFixedCategory) {
@@ -167,13 +174,14 @@ TEST(FractionalTest, CategoricalPartitionRespectsFixedCategory) {
   UncertainTuple t{{UncertainValue::Categorical(*dist)}, 0};
   ASSERT_TRUE(ds.AddTuple(t).ok());
 
-  WorkingSet set = MakeRootWorkingSet(ds);
-  set[0].category[0] = 1;  // fixed by a (hypothetical) ancestor
-  std::vector<WorkingSet> buckets;
-  PartitionWorkingSetCategorical(ds, set, 0, 2, &buckets);
-  EXPECT_TRUE(buckets[0].empty());
-  ASSERT_EQ(buckets[1].size(), 1u);
-  EXPECT_DOUBLE_EQ(buckets[1][0].weight, 1.0);
+  const AttributeIndex index = AttributeIndex::Build(ds);
+  NodeSet set = MakeRootNodeSet(ds, index, MakeRootWorkingSet(ds));
+  set.tuples[0].category[0] = 1;  // fixed by a (hypothetical) ancestor
+  std::vector<NodeSet> buckets;
+  PartitionNodeSetCategorical(ds, &set, 0, 2, &buckets);
+  EXPECT_TRUE(buckets[0].tuples.empty());
+  ASSERT_EQ(buckets[1].tuples.size(), 1u);
+  EXPECT_DOUBLE_EQ(buckets[1].tuples[0].weight, 1.0);
 }
 
 }  // namespace

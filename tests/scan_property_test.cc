@@ -16,9 +16,12 @@
 // get their event lists by filtering the node's own (PartitionNodeSet,
 // PartitionNodeSetCategorical), and every list and every scan built from
 // it must equal, bit for bit, the gather over the partitioned child
-// working set — through two levels of splits, with straddling tuples,
-// tuples dropped below kMinFractionWeight, zero-mass windows, -0.0 and
-// +0.0 sharing a rank, bagged root weights and categorical buckets.
+// working set (tests/split_reference.h) — through two levels of splits,
+// with straddling tuples, tuples dropped below kMinFractionWeight,
+// zero-mass windows, -0.0 and +0.0 sharing a rank, bagged root weights and
+// categorical buckets. A third pins the root lists the rank index writes
+// to the same gather, and a fourth the rule the filtered lists rest on:
+// below a real root, every split child's window holds mass.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +42,7 @@
 #include "split/fractional_tuple.h"
 #include "split/intervals.h"
 #include "split/split_finder.h"
+#include "split_reference.h"
 
 namespace udt {
 namespace {
@@ -280,8 +284,9 @@ void CheckCase(uint64_t seed) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   const Case c = RandomCase(seed);
   const AttributeIndex index = AttributeIndex::Build(c.data);
+  const NodeSet node = GatherNodeSet(c.data, index, c.set);
   const AttributeScan scan =
-      AttributeScan::Build(c.data, index, c.set, 0, c.num_classes);
+      AttributeScan::Build(c.data, index, node, 0, c.num_classes);
   const ReferenceScan ref = BuildReference(c);
 
   ASSERT_EQ(scan.num_positions(), static_cast<int>(ref.xs.size()));
@@ -545,17 +550,18 @@ void ExpectScansIdentical(const AttributeScan& got, const AttributeScan& want,
 void ExpectMatchesGather(const NodeCase& c, const AttributeIndex& index,
                          const NodeSet& node, uint64_t seed) {
   ASSERT_EQ(node.lists.size(), static_cast<size_t>(c.data.num_attributes()));
+  const NodeSet gathered = GatherNodeSet(c.data, index, node.tuples);
   for (int j = 0; j < c.data.num_attributes(); ++j) {
     if (!IsNumerical(c.data, j)) continue;
     SCOPED_TRACE("attribute " + std::to_string(j));
     ExpectListsIdentical(node.lists[static_cast<size_t>(j)],
-                         GatherAttributeEvents(c.data, index, node.tuples, j));
+                         gathered.lists[static_cast<size_t>(j)]);
     if (::testing::Test::HasFatalFailure()) return;
     const AttributeScan filtered =
         AttributeScan::Build(c.data, index, node, j, c.num_classes);
     ExpectScansIdentical(
         filtered,
-        AttributeScan::Build(c.data, index, node.tuples, j, c.num_classes),
+        AttributeScan::Build(c.data, index, gathered, j, c.num_classes),
         seed);
     if (::testing::Test::HasFatalFailure()) return;
     ExpectIntervalsMatchSweep(filtered);
@@ -601,6 +607,18 @@ std::vector<int> SplittableAttributes(const NodeCase& c, const NodeSet& node) {
   return splittable;
 }
 
+// PartitionNodeSet of `tuples` alone: a node without lists gives its
+// children none, so only the tuples are partitioned.
+void PartitionTuplesAlone(const NodeCase& c, const AttributeIndex& index,
+                          const WorkingSet& tuples, int j, double z,
+                          WorkingSet* left, WorkingSet* right) {
+  NodeSet alone{tuples, {}};
+  NodeSet l, r;
+  PartitionNodeSet(c.data, index, &alone, j, z, &l, &r);
+  *left = std::move(l.tuples);
+  *right = std::move(r.tuples);
+}
+
 void SplitAndCheck(const NodeCase& c, const AttributeIndex& index,
                    NodeSet node, int depth, Stream* rng, TaskPool* pool,
                    uint64_t seed) {
@@ -618,9 +636,10 @@ void SplitAndCheck(const NodeCase& c, const AttributeIndex& index,
     PartitionNodeSet(c.data, index, &serial_node, j, z, &left, &right);
     PartitionNodeSet(c.data, index, &node, j, z, &pooled_left, &pooled_right,
                      pool);
-    // The tuples are PartitionWorkingSet's.
+    // The lists do not change the tuples: they are the tuples alone,
+    // partitioned.
     WorkingSet want_left, want_right;
-    PartitionWorkingSet(c.data, parent, j, z, &want_left, &want_right);
+    PartitionTuplesAlone(c, index, parent, j, z, &want_left, &want_right);
     ASSERT_EQ(left.tuples.size(), want_left.size());
     ASSERT_EQ(right.tuples.size(), want_right.size());
     for (const NodeSet* pooled : {&pooled_left, &pooled_right}) {
@@ -640,11 +659,12 @@ void SplitAndCheck(const NodeCase& c, const AttributeIndex& index,
     const int num_categories = c.data.schema().attribute(j).num_categories;
     PartitionNodeSetCategorical(c.data, &node, j, num_categories, &children,
                                 pool);
-    std::vector<WorkingSet> want;
-    PartitionWorkingSetCategorical(c.data, parent, j, num_categories, &want);
+    NodeSet alone{parent, {}};  // no lists: only the tuples are partitioned
+    std::vector<NodeSet> want;
+    PartitionNodeSetCategorical(c.data, &alone, j, num_categories, &want);
     ASSERT_EQ(children.size(), want.size());
     for (size_t v = 0; v < want.size(); ++v) {
-      ASSERT_EQ(children[v].tuples.size(), want[v].size());
+      ASSERT_EQ(children[v].tuples.size(), want[v].tuples.size());
     }
   }
   for (size_t b = 0; b < children.size(); ++b) {
@@ -665,7 +685,7 @@ TEST(ChildScanPropertyTest, FilteredListsMatchGatherBitwise) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const NodeCase c = RandomNodeCase(seed);
     const AttributeIndex index = AttributeIndex::Build(c.data);
-    NodeSet root = MakeNodeSet(c.data, index, c.set, &pool);
+    NodeSet root = GatherNodeSet(c.data, index, c.set, &pool);
     ExpectMatchesGather(c, index, root, seed);
     if (::testing::Test::HasFatalFailure()) return;
     Stream rng(seed * 0x9E3779B97F4A7C15ULL);
@@ -675,28 +695,31 @@ TEST(ChildScanPropertyTest, FilteredListsMatchGatherBitwise) {
 }
 
 // A pdf whose cumulative row rounds above its forced final 1.0 (two tail
-// masses below an ulp): cumulative = {.., .., 1.0, 1.0 + ulp, 1.0}. A
-// tuple constrained to (2.5, inf) holds no mass there, so its parent list
-// has none of its events; split at 3.5, its left window (2.5, 3.5] holds
-// the ulp at x = 3. The child must still get the gather's list. (Debug
-// builds stop earlier: ConditionalCdf checks that the tuple's window on
-// the split attribute holds mass.)
-TEST(ChildScanPropertyTest, ChildWindowWithMassTheParentLacked) {
-#ifndef NDEBUG
-  GTEST_SKIP() << "ConditionalCdf rejects a massless window in debug builds";
-#endif
-  Dataset data(Schema::Numerical(2, {"A", "B"}));
+// masses below an ulp): cumulative = {.., .., 1.0, 1.0 + ulp, 1.0}.
+SampledPdf DipPdf() {
   auto dip = SampledPdf::Create(
       {0.0, 1.0, 2.0, 3.0, 4.0},
       {0x1.9495d1c0d5311p-1, 0x1.91f1cb18ce1afp-2, 0x1.0f53f16c838fdp-1,
        0x1.79ca10c924223p-67, 0x1.79ca10c924223p-67});
-  ASSERT_TRUE(dip.ok());
-  ASSERT_GT(dip->cumulative_data()[3], dip->cumulative_data()[4]);
+  UDT_CHECK(dip.ok());
+  UDT_CHECK(dip->cumulative_data()[3] > dip->cumulative_data()[4]);
+  return *dip;
+}
+
+// A parent that breaks PartitionNodeSet's rule, built by hand: tuple 0
+// carries the dip pdf constrained to (2.5, inf), which holds no mass, so
+// the parent list has none of its events; split at 3.5, its left window
+// (2.5, 3.5] holds the ulp at x = 3. No build makes such a parent. The
+// partition aborts rather than list the child: ConditionalCdf's mass check
+// in debug builds, CutEvents' event count in release builds.
+TEST(ChildScanDeathTest, ChildWindowWithMassTheParentLacked) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Dataset data(Schema::Numerical(2, {"A", "B"}));
   for (int i = 0; i < 6; ++i) {
     UncertainTuple tuple;
     tuple.label = i % 2;
     tuple.values.push_back(UncertainValue::Numerical(
-        i == 0 ? *dip : SampledPdf::PointMass(0.5 * i)));
+        i == 0 ? DipPdf() : SampledPdf::PointMass(0.5 * i)));
     tuple.values.push_back(
         UncertainValue::Numerical(SampledPdf::PointMass(-0.25 * i)));
     ASSERT_TRUE(data.AddTuple(std::move(tuple)).ok());
@@ -704,16 +727,99 @@ TEST(ChildScanPropertyTest, ChildWindowWithMassTheParentLacked) {
   WorkingSet set = MakeRootWorkingSet(data);
   set[0].lo[0] = 2.5;
   const AttributeIndex index = AttributeIndex::Build(data);
-  NodeSet node = MakeNodeSet(data, index, set);
+  NodeSet node = GatherNodeSet(data, index, set);
   ASSERT_EQ(node.lists[0].window_size[0], 0u);
+  const auto partition = [&] {
+    NodeSet left, right;
+    PartitionNodeSet(data, index, &node, 0, 3.5, &left, &right);
+  };
+  EXPECT_DEATH(partition(), "CHECK failed.*(eval.mass > 0.0|n == total)");
+}
 
-  NodeSet left, right;
-  PartitionNodeSet(data, index, &node, 0, 3.5, &left, &right);
-  ASSERT_EQ(left.tuples.front().tuple_index, 0);
-  ASSERT_GT(left.lists[0].window_size[0], 0u);
-  const NodeCase c{std::move(data), set, 2};
-  ExpectMatchesGather(c, index, left, 1);
-  ExpectMatchesGather(c, index, right, 2);
+// Checks that every numerical window of every tuple of `node` holds mass,
+// that its lists are the gather's, and splits it (consuming its lists) on
+// a random attribute — numerical ones at the dip's tail points 3.0, 3.5
+// and 4.0 among others — recursing `depth` more levels.
+void SplitKeepsWindowMass(const NodeCase& c, const AttributeIndex& index,
+                          NodeSet node, int depth, Stream* rng,
+                          uint64_t seed) {
+  ASSERT_EQ(node.lists.size(), static_cast<size_t>(c.data.num_attributes()));
+  for (int j = 0; j < c.data.num_attributes(); ++j) {
+    if (!IsNumerical(c.data, j)) continue;
+    const AttributeEvents& list = node.lists[static_cast<size_t>(j)];
+    ASSERT_EQ(list.window_size.size(), node.tuples.size());
+    for (size_t f = 0; f < node.tuples.size(); ++f) {
+      ASSERT_GT(list.window_size[f], 0u)
+          << "attribute " << j << " tuple " << f << " depth " << depth;
+    }
+  }
+  ExpectMatchesGather(c, index, node, seed);
+  if (depth == 0 || node.tuples.empty() ||
+      ::testing::Test::HasFatalFailure()) {
+    return;
+  }
+  const int j = rng->Below(c.data.num_attributes());
+  std::vector<NodeSet> children;
+  if (IsNumerical(c.data, j)) {
+    const double tails[] = {3.0, 3.5, 4.0};
+    const double z = rng->Below(2) == 0
+                         ? tails[rng->Below(3)]
+                         : RandomSplitPoint(c, index, node, j, rng);
+    children.resize(2);
+    PartitionNodeSet(c.data, index, &node, j, z, &children[0], &children[1]);
+  } else {
+    PartitionNodeSetCategorical(c.data, &node, j, 3, &children);
+  }
+  for (size_t b = 0; b < children.size(); ++b) {
+    SCOPED_TRACE("child " + std::to_string(b));
+    SplitKeepsWindowMass(c, index, std::move(children[b]), depth - 1, rng,
+                         seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// The rule that lets a child's list on the split attribute be cut from
+// its parent's: below a real root — MakeRootNodeSet, TakeRootNodeSet or a
+// bag — every window of every listed node holds mass, through three
+// levels of numerical and categorical splits. A quarter of the pdfs are
+// the dip of ChildWindowWithMassTheParentLacked, whose tail points take
+// the numerical splits half the time.
+TEST(ChildScanPropertyTest, SplitChildrenKeepWindowMass) {
+  const SampledPdf dip = DipPdf();
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const NodeCase base = RandomNodeCase(seed);
+    Stream rng(seed ^ 0xD1BULL);
+    Dataset data(base.data.schema());
+    for (int t = 0; t < base.data.num_tuples(); ++t) {
+      UncertainTuple tuple = base.data.tuple(t);
+      for (int j = 0; j < data.num_attributes(); ++j) {
+        if (IsNumerical(data, j) && rng.Below(4) == 0) {
+          tuple.values[static_cast<size_t>(j)] =
+              UncertainValue::Numerical(dip);
+        }
+      }
+      ASSERT_TRUE(data.AddTuple(std::move(tuple)).ok());
+    }
+    const NodeCase c{std::move(data), WorkingSet(), base.num_classes};
+    const AttributeIndex shared = AttributeIndex::Build(c.data);
+    std::vector<double> weights(static_cast<size_t>(c.data.num_tuples()));
+    for (double& w : weights) w = static_cast<double>(rng.Below(4));
+    weights[0] = 3.0;
+    for (int r = 0; r < 3; ++r) {
+      SCOPED_TRACE("root " + std::to_string(r));
+      AttributeIndex owned = AttributeIndex::Build(c.data);
+      NodeSet root =
+          r == 0 ? MakeRootNodeSet(c.data, shared, MakeRootWorkingSet(c.data))
+          : r == 1
+              ? TakeRootNodeSet(c.data, &owned, MakeRootWorkingSet(c.data))
+              : MakeRootNodeSet(c.data, shared,
+                                MakeWeightedRootWorkingSet(c.data, weights));
+      SplitKeepsWindowMass(c, r == 1 ? owned : shared, std::move(root),
+                           /*depth=*/3, &rng, seed);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 // A split whose one child stops before its search (`stopped`: 0 left,
@@ -726,7 +832,7 @@ TEST(ChildScanPropertyTest, StoppedChildrenGetNoLists) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const NodeCase c = RandomNodeCase(seed);
     const AttributeIndex index = AttributeIndex::Build(c.data);
-    NodeSet node = MakeNodeSet(c.data, index, c.set);
+    NodeSet node = GatherNodeSet(c.data, index, c.set);
     std::vector<int> numerical;
     for (int a : SplittableAttributes(c, node)) {
       if (IsNumerical(c.data, a)) numerical.push_back(a);
@@ -744,7 +850,7 @@ TEST(ChildScanPropertyTest, StoppedChildrenGetNoLists) {
     PartitionNodeSet(c.data, index, &node, j, z, &left, &right,
                      seed % 2 == 0 ? &pool : nullptr, stops);
     WorkingSet want_left, want_right;
-    PartitionWorkingSet(c.data, c.set, j, z, &want_left, &want_right);
+    PartitionTuplesAlone(c, index, c.set, j, z, &want_left, &want_right);
     ASSERT_EQ(left.tuples.size(), want_left.size());
     ASSERT_EQ(right.tuples.size(), want_right.size());
     for (const AttributeEvents& list : node.lists) {
@@ -773,7 +879,7 @@ TEST(ChildScanPropertyTest, StoppedBucketsGetNoLists) {
     const int j = c.data.num_attributes() - 1;
     if (IsNumerical(c.data, j)) continue;
     const AttributeIndex index = AttributeIndex::Build(c.data);
-    NodeSet node = MakeNodeSet(c.data, index, c.set);
+    NodeSet node = GatherNodeSet(c.data, index, c.set);
     std::vector<NodeSet> buckets;
     const size_t stopped = seed % 3;
     const ChildStops stops = [&](const WorkingSet& child) {
@@ -798,11 +904,11 @@ TEST(ChildScanPropertyTest, StoppedBucketsGetNoLists) {
 // ---------------------------------------------------------------------
 // Root lists from the rank index against the gather.
 
-// Every list of `got` is, bit for bit, the list MakeNodeSet gathers and
+// Every list of `got` is, bit for bit, the list GatherNodeSet gathers and
 // sorts for the same tuples.
 void ExpectRootMatchesGather(const NodeCase& c, const AttributeIndex& index,
                              const NodeSet& got, uint64_t seed) {
-  const NodeSet want = MakeNodeSet(c.data, index, got.tuples);
+  const NodeSet want = GatherNodeSet(c.data, index, got.tuples);
   ASSERT_EQ(got.lists.size(), want.lists.size());
   for (size_t j = 0; j < want.lists.size(); ++j) {
     SCOPED_TRACE("attribute " + std::to_string(j));
@@ -943,12 +1049,10 @@ TEST(AttributeIndexTest, PoolBuildMatchesSerial) {
                 Bits(pooled.value(j, static_cast<uint32_t>(r))));
     }
     for (int t = 0; t < data.num_tuples(); ++t) {
-      for (size_t p = 0; p < serial.num_points(j, t); ++p) {
-        const double x = data.tuple(t)
-                             .values[static_cast<size_t>(j)]
-                             .pdf()
-                             .point(static_cast<int>(p));
-        EXPECT_EQ(serial.Rank(j, x), pooled.Rank(j, x));
+      const SampledPdf& pdf = data.tuple(t).values[static_cast<size_t>(j)].pdf();
+      for (int p = 0; p < pdf.num_points(); ++p) {
+        EXPECT_EQ(ReferenceRank(serial, j, pdf.point(p)),
+                  ReferenceRank(pooled, j, pdf.point(p)));
       }
     }
   }
@@ -958,14 +1062,16 @@ TEST(AttributeIndexTest, RanksAreDenseAndOrdered) {
   const Case c = RandomCase(5);
   const AttributeIndex index = AttributeIndex::Build(c.data);
   ASSERT_EQ(index.num_tuples(), c.data.num_tuples());
+  // The per-tuple point counts, among others.
+  ASSERT_TRUE(index.CheckMatches(c.data).ok());
   for (int t = 0; t < c.data.num_tuples(); ++t) {
     const SampledPdf& pdf = c.data.tuple(t).values[0].pdf();
-    ASSERT_EQ(index.num_points(0, t), static_cast<size_t>(pdf.num_points()));
     for (int p = 0; p < pdf.num_points(); ++p) {
-      EXPECT_EQ(index.value(0, index.Rank(0, pdf.point(p))), pdf.point(p));
+      EXPECT_EQ(index.value(0, ReferenceRank(index, 0, pdf.point(p))),
+                pdf.point(p));
       if (p > 0) {
-        EXPECT_LT(index.Rank(0, pdf.point(p - 1)),
-                  index.Rank(0, pdf.point(p)));
+        EXPECT_LT(ReferenceRank(index, 0, pdf.point(p - 1)),
+                  ReferenceRank(index, 0, pdf.point(p)));
       }
     }
   }
@@ -984,8 +1090,8 @@ TEST(AttributeIndexTest, SignedZerosShareOneRank) {
   }
   const AttributeIndex index = AttributeIndex::Build(data);
   EXPECT_EQ(index.num_values(0), 3);
-  EXPECT_EQ(index.Rank(0, -0.0), index.Rank(0, 0.0));
-  EXPECT_EQ(Bits(index.value(0, index.Rank(0, -0.0))), Bits(0.0));
+  EXPECT_EQ(ReferenceRank(index, 0, -0.0), ReferenceRank(index, 0, 0.0));
+  EXPECT_EQ(Bits(index.value(0, ReferenceRank(index, 0, -0.0))), Bits(0.0));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "split/attribute_scan.h"
 #include "split/intervals.h"
+#include "split_reference.h"
 
 namespace udt {
 namespace {
@@ -30,7 +31,8 @@ TEST(ScanTest, PositionsSortedUnique) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   ASSERT_EQ(scan.num_positions(), 5);
   EXPECT_DOUBLE_EQ(scan.x(0), 0.0);
   EXPECT_DOUBLE_EQ(scan.x(1), 2.0);
@@ -43,7 +45,8 @@ TEST(ScanTest, CumulativeClassMasses) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   EXPECT_NEAR(scan.CumulativeMass(0, 0), 0.5, 1e-12);   // A mass at 0
   EXPECT_NEAR(scan.CumulativeMass(1, 0), 1.0, 1e-12);   // + mass at 2
   EXPECT_NEAR(scan.CumulativeMass(2, 0), 2.0, 1e-12);   // + t1
@@ -58,7 +61,8 @@ TEST(ScanTest, LeftRightCounts) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   std::vector<double> left, right;
   scan.LeftCounts(2, &left);
   scan.RightCounts(2, &right);
@@ -72,7 +76,8 @@ TEST(ScanTest, EndpointsAreSupportBoundaries) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   // Boundaries: t0 -> {0, 2}, t1 -> {4}, t2 -> {6, 8}. All distinct.
   const std::vector<int>& eps = scan.endpoint_positions();
   ASSERT_EQ(eps.size(), 5u);
@@ -85,9 +90,11 @@ TEST(ScanTest, ConstraintsRestrictContribution) {
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
   // Constrain t0 to (0, inf): only its sample at 2 remains, renormalised
-  // to carry the tuple's full weight.
+  // to carry the tuple's full weight. No build constrains a root, so the
+  // lists come from the test reference.
   set[0].lo[0] = 0.0;
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = GatherNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   ASSERT_EQ(scan.num_positions(), 4);  // 0 is gone
   EXPECT_DOUBLE_EQ(scan.x(0), 2.0);
   EXPECT_NEAR(scan.CumulativeMass(0, 0), 1.0, 1e-12);  // full weight at 2
@@ -98,15 +105,16 @@ TEST(ScanTest, FractionalWeightsScaleMasses) {
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
   set[2].weight = 0.5;
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   EXPECT_NEAR(scan.class_totals()[1], 0.5, 1e-12);
   EXPECT_NEAR(scan.total_mass(), 2.5, 1e-12);
 }
 
 TEST(ScanTest, EmptyWorkingSet) {
   Dataset ds = ThreeTupleDataset();
-  WorkingSet empty;
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet empty = MakeRootNodeSet(ds, index, WorkingSet());
   AttributeScan scan = AttributeScan::Build(ds, index, empty, 0, 2);
   EXPECT_TRUE(scan.empty());
   EXPECT_EQ(scan.num_positions(), 0);
@@ -116,7 +124,8 @@ TEST(ScanTest, IntervalStatsPartitionTotals) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   std::vector<double> nc, kc, mc;
   scan.IntervalStats(1, 3, &nc, &kc, &mc);  // interval (2, 6]
   for (int c = 0; c < 2; ++c) {
@@ -140,7 +149,8 @@ TEST(IntervalTest, ClassifyHomogeneousAndHeterogeneous) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   // (0, 2]: only class A mass -> homogeneous.
   EXPECT_EQ(ClassifyInterval(scan, 0, 1), IntervalKind::kHomogeneous);
   // (2, 6]: A mass at 4, B mass at 6 -> heterogeneous.
@@ -153,7 +163,8 @@ TEST(IntervalTest, SegmentationCoversAxis) {
   Dataset ds = ThreeTupleDataset();
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   std::vector<EndpointInterval> intervals =
       SegmentIntoIntervals(scan, scan.endpoint_positions());
   ASSERT_EQ(intervals.size(), 4u);
@@ -175,7 +186,8 @@ TEST(IntervalTest, PointDataHasNoInteriorCandidates) {
   }
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   std::vector<EndpointInterval> intervals =
       SegmentIntoIntervals(scan, scan.endpoint_positions());
   for (const EndpointInterval& interval : intervals) {

@@ -72,16 +72,17 @@ TEST_P(SplitEquivalenceTest, PrunedFinderMatchesExhaustiveChoice) {
   Dataset ds = GenericDataset(24, 4, 3, 12, param.seed + 9000);
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(param.measure, ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   options.measure = param.measure;
 
   SplitCandidate exhaustive =
       MakeSplitFinder(SplitAlgorithm::kUdt)
-          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, node, scorer, options, nullptr);
   SplitCandidate pruned =
       MakeSplitFinder(param.algorithm)
-          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, node, scorer, options, nullptr);
 
   ASSERT_EQ(exhaustive.valid, pruned.valid);
   if (exhaustive.valid) {
@@ -98,6 +99,7 @@ TEST_P(SplitEquivalenceTest, ParallelScanMatchesSerial) {
   Dataset ds = GenericDataset(20, 4, 3, 10, param.seed + 12000);
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(param.measure, ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   options.measure = param.measure;
@@ -105,12 +107,12 @@ TEST_P(SplitEquivalenceTest, ParallelScanMatchesSerial) {
   std::unique_ptr<SplitFinder> finder = MakeSplitFinder(param.algorithm);
   SplitCounters serial_counters;
   SplitCandidate serial =
-      finder->FindBestSplit(ds, index, set, scorer, options, &serial_counters);
+      finder->FindBestSplit(ds, index, node, scorer, options, &serial_counters);
 
   TaskPool pool(3);
   SplitCounters pooled_counters;
   SplitCandidate pooled = finder->FindBestSplit(
-      ds, index, set, scorer, options, &pooled_counters, &pool);
+      ds, index, node, scorer, options, &pooled_counters, &pool);
 
   ASSERT_EQ(pooled.valid, serial.valid);
   if (serial.valid) {
@@ -133,17 +135,18 @@ TEST_P(SplitEquivalenceTest, PrunedFinderMatchesExhaustiveScore) {
   Dataset ds = GenericDataset(18, 3, 3, 10, param.seed);
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(param.measure, ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   options.measure = param.measure;
 
   SplitCandidate exhaustive =
       MakeSplitFinder(SplitAlgorithm::kUdt)
-          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, node, scorer, options, nullptr);
   SplitCounters counters;
   SplitCandidate pruned =
       MakeSplitFinder(param.algorithm)
-          ->FindBestSplit(ds, index, set, scorer, options, &counters);
+          ->FindBestSplit(ds, index, node, scorer, options, &counters);
 
   ASSERT_EQ(exhaustive.valid, pruned.valid);
   if (exhaustive.valid) {
@@ -225,15 +228,16 @@ TEST_P(ResolutionEquivalenceTest, MatchesExhaustiveAcrossResolutions) {
   }
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(DispersionMeasure::kEntropy,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   SplitCandidate exhaustive =
       MakeSplitFinder(SplitAlgorithm::kUdt)
-          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, node, scorer, options, nullptr);
   SplitCandidate pruned =
       MakeSplitFinder(param.algorithm)
-          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, node, scorer, options, nullptr);
   ASSERT_EQ(exhaustive.valid, pruned.valid);
   if (exhaustive.valid) {
     EXPECT_NEAR(pruned.score, exhaustive.score, 1e-9);
@@ -284,19 +288,20 @@ TEST(SplitEquivalencePointTest, AllFindersAgreeOnPointData) {
   }
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(DispersionMeasure::kEntropy,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
 
   SplitCandidate reference =
       MakeSplitFinder(SplitAlgorithm::kAvg)
-          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, node, scorer, options, nullptr);
   ASSERT_TRUE(reference.valid);
   for (SplitAlgorithm algorithm :
        {SplitAlgorithm::kUdt, SplitAlgorithm::kUdtBp, SplitAlgorithm::kUdtLp,
         SplitAlgorithm::kUdtGp, SplitAlgorithm::kUdtEs}) {
     SplitCandidate best = MakeSplitFinder(algorithm)->FindBestSplit(
-        ds, index, set, scorer, options, nullptr);
+        ds, index, node, scorer, options, nullptr);
     ASSERT_TRUE(best.valid);
     EXPECT_NEAR(best.score, reference.score, 1e-9);
     EXPECT_EQ(best.attribute, reference.attribute);

@@ -29,11 +29,12 @@ SplitCandidate RunFinder(SplitAlgorithm algorithm, const Dataset& ds,
                          DispersionMeasure measure, SplitCounters* counters) {
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(measure, ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   options.measure = measure;
   return MakeSplitFinder(algorithm)
-      ->FindBestSplit(ds, index, set, scorer, options, counters);
+      ->FindBestSplit(ds, index, node, scorer, options, counters);
 }
 
 TEST(SplitFinderTest, AlgorithmNames) {
@@ -195,7 +196,8 @@ TEST(PercentileEndpointTest, PositionsSortedAndBounded) {
   }
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   std::vector<int> eps = ComputePercentileEndpoints(scan, 9);
   ASSERT_GE(eps.size(), 2u);
   EXPECT_EQ(eps.front(), 0);
@@ -214,7 +216,8 @@ TEST(PercentileEndpointTest, CrossingsHitTargets) {
   ASSERT_TRUE(ds.AddTuple(t).ok());
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   std::vector<int> eps = ComputePercentileEndpoints(scan, 9);
   // 9 deciles + first + last = 11 positions.
   ASSERT_EQ(eps.size(), 11u);
@@ -236,18 +239,19 @@ TEST(PercentileEndpointTest, FindersAgreeInPercentileMode) {
   }
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(DispersionMeasure::kEntropy,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
 
   SplitCandidate exhaustive =
       MakeSplitFinder(SplitAlgorithm::kUdt)
-          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, node, scorer, options, nullptr);
   options.use_percentile_endpoints = true;
   for (SplitAlgorithm algorithm :
        {SplitAlgorithm::kUdtGp, SplitAlgorithm::kUdtEs}) {
     SplitCandidate best = MakeSplitFinder(algorithm)->FindBestSplit(
-        ds, index, set, scorer, options, nullptr);
+        ds, index, node, scorer, options, nullptr);
     ASSERT_TRUE(best.valid);
     EXPECT_NEAR(best.score, exhaustive.score, 1e-9)
         << SplitAlgorithmToString(algorithm);

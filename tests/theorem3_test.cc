@@ -23,7 +23,8 @@ TEST(LinearGrowthTest, SingleUniformPdfIsLinear) {
   ASSERT_TRUE(ds.AddTuple(t).ok());
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   EXPECT_TRUE(IntervalHasLinearGrowth(scan, 0, scan.num_positions() - 1));
   EXPECT_TRUE(IntervalHasLinearGrowth(scan, 3, 17));
 }
@@ -36,7 +37,8 @@ TEST(LinearGrowthTest, GaussianPdfIsNotLinear) {
   ASSERT_TRUE(ds.AddTuple(t).ok());
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   EXPECT_FALSE(IntervalHasLinearGrowth(scan, 0, scan.num_positions() - 1));
 }
 
@@ -53,7 +55,8 @@ TEST(LinearGrowthTest, MisalignedUniformGridsAreNotLinear) {
   ASSERT_TRUE(ds.AddTuple(tb).ok());
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   // The overlapping middle region mixes both staircases.
   EXPECT_FALSE(
       IntervalHasLinearGrowth(scan, scan.num_positions() / 3,
@@ -74,7 +77,8 @@ TEST(LinearGrowthTest, AlignedGridsOfTwoClassesAreLinear) {
   ASSERT_TRUE(ds.AddTuple(tb).ok());
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
-  AttributeScan scan = AttributeScan::Build(ds, index, set, 0, 2);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
+  AttributeScan scan = AttributeScan::Build(ds, index, node, 0, 2);
   ASSERT_EQ(ClassifyInterval(scan, 0, scan.num_positions() - 1),
             IntervalKind::kHeterogeneous);
   EXPECT_TRUE(IntervalHasLinearGrowth(scan, 0, scan.num_positions() - 1));
@@ -102,17 +106,18 @@ TEST(Theorem3PruningTest, BpPrunesLinearIntervalsSafely) {
 
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(DispersionMeasure::kEntropy,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
 
   SplitCounters bp_counters;
   SplitCandidate bp = MakeSplitFinder(SplitAlgorithm::kUdtBp)
-                          ->FindBestSplit(ds, index, set, scorer, options,
+                          ->FindBestSplit(ds, index, node, scorer, options,
                                           &bp_counters);
   SplitCandidate udt =
       MakeSplitFinder(SplitAlgorithm::kUdt)
-          ->FindBestSplit(ds, index, set, scorer, options, nullptr);
+          ->FindBestSplit(ds, index, node, scorer, options, nullptr);
   ASSERT_TRUE(bp.valid && udt.valid);
   EXPECT_NEAR(bp.score, udt.score, 1e-9);
   // The aligned 0-8/4-12 grids make the 0-4 and 8-12 regions homogeneous
@@ -134,13 +139,14 @@ TEST(Theorem3PruningTest, GainRatioDoesNotUseLinearPruning) {
 
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(DispersionMeasure::kGainRatio,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitOptions options;
   options.measure = DispersionMeasure::kGainRatio;
   SplitCounters counters;
   MakeSplitFinder(SplitAlgorithm::kUdtBp)
-      ->FindBestSplit(ds, index, set, scorer, options, &counters);
+      ->FindBestSplit(ds, index, node, scorer, options, &counters);
   EXPECT_EQ(counters.intervals_pruned_linear, 0);
 }
 
@@ -157,11 +163,12 @@ TEST(Theorem3PruningTest, UniformAlignedDataNeedsOnlyEndpointEvals) {
   }
   WorkingSet set = MakeRootWorkingSet(ds);
   const AttributeIndex index = AttributeIndex::Build(ds);
+  const NodeSet node = MakeRootNodeSet(ds, index, set);
   SplitScorer scorer(DispersionMeasure::kEntropy,
                      ClassCounts(ds, set, ds.num_classes()));
   SplitCounters counters;
   MakeSplitFinder(SplitAlgorithm::kUdtBp)
-      ->FindBestSplit(ds, index, set, scorer, SplitOptions{}, &counters);
+      ->FindBestSplit(ds, index, node, scorer, SplitOptions{}, &counters);
   // Shared support: only two end points (first and last grid position) and
   // one linear interval between them -> at most 2 evaluations.
   EXPECT_LE(counters.dispersion_evaluations, 2);

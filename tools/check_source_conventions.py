@@ -66,6 +66,14 @@ unrepresentable:
                    not a link error waiting for the first caller. Skipped
                    when the root has no CMakeLists.txt.
 
+  test-reference   A quoted #include of a header under tests/ from src/,
+                   bench/ or examples/: a path with a tests/ component,
+                   or one naming a tests/ header by its path there. The
+                   test references (tests/split_reference.h's gather) are
+                   the slow, obvious constructions the build is compared
+                   against; included from production code they would
+                   become a second way to make what the build makes.
+
 Per-line opt-outs, always with a reason after the colon:
 
   // lint-ok(naked-mutex): <reason>     (same line or the line above)
@@ -126,6 +134,9 @@ SCANF_PARSE_RE = re.compile(
 COMMENT_RE = re.compile(r"//.*$")
 LINK_RE = re.compile(r"target_link_libraries\(\s*udt_(\w+)([^)]*)\)")
 LAYER_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(\w+)/')
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+# Code that ships or measures the build, which must not reach test code.
+NON_TEST_DIRS = ("src", "bench", "examples")
 
 
 def is_comment_or_string(line, match_start):
@@ -185,7 +196,15 @@ def layer_reach(root):
     return reach
 
 
-def check_file(relpath, lines, layers=None):
+def includes_test_header(path, test_headers):
+    """True if quoted include `path` names a header under tests/: through a
+    tests/ component, or as its path relative to tests/."""
+    if re.search(r"(^|/)tests/", path):
+        return True
+    return re.sub(r"^(\./|\.\./)+", "", path) in test_headers
+
+
+def check_file(relpath, lines, layers=None, test_headers=frozenset()):
     violations = []
     exempt = EXEMPT_PATHS.get(relpath, set())
 
@@ -204,6 +223,7 @@ def check_file(relpath, lines, layers=None):
     parts = relpath.split("/")
     layer = parts[1] if in_src and len(parts) > 2 else None
     reachable = (layers or {}).get(layer)
+    in_non_test = relpath.split("/")[0] in NON_TEST_DIRS
     for i, line in enumerate(lines):
         m = NAKED_MUTEX_RE.search(line)
         if m and not is_comment_or_string(line, m.start()):
@@ -278,6 +298,15 @@ def check_file(relpath, lines, layers=None):
                 f" not link udt_{m.group(1)} (directly or transitively) in"
                 " CMakeLists.txt")
 
+        m = QUOTED_INCLUDE_RE.match(line)
+        if (in_non_test and m
+                and includes_test_header(m.group(1), test_headers)):
+            report(
+                "test-reference", i,
+                f"{relpath.split('/')[0]}/ includes the test header"
+                f" {m.group(1)} — test references stay in tests/; the"
+                " build makes its lists one way")
+
     if relpath.endswith(".h"):
         guard = expected_guard(relpath)
         text = "\n".join(lines)
@@ -294,9 +323,22 @@ def check_file(relpath, lines, layers=None):
     return violations
 
 
+def test_header_paths(root):
+    """Paths, relative to tests/, of every header under tests/."""
+    base = os.path.join(root, "tests")
+    headers = set()
+    for dirpath, _, files in os.walk(base):
+        for name in files:
+            if name.endswith(".h"):
+                headers.add(os.path.relpath(os.path.join(dirpath, name),
+                                            base).replace(os.sep, "/"))
+    return frozenset(headers)
+
+
 def lint_tree(root):
     violations = []
     layers = layer_reach(root)
+    test_headers = test_header_paths(root)
     for top in LINTED_DIRS:
         base = os.path.join(root, top)
         if not os.path.isdir(base):
@@ -309,7 +351,8 @@ def lint_tree(root):
                 relpath = os.path.relpath(path, root).replace(os.sep, "/")
                 with open(path, encoding="utf-8") as f:
                     lines = f.read().splitlines()
-                violations.extend(check_file(relpath, lines, layers))
+                violations.extend(
+                    check_file(relpath, lines, layers, test_headers))
     return violations
 
 
@@ -375,6 +418,21 @@ SELF_TEST_CASES = [
     ("src/api/linked.cc",
      '#include "api/model.h"\n#include "core/builder.h"\n'
      '#include "common/status.h"\n',
+     set()),
+    # The test reference: a bench including it, by name or by path, is a
+    # second production path; a test including it is what it is for.
+    ("tests/split_reference.h",
+     "#ifndef UDT_TESTS_SPLIT_REFERENCE_H_\n"
+     "#define UDT_TESTS_SPLIT_REFERENCE_H_\n#endif\n",
+     set()),
+    ("bench/bench_reference.cc",
+     '#include "split/fractional_tuple.h"\n#include "split_reference.h"\n',
+     {"test-reference"}),
+    ("examples/reference_path.cc",
+     '#include "../tests/split_reference.h"\n',
+     {"test-reference"}),
+    ("tests/reference_user_test.cc",
+     '#include "split/fractional_tuple.h"\n#include "split_reference.h"\n',
      set()),
 ]
 
