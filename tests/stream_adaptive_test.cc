@@ -9,7 +9,8 @@
 //   * converge to held-out accuracy within 2% of a forest trained
 //     offline on the post-shift distribution.
 // A concurrent-clients test drives submissions from multiple threads
-// while feedback retrains — the TSan job runs this suite.
+// while feedback retrains — the TSan job runs this suite. Both retrain
+// cases also require that the admission queue sheds nothing across a swap.
 
 #include <gtest/gtest.h>
 
@@ -98,6 +99,27 @@ AdaptiveServerOptions LoopOptions() {
   options.retrain.holdout_fraction = 0.25;
   options.retrain.max_regression = 0.02;
   return options;
+}
+
+// Post-hoc oracle: every version ever published is still resolvable, so
+// each response can be checked against the pure artifact of the version it
+// reports. Maps each version to its classification of `pool`.
+std::map<uint64_t, FlatBatchResult> ReferencesByVersion(
+    const AdaptiveServer& server, const Dataset& pool) {
+  std::map<uint64_t, FlatBatchResult> references;
+  for (uint64_t v : server.registry().Versions(server.model_name())) {
+    serve::ModelHandle handle =
+        server.registry().Resolve(server.model_name(), v);
+    UDT_CHECK(handle != nullptr);
+    serve::ServeSession session(handle->servable);
+    UDT_CHECK(session
+                  .PredictBatchInto(
+                      std::span<const UncertainTuple>(pool.tuples().data(),
+                                                      pool.tuples().size()),
+                      PredictOptions{}, &references[v])
+                  .ok());
+  }
+  return references;
 }
 
 TEST(AdaptiveServerTest, DriftInjectionDetectsRetrainsAndHotSwaps) {
@@ -312,23 +334,10 @@ TEST(AdaptiveServerTest, ConcurrentClientsSeeNoTornOrDroppedResponses) {
   EXPECT_GE(published, 1);
   EXPECT_EQ(failed.load(), 0u);
 
-  // Post-hoc oracle: every version ever published is still resolvable, so
-  // each recorded response can be checked against the pure artifact of
-  // the version it reports.
-  std::map<uint64_t, FlatBatchResult> references;
-  for (uint64_t v : server.registry().Versions(server.model_name())) {
-    serve::ModelHandle handle =
-        server.registry().Resolve(server.model_name(), v);
-    ASSERT_NE(handle, nullptr);
-    serve::ServeSession session(handle->servable);
-    ASSERT_TRUE(session
-                    .PredictBatchInto(std::span<const UncertainTuple>(
-                                          pool.tuples().data(),
-                                          pool.tuples().size()),
-                                      PredictOptions{},
-                                      &references[v])
-                    .ok());
-  }
+  EXPECT_EQ(server.queue().stats().rejected, 0u);
+
+  const std::map<uint64_t, FlatBatchResult> references =
+      ReferencesByVersion(server, pool);
   for (const auto& per_client : recorded) {
     for (const Recorded& r : per_client) {
       auto it = references.find(r.version);
@@ -341,6 +350,56 @@ TEST(AdaptiveServerTest, ConcurrentClientsSeeNoTornOrDroppedResponses) {
                 0)
           << "torn response: tuple " << r.tuple << " version " << r.version;
     }
+  }
+}
+
+// A retrain on the submitting thread sheds nothing: 32 submits stay in
+// flight while ForceRetrain trains, publishes and swaps, and every one of
+// them is served, OK, by the version it reports.
+TEST(AdaptiveServerTest, SubmitsInFlightAcrossForcedRetrainAreAllServed) {
+  AdaptiveServerOptions options = LoopOptions();
+  // The forced retrain must publish, so no holdout gate.
+  options.retrain.max_regression = 1.0;
+  auto server_or = AdaptiveServer::Create(
+      MakeStream(120, 600, /*flipped=*/false), StreamTrainer(), options);
+  ASSERT_TRUE(server_or.ok());
+  AdaptiveServer& server = *server_or.value();
+
+  // Labeled feedback fills the retrain window.
+  const Dataset labeled = MakeStream(64, 601, /*flipped=*/false);
+  for (const UncertainTuple& tuple : labeled.tuples()) {
+    serve::ServeResult result = server.Submit(&tuple).get();
+    ASSERT_TRUE(result.status.ok());
+    ASSERT_TRUE(server.Feedback(tuple, tuple.label, result).ok());
+  }
+
+  const Dataset pool = MakeStream(32, 602, /*flipped=*/false);
+  std::vector<std::future<serve::ServeResult>> in_flight;
+  for (const UncertainTuple& tuple : pool.tuples()) {
+    in_flight.push_back(server.Submit(&tuple));
+  }
+  auto report = server.ForceRetrain("in-flight");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->published);
+
+  std::vector<serve::ServeResult> results;
+  for (auto& future : in_flight) results.push_back(future.get());
+  EXPECT_EQ(server.queue().stats().rejected, 0u);
+
+  const std::map<uint64_t, FlatBatchResult> references =
+      ReferencesByVersion(server, pool);
+  for (size_t i = 0; i < results.size(); ++i) {
+    const serve::ServeResult& r = results[i];
+    ASSERT_TRUE(r.status.ok()) << "tuple " << i << ": " << r.status.ToString();
+    auto it = references.find(r.model_version);
+    ASSERT_NE(it, references.end()) << "unknown version " << r.model_version;
+    const size_t k = static_cast<size_t>(it->second.num_classes);
+    ASSERT_EQ(r.distribution.size(), k);
+    EXPECT_EQ(std::memcmp(r.distribution.data(),
+                          it->second.distribution(i).data(),
+                          k * sizeof(double)),
+              0)
+        << "torn response: tuple " << i << " version " << r.model_version;
   }
 }
 
