@@ -1,7 +1,7 @@
-// Shared helpers for the bench harnesses (scale selection and banner
-// printing). Every harness runs at a reduced default scale so the full
-// bench sweep finishes in minutes; pass --full for paper-scale data sets
-// (Table 2 tuple counts, s = 100).
+// Shared helpers for the bench harnesses: the command line, scale
+// selection, banner printing and JSON rows. Every harness runs at a
+// reduced default scale so the full bench sweep finishes in minutes; pass
+// --full for paper-scale data sets (Table 2 tuple counts, s = 100).
 //
 // Resource note for --full: the widest data sets (Satellite, PenDigits)
 // put ~10^6 sample positions on each attribute axis; the global finders
@@ -13,15 +13,96 @@
 #define UDT_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "datagen/uci_like.h"
-#include "eval/experiment.h"
+#include "pdf/pdf_builder.h"
+#include "table/dataset.h"
 
 namespace udt {
+
+// Standard bench command line: every harness accepts
+//   --full          paper-scale rows (default: scaled down)
+//   --scale=F       explicit scale factor in (0,1]
+//   --s=N           samples per pdf
+//   --folds=N       cross-validation folds
+//   --threads=N     training threads for the parallel columns (default 4;
+//                   0 = one per hardware thread); honored by the
+//                   harnesses that report thread scaling (fig6)
+//   --json=PATH     where the machine-readable result rows go (default
+//                   BENCH_<harness>.json; empty string disables);
+//                   honored by the harnesses that emit JSON rows
+// Unknown flags abort with a usage message.
+struct BenchOptions {
+  bool full = false;
+  double scale = 0.0;  // 0 = use the bench's default
+  int samples_per_pdf = 0;
+  int folds = 0;
+  int num_threads = 4;
+  bool json_path_set = false;
+  std::string json_path;
+};
+
+inline BenchOptions ParseBenchOptions(int argc, char** argv) {
+  BenchOptions options;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--full") == 0) {
+      options.full = true;
+    } else if (std::strncmp(arg, "--scale=", 8) == 0) {
+      std::optional<double> v = ParseDouble(arg + 8);
+      if (!v.has_value() || *v <= 0.0 || *v > 1.0) {
+        std::fprintf(stderr, "bad --scale value: %s\n", arg + 8);
+        std::exit(2);
+      }
+      options.scale = *v;
+    } else if (std::strncmp(arg, "--s=", 4) == 0) {
+      std::optional<int> v = ParseInt(arg + 4);
+      if (!v.has_value() || *v < 1) {
+        std::fprintf(stderr, "bad --s value: %s\n", arg + 4);
+        std::exit(2);
+      }
+      options.samples_per_pdf = *v;
+    } else if (std::strncmp(arg, "--folds=", 8) == 0) {
+      std::optional<int> v = ParseInt(arg + 8);
+      if (!v.has_value() || *v < 2) {
+        std::fprintf(stderr, "bad --folds value: %s\n", arg + 8);
+        std::exit(2);
+      }
+      options.folds = *v;
+    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+      std::optional<int> v = ParseInt(arg + 10);
+      if (!v.has_value() || *v < 0) {
+        std::fprintf(stderr, "bad --threads value: %s\n", arg + 10);
+        std::exit(2);
+      }
+      options.num_threads = *v;
+    } else if (std::strncmp(arg, "--json=", 7) == 0) {
+      options.json_path_set = true;
+      options.json_path = arg + 7;
+    } else {
+      std::fprintf(stderr,
+                   "unknown flag: %s\n"
+                   "usage: %s [--full] [--scale=F] [--s=N] [--folds=N] "
+                   "[--threads=N] [--json=PATH]\n"
+                   "(--threads/--json are honored by the harnesses that "
+                   "report thread scaling or JSON rows)\n",
+                   arg, argv[0]);
+      std::exit(2);
+    }
+  }
+  return options;
+}
+
 namespace bench {
 
 // Caps a data set at `max_tuples` unless --full / --scale override.
@@ -41,6 +122,29 @@ inline int SamplesFor(const BenchOptions& options, int default_s) {
 inline int FoldsFor(const BenchOptions& options, int default_folds) {
   if (options.folds > 0) return options.folds;
   return options.full ? 10 : default_folds;
+}
+
+// The serving benches' numeric data set: `classes` classes round-robin,
+// each attribute a Gaussian error pdf (s samples, width 0.5-1.5) around a
+// class-dependent centre.
+inline Dataset NumericDataset(int tuples, int attributes, int classes, int s,
+                              uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
+  Dataset ds(Schema::Numerical(attributes, names));
+  for (int i = 0; i < tuples; ++i) {
+    UncertainTuple t;
+    t.label = i % classes;
+    for (int j = 0; j < attributes; ++j) {
+      double center = rng.Gaussian(static_cast<double>(t.label) * 1.2, 1.0);
+      auto pdf = MakeGaussianErrorPdf(center, rng.Uniform(0.5, 1.5), s);
+      UDT_CHECK(pdf.ok());
+      t.values.push_back(UncertainValue::Numerical(std::move(*pdf)));
+    }
+    UDT_CHECK(ds.AddTuple(std::move(t)).ok());
+  }
+  return ds;
 }
 
 inline void PrintBanner(const char* title, const char* paper_ref,

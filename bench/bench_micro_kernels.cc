@@ -9,12 +9,15 @@
 // Machine-readable output: unless --benchmark_out is given, results are
 // also written as google-benchmark JSON to BENCH_micro_kernels.json so
 // kernel timings can be tracked as a trajectory across commits. The
-// flat-traversal sweep additionally writes bench_common JsonRows to
-// BENCH_micro_batch_kernels.json (--json=PATH overrides, --json=
-// disables) with best-of and median ns/tuple per pool, model kind and
-// batch size; tools/check_bench_schema.py diffs it against the committed
-// sidecar in CI. While timing, the sweep re-checks that every kernel pass
-// is byte-identical to the pointer tree on every tuple.
+// flat-traversal sweep writes bench_common JsonRows with best-of and
+// median ns/tuple per pool, model kind and batch size; it runs only when
+// --json=PATH is given (--json= runs it without writing) or the
+// --benchmark_filter selects BM_FlatTraversal, and then writes to PATH or
+// to BENCH_micro_batch_kernels.json. A filtered run of other rows thus
+// leaves the committed sidecar alone. tools/check_bench_schema.py diffs
+// the sweep's rows against that sidecar in CI. While timing, the sweep
+// re-checks that every kernel pass is byte-identical to the pointer tree
+// on every tuple.
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
@@ -26,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <optional>
+#include <regex>
 #include <span>
 #include <string>
 #include <vector>
@@ -545,8 +549,36 @@ void BM_FlatTraversal(benchmark::State& state) {
         benchmark::Counter(total_seconds * 1e9 / tuples);
   }
 }
-BENCHMARK(BM_FlatTraversal)
-    ->ArgsProduct({{0, 1}, {0, 1, 7, 64, 256}});
+// BM_FlatTraversal's {pool, batch} grid.
+const std::vector<std::vector<int64_t>> kFlatTraversalArgs = {
+    {0, 1}, {0, 1, 7, 64, 256}};
+BENCHMARK(BM_FlatTraversal)->ArgsProduct(kFlatTraversalArgs);
+
+// Whether --benchmark_filter selects any BM_FlatTraversal row, under
+// google-benchmark's rules: empty and "all" select every row, a leading
+// '-' negates, and the rest is a POSIX extended regex searched in each
+// row name. A filter that is no valid regex selects nothing here;
+// google-benchmark reports it itself.
+bool FilterSelectsFlatTraversal(std::string filter) {
+  if (filter.empty() || filter == "all") return true;
+  const bool negated = filter[0] == '-';
+  if (negated) filter.erase(0, 1);
+  std::regex pattern;
+  try {
+    pattern = std::regex(filter, std::regex::extended);
+  } catch (const std::regex_error&) {
+    return false;
+  }
+  for (int64_t pool : kFlatTraversalArgs[0]) {
+    for (int64_t batch : kFlatTraversalArgs[1]) {
+      const std::string name =
+          StrFormat("BM_FlatTraversal/%lld/%lld", static_cast<long long>(pool),
+                    static_cast<long long>(batch));
+      if (std::regex_search(name, pattern) != negated) return true;
+    }
+  }
+  return false;
+}
 
 // The sidecar sweep behind BENCH_micro_batch_kernels.json: per pool and
 // model kind, classify the pool through the kind's one flat kernel and
@@ -554,7 +586,7 @@ BENCHMARK(BM_FlatTraversal)
 // best-of and median ns/tuple over the repetitions. UDT rows cover
 // batches 1 / 7 / 64 / 256; the AVG means walk is per tuple. Runs outside
 // google-benchmark so the row set is fixed (the schema checker keys on
-// it) regardless of --benchmark_filter.
+// it) whichever BM_FlatTraversal rows --benchmark_filter selects.
 void RunBatchKernelSweep(bench::JsonRows* sink) {
   constexpr int kRepetitions = 21;
   constexpr size_t kUdtBatches[] = {1, 7, 64, 256};
@@ -645,11 +677,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The traversal sweep runs first so its sidecar row set does not
-  // depend on which BM_ benchmarks a filter selects.
-  udt::bench::JsonRows sweep_sink("micro_batch_kernels", sweep_options);
-  udt::RunBatchKernelSweep(&sweep_sink);
-  sweep_sink.Flush();
+  // The traversal sweep runs first, and whole, so its sidecar row set
+  // does not depend on which BM_FlatTraversal rows a filter selects.
+  if (sweep_options.json_path_set ||
+      udt::FilterSelectsFlatTraversal(benchmark::GetBenchmarkFilter())) {
+    udt::bench::JsonRows sweep_sink("micro_batch_kernels", sweep_options);
+    udt::RunBatchKernelSweep(&sweep_sink);
+    sweep_sink.Flush();
+  }
 
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -3,9 +3,9 @@
 // Motivation (ROADMAP north star): the executor work made one session
 // fast; the serving front end (src/serve/) is what sits between "millions
 // of users" and that session. This harness measures the cost/benefit of
-// its admission layer with a closed-loop multi-client driver
-// (serve/serve_harness.h): each client issues single-tuple requests back
-// to back, cycling a serve pool, through
+// its admission layer with a closed-loop multi-client driver: each client
+// issues single-tuple requests back to back (the next leaves when the
+// previous response arrives), cycling a serve pool, through
 //   * direct: one private ServeSession per client — the no-front-end
 //             baseline (no queuing delay, but per-client sessions and no
 //             hot swap),
@@ -27,42 +27,156 @@
 // Run: build/bench/bench_serve_frontend [--full] [--scale=F] [--s=N]
 //      [--json=PATH]
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/trainer.h"
 #include "bench_common.h"
-#include "common/random.h"
-#include "common/string_util.h"
-#include "pdf/pdf_builder.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
+#include "common/timer.h"
 #include "serve/batching_queue.h"
 #include "serve/model_registry.h"
-#include "serve/serve_harness.h"
 #include "serve/servable.h"
 
 namespace udt {
 namespace {
 
-Dataset NumericDataset(int tuples, int attributes, int classes, int s,
-                       uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
-  Dataset ds(Schema::Numerical(attributes, names));
-  for (int i = 0; i < tuples; ++i) {
-    UncertainTuple t;
-    t.label = i % classes;
-    for (int j = 0; j < attributes; ++j) {
-      double center = rng.Gaussian(static_cast<double>(t.label) * 1.2, 1.0);
-      auto pdf = MakeGaussianErrorPdf(center, rng.Uniform(0.5, 1.5), s);
-      UDT_CHECK(pdf.ok());
-      t.values.push_back(UncertainValue::Numerical(std::move(*pdf)));
+// Sustained QPS (served requests over the slowest client's wall time) and
+// nearest-rank latency percentiles of one closed-loop run.
+struct LatencyStats {
+  size_t requests = 0;  // served requests (latency samples)
+  size_t failed = 0;    // non-OK responses (shed/rejected), queue mode only
+  double wall_seconds = 0.0;
+  double qps = 0.0;
+  double p50_us = 0.0;
+  double p95_us = 0.0;
+  double p99_us = 0.0;
+};
+
+// Opens once; client threads block on Wait until every client is spawned,
+// so all clients start the clock together.
+class StartGate {
+ public:
+  void Open() {
+    {
+      MutexLock lock(&mu_);
+      open_ = true;
     }
-    UDT_CHECK(ds.AddTuple(std::move(t)).ok());
+    cv_.NotifyAll();
   }
-  return ds;
+  void Wait() {
+    MutexLock lock(&mu_);
+    while (!open_) cv_.Wait(lock);
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool open_ UDT_GUARDED_BY(mu_) = false;
+};
+
+// Nearest-rank percentile over a sorted, non-empty sample set.
+double PercentileSorted(const std::vector<double>& sorted, double pct) {
+  const double rank = pct / 100.0 * static_cast<double>(sorted.size());
+  size_t index = static_cast<size_t>(std::ceil(rank));
+  index = std::min(std::max<size_t>(index, 1), sorted.size());
+  return sorted[index - 1];
+}
+
+// Spawns `clients` threads, opens the gate, joins them and merges their
+// latencies. `run_client(c, latencies)` issues client c's requests and
+// appends one latency (us) per served request.
+template <typename RunClient>
+LatencyStats DriveClients(int clients, size_t requests_per_client,
+                          RunClient run_client) {
+  const size_t n = static_cast<size_t>(clients);
+  std::vector<std::vector<double>> latencies(n);
+  std::vector<double> client_seconds(n, 0.0);
+  StartGate gate;
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < n; ++c) {
+    latencies[c].reserve(requests_per_client);
+    threads.emplace_back([&, c] {
+      gate.Wait();
+      WallTimer timer;
+      run_client(c, &latencies[c]);
+      client_seconds[c] = timer.ElapsedSeconds();
+    });
+  }
+  gate.Open();
+  for (std::thread& thread : threads) thread.join();
+
+  std::vector<double> merged;
+  for (const std::vector<double>& sample : latencies) {
+    merged.insert(merged.end(), sample.begin(), sample.end());
+  }
+  LatencyStats stats;
+  stats.requests = merged.size();
+  stats.wall_seconds =
+      *std::max_element(client_seconds.begin(), client_seconds.end());
+  stats.qps = static_cast<double>(stats.requests) /
+              std::max(stats.wall_seconds, 1e-12);
+  if (merged.empty()) return stats;
+  std::sort(merged.begin(), merged.end());
+  stats.p50_us = PercentileSorted(merged, 50.0);
+  stats.p95_us = PercentileSorted(merged, 95.0);
+  stats.p99_us = PercentileSorted(merged, 99.0);
+  return stats;
+}
+
+// Direct mode: every client owns a ServeSession and classifies inline.
+LatencyStats RunDirectClients(const serve::Servable& servable,
+                              std::span<const UncertainTuple> pool,
+                              int clients, size_t requests_per_client) {
+  auto run_client = [&](size_t c, std::vector<double>* out) {
+    serve::ServeSession session(servable);
+    std::vector<double> row(static_cast<size_t>(session.num_classes()));
+    for (size_t j = 0; j < requests_per_client; ++j) {
+      const UncertainTuple& tuple =
+          pool[(c + j * static_cast<size_t>(clients)) % pool.size()];
+      WallTimer timer;
+      session.ClassifyInto(tuple, row.data());
+      out->push_back(timer.ElapsedSeconds() * 1e6);
+    }
+  };
+  return DriveClients(clients, requests_per_client, run_client);
+}
+
+// Queue mode: every client submits to one shared queue and blocks on its
+// future. A shed or rejected response returns in microseconds and would
+// drag every percentile down, so it counts in `failed` instead of the
+// latency samples.
+LatencyStats RunQueueClients(serve::BatchingQueue* queue,
+                             std::span<const UncertainTuple> pool,
+                             int clients, size_t requests_per_client) {
+  Mutex failure_mu;
+  size_t failed = 0;
+  auto run_client = [&](size_t c, std::vector<double>* out) {
+    size_t my_failures = 0;
+    for (size_t j = 0; j < requests_per_client; ++j) {
+      const UncertainTuple& tuple =
+          pool[(c + j * static_cast<size_t>(clients)) % pool.size()];
+      WallTimer timer;
+      serve::ServeResult result = queue->Submit(&tuple).get();
+      if (result.status.ok()) {
+        out->push_back(timer.ElapsedSeconds() * 1e6);
+      } else {
+        ++my_failures;
+      }
+    }
+    MutexLock lock(&failure_mu);
+    failed += my_failures;
+  };
+  LatencyStats stats = DriveClients(clients, requests_per_client, run_client);
+  stats.failed = failed;
+  return stats;
 }
 
 // The serving guarantee for the front end: every queue response is
@@ -107,12 +221,8 @@ void RunModel(const char* model_name, const serve::Servable& servable,
   std::span<const UncertainTuple> tuples(pool.tuples().data(),
                                          pool.tuples().size());
   for (int clients : {1, 2, 4}) {
-    serve::HarnessOptions options;
-    options.num_clients = clients;
-    options.requests_per_client = requests_per_client;
-
-    serve::LatencyStats direct =
-        serve::RunDirectClients(servable, tuples, options);
+    LatencyStats direct =
+        RunDirectClients(servable, tuples, clients, requests_per_client);
 
     // Two coalescing policies: eager (max_delay 0 — drain whatever is
     // pending the moment the drainer is free; batches emerge from
@@ -125,16 +235,16 @@ void RunModel(const char* model_name, const serve::Servable& servable,
       config.max_batch = 32;
       config.max_delay_us = max_delay_us;
       serve::BatchingQueue queue(&registry, "bench", config);
-      serve::LatencyStats stats =
-          serve::RunQueueClients(&queue, tuples, options);
+      LatencyStats stats =
+          RunQueueClients(&queue, tuples, clients, requests_per_client);
       queue.Close();
       return stats;
     };
-    serve::LatencyStats eager = run_queue(0);
-    serve::LatencyStats windowed = run_queue(100);
+    LatencyStats eager = run_queue(0);
+    LatencyStats windowed = run_queue(100);
 
     for (const char* mode : {"direct", "queue_eager", "queue_100us"}) {
-      const serve::LatencyStats& s =
+      const LatencyStats& s =
           std::strcmp(mode, "direct") == 0
               ? direct
               : (std::strcmp(mode, "queue_eager") == 0 ? eager : windowed);
@@ -180,8 +290,8 @@ int main(int argc, char** argv) {
               "%zu requests/client\n\n",
               train_n, s, requests);
 
-  udt::Dataset train = udt::NumericDataset(train_n, 4, 3, s, 42);
-  udt::Dataset pool = udt::NumericDataset(256, 4, 3, s, 1042);
+  udt::Dataset train = udt::bench::NumericDataset(train_n, 4, 3, s, 42);
+  udt::Dataset pool = udt::bench::NumericDataset(256, 4, 3, s, 1042);
 
   {
     udt::TreeConfig config;

@@ -41,32 +41,11 @@
 #include "api/trainer.h"
 #include "bench_common.h"
 #include "common/random.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "pdf/pdf_builder.h"
 
 namespace udt {
 namespace {
-
-Dataset NumericDataset(int tuples, int attributes, int classes, int s,
-                       uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::string> names;
-  for (int c = 0; c < classes; ++c) names.push_back(StrFormat("c%d", c));
-  Dataset ds(Schema::Numerical(attributes, names));
-  for (int i = 0; i < tuples; ++i) {
-    UncertainTuple t;
-    t.label = i % classes;
-    for (int j = 0; j < attributes; ++j) {
-      double center = rng.Gaussian(static_cast<double>(t.label) * 1.2, 1.0);
-      auto pdf = MakeGaussianErrorPdf(center, rng.Uniform(0.5, 1.5), s);
-      UDT_CHECK(pdf.ok());
-      t.values.push_back(UncertainValue::Numerical(std::move(*pdf)));
-    }
-    UDT_CHECK(ds.AddTuple(std::move(t)).ok());
-  }
-  return ds;
-}
 
 Dataset MixedDataset(int tuples, int s, uint64_t seed) {
   Rng rng(seed);
@@ -302,8 +281,8 @@ int main(int argc, char** argv) {
               train_n, serve_n, s, num_trees);
 
   {
-    udt::Dataset train = udt::NumericDataset(train_n, 4, 3, s, 42);
-    udt::Dataset serve = udt::NumericDataset(serve_n, 4, 3, s, 1042);
+    udt::Dataset train = udt::bench::NumericDataset(train_n, 4, 3, s, 42);
+    udt::Dataset serve = udt::bench::NumericDataset(serve_n, 4, 3, s, 1042);
     udt::RunDataset("numeric", train, serve, num_trees, &sink);
   }
   {

@@ -114,15 +114,5 @@ int main() {
                 result->tuple_seconds[i] * 1e6);
   }
   std::printf("batch wall time: %.1f us\n", result->total_seconds * 1e6);
-
-  // Streaming entry point: push tuples as requests arrive, drain whenever
-  // a response is due. Same numbers, flat row-major output.
-  session.Push(test);
-  udt::FlatBatchResult stream;
-  session.Drain(&stream);
-  std::printf("\n== Streaming Push/Drain ==\n");
-  std::printf("streamed tuple -> %s (P(A)=%.3f, P(B)=%.3f)\n",
-              train.schema().class_name(stream.labels[0]).c_str(),
-              stream.distribution(0)[0], stream.distribution(0)[1]);
   return 0;
 }

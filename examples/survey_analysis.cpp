@@ -16,6 +16,7 @@
 // Run: build/examples/survey_analysis
 
 #include <cstdio>
+#include <span>
 
 #include "api/predict_session.h"
 #include "api/trainer.h"
@@ -131,17 +132,20 @@ int main() {
   respondent.values.push_back(
       udt::UncertainValue::Categorical(std::move(*content)));
 
-  // Serve the new respondent through the streaming session entry point.
+  // Serve the new respondent through a session's flat batch entry point.
   udt::PredictSession session(model->Compile());
-  session.Push(respondent);
-  udt::FlatBatchResult stream;
-  session.Drain(&stream);
+  udt::FlatBatchResult served;
+  UDT_CHECK(session
+                .PredictBatchInto(std::span<const udt::UncertainTuple>(
+                                      &respondent, 1),
+                                  udt::PredictOptions{}, &served)
+                .ok());
   std::printf("\nnew respondent (TV 9-12h, online 15-18h, mixed content):\n");
   for (int c = 0; c < ds.num_classes(); ++c) {
     std::printf("  P(%-8s) = %.3f\n", ds.schema().class_name(c).c_str(),
-                stream.distribution(0)[static_cast<size_t>(c)]);
+                served.distribution(0)[static_cast<size_t>(c)]);
   }
   std::printf("-> recommended tier: %s\n",
-              ds.schema().class_name(stream.labels[0]).c_str());
+              ds.schema().class_name(served.labels[0]).c_str());
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "api/forest.h"
 
 #include "api/container_tags.h"
-#include "api/predict_session.h"
 
 #include <algorithm>
 #include <cmath>
@@ -140,26 +139,6 @@ std::vector<double> ForestModel::ClassifyDistribution(
 
 int ForestModel::Predict(const UncertainTuple& tuple) const {
   return ArgMax(ClassifyDistribution(tuple));
-}
-
-StatusOr<BatchResult> ForestModel::PredictBatch(
-    std::span<const UncertainTuple> tuples,
-    const PredictOptions& options) const {
-  // Thin shim over the compiled serving path: flatten once, run one
-  // session. Callers with steady traffic should Compile() once and hold
-  // their own PredictSession — that amortises both the flattening and the
-  // session's persistent worker pool, which this one-shot session tears
-  // down again on return.
-  PredictSession session(Compile());
-  return session.PredictBatch(tuples, options);
-}
-
-StatusOr<BatchResult> ForestModel::PredictBatch(
-    const Dataset& data, const PredictOptions& options) const {
-  return PredictBatch(
-      std::span<const UncertainTuple>(data.tuples().data(),
-                                      data.tuples().size()),
-      options);
 }
 
 std::string ForestModel::Serialize() const {

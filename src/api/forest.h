@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -151,13 +150,6 @@ class ForestModel {
   // (api/compiled_forest.h). Serving code should compile once and hold
   // udt::PredictSession values over the result.
   [[nodiscard]] CompiledForest Compile() const;
-
-  // Classifies a batch through a one-shot compiled session
-  // (api/predict_session.h); steady-traffic callers should hold a session.
-  StatusOr<BatchResult> PredictBatch(std::span<const UncertainTuple> tuples,
-                                     const PredictOptions& options = {}) const;
-  StatusOr<BatchResult> PredictBatch(const Dataset& data,
-                                     const PredictOptions& options = {}) const;
 
   // -------------------------------------------------------- persistence
 

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "api/predict_session.h"
 #include "common/string_util.h"
 #include "table/schema_io.h"
 #include "tree/classify.h"
@@ -157,26 +156,6 @@ std::vector<double> Model::ClassifyDistribution(
 
 int Model::Predict(const UncertainTuple& tuple) const {
   return ArgMax(ClassifyDistribution(tuple));
-}
-
-StatusOr<BatchResult> Model::PredictBatch(
-    std::span<const UncertainTuple> tuples,
-    const PredictOptions& options) const {
-  // Thin shim over the compiled serving path: flatten once, run one
-  // session. Callers with steady traffic should Compile() once and hold
-  // their own PredictSession — that amortises both the flattening and the
-  // session's persistent worker pool, which this one-shot session tears
-  // down again on return.
-  PredictSession session(Compile());
-  return session.PredictBatch(tuples, options);
-}
-
-StatusOr<BatchResult> Model::PredictBatch(
-    const Dataset& data, const PredictOptions& options) const {
-  return PredictBatch(
-      std::span<const UncertainTuple>(data.tuples().data(),
-                                      data.tuples().size()),
-      options);
 }
 
 std::string Model::Serialize() const {

@@ -1,19 +1,18 @@
 // udt::Model — the immutable, shareable trained-model half of the public
 // facade (the other half, udt::Trainer, produces it). A Model wraps a
 // shared_ptr<const DecisionTree> plus the metadata a serving system needs
-// (the config it was trained with, its kind, the schema / class labels),
-// and is consumed batch-first: PredictBatch shards a span of uncertain
-// tuples over a worker pool and returns distributions, argmax labels and
-// per-tuple timings in one result. Copying a Model copies two pointers and
-// a config — trees are never duplicated — so one trained Model can be
-// shared freely across threads and request handlers.
+// (the config it was trained with, its kind, the schema / class labels).
+// Serving compiles it once (Compile) and classifies batches through
+// udt::PredictSession values over the result (api/predict_session.h).
+// Copying a Model copies two pointers and a config — trees are never
+// duplicated — so one trained Model can be shared freely across threads
+// and request handlers.
 
 #ifndef UDT_API_MODEL_H_
 #define UDT_API_MODEL_H_
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -94,20 +93,6 @@ struct BatchResult {
   // report less than the requested num_threads. An upper bound: the
   // dynamic chunk schedule may engage fewer threads, never more.
   int num_threads_used = 1;
-
-  // Reuse contract: resets every field — per-tuple vectors AND the
-  // per-call scalars (total_seconds, num_threads_used) — so a serving
-  // loop can recycle one BatchResult across batches without state from a
-  // previous drain (e.g. a wider num_threads_used, stale vote rows)
-  // leaking into the next. Capacity is retained; a warm buffer stays
-  // allocation-free.
-  void Clear() {
-    distributions.clear();
-    labels.clear();
-    tuple_seconds.clear();
-    total_seconds = 0.0;
-    num_threads_used = 1;
-  }
 };
 
 // An immutable trained model. Obtain one from Trainer::Train, Model::Load
@@ -150,20 +135,6 @@ class Model {
   // bitwise-identically to this model; serving code should compile once
   // and hold udt::PredictSession values over the result.
   [[nodiscard]] CompiledForest Compile() const;
-
-  // Classifies a batch. A thin shim over the compiled path: compiles the
-  // tree and runs one PredictSession over it (options.num_threads workers;
-  // 0 = one per hardware thread, negative = InvalidArgument). Results are
-  // written straight into their final slots, so the output is bitwise
-  // identical to the single-threaded loop for any thread count — and to
-  // the pointer-tree ClassifyDistribution above. Steady-traffic callers
-  // should hold a PredictSession instead of paying the per-call compile.
-  StatusOr<BatchResult> PredictBatch(std::span<const UncertainTuple> tuples,
-                                     const PredictOptions& options = {}) const;
-
-  // Convenience: classify every tuple of a data set.
-  StatusOr<BatchResult> PredictBatch(const Dataset& data,
-                                     const PredictOptions& options = {}) const;
 
   // -------------------------------------------------------- persistence
 

@@ -53,9 +53,8 @@ int RowArgMax(const double* row, size_t k) {
 }  // namespace
 
 PredictSession::PredictSession(CompiledForest forest)
-    : forest_(std::move(forest)) {
-  stream_.num_classes = num_classes();
-}
+    : forest_(std::move(forest)),
+      row_(static_cast<size_t>(forest_.num_classes())) {}
 
 PredictSession::WorkerScratch* PredictSession::ScratchFor(size_t index) {
   while (scratch_.size() <= index) {
@@ -179,15 +178,8 @@ std::vector<double> PredictSession::ClassifyDistribution(
 }
 
 int PredictSession::Predict(const UncertainTuple& tuple) {
-  // Reuse the streaming row buffer so repeated Predict calls stay
-  // allocation-free once warm.
-  const size_t k = static_cast<size_t>(num_classes());
-  const size_t offset = stream_.distributions.size();
-  stream_.distributions.resize(offset + k);
-  ClassifyInto(tuple, stream_.distributions.data() + offset);
-  const int best = RowArgMax(stream_.distributions.data() + offset, k);
-  stream_.distributions.resize(offset);
-  return best;
+  ClassifyInto(tuple, row_.data());
+  return RowArgMax(row_.data(), row_.size());
 }
 
 Status PredictSession::PredictBatchInto(
@@ -254,25 +246,6 @@ StatusOr<BatchResult> PredictSession::PredictBatch(
   return PredictBatch(std::span<const UncertainTuple>(data.tuples().data(),
                                                       data.tuples().size()),
                       options);
-}
-
-void PredictSession::Push(const UncertainTuple& tuple) {
-  const size_t k = static_cast<size_t>(num_classes());
-  const size_t offset = stream_.distributions.size();
-  stream_.distributions.resize(offset + k);
-  double* row = stream_.distributions.data() + offset;
-  ClassifyInto(tuple, row);
-  stream_.labels.push_back(RowArgMax(row, k));
-}
-
-void PredictSession::Drain(FlatBatchResult* out) {
-  UDT_CHECK(out != nullptr);
-  out->num_classes = num_classes();
-  // Swap, don't copy: the caller's old buffers become the next stream
-  // storage, keeping the steady state allocation-free in both directions.
-  std::swap(out->distributions, stream_.distributions);
-  std::swap(out->labels, stream_.labels);
-  stream_.Clear();
 }
 
 }  // namespace udt

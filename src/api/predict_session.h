@@ -3,7 +3,7 @@
 // CompiledForest (shared, never copied; a compiled tree is a one-tree
 // forest) and owns every piece of mutable state a prediction needs:
 // per-worker traversal scratch, a per-tree output row block the vote
-// aggregation consumes in place, and the streaming output buffers.
+// aggregation consumes in place, and the row Predict classifies into.
 // All of it is reused call to call, so steady-state prediction performs
 // zero heap allocations per tuple.
 //
@@ -137,21 +137,6 @@ class PredictSession {
                           const PredictOptions& options,
                           FlatBatchResult* out);
 
-  // ---------------------------------------------------------- streaming
-
-  // Classifies `tuple` immediately (inline, on the calling thread) and
-  // appends the result to the session's streaming buffer. Amortised
-  // allocation-free once the buffer is warm.
-  void Push(const UncertainTuple& tuple);
-
-  // Number of results accumulated since the last Drain.
-  size_t pending() const { return stream_.labels.size(); }
-
-  // Moves the accumulated results into `out` (its previous buffers are
-  // recycled as the session's next streaming storage) and resets the
-  // stream.
-  void Drain(FlatBatchResult* out);
-
   // ------------------------------------------------------ introspection
 
   // Persistent executor workers this session has created: 0 until the
@@ -208,7 +193,8 @@ class PredictSession {
 
   CompiledForest forest_;
   std::vector<std::unique_ptr<WorkerScratch>> scratch_;
-  FlatBatchResult stream_;
+  // Predict's output row (num_classes doubles), reused call to call.
+  std::vector<double> row_;
   // Lazily created at the first multi-threaded batch, then reused for
   // every later call (see "Execution model" above).
   std::unique_ptr<TaskPool> pool_;

@@ -1,10 +1,7 @@
 #include "eval/experiment.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 
-#include "common/string_util.h"
 #include "datagen/japanese_vowel.h"
 
 namespace udt {
@@ -44,57 +41,6 @@ StatusOr<BuildStats> MeasureTreeBuild(const Dataset& data,
   UDT_ASSIGN_OR_RETURN(Model model, trainer.TrainUdt(data, &stats));
   (void)model;  // only the statistics matter here
   return stats;
-}
-
-BenchOptions ParseBenchOptions(int argc, char** argv) {
-  BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--full") == 0) {
-      options.full = true;
-    } else if (std::strncmp(arg, "--scale=", 8) == 0) {
-      std::optional<double> v = ParseDouble(arg + 8);
-      if (!v.has_value() || *v <= 0.0 || *v > 1.0) {
-        std::fprintf(stderr, "bad --scale value: %s\n", arg + 8);
-        std::exit(2);
-      }
-      options.scale = *v;
-    } else if (std::strncmp(arg, "--s=", 4) == 0) {
-      std::optional<int> v = ParseInt(arg + 4);
-      if (!v.has_value() || *v < 1) {
-        std::fprintf(stderr, "bad --s value: %s\n", arg + 4);
-        std::exit(2);
-      }
-      options.samples_per_pdf = *v;
-    } else if (std::strncmp(arg, "--folds=", 8) == 0) {
-      std::optional<int> v = ParseInt(arg + 8);
-      if (!v.has_value() || *v < 2) {
-        std::fprintf(stderr, "bad --folds value: %s\n", arg + 8);
-        std::exit(2);
-      }
-      options.folds = *v;
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      std::optional<int> v = ParseInt(arg + 10);
-      if (!v.has_value() || *v < 0) {
-        std::fprintf(stderr, "bad --threads value: %s\n", arg + 10);
-        std::exit(2);
-      }
-      options.num_threads = *v;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      options.json_path_set = true;
-      options.json_path = arg + 7;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag: %s\n"
-                   "usage: %s [--full] [--scale=F] [--s=N] [--folds=N] "
-                   "[--threads=N] [--json=PATH]\n"
-                   "(--threads/--json are honored by the harnesses that "
-                   "report thread scaling or JSON rows)\n",
-                   arg, argv[0]);
-      std::exit(2);
-    }
-  }
-  return options;
 }
 
 }  // namespace udt

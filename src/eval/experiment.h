@@ -5,8 +5,6 @@
 #ifndef UDT_EVAL_EXPERIMENT_H_
 #define UDT_EVAL_EXPERIMENT_H_
 
-#include <string>
-
 #include "api/trainer.h"
 #include "common/statusor.h"
 #include "core/builder.h"
@@ -35,30 +33,6 @@ StatusOr<double> CvAccuracy(const Dataset& data, const TreeConfig& config,
 // and entropy-calculation counters; Figs 6-9 are built from these).
 StatusOr<BuildStats> MeasureTreeBuild(const Dataset& data,
                                       const TreeConfig& config);
-
-// Standard bench command line: every harness accepts
-//   --full          paper-scale rows (default: scaled down)
-//   --scale=F       explicit scale factor in (0,1]
-//   --s=N           samples per pdf
-//   --folds=N       cross-validation folds
-//   --threads=N     training threads for the parallel columns (default 4;
-//                   0 = one per hardware thread); honored by the
-//                   harnesses that report thread scaling (fig6)
-//   --json=PATH     where the machine-readable result rows go (default
-//                   BENCH_<harness>.json; empty string disables);
-//                   honored by the harnesses that emit JSON rows
-// Unknown flags abort with a usage message.
-struct BenchOptions {
-  bool full = false;
-  double scale = 0.0;  // 0 = use the bench's default
-  int samples_per_pdf = 0;
-  int folds = 0;
-  int num_threads = 4;
-  bool json_path_set = false;
-  std::string json_path;
-};
-
-BenchOptions ParseBenchOptions(int argc, char** argv);
 
 }  // namespace udt
 

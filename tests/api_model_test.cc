@@ -1,6 +1,7 @@
-// Tests for the batch-first udt::Model / udt::Trainer facade: batch
-// inference must be bitwise-identical to the per-tuple loop for any thread
-// count, and Save -> Load must round-trip predictions exactly.
+// Tests for the udt::Model / udt::Trainer facade: batch inference through
+// a session over Model::Compile() must be bitwise-identical to the model's
+// per-tuple loop for any thread count, and Save -> Load must round-trip
+// predictions exactly.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,9 @@
 #include <thread>
 #include <vector>
 
+#include "api/compiled_forest.h"
 #include "api/model.h"
+#include "api/predict_session.h"
 #include "api/trainer.h"
 #include "common/random.h"
 #include "pdf/pdf_builder.h"
@@ -18,10 +21,11 @@
 namespace udt {
 namespace {
 
-// Unwraps a PredictBatch result that the test expects to succeed.
+// Classifies `ds` through a one-shot session over the compiled model and
+// unwraps a result the test expects to succeed.
 BatchResult MustPredictBatch(const Model& model, const Dataset& ds,
                              const PredictOptions& options = {}) {
-  auto result = model.PredictBatch(ds, options);
+  auto result = PredictSession(model.Compile()).PredictBatch(ds, options);
   UDT_CHECK(result.ok());
   return std::move(*result);
 }
@@ -151,7 +155,8 @@ TEST(ModelPredictBatchTest, ThreadCountClampedToBatchSize) {
 TEST(ModelPredictBatchTest, NegativeThreadCountRejected) {
   Dataset ds = MakeDataset(12, 2, 5);
   Model model = TrainModel(ds, ModelKind::kUdt);
-  auto result = model.PredictBatch(ds, {.num_threads = -1});
+  auto result =
+      PredictSession(model.Compile()).PredictBatch(ds, {.num_threads = -1});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -159,7 +164,8 @@ TEST(ModelPredictBatchTest, NegativeThreadCountRejected) {
 TEST(ModelPredictBatchTest, ZeroThreadsMeansHardwareConcurrency) {
   Dataset ds = MakeDataset(40, 2, 5);
   Model model = TrainModel(ds, ModelKind::kUdt);
-  auto zero = model.PredictBatch(ds, {.num_threads = 0});
+  auto zero =
+      PredictSession(model.Compile()).PredictBatch(ds, {.num_threads = 0});
   ASSERT_TRUE(zero.ok());
   EXPECT_GE(zero->num_threads_used, 1);
   BatchResult one = MustPredictBatch(model, ds, {.num_threads = 1});
@@ -172,8 +178,9 @@ TEST(ModelPredictBatchTest, ZeroThreadsMeansHardwareConcurrency) {
 TEST(ModelPredictBatchTest, EmptyBatch) {
   Dataset ds = MakeDataset(30, 2, 5);
   Model model = TrainModel(ds, ModelKind::kUdt);
-  auto result = model.PredictBatch(std::span<const UncertainTuple>(),
-                                   {.num_threads = 4});
+  auto result = PredictSession(model.Compile())
+                    .PredictBatch(std::span<const UncertainTuple>(),
+                                  {.num_threads = 4});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->distributions.empty());
   EXPECT_TRUE(result->labels.empty());

@@ -426,12 +426,6 @@ TEST(ForestSessionTest, MatchesPointerPathAndSingleThreadBatch) {
     EXPECT_EQ(batch->distributions[static_cast<size_t>(i)],
               forest->ClassifyDistribution(ds.tuple(i)));
   }
-
-  // The model-level shim agrees with the session.
-  auto shim = forest->PredictBatch(ds);
-  ASSERT_TRUE(shim.ok());
-  EXPECT_EQ(shim->labels, batch->labels);
-  EXPECT_EQ(shim->distributions, batch->distributions);
 }
 
 TEST(ForestSessionTest, RejectsNegativeThreads) {

@@ -616,32 +616,6 @@ TEST(BatchingQueueTest, ResponseTapSeesOkResponsesButNeverShedOnes) {
   EXPECT_EQ(queue.stats().rejected, 1u);
 }
 
-TEST(ResultReuseTest, BatchResultClearResetsScalarsAndVectors) {
-  Dataset pool = NumericDataset(32, 2, 23);
-  Servable servable = TrainServable(9);
-  PredictSession session(servable);
-
-  PredictOptions options;
-  options.num_threads = 2;
-  options.collect_timings = true;
-  auto result = session.PredictBatch(
-      std::span<const UncertainTuple>(pool.tuples().data(),
-                                      pool.tuples().size()),
-      options);
-  ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->distributions.empty());
-  ASSERT_FALSE(result->tuple_seconds.empty());
-  ASSERT_GE(result->num_threads_used, 1);
-  ASSERT_GT(result->total_seconds, 0.0);
-
-  result->Clear();
-  EXPECT_TRUE(result->distributions.empty());
-  EXPECT_TRUE(result->labels.empty());
-  EXPECT_TRUE(result->tuple_seconds.empty());
-  EXPECT_EQ(result->total_seconds, 0.0);
-  EXPECT_EQ(result->num_threads_used, 1);
-}
-
 TEST(ResultReuseTest, FlatBatchResultClearLeavesNoTraceOfPreviousBatch) {
   Dataset pool = NumericDataset(16, 2, 25);
   Servable servable = TrainServable(10);

@@ -106,18 +106,15 @@ AdaptiveServerOptions LoopOptions() {
 // reports. Maps each version to its classification of `pool`.
 std::map<uint64_t, FlatBatchResult> ReferencesByVersion(
     const AdaptiveServer& server, const Dataset& pool) {
+  const std::span<const UncertainTuple> tuples(pool.tuples());
   std::map<uint64_t, FlatBatchResult> references;
   for (uint64_t v : server.registry().Versions(server.model_name())) {
     serve::ModelHandle handle =
         server.registry().Resolve(server.model_name(), v);
     UDT_CHECK(handle != nullptr);
     serve::ServeSession session(handle->servable);
-    UDT_CHECK(session
-                  .PredictBatchInto(
-                      std::span<const UncertainTuple>(pool.tuples().data(),
-                                                      pool.tuples().size()),
-                      PredictOptions{}, &references[v])
-                  .ok());
+    FlatBatchResult& out = references[v];
+    UDT_CHECK(session.PredictBatchInto(tuples, PredictOptions{}, &out).ok());
   }
   return references;
 }

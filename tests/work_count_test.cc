@@ -11,12 +11,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <ostream>
-#include <tuple>
+#include <string>
 
 #include "api/forest.h"
 #include "api/trainer.h"
+#include "common/string_util.h"
 #include "core/builder.h"
 #include "datagen/uci_like.h"
 #include "table/uncertainty_injector.h"
@@ -24,54 +23,22 @@
 namespace udt {
 namespace {
 
-struct WorkCounts {
-  int64_t nodes = 0;
-  int64_t leaves = 0;
-  int64_t subtrees_collapsed = 0;
-  int64_t dispersion_evaluations = 0;
-  int64_t bound_evaluations = 0;
-  int64_t candidates_pruned = 0;
-  int64_t intervals_total = 0;
-  int64_t intervals_pruned_empty = 0;
-  int64_t intervals_pruned_homogeneous = 0;
-  int64_t intervals_pruned_linear = 0;
-  int64_t intervals_pruned_by_bound = 0;
-
-  static WorkCounts Of(const BuildStats& stats) {
-    const SplitCounters& c = stats.counters;
-    return {stats.nodes,
-            stats.leaves,
-            stats.subtrees_collapsed,
-            c.dispersion_evaluations,
-            c.bound_evaluations,
-            c.candidates_pruned,
-            c.intervals_total,
-            c.intervals_pruned_empty,
-            c.intervals_pruned_homogeneous,
-            c.intervals_pruned_linear,
-            c.intervals_pruned_by_bound};
-  }
-
-  auto Tie() const {
-    return std::tie(nodes, leaves, subtrees_collapsed, dispersion_evaluations,
-                    bound_evaluations, candidates_pruned, intervals_total,
-                    intervals_pruned_empty, intervals_pruned_homogeneous,
-                    intervals_pruned_linear, intervals_pruned_by_bound);
-  }
-  bool operator==(const WorkCounts& other) const {
-    return Tie() == other.Tie();
-  }
-};
-
-// Prints in initializer order, so a failure reads as the literal to paste.
-std::ostream& operator<<(std::ostream& os, const WorkCounts& w) {
-  return os << "{" << w.nodes << ", " << w.leaves << ", "
-            << w.subtrees_collapsed << ", " << w.dispersion_evaluations << ", "
-            << w.bound_evaluations << ", " << w.candidates_pruned << ", "
-            << w.intervals_total << ", " << w.intervals_pruned_empty << ", "
-            << w.intervals_pruned_homogeneous << ", "
-            << w.intervals_pruned_linear << ", "
-            << w.intervals_pruned_by_bound << "}";
+// Every work count of one build, in this order: nodes, leaves, subtrees
+// collapsed; then the SplitCounters fields in declaration order —
+// dispersion evaluations, bound evaluations, candidates pruned, intervals
+// total, and intervals pruned empty, homogeneous, linear and by bound.
+std::string WorkCounts(const BuildStats& stats) {
+  const SplitCounters& c = stats.counters;
+  return StrFormat("%d %d %d %lld %lld %lld %lld %lld %lld %lld %lld",
+                   stats.nodes, stats.leaves, stats.subtrees_collapsed,
+                   static_cast<long long>(c.dispersion_evaluations),
+                   static_cast<long long>(c.bound_evaluations),
+                   static_cast<long long>(c.candidates_pruned),
+                   static_cast<long long>(c.intervals_total),
+                   static_cast<long long>(c.intervals_pruned_empty),
+                   static_cast<long long>(c.intervals_pruned_homogeneous),
+                   static_cast<long long>(c.intervals_pruned_linear),
+                   static_cast<long long>(c.intervals_pruned_by_bound));
 }
 
 // Glass-shaped (Table 2) data with Gaussian error pdfs of width 10% of
@@ -95,19 +62,17 @@ TEST(WorkCountTest, EverySplitAlgorithm) {
   const Dataset data = Glass();
   struct Want {
     SplitAlgorithm algorithm;
-    WorkCounts counts;
+    const char* counts;
   };
   const Want wants[] = {
-      {SplitAlgorithm::kAvg, {33, 17, 2, 7623, 0, 0, 7623, 0, 0, 0, 0}},
-      {SplitAlgorithm::kUdt, {81, 41, 15, 170742, 0, 0, 28576, 0, 0, 0, 0}},
-      {SplitAlgorithm::kUdtBp,
-       {81, 41, 15, 116021, 0, 54721, 28576, 0, 10293, 0, 0}},
+      {SplitAlgorithm::kAvg, "33 17 2 7623 0 0 7623 0 0 0 0"},
+      {SplitAlgorithm::kUdt, "81 41 15 170742 0 0 28576 0 0 0 0"},
+      {SplitAlgorithm::kUdtBp, "81 41 15 116021 0 54721 28576 0 10293 0 0"},
       {SplitAlgorithm::kUdtLp,
-       {81, 41, 15, 43403, 12990, 127339, 28576, 0, 10293, 0, 11348}},
+       "81 41 15 43403 12990 127339 28576 0 10293 0 11348"},
       {SplitAlgorithm::kUdtGp,
-       {81, 41, 15, 29465, 12990, 141277, 28576, 0, 10293, 0, 12876}},
-      {SplitAlgorithm::kUdtEs,
-       {81, 41, 15, 7855, 4317, 162887, 6333, 0, 1270, 0, 3736}},
+       "81 41 15 29465 12990 141277 28576 0 10293 0 12876"},
+      {SplitAlgorithm::kUdtEs, "81 41 15 7855 4317 162887 6333 0 1270 0 3736"},
   };
   for (const Want& want : wants) {
     const ModelKind kind = want.algorithm == SplitAlgorithm::kAvg
@@ -123,15 +88,13 @@ TEST(WorkCountTest, EverySplitAlgorithm) {
       TrainRequest request = TrainRequest::For(data, kind);
       request.stats = &stats;
       ASSERT_TRUE(Trainer(config).Train(request).ok());
-      EXPECT_EQ(WorkCounts::Of(stats), want.counts);
+      EXPECT_EQ(WorkCounts(stats), want.counts);
     }
   }
 }
 
 TEST(WorkCountTest, BaggedForest) {
   const Dataset data = Glass();
-  const WorkCounts want =
-      {159, 81, 27, 13764, 7250, 240986, 11119, 0, 2554, 0, 6138};
   for (int threads : kThreadCounts) {
     SCOPED_TRACE(threads);
     ForestConfig config;
@@ -140,7 +103,8 @@ TEST(WorkCountTest, BaggedForest) {
     config.num_threads = threads;
     BuildStats stats;
     ASSERT_TRUE(ForestTrainer(config).TrainUdt(data, nullptr, &stats).ok());
-    EXPECT_EQ(WorkCounts::Of(stats), want);
+    EXPECT_EQ(WorkCounts(stats),
+              "159 81 27 13764 7250 240986 11119 0 2554 0 6138");
   }
 }
 

@@ -2,10 +2,10 @@
 """Check a freshly generated bench JSON against its committed sidecar.
 
 The bench harnesses emit one JSON object per line (bench_common JsonRows):
-bench_serving_throughput (tree and forest rows), bench_serve_frontend,
-bench_adaptive_serving and bench_storage_compression (the storage tier's
-accuracy-vs-compression sweep, BENCH_storage_compression.json) write
-BENCH_<name>.json sidecars this script understands, as does the
+bench_serving_throughput (tree and forest rows), bench_serve_frontend
+and bench_storage_compression (the storage tier's accuracy-vs-compression
+sweep, BENCH_storage_compression.json) write BENCH_<name>.json sidecars
+this script understands, as does the
 flat-traversal sweep inside bench_micro_kernels
 (BENCH_micro_batch_kernels.json: pool x kernel x batch, ns/tuple) and
 bench_fig6_execution_time (BENCH_fig6_execution_time.json: data set x
