@@ -101,6 +101,7 @@ LatencyStats DriveClients(int clients, size_t requests_per_client,
   std::vector<double> client_seconds(n, 0.0);
   StartGate gate;
   std::vector<std::thread> threads;
+  threads.reserve(n);
   for (size_t c = 0; c < n; ++c) {
     latencies[c].reserve(requests_per_client);
     threads.emplace_back([&, c] {

@@ -372,6 +372,7 @@ TEST(AdaptiveServerTest, SubmitsInFlightAcrossForcedRetrainAreAllServed) {
 
   const Dataset pool = MakeStream(32, 602, /*flipped=*/false);
   std::vector<std::future<serve::ServeResult>> in_flight;
+  in_flight.reserve(pool.tuples().size());
   for (const UncertainTuple& tuple : pool.tuples()) {
     in_flight.push_back(server.Submit(&tuple));
   }
@@ -380,6 +381,7 @@ TEST(AdaptiveServerTest, SubmitsInFlightAcrossForcedRetrainAreAllServed) {
   EXPECT_TRUE(report->published);
 
   std::vector<serve::ServeResult> results;
+  results.reserve(in_flight.size());
   for (auto& future : in_flight) results.push_back(future.get());
   EXPECT_EQ(server.queue().stats().rejected, 0u);
 
