@@ -38,8 +38,10 @@ namespace udt {
 //   --threads=N     training threads for the parallel columns (default 4;
 //                   0 = one per hardware thread); honored by the
 //                   harnesses that report thread scaling (fig6)
-//   --json=PATH     where the machine-readable result rows go (default
-//                   BENCH_<harness>.json; empty string disables);
+//   --json=PATH     write the machine-readable result rows to PATH;
+//                   without it (or with an empty PATH) nothing is
+//                   written, so a run never rewrites a committed
+//                   BENCH_<harness>.json sidecar unless PATH names it;
 //                   honored by the harnesses that emit JSON rows
 // Unknown flags abort with a usage message.
 struct BenchOptions {
@@ -48,8 +50,7 @@ struct BenchOptions {
   int samples_per_pdf = 0;
   int folds = 0;
   int num_threads = 4;
-  bool json_path_set = false;
-  std::string json_path;
+  std::string json_path;  // empty: write no JSON rows
 };
 
 inline BenchOptions ParseBenchOptions(int argc, char** argv) {
@@ -87,7 +88,6 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv) {
       }
       options.num_threads = *v;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      options.json_path_set = true;
       options.json_path = arg + 7;
     } else {
       std::fprintf(stderr,
@@ -161,17 +161,14 @@ inline void PrintBanner(const char* title, const char* paper_ref,
 }
 
 // Collects machine-readable result rows (one JSON object per line) and
-// writes them to the harness's BENCH_<name>.json so successive runs can
-// be tracked as a trajectory. Keys/values are emitted in insertion order;
-// string values must not need escaping (data-set and algorithm names).
+// writes them where --json=PATH points, so successive runs can be tracked
+// as a trajectory; without --json= it writes nothing. Re-recording a
+// committed sidecar means naming it: --json=BENCH_<harness>.json. Keys and
+// values are emitted in insertion order; string values must not need
+// escaping (data-set and algorithm names).
 class JsonRows {
  public:
-  // `harness` names the default output file, BENCH_<harness>.json in the
-  // working directory; --json=PATH overrides it and --json= disables.
-  JsonRows(const char* harness, const BenchOptions& options) {
-    path_ = options.json_path_set ? options.json_path
-                                  : std::string("BENCH_") + harness + ".json";
-  }
+  explicit JsonRows(const BenchOptions& options) : path_(options.json_path) {}
 
   class Row {
    public:

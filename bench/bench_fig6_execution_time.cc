@@ -14,8 +14,9 @@
 // Serial and parallel builds take the same best-of-N (N = 2 at reduced
 // scale, 1 at --full), so the speedup compares like with like.
 //
-// Every (data set, algorithm) cell is also emitted as a JSON row to
-// BENCH_fig6_execution_time.json for trajectory tracking across commits;
+// With --json=PATH every (data set, algorithm) cell is also emitted as a
+// JSON row to PATH (the committed sidecar is
+// BENCH_fig6_execution_time.json) for trajectory tracking across commits;
 // each row names the build type it was timed under (record the sidecar
 // from a Release build) and the host's CPU count (`nproc`).
 
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
   // Best of two runs at reduced scale to damp cold-start noise; serial and
   // parallel builds alike.
   const int repetitions = options.full ? 1 : 2;
-  udt::bench::JsonRows json("fig6_execution_time", options);
+  udt::bench::JsonRows json(options);
 
   const std::vector<udt::SplitAlgorithm> kAlgorithms = {
       udt::SplitAlgorithm::kAvg,   udt::SplitAlgorithm::kUdt,

@@ -9,15 +9,14 @@
 // Machine-readable output: unless --benchmark_out is given, results are
 // also written as google-benchmark JSON to BENCH_micro_kernels.json so
 // kernel timings can be tracked as a trajectory across commits. The
-// flat-traversal sweep writes bench_common JsonRows with best-of and
-// median ns/tuple per pool, model kind and batch size; it runs only when
-// --json=PATH is given (--json= runs it without writing) or the
-// --benchmark_filter selects BM_FlatTraversal, and then writes to PATH or
-// to BENCH_micro_batch_kernels.json. A filtered run of other rows thus
-// leaves the committed sidecar alone. tools/check_bench_schema.py diffs
-// the sweep's rows against that sidecar in CI. While timing, the sweep
-// re-checks that every kernel pass is byte-identical to the pointer tree
-// on every tuple.
+// flat-traversal sweep measures best-of and median ns/tuple per pool,
+// model kind and batch size; it runs only when --json=PATH is given or
+// the --benchmark_filter selects BM_FlatTraversal, and it writes its
+// bench_common JsonRows only to PATH (the committed sidecar is
+// BENCH_micro_batch_kernels.json), never by default. CI diffs the sweep's
+// rows against that sidecar with tools/check_bench_schema.py. While
+// timing, the sweep re-checks that every kernel pass is byte-identical to
+// the pointer tree on every tuple.
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
@@ -655,7 +654,6 @@ int main(int argc, char** argv) {
   args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      sweep_options.json_path_set = true;
       sweep_options.json_path = argv[i] + 7;
       continue;
     }
@@ -679,9 +677,9 @@ int main(int argc, char** argv) {
 
   // The traversal sweep runs first, and whole, so its sidecar row set
   // does not depend on which BM_FlatTraversal rows a filter selects.
-  if (sweep_options.json_path_set ||
+  if (!sweep_options.json_path.empty() ||
       udt::FilterSelectsFlatTraversal(benchmark::GetBenchmarkFilter())) {
-    udt::bench::JsonRows sweep_sink("micro_batch_kernels", sweep_options);
+    udt::bench::JsonRows sweep_sink(sweep_options);
     udt::RunBatchKernelSweep(&sweep_sink);
     sweep_sink.Flush();
   }

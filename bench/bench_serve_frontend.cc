@@ -17,8 +17,9 @@
 // forest. Before timing, every model re-checks the serving guarantee:
 // queue results byte-identical to the direct session for every tuple.
 //
-// Output: one table row and one JSON row per configuration (bench_common
-// JsonRows, BENCH_serve_frontend.json) with sustained QPS and
+// Output: one table row per configuration, and with --json=PATH one JSON
+// row (bench_common JsonRows; the committed sidecar is
+// BENCH_serve_frontend.json) with sustained QPS and
 // p50/p95/p99 request latency in microseconds. model/mode/clients are
 // emitted as strings: they are identity dimensions of the sweep, and
 // tools/check_bench_schema.py keys configuration coverage on
@@ -227,8 +228,9 @@ void RunModel(const char* model_name, const serve::Servable& servable,
 
     // Two coalescing policies: eager (max_delay 0 — drain whatever is
     // pending the moment the drainer is free; batches emerge from
-    // backlog) and a fixed 100us window (bounded wait to fill batches —
-    // the window price is visible directly in p50).
+    // backlog) and a 100us window (bounded wait to fill batches — the
+    // window price is visible directly in p50; a lone client's gaps sit
+    // just above the window, so some of its drains skip it).
     auto run_queue = [&](int64_t max_delay_us) {
       serve::ModelRegistry registry;
       UDT_CHECK(registry.Publish("bench", servable) == 1);
@@ -278,7 +280,7 @@ int main(int argc, char** argv) {
       "closed-loop clients",
       "serving-path extension (not a paper figure); Section 3.2 traversal",
       options);
-  udt::bench::JsonRows sink("serve_frontend", options);
+  udt::bench::JsonRows sink(options);
 
   const double scale = options.scale > 0.0 ? options.scale
                        : options.full      ? 1.0

@@ -21,8 +21,9 @@
 // estimate. Before timing, every configuration re-checks the serving
 // guarantee: compiled distributions byte-identical to the pointer path.
 //
-// Output: one table row and one JSON row (bench_common JsonRows,
-// BENCH_serving_throughput.json) per configuration, with tuples/sec.
+// Output: one table row per configuration, and with --json=PATH one JSON
+// row (bench_common JsonRows; the committed sidecar is
+// BENCH_serving_throughput.json), with tuples/sec.
 //
 // Run: build/bench/bench_serving_throughput [--full] [--scale=F] [--s=N]
 //      [--threads=N] [--json=PATH]
@@ -266,7 +267,7 @@ int main(int argc, char** argv) {
       "tree and forest",
       "serving-path extension (not a paper figure); Section 3.2 traversal",
       options);
-  udt::bench::JsonRows sink("serving_throughput", options);
+  udt::bench::JsonRows sink(options);
 
   const double scale = options.scale > 0.0 ? options.scale
                        : options.full      ? 1.0

@@ -16,9 +16,10 @@
 // materialised working set, the private-copy (unshared) cost the pool
 // avoids, the container file size and the dictionary hit rate.
 //
-// Output: one table row and one JSON row (bench_common JsonRows,
-// BENCH_storage_compression.json) per configuration: the exact baseline
-// plus one row per bin count.
+// Output: one table row per configuration, and with --json=PATH one JSON
+// row (bench_common JsonRows; the committed sidecar is
+// BENCH_storage_compression.json): the exact baseline plus one row per
+// bin count.
 //
 // Run: build/bench/bench_storage_compression [--full] [--scale=F] [--s=N]
 //      [--json=PATH]
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
       "storage-tier extension (not a paper figure); Section 8 'information "
       "explosion' is the footprint being compressed",
       options);
-  udt::bench::JsonRows sink("storage_compression", options);
+  udt::bench::JsonRows sink(options);
 
   const double scale = options.scale > 0.0 ? options.scale
                        : options.full      ? 1.0

@@ -97,7 +97,9 @@ int main() {
 
   udt::serve::BatchingConfig config;
   config.max_batch = 16;      // drain when 16 requests are pending...
-  config.max_delay_us = 200;  // ...or the oldest has waited 200us
+  config.max_delay_us = 200;  // ...or the oldest has waited 200us; when
+                              // arrivals average 200us or more apart, no
+                              // company is due and drains serve at once
   udt::serve::BatchingQueue queue(&registry, "prod", config);
 
   // 2. Live traffic against v1.

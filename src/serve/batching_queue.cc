@@ -27,6 +27,15 @@ Clock::time_point DrainDeadline(Clock::time_point admitted_at,
   return admitted_at + std::chrono::microseconds(max_delay_us);
 }
 
+// True when the smoothed admission gap is at least the window, i.e. fewer
+// than one more arrival is expected before the oldest request's deadline.
+// Compared in whole microseconds (floor(g / 1000) >= d exactly when
+// g >= 1000 d), so no window up to INT64_MAX overflows.
+bool ArrivalsTooSparseForWindow(int64_t smoothed_gap_ns,
+                                int64_t max_delay_us) {
+  return smoothed_gap_ns / 1000 >= max_delay_us;
+}
+
 }  // namespace
 
 BatchingQueue::BatchingQueue(SnapshotProvider provider,
@@ -85,8 +94,16 @@ void BatchingQueue::Admit(Pending request) {
           StrFormat("BatchingQueue admission limit reached (%zu pending)",
                     pending_.size()));
     } else {
-      ++stats_.submitted;
       request.admitted_at = Clock::now();
+      if (stats_.submitted > 0) {
+        // smoothed += (gap - smoothed) / 8. The steady clock makes both
+        // terms non-negative, so the difference cannot overflow.
+        const std::chrono::nanoseconds gap =
+            request.admitted_at - last_admitted_at_;
+        smoothed_gap_ns_ += (gap.count() - smoothed_gap_ns_) / 8;
+      }
+      last_admitted_at_ = request.admitted_at;
+      ++stats_.submitted;
       pending_.push_back(std::move(request));
       // Wake the drainer when the batch fills; the first admission after
       // an idle stretch must wake it too, so it can arm the deadline.
@@ -143,13 +160,18 @@ void BatchingQueue::DrainLoop() {
       while (!closed_ && pending_.empty()) cv_.Wait(lock);
       if (pending_.empty()) return;  // closed_ and fully drained
 
-      // Coalescing window: wait for a full batch, the oldest request's
-      // deadline, or shutdown (which serves whatever is pending, now).
-      const auto deadline =
-          DrainDeadline(pending_.front().admitted_at, config_.max_delay_us);
-      while (!closed_ && pending_.size() < config_.max_batch &&
-             Clock::now() < deadline) {
-        cv_.WaitUntil(lock, deadline);
+      if (ArrivalsTooSparseForWindow(smoothed_gap_ns_, config_.max_delay_us)) {
+        // No company is due within the window: serve what is pending now.
+        ++stats_.unwindowed_drains;
+      } else {
+        // Coalescing window: wait for a full batch, the oldest request's
+        // deadline, or shutdown (which serves whatever is pending, now).
+        const auto deadline =
+            DrainDeadline(pending_.front().admitted_at, config_.max_delay_us);
+        while (!closed_ && pending_.size() < config_.max_batch &&
+               Clock::now() < deadline) {
+          cv_.WaitUntil(lock, deadline);
+        }
       }
 
       const size_t take = std::min(pending_.size(), config_.max_batch);

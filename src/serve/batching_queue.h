@@ -6,16 +6,26 @@
 // clients share one session, one scratch set and one worker pool instead
 // of paying per-request session or thread costs.
 //
-// Coalescing policy. A drain fires when either `max_batch` requests are
-// pending or the oldest pending request has waited `max_delay_us`
-// microseconds — the classic size-or-deadline micro-batching rule. Under
-// heavy load batches fill instantly and the deadline never matters; under
-// trickle load a request waits at most max_delay_us before it is served
-// alone. The drainer runs with a 1 ns timer slack, so a windowed drain
-// fires at its deadline to within the thread wake-up latency, not the
-// kernel's default 50 µs late. Admission allocates nothing per request
-// beyond the std::promise behind Submit's future (SubmitWithCallback:
-// beyond the caller's callback); the deque's blocks are amortised.
+// Coalescing policy. `max_delay_us` is the longest a request waits for
+// company, and the queue waits only while the arrival rate predicts
+// company. Admission keeps a smoothed gap between consecutive admissions
+// (an exponential moving average with gain 1/8, as TCP smooths its
+// round-trip time, RFC 6298). When the drainer wakes to a non-empty queue
+// and the smoothed gap is at least max_delay_us — fewer than one more
+// arrival expected within the window — it serves everything pending at
+// once (Stats::unwindowed_drains). Otherwise the classic size-or-deadline
+// rule runs: a drain fires when `max_batch` requests are pending or the
+// oldest has waited max_delay_us. The smoothed gap starts at 0, so a cold
+// queue keeps the window; under heavy load batches fill instantly and the
+// deadline never matters. After an idle stretch the next arrivals drain
+// without a window until the smoothed gap falls back under it; each such
+// drain still takes everything pending, so a burst coalesces while a
+// batch runs. Responses do not depend on how requests were batched. The
+// drainer runs with a 1 ns timer slack, so a windowed drain fires at its
+// deadline to within the thread wake-up latency, not the kernel's default
+// 50 µs late. Admission allocates nothing per request beyond the
+// std::promise behind Submit's future (SubmitWithCallback: beyond the
+// caller's callback); the deque's blocks are amortised.
 //
 // Hot swap. Each drain takes one registry snapshot (ModelHandle) before
 // classifying. The batch in flight when a new version is published
@@ -92,7 +102,11 @@ using ServeCallback = std::function<void(ServeResult)>;
 struct BatchingConfig {
   // Drain when this many requests are pending.
   size_t max_batch = 64;
-  // ... or when the oldest pending request has waited this long.
+  // ... or when the oldest pending request has waited this long: the
+  // longest a request waits for company. The drainer waits only while the
+  // smoothed gap between admissions is under this window. 0 serves
+  // eagerly; INT64_MAX never expires, so only a full batch or Close()
+  // drains.
   int64_t max_delay_us = 200;
   // Admission bound: pending requests beyond this are rejected with
   // kUnavailable.
@@ -155,6 +169,9 @@ class BatchingQueue {
                              // drainer takes its next batch)
     uint64_t drains = 0;     // micro-batches classified
     uint64_t max_drain = 0;  // largest micro-batch so far
+    // Drains that skipped the window because the smoothed admission gap
+    // was at least max_delay_us (every drain when max_delay_us is 0).
+    uint64_t unwindowed_drains = 0;
   };
   Stats stats() const;
 
@@ -176,7 +193,8 @@ class BatchingQueue {
   };
 
   // Shared admission for both Submit forms: enqueues `request` (stamping
-  // admitted_at under mu_, so stamp order is queue order) or, on
+  // admitted_at under mu_, so stamp order is queue order, and folding the
+  // gap since the previous admission into smoothed_gap_ns_) or, on
   // rejection, completes it inline on the calling thread.
   void Admit(Pending request);
   void DrainLoop();
@@ -195,6 +213,11 @@ class BatchingQueue {
   std::deque<Pending> pending_ UDT_GUARDED_BY(mu_);
   bool closed_ UDT_GUARDED_BY(mu_) = false;
   Stats stats_ UDT_GUARDED_BY(mu_);
+  // Admission time of the newest request, and the exponential moving
+  // average (gain 1/8) of the gaps between consecutive admissions, in
+  // nanoseconds; 0 until the second admission.
+  std::chrono::steady_clock::time_point last_admitted_at_ UDT_GUARDED_BY(mu_);
+  int64_t smoothed_gap_ns_ UDT_GUARDED_BY(mu_) = 0;
 
   // Drainer-thread state (touched only by drainer_, no lock needed).
   ModelHandle bound_;

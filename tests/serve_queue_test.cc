@@ -1,11 +1,13 @@
 // BatchingQueue: results byte-identical to a direct session, coalescing
 // (N concurrent submits -> at most ceil(N/max_batch) drains),
 // timeout-triggered partial batches, the deadline as a floor (and a
-// saturated "never" deadline), the drainer's timer slack, graceful
-// shutdown (drain, then reject-after-close), bounded-admission
-// backpressure with inline rejections, mixed future/callback drains,
-// malformed requests failing alone, and the result-buffer reuse contracts
-// the queue depends on.
+// saturated "never" deadline), rate-aware windows (a sparse stream skips
+// the window, a dense burst keeps it, a burst after an idle stretch still
+// coalesces, a "never" window is never skipped), the drainer's timer
+// slack, graceful shutdown (drain, then reject-after-close),
+// bounded-admission backpressure with inline rejections, mixed
+// future/callback drains, malformed requests failing alone, and the
+// result-buffer reuse contracts the queue depends on.
 
 #include <gtest/gtest.h>
 
@@ -245,6 +247,8 @@ TEST(BatchingQueueTest, CoalescesConcurrentSubmitsIntoMicroBatches) {
             64u / 16u);  // <= ceil(N / max_batch) micro-batches
   EXPECT_LE(stats.max_drain, 16u);
   EXPECT_GE(stats.max_drain, 2u);  // something actually coalesced
+  // Arrivals microseconds apart, far inside the window: no drain skips it.
+  EXPECT_EQ(stats.unwindowed_drains, 0u);
 }
 
 TEST(BatchingQueueTest, TimeoutServesPartialBatch) {
@@ -385,9 +389,11 @@ TEST(BatchingQueueTest, HugeMaxDelayNeverDrainsEarly) {
   EXPECT_EQ(queue.stats().served, 1u);
 }
 
-// The deadline is a floor: a lone request in a window that max_batch never
-// fills is not served before max_delay_us has passed since it was
-// submitted.
+// The deadline is a floor while the smoothed admission gap is under the
+// window: a lone request in a window that max_batch never fills is not
+// served before max_delay_us has passed since it was submitted. A cold
+// queue's smoothed gap starts at 0, and three closed-loop submits raise it
+// only to ~1/8 and ~15/64 of their ~2 ms spacing, under the 2 ms window.
 TEST(BatchingQueueTest, DeadlineIsAFloor) {
   Dataset pool = NumericDataset(4, 2, 43);
   ModelHandle handle = MakeHandle(43);
@@ -403,6 +409,97 @@ TEST(BatchingQueueTest, DeadlineIsAFloor) {
     ASSERT_TRUE(result.status.ok());
     EXPECT_GE(waited, std::chrono::microseconds(2000));
   }
+}
+
+// A closed-loop client that pauses 3 ms between requests never has
+// company within a 2 ms window. Once the smoothed gap (gain 1/8) climbs
+// past the window — after about nine gaps — its drains skip the window.
+TEST(BatchingQueueTest, SparseStreamSkipsTheWindow) {
+  Dataset pool = NumericDataset(16, 2, 51);
+  ModelHandle handle = MakeHandle(51);
+  BatchingConfig config;
+  config.max_batch = 64;
+  config.max_delay_us = 2000;
+  BatchingQueue queue([handle] { return handle; }, config);
+
+  for (int i = 0; i < 16; ++i) {
+    ServeResult result = queue.Submit(&pool.tuple(i)).get();
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  BatchingQueue::Stats stats = queue.stats();
+  EXPECT_EQ(stats.served, 16u);
+  EXPECT_EQ(stats.drains, 16u);
+  EXPECT_GT(stats.unwindowed_drains, 0u);
+  EXPECT_LT(stats.unwindowed_drains, stats.drains);  // the cold ones waited
+}
+
+// After an idle stretch the smoothed gap sits far above the window, so
+// the next drain skips it — but that drain still takes everything that
+// arrived while the previous batch ran. The drainer is held inside the
+// gated provider with the first request; the idle stretch and a burst of
+// five follow; once released it serves the five in one unwindowed drain.
+TEST(BatchingQueueTest, BurstAfterIdleStretchStillCoalesces) {
+  Dataset pool = NumericDataset(8, 2, 55);
+  GatedProvider gate(MakeHandle(55));
+  BatchingConfig config;
+  config.max_batch = 64;
+  config.max_delay_us = 2000;
+  BatchingQueue queue(gate.AsProvider(), config);
+
+  // Cold queue: the first request waits out its window, then parks the
+  // drainer in the gate.
+  std::vector<std::future<ServeResult>> futures;
+  futures.push_back(queue.Submit(&pool.tuple(0)));
+  gate.AwaitEntered(1);
+  EXPECT_EQ(queue.stats().unwindowed_drains, 0u);
+
+  // A 100 ms gap lifts the smoothed gap to >= 12.5 ms; four quick gaps
+  // after it leave >= 12.5 * (7/8)^4 ~ 7.3 ms, still above the 2 ms window.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int i = 1; i <= 5; ++i) futures.push_back(queue.Submit(&pool.tuple(i)));
+  EXPECT_EQ(queue.pending(), 5u);
+
+  gate.Open();
+  for (auto& future : futures) EXPECT_TRUE(future.get().status.ok());
+  BatchingQueue::Stats stats = queue.stats();
+  EXPECT_EQ(stats.served, 6u);
+  EXPECT_EQ(stats.drains, 2u);
+  EXPECT_EQ(stats.max_drain, 5u);
+  EXPECT_EQ(stats.unwindowed_drains, 1u);
+}
+
+// Under a "never" window (INT64_MAX) no smoothed gap, however sparse the
+// stream, skips it: the comparison must not overflow into "sparse".
+TEST(BatchingQueueTest, SparseStretchNeverSkipsAHugeWindow) {
+  Dataset pool = NumericDataset(4, 2, 57);
+  ModelHandle handle = MakeHandle(57);
+  BatchingConfig config;
+  config.max_batch = 2;
+  config.max_delay_us = std::numeric_limits<int64_t>::max();
+  BatchingQueue queue([handle] { return handle; }, config);
+
+  // Two requests 30 ms apart fill one batch; the gap lifts the smoothed
+  // gap to ~3.75 ms.
+  std::future<ServeResult> first = queue.Submit(&pool.tuple(0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  std::future<ServeResult> second = queue.Submit(&pool.tuple(1));
+  EXPECT_TRUE(first.get().status.ok());
+  EXPECT_TRUE(second.get().status.ok());
+
+  // Another 30 ms of silence, then a lone request into an empty queue: it
+  // must wait for company, not drain alone.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  std::future<ServeResult> lone = queue.Submit(&pool.tuple(2));
+  EXPECT_EQ(lone.wait_for(std::chrono::milliseconds(5)),
+            std::future_status::timeout);
+  EXPECT_EQ(queue.pending(), 1u);
+
+  queue.Close();
+  EXPECT_TRUE(lone.get().status.ok());
+  BatchingQueue::Stats stats = queue.stats();
+  EXPECT_EQ(stats.drains, 2u);
+  EXPECT_EQ(stats.unwindowed_drains, 0u);
 }
 
 #ifdef __linux__
