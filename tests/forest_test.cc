@@ -16,6 +16,7 @@
 #include "api/compiled_forest.h"
 #include "api/forest.h"
 #include "api/predict_session.h"
+#include "api/train_request.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/node_build.h"
@@ -277,6 +278,112 @@ TEST(ForestTrainerTest, OobWithEveryTupleInBagIsNaNNotZero) {
   EXPECT_EQ(oob.coverage, 0.0);
   EXPECT_TRUE(std::isnan(oob.accuracy));
   EXPECT_TRUE(std::isnan(oob.error));
+}
+
+// Recomputes the out-of-bag estimate of `forest` independently of the
+// trainer: bags from ForestBootstrapBag, one pointer-tree distribution per
+// out-of-bag (tree, tuple) pair, votes folded in tree order, first-max
+// argmax. Only trees [carried, num_trees) vote.
+OobEstimate OobOracle(const ForestModel& forest, const Dataset& data,
+                      uint64_t seed, ForestVote vote, int carried) {
+  const int n = data.num_tuples();
+  const int k = forest.num_classes();
+  std::vector<std::vector<double>> votes(static_cast<size_t>(n),
+                                         std::vector<double>(k, 0.0));
+  std::vector<int> voters(static_cast<size_t>(n), 0);
+  for (int t = carried; t < forest.num_trees(); ++t) {
+    std::vector<double> bag = ForestBootstrapBag(seed, t, n);
+    for (int i = 0; i < n; ++i) {
+      if (bag[static_cast<size_t>(i)] > 0.0) continue;
+      std::vector<double> dist =
+          forest.tree(t).ClassifyDistribution(data.tuple(i));
+      AccumulateForestVote(vote, dist.data(), k,
+                           votes[static_cast<size_t>(i)].data());
+      ++voters[static_cast<size_t>(i)];
+    }
+  }
+  OobEstimate oob;
+  oob.total_tuples = n;
+  int correct = 0;
+  for (int i = 0; i < n; ++i) {
+    if (voters[static_cast<size_t>(i)] == 0) continue;
+    ++oob.evaluated_tuples;
+    const std::vector<double>& row = votes[static_cast<size_t>(i)];
+    if (std::max_element(row.begin(), row.end()) - row.begin() ==
+        data.tuple(i).label) {
+      ++correct;
+    }
+  }
+  if (oob.evaluated_tuples > 0) {
+    oob.accuracy = static_cast<double>(correct) /
+                   static_cast<double>(oob.evaluated_tuples);
+    oob.error = 1.0 - oob.accuracy;
+    oob.coverage = static_cast<double>(oob.evaluated_tuples) /
+                   static_cast<double>(n);
+  }
+  return oob;
+}
+
+void ExpectSameOob(const OobEstimate& actual, const OobEstimate& expected) {
+  EXPECT_EQ(actual.total_tuples, expected.total_tuples);
+  EXPECT_EQ(actual.evaluated_tuples, expected.evaluated_tuples);
+  EXPECT_GT(actual.evaluated_tuples, 0);
+  // Bit-equal, not near: the estimate is a count ratio over the same
+  // argmaxes, so any difference is a different vote somewhere.
+  EXPECT_EQ(actual.accuracy, expected.accuracy);
+  EXPECT_EQ(actual.error, expected.error);
+  EXPECT_EQ(actual.coverage, expected.coverage);
+}
+
+TEST(ForestTrainerTest, OobEstimateMatchesIndependentOracle) {
+  Dataset ds = SyntheticDataset(96, 3, 3, 8, 41);
+  for (ModelKind kind : {ModelKind::kUdt, ModelKind::kAveraging}) {
+    for (ForestVote vote : {ForestVote::kAverage, ForestVote::kMajority}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(StrFormat("kind %s vote %d threads %d",
+                               ModelKindToString(kind),
+                               static_cast<int>(vote), threads));
+        ForestConfig config = SmallConfig(6);
+        config.vote = vote;
+        config.subspace_attributes = 2;
+        config.num_threads = threads;
+        TrainRequest request = TrainRequest::For(ds, kind);
+        OobEstimate oob;
+        request.oob = &oob;
+        auto forest = ForestTrainer(config).Train(request);
+        ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+        ExpectSameOob(oob, OobOracle(*forest, ds, config.seed, vote, 0));
+      }
+    }
+  }
+}
+
+TEST(ForestTrainerTest, WarmStartOobCountsFreshTreesOnly) {
+  // The incumbent trained on another window, so its carried trees would
+  // vote differently from the fresh ones if they were counted.
+  Dataset old_window = SyntheticDataset(96, 3, 3, 8, 42);
+  Dataset new_window = SyntheticDataset(96, 3, 3, 8, 43);
+  ForestConfig config = SmallConfig(6);
+  ForestTrainer trainer(config);
+  auto incumbent = trainer.TrainUdt(old_window);
+  ASSERT_TRUE(incumbent.ok());
+
+  constexpr int kCarried = 3;
+  TrainRequest request = TrainRequest::For(new_window);
+  request.warm_start = &incumbent.value();
+  request.warm_trees = kCarried;
+  OobEstimate oob;
+  request.oob = &oob;
+  auto forest = trainer.Train(request);
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  ExpectSameOob(oob, OobOracle(*forest, new_window, config.seed, config.vote,
+                               kCarried));
+  // The case discriminates: letting the carried trees vote moves the
+  // estimate.
+  OobEstimate with_carried =
+      OobOracle(*forest, new_window, config.seed, config.vote, 0);
+  EXPECT_TRUE(with_carried.evaluated_tuples != oob.evaluated_tuples ||
+              with_carried.accuracy != oob.accuracy);
 }
 
 TEST(ForestTrainerTest, AveragingForestTrains) {
