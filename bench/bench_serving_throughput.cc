@@ -84,7 +84,7 @@ Dataset MixedDataset(int tuples, int s, uint64_t seed) {
 
 // The pointer-path reference runner: per-tuple ClassifyDistribution of a
 // Model or ForestModel over contiguous shards, i.e. exactly what
-// PredictBatch did before the serving API was compiled.
+// batch prediction did before the serving API was compiled.
 template <typename PointerModel>
 void PointerBatch(const PointerModel& model, const Dataset& ds,
                   int num_threads, std::vector<std::vector<double>>* out) {

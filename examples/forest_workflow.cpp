@@ -15,6 +15,7 @@
 #include "api/predict_session.h"
 #include "api/trainer.h"
 #include "common/random.h"
+#include "common/timer.h"
 #include "eval/metrics.h"
 #include "pdf/pdf_builder.h"
 
@@ -82,12 +83,14 @@ int main() {
   UDT_CHECK(loaded->LayoutEquals(compiled));
 
   udt::PredictSession session(*loaded);
-  auto batch = session.PredictBatch(test);
-  UDT_CHECK(batch.ok());
+  udt::FlatBatchResult batch;
+  udt::WallTimer batch_timer;
+  UDT_CHECK(session.PredictBatchInto(test.tuples(), {}, &batch).ok());
+  const double batch_seconds = batch_timer.ElapsedSeconds();
 
   int correct = 0;
   for (int i = 0; i < test.num_tuples(); ++i) {
-    if (batch->labels[static_cast<size_t>(i)] == test.tuple(i).label) {
+    if (batch.labels[static_cast<size_t>(i)] == test.tuple(i).label) {
       ++correct;
     }
   }
@@ -98,6 +101,6 @@ int main() {
               tree_accuracy, forest_accuracy);
   std::printf("serving batch: %zu tuples in %.1f ms through the compiled "
               "forest\n",
-              batch->labels.size(), batch->total_seconds * 1e3);
+              batch.size(), batch_seconds * 1e3);
   return 0;
 }

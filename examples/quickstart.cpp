@@ -13,6 +13,7 @@
 // Run: build/examples/quickstart
 
 #include <cstdio>
+#include <span>
 
 #include "api/predict_session.h"
 #include "api/trainer.h"
@@ -100,19 +101,14 @@ int main() {
 
   std::vector<udt::UncertainTuple> batch(train.tuples());
   batch.push_back(test);
-  udt::PredictOptions options;
-  options.collect_timings = true;
-  auto result = session.PredictBatch(batch, options);
-  UDT_CHECK(result.ok());
-  std::printf("== PredictSession batch over %zu tuples (%d thread) ==\n",
-              batch.size(), result->num_threads_used);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    std::printf("  tuple %zu -> %s  (P(A)=%.3f, P(B)=%.3f, %.1f us)\n",
-                i + 1,
-                train.schema().class_name(result->labels[i]).c_str(),
-                result->distributions[i][0], result->distributions[i][1],
-                result->tuple_seconds[i] * 1e6);
+  udt::FlatBatchResult result;
+  UDT_CHECK(session.PredictBatchInto(batch, {}, &result).ok());
+  std::printf("== PredictSession batch over %zu tuples ==\n", batch.size());
+  for (size_t i = 0; i < result.size(); ++i) {
+    std::span<const double> row = result.distribution(i);
+    std::printf("  tuple %zu -> %s  (P(A)=%.3f, P(B)=%.3f)\n", i + 1,
+                train.schema().class_name(result.labels[i]).c_str(), row[0],
+                row[1]);
   }
-  std::printf("batch wall time: %.1f us\n", result->total_seconds * 1e6);
   return 0;
 }

@@ -131,7 +131,8 @@ int main() {
       udt::UncertainValue::Numerical(std::move(*temp_pdf)));
   borderline.values.push_back(
       udt::UncertainValue::Numerical(std::move(*hr_pdf)));
-  std::vector<double> p = udt_session.ClassifyDistribution(borderline);
+  std::vector<double> p(static_cast<size_t>(ds.num_classes()));
+  udt_session.ClassifyInto(borderline, p.data());
   std::printf("borderline patient (37.9 C, 88 bpm):\n");
   for (int c = 0; c < ds.num_classes(); ++c) {
     std::printf("  P(%-12s) = %.3f\n", ds.schema().class_name(c).c_str(),

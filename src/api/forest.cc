@@ -9,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "api/predict_session.h"
 #include "common/logging.h"
 #include "common/math.h"
 #include "common/random.h"
@@ -16,7 +17,6 @@
 #include "common/task_pool.h"
 #include "table/schema_io.h"
 #include "tree/classify.h"
-#include "tree/flat_tree.h"
 
 namespace udt {
 namespace {
@@ -369,53 +369,32 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
     oob->total_tuples = num_tuples;
     if (config.bootstrap && fresh > 0) {
       const size_t k = static_cast<size_t>(forest.num_classes());
-      // Classify through the flat kernels — bitwise-identical to the
-      // pointer path — tree-outer: each fresh tree classifies the tuples
-      // its bag left out in one batch, and the votes fold into per-tuple
-      // accumulators in tree order. Only the fresh trees take part: a
-      // carried tree never drew a bag over this window, so it has no
-      // out-of-bag relation to score. The flat trees outlive the scratch
-      // (its rank cache keys on their addresses).
-      std::vector<FlatTree> flat_trees;
-      flat_trees.reserve(static_cast<size_t>(fresh));
-      for (int t = carried; t < num_trees; ++t) {
-        flat_trees.push_back(FlattenTree(forest.tree(t).tree()));
-      }
-      const bool averaging = kind == ModelKind::kAveraging;
-      FlatTraversalScratch scratch;
+      // Tree-outer: each fresh tree classifies the tuples its bag left out
+      // in one batch through a session over its one-tree compiled forest
+      // (zero, one add, a divide by 1.0: exactly the tree's distribution),
+      // and the votes fold into per-tuple accumulators in tree order. Only
+      // the fresh trees take part: a carried tree never drew a bag over
+      // this window, so it has no out-of-bag relation to score.
       std::vector<double> votes(static_cast<size_t>(num_tuples) * k, 0.0);
       std::vector<int> oob_trees(static_cast<size_t>(num_tuples), 0);
       std::vector<int> members;
       std::vector<const UncertainTuple*> tuples;
-      std::vector<double> row_block;
-      std::vector<double*> rows;
+      FlatBatchResult rows;
       for (int t = carried; t < num_trees; ++t) {
         const std::vector<double>& bag = bags[static_cast<size_t>(t)];
         members.clear();
+        tuples.clear();
         for (int i = 0; i < num_tuples; ++i) {
           if (bag[static_cast<size_t>(i)] > 0.0) continue;  // trained on i
           members.push_back(i);
+          tuples.push_back(&train.tuple(i));
         }
-        const size_t m = members.size();
-        tuples.resize(m);
-        row_block.resize(m * k);
-        rows.resize(m);
-        for (size_t r = 0; r < m; ++r) {
-          tuples[r] = &train.tuple(members[r]);
-          rows[r] = row_block.data() + r * k;
-        }
-        const FlatTree& flat = flat_trees[static_cast<size_t>(t - carried)];
-        if (averaging) {
-          for (size_t r = 0; r < m; ++r) {
-            ClassifyFlatMeans(flat, *tuples[r], &scratch, rows[r]);
-          }
-        } else {
-          ClassifyFlatBatch(flat, tuples.data(), rows.data(), m, &scratch);
-        }
-        for (size_t r = 0; r < m; ++r) {
+        PredictSession session(forest.tree(t).Compile());
+        UDT_RETURN_NOT_OK(session.PredictBatchInto(tuples, {}, &rows));
+        for (size_t r = 0; r < members.size(); ++r) {
           const size_t i = static_cast<size_t>(members[r]);
-          AccumulateForestVote(config.vote, rows[r], static_cast<int>(k),
-                               votes.data() + i * k);
+          AccumulateForestVote(config.vote, rows.distribution(r).data(),
+                               static_cast<int>(k), votes.data() + i * k);
           ++oob_trees[i];
         }
       }

@@ -33,12 +33,13 @@ enum class ModelKind {
 
 const char* ModelKindToString(ModelKind kind);
 
-// Knobs for one prediction call — the single options struct every serving
-// layer consumes: PredictSession batches (trees and forests), the
-// ServeSession wrapper, and the BatchingQueue's per-drain classification
-// (BatchingConfig embeds one). The sharding knob (num_threads) never
-// changes results; the output-policy knobs (top_k, abstain_threshold)
-// shape what a ServeResult reports on top of the distribution.
+// Knobs for one batch prediction — the single options struct every
+// serving layer consumes: PredictSession::PredictBatchInto (trees and
+// forests), the ServeSession wrapper, and the BatchingQueue's per-drain
+// classification (BatchingConfig embeds one). The sharding knob
+// (num_threads) never changes results; the output-policy knobs (top_k,
+// abstain_threshold) shape what a ServeResult reports on top of the
+// distribution.
 struct PredictOptions {
   // Worker threads the batch is sharded over: 1 runs inline on the calling
   // thread, 0 uses one thread per hardware thread, values above the batch
@@ -50,10 +51,6 @@ struct PredictOptions {
   // shard holds at least max(1, 8 / num_trees) tuples, so tiny batches
   // stay on one or two threads instead of waking the whole pool.
   int num_threads = 1;
-
-  // When true, BatchResult::tuple_seconds records per-tuple wall time
-  // (costs two clock reads per tuple).
-  bool collect_timings = false;
 
   // Serving output policy (leaves already store full class distributions,
   // so both are free at predict time — see Kent & Ménager's Indecision
@@ -75,24 +72,6 @@ struct PredictOptions {
   // threshold outside [0, 1]). num_threads is validated where it is
   // resolved against the batch size. Defined in api/model.cc.
   Status Validate() const;
-};
-
-// The result of classifying one batch. Element i of every per-tuple vector
-// corresponds to input tuple i regardless of how the batch was sharded.
-struct BatchResult {
-  // P over class labels, one distribution per input tuple.
-  std::vector<std::vector<double>> distributions;
-  // Argmax of each distribution (ties -> lowest class id).
-  std::vector<int> labels;
-  // Per-tuple wall seconds; empty unless PredictOptions.collect_timings.
-  std::vector<double> tuple_seconds;
-  // Wall time of the whole call, including sharding overhead.
-  double total_seconds = 0.0;
-  // Threads the batch was scheduled across (caller included), after
-  // clamping to the batch size and to the minimum shard — small batches
-  // report less than the requested num_threads. An upper bound: the
-  // dynamic chunk schedule may engage fewer threads, never more.
-  int num_threads_used = 1;
 };
 
 // An immutable trained model. Obtain one from Trainer::Train, Model::Load

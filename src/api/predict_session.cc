@@ -5,8 +5,8 @@
 
 #include "api/forest.h"
 #include "common/logging.h"
+#include "common/statusor.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 
 namespace udt {
 
@@ -53,8 +53,7 @@ int RowArgMax(const double* row, size_t k) {
 }  // namespace
 
 PredictSession::PredictSession(CompiledForest forest)
-    : forest_(std::move(forest)),
-      row_(static_cast<size_t>(forest_.num_classes())) {}
+    : forest_(std::move(forest)) {}
 
 PredictSession::WorkerScratch* PredictSession::ScratchFor(size_t index) {
   while (scratch_.size() <= index) {
@@ -80,11 +79,11 @@ TaskPool* PredictSession::EnsureExecutor(int num_threads) {
 
 void PredictSession::ClassifyBlock(WorkerScratch* scratch,
                                    const UncertainTuple* const* tuples,
-                                   double* const* rows, size_t count) {
+                                   double* rows, size_t count) {
   const size_t k = static_cast<size_t>(num_classes());
   const bool averaging = forest_.kind() == ModelKind::kAveraging;
   const ForestVote vote = forest_.vote();
-  for (size_t i = 0; i < count; ++i) std::fill(rows[i], rows[i] + k, 0.0);
+  std::fill(rows, rows + count * k, 0.0);
   scratch->tree_rows.resize(count * k);
   std::vector<double*>& tree_rows = scratch->tree_row_ptrs;
   tree_rows.resize(count);
@@ -106,20 +105,19 @@ void PredictSession::ClassifyBlock(WorkerScratch* scratch,
                         &scratch->traversal);
     }
     for (size_t i = 0; i < count; ++i) {
-      AccumulateForestVote(vote, tree_rows[i], static_cast<int>(k), rows[i]);
+      AccumulateForestVote(vote, tree_rows[i], static_cast<int>(k),
+                           rows + i * k);
     }
   }
   const double trees = static_cast<double>(forest_.num_trees());
-  for (size_t i = 0; i < count; ++i) {
-    for (size_t c = 0; c < k; ++c) rows[i][c] /= trees;
-  }
+  for (size_t j = 0; j < count * k; ++j) rows[j] /= trees;
 }
 
-template <typename TupleAt, typename RowAt>
-StatusOr<int> PredictSession::ClassifyBatch(size_t n, TupleAt tuple_at,
-                                            RowAt row_at,
-                                            const PredictOptions& options,
-                                            int* labels, double* seconds) {
+template <typename TupleAt>
+Status PredictSession::ClassifyBatch(size_t n, TupleAt tuple_at,
+                                     const PredictOptions& options,
+                                     FlatBatchResult* out) {
+  UDT_CHECK(out != nullptr);
   UDT_RETURN_NOT_OK(options.Validate());
   UDT_ASSIGN_OR_RETURN(int num_threads, ResolveThreads(options.num_threads, n));
   for (size_t i = 0; i < n; ++i) {
@@ -131,61 +129,47 @@ StatusOr<int> PredictSession::ClassifyBatch(size_t n, TupleAt tuple_at,
   }
 
   const size_t k = static_cast<size_t>(num_classes());
+  out->num_classes = num_classes();
+  out->distributions.resize(n * k);
+  out->labels.resize(n);
+  double* rows = out->distributions.data();
+  int* labels = out->labels.data();
+  if (n == 0) return Status::OK();
   auto classify_range = [&](int worker, size_t begin, size_t end) {
     WorkerScratch* scratch = ScratchFor(static_cast<size_t>(worker));
-    // Per-tuple timing needs per-tuple kernel launches: blocks of one.
-    const size_t block = seconds != nullptr ? 1 : end - begin;
-    for (size_t b = begin; b < end; b += block) {
-      WallTimer timer;
-      scratch->tuple_ptrs.resize(block);
-      scratch->row_ptrs.resize(block);
-      for (size_t i = 0; i < block; ++i) {
-        scratch->tuple_ptrs[i] = &tuple_at(b + i);
-        scratch->row_ptrs[i] = row_at(b + i);
-      }
-      ClassifyBlock(scratch, scratch->tuple_ptrs.data(),
-                    scratch->row_ptrs.data(), block);
-      for (size_t i = 0; i < block; ++i) {
-        labels[b + i] = RowArgMax(scratch->row_ptrs[i], k);
-      }
-      if (seconds != nullptr) seconds[b] = timer.ElapsedSeconds();
+    scratch->tuple_ptrs.resize(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      scratch->tuple_ptrs[i - begin] = &tuple_at(i);
+    }
+    ClassifyBlock(scratch, scratch->tuple_ptrs.data(), rows + begin * k,
+                  end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      labels[i] = RowArgMax(rows + i * k, k);
     }
   };
 
   TaskPool* pool = EnsureExecutor(num_threads);
   if (pool == nullptr) {
     classify_range(0, 0, n);
-    return 1;
+  } else {
+    const size_t grain = std::max<size_t>(
+        1, kShardGrain / static_cast<size_t>(forest_.num_trees()));
+    pool->ParallelFor(n, grain, num_threads, classify_range);
   }
-  const size_t grain = std::max<size_t>(
-      1, kShardGrain / static_cast<size_t>(forest_.num_trees()));
-  return pool->ParallelFor(n, grain, num_threads, classify_range);
+  return Status::OK();
 }
 
 void PredictSession::ClassifyInto(const UncertainTuple& tuple, double* out) {
   UDT_CHECK(tuple.values.size() ==
             static_cast<size_t>(forest_.schema().num_attributes()));
   const UncertainTuple* tuples[] = {&tuple};
-  double* rows[] = {out};
-  ClassifyBlock(ScratchFor(0), tuples, rows, 1);
-}
-
-std::vector<double> PredictSession::ClassifyDistribution(
-    const UncertainTuple& tuple) {
-  std::vector<double> out(static_cast<size_t>(num_classes()));
-  ClassifyInto(tuple, out.data());
-  return out;
-}
-
-int PredictSession::Predict(const UncertainTuple& tuple) {
-  ClassifyInto(tuple, row_.data());
-  return RowArgMax(row_.data(), row_.size());
+  ClassifyBlock(ScratchFor(0), tuples, out, 1);
 }
 
 Status PredictSession::PredictBatchInto(
     std::span<const UncertainTuple> tuples, const PredictOptions& options,
     FlatBatchResult* out) {
-  return PredictBatchIntoImpl(
+  return ClassifyBatch(
       tuples.size(),
       [&tuples](size_t i) -> const UncertainTuple& { return tuples[i]; },
       options, out);
@@ -195,57 +179,10 @@ Status PredictSession::PredictBatchInto(
     std::span<const UncertainTuple* const> tuples,
     const PredictOptions& options, FlatBatchResult* out) {
   for (const UncertainTuple* tuple : tuples) UDT_CHECK(tuple != nullptr);
-  return PredictBatchIntoImpl(
+  return ClassifyBatch(
       tuples.size(),
       [&tuples](size_t i) -> const UncertainTuple& { return *tuples[i]; },
       options, out);
-}
-
-template <typename TupleAt>
-Status PredictSession::PredictBatchIntoImpl(size_t n, TupleAt tuple_at,
-                                            const PredictOptions& options,
-                                            FlatBatchResult* out) {
-  UDT_CHECK(out != nullptr);
-  const size_t k = static_cast<size_t>(num_classes());
-  out->num_classes = num_classes();
-  out->distributions.resize(n * k);
-  out->labels.resize(n);
-  double* rows = out->distributions.data();
-  return ClassifyBatch(
-             n, tuple_at, [rows, k](size_t i) { return rows + i * k; },
-             options, out->labels.data(), nullptr)
-      .status();
-}
-
-StatusOr<BatchResult> PredictSession::PredictBatch(
-    std::span<const UncertainTuple> tuples, const PredictOptions& options) {
-  WallTimer batch_timer;
-  const size_t n = tuples.size();
-  const size_t k = static_cast<size_t>(num_classes());
-  BatchResult result;
-  result.distributions.resize(n);
-  result.labels.resize(n);
-  if (options.collect_timings) result.tuple_seconds.resize(n);
-  UDT_ASSIGN_OR_RETURN(
-      result.num_threads_used,
-      ClassifyBatch(
-          n, [&tuples](size_t i) -> const UncertainTuple& { return tuples[i]; },
-          [&result, k](size_t i) {
-            std::vector<double>& row = result.distributions[i];
-            row.resize(k);
-            return row.data();
-          },
-          options, result.labels.data(),
-          options.collect_timings ? result.tuple_seconds.data() : nullptr));
-  result.total_seconds = batch_timer.ElapsedSeconds();
-  return result;
-}
-
-StatusOr<BatchResult> PredictSession::PredictBatch(
-    const Dataset& data, const PredictOptions& options) {
-  return PredictBatch(std::span<const UncertainTuple>(data.tuples().data(),
-                                                      data.tuples().size()),
-                      options);
 }
 
 }  // namespace udt

@@ -2,10 +2,9 @@
 // API, for trees and forests alike. A session borrows an immutable
 // CompiledForest (shared, never copied; a compiled tree is a one-tree
 // forest) and owns every piece of mutable state a prediction needs:
-// per-worker traversal scratch, a per-tree output row block the vote
-// aggregation consumes in place, and the row Predict classifies into.
-// All of it is reused call to call, so steady-state prediction performs
-// zero heap allocations per tuple.
+// per-worker traversal scratch and a per-tree output row block the vote
+// aggregation consumes in place. All of it is reused call to call, so
+// steady-state prediction performs zero heap allocations per tuple.
 //
 // The intended deployment shape:
 //
@@ -13,7 +12,8 @@
 //   CompiledForest compiled = model.Compile();  // immutable, share freely
 //   // ... one PredictSession per worker thread:
 //   PredictSession session(compiled);
-//   auto result = session.PredictBatch(tuples);
+//   FlatBatchResult result;                     // reused batch to batch
+//   Status status = session.PredictBatchInto(tuples, {}, &result);
 //
 // (ForestModel::Compile() feeds the same session.) Every entry point runs
 // one kernel per model kind — ClassifyFlatBatch for UDT, the means walk
@@ -23,7 +23,7 @@
 // Model::ClassifyDistribution.
 //
 // A session is cheap to construct and NOT thread-safe: give each request
-// worker its own. (PredictBatch with num_threads > 1 shards over a
+// worker its own. (PredictBatchInto with num_threads > 1 shards over a
 // session-owned persistent worker pool, each worker with its own scratch
 // slot — that is safe; two concurrent calls into one session are not.)
 //
@@ -46,13 +46,13 @@
 
 #include "api/compiled_forest.h"
 #include "api/model.h"
-#include "common/statusor.h"
+#include "common/status.h"
 #include "common/task_pool.h"
 #include "tree/flat_tree.h"
 
 namespace udt {
 
-// Flat batch output: one row-major buffer instead of one vector per tuple.
+// Batch output: one row-major buffer of distributions plus the labels.
 // Reused across PredictBatchInto calls, so a warm serving loop allocates
 // nothing at all.
 struct FlatBatchResult {
@@ -102,27 +102,16 @@ class PredictSession {
   // points validate every tuple against the schema instead.
   void ClassifyInto(const UncertainTuple& tuple, double* out);
 
-  // Convenience allocating forms, result-compatible with the Model /
-  // ForestModel ones.
-  std::vector<double> ClassifyDistribution(const UncertainTuple& tuple);
-  int Predict(const UncertainTuple& tuple);
-
   // -------------------------------------------------------------- batch
 
-  // Classifies a batch, sharded over options.num_threads workers (0 = one
-  // per hardware thread, 1 = inline; negative is an InvalidArgument
+  // Classifies a batch into `out` (tuple i's distribution in row i, its
+  // argmax in labels[i]), sharded over options.num_threads workers (0 =
+  // one per hardware thread, 1 = inline; negative is an InvalidArgument
   // error, and so is a tuple that does not match the schema). Shards
-  // write straight into their final slots, so the result is
+  // write straight into their final rows, so the result is
   // bitwise-identical to the inline loop for every thread count — and to
   // the pointer-tree classification of the model this session was
-  // compiled from.
-  StatusOr<BatchResult> PredictBatch(std::span<const UncertainTuple> tuples,
-                                     const PredictOptions& options = {});
-  StatusOr<BatchResult> PredictBatch(const Dataset& data,
-                                     const PredictOptions& options = {});
-
-  // Same computation, flat output, no per-tuple allocation: `out` buffers
-  // are reused between calls once warm.
+  // compiled from. `out` buffers are reused between calls once warm.
   Status PredictBatchInto(std::span<const UncertainTuple> tuples,
                           const PredictOptions& options,
                           FlatBatchResult* out);
@@ -154,16 +143,7 @@ class PredictSession {
     std::vector<double> tree_rows;
     std::vector<double*> tree_row_ptrs;
     std::vector<const UncertainTuple*> tuple_ptrs;
-    std::vector<double*> row_ptrs;
   };
-
-  // Shared body of both PredictBatchInto overloads; `tuple_at(i)` yields
-  // a const UncertainTuple& for batch position i. Defined in the .cc —
-  // both instantiations live there.
-  template <typename TupleAt>
-  Status PredictBatchIntoImpl(size_t n, TupleAt tuple_at,
-                              const PredictOptions& options,
-                              FlatBatchResult* out);
 
   // Scratch slot for worker `index`, created on first use, reused after.
   WorkerScratch* ScratchFor(size_t index);
@@ -173,28 +153,23 @@ class PredictSession {
   // pre-created.
   TaskPool* EnsureExecutor(int num_threads);
 
-  // Shared body of every batch entry point: validates the options and
-  // every tuple, then classifies tuple_at(i) into row_at(i) (num_classes
-  // doubles) and its argmax into labels[i], sharded over the session
-  // pool. With `seconds` non-null each tuple runs as its own kernel
-  // launch and seconds[i] receives its wall time. Returns the scheduled
-  // width (see TaskPool::ParallelFor).
-  template <typename TupleAt, typename RowAt>
-  StatusOr<int> ClassifyBatch(size_t n, TupleAt tuple_at, RowAt row_at,
-                              const PredictOptions& options, int* labels,
-                              double* seconds);
+  // Shared body of both PredictBatchInto overloads; `tuple_at(i)` yields
+  // a const UncertainTuple& for batch position i. Validates the options
+  // and every tuple, then classifies the batch into `out`'s rows, sharded
+  // over the session pool.
+  template <typename TupleAt>
+  Status ClassifyBatch(size_t n, TupleAt tuple_at,
+                       const PredictOptions& options, FlatBatchResult* out);
 
-  // Classifies tuples[0..count) into rows[0..count): every tree's kernel
-  // over the whole block, votes folded per tuple in tree order, one final
-  // division.
+  // Classifies tuples[0..count) into the row-major block `rows` (row i
+  // at rows + i * num_classes): every tree's kernel over the whole block,
+  // votes folded per tuple in tree order, one final division.
   void ClassifyBlock(WorkerScratch* scratch,
-                     const UncertainTuple* const* tuples,
-                     double* const* rows, size_t count);
+                     const UncertainTuple* const* tuples, double* rows,
+                     size_t count);
 
   CompiledForest forest_;
   std::vector<std::unique_ptr<WorkerScratch>> scratch_;
-  // Predict's output row (num_classes doubles), reused call to call.
-  std::vector<double> row_;
   // Lazily created at the first multi-threaded batch, then reused for
   // every later call (see "Execution model" above).
   std::unique_ptr<TaskPool> pool_;

@@ -74,11 +74,11 @@ std::string ConfusionMatrix::ToString(
 
 ConfusionMatrix EvaluateConfusion(PredictSession& session, const Dataset& test,
                                   const PredictOptions& options) {
-  StatusOr<BatchResult> batch = session.PredictBatch(test, options);
-  UDT_CHECK(batch.ok());
+  FlatBatchResult batch;
+  UDT_CHECK(session.PredictBatchInto(test.tuples(), options, &batch).ok());
   ConfusionMatrix matrix(test.num_classes());
   for (int i = 0; i < test.num_tuples(); ++i) {
-    matrix.Add(test.tuple(i).label, batch->labels[static_cast<size_t>(i)]);
+    matrix.Add(test.tuple(i).label, batch.labels[static_cast<size_t>(i)]);
   }
   return matrix;
 }
@@ -114,19 +114,19 @@ double EvaluateAccuracy(const ForestModel& forest, const Dataset& test,
 AbstentionReport EvaluateWithAbstention(PredictSession& session,
                                         const Dataset& test,
                                         const PredictOptions& options) {
-  StatusOr<BatchResult> batch = session.PredictBatch(test, options);
-  UDT_CHECK(batch.ok());
+  FlatBatchResult batch;
+  UDT_CHECK(session.PredictBatchInto(test.tuples(), options, &batch).ok());
   AbstentionReport report;
   report.total = test.num_tuples();
   int64_t correct_answered = 0;
   int64_t correct_total = 0;
   for (int i = 0; i < test.num_tuples(); ++i) {
     const size_t idx = static_cast<size_t>(i);
-    const int label = batch->labels[idx];
+    const int label = batch.labels[idx];
     const bool correct = label == test.tuple(i).label;
     if (correct) ++correct_total;
-    const std::vector<double>& row = batch->distributions[idx];
-    const double confidence = row[static_cast<size_t>(label)];
+    const double confidence =
+        batch.distribution(idx)[static_cast<size_t>(label)];
     if (options.abstain_threshold > 0.0 &&
         confidence < options.abstain_threshold) {
       ++report.abstained;

@@ -46,9 +46,10 @@ class ConfusionMatrix {
 };
 
 // Classifies every tuple of `test` through an existing serving session
-// (one PredictBatch call; a tree or a forest) and tallies the matrix. `options` controls batch
-// sharding and must be valid (a negative thread count is a checked error;
-// validate it at the serving edge with PredictSession::PredictBatch).
+// (one PredictBatchInto call; a tree or a forest) and tallies the matrix.
+// `options` controls batch sharding and must be valid (a negative thread
+// count is a checked error; validate it at the serving edge, where
+// PredictBatchInto returns it as a Status).
 ConfusionMatrix EvaluateConfusion(PredictSession& session, const Dataset& test,
                                   const PredictOptions& options = {});
 double EvaluateAccuracy(PredictSession& session, const Dataset& test,

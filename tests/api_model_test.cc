@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -23,11 +24,13 @@ namespace {
 
 // Classifies `ds` through a one-shot session over the compiled model and
 // unwraps a result the test expects to succeed.
-BatchResult MustPredictBatch(const Model& model, const Dataset& ds,
-                             const PredictOptions& options = {}) {
-  auto result = PredictSession(model.Compile()).PredictBatch(ds, options);
-  UDT_CHECK(result.ok());
-  return std::move(*result);
+FlatBatchResult MustPredictBatch(const Model& model, const Dataset& ds,
+                                 const PredictOptions& options = {}) {
+  FlatBatchResult result;
+  UDT_CHECK(PredictSession(model.Compile())
+                .PredictBatchInto(ds.tuples(), options, &result)
+                .ok());
+  return result;
 }
 
 // A three-class data set with enough structure for a non-trivial tree.
@@ -91,18 +94,17 @@ void ExpectBatchMatchesLoop(const Model& model, const Dataset& test,
                             int num_threads) {
   PredictOptions options;
   options.num_threads = num_threads;
-  BatchResult batch = MustPredictBatch(model, test, options);
+  FlatBatchResult batch = MustPredictBatch(model, test, options);
 
-  ASSERT_EQ(batch.distributions.size(),
-            static_cast<size_t>(test.num_tuples()));
-  ASSERT_EQ(batch.labels.size(), static_cast<size_t>(test.num_tuples()));
+  ASSERT_EQ(batch.size(), static_cast<size_t>(test.num_tuples()));
+  ASSERT_EQ(batch.num_classes, model.num_classes());
   for (int i = 0; i < test.num_tuples(); ++i) {
     std::vector<double> expected = model.ClassifyDistribution(test.tuple(i));
     const auto ui = static_cast<size_t>(i);
-    ASSERT_EQ(batch.distributions[ui].size(), expected.size());
+    ASSERT_EQ(batch.distribution(ui).size(), expected.size());
     for (size_t c = 0; c < expected.size(); ++c) {
       // Bitwise equality, not EXPECT_NEAR: identical code must run.
-      EXPECT_EQ(batch.distributions[ui][c], expected[c])
+      EXPECT_EQ(batch.distribution(ui)[c], expected[c])
           << "tuple " << i << " class " << c << " threads " << num_threads;
     }
     EXPECT_EQ(batch.labels[ui], model.Predict(test.tuple(i)));
@@ -124,15 +126,13 @@ TEST(ModelPredictBatchTest, FourThreadsMatchPerTupleLoop) {
 TEST(ModelPredictBatchTest, ThreadCountsAgreeWithEachOther) {
   Dataset ds = MakeDataset(90, 2, 23);
   Model model = TrainModel(ds, ModelKind::kUdt);
-  BatchResult one = MustPredictBatch(model, ds, {.num_threads = 1});
+  FlatBatchResult one = MustPredictBatch(model, ds, {.num_threads = 1});
   for (int threads : {2, 3, 4, 7}) {
-    BatchResult many = MustPredictBatch(model, ds, {.num_threads = threads});
-    ASSERT_EQ(many.distributions.size(), one.distributions.size());
+    FlatBatchResult many =
+        MustPredictBatch(model, ds, {.num_threads = threads});
     EXPECT_EQ(many.labels, one.labels) << "threads=" << threads;
-    for (size_t i = 0; i < one.distributions.size(); ++i) {
-      EXPECT_EQ(many.distributions[i], one.distributions[i])
-          << "tuple " << i << " threads " << threads;
-    }
+    EXPECT_EQ(many.distributions, one.distributions)
+        << "threads=" << threads;
   }
 }
 
@@ -147,56 +147,54 @@ TEST(ModelPredictBatchTest, AveragingKindReducesTuplesToMeans) {
 TEST(ModelPredictBatchTest, ThreadCountClampedToBatchSize) {
   Dataset ds = MakeDataset(6, 2, 5);
   Model model = TrainModel(ds, ModelKind::kUdt);
-  BatchResult result = MustPredictBatch(model, ds, {.num_threads = 64});
-  EXPECT_LE(result.num_threads_used, 6);
+  // Six tuples seat at most six threads: the caller plus five workers.
+  PredictSession session(model.Compile());
+  FlatBatchResult result;
+  ASSERT_TRUE(
+      session.PredictBatchInto(ds.tuples(), {.num_threads = 64}, &result)
+          .ok());
+  EXPECT_EQ(session.executor_workers(), 5);
   ExpectBatchMatchesLoop(model, ds, 64);
 }
 
 TEST(ModelPredictBatchTest, NegativeThreadCountRejected) {
   Dataset ds = MakeDataset(12, 2, 5);
   Model model = TrainModel(ds, ModelKind::kUdt);
-  auto result =
-      PredictSession(model.Compile()).PredictBatch(ds, {.num_threads = -1});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  FlatBatchResult result;
+  Status status = PredictSession(model.Compile())
+                      .PredictBatchInto(ds.tuples(), {.num_threads = -1},
+                                        &result);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ModelPredictBatchTest, ZeroThreadsMeansHardwareConcurrency) {
   Dataset ds = MakeDataset(40, 2, 5);
   Model model = TrainModel(ds, ModelKind::kUdt);
-  auto zero =
-      PredictSession(model.Compile()).PredictBatch(ds, {.num_threads = 0});
-  ASSERT_TRUE(zero.ok());
-  EXPECT_GE(zero->num_threads_used, 1);
-  BatchResult one = MustPredictBatch(model, ds, {.num_threads = 1});
-  EXPECT_EQ(zero->labels, one.labels);
-  for (size_t i = 0; i < one.distributions.size(); ++i) {
-    EXPECT_EQ(zero->distributions[i], one.distributions[i]) << i;
-  }
+  PredictSession session(model.Compile());
+  FlatBatchResult zero;
+  ASSERT_TRUE(
+      session.PredictBatchInto(ds.tuples(), {.num_threads = 0}, &zero).ok());
+  // One thread per hardware thread, the caller among them.
+  EXPECT_EQ(session.executor_workers(),
+            std::min(TaskPool::EffectiveConcurrency(0), 40) - 1);
+  FlatBatchResult one = MustPredictBatch(model, ds, {.num_threads = 1});
+  EXPECT_EQ(zero.labels, one.labels);
+  EXPECT_EQ(zero.distributions, one.distributions);
 }
 
 TEST(ModelPredictBatchTest, EmptyBatch) {
   Dataset ds = MakeDataset(30, 2, 5);
   Model model = TrainModel(ds, ModelKind::kUdt);
-  auto result = PredictSession(model.Compile())
-                    .PredictBatch(std::span<const UncertainTuple>(),
-                                  {.num_threads = 4});
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->distributions.empty());
-  EXPECT_TRUE(result->labels.empty());
-}
-
-TEST(ModelPredictBatchTest, TimingsCollectedOnRequest) {
-  Dataset ds = MakeDataset(40, 2, 9);
-  Model model = TrainModel(ds, ModelKind::kUdt);
-  BatchResult timed = MustPredictBatch(
-      model, ds, {.num_threads = 2, .collect_timings = true});
-  ASSERT_EQ(timed.tuple_seconds.size(), static_cast<size_t>(ds.num_tuples()));
-  for (double s : timed.tuple_seconds) EXPECT_GE(s, 0.0);
-  EXPECT_GT(timed.total_seconds, 0.0);
-
-  BatchResult untimed = MustPredictBatch(model, ds, {.num_threads = 2});
-  EXPECT_TRUE(untimed.tuple_seconds.empty());
+  PredictSession session(model.Compile());
+  FlatBatchResult result;
+  ASSERT_TRUE(session
+                  .PredictBatchInto(std::span<const UncertainTuple>(),
+                                    {.num_threads = 4}, &result)
+                  .ok());
+  EXPECT_TRUE(result.distributions.empty());
+  EXPECT_TRUE(result.labels.empty());
+  EXPECT_EQ(session.executor_workers(), 0);
 }
 
 TEST(ModelPersistenceTest, SerializeDeserializeRoundTrip) {
@@ -212,12 +210,10 @@ TEST(ModelPersistenceTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(restored->config().max_depth, model.config().max_depth);
 
   // Predictions must be identical tuple by tuple, batch vs batch.
-  BatchResult before = MustPredictBatch(model, ds, {.num_threads = 4});
-  BatchResult after = MustPredictBatch(*restored, ds, {.num_threads = 4});
+  FlatBatchResult before = MustPredictBatch(model, ds, {.num_threads = 4});
+  FlatBatchResult after = MustPredictBatch(*restored, ds, {.num_threads = 4});
   EXPECT_EQ(before.labels, after.labels);
-  for (size_t i = 0; i < before.distributions.size(); ++i) {
-    EXPECT_EQ(before.distributions[i], after.distributions[i]) << i;
-  }
+  EXPECT_EQ(before.distributions, after.distributions);
 }
 
 TEST(ModelPersistenceTest, SaveLoadFileRoundTrip) {
@@ -237,12 +233,10 @@ TEST(ModelPersistenceTest, SaveLoadFileRoundTrip) {
   EXPECT_EQ(restored->schema().attribute(1).num_categories, 3);
   EXPECT_EQ(restored->schema().attribute(0).name, "reading");
 
-  BatchResult before = MustPredictBatch(model, ds);
-  BatchResult after = MustPredictBatch(*restored, ds, {.num_threads = 4});
+  FlatBatchResult before = MustPredictBatch(model, ds);
+  FlatBatchResult after = MustPredictBatch(*restored, ds, {.num_threads = 4});
   EXPECT_EQ(before.labels, after.labels);
-  for (size_t i = 0; i < before.distributions.size(); ++i) {
-    EXPECT_EQ(before.distributions[i], after.distributions[i]) << i;
-  }
+  EXPECT_EQ(before.distributions, after.distributions);
 }
 
 TEST(ModelPersistenceTest, AveragingKindSurvivesRoundTrip) {
@@ -253,8 +247,8 @@ TEST(ModelPersistenceTest, AveragingKindSurvivesRoundTrip) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->kind(), ModelKind::kAveraging);
   // A reloaded averaging model must keep reducing tuples to their means.
-  BatchResult before = MustPredictBatch(model, ds);
-  BatchResult after = MustPredictBatch(*restored, ds);
+  FlatBatchResult before = MustPredictBatch(model, ds);
+  FlatBatchResult after = MustPredictBatch(*restored, ds);
   EXPECT_EQ(before.labels, after.labels);
 }
 

@@ -188,8 +188,6 @@ TEST_P(BatchTraversalTest, TreeSessionMatchesScalarByteForByte) {
                               gathered.data(), gathered.size()),
                           options, &gather_result)
                       .ok());
-      auto batch = session.PredictBatch(span, options);
-      ASSERT_TRUE(batch.ok());
       for (size_t i = 0; i < n; ++i) {
         const double* want = expected.data() + i * k;
         EXPECT_TRUE(RowsEqual(flat_result.distributions.data() + i * k, want,
@@ -198,15 +196,14 @@ TEST_P(BatchTraversalTest, TreeSessionMatchesScalarByteForByte) {
         EXPECT_TRUE(RowsEqual(gather_result.distributions.data() + i * k,
                               want, k))
             << "gather, batch " << n << " threads " << threads;
-        EXPECT_TRUE(RowsEqual(batch->distributions[i].data(), want, k))
-            << "PredictBatch, batch " << n << " threads " << threads;
       }
     }
   }
 }
 
-// Forest matrix: PredictSession batch paths over a compiled forest against
-// per-tuple ClassifyInto and the pointer-forest oracle, byte for byte.
+// Forest matrix: both PredictBatchInto overloads over a compiled forest
+// against per-tuple ClassifyInto and the pointer-forest oracle, byte for
+// byte.
 TEST_P(BatchTraversalTest, ForestSessionMatchesScalarByteForByte) {
   const BatchCase& param = GetParam();
   Dataset ds = MakeCaseDataset(param.dataset);
@@ -228,20 +225,28 @@ TEST_P(BatchTraversalTest, ForestSessionMatchesScalarByteForByte) {
 
   for (size_t n : kBatchSizes) {
     std::span<const UncertainTuple> span(ds.tuples().data(), n);
+    std::vector<const UncertainTuple*> gathered(n);
+    for (size_t i = 0; i < n; ++i) gathered[i] = &ds.tuple(static_cast<int>(i));
     for (int threads : {1, 4}) {
       PredictOptions options;
       options.num_threads = threads;
       FlatBatchResult flat_result;
       ASSERT_TRUE(session.PredictBatchInto(span, options, &flat_result).ok());
-      auto batch = session.PredictBatch(span, options);
-      ASSERT_TRUE(batch.ok());
+      FlatBatchResult gather_result;
+      ASSERT_TRUE(session
+                      .PredictBatchInto(
+                          std::span<const UncertainTuple* const>(
+                              gathered.data(), gathered.size()),
+                          options, &gather_result)
+                      .ok());
       for (size_t i = 0; i < n; ++i) {
         const double* want = expected.data() + i * k;
         EXPECT_TRUE(RowsEqual(flat_result.distributions.data() + i * k, want,
                               k))
-            << "forest flat, batch " << n << " threads " << threads;
-        EXPECT_TRUE(RowsEqual(batch->distributions[i].data(), want, k))
-            << "forest PredictBatch, batch " << n << " threads " << threads;
+            << "forest contiguous, batch " << n << " threads " << threads;
+        EXPECT_TRUE(RowsEqual(gather_result.distributions.data() + i * k,
+                              want, k))
+            << "forest gather, batch " << n << " threads " << threads;
         // Oracle: pointer-forest voting.
         std::vector<double> oracle =
             forest->ClassifyDistribution(ds.tuple(static_cast<int>(i)));

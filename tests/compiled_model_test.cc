@@ -139,13 +139,12 @@ TEST(CompiledPersistenceTest, SaveLoadFileRoundTrip) {
   // Layout-identical artifacts must serve identical bytes.
   PredictSession before(compiled);
   PredictSession after(*restored);
-  auto b = before.PredictBatch(ds);
-  auto a = after.PredictBatch(ds);
-  ASSERT_TRUE(b.ok() && a.ok());
-  EXPECT_EQ(b->labels, a->labels);
-  for (size_t i = 0; i < b->distributions.size(); ++i) {
-    EXPECT_EQ(b->distributions[i], a->distributions[i]) << i;
-  }
+  FlatBatchResult b;
+  FlatBatchResult a;
+  ASSERT_TRUE(before.PredictBatchInto(ds.tuples(), {}, &b).ok());
+  ASSERT_TRUE(after.PredictBatchInto(ds.tuples(), {}, &a).ok());
+  EXPECT_EQ(b.labels, a.labels);
+  EXPECT_EQ(b.distributions, a.distributions);
 }
 
 TEST(CompiledPersistenceTest, IsAOneTreeAverageForest) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -512,6 +513,16 @@ TEST(CompiledForestTest, RejectsHostileInput) {
   }
 }
 
+// One batch over all of `ds` into a fresh result; the batch is expected
+// to succeed.
+FlatBatchResult MustPredict(PredictSession* session, const Dataset& ds,
+                            const PredictOptions& options = {}) {
+  FlatBatchResult out;
+  Status status = session->PredictBatchInto(ds.tuples(), options, &out);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return out;
+}
+
 TEST(ForestSessionTest, MatchesPointerPathAndSingleThreadBatch) {
   Dataset ds = SyntheticDataset(100, 3, 3, 8, 32);
   ForestTrainer trainer(SmallConfig(4));
@@ -519,19 +530,21 @@ TEST(ForestSessionTest, MatchesPointerPathAndSingleThreadBatch) {
   ASSERT_TRUE(forest.ok());
 
   PredictSession session(forest->Compile());
+  std::vector<double> single(static_cast<size_t>(session.num_classes()));
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(session.ClassifyDistribution(ds.tuple(i)),
-              forest->ClassifyDistribution(ds.tuple(i)))
+    session.ClassifyInto(ds.tuple(i), single.data());
+    EXPECT_EQ(single, forest->ClassifyDistribution(ds.tuple(i)))
         << "tuple " << i;
-    EXPECT_EQ(session.Predict(ds.tuple(i)), forest->Predict(ds.tuple(i)));
   }
 
-  auto batch = session.PredictBatch(ds);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->labels.size(), static_cast<size_t>(ds.num_tuples()));
+  FlatBatchResult batch = MustPredict(&session, ds);
+  ASSERT_EQ(batch.labels.size(), static_cast<size_t>(ds.num_tuples()));
   for (int i = 0; i < ds.num_tuples(); ++i) {
-    EXPECT_EQ(batch->distributions[static_cast<size_t>(i)],
+    const size_t ui = static_cast<size_t>(i);
+    std::span<const double> row = batch.distribution(ui);
+    EXPECT_EQ(std::vector<double>(row.begin(), row.end()),
               forest->ClassifyDistribution(ds.tuple(i)));
+    EXPECT_EQ(batch.labels[ui], forest->Predict(ds.tuple(i)));
   }
 }
 
@@ -541,9 +554,9 @@ TEST(ForestSessionTest, RejectsNegativeThreads) {
   auto forest = trainer.TrainUdt(ds);
   ASSERT_TRUE(forest.ok());
   PredictSession session(forest->Compile());
-  PredictOptions options;
-  options.num_threads = -2;
-  EXPECT_FALSE(session.PredictBatch(ds, options).ok());
+  FlatBatchResult out;
+  EXPECT_FALSE(
+      session.PredictBatchInto(ds.tuples(), {.num_threads = -2}, &out).ok());
 }
 
 TEST(ForestSessionTest, PersistentExecutorSpawnsOncePerSession) {
@@ -557,25 +570,20 @@ TEST(ForestSessionTest, PersistentExecutorSpawnsOncePerSession) {
   ASSERT_TRUE(forest.ok());
   PredictSession session(forest->Compile());
 
-  ASSERT_TRUE(session.PredictBatch(ds).ok());
+  FlatBatchResult reference = MustPredict(&session, ds);
   EXPECT_EQ(session.executor_workers(), 0);
 
-  auto reference = session.PredictBatch(ds);
-  ASSERT_TRUE(reference.ok());
-
-  ASSERT_TRUE(session.PredictBatch(ds, {.num_threads = 4}).ok());
+  MustPredict(&session, ds, {.num_threads = 4});
   EXPECT_EQ(session.executor_workers(), 3);
   for (int round = 0; round < 30; ++round) {
-    auto batch = session.PredictBatch(ds, {.num_threads = 1 + round % 4});
-    ASSERT_TRUE(batch.ok());
+    FlatBatchResult batch =
+        MustPredict(&session, ds, {.num_threads = 1 + round % 4});
     ASSERT_EQ(session.executor_workers(), 3) << "round " << round;
-    ASSERT_EQ(batch->labels, reference->labels) << "round " << round;
-    for (size_t i = 0; i < reference->distributions.size(); ++i) {
-      ASSERT_EQ(batch->distributions[i], reference->distributions[i])
-          << "round " << round << " tuple " << i;
-    }
+    ASSERT_EQ(batch.labels, reference.labels) << "round " << round;
+    ASSERT_EQ(batch.distributions, reference.distributions)
+        << "round " << round;
   }
-  ASSERT_TRUE(session.PredictBatch(ds, {.num_threads = 8}).ok());
+  MustPredict(&session, ds, {.num_threads = 8});
   EXPECT_EQ(session.executor_workers(), 7);
 }
 

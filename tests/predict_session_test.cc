@@ -3,11 +3,13 @@
 // pointer-tree traversal, for every tree the builder-determinism fixtures
 // produce (synthetic Gaussian, Japanese-vowel-like, mixed categorical), on
 // every split algorithm, for both model kinds, at 1 and 4 threads, through
-// every session entry point (batch, flat batch, single tuple).
+// every session entry point (contiguous batch, gather batch, single tuple).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,10 +89,20 @@ Dataset MakeCaseDataset(const std::string& which) {
 // Byte-level equality: memcmp, not operator==, so that representation
 // differences (e.g. -0.0 vs 0.0) would be caught, per the acceptance
 // criterion that distributions are *byte*-identical.
-bool BytesEqual(const std::vector<double>& a, const std::vector<double>& b) {
+bool BytesEqual(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// One batch into a fresh result; the batch is expected to succeed.
+FlatBatchResult MustPredict(PredictSession* session,
+                            std::span<const UncertainTuple> tuples,
+                            const PredictOptions& options = {}) {
+  FlatBatchResult out;
+  Status status = session->PredictBatchInto(tuples, options, &out);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return out;
 }
 
 struct EquivalenceCase {
@@ -148,13 +160,12 @@ TEST_P(CompiledEquivalenceTest, SessionMatchesPointerTraversalByteForByte) {
   for (int threads : {1, 4}) {
     PredictOptions options;
     options.num_threads = threads;
-    auto batch = session.PredictBatch(ds, options);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(batch->distributions.size(), expected.size());
+    FlatBatchResult batch = MustPredict(&session, ds.tuples(), options);
+    ASSERT_EQ(batch.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_TRUE(BytesEqual(batch->distributions[i], expected[i]))
+      EXPECT_TRUE(BytesEqual(batch.distribution(i), expected[i]))
           << "tuple " << i << " threads " << threads;
-      EXPECT_EQ(batch->labels[i],
+      EXPECT_EQ(batch.labels[i],
                 model->Predict(ds.tuple(static_cast<int>(i))));
     }
   }
@@ -170,30 +181,23 @@ TEST_P(CompiledEquivalenceTest, AllSessionEntryPointsAgree) {
   ASSERT_TRUE(model.ok()) << model.status().ToString();
 
   PredictSession session(model->Compile());
-  auto batch = session.PredictBatch(ds);
-  ASSERT_TRUE(batch.ok());
+  FlatBatchResult batch = MustPredict(&session, ds.tuples());
 
-  // Flat batch output (the zero-allocation serving path).
-  FlatBatchResult flat;
-  ASSERT_TRUE(session
-                  .PredictBatchInto(
-                      std::span<const UncertainTuple>(ds.tuples().data(),
-                                                      ds.tuples().size()),
-                      {.num_threads = 4}, &flat)
-                  .ok());
-  ASSERT_EQ(flat.size(), batch->distributions.size());
-  ASSERT_EQ(flat.labels, batch->labels);
+  // The gather form over the same tuples, sharded.
+  std::vector<const UncertainTuple*> pointers;
+  for (const UncertainTuple& tuple : ds.tuples()) pointers.push_back(&tuple);
+  FlatBatchResult gathered;
+  ASSERT_TRUE(
+      session.PredictBatchInto(pointers, {.num_threads = 4}, &gathered).ok());
+  ASSERT_EQ(gathered.labels, batch.labels);
+  ASSERT_TRUE(BytesEqual(gathered.distributions, batch.distributions));
 
-  // Single-tuple paths, interleaved with the batch results.
-  const size_t k = static_cast<size_t>(session.num_classes());
+  // The single-tuple primitive, interleaved with the batch results.
+  std::vector<double> single(static_cast<size_t>(session.num_classes()));
   for (int i = 0; i < ds.num_tuples(); ++i) {
-    const size_t ui = static_cast<size_t>(i);
-    std::vector<double> single = session.ClassifyDistribution(ds.tuple(i));
-    EXPECT_TRUE(BytesEqual(single, batch->distributions[ui])) << i;
-    std::span<const double> row = flat.distribution(ui);
-    EXPECT_EQ(std::memcmp(row.data(), single.data(), k * sizeof(double)), 0)
+    session.ClassifyInto(ds.tuple(i), single.data());
+    EXPECT_TRUE(BytesEqual(single, batch.distribution(static_cast<size_t>(i))))
         << i;
-    EXPECT_EQ(session.Predict(ds.tuple(i)), batch->labels[ui]) << i;
   }
 }
 
@@ -206,15 +210,12 @@ TEST(PredictSessionTest, NegativeThreadCountIsInvalidArgument) {
   ASSERT_TRUE(model.ok());
   PredictSession session(model->Compile());
 
-  auto batch = session.PredictBatch(ds, {.num_threads = -1});
-  ASSERT_FALSE(batch.ok());
-  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
-
   FlatBatchResult flat;
-  Status into = session.PredictBatchInto(
-      std::span<const UncertainTuple>(ds.tuples().data(), ds.tuples().size()),
-      {.num_threads = -7}, &flat);
-  EXPECT_EQ(into.code(), StatusCode::kInvalidArgument);
+  for (int threads : {-1, -7}) {
+    Status into =
+        session.PredictBatchInto(ds.tuples(), {.num_threads = threads}, &flat);
+    EXPECT_EQ(into.code(), StatusCode::kInvalidArgument) << threads;
+  }
 }
 
 TEST(PredictSessionTest, ZeroThreadsResolvesToHardwareConcurrency) {
@@ -222,9 +223,10 @@ TEST(PredictSessionTest, ZeroThreadsResolvesToHardwareConcurrency) {
   auto model = Trainer().TrainUdt(ds);
   ASSERT_TRUE(model.ok());
   PredictSession session(model->Compile());
-  auto batch = session.PredictBatch(ds, {.num_threads = 0});
-  ASSERT_TRUE(batch.ok());
-  EXPECT_GE(batch->num_threads_used, 1);
+  MustPredict(&session, ds.tuples(), {.num_threads = 0});
+  // One thread per hardware thread, the caller among them.
+  EXPECT_EQ(session.executor_workers(),
+            std::min(TaskPool::EffectiveConcurrency(0), ds.num_tuples()) - 1);
 }
 
 TEST(PredictSessionTest, SessionIsReusableAcrossBatches) {
@@ -233,23 +235,16 @@ TEST(PredictSessionTest, SessionIsReusableAcrossBatches) {
   ASSERT_TRUE(model.ok());
   PredictSession session(model->Compile());
 
-  auto first = session.PredictBatch(ds);
-  ASSERT_TRUE(first.ok());
+  FlatBatchResult first = MustPredict(&session, ds.tuples());
   // Warm scratch must not leak state between calls: re-running the same
   // batch (and a sub-batch, and different thread counts) stays identical.
-  auto again = session.PredictBatch(ds, {.num_threads = 3});
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(first->labels, again->labels);
-  for (size_t i = 0; i < first->distributions.size(); ++i) {
-    EXPECT_TRUE(BytesEqual(first->distributions[i], again->distributions[i]))
-        << i;
-  }
-  auto sub = session.PredictBatch(
-      std::span<const UncertainTuple>(ds.tuples().data(), 10));
-  ASSERT_TRUE(sub.ok());
+  FlatBatchResult again = MustPredict(&session, ds.tuples(), {.num_threads = 3});
+  EXPECT_EQ(first.labels, again.labels);
+  EXPECT_TRUE(BytesEqual(first.distributions, again.distributions));
+  FlatBatchResult sub = MustPredict(
+      &session, std::span<const UncertainTuple>(ds.tuples().data(), 10));
   for (size_t i = 0; i < 10; ++i) {
-    EXPECT_TRUE(BytesEqual(sub->distributions[i], first->distributions[i]))
-        << i;
+    EXPECT_TRUE(BytesEqual(sub.distribution(i), first.distribution(i))) << i;
   }
 }
 
@@ -269,7 +264,8 @@ TEST(PredictSessionTest, AveragingHandlesOverWideCategoricalPdf) {
   wide.values[1] = UncertainValue::Categorical(std::move(*cat));
 
   PredictSession session(model->Compile());
-  std::vector<double> flat_out = session.ClassifyDistribution(wide);
+  std::vector<double> flat_out(static_cast<size_t>(session.num_classes()));
+  session.ClassifyInto(wide, flat_out.data());
   std::vector<double> pointer_out = model->ClassifyDistribution(wide);
   EXPECT_TRUE(BytesEqual(flat_out, pointer_out));
 }
@@ -277,40 +273,35 @@ TEST(PredictSessionTest, AveragingHandlesOverWideCategoricalPdf) {
 TEST(PredictSessionTest, PersistentExecutorSpawnsOncePerSession) {
   // The executor v3 guarantee: workers are created at the first
   // multi-threaded batch and reused by every later call — steady-state
-  // serving spawns zero threads per PredictBatch.
+  // serving spawns zero threads per batch.
   Dataset ds = SyntheticDataset(120, 3, 3, 6, 23);
   auto model = Trainer().TrainUdt(ds);
   ASSERT_TRUE(model.ok());
   PredictSession session(model->Compile());
 
   // Single-threaded batches never build a pool.
-  ASSERT_TRUE(session.PredictBatch(ds).ok());
+  FlatBatchResult reference = MustPredict(&session, ds.tuples());
   EXPECT_EQ(session.executor_workers(), 0);
 
-  auto reference = session.PredictBatch(ds);
-  ASSERT_TRUE(reference.ok());
-
-  ASSERT_TRUE(session.PredictBatch(ds, {.num_threads = 4}).ok());
+  MustPredict(&session, ds.tuples(), {.num_threads = 4});
   EXPECT_EQ(session.executor_workers(), 3);
   // Steady state: many batches of assorted sizes and narrower widths, all
   // on the same three workers.
   for (int round = 0; round < 50; ++round) {
     const size_t n = static_cast<size_t>(1 + (round * 7) % 40);
-    auto batch = session.PredictBatch(
-        std::span<const UncertainTuple>(ds.tuples().data(), n),
+    FlatBatchResult batch = MustPredict(
+        &session, std::span<const UncertainTuple>(ds.tuples().data(), n),
         {.num_threads = 1 + round % 4});
-    ASSERT_TRUE(batch.ok());
     ASSERT_EQ(session.executor_workers(), 3) << "round " << round;
     for (size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(
-          BytesEqual(batch->distributions[i], reference->distributions[i]))
+      ASSERT_TRUE(BytesEqual(batch.distribution(i), reference.distribution(i)))
           << "round " << round << " tuple " << i;
     }
   }
   // A wider request grows the pool (once); narrower requests reuse it.
-  ASSERT_TRUE(session.PredictBatch(ds, {.num_threads = 8}).ok());
+  MustPredict(&session, ds.tuples(), {.num_threads = 8});
   EXPECT_EQ(session.executor_workers(), 7);
-  ASSERT_TRUE(session.PredictBatch(ds, {.num_threads = 2}).ok());
+  MustPredict(&session, ds.tuples(), {.num_threads = 2});
   EXPECT_EQ(session.executor_workers(), 7);
 }
 
@@ -324,13 +315,8 @@ TEST(PredictSessionTest, ByteIdenticalAcrossThreadCountsAndBatchSizes) {
   ASSERT_TRUE(model.ok());
   PredictSession session(model->Compile());
 
-  FlatBatchResult reference;
-  ASSERT_TRUE(session
-                  .PredictBatchInto(
-                      std::span<const UncertainTuple>(ds.tuples().data(),
-                                                      ds.tuples().size()),
-                      {.num_threads = 1}, &reference)
-                  .ok());
+  FlatBatchResult reference =
+      MustPredict(&session, ds.tuples(), {.num_threads = 1});
   const size_t k = static_cast<size_t>(reference.num_classes);
   for (int threads : {2, 4, 8}) {
     for (size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
@@ -356,25 +342,23 @@ TEST(PredictSessionTest, ByteIdenticalAcrossThreadCountsAndBatchSizes) {
   }
 }
 
-TEST(PredictSessionTest, NumThreadsUsedReflectsGrainClamping) {
+TEST(PredictSessionTest, ExecutorSeatsTheBatchClampedWidth) {
   Dataset ds = SyntheticDataset(64, 2, 2, 6, 9);
   auto model = Trainer().TrainUdt(ds);
   ASSERT_TRUE(model.ok());
   PredictSession session(model->Compile());
 
-  // 8 tuples at the default grain of 8 make one chunk: the batch runs
-  // inline and num_threads_used reports that honestly instead of echoing
-  // the request.
-  auto small = session.PredictBatch(
-      std::span<const UncertainTuple>(ds.tuples().data(), 8),
-      {.num_threads = 4});
-  ASSERT_TRUE(small.ok());
-  EXPECT_EQ(small->num_threads_used, 1);
+  // A one-tuple batch clamps the request to one thread: it runs inline
+  // and creates no pool.
+  MustPredict(&session, std::span<const UncertainTuple>(ds.tuples().data(), 1),
+              {.num_threads = 4});
+  EXPECT_EQ(session.executor_workers(), 0);
 
-  // 64 tuples at grain 8 fan out across the full requested width.
-  auto big = session.PredictBatch(ds, {.num_threads = 4});
-  ASSERT_TRUE(big.ok());
-  EXPECT_EQ(big->num_threads_used, 4);
+  // 64 tuples seat the full requested width: the caller plus three
+  // workers. (How many of them a small batch wakes is the shard grain's
+  // business, covered by ParallelForTest.GrainClampsFanOut.)
+  MustPredict(&session, ds.tuples(), {.num_threads = 4});
+  EXPECT_EQ(session.executor_workers(), 3);
 }
 
 TEST(PredictSessionTest, SharedCompiledTreeAcrossSessions) {
@@ -387,10 +371,10 @@ TEST(PredictSessionTest, SharedCompiledTreeAcrossSessions) {
   PredictSession a(compiled);
   PredictSession b(compiled);
   EXPECT_EQ(&a.forest().tree(0), &b.forest().tree(0));
-  auto ra = a.PredictBatch(ds);
-  auto rb = b.PredictBatch(ds, {.num_threads = 2});
-  ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_EQ(ra->labels, rb->labels);
+  FlatBatchResult ra = MustPredict(&a, ds.tuples());
+  FlatBatchResult rb = MustPredict(&b, ds.tuples(), {.num_threads = 2});
+  EXPECT_EQ(ra.labels, rb.labels);
+  EXPECT_TRUE(BytesEqual(ra.distributions, rb.distributions));
 }
 
 }  // namespace

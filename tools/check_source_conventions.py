@@ -74,6 +74,15 @@ unrepresentable:
                    against; included from production code they would
                    become a second way to make what the build makes.
 
+  flat-kernel      A call to ClassifyFlatBatch or ClassifyFlatMeans under
+                   src/ outside src/tree/ (the kernels) and
+                   src/api/predict_session.cc (the one dispatch by model
+                   kind). Everything else in src/ that classifies a batch
+                   (serving, evaluation, the forest's out-of-bag score)
+                   goes through PredictSession, so the choice of kernel
+                   per ModelKind is written once. tests/ and bench/ may
+                   drive the kernels directly.
+
 Per-line opt-outs, always with a reason after the colon:
 
   // lint-ok(naked-mutex): <reason>     (same line or the line above)
@@ -135,6 +144,9 @@ COMMENT_RE = re.compile(r"//.*$")
 LINK_RE = re.compile(r"target_link_libraries\(\s*udt_(\w+)([^)]*)\)")
 LAYER_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(\w+)/')
 QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+FLAT_KERNEL_RE = re.compile(r"\bClassifyFlat(?:Batch|Means)\s*\(")
+# The kernels themselves and the one session that dispatches to them.
+FLAT_KERNEL_HOMES = ("src/tree/", "src/api/predict_session.cc")
 # Code that ships or measures the build, which must not reach test code.
 NON_TEST_DIRS = ("src", "bench", "examples")
 
@@ -224,6 +236,7 @@ def check_file(relpath, lines, layers=None, test_headers=frozenset()):
     layer = parts[1] if in_src and len(parts) > 2 else None
     reachable = (layers or {}).get(layer)
     in_non_test = relpath.split("/")[0] in NON_TEST_DIRS
+    flat_kernel_banned = in_src and not relpath.startswith(FLAT_KERNEL_HOMES)
     for i, line in enumerate(lines):
         m = NAKED_MUTEX_RE.search(line)
         if m and not is_comment_or_string(line, m.start()):
@@ -306,6 +319,15 @@ def check_file(relpath, lines, layers=None, test_headers=frozenset()):
                 f"{relpath.split('/')[0]}/ includes the test header"
                 f" {m.group(1)} — test references stay in tests/; the"
                 " build makes its lists one way")
+
+        m = FLAT_KERNEL_RE.search(line)
+        if (flat_kernel_banned and m
+                and not is_comment_or_string(line, m.start())):
+            report(
+                "flat-kernel", i,
+                f"{m.group(0).rstrip('( ')} called outside src/tree/ and"
+                " src/api/predict_session.cc — classify through"
+                " PredictSession, which picks the kernel per ModelKind")
 
     if relpath.endswith(".h"):
         guard = expected_guard(relpath)
@@ -433,6 +455,34 @@ SELF_TEST_CASES = [
      {"test-reference"}),
     ("tests/reference_user_test.cc",
      '#include "split/fractional_tuple.h"\n#include "split_reference.h"\n',
+     set()),
+    # The flat kernels: src/ outside their homes must go through the
+    # session; the homes, prose mentions, tests and benches may not fire.
+    ("src/api/oob_scorer.cc",
+     "void Score() {\n"
+     "  ClassifyFlatBatch(tree, tuples, rows, n, &scratch);\n"
+     "  ClassifyFlatMeans(tree, *tuples[0], &scratch, rows[0]);\n"
+     "}\n",
+     {"flat-kernel"}),
+    ("src/eval/means_eval.cc",
+     "void Eval() { udt::ClassifyFlatMeans(tree, tuple, &scratch, row); }\n",
+     {"flat-kernel"}),
+    ("src/tree/flat_kernel_user.cc",
+     "void Walk() { ClassifyFlatBatch(tree, tuples, rows, n, &scratch); }\n",
+     set()),
+    ("src/api/predict_session.cc",
+     "void Block() { ClassifyFlatMeans(tree, tuple, &scratch, row); }\n",
+     set()),
+    ("src/api/session_doc.h",
+     "#ifndef UDT_API_SESSION_DOC_H_\n#define UDT_API_SESSION_DOC_H_\n"
+     "// Runs ClassifyFlatBatch(...) per tree, then folds the votes.\n"
+     "#endif\n",
+     set()),
+    ("bench/bench_kernels.cc",
+     "void Sweep() { ClassifyFlatBatch(tree, tuples, rows, n, &scratch); }\n",
+     set()),
+    ("tests/kernel_test.cc",
+     "void Check() { ClassifyFlatMeans(tree, tuple, &scratch, row); }\n",
      set()),
 ]
 
