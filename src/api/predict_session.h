@@ -136,8 +136,8 @@ class PredictSession {
 
  private:
   // Per-worker mutable state: traversal scratch shared by all trees, the
-  // block's per-tree rows the vote aggregation consumes, and the gather
-  // buffers that assemble the kernels' pointer-array arguments.
+  // block's per-tree rows the vote aggregation consumes (and pointers to
+  // them), and the gathered tuple pointers the kernels take.
   struct WorkerScratch {
     FlatTraversalScratch traversal;
     std::vector<double> tree_rows;

@@ -238,7 +238,8 @@ TEST(PredictSessionTest, SessionIsReusableAcrossBatches) {
   FlatBatchResult first = MustPredict(&session, ds.tuples());
   // Warm scratch must not leak state between calls: re-running the same
   // batch (and a sub-batch, and different thread counts) stays identical.
-  FlatBatchResult again = MustPredict(&session, ds.tuples(), {.num_threads = 3});
+  FlatBatchResult again =
+      MustPredict(&session, ds.tuples(), {.num_threads = 3});
   EXPECT_EQ(first.labels, again.labels);
   EXPECT_TRUE(BytesEqual(first.distributions, again.distributions));
   FlatBatchResult sub = MustPredict(
