@@ -7,8 +7,8 @@
 //   3. train a distribution-based udt::Model with udt::Trainer
 //   4. persist the model to disk with Model::Save and load it back with
 //      Model::Load (schema and config travel inside the file)
-//   5. compile a serving artifact (a one-tree CompiledForest, Save / Load)
-//      and check the reloaded flat layout serves identical predictions
+//   5. compile the reloaded model into its serving artifact (a one-tree
+//      CompiledForest) and check it is byte-identical to the original
 //   6. extract human-readable IF-THEN rules and a Graphviz rendering
 //
 // Run: build/examples/csv_workflow [output-directory]
@@ -101,21 +101,18 @@ int main(int argc, char** argv) {
   std::printf("model persisted to %s and reloaded: predictions identical\n",
               model_path.c_str());
 
-  // 5. The serving artifact: the compiled tree is a one-tree forest and
-  // persists in the compiled-forest container ("udt-forest v1"), so
-  // serving fleets can ship it without the training config, and Load
-  // rebuilds the identical in-memory layout.
-  std::string compiled_path = out_dir + "/udt_wine.compiled";
-  UDT_CHECK(served.Save(compiled_path).ok());
-  auto compiled = udt::CompiledForest::Load(compiled_path);
-  UDT_CHECK(compiled.ok());
-  UDT_CHECK(compiled->LayoutEquals(served));
-  udt::PredictSession reloaded_session(*compiled);
+  // 5. The serving artifact is never persisted itself: a server loads the
+  // model file and compiles it (linear in the tree's size). The model
+  // container determines the compiled layout, so the reloaded model
+  // compiles to the same bytes and serves identical predictions.
+  const udt::CompiledForest compiled = restored->Compile();
+  UDT_CHECK(compiled.Serialize() == served.Serialize());
+  udt::PredictSession reloaded_session(compiled);
   UDT_CHECK(udt::EvaluateAccuracy(reloaded_session, test) ==
             udt::EvaluateAccuracy(session, test));
-  std::printf("compiled artifact (%d flat nodes) persisted to %s and "
-              "reloaded layout-identical\n",
-              compiled->num_nodes(), compiled_path.c_str());
+  std::printf("reloaded model compiled to %d flat nodes, byte-identical to "
+              "the original artifact\n",
+              compiled.num_nodes());
 
   // 6. Rules and Graphviz.
   udt::RuleSet rules = udt::RuleSet::FromTree(model->tree());

@@ -1,10 +1,11 @@
 // Forest workflow: train a bagged random-subspace UDT forest on noisy
 // sensor-style data, read its out-of-bag error, compare it against a
-// single UDT tree, then walk the serving path end to end — compile,
-// save/load the "udt-forest v1" artifact, and batch-classify through the
-// same PredictSession a single tree serves through.
+// single UDT tree, then walk the serving path end to end — save and
+// reload the forest model ("udt-forest-model v1"), compile the reloaded
+// model, and batch-classify through the same PredictSession a single tree
+// serves through.
 //
-// Run: build/examples/forest_workflow
+// Run: build/examples/forest_workflow [output-directory]
 
 #include <cstdio>
 #include <string>
@@ -43,7 +44,9 @@ udt::Dataset MakeReadings(int tuples, int s, uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::string out_dir = argc > 1 ? argv[1] : "/tmp";
+
   udt::Dataset train = MakeReadings(300, 12, 7);
   udt::Dataset test = MakeReadings(200, 12, 1007);
 
@@ -74,15 +77,20 @@ int main() {
               oob.error, oob.coverage, oob.evaluated_tuples,
               oob.total_tuples);
 
-  // --- serving path: compile, persist, session ------------------------
-  udt::CompiledForest compiled = forest->Compile();
-  const std::string path = "/tmp/udt_forest_example.udtf";
-  UDT_CHECK(compiled.Save(path).ok());
-  auto loaded = udt::CompiledForest::Load(path);
+  // --- serving path: persist the model, load, compile, session --------
+  // The model container determines the compiled layout, so the reloaded
+  // forest compiles to the same bytes as the trained one.
+  const std::string path = out_dir + "/udt_forest_example.udtf";
+  UDT_CHECK(forest->Save(path).ok());
+  auto loaded = udt::ForestModel::Load(path);
   UDT_CHECK(loaded.ok());
-  UDT_CHECK(loaded->LayoutEquals(compiled));
+  const udt::CompiledForest compiled = loaded->Compile();
+  UDT_CHECK(compiled.Serialize() == forest->Compile().Serialize());
+  std::printf("forest model persisted to %s; the reloaded model compiles "
+              "byte-identically\n",
+              path.c_str());
 
-  udt::PredictSession session(*loaded);
+  udt::PredictSession session(compiled);
   udt::FlatBatchResult batch;
   udt::WallTimer batch_timer;
   UDT_CHECK(session.PredictBatchInto(test.tuples(), {}, &batch).ok());

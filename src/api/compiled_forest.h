@@ -7,10 +7,12 @@
 // shared pointer wide — copy it freely across worker threads and hand one
 // to each udt::PredictSession.
 //
-// Persistence is versioned and self-contained ("udt-forest v1", the one
-// compiled container): the header carries kind/vote/schema, then one
-// flat-tree body per tree (tree/flat_tree_io.h, hexfloat doubles), each
-// structurally validated on load before anything traverses it.
+// A CompiledForest is never loaded from disk: persist the model
+// ("udt-model v1" / "udt-forest-model v1") and Compile() after Load. The
+// model container determines the compiled layout, and compiling is linear
+// in each tree's size. Serialize() writes the layout as text
+// ("udt-forest v1", hexfloat doubles) only so that tests and the
+// end-to-end benchmark can compare two artifacts byte for byte.
 
 #ifndef UDT_API_COMPILED_FOREST_H_
 #define UDT_API_COMPILED_FOREST_H_
@@ -21,14 +23,13 @@
 
 #include "api/forest.h"
 #include "api/model.h"
-#include "common/statusor.h"
 #include "table/attribute.h"
 #include "tree/flat_tree.h"
 
 namespace udt {
 
 // An immutable compiled forest. Obtain one from Model::Compile,
-// ForestModel::Compile, CompiledForest::Compile, or Load/Deserialize.
+// ForestModel::Compile or CompiledForest::Compile.
 class CompiledForest {
  public:
   // Flattens every tree of the forest. The artifact classifies
@@ -56,21 +57,10 @@ class CompiledForest {
   // Total node count across all trees.
   int num_nodes() const;
 
-  // True when the two artifacts are bitwise-identical: same kind, vote and
-  // schema, and every tree's flat layout equal byte for byte. Load after
-  // Save reproduces the layout exactly, by this definition.
-  bool LayoutEquals(const CompiledForest& other) const;
-
-  // -------------------------------------------------------- persistence
-
-  // Self-contained versioned text serialisation. Doubles are written as
-  // hexfloats, so Deserialize(Serialize()) is layout-identical.
+  // The whole artifact as text: kind, vote, schema, then every tree's
+  // flat tables with hexfloat doubles, so equal bytes mean equal layouts.
+  // Write-only: there is no reader.
   std::string Serialize() const;
-  static StatusOr<CompiledForest> Deserialize(const std::string& text);
-
-  // File round-trip of Serialize/Deserialize.
-  Status Save(const std::string& path) const;
-  static StatusOr<CompiledForest> Load(const std::string& path);
 
  private:
   struct Rep {
@@ -80,7 +70,7 @@ class CompiledForest {
     std::vector<FlatTree> trees;
   };
 
-  // Wraps trusted (compiled or validated) flat trees.
+  // Wraps freshly compiled flat trees.
   CompiledForest(Schema schema, ModelKind kind, ForestVote vote,
                  std::vector<FlatTree> trees);
 

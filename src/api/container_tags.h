@@ -1,19 +1,17 @@
-// Wire tags shared by the versioned persistence containers ("udt-model
-// v1", "udt-forest-model v1", "udt-forest v1"): the ModelKind and
-// ForestVote tag maps, the bitwise table comparison LayoutEquals builds
-// on, and the file half of every container's Save/Load. One copy keeps a
+// Wire tags shared by the versioned text containers ("udt-model v1",
+// "udt-forest-model v1", and the write-only "udt-forest v1" that
+// CompiledForest::Serialize emits): the ModelKind and ForestVote tag maps
+// and the file half of the model containers' Save/Load. One copy keeps a
 // tag a container serialises parseable by every sibling container
 // forever — adding an enum value means touching exactly this header.
 
 #ifndef UDT_API_CONTAINER_TAGS_H_
 #define UDT_API_CONTAINER_TAGS_H_
 
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "api/forest.h"
 #include "api/model.h"
@@ -40,15 +38,6 @@ inline StatusOr<ForestVote> ParseVoteTag(std::string_view tag) {
   if (tag == "avg") return ForestVote::kAverage;
   if (tag == "majority") return ForestVote::kMajority;
   return Status::InvalidArgument("unknown forest vote: " + std::string(tag));
-}
-
-// Byte equality of two plain-data arrays — the primitive behind every
-// LayoutEquals.
-template <typename T>
-bool BitwiseEquals(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 // Writes `text` to `path` in one go; IOError if the file cannot be opened

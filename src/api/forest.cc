@@ -231,7 +231,6 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
   }
 
   ForestConfig config = config_;
-  if (request.num_threads >= 0) config.num_threads = request.num_threads;
   if (request.seed) config.seed = *request.seed;
   UDT_RETURN_NOT_OK(config.Validate());
 

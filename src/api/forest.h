@@ -181,26 +181,19 @@ class ForestTrainer {
   const ForestConfig& config() const { return config_; }
   ForestConfig& mutable_config() { return config_; }
 
-  // Forest-level training parallelism; returns *this for chaining.
-  ForestTrainer& SetNumThreads(int num_threads) {
-    config_.num_threads = num_threads;
-    return *this;
-  }
-
   // The unified entry point: trains one forest as described by `request`
   // (api/train_request.h). Averaging forests reduce the data to pdf means
   // once and grow classical trees over the bags, exactly like
   // Trainer::Train does for one tree. Honoured request fields beyond the
-  // source: `num_threads` overrides the forest-level thread count, `seed`
-  // overrides ForestConfig::seed (bags + subspaces), `warm_start` /
-  // `warm_trees` carry incumbent trees into the new ensemble (fresh trees
-  // keep their by-index bags/subspace streams, so a warm-started forest's
-  // fresh tree t is bitwise-identical to cold tree t), `oob` receives the
-  // out-of-bag estimate over the freshly trained trees when bootstrap is
-  // on (reset to the zero-coverage NaN sentinel otherwise), and `stats`
-  // accumulates the fresh trees' BuildStats in tree order. Weighted
-  // requests are rejected — bags own the forest's tuple weighting. Fails
-  // on an empty data set or invalid config/request.
+  // source: `seed` overrides ForestConfig::seed (bags + subspaces),
+  // `warm_start` / `warm_trees` carry incumbent trees into the new
+  // ensemble (fresh trees keep their by-index bags/subspace streams, so a
+  // warm-started forest's fresh tree t is bitwise-identical to cold tree
+  // t), `oob` receives the out-of-bag estimate over the freshly trained
+  // trees when bootstrap is on (reset to the zero-coverage NaN sentinel
+  // otherwise), and `stats` accumulates the fresh trees' BuildStats in
+  // tree order. Weighted requests are rejected — bags own the forest's
+  // tuple weighting. Fails on an empty data set or invalid config/request.
   [[nodiscard]] StatusOr<ForestModel> Train(const TrainRequest& request) const;
 
   // Shorthand for the common distribution-based case.

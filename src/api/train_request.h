@@ -56,11 +56,6 @@ struct TrainRequest {
   // ------------------------------------------------------------- policy
   ModelKind kind = ModelKind::kUdt;
 
-  // Training parallelism override: -1 keeps the trainer config's thread
-  // count, 0 = one thread per hardware thread, N >= 1 = exactly N. The
-  // result is bitwise-identical for every value.
-  int num_threads = -1;
-
   // Seed override: replaces ForestConfig::seed (bags + subspaces) for
   // forest requests and TreeConfig::subspace_seed for single-tree
   // requests — the retrain loop varies this per generation without

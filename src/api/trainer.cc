@@ -18,11 +18,6 @@ Status TrainRequest::Validate() const {
         StrFormat("TrainRequest::weights holds %zu weights for %d tuples",
                   weights.size(), dataset->num_tuples()));
   }
-  if (num_threads < -1) {
-    return Status::InvalidArgument(
-        "TrainRequest::num_threads must be >= -1 "
-        "(-1 keeps the trainer config)");
-  }
   if (warm_trees < 0) {
     return Status::InvalidArgument("TrainRequest::warm_trees must be >= 0");
   }
@@ -45,7 +40,6 @@ StatusOr<Model> Trainer::Train(const TrainRequest& request) const {
   }
 
   TreeConfig config = config_;
-  if (request.num_threads >= 0) config.num_threads = request.num_threads;
   if (request.seed) config.subspace_seed = *request.seed;
   if (request.kind == ModelKind::kAveraging) {
     // AVG (Section 4.1): classical tree over pdf means, exhaustive point

@@ -7,7 +7,7 @@
 //
 // Training is requested through one TrainRequest struct
 // (api/train_request.h) that names the in-memory dataset, kind, optional
-// per-tuple weights, and thread and seed overrides. Trainers see only
+// per-tuple weights, and a seed override. Trainers see only
 // Datasets: a "udt-dataset v1" file trains after MaterializeDataset
 // (storage/dataset_file.h) has turned it into one. The
 // TrainUdt/TrainAveraging shorthands are the convenience layer.
@@ -33,20 +33,12 @@ class Trainer {
   const TreeConfig& config() const { return config_; }
   TreeConfig& mutable_config() { return config_; }
 
-  // Training parallelism (TreeConfig::num_threads): 1 = serial, 0 = one
-  // thread per hardware thread, N > 1 = exactly N. The trained tree is
-  // bitwise-identical for every value. Returns *this for chaining.
-  Trainer& SetNumThreads(int num_threads) {
-    config_.num_threads = num_threads;
-    return *this;
-  }
-
   // The unified entry point: trains one model as described by `request`
-  // (dataset, kind, weights, thread/seed overrides — see
-  // api/train_request.h). For kAveraging the data is reduced to pdf means
-  // and the exhaustive point search is used (the config's algorithm is
-  // overridden to kAvg), exactly as the paper's AVG baseline; for kUdt the
-  // configured algorithm runs on the full pdfs. Fails on an empty data
+  // (dataset, kind, weights, seed override — see api/train_request.h).
+  // For kAveraging the data is reduced to pdf means and the exhaustive
+  // point search is used (the config's algorithm is overridden to kAvg),
+  // exactly as the paper's AVG baseline; for kUdt the configured
+  // algorithm runs on the full pdfs. Fails on an empty data
   // set, an invalid config, or an inconsistent request. Requests carrying
   // forest-only fields (oob, warm_start) are rejected.
   [[nodiscard]] StatusOr<Model> Train(const TrainRequest& request) const;

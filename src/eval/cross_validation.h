@@ -16,11 +16,6 @@
 
 namespace udt {
 
-// Which model family a cross-validation run trains. Historically a
-// separate enum; now the api layer's ModelKind (kAveraging / kUdt) is
-// used directly.
-using ClassifierKind = ModelKind;
-
 struct CrossValidationResult {
   std::vector<double> fold_accuracies;
   double mean_accuracy = 0.0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "api/predict_session.h"
 #include "api/train_request.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -192,9 +193,12 @@ StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
 
   UDT_ASSIGN_OR_RETURN(ForestModel candidate, trainer_.Train(request));
   ++generations_;
+  // Compiled once: the holdout score and the registry see one artifact.
+  serve::Servable compiled = candidate.Compile();
 
   if (holdout != nullptr) {
-    report.candidate_accuracy = EvaluateAccuracy(candidate, *holdout);
+    PredictSession session(compiled);
+    report.candidate_accuracy = EvaluateAccuracy(session, *holdout);
     if (incumbent_ != nullptr) {
       report.incumbent_accuracy = EvaluateAccuracy(*incumbent_, *holdout);
       if (report.candidate_accuracy <
@@ -206,8 +210,7 @@ StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
     }
   }
 
-  report.version =
-      registry_->Publish(name_, serve::Servable(candidate.Compile()));
+  report.version = registry_->Publish(name_, std::move(compiled));
   report.published = true;
   incumbent_ = std::make_shared<const ForestModel>(std::move(candidate));
   incumbent_version_ = report.version;

@@ -1,5 +1,6 @@
 // The schema block shared by every versioned udt container ("udt-model
-// v1", "udt-forest-model v1", "udt-forest v1"): a line-oriented classes +
+// v1", "udt-forest-model v1", "udt-dataset v1", and the write-only
+// "udt-forest v1" of CompiledForest::Serialize): a line-oriented classes +
 // attributes section. Historically each container carried its own copy of
 // the writer and parser; this header is the single implementation they all
 // delegate to, so a format fix lands everywhere at once.
@@ -30,8 +31,9 @@ namespace udt {
 // reader serves a whole Deserialize and every error it reports carries the
 // offending 1-based line number. Read paths that consume lines behind the
 // reader's back (raw getline on stream()) would desynchronise the count —
-// route every line through Next(), as tree/flat_tree_io does for the tree
-// bodies embedded in the compiled containers.
+// route every line through Next(), or report a raw read with
+// AccountRawLines() as the forest container does for its framed tree
+// bodies.
 class LineReader {
  public:
   // `context` tags error messages, e.g. "udt-model". `in` must outlive

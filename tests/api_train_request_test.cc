@@ -1,11 +1,10 @@
-// TrainRequest — the unified entry point (ISSUE 9 satellite; the old
-// multi-signature wrappers finished their deprecation cycle and were
-// removed in ISSUE 10). Contracts under test:
+// TrainRequest — the one training entry point. Contracts under test:
 //   * request validation rejects a missing dataset and facade-mismatched
 //     knobs (weights on forests, warm starts on single trees);
-//   * the overrides do what they say: num_threads never changes bytes,
-//     seed changes forest bags, warm_start carries incumbent trees
-//     verbatim while fresh trees stay bitwise-identical to a cold run.
+//   * the overrides do what they say: seed changes forest bags,
+//     warm_start carries incumbent trees verbatim while fresh trees stay
+//     bitwise-identical to a cold run. Training width is the trainer
+//     config's num_threads alone; forest_determinism_test pins its bytes.
 
 #include <gtest/gtest.h>
 
@@ -82,23 +81,6 @@ TEST(TrainRequestTest, UnitWeightsMatchUnweighted) {
   ASSERT_TRUE(with_weights.ok());
   ASSERT_TRUE(without.ok());
   EXPECT_EQ(with_weights->Serialize(), without->Serialize());
-}
-
-TEST(TrainRequestTest, ThreadOverrideNeverChangesBytes) {
-  const Dataset data = SmallDataset(48, 23);
-  ForestConfig config;
-  config.num_trees = 4;
-  ForestTrainer trainer(config);
-
-  TrainRequest serial = TrainRequest::For(data);
-  serial.num_threads = 1;
-  TrainRequest wide = TrainRequest::For(data);
-  wide.num_threads = 3;
-  auto a = trainer.Train(serial);
-  auto b = trainer.Train(wide);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->Serialize(), b->Serialize());
 }
 
 TEST(TrainRequestTest, SeedOverrideChangesBagsWithoutMutatingTrainer) {

@@ -209,14 +209,17 @@ TEST(TrainerThreadsTest, FacadeRespectsNumThreads) {
 
   auto serial = Trainer(config).TrainUdt(ds);
   ASSERT_TRUE(serial.ok());
-  auto parallel = Trainer(config).SetNumThreads(4).TrainUdt(ds);
+  TreeConfig parallel_config = config;
+  parallel_config.num_threads = 4;
+  auto parallel = Trainer(parallel_config).TrainUdt(ds);
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel->config().num_threads, 4);
   EXPECT_EQ(SerializeTree(parallel->tree()), SerializeTree(serial->tree()));
 
   // The averaging family runs through the same engine.
   auto avg_serial = Trainer(config).TrainAveraging(ds);
-  auto avg_parallel = Trainer(config).SetNumThreads(3).TrainAveraging(ds);
+  parallel_config.num_threads = 3;
+  auto avg_parallel = Trainer(parallel_config).TrainAveraging(ds);
   ASSERT_TRUE(avg_serial.ok() && avg_parallel.ok());
   EXPECT_EQ(SerializeTree(avg_parallel->tree()),
             SerializeTree(avg_serial->tree()));

@@ -1,18 +1,15 @@
 // A compiled tree (Model::Compile, a one-tree CompiledForest): flattening
-// invariants (breadth-first layout, pooled leaf table) and the versioned
-// "udt-forest v1" serialisation contract — Save/Load must rebuild a
-// bitwise-identical in-memory layout, and malformed or hostile input must
-// fail with a Status. The hand-written tables below are the direct
-// coverage of ValidateFlatTree's cycle, wrap and kind checks.
+// invariants (breadth-first layout, pooled leaf table), and the one load
+// path for a servable — the model container, then Compile() — which must
+// reproduce the compiled bytes of the model it was saved from.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "api/compiled_forest.h"
-#include "api/predict_session.h"
+#include "api/forest.h"
 #include "api/trainer.h"
 #include "common/random.h"
 #include "pdf/pdf_builder.h"
@@ -110,44 +107,7 @@ TEST(FlattenTest, LeafDistributionsArePooled) {
             0u);
 }
 
-TEST(CompiledPersistenceTest, SerializeRoundTripIsLayoutIdentical) {
-  for (bool mixed : {false, true}) {
-    CompiledForest compiled = mixed ? CompileFresh(MixedDataset(120, 5))
-                                   : CompileFresh(NumericDataset(150, 3, 21));
-    auto restored = CompiledForest::Deserialize(compiled.Serialize());
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_TRUE(restored->LayoutEquals(compiled)) << "mixed=" << mixed;
-    EXPECT_EQ(restored->kind(), compiled.kind());
-    EXPECT_EQ(restored->class_names(), compiled.class_names());
-  }
-}
-
-TEST(CompiledPersistenceTest, SaveLoadFileRoundTrip) {
-  Dataset ds = MixedDataset(120, 9);
-  auto model = Trainer().TrainUdt(ds);
-  ASSERT_TRUE(model.ok());
-  CompiledForest compiled = model->Compile();
-
-  std::string path = testing::TempDir() + "/udt_compiled_model_test.compiled";
-  ASSERT_TRUE(compiled.Save(path).ok());
-  auto restored = CompiledForest::Load(path);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  std::remove(path.c_str());
-
-  EXPECT_TRUE(restored->LayoutEquals(compiled));
-
-  // Layout-identical artifacts must serve identical bytes.
-  PredictSession before(compiled);
-  PredictSession after(*restored);
-  FlatBatchResult b;
-  FlatBatchResult a;
-  ASSERT_TRUE(before.PredictBatchInto(ds.tuples(), {}, &b).ok());
-  ASSERT_TRUE(after.PredictBatchInto(ds.tuples(), {}, &a).ok());
-  EXPECT_EQ(b.labels, a.labels);
-  EXPECT_EQ(b.distributions, a.distributions);
-}
-
-TEST(CompiledPersistenceTest, IsAOneTreeAverageForest) {
+TEST(CompiledModelTest, IsAOneTreeAverageForest) {
   CompiledForest compiled = CompileFresh(NumericDataset(60, 2, 5));
   EXPECT_EQ(compiled.num_trees(), 1);
   EXPECT_EQ(compiled.vote(), ForestVote::kAverage);
@@ -156,119 +116,40 @@ TEST(CompiledPersistenceTest, IsAOneTreeAverageForest) {
             0u);
 }
 
-TEST(CompiledPersistenceTest, AveragingKindSurvivesRoundTrip) {
-  Dataset ds = NumericDataset(90, 2, 61);
-  auto model = Trainer().TrainAveraging(ds);
-  ASSERT_TRUE(model.ok());
-  CompiledForest compiled = model->Compile();
-  auto restored = CompiledForest::Deserialize(compiled.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->kind(), ModelKind::kAveraging);
-  EXPECT_TRUE(restored->LayoutEquals(compiled));
-}
+// A servable is persisted as its model container and compiled after load,
+// so the container must determine every compiled byte: reloading the
+// model and compiling gives the same artifact as compiling the original.
+TEST(CompiledModelTest, ModelContainerDeterminesCompiledBytes) {
+  const Dataset ds = MixedDataset(120, 9);
+  for (ModelKind kind : {ModelKind::kUdt, ModelKind::kAveraging}) {
+    const std::string what = ModelKindToString(kind);
+    auto tree = Trainer().Train(TrainRequest::For(ds, kind));
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    ASSERT_GT(tree->Compile().num_nodes(), 1) << what;
+    auto tree_reloaded = Model::Deserialize(tree->Serialize());
+    ASSERT_TRUE(tree_reloaded.ok()) << tree_reloaded.status().ToString();
+    EXPECT_EQ(tree_reloaded->Compile().Serialize(),
+              tree->Compile().Serialize())
+        << what;
 
-TEST(CompiledPersistenceTest, DeserializeRejectsMalformed) {
-  EXPECT_FALSE(CompiledForest::Deserialize("").ok());
-  EXPECT_FALSE(CompiledForest::Deserialize("not-a-compiled-model").ok());
-  // A v1 *model* container is not a compiled container.
-  EXPECT_FALSE(CompiledForest::Deserialize("udt-model v1\nkind udt\n").ok());
-  EXPECT_FALSE(
-      CompiledForest::Deserialize("udt-forest v1\nkind bogus\n").ok());
-  // Hostile counts fail with a Status, not a bad_alloc.
-  EXPECT_FALSE(
-      CompiledForest::Deserialize("udt-forest v1\nkind udt\nvote avg\n"
-                                  "classes 2000000000\n")
-          .ok());
-}
-
-TEST(CompiledPersistenceTest, DeserializeRejectsStructurallyInvalid) {
-  // Valid header, structurally broken tree sections: every variant must be
-  // caught by validation, never crash a traversal later. Each case names
-  // the check that must reject it, so none passes for an unrelated reason.
-  const std::string header =
-      "udt-forest v1\nkind udt\nvote avg\nclasses 2\nA\nB\n"
-      "attributes 1\nattr num 0 x\ntrees 1\n";
-  const std::string cat_header =
-      "udt-forest v1\nkind udt\nvote avg\nclasses 2\nA\nB\n"
-      "attributes 1\nattr cat 3 c\ntrees 1\n";
-  const std::string leaves = "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n";
-  struct Case {
-    std::string text;
-    const char* error;
-  };
-  const Case cases[] = {
-      // Root's left child id points backwards (cycle).
-      {header + "tables nodes=3 children=0 leaves=4\n"
-                "n 1 0 0x1p+0 0 0\n"
-                "n 0 -1 0x0p+0 0 0\n"
-                "n 0 -1 0x0p+0 2 0\n" +
-           leaves,
-       "numerical child out of range"},
-      // Left child id of INT32_MAX: the range check must not wrap.
-      {header + "tables nodes=3 children=0 leaves=4\n"
-                "n 1 0 0x1p+0 2147483647 0\n"
-                "n 0 -1 0x0p+0 0 0\n"
-                "n 0 -1 0x0p+0 2 0\n" +
-           leaves,
-       "numerical child out of range"},
-      // Leaf offset beyond the pooled table.
-      {header + "tables nodes=3 children=0 leaves=4\n"
-                "n 1 0 0x1p+0 1 0\n"
-                "n 0 -1 0x0p+0 0 0\n"
-                "n 0 -1 0x0p+0 4 0\n" +
-           leaves,
-       "leaf offset out of range"},
-      // Numerical split on a categorical attribute id.
-      {cat_header + "tables nodes=3 children=0 leaves=4\n"
-                    "n 1 0 0x1p+0 1 0\n"
-                    "n 0 -1 0x0p+0 0 0\n"
-                    "n 0 -1 0x0p+0 2 0\n" +
-           leaves,
-       "bad numerical attribute id"},
-      // Truncated leaf table.
-      {header + "tables nodes=1 children=0 leaves=2\n"
-                "n 0 -1 0x0p+0 0 0\n"
-                "0x1p-1\n",
-       "leaf table holds 1 entries"},
-      // Node count 2^32 + 1: must not wrap to the valid one-leaf tree that
-      // follows it.
-      {header + "tables nodes=4294967297 children=0 leaves=2\n"
-                "n 0 -1 0x0p+0 0 0\n"
-                "0x1p-1 0x1p-1\n",
-       "line 10: bad tables line"},
-  };
-  for (const Case& c : cases) {
-    auto parsed = CompiledForest::Deserialize(c.text);
-    ASSERT_FALSE(parsed.ok()) << c.error;
-    EXPECT_NE(parsed.status().message().find(c.error), std::string::npos)
-        << parsed.status().ToString();
+    for (ForestVote vote : {ForestVote::kAverage, ForestVote::kMajority}) {
+      ForestConfig config;
+      config.num_trees = 8;
+      config.seed = 17;
+      config.subspace_attributes = 1;
+      config.vote = vote;
+      auto forest =
+          ForestTrainer(config).Train(TrainRequest::For(ds, kind));
+      ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+      ASSERT_EQ(forest->num_trees(), 8);
+      auto forest_reloaded = ForestModel::Deserialize(forest->Serialize());
+      ASSERT_TRUE(forest_reloaded.ok())
+          << forest_reloaded.status().ToString();
+      EXPECT_EQ(forest_reloaded->Compile().Serialize(),
+                forest->Compile().Serialize())
+          << what << " vote=" << ForestVoteToString(vote);
+    }
   }
-}
-
-TEST(CompiledPersistenceTest, AcceptsMinimalValidArtifact) {
-  // Smallest well-formed artifact: a single leaf. Doubles written as
-  // hexfloats must load to the exact bit pattern.
-  const std::string text =
-      "udt-forest v1\nkind udt\nvote avg\nclasses 2\nA\nB\n"
-      "attributes 1\nattr num 0 x\ntrees 1\n"
-      "tables nodes=1 children=0 leaves=2\n"
-      "n 0 -1 0x0p+0 0 0\n"
-      "0x1.5555555555555p-2 0x1.5555555555556p-1\n";
-  auto compiled = CompiledForest::Deserialize(text);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  EXPECT_EQ(compiled->num_nodes(), 1);
-  EXPECT_EQ(compiled->tree(0).leaf_values[0], 0x1.5555555555555p-2);
-  EXPECT_EQ(compiled->tree(0).leaf_values[1], 0x1.5555555555556p-1);
-  // And a second encode/decode is stable.
-  auto again = CompiledForest::Deserialize(compiled->Serialize());
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->LayoutEquals(*compiled));
-}
-
-TEST(CompiledPersistenceTest, LoadMissingFileFails) {
-  auto missing = CompiledForest::Load("/nonexistent/path/model.compiled");
-  EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
 }
 
 }  // namespace

@@ -47,8 +47,8 @@ TEST(EndToEndAccuracyTest, UdtBeatsAvgWithMatchedErrorModel) {
 
     TreeConfig config;
     config.algorithm = SplitAlgorithm::kUdtEs;
-    auto avg = CvAccuracy(*ds, config, ClassifierKind::kAveraging, 4, seed);
-    auto udt = CvAccuracy(*ds, config, ClassifierKind::kUdt, 4, seed);
+    auto avg = CvAccuracy(*ds, config, ModelKind::kAveraging, 4, seed);
+    auto udt = CvAccuracy(*ds, config, ModelKind::kUdt, 4, seed);
     ASSERT_TRUE(avg.ok() && udt.ok());
     total_avg += *avg;
     total_udt += *udt;
@@ -68,8 +68,8 @@ TEST(EndToEndAccuracyTest, ZeroWidthDegeneratesToAvg) {
   ASSERT_TRUE(ds.ok());
   TreeConfig config;
   config.algorithm = SplitAlgorithm::kUdt;
-  auto avg = CvAccuracy(*ds, config, ClassifierKind::kAveraging, 4, 7);
-  auto udt = CvAccuracy(*ds, config, ClassifierKind::kUdt, 4, 7);
+  auto avg = CvAccuracy(*ds, config, ModelKind::kAveraging, 4, 7);
+  auto udt = CvAccuracy(*ds, config, ModelKind::kUdt, 4, 7);
   ASSERT_TRUE(avg.ok() && udt.ok());
   EXPECT_DOUBLE_EQ(*avg, *udt);
 }
@@ -87,7 +87,7 @@ TEST(EndToEndAccuracyTest, GrossOverWideningHurts) {
     EXPECT_TRUE(ds.ok());
     TreeConfig config;
     config.algorithm = SplitAlgorithm::kUdtEs;
-    auto acc = CvAccuracy(*ds, config, ClassifierKind::kUdt, 4, 3);
+    auto acc = CvAccuracy(*ds, config, ModelKind::kUdt, 4, 3);
     EXPECT_TRUE(acc.ok());
     return *acc;
   };
@@ -102,8 +102,8 @@ TEST(EndToEndAccuracyTest, JapaneseVowelUdtBeatsAvg) {
   Dataset ds = datagen::GenerateJapaneseVowelLike(config);
   TreeConfig tree_config;
   tree_config.algorithm = SplitAlgorithm::kUdtEs;
-  auto avg = CvAccuracy(ds, tree_config, ClassifierKind::kAveraging, 3, 31);
-  auto udt = CvAccuracy(ds, tree_config, ClassifierKind::kUdt, 3, 31);
+  auto avg = CvAccuracy(ds, tree_config, ModelKind::kAveraging, 3, 31);
+  auto udt = CvAccuracy(ds, tree_config, ModelKind::kUdt, 3, 31);
   ASSERT_TRUE(avg.ok() && udt.ok());
   // The paper reports 81.89% -> 87.30%; at our reduced scale we assert the
   // direction with a small tolerance for fold noise.
@@ -126,7 +126,7 @@ TEST(EndToEndAccuracyTest, AllUdtAlgorithmsSameAccuracy) {
         SplitAlgorithm::kUdtGp, SplitAlgorithm::kUdtEs}) {
     TreeConfig config;
     config.algorithm = algorithm;
-    auto acc = CvAccuracy(*ds, config, ClassifierKind::kUdt, 3, 23);
+    auto acc = CvAccuracy(*ds, config, ModelKind::kUdt, 3, 23);
     ASSERT_TRUE(acc.ok());
     if (reference < 0.0) {
       reference = *acc;
@@ -147,7 +147,7 @@ TEST(EndToEndAccuracyTest, GiniMeasureAlsoLearns) {
   TreeConfig config;
   config.algorithm = SplitAlgorithm::kUdtEs;
   config.measure = DispersionMeasure::kGini;
-  auto acc = CvAccuracy(*ds, config, ClassifierKind::kUdt, 4, 41);
+  auto acc = CvAccuracy(*ds, config, ModelKind::kUdt, 4, 41);
   ASSERT_TRUE(acc.ok());
   EXPECT_GT(*acc, 0.7);
 }
@@ -162,7 +162,7 @@ TEST(EndToEndAccuracyTest, GainRatioMeasureAlsoLearns) {
   TreeConfig config;
   config.algorithm = SplitAlgorithm::kUdtGp;
   config.measure = DispersionMeasure::kGainRatio;
-  auto acc = CvAccuracy(*ds, config, ClassifierKind::kUdt, 4, 43);
+  auto acc = CvAccuracy(*ds, config, ModelKind::kUdt, 4, 43);
   ASSERT_TRUE(acc.ok());
   EXPECT_GT(*acc, 0.7);
 }

@@ -72,7 +72,7 @@ TEST(CrossValidationTest, SeparableDataScoresHigh) {
   config.algorithm = SplitAlgorithm::kUdtGp;
   Rng rng(3);
   auto result =
-      RunCrossValidation(ds, config, ClassifierKind::kUdt, 5, &rng);
+      RunCrossValidation(ds, config, ModelKind::kUdt, 5, &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->fold_accuracies.size(), 5u);
   EXPECT_GT(result->mean_accuracy, 0.9);
@@ -84,7 +84,7 @@ TEST(CrossValidationTest, AveragingKindRuns) {
   Dataset ds = EasyDataset(60, 4);
   TreeConfig config;
   Rng rng(5);
-  auto result = RunCrossValidation(ds, config, ClassifierKind::kAveraging, 4,
+  auto result = RunCrossValidation(ds, config, ModelKind::kAveraging, 4,
                                    &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->mean_accuracy, 0.8);
@@ -94,9 +94,9 @@ TEST(CrossValidationTest, RejectsBadArguments) {
   Dataset ds = EasyDataset(10, 6);
   TreeConfig config;
   Rng rng(1);
-  EXPECT_FALSE(RunCrossValidation(ds, config, ClassifierKind::kUdt, 1, &rng)
+  EXPECT_FALSE(RunCrossValidation(ds, config, ModelKind::kUdt, 1, &rng)
                    .ok());
-  EXPECT_FALSE(RunCrossValidation(ds, config, ClassifierKind::kUdt, 11, &rng)
+  EXPECT_FALSE(RunCrossValidation(ds, config, ModelKind::kUdt, 11, &rng)
                    .ok());
 }
 
@@ -104,8 +104,8 @@ TEST(CrossValidationTest, DeterministicInSeed) {
   Dataset ds = EasyDataset(50, 7);
   TreeConfig config;
   Rng rng_a(9), rng_b(9);
-  auto a = RunCrossValidation(ds, config, ClassifierKind::kUdt, 5, &rng_a);
-  auto b = RunCrossValidation(ds, config, ClassifierKind::kUdt, 5, &rng_b);
+  auto a = RunCrossValidation(ds, config, ModelKind::kUdt, 5, &rng_a);
+  auto b = RunCrossValidation(ds, config, ModelKind::kUdt, 5, &rng_b);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->mean_accuracy, b->mean_accuracy);
 }
@@ -182,7 +182,7 @@ TEST(ExperimentTest, MeasureTreeBuildReportsWork) {
 TEST(ExperimentTest, CvAccuracyHelper) {
   Dataset ds = EasyDataset(60, 10);
   TreeConfig config;
-  auto acc = CvAccuracy(ds, config, ClassifierKind::kUdt, 4,
+  auto acc = CvAccuracy(ds, config, ModelKind::kUdt, 4,
                         123);
   ASSERT_TRUE(acc.ok());
   EXPECT_GT(*acc, 0.85);

@@ -146,16 +146,16 @@ TEST_P(ForestDeterminismTest, ThreadCountsProduceIdenticalForests) {
   Dataset ds = MakeCaseDataset(param.dataset);
   ForestConfig config = CaseConfig(param);
 
+  config.num_threads = 1;
   ForestTrainer trainer(config);
-  trainer.SetNumThreads(1);
   auto baseline = trainer.Train(TrainRequest::For(ds, param.kind));
   ASSERT_TRUE(baseline.ok()) << baseline.status().message();
   const std::string baseline_model = baseline->Serialize();
   const std::string baseline_compiled = baseline->Compile().Serialize();
 
   for (int threads : {2, 4, 8}) {
+    config.num_threads = threads;
     ForestTrainer parallel(config);
-    parallel.SetNumThreads(threads);
     auto forest = parallel.Train(TrainRequest::For(ds, param.kind));
     ASSERT_TRUE(forest.ok()) << forest.status().message();
     EXPECT_EQ(forest->Serialize(), baseline_model)

@@ -1,9 +1,9 @@
 // Functional coverage for the ensemble subsystem: config validation, the
 // two voting rules, bootstrap-bag structure, out-of-bag estimation, the
-// degenerate no-diversity forest, and both persistence containers
-// (udt-forest-model v1 pointer forests, udt-forest v1 compiled forests)
-// including hostile-input rejection. The cross-thread bitwise guarantees
-// live in tests/forest_determinism_test.cc.
+// degenerate no-diversity forest, the udt-forest-model v1 container
+// including hostile-input rejection, and the compiled serving session.
+// The cross-thread bitwise guarantees live in
+// tests/forest_determinism_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -466,7 +466,7 @@ TEST(ForestModelTest, RejectsHostileInput) {
       << parsed.status().message();
 }
 
-TEST(CompiledForestTest, CompileRoundTripsLayout) {
+TEST(CompiledForestTest, CompileCarriesForestMetadata) {
   Dataset ds = SyntheticDataset(90, 3, 3, 8, 30);
   ForestTrainer trainer(SmallConfig(4));
   auto forest = trainer.TrainUdt(ds);
@@ -477,40 +477,6 @@ TEST(CompiledForestTest, CompileRoundTripsLayout) {
   EXPECT_EQ(compiled.kind(), forest->kind());
   EXPECT_EQ(compiled.vote(), forest->vote());
   EXPECT_GT(compiled.num_nodes(), 0);
-
-  std::string text = compiled.Serialize();
-  auto loaded = CompiledForest::Deserialize(text);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_TRUE(loaded->LayoutEquals(compiled));
-  EXPECT_EQ(loaded->Serialize(), text);
-
-  std::string path = ::testing::TempDir() + "/forest_compiled.udtf";
-  ASSERT_TRUE(compiled.Save(path).ok());
-  auto from_file = CompiledForest::Load(path);
-  ASSERT_TRUE(from_file.ok());
-  EXPECT_TRUE(from_file->LayoutEquals(compiled));
-  std::remove(path.c_str());
-}
-
-TEST(CompiledForestTest, RejectsHostileInput) {
-  Dataset ds = SyntheticDataset(60, 3, 3, 8, 31);
-  ForestTrainer trainer(SmallConfig(2));
-  auto forest = trainer.TrainUdt(ds);
-  ASSERT_TRUE(forest.ok());
-  std::string good = forest->Compile().Serialize();
-
-  EXPECT_FALSE(CompiledForest::Deserialize("").ok());
-  EXPECT_FALSE(CompiledForest::Deserialize("udt-forest-model v1\n").ok());
-  EXPECT_FALSE(
-      CompiledForest::Deserialize(good.substr(0, good.size() / 2)).ok());
-
-  // A child id pointing out of range must be caught by validation.
-  std::string bad = good;
-  size_t n_line = bad.find("\nn 1 ");
-  if (n_line != std::string::npos) {
-    bad.replace(n_line + 1, 4, "n 9 ");
-    EXPECT_FALSE(CompiledForest::Deserialize(bad).ok());
-  }
 }
 
 // One batch over all of `ds` into a fresh result; the batch is expected

@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/compiled_forest.h"
 #include "api/trainer.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -1008,49 +1007,6 @@ TEST(DatasetReaderParityTest, FirstBadLineWinsAtEveryWidth) {
       EXPECT_EQ(ReadOutcome(ParityContainer(c.rewrites, false), pool.get()),
                 "udt-dataset: " + c.want)
           << c.name << " (width " << width << ")";
-    }
-  }
-}
-
-// ------------------------------------------- line-numbered diagnostics
-
-// Satellite of the same PR: every schema_io read path reports the
-// offending absolute line number, including bodies parsed through nested
-// readers (flat trees inside compiled containers).
-TEST(LineNumberDiagnosticsTest, CompiledTreeErrorsCarryLineNumbers) {
-  const Dataset train = LatticeDataset(60, 2, 2, 6, 9);
-  Trainer trainer;
-  auto model = trainer.TrainUdt(train);
-  ASSERT_TRUE(model.ok());
-  const std::string text = model->Compile().Serialize();
-
-  // Drop the final line: the failure names the line after the last one.
-  std::vector<std::string> lines = SplitString(text, '\n');
-  while (!lines.empty() && lines.back().empty()) lines.pop_back();
-  const int total_lines = static_cast<int>(lines.size());
-  std::string truncated;
-  for (int i = 0; i + 1 < total_lines; ++i) truncated += lines[i] + "\n";
-  auto broken = CompiledForest::Deserialize(truncated);
-  ASSERT_FALSE(broken.ok());
-  EXPECT_NE(broken.status().message().find(
-                StrFormat("line %d", total_lines)),
-            std::string::npos)
-      << broken.status().message();
-
-  // Corrupt a mid-file node record: the error points at that exact line.
-  std::vector<std::string> corrupt_lines = lines;
-  for (size_t i = 0; i < corrupt_lines.size(); ++i) {
-    if (corrupt_lines[i].rfind("n ", 0) == 0) {
-      corrupt_lines[i] = "n bogus";
-      std::string corrupt;
-      for (const std::string& l : corrupt_lines) corrupt += l + "\n";
-      auto bad = CompiledForest::Deserialize(corrupt);
-      ASSERT_FALSE(bad.ok());
-      EXPECT_NE(bad.status().message().find(
-                    StrFormat("line %zu", i + 1)),
-                std::string::npos)
-          << bad.status().message();
-      break;
     }
   }
 }
