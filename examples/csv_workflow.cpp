@@ -11,7 +11,8 @@
 //      CompiledForest) and check it is byte-identical to the original
 //   6. extract human-readable IF-THEN rules and a Graphviz rendering
 //
-// Run: build/examples/csv_workflow [output-directory]
+// Run: build/examples/csv_workflow [output-directory]  (default: the
+// working directory)
 
 #include <cstdio>
 #include <fstream>
@@ -51,7 +52,7 @@ std::string MakeCsv() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_dir = argc > 1 ? argv[1] : "/tmp";
+  std::string out_dir = argc > 1 ? argv[1] : ".";
 
   // 1. Round-trip the measurements through CSV.
   std::string csv_path = out_dir + "/udt_wine.csv";

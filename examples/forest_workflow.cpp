@@ -5,7 +5,8 @@
 // model, and batch-classify through the same PredictSession a single tree
 // serves through.
 //
-// Run: build/examples/forest_workflow [output-directory]
+// Run: build/examples/forest_workflow [output-directory]  (default: the
+// working directory)
 
 #include <cstdio>
 #include <string>
@@ -45,7 +46,7 @@ udt::Dataset MakeReadings(int tuples, int s, uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_dir = argc > 1 ? argv[1] : "/tmp";
+  const std::string out_dir = argc > 1 ? argv[1] : ".";
 
   udt::Dataset train = MakeReadings(300, 12, 7);
   udt::Dataset test = MakeReadings(200, 12, 1007);

@@ -3,6 +3,7 @@
 #include "api/container_tags.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <mutex>
 #include <optional>
@@ -15,6 +16,8 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/task_pool.h"
+#include "common/timer.h"
+#include "split/fractional_tuple.h"
 #include "table/schema_io.h"
 #include "tree/classify.h"
 
@@ -53,6 +56,23 @@ TreeConfig DeriveTreeConfig(const ForestConfig& config, int num_attributes,
   tree.subspace_seed = DeriveStreamSeed(config.seed, kSubspaceSalt,
                                         tree_index);
   return tree;
+}
+
+// Classifies the tuples of `data` that `bag` left out with `tree`, one
+// batch through a session over its one-tree compiled forest (zero, one
+// add, a divide by 1.0: exactly the tree's distribution): their ids into
+// `members`, ascending, and their distributions into `rows`.
+Status ScoreOutOfBag(const Model& tree, const Dataset& data,
+                     const std::vector<double>& bag, std::vector<int>* members,
+                     FlatBatchResult* rows) {
+  std::vector<const UncertainTuple*> tuples;
+  for (int i = 0; i < data.num_tuples(); ++i) {
+    if (bag[static_cast<size_t>(i)] > 0.0) continue;  // trained on i
+    members->push_back(i);
+    tuples.push_back(&data.tuple(i));
+  }
+  PredictSession session(tree.Compile());
+  return session.PredictBatchInto(tuples, {}, rows);
 }
 
 }  // namespace
@@ -233,6 +253,7 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
   ForestConfig config = config_;
   if (request.seed) config.seed = *request.seed;
   UDT_RETURN_NOT_OK(config.Validate());
+  UDT_RETURN_NOT_OK(request.CheckPool(config.num_threads));
 
   const Dataset& train = *request.dataset;
   const ModelKind kind = request.kind;
@@ -295,44 +316,78 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
     }
   }
 
-  std::vector<std::optional<DecisionTree>> built(
-      static_cast<size_t>(num_trees));
-  std::vector<Status> errors(static_cast<size_t>(num_trees), Status::OK());
-  std::vector<BuildStats> tree_stats(static_cast<size_t>(num_trees));
-
   const int fresh = num_trees - carried;
+  // A caller's pool runs the whole run at its width, and each fresh tree's
+  // subtree and scan tasks join it. Without one, a pool of the config's
+  // width is made for this call and each tree builds serially inside its
+  // task. The calling thread participates via Wait, so a pool made here
+  // spawns one fewer worker.
   const int concurrency = TaskPool::EffectiveConcurrency(config.num_threads);
-  // The calling thread participates via Wait, so spawn one fewer worker.
-  std::optional<TaskPool> pool;
-  if (concurrency > 1 && fresh > 1) pool.emplace(concurrency - 1);
+  TaskPool* pool = request.pool;
+  std::optional<TaskPool> own_pool;
+  if (pool == nullptr && concurrency > 1 && fresh > 1) {
+    pool = &own_pool.emplace(concurrency - 1);
+  }
+  TaskPool* const tree_pool = request.pool;
 
   // One rank index serves every fresh tree: the bags reweight the shared
-  // build data, they never change its sample points.
+  // build data, they never change its sample points. Built here from the
+  // build data, it is checked once, not once per tree. Its root lists
+  // serve only root formation: the last fresh tree to form its root frees
+  // them.
   std::optional<AttributeIndex> index;
   if (fresh > 0) {
-    index = AttributeIndex::Build(build_data, pool ? &*pool : nullptr);
+    index = AttributeIndex::Build(build_data, pool);
+    UDT_RETURN_NOT_OK(index->CheckMatches(build_data));
   }
-  const AttributeIndex* shared_index = index ? &*index : nullptr;
+  std::atomic<int> roots_pending{fresh};
+
+  // Each tree task writes only its own slots. With an OOB estimate to
+  // make, it also classifies the tuples its bag left out (ascending ids in
+  // oob_members[t], distributions in oob_rows[t]); the votes fold below,
+  // in tree order, so the estimate does not depend on the schedule.
+  const bool score_oob = oob != nullptr && config.bootstrap;
+  std::vector<std::optional<Model>> built(static_cast<size_t>(num_trees));
+  std::vector<Status> errors(static_cast<size_t>(num_trees), Status::OK());
+  std::vector<BuildStats> tree_stats(static_cast<size_t>(num_trees));
+  std::vector<std::vector<int>> oob_members(static_cast<size_t>(num_trees));
+  std::vector<FlatBatchResult> oob_rows(static_cast<size_t>(num_trees));
 
   auto build_one = [&](int t) {
     const size_t ut = static_cast<size_t>(t);
-    TreeBuilder builder(tree_configs[ut]);
+    WallTimer timer;
+    NodeSet root = MakeRootNodeSet(
+        build_data, *index,
+        config.bootstrap ? MakeWeightedRootWorkingSet(build_data, bags[ut])
+                         : MakeRootWorkingSet(build_data),
+        tree_pool);
+    // acq_rel: every other tree's reads of the lists happen before the
+    // last decrement, which frees them.
+    if (roots_pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      for (int j = 0; j < build_data.num_attributes(); ++j) {
+        index->TakeRootEvents(j);
+      }
+    }
     StatusOr<DecisionTree> tree =
-        config.bootstrap
-            ? builder.BuildWeighted(build_data, bags[ut], &tree_stats[ut],
-                                    shared_index)
-            : builder.Build(build_data, &tree_stats[ut], shared_index);
-    if (tree.ok()) {
-      built[ut].emplace(std::move(tree).value());
-    } else {
+        TreeBuilder(tree_configs[ut])
+            .Grow(build_data, std::move(root), *index, &tree_stats[ut],
+                  tree_pool);
+    tree_stats[ut].build_seconds = timer.ElapsedSeconds();
+    if (!tree.ok()) {
       errors[ut] = tree.status();
+      return;
+    }
+    const Model& model = built[ut].emplace(
+        Model::FromTree(std::move(tree).value(), kind, tree_configs[ut]));
+    if (score_oob) {
+      errors[ut] = ScoreOutOfBag(model, train, bags[ut], &oob_members[ut],
+                                 &oob_rows[ut]);
     }
   };
 
-  if (!pool) {
+  if (pool == nullptr) {
     for (int t = carried; t < num_trees; ++t) build_one(t);
   } else {
-    // Each task writes only its own slots; no further synchronisation.
     TaskGroup group;
     for (int t = carried; t < num_trees; ++t) {
       pool->Submit(&group, [&build_one, t] { build_one(t); });
@@ -357,39 +412,23 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
     trees.push_back(request.warm_start->tree(t));  // shared, never copied
   }
   for (int t = carried; t < num_trees; ++t) {
-    const size_t ut = static_cast<size_t>(t);
-    trees.push_back(Model::FromTree(std::move(*built[ut]), kind,
-                                    tree_configs[ut]));
+    trees.push_back(std::move(*built[static_cast<size_t>(t)]));
   }
   ForestModel forest = ForestModel::FromTrees(std::move(trees), config.vote);
 
   if (oob != nullptr) {
     *oob = OobEstimate{};
     oob->total_tuples = num_tuples;
-    if (config.bootstrap && fresh > 0) {
+    if (score_oob && fresh > 0) {
+      // The fresh trees' votes fold into per-tuple accumulators in tree
+      // order. A carried tree never drew a bag over this window, so it has
+      // no out-of-bag relation to score.
       const size_t k = static_cast<size_t>(forest.num_classes());
-      // Tree-outer: each fresh tree classifies the tuples its bag left out
-      // in one batch through a session over its one-tree compiled forest
-      // (zero, one add, a divide by 1.0: exactly the tree's distribution),
-      // and the votes fold into per-tuple accumulators in tree order. Only
-      // the fresh trees take part: a carried tree never drew a bag over
-      // this window, so it has no out-of-bag relation to score.
       std::vector<double> votes(static_cast<size_t>(num_tuples) * k, 0.0);
       std::vector<int> oob_trees(static_cast<size_t>(num_tuples), 0);
-      std::vector<int> members;
-      std::vector<const UncertainTuple*> tuples;
-      FlatBatchResult rows;
       for (int t = carried; t < num_trees; ++t) {
-        const std::vector<double>& bag = bags[static_cast<size_t>(t)];
-        members.clear();
-        tuples.clear();
-        for (int i = 0; i < num_tuples; ++i) {
-          if (bag[static_cast<size_t>(i)] > 0.0) continue;  // trained on i
-          members.push_back(i);
-          tuples.push_back(&train.tuple(i));
-        }
-        PredictSession session(forest.tree(t).Compile());
-        UDT_RETURN_NOT_OK(session.PredictBatchInto(tuples, {}, &rows));
+        const std::vector<int>& members = oob_members[static_cast<size_t>(t)];
+        const FlatBatchResult& rows = oob_rows[static_cast<size_t>(t)];
         for (size_t r = 0; r < members.size(); ++r) {
           const size_t i = static_cast<size_t>(members[r]);
           AccumulateForestVote(config.vote, rows.distribution(r).data(),

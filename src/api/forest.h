@@ -54,11 +54,13 @@ const char* ForestVoteToString(ForestVote vote);
 
 // Knobs of one forest training run.
 struct ForestConfig {
-  // Per-tree construction config. tree.num_threads is ignored: trees build
-  // serially inside forest-level tasks (the forest parallelises across
-  // trees, which scales better and keeps one determinism mechanism).
-  // tree.subspace_attributes / tree.subspace_seed are overwritten per tree
-  // from `subspace_attributes` and `seed` below.
+  // Per-tree construction config. tree.num_threads is ignored: the
+  // forest's width is `num_threads` below. Each tree is one forest-level
+  // task; it builds serially inside that task on a pool made for the
+  // call, and its subtree and scan tasks join the pool when the request
+  // brings its own (TrainRequest::pool). Either way one determinism
+  // mechanism holds. tree.subspace_attributes / tree.subspace_seed are
+  // overwritten per tree from `subspace_attributes` and `seed` below.
   TreeConfig tree;
 
   // Ensemble size.
@@ -81,8 +83,9 @@ struct ForestConfig {
   ForestVote vote = ForestVote::kAverage;
 
   // Forest-level training parallelism: 1 = serial, 0 = one thread per
-  // hardware thread, N > 1 = exactly N. The trained forest is
-  // bitwise-identical for every value.
+  // hardware thread, N > 1 = exactly N — also the width a request's own
+  // pool must have. The trained forest is bitwise-identical for every
+  // value.
   int num_threads = 1;
 
   // Validates parameter ranges (including the embedded tree config).
@@ -191,9 +194,12 @@ class ForestTrainer {
   // warm-started forest's fresh tree t is bitwise-identical to cold tree
   // t), `oob` receives the out-of-bag estimate over the freshly trained
   // trees when bootstrap is on (reset to the zero-coverage NaN sentinel
-  // otherwise), and `stats` accumulates the fresh trees' BuildStats in
-  // tree order. Weighted requests are rejected — bags own the forest's
-  // tuple weighting. Fails on an empty data set or invalid config/request.
+  // otherwise), `stats` accumulates the fresh trees' BuildStats in tree
+  // order, and `pool` runs the whole run (index, trees with their subtree
+  // and scan tasks, out-of-bag scoring) when it is as wide as
+  // config().num_threads asks. Weighted requests are rejected — bags own
+  // the forest's tuple weighting. Fails on an empty data set or invalid
+  // config/request.
   [[nodiscard]] StatusOr<ForestModel> Train(const TrainRequest& request) const;
 
   // Shorthand for the common distribution-based case.

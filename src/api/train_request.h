@@ -37,6 +37,7 @@ namespace udt {
 
 class ForestModel;   // api/forest.h
 struct OobEstimate;  // api/forest.h
+class TaskPool;      // common/task_pool.h
 
 // One training run, fully described. The dataset source must be set;
 // everything else is optional and defaulted.
@@ -72,6 +73,17 @@ struct TrainRequest {
   const ForestModel* warm_start = nullptr;
   int warm_trees = 0;
 
+  // ------------------------------------------------------------- threads
+  // A caller-owned pool the whole run executes on (not owned; must
+  // outlive the Train call, and no other training may use it meanwhile).
+  // Its width — its workers plus the calling thread — must equal
+  // TaskPool::EffectiveConcurrency of the trainer config's num_threads,
+  // so training width keeps its one spelling; any other width fails with
+  // InvalidArgument. A caller that trains again and again (the retrain
+  // loop) keeps one pool instead of paying a pool per call. Null makes a
+  // pool of that width for each call. Bytes never depend on it.
+  TaskPool* pool = nullptr;
+
   // --------------------------------------------------------- out-params
   BuildStats* stats = nullptr;  // may be null
   OobEstimate* oob = nullptr;   // forest requests only; may be null
@@ -88,6 +100,9 @@ struct TrainRequest {
   // Source/knob consistency shared by both trainers (each adds its own
   // facade-specific checks on top). Defined in api/trainer.cc.
   Status Validate() const;
+
+  // OK when `pool` is null or as wide as `num_threads` asks (see `pool`).
+  Status CheckPool(int num_threads) const;
 };
 
 }  // namespace udt

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "common/task_pool.h"
 
 namespace udt {
 
@@ -28,8 +29,21 @@ Status TrainRequest::Validate() const {
   return Status::OK();
 }
 
+Status TrainRequest::CheckPool(int num_threads) const {
+  if (pool == nullptr) return Status::OK();
+  const int width = pool->num_workers() + 1;
+  const int expected = TaskPool::EffectiveConcurrency(num_threads);
+  if (width != expected) {
+    return Status::InvalidArgument(StrFormat(
+        "TrainRequest::pool is %d threads wide; num_threads %d asks for %d",
+        width, num_threads, expected));
+  }
+  return Status::OK();
+}
+
 StatusOr<Model> Trainer::Train(const TrainRequest& request) const {
   UDT_RETURN_NOT_OK(request.Validate());
+  UDT_RETURN_NOT_OK(request.CheckPool(config_.num_threads));
   if (request.oob != nullptr) {
     return Status::InvalidArgument(
         "TrainRequest::oob is an ensemble estimate; use ForestTrainer");
@@ -56,12 +70,12 @@ StatusOr<Model> Trainer::Train(const TrainRequest& request) const {
   TreeBuilder builder(config);
   StatusOr<DecisionTree> tree =
       request.weights.empty()
-          ? builder.Build(build_data, request.stats)
+          ? builder.Build(build_data, request.stats, request.pool)
           : builder.BuildWeighted(
                 build_data,
                 std::vector<double>(request.weights.begin(),
                                     request.weights.end()),
-                request.stats);
+                request.stats, request.pool);
   UDT_RETURN_NOT_OK(tree.status());
   return Model::FromTree(std::move(tree).value(), request.kind,
                          std::move(config));

@@ -7,9 +7,9 @@
 //
 // Training is requested through one TrainRequest struct
 // (api/train_request.h) that names the in-memory dataset, kind, optional
-// per-tuple weights, and a seed override. Trainers see only
-// Datasets: a "udt-dataset v1" file trains after MaterializeDataset
-// (storage/dataset_file.h) has turned it into one. The
+// per-tuple weights, a seed override and optionally a caller-owned pool.
+// Trainers see only Datasets: a "udt-dataset v1" file trains after
+// MaterializeDataset (storage/dataset_file.h) has turned it into one. The
 // TrainUdt/TrainAveraging shorthands are the convenience layer.
 
 #ifndef UDT_API_TRAINER_H_
@@ -39,7 +39,8 @@ class Trainer {
   // point search is used (the config's algorithm is overridden to kAvg),
   // exactly as the paper's AVG baseline; for kUdt the configured
   // algorithm runs on the full pdfs. Fails on an empty data
-  // set, an invalid config, or an inconsistent request. Requests carrying
+  // set, an invalid config, or an inconsistent request — including a pool
+  // not as wide as config().num_threads asks. Requests carrying
   // forest-only fields (oob, warm_start) are rejected.
   [[nodiscard]] StatusOr<Model> Train(const TrainRequest& request) const;
 

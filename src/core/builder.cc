@@ -2,12 +2,13 @@
 // partitioning) lives in core/node_build.cc; this file decides *where*
 // each node is built:
 //
-//   num_threads == 1  - the classical depth-first recursion.
-//   num_threads != 1  - a work-stealing task pool. Every subtree whose
-//     working set is large enough becomes a pool task that writes its
-//     result into a dedicated child slot of the already-allocated parent
-//     node; large nodes additionally fan their per-attribute split scans
-//     out as subtasks of the same pool.
+//   no pool workers - the classical depth-first recursion.
+//   a pool with workers (the caller's, or one as wide as
+//     TreeConfig::num_threads made for the call) - a work-stealing task
+//     pool. Every subtree whose working set is large enough becomes a pool
+//     task that writes its result into a dedicated child slot of the
+//     already-allocated parent node; large nodes additionally fan their
+//     per-attribute split scans out as subtasks of the same pool.
 //
 // Both paths execute the same per-node function with the same fixed
 // accumulation and tie-break order, so the resulting tree is
@@ -195,17 +196,17 @@ TreeBuilder::TreeBuilder(TreeConfig config) : config_(std::move(config)) {}
 
 StatusOr<DecisionTree> TreeBuilder::Build(const Dataset& train,
                                           BuildStats* stats,
-                                          const AttributeIndex* index) const {
+                                          TaskPool* pool) const {
   UDT_RETURN_NOT_OK(config_.Validate());
   if (train.empty()) {
     return Status::InvalidArgument("cannot build a tree on an empty data set");
   }
-  return BuildFromRoot(train, MakeRootWorkingSet(train), stats, index);
+  return BuildFromRoot(train, MakeRootWorkingSet(train), stats, pool);
 }
 
 StatusOr<DecisionTree> TreeBuilder::BuildWeighted(
     const Dataset& train, const std::vector<double>& weights,
-    BuildStats* stats, const AttributeIndex* index) const {
+    BuildStats* stats, TaskPool* pool) const {
   UDT_RETURN_NOT_OK(config_.Validate());
   if (train.empty()) {
     return Status::InvalidArgument("cannot build a tree on an empty data set");
@@ -224,16 +225,47 @@ StatusOr<DecisionTree> TreeBuilder::BuildWeighted(
     return Status::InvalidArgument("at least one weight must be positive");
   }
   return BuildFromRoot(train, MakeWeightedRootWorkingSet(train, weights),
-                       stats, index);
+                       stats, pool);
 }
 
-StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(
-    const Dataset& train, WorkingSet root_tuples, BuildStats* stats,
-    const AttributeIndex* index) const {
-  if (index != nullptr) UDT_RETURN_NOT_OK(index->CheckMatches(train));
+StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(const Dataset& train,
+                                                  WorkingSet root_tuples,
+                                                  BuildStats* stats,
+                                                  TaskPool* pool) const {
+  BuildStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  WallTimer timer;
+
+  // The calling thread participates via Wait, so a pool made for this call
+  // spawns one fewer worker than the requested concurrency.
+  std::optional<TaskPool> own_pool;
+  if (pool == nullptr) {
+    const int concurrency =
+        TaskPool::EffectiveConcurrency(config_.num_threads);
+    if (concurrency > 1) pool = &own_pool.emplace(concurrency - 1);
+  }
+
+  // The rank index (its attributes fan out over the build's pool) hands
+  // over the root's event lists, which it wrote while it ranked the
+  // points.
+  AttributeIndex index = AttributeIndex::Build(train, pool);
+  NodeSet root_set =
+      TakeRootNodeSet(train, &index, std::move(root_tuples), pool);
+  StatusOr<DecisionTree> tree =
+      Grow(train, std::move(root_set), index, stats, pool);
+  stats->build_seconds = timer.ElapsedSeconds();
+  return tree;
+}
+
+StatusOr<DecisionTree> TreeBuilder::Grow(const Dataset& train, NodeSet root,
+                                         const AttributeIndex& index,
+                                         BuildStats* stats,
+                                         TaskPool* pool) const {
+  UDT_RETURN_NOT_OK(config_.Validate());
   BuildStats local_stats;
   BuildContext ctx;
   ctx.node.data = &train;
+  ctx.node.index = &index;
   ctx.node.config = &config_;
   std::unique_ptr<SplitFinder> finder = MakeSplitFinder(config_.algorithm);
   ctx.node.finder = finder.get();
@@ -241,59 +273,33 @@ StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(
   ctx.node.split_options.measure = config_.measure;
   ctx.stats = stats != nullptr ? stats : &local_stats;
 
-  WallTimer timer;
   std::vector<bool> used_categorical(
       static_cast<size_t>(train.num_attributes()), false);
 
-  const int concurrency =
-      TaskPool::EffectiveConcurrency(config_.num_threads);
-  // The calling thread participates via Wait, so spawn one fewer worker
-  // than the requested concurrency.
-  std::optional<TaskPool> pool;
-  if (concurrency > 1) pool.emplace(concurrency - 1);
-
-  // The rank index and the root's event lists, which the index wrote
-  // while it ranked the points: a caller's shared index keeps its lists
-  // and the root filters them by bag weight; an index built here (its
-  // attributes fan out over the build's pool) hands them over.
-  std::optional<AttributeIndex> own_index;
-  NodeSet root_set;
-  if (index == nullptr) {
-    own_index = AttributeIndex::Build(train, pool ? &*pool : nullptr);
-    index = &*own_index;
-    root_set = TakeRootNodeSet(train, &*own_index, std::move(root_tuples),
-                               pool ? &*pool : nullptr);
-  } else {
-    root_set = MakeRootNodeSet(train, *index, std::move(root_tuples),
-                               pool ? &*pool : nullptr);
-  }
-  ctx.node.index = index;
-
-  std::unique_ptr<TreeNode> root;
-  if (!pool) {
-    root = BuildSerial(ctx, std::move(root_set), /*depth=*/0,
-                       &used_categorical, kRootNodeToken, ctx.stats);
+  std::unique_ptr<TreeNode> grown;
+  if (pool == nullptr || pool->num_workers() == 0) {
+    grown = BuildSerial(ctx, std::move(root), /*depth=*/0, &used_categorical,
+                        kRootNodeToken, ctx.stats);
   } else {
     Mutex stats_mu;
-    ctx.pool = &*pool;
+    ctx.pool = pool;
     ctx.stats_mu = &stats_mu;
     TaskGroup group;
     ScheduleSubtree(ctx,
-                    SubtreeJob{std::move(root_set), /*depth=*/0,
+                    SubtreeJob{std::move(root), /*depth=*/0,
                                std::move(used_categorical), kRootNodeToken,
-                               &root},
+                               &grown},
                     &group);
     pool->Wait(&group);
   }
 
-  DecisionTree tree(train.schema(), std::move(root));
+  DecisionTree tree(train.schema(), std::move(grown));
   if (config_.post_prune) {
     PostPruneOptions prune_options;
     prune_options.confidence = config_.pruning_confidence;
     PostPruneStats prune_stats = PostPruneTree(&tree, prune_options);
     ctx.stats->subtrees_collapsed = prune_stats.subtrees_collapsed;
   }
-  ctx.stats->build_seconds = timer.ElapsedSeconds();
   return tree;
 }
 

@@ -4,11 +4,11 @@
 // the Section 7.2 rule, the working set is partitioned into fractional
 // tuples and the children are built recursively.
 //
-// Construction is parallel under TreeConfig::num_threads: independent
-// subtrees build concurrently on a work-stealing task pool and large nodes
-// fan their per-attribute split scans out as subtasks (see the scheduler
-// notes in core/builder.cc). The built tree is bitwise-identical for every
-// thread count.
+// Construction is parallel under TreeConfig::num_threads, or on a
+// caller's pool of that width: independent subtrees build concurrently on
+// a work-stealing task pool and large nodes fan their per-attribute split
+// scans out as subtasks (see the scheduler notes in core/builder.cc). The
+// built tree is bitwise-identical for every thread count.
 
 #ifndef UDT_CORE_BUILDER_H_
 #define UDT_CORE_BUILDER_H_
@@ -20,6 +20,8 @@
 #include "tree/tree.h"
 
 namespace udt {
+
+class TaskPool;  // common/task_pool.h
 
 // Work and structure statistics of one build.
 struct BuildStats {
@@ -47,31 +49,45 @@ class TreeBuilder {
   explicit TreeBuilder(TreeConfig config);
 
   // Trains a tree on `train`. Fails on an empty data set or invalid
-  // config. `stats` may be null. `index`, when non-null, must be
-  // AttributeIndex::Build(train): callers training several trees on one
-  // data set build it once and share it; an index of another shape fails
-  // with InvalidArgument. Null builds one for this call.
+  // config. `stats` may be null. `pool`, when non-null, is a caller-owned
+  // pool the build runs on, whose width its owner chose at
+  // config().num_threads (Trainer::Train checks that); null makes a pool
+  // of that width for this call.
   StatusOr<DecisionTree> Build(const Dataset& train, BuildStats* stats,
-                               const AttributeIndex* index = nullptr) const;
+                               TaskPool* pool = nullptr) const;
 
-  // Trains a tree on `train` with per-tuple root weights — the bagged-
-  // ensemble entry point (api/forest.h): weights[i] is tuple i's bootstrap
-  // multiplicity, and tuples with weight <= 0 take no part in the build.
-  // Requires one finite non-negative weight per tuple, at least one of
-  // them positive. `stats` and `index` as for Build.
-  StatusOr<DecisionTree> BuildWeighted(
-      const Dataset& train, const std::vector<double>& weights,
-      BuildStats* stats, const AttributeIndex* index = nullptr) const;
+  // Trains a tree on `train` with per-tuple root weights: weights[i] is
+  // tuple i's multiplicity, and tuples with weight <= 0 take no part in
+  // the build. Requires one finite non-negative weight per tuple, at least
+  // one of them positive. `stats` and `pool` as for Build.
+  StatusOr<DecisionTree> BuildWeighted(const Dataset& train,
+                                       const std::vector<double>& weights,
+                                       BuildStats* stats,
+                                       TaskPool* pool = nullptr) const;
+
+  // Grows a tree from `root`, a root NodeSet of `train` whose lists came
+  // from `index`, then post-prunes — the bagged-ensemble entry point
+  // (api/forest.h), whose trees share one index and form their roots from
+  // it with MakeRootNodeSet. `index` must be AttributeIndex::Build(train)
+  // and is not checked here: the caller built it, and checks it once.
+  // Subtree and scan tasks run on `pool` when it has workers — from
+  // inside one of its tasks too, since waits there help run them — and
+  // the recursion is serial otherwise. `stats` as for Build, except that
+  // the caller times the build (BuildStats::build_seconds).
+  StatusOr<DecisionTree> Grow(const Dataset& train, NodeSet root,
+                              const AttributeIndex& index, BuildStats* stats,
+                              TaskPool* pool) const;
 
   const TreeConfig& config() const { return config_; }
 
  private:
-  // Shared implementation: grows the tree from an already-formed root
-  // working set, serial or pooled per the config, then post-prunes.
+  // Shared body of Build and BuildWeighted: builds the rank index and
+  // the root working set's lists on `pool` or on a pool made for this
+  // call, then grows the tree.
   StatusOr<DecisionTree> BuildFromRoot(const Dataset& train,
                                        WorkingSet root_tuples,
                                        BuildStats* stats,
-                                       const AttributeIndex* index) const;
+                                       TaskPool* pool) const;
 
   TreeConfig config_;
 };

@@ -1,5 +1,6 @@
 #include "split/attribute_index.h"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -38,6 +39,58 @@ struct KeyedPoint {
 };
 
 constexpr uint32_t kOutsideWindow = std::numeric_limits<uint32_t>::max();
+
+// Columns with at most this many distinct values sort by counting.
+constexpr size_t kMaxCountedValues = 1024;
+
+// Sorts `points` by key, stably, when they hold at most kMaxCountedValues
+// distinct keys, as a quantized column does (one per grid point): a small
+// hash table counts each key, the keys are ranked, and one scatter pass
+// puts every point after the points of lower keys and of its own key
+// before it — RadixSortByKey's order, without its up to eight passes.
+// Returns false, leaving `points` as they were, on more distinct keys.
+bool CountingSortFewKeys(DefaultInitVector<KeyedPoint>* points,
+                         DefaultInitVector<KeyedPoint>* scratch) {
+  struct Slot {
+    bool used;
+    uint64_t key;
+    size_t count;  // the key's points; then its next output position
+  };
+  constexpr int kSlotBits = 11;
+  constexpr size_t kSlots = size_t{1} << kSlotBits;
+  static_assert(kSlots == 2 * kMaxCountedValues);
+  std::vector<Slot> table(kSlots, Slot{false, 0, 0});
+  auto find = [&table](uint64_t key) -> Slot& {
+    size_t s = static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                   (64 - kSlotBits));
+    while (table[s].used && table[s].key != key) s = (s + 1) & (kSlots - 1);
+    return table[s];
+  };
+  std::vector<uint64_t> keys;
+  for (const KeyedPoint& point : *points) {
+    Slot& slot = find(point.key);
+    if (!slot.used) {
+      if (keys.size() == kMaxCountedValues) return false;
+      slot = Slot{true, point.key, 0};
+      keys.push_back(point.key);
+    }
+    ++slot.count;
+  }
+  std::sort(keys.begin(), keys.end());
+  size_t position = 0;
+  for (uint64_t key : keys) {
+    Slot& slot = find(key);
+    const size_t count = slot.count;
+    slot.count = position;
+    position += count;
+  }
+  scratch->resize(points->size());
+  for (const KeyedPoint& point : *points) {
+    (*scratch)[find(point.key).count++] = point;
+  }
+  points->swap(*scratch);
+  return true;
+}
 
 }  // namespace
 
@@ -93,8 +146,10 @@ AttributeIndex::Column AttributeIndex::BuildColumn(const Dataset& data,
       masses[id] = pdf.mass(static_cast<int>(p));
     }
   }
-  RadixSortByKey(&points, &scratch, 64,
-                 [](const KeyedPoint& point) { return point.key; });
+  if (!CountingSortFewKeys(&points, &scratch)) {
+    RadixSortByKey(&points, &scratch, 64,
+                   [](const KeyedPoint& point) { return point.key; });
+  }
   scratch = DefaultInitVector<KeyedPoint>();
 
   size_t num_values = total == 0 ? 0 : 1;

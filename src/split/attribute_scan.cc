@@ -42,11 +42,21 @@ void AttributeScan::Compress(const Dataset& data, const AttributeIndex& index,
   }
 
   // One position per distinct rank, with a running per-class sum that is
-  // checkpointed every kCheckpoint positions. Sized for one position per
-  // event, then cut to the positions written. At every end point the
-  // running row also classifies the interval the end point closes.
+  // stored every row_stride_ positions. A list with at least kCheckpoint
+  // events per distinct value of the attribute averages at least that
+  // many per position (a quantized column averages dozens; raw points
+  // one), so replaying even part of a checkpoint gap would cost more than
+  // a row per position, which then takes no more room than checkpoints
+  // do: there are at most num_values positions. Sized for that bound, or
+  // for one position per event, then cut to the positions written. At
+  // every end point the running row also classifies the interval the end
+  // point closes.
+  const size_t num_values = static_cast<size_t>(index.num_values(attribute));
+  row_stride_ = num_events >= num_values * kCheckpoint ? 1 : kCheckpoint;
   event_end_.resize(num_events);
-  checkpoints_.resize((num_events + kCheckpoint - 1) / kCheckpoint * k);
+  checkpoints_.resize(row_stride_ == 1
+                          ? num_values * k
+                          : (num_events + kCheckpoint - 1) / kCheckpoint * k);
   endpoint_positions_.reserve(max_endpoints);
   endpoint_interval_classes_.reserve(max_endpoints);
 
@@ -59,9 +69,11 @@ void AttributeScan::Compress(const Dataset& data, const AttributeIndex& index,
   const SampleEvent* __restrict events = events_;
   const TupleShare* __restrict shares = shares_.data();
   uint32_t* __restrict event_end = event_end_.data();
-  double* __restrict checkpoints = checkpoints_.data();
+  double* __restrict next_row = checkpoints_.data();
+  const size_t stride = static_cast<size_t>(row_stride_);
 
   size_t position = 0;
+  size_t next_stored = 0;  // the next position whose row is stored
   for (size_t e = 0; e < num_events; ++position) {
     const uint32_t rank = events[e].rank;
     uint32_t tags = 0;  // bit 0: some event of the position is a window end
@@ -83,12 +95,14 @@ void AttributeScan::Compress(const Dataset& data, const AttributeIndex& index,
       endpoint_positions_.push_back(static_cast<int>(position));
       std::copy(running, running + k, at_endpoint);
     }
-    if (position % kCheckpoint == 0) {
-      std::copy(running, running + k, checkpoints + position / kCheckpoint * k);
+    if (position == next_stored) {
+      std::copy(running, running + k, next_row);
+      next_row += k;
+      next_stored += stride;
     }
   }
   event_end_.resize(position);
-  checkpoints_.resize((position + kCheckpoint - 1) / kCheckpoint * k);
+  checkpoints_.resize((position + stride - 1) / stride * k);
   std::copy(running, running + k, class_totals_.begin());
   total_mass_ = 0.0;
   for (double t : class_totals_) total_mass_ += t;
@@ -108,17 +122,17 @@ void AttributeScan::AddPosition(int idx, double* row) const {
 }
 
 void AttributeScan::LoadRow(int idx, double* row) const {
-  const int base = idx - idx % kCheckpoint;
+  const int base = idx - idx % row_stride_;
   const double* checkpoint =
-      checkpoints_.data() + static_cast<size_t>(base / kCheckpoint) *
+      checkpoints_.data() + static_cast<size_t>(base / row_stride_) *
                                 static_cast<size_t>(num_classes_);
   std::copy(checkpoint, checkpoint + num_classes_, row);
   for (int p = base + 1; p <= idx; ++p) AddPosition(p, row);
 }
 
 double AttributeScan::CumulativeMass(int idx, int cls) const {
-  const int base = idx - idx % kCheckpoint;
-  double mass = checkpoints_[static_cast<size_t>(base / kCheckpoint) *
+  const int base = idx - idx % row_stride_;
+  double mass = checkpoints_[static_cast<size_t>(base / row_stride_) *
                                  static_cast<size_t>(num_classes_) +
                              static_cast<size_t>(cls)];
   const size_t begin = event_end_[static_cast<size_t>(base)];
@@ -164,7 +178,7 @@ const std::vector<double>& ScanCursor::Seek(const AttributeScan& scan,
                                             int idx) {
   UDT_DCHECK(scan_ == nullptr || scan_ == &scan);
   scan_ = &scan;
-  const int base = idx - idx % AttributeScan::kCheckpoint;
+  const int base = idx - idx % scan.row_stride_;
   if (pos_ < base || pos_ > idx) {
     row_.resize(static_cast<size_t>(scan.num_classes()));
     pos_ = idx;

@@ -19,11 +19,13 @@
 // view over the list and the rank index, which must outlive it: it keeps
 // per tuple its class and share (weight / window mass), per position the
 // end of its event run, and a full cumulative row only every kCheckpoint
-// positions. A lookup replays the (at most kCheckpoint-1) positions after
-// the checkpoint before it — the same additions, in the same order, as a
-// row-per-position running sum, so every value is bitwise what that sum
-// would hold. Sweeps over ascending positions go through a ScanCursor,
-// which advances instead of replaying.
+// positions — or at every position when the list holds at least
+// kCheckpoint events per distinct value of the attribute, as quantized
+// (spilled) columns do. A lookup replays the (at most kCheckpoint-1)
+// positions after the row before it — the same additions, in the same
+// order, as a row-per-position running sum, so every value is bitwise what
+// that sum would hold. Sweeps over ascending positions go through a
+// ScanCursor, which advances instead of replaying.
 
 #ifndef UDT_SPLIT_ATTRIBUTE_SCAN_H_
 #define UDT_SPLIT_ATTRIBUTE_SCAN_H_
@@ -42,7 +44,8 @@ namespace udt {
 // Move-only, so a node's scan buffers are never copied by accident.
 class AttributeScan {
  public:
-  // A cumulative class-mass row is stored every kCheckpoint positions.
+  // A cumulative class-mass row is stored at least every kCheckpoint
+  // positions.
   static constexpr int kCheckpoint = 8;
 
   // An empty scan (no positions); Build() produces the real thing.
@@ -141,8 +144,10 @@ class AttributeScan {
   // Events of position p are [event_end_[p-1], event_end_[p]) (from 0 for
   // p == 0), in rank order with ties in working-set order.
   DefaultInitVector<uint32_t> event_end_;
+  // Positions per stored row: 1 or kCheckpoint (see Compress).
+  int row_stride_ = kCheckpoint;
   // Row k (row-major [k][class]) is the cumulative mass at position
-  // k * kCheckpoint.
+  // k * row_stride_.
   DefaultInitVector<double> checkpoints_;
   std::vector<double> class_totals_;
   std::vector<int> endpoint_positions_;

@@ -23,39 +23,43 @@ bool IsNumerical(const Dataset& data, size_t attribute) {
          AttributeKind::kNumerical;
 }
 
-// PartitionNodeSet's tuples. `to` receives, per tuple f of `set`, its
-// index in `left` at (*to)[2f] and in `right` at (*to)[2f+1] (kAbsent when
-// that side dropped it).
-void PartitionTuples(const Dataset& data, const WorkingSet& set,
-                     int attribute, double split_point, WorkingSet* left,
-                     WorkingSet* right, std::vector<int32_t>* to) {
+// PartitionNodeSet's tuples, moved out of `set`: a tuple that stays whole
+// moves to its side, and one that straddles the point is copied to the
+// left. `to` receives, per tuple f of `set`, its index in `left` at
+// (*to)[2f] and in `right` at (*to)[2f+1] (kAbsent when that side dropped
+// it).
+void PartitionTuples(const Dataset& data, WorkingSet* set, int attribute,
+                     double split_point, WorkingSet* left, WorkingSet* right,
+                     std::vector<int32_t>* to) {
   UDT_CHECK(left != nullptr && right != nullptr);
   left->clear();
   right->clear();
-  to->assign(2 * set.size(), kAbsent);
+  to->assign(2 * set->size(), kAbsent);
   size_t j = static_cast<size_t>(attribute);
-  for (size_t f = 0; f < set.size(); ++f) {
-    const FractionalTuple& ft = set[f];
+  for (size_t f = 0; f < set->size(); ++f) {
+    FractionalTuple& ft = (*set)[f];
     const SampledPdf& pdf =
         data.tuple(ft.tuple_index).values[j].pdf();
     double p_left = ConditionalCdf(pdf, ft.lo[j], ft.hi[j], split_point);
     double w_left = ft.weight * p_left;
     double w_right = ft.weight - w_left;
+    const bool goes_right = w_right >= kMinFractionWeight;
     if (w_left >= kMinFractionWeight) {
       (*to)[2 * f] = static_cast<int32_t>(left->size());
-      FractionalTuple t = ft;
+      FractionalTuple t = goes_right ? ft : std::move(ft);
       t.weight = w_left;
       t.hi[j] = std::min(t.hi[j], split_point);
       left->push_back(std::move(t));
     }
-    if (w_right >= kMinFractionWeight) {
+    if (goes_right) {
       (*to)[2 * f + 1] = static_cast<int32_t>(right->size());
-      FractionalTuple t = ft;
+      FractionalTuple t = std::move(ft);
       t.weight = w_right;
       t.lo[j] = std::max(t.lo[j], split_point);
       right->push_back(std::move(t));
     }
   }
+  set->clear();
 }
 
 // PartitionNodeSetCategorical's tuples. `to` receives, per tuple f of
@@ -96,6 +100,30 @@ void PartitionTuplesCategorical(const Dataset& data, const WorkingSet& set,
   }
 }
 
+// FilterEvents' pass over the events for kChildren children (0: any
+// number, k): each event goes to every child's cursor in out[], and only
+// the cursors of children that hold its tuple advance. A fixed count keeps
+// the cursors in registers.
+template <size_t kChildren>
+void CopyEvents(const AttributeEvents& parent, const int32_t* to, size_t k,
+                SampleEvent** out) {
+  if constexpr (kChildren != 0) k = kChildren;
+  SampleEvent* cursor[kChildren == 0 ? 1 : kChildren];
+  if constexpr (kChildren != 0) std::copy(out, out + k, cursor);
+  SampleEvent** const at = kChildren == 0 ? out : cursor;
+  for (const SampleEvent& event : parent.events) {
+    const uint32_t flag = event.tag & 1u;
+    const int32_t* dst = to + static_cast<size_t>(event.tag >> 1) * k;
+    for (size_t c = 0; c < k; ++c) {
+      const int32_t cf = dst[c];
+      *at[c] = SampleEvent{event.rank, (static_cast<uint32_t>(cf) << 1) | flag,
+                           event.mass};
+      at[c] += cf != kAbsent ? 1 : 0;
+    }
+  }
+  if constexpr (kChildren != 0) std::copy(cursor, cursor + k, out);
+}
+
 // The children's lists on an attribute the split leaves alone: every
 // child tuple keeps its parent tuple's window and events, so one pass over
 // `parent` writes each event to every child holding a copy of its tuple
@@ -124,16 +152,16 @@ void FilterEvents(const AttributeEvents& parent, const std::vector<int32_t>& to,
     child.events.resize(total + 1);
     out[c] = child.events.data();
   }
-  for (const SampleEvent& event : parent.events) {
-    const uint32_t flag = event.tag & 1u;
-    const int32_t* dst = to.data() + static_cast<size_t>(event.tag >> 1) * k;
-    for (size_t c = 0; c < k; ++c) {
-      const int32_t cf = dst[c];
-      *out[c] = SampleEvent{event.rank,
-                            (static_cast<uint32_t>(cf) << 1) | flag,
-                            event.mass};
-      out[c] += cf != kAbsent ? 1 : 0;
-    }
+  // A root filters into one list, a numerical split into two.
+  switch (k) {
+    case 1:
+      CopyEvents<1>(parent, to.data(), k, out.data());
+      break;
+    case 2:
+      CopyEvents<2>(parent, to.data(), k, out.data());
+      break;
+    default:
+      CopyEvents<0>(parent, to.data(), k, out.data());
   }
   for (size_t c = 0; c < k; ++c) {
     AttributeEvents& child = children[c]->lists[attribute];
@@ -347,7 +375,7 @@ void PartitionNodeSet(const Dataset& data, const AttributeIndex& index,
                       const ChildStops& stops) {
   UDT_CHECK(set != nullptr && left != nullptr && right != nullptr);
   std::vector<int32_t> to;
-  PartitionTuples(data, set->tuples, attribute, split_point, &left->tuples,
+  PartitionTuples(data, &set->tuples, attribute, split_point, &left->tuples,
                   &right->tuples, &to);
   const size_t num_lists = set->lists.size();
   const std::vector<NodeSet*> sides = {left, right};

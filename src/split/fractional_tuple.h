@@ -125,14 +125,15 @@ using ChildStops = std::function<bool(const WorkingSet&)>;
 // which a build keeps: a root window is the whole pdf, and a split keeps a
 // child only where its side of the window holds mass).
 //
-// One pass per attribute then turns each of `set`'s lists into the lists
-// of the children that `stops` does not stop (every child when `stops` is
-// empty), freeing it as soon as they exist (`set` keeps its tuples). A
-// stopped child's `lists` stay empty, and when both children stop no pass
-// runs. On the split attribute the children keep the events on their side
-// of `split_point`, with windows and boundary flags from one window search
-// per child tuple. The attributes run as parallel tasks when `pool` is
-// non-null; the result does not depend on it.
+// `set`'s tuples move into the children, leaving it none. One pass per
+// attribute then turns each of `set`'s lists into the lists of the
+// children that `stops` does not stop (every child when `stops` is
+// empty), freeing it as soon as they exist. A stopped child's `lists`
+// stay empty, and when both children stop no pass runs. On the split
+// attribute the children keep the events on their side of `split_point`,
+// with windows and boundary flags from one window search per child
+// tuple. The attributes run as parallel tasks when `pool` is non-null;
+// the result does not depend on it.
 void PartitionNodeSet(const Dataset& data, const AttributeIndex& index,
                       NodeSet* set, int attribute, double split_point,
                       NodeSet* left, NodeSet* right, TaskPool* pool = nullptr,

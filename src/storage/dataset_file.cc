@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -199,7 +201,15 @@ void FormatColumn(const QuantizedDataset& data, int j, TextBuffer* text) {
 Status WriteDatasetFile(const QuantizedDataset& data,
                         size_t source_decoded_bytes, const std::string& path,
                         TaskPool* pool) {
-  std::ofstream out(path);
+  // An existing file is overwritten in place and then cut to the new
+  // length: a spill path is rewritten on every retrain, and keeping its
+  // blocks costs far less than freeing them on truncation and allocating
+  // them again. A new file is created.
+  std::ofstream out(path, std::ios::in | std::ios::out);
+  if (!out) {
+    out.clear();
+    out.open(path);
+  }
   if (!out) return Status::IOError("cannot open for write: " + path);
 
   const Schema& schema = data.schema();
@@ -251,8 +261,16 @@ Status WriteDatasetFile(const QuantizedDataset& data,
   }
   out << "end\n";
 
+  const std::streamoff written = out.tellp();
   out.close();
   if (!out) return Status::IOError("write failed: " + path);
+  std::error_code error;
+  const uintmax_t on_disk = std::filesystem::file_size(path, error);
+  if (!error && on_disk > static_cast<uintmax_t>(written)) {
+    std::filesystem::resize_file(path, static_cast<uintmax_t>(written),
+                                 error);
+    if (error) return Status::IOError("cannot cut to length: " + path);
+  }
   return Status::OK();
 }
 
@@ -305,15 +323,21 @@ struct ResidentPart {
   // One per column of the file; the dictionaries stay empty until their
   // rows are parsed.
   std::vector<QuantizedColumn> columns;
-  // The dictionary rows of every column whose rows the pass began.
+  // The dictionary rows of every column whose rows the pass began. Sized
+  // up front, so an entry never moves once its rows are handed out.
   std::vector<DictionaryText> dictionaries;
+  // Each column's parse verdict, one per column of the file.
+  std::vector<Status> parsed;
   int64_t num_chunks = 0;
 };
 
 // Reads the resident part through `reader` in one pass, checking every
-// line except the dictionary rows, which it only collects. Stops at the
-// first bad line; `part` then holds the dictionary rows read before it.
-Status ReadResident(LineReader* reader, ResidentPart* part) {
+// line except the dictionary rows, which it only collects; `rows_read(j)`
+// runs as soon as column j's rows are all in part->dictionaries[j], which
+// the pass then leaves alone. Stops at the first bad line; `part` then
+// holds the dictionary rows read before it.
+Status ReadResident(LineReader* reader, ResidentPart* part,
+                    const std::function<void(size_t)>& rows_read) {
   UDT_RETURN_NOT_OK(reader->Next("magic"));
   if (reader->line() != kMagic) {
     return reader->Error("bad magic line: " + reader->line());
@@ -373,6 +397,7 @@ Status ReadResident(LineReader* reader, ResidentPart* part) {
 
   part->columns.resize(static_cast<size_t>(*num_columns));
   part->dictionaries.reserve(static_cast<size_t>(*num_columns));
+  part->parsed.resize(static_cast<size_t>(*num_columns));
   for (int j = 0; j < *num_columns; ++j) {
     QuantizedColumn& column = part->columns[static_cast<size_t>(j)];
     const AttributeInfo& info = schema.attribute(j);
@@ -441,10 +466,10 @@ Status ReadResident(LineReader* reader, ResidentPart* part) {
     rows.width = width;
     rows.first_line = reader->line_number() + 1;
     for (int64_t d = 0; d < *dict_entries; ++d) {
-      UDT_RETURN_NOT_OK(reader->Next("dictionary entry"));
-      rows.text += reader->line();
+      UDT_RETURN_NOT_OK(reader->AppendNext("dictionary entry", &rows.text));
       rows.ends.push_back(rows.text.size());
     }
+    rows_read(static_cast<size_t>(j));
   }
 
   UDT_RETURN_NOT_OK(reader->Next("chunks"));
@@ -473,20 +498,35 @@ StatusOr<DatasetReader> DatasetReader::Open(const std::string& path,
   if (!*in) return Status::IOError("cannot open for read: " + path);
   auto reader = std::make_unique<LineReader>(*in, kContext);
 
+  // Each column parses its own rows, on the pool while the pass reads on:
+  // a column's parse starts as soon as the pass has read its rows, and a
+  // column the pass stopped inside parses the rows read before the stop.
+  // Every row the pass collected comes before the line it stopped at, so
+  // a bad row, the first in file order, is the verdict.
   ResidentPart part;
-  const Status resident = ReadResident(reader.get(), &part);
-  // Each column parses its own rows. Every row the pass collected comes
-  // before the line it stopped at, so a bad row, the first in file order,
-  // is the verdict.
-  std::vector<Status> parsed(part.dictionaries.size());
-  ForEachIndex(pool, parsed.size(), [&](size_t j) {
+  const LineReader& rows_reader = *reader;
+  auto parse = [&part, &rows_reader](size_t j) {
     PdfDictionary& dict = part.columns[j].dict;
     PdfDictionary local(dict.width());  // moved in: see WriteDatasetFile
-    parsed[j] = ParseDictionary(*reader, part.dictionaries[j], &local);
+    part.parsed[j] =
+        ParseDictionary(rows_reader, part.dictionaries[j], &local);
     dict = std::move(local);
-  });
-  for (const Status& column_status : parsed) {
-    UDT_RETURN_NOT_OK(column_status);
+  };
+  TaskGroup parsing;
+  size_t handed_out = 0;
+  const Status resident =
+      ReadResident(reader.get(), &part, [&](size_t j) {
+        if (pool != nullptr) {
+          pool->Submit(&parsing, [&parse, j] { parse(j); });
+        } else {
+          parse(j);
+        }
+        handed_out = j + 1;
+      });
+  for (size_t j = handed_out; j < part.dictionaries.size(); ++j) parse(j);
+  if (pool != nullptr) pool->Wait(&parsing);
+  for (size_t j = 0; j < part.dictionaries.size(); ++j) {
+    UDT_RETURN_NOT_OK(part.parsed[j]);
   }
   UDT_RETURN_NOT_OK(resident);
 

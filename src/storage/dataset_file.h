@@ -44,17 +44,17 @@
 // text layer makes a string per token. The writer formats each column's
 // header, grid and dictionary rows with std::to_chars into the column's
 // own buffer and writes the buffers in column order. Open reads the
-// resident lines in one pass, then parses each column's dictionary rows:
-// a row shaped as the writer emits it ("d" and plain digit runs, one
+// resident lines in one pass, and each column's dictionary rows parse as
+// soon as that pass has read them: a row shaped as the writer emits it ("d" and plain digit runs, one
 // space apart) in one pass over the line, any other line split into
 // string_views and parsed token by token, which decides its verdict and
 // message; a bad row is reported only if no earlier line failed. At the
 // retrain split's Segment shape (768 tuples x 19 attributes, s = 20,
 // ~8.6k dictionary rows of 64 masses) BM_SpillRoundTrip reads, width 1
-// -> 4 (Release, 4-vCPU x86, medians of 10): round trip 23 -> 12 ms,
-// quantize 7.6 -> 2.0 ms, ConvertDatasetToFile 12.5 -> 4.2 ms, Open
-// 4.3 -> 2.1 ms (its serial line read is ~1.5 ms) and MaterializeDataset
-// 7.1 -> 3.3 ms.
+// -> 4 (Release, 4-vCPU x86, medians of 3, rewriting one file): round
+// trip 15.7 -> 9.7 ms, quantize 6.1 -> 2.3 ms, ConvertDatasetToFile
+// 8.4 -> 4.6 ms, Open 3.0 -> 2.1 ms (mostly its serial line pass) and
+// MaterializeDataset 3.2 -> 3.2 ms.
 
 #ifndef UDT_STORAGE_DATASET_FILE_H_
 #define UDT_STORAGE_DATASET_FILE_H_
@@ -93,7 +93,10 @@ struct DatasetFileStats {
 // source-bytes figure is the source's unshared decoded footprint
 // (Dataset::UnsharedMemoryUsageBytes), the figure out-of-core demos
 // compare their budget against. Columns quantize and format on `pool`'s
-// threads (inline when null); the bytes do not depend on the pool.
+// threads (inline when null); the bytes do not depend on the pool. An
+// existing file at `path` is overwritten in place and cut to length (a
+// retrain rewrites its spill file every time, and on ext4 that costs a
+// fraction of truncating it); a missing one is created.
 StatusOr<DatasetFileStats> ConvertDatasetToFile(
     const Dataset& source, const std::string& path,
     const QuantizationOptions& options = {}, TaskPool* pool = nullptr);
@@ -106,8 +109,9 @@ StatusOr<DatasetFileStats> ConvertDatasetToFile(
 // without a pool, a file's verdict is its first bad line.
 class DatasetReader {
  public:
-  // Reads the resident lines in one pass, then parses each column's
-  // dictionary rows on `pool`'s threads (inline when null).
+  // Reads the resident lines in one pass; each column's dictionary rows
+  // parse on `pool`'s threads as soon as the pass has read them (inline
+  // when null).
   [[nodiscard]] static StatusOr<DatasetReader> Open(const std::string& path,
                                                     TaskPool* pool = nullptr);
 

@@ -207,9 +207,10 @@ const uint16_t* QuantizeToGrid(const SampledPdf& pdf, const AttributeGrid& grid,
   std::vector<std::pair<int, double>>& positive = scratch->positive;
   positive.clear();
   // The points ascend, so the first grid point not below each one only
-  // moves forward, and so does the nearest bin: a bin's masses arrive
-  // together, summed in point order.
-  int above = 0;
+  // moves forward from the first point's, and so does the nearest bin: a
+  // bin's masses arrive together, summed in point order.
+  int above = static_cast<int>(
+      std::lower_bound(axis, axis + bins, pdf.point(0)) - axis);
   for (int i = 0; i < pdf.num_points(); ++i) {
     const double x = pdf.point(i);
     while (above < bins && axis[above] < x) ++above;
@@ -232,18 +233,26 @@ std::vector<uint16_t> QuantizeToGrid(const SampledPdf& pdf,
 
 StatusOr<SampledPdf> DecodeNumerical(const AttributeGrid& grid,
                                      const uint16_t* masses) {
-  std::vector<double> points;
-  std::vector<double> decoded;
-  for (int i = 0; i < grid.num_points(); ++i) {
-    if (masses[i] == 0) continue;
-    points.push_back(grid.point(i));
-    decoded.push_back(static_cast<double>(masses[i]) /
-                      static_cast<double>(kQuantizedOne));
-  }
-  if (points.empty()) {
+  // Written straight into the pdf's block: SampledPdf::Create's steps on
+  // the same points and masses, without staging them in vectors first.
+  int n = 0;
+  for (int i = 0; i < grid.num_points(); ++i) n += masses[i] != 0 ? 1 : 0;
+  if (n == 0) {
     return Status::InvalidArgument("quantized pdf carries no mass");
   }
-  return SampledPdf::Create(std::move(points), std::move(decoded));
+  PdfBlockWriter block;
+  const PdfBlockWriter::RawPdf raw = block.Stage(n);
+  int k = 0;
+  for (int i = 0; i < grid.num_points(); ++i) {
+    if (masses[i] == 0) continue;
+    raw.points[k] = grid.point(i);
+    raw.masses[k] = static_cast<double>(masses[i]) /
+                    static_cast<double>(kQuantizedOne);
+    ++k;
+  }
+  UDT_RETURN_NOT_OK(block.Commit());
+  block.Seal();
+  return block.pdf(0);
 }
 
 StatusOr<CategoricalPdf> DecodeCategorical(const uint16_t* masses,

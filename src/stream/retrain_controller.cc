@@ -1,7 +1,9 @@
 #include "stream/retrain_controller.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "api/predict_session.h"
@@ -9,7 +11,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/task_pool.h"
-#include "eval/metrics.h"
 #include "serve/servable.h"
 #include "storage/dataset_file.h"
 #include "table/schema_io.h"
@@ -58,6 +59,36 @@ Status RetrainPolicy::Validate() const {
   return Status::OK();
 }
 
+namespace {
+
+// Fraction of `holdout` that `servable` classifies correctly — what
+// EvaluateAccuracy reads through a session over the same artifact —
+// scored in chunks across `pool`, one session per chunk.
+double HoldoutAccuracy(const serve::Servable& servable,
+                       const Dataset& holdout, TaskPool* pool) {
+  constexpr size_t kChunkTuples = 32;
+  const std::span<const UncertainTuple> tuples(holdout.tuples());
+  std::atomic<int64_t> correct{0};
+  pool->ParallelFor(
+      tuples.size(), kChunkTuples, [&](int, size_t begin, size_t end) {
+        serve::ServeSession session(servable);
+        FlatBatchResult rows;
+        UDT_CHECK(session
+                      .PredictBatchInto(tuples.subspan(begin, end - begin),
+                                        {}, &rows)
+                      .ok());
+        int64_t hits = 0;
+        for (size_t i = begin; i < end; ++i) {
+          hits += rows.labels[i - begin] == tuples[i].label ? 1 : 0;
+        }
+        correct.fetch_add(hits, std::memory_order_relaxed);
+      });
+  return static_cast<double>(correct.load()) /
+         static_cast<double>(tuples.size());
+}
+
+}  // namespace
+
 std::string RetrainReport::ToString() const {
   return StrFormat(
       "retrain[%s]: %s (window %lld, holdout %lld, candidate %.4f vs "
@@ -78,7 +109,10 @@ RetrainController::RetrainController(serve::ModelRegistry* registry,
       name_(std::move(name)),
       schema_(std::move(schema)),
       trainer_(std::move(trainer)),
-      policy_(policy) {
+      policy_(policy),
+      pool_(std::make_unique<TaskPool>(
+          TaskPool::EffectiveConcurrency(trainer_.config().num_threads) -
+          1)) {
   UDT_CHECK(registry_ != nullptr);
   UDT_CHECK(policy_.Validate().ok());
 }
@@ -147,6 +181,15 @@ StatusOr<RetrainReport> RetrainController::Retrain(
   return TrainValidatePublish(train, &holdout, reason);
 }
 
+StatusOr<Dataset> RetrainController::SpillAndReload(const Dataset& train) {
+  UDT_RETURN_NOT_OK(ConvertDatasetToFile(train, policy_.spill_path,
+                                         policy_.spill_options, pool_.get())
+                        .status());
+  UDT_ASSIGN_OR_RETURN(DatasetReader reader,
+                       DatasetReader::Open(policy_.spill_path, pool_.get()));
+  return MaterializeDataset(&reader, {}, pool_.get());
+}
+
 StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
     const Dataset& train, const Dataset* holdout,
     const std::string& reason) {
@@ -156,7 +199,18 @@ StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
   report.holdout_tuples =
       holdout != nullptr ? holdout->num_tuples() : 0;
 
+  // The incumbent's holdout score needs no candidate: it runs on the pool
+  // beside the spill, over the artifact its publish kept.
+  TaskGroup incumbent_score;
+  if (holdout != nullptr && incumbent_servable_) {
+    pool_->Submit(&incumbent_score, [this, holdout, &report] {
+      report.incumbent_accuracy =
+          HoldoutAccuracy(*incumbent_servable_, *holdout, pool_.get());
+    });
+  }
+
   TrainRequest request = TrainRequest::For(train);
+  request.pool = pool_.get();
   request.oob = &report.oob;
   // Vary the bag/subspace seed per generation so generation g+1 does not
   // redraw generation g's bags over a shifted window.
@@ -172,23 +226,13 @@ StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
   // The spill path writes the training split as a "udt-dataset v1"
   // container, re-opens it and trains on the materialised file; the grids
   // are fixed from the split itself, so they cover exactly the window
-  // being spilled. Its layers run column-parallel at the width the forest
-  // trains at, on a pool of their own (the caller is one of its threads).
-  std::optional<Dataset> spilled;
-  if (policy_.spill_to_storage) {
-    const int width =
-        TaskPool::EffectiveConcurrency(trainer_.config().num_threads);
-    std::optional<TaskPool> pool;
-    if (width > 1) pool.emplace(width - 1);
-    TaskPool* spill_pool = pool ? &*pool : nullptr;
-    UDT_RETURN_NOT_OK(ConvertDatasetToFile(train, policy_.spill_path,
-                                           policy_.spill_options, spill_pool)
-                          .status());
-    UDT_ASSIGN_OR_RETURN(DatasetReader reader,
-                         DatasetReader::Open(policy_.spill_path, spill_pool));
-    UDT_ASSIGN_OR_RETURN(spilled,
-                         MaterializeDataset(&reader, {}, spill_pool));
-    request.dataset = &*spilled;
+  // being spilled.
+  std::optional<StatusOr<Dataset>> spilled;
+  if (policy_.spill_to_storage) spilled.emplace(SpillAndReload(train));
+  pool_->Wait(&incumbent_score);
+  if (spilled) {
+    UDT_RETURN_NOT_OK(spilled->status());
+    request.dataset = &spilled->value();
   }
 
   UDT_ASSIGN_OR_RETURN(ForestModel candidate, trainer_.Train(request));
@@ -197,19 +241,18 @@ StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
   serve::Servable compiled = candidate.Compile();
 
   if (holdout != nullptr) {
-    PredictSession session(compiled);
-    report.candidate_accuracy = EvaluateAccuracy(session, *holdout);
-    if (incumbent_ != nullptr) {
-      report.incumbent_accuracy = EvaluateAccuracy(*incumbent_, *holdout);
-      if (report.candidate_accuracy <
-          report.incumbent_accuracy - policy_.max_regression) {
-        // The candidate regressed: keep serving the incumbent untouched.
-        report.rolled_back = true;
-        return report;
-      }
+    report.candidate_accuracy =
+        HoldoutAccuracy(compiled, *holdout, pool_.get());
+    if (incumbent_ != nullptr &&
+        report.candidate_accuracy <
+            report.incumbent_accuracy - policy_.max_regression) {
+      // The candidate regressed: keep serving the incumbent untouched.
+      report.rolled_back = true;
+      return report;
     }
   }
 
+  incumbent_servable_ = compiled;
   report.version = registry_->Publish(name_, std::move(compiled));
   report.published = true;
   incumbent_ = std::make_shared<const ForestModel>(std::move(candidate));

@@ -21,7 +21,13 @@
 // The controller never blocks serving: training happens on the caller's
 // thread (the adaptive server invokes it from its feedback path) while the
 // BatchingQueue keeps draining against the incumbent snapshot; the swap is
-// one registry pointer replacement. Not thread-safe; callers serialise.
+// one registry pointer replacement. Every retrain runs on one pool the
+// controller builds once, as wide as the forest trains (its workers plus
+// the caller): the spill's layers, the trees with their subtree and scan
+// tasks, the out-of-bag scoring and the holdout scores — the incumbent's
+// beside the spill, over the artifact kept from its publish. So a retrain
+// spawns no thread, and the pool is the one place a worker policy for
+// training would go. Not thread-safe; callers serialise.
 // The adaptive server's instance is declared UDT_GUARDED_BY(retrain_mu_),
 // so under clang's -Wthread-safety that serialisation is
 // compiler-enforced, not hoped for.
@@ -38,7 +44,9 @@
 
 #include "api/forest.h"
 #include "common/statusor.h"
+#include "common/task_pool.h"
 #include "serve/model_registry.h"
+#include "serve/servable.h"
 #include "storage/quantized_pdf.h"
 #include "table/dataset.h"
 
@@ -74,9 +82,9 @@ struct RetrainPolicy {
   // When true, the training split is written by ConvertDatasetToFile to
   // `spill_path`, re-opened with DatasetReader::Open and materialised with
   // MaterializeDataset, and the candidate trains on that Dataset — the
-  // out-of-core window assembly. The three run column-parallel on a task
-  // pool as wide as the forest trains (the trainer's num_threads), made
-  // for the spill. When false the window trains in memory.
+  // out-of-core window assembly. The three run column-parallel on the
+  // controller's pool, as wide as the forest trains (the trainer's
+  // num_threads). When false the window trains in memory.
   bool spill_to_storage = false;
   std::string spill_path;
   QuantizationOptions spill_options;
@@ -152,14 +160,24 @@ class RetrainController {
                                                const Dataset* holdout,
                                                const std::string& reason);
 
+  // Writes `train` to the policy's spill path, re-opens it and
+  // materialises it, each layer column-parallel on pool_.
+  StatusOr<Dataset> SpillAndReload(const Dataset& train);
+
   serve::ModelRegistry* registry_;
   std::string name_;
   Schema schema_;
   ForestTrainer trainer_;
   RetrainPolicy policy_;
 
+  // Every retrain's spill, forest and holdout scoring run on this pool,
+  // built once at the forest's width: its workers plus the calling thread.
+  std::unique_ptr<TaskPool> pool_;
+
   std::deque<UncertainTuple> window_;
   std::shared_ptr<const ForestModel> incumbent_;
+  // The artifact published for incumbent_, which its holdout score reads.
+  std::optional<serve::Servable> incumbent_servable_;
   uint64_t incumbent_version_ = 0;
   double incumbent_oob_error_ = std::numeric_limits<double>::quiet_NaN();
   int64_t labeled_since_publish_ = 0;

@@ -1,6 +1,8 @@
 #include "table/schema_io.h"
 
+#include <cstring>
 #include <optional>
+#include <streambuf>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,22 @@ namespace {
 // Declared counts are bounded before any allocation; shared with the
 // containers' own table headers via the same spirit, not the same value.
 constexpr int kMaxDeclaredCount = 1 << 20;
+
+// A stream buffer's unread characters, read in place. The pointers to
+// them and the advance past them are protected members of
+// std::streambuf; member pointers named through this derived class reach
+// them on any stream buffer.
+struct GetArea : std::streambuf {
+  static const char* Begin(std::streambuf* buf) {
+    return (buf->*&GetArea::gptr)();
+  }
+  static const char* End(std::streambuf* buf) {
+    return (buf->*&GetArea::egptr)();
+  }
+  static void Consume(std::streambuf* buf, size_t n) {
+    (buf->*&GetArea::gbump)(static_cast<int>(n));
+  }
+};
 
 }  // namespace
 
@@ -26,6 +44,45 @@ Status LineReader::Next(std::string_view what) {
   // Tolerate CRLF line endings (a file saved through a text-mode stream on
   // Windows must load everywhere).
   if (!line_.empty() && line_.back() == '\r') line_.pop_back();
+  return Status::OK();
+}
+
+Status LineReader::AppendNext(std::string_view what, std::string* text) {
+  std::streambuf* buf = in_.rdbuf();
+  const size_t start = text->size();
+  bool any = false;
+  for (;;) {
+    // sgetc refills an empty get area; eof means the stream has ended.
+    const int next = buf->sgetc();
+    if (next == std::char_traits<char>::eof()) {
+      if (!any) {
+        return Status::InvalidArgument(
+            StrFormat("%s: line %d: truncated before %s", context_.c_str(),
+                      line_number_ + 1, std::string(what).c_str()));
+      }
+      break;
+    }
+    any = true;
+    const char* begin = GetArea::Begin(buf);
+    const size_t available = static_cast<size_t>(GetArea::End(buf) - begin);
+    if (available == 0) {  // a buffer without a get area: one at a time
+      buf->sbumpc();
+      if (next == '\n') break;
+      text->push_back(static_cast<char>(next));
+      continue;
+    }
+    const void* newline = std::memchr(begin, '\n', available);
+    const size_t length =
+        newline != nullptr
+            ? static_cast<size_t>(static_cast<const char*>(newline) - begin)
+            : available;
+    text->append(begin, length);
+    GetArea::Consume(buf, newline != nullptr ? length + 1 : length);
+    if (newline != nullptr) break;
+  }
+  ++line_number_;
+  // A CRLF ending loses its '\r', as in Next().
+  if (text->size() > start && text->back() == '\r') text->pop_back();
   return Status::OK();
 }
 

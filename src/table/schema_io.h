@@ -45,6 +45,11 @@ class LineReader {
   // the truncation error.
   Status Next(std::string_view what);
 
+  // Next(), but appends the line to `*text` instead of loading line(): it
+  // scans the stream's buffer in place and copies the line once, so a
+  // caller collecting many lines back to back pays no intermediate string.
+  Status AppendNext(std::string_view what, std::string* text);
+
   const std::string& line() const { return line_; }
   const std::string& context() const { return context_; }
   std::istream& stream() { return in_; }

@@ -4,7 +4,8 @@
 //   * the overrides do what they say: seed changes forest bags,
 //     warm_start carries incumbent trees verbatim while fresh trees stay
 //     bitwise-identical to a cold run. Training width is the trainer
-//     config's num_threads alone; forest_determinism_test pins its bytes.
+//     config's num_threads alone: a caller's pool of another width is
+//     rejected; forest_determinism_test pins the bytes.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "api/forest.h"
 #include "api/trainer.h"
 #include "common/random.h"
+#include "common/task_pool.h"
 #include "pdf/pdf_builder.h"
 
 namespace udt {
@@ -145,6 +147,51 @@ TEST(TrainRequestTest, WarmStartCarriesTreesVerbatimAndFreshTreesMatchCold) {
   warm_oob.oob = &oob;
   ASSERT_TRUE(trainer.Train(warm_oob).ok());
   EXPECT_GT(oob.evaluated_tuples, 0);
+}
+
+// A caller's pool must be as wide as the trainer config's num_threads asks
+// (its workers plus the calling thread): width keeps one spelling, so a
+// pool of any other width is an InvalidArgument, for both facades, and a
+// matching one trains the per-call path's bytes.
+TEST(TrainRequestTest, PoolWidthMustMatchTheConfig) {
+  const Dataset data = SmallDataset(40, 41);
+  TaskPool two_wide(1);
+  TaskPool three_wide(2);
+
+  TreeConfig tree_config;
+  tree_config.num_threads = 2;
+  const Trainer trainer(tree_config);
+  ForestConfig forest_config;
+  forest_config.num_trees = 3;
+  forest_config.num_threads = 2;
+  const ForestTrainer forest_trainer(forest_config);
+
+  TrainRequest wrong = TrainRequest::For(data);
+  wrong.pool = &three_wide;
+  auto tree = trainer.Train(wrong);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+  auto forest = forest_trainer.Train(wrong);
+  ASSERT_FALSE(forest.ok());
+  EXPECT_EQ(forest.status().code(), StatusCode::kInvalidArgument);
+
+  // num_threads = 1 asks for a pool without workers.
+  TreeConfig serial_config;
+  serial_config.num_threads = 1;
+  wrong.pool = &two_wide;
+  EXPECT_EQ(Trainer(serial_config).Train(wrong).status().code(),
+            StatusCode::kInvalidArgument);
+
+  TrainRequest matching = TrainRequest::For(data);
+  matching.pool = &two_wide;
+  auto pooled_tree = trainer.Train(matching);
+  auto pooled_forest = forest_trainer.Train(matching);
+  ASSERT_TRUE(pooled_tree.ok()) << pooled_tree.status().message();
+  ASSERT_TRUE(pooled_forest.ok()) << pooled_forest.status().message();
+  EXPECT_EQ(pooled_tree->Serialize(),
+            trainer.Train(TrainRequest::For(data))->Serialize());
+  EXPECT_EQ(pooled_forest->Serialize(),
+            forest_trainer.Train(TrainRequest::For(data))->Serialize());
 }
 
 }  // namespace

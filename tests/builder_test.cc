@@ -10,6 +10,8 @@
 #include "common/random.h"
 #include "core/builder.h"
 #include "pdf/pdf_builder.h"
+#include "split/attribute_index.h"
+#include "split/fractional_tuple.h"
 #include "tree/classify.h"
 #include "tree/tree_io.h"
 
@@ -103,23 +105,18 @@ TEST(BuilderTest, EmptyDatasetRejected) {
   EXPECT_FALSE(tree.ok());
 }
 
-// A caller's shared rank index must have been built from the data set
-// being trained on; one of another shape is rejected, not read out of
-// bounds.
+// A shared rank index must have been built from the data set being
+// trained on. Its owner (a forest run) checks it once with CheckMatches,
+// which rejects one of another shape; a matching one grows, through
+// TreeBuilder::Grow, the tree Build makes with an index of its own.
 TEST(BuilderTest, MismatchedAttributeIndexRejected) {
   const Dataset ds = SeparableDataset(30, 1.0, 3);
-  const TreeBuilder builder(BaseConfig(SplitAlgorithm::kUdt));
-  const std::vector<double> weights(30, 1.0);
 
   // Fewer tuples.
   const AttributeIndex fewer =
       AttributeIndex::Build(SeparableDataset(20, 1.0, 3));
-  auto tree = builder.Build(ds, nullptr, &fewer);
-  ASSERT_FALSE(tree.ok());
-  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
-  auto weighted = builder.BuildWeighted(ds, weights, nullptr, &fewer);
-  ASSERT_FALSE(weighted.ok());
-  EXPECT_EQ(weighted.status().code(), StatusCode::kInvalidArgument);
+  Status checked = fewer.CheckMatches(ds);
+  EXPECT_EQ(checked.code(), StatusCode::kInvalidArgument);
 
   // Same tuple count, but every pdf has fewer sample points.
   Dataset coarse(Schema::Numerical(1, {"A", "B"}));
@@ -129,17 +126,17 @@ TEST(BuilderTest, MismatchedAttributeIndexRejected) {
     UncertainTuple t{{UncertainValue::Numerical(std::move(*pdf))}, i % 2};
     ASSERT_TRUE(coarse.AddTuple(t).ok());
   }
-  const AttributeIndex fewer_points = AttributeIndex::Build(coarse);
-  tree = builder.Build(ds, nullptr, &fewer_points);
-  ASSERT_FALSE(tree.ok());
-  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
-  weighted = builder.BuildWeighted(ds, weights, nullptr, &fewer_points);
-  ASSERT_FALSE(weighted.ok());
-  EXPECT_EQ(weighted.status().code(), StatusCode::kInvalidArgument);
+  checked = AttributeIndex::Build(coarse).CheckMatches(ds);
+  EXPECT_EQ(checked.code(), StatusCode::kInvalidArgument);
 
-  // The matching index is accepted and builds the same tree as none.
+  // The matching index is accepted, and a tree grown from a root formed
+  // on it is the tree Build makes.
   const AttributeIndex matching = AttributeIndex::Build(ds);
-  auto shared = builder.Build(ds, nullptr, &matching);
+  ASSERT_TRUE(matching.CheckMatches(ds).ok());
+  const TreeBuilder builder(BaseConfig(SplitAlgorithm::kUdt));
+  auto shared = builder.Grow(
+      ds, MakeRootNodeSet(ds, matching, MakeRootWorkingSet(ds)), matching,
+      nullptr, nullptr);
   auto own = builder.Build(ds, nullptr);
   ASSERT_TRUE(shared.ok());
   ASSERT_TRUE(own.ok());

@@ -12,6 +12,8 @@
 //   3. CompiledForest batch predictions are byte-identical to the
 //      pointer-forest voting path on every determinism fixture, for both
 //      vote rules, at 1 and 4 serving threads.
+//   4. Training on a caller-owned pool 1, 2 and 4 threads wide yields the
+//      per-call path's bytes and a bit-equal out-of-bag estimate.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include "api/predict_session.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "common/task_pool.h"
 #include "datagen/japanese_vowel.h"
 #include "pdf/pdf_builder.h"
 
@@ -162,6 +165,49 @@ TEST_P(ForestDeterminismTest, ThreadCountsProduceIdenticalForests) {
         << "pointer container differs at " << threads << " threads";
     EXPECT_EQ(forest->Compile().Serialize(), baseline_compiled)
         << "compiled container differs at " << threads << " threads";
+  }
+}
+
+// A caller-owned pool (TrainRequest::pool) runs the trees as tasks whose
+// subtree and scan tasks join that pool, and scores the out-of-bag tuples
+// one task per tree; the forest and its OOB estimate must be the per-call
+// path's, bit for bit, at every width.
+TEST_P(ForestDeterminismTest, CallerPoolMatchesThePerCallPath) {
+  const ForestCase& param = GetParam();
+  Dataset ds = MakeCaseDataset(param.dataset);
+  ForestConfig config = CaseConfig(param);
+
+  config.num_threads = 1;
+  OobEstimate baseline_oob;
+  TrainRequest baseline_request = TrainRequest::For(ds, param.kind);
+  baseline_request.oob = &baseline_oob;
+  auto baseline = ForestTrainer(config).Train(baseline_request);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().message();
+  ASSERT_GT(baseline_oob.evaluated_tuples, 0);
+  const std::string baseline_model = baseline->Serialize();
+
+  for (int width : {1, 2, 4}) {
+    config.num_threads = width;
+    TaskPool pool(width - 1);
+    OobEstimate oob;
+    TrainRequest request = TrainRequest::For(ds, param.kind);
+    request.pool = &pool;
+    request.oob = &oob;
+    auto forest = ForestTrainer(config).Train(request);
+    ASSERT_TRUE(forest.ok()) << forest.status().message();
+    EXPECT_EQ(forest->Serialize(), baseline_model)
+        << "pointer container differs on a pool " << width << " wide";
+    EXPECT_EQ(oob.evaluated_tuples, baseline_oob.evaluated_tuples);
+    EXPECT_EQ(oob.total_tuples, baseline_oob.total_tuples);
+    EXPECT_EQ(std::memcmp(&oob.accuracy, &baseline_oob.accuracy,
+                          sizeof(double)),
+              0)
+        << "OOB accuracy differs on a pool " << width << " wide";
+    EXPECT_EQ(std::memcmp(&oob.error, &baseline_oob.error, sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(&oob.coverage, &baseline_oob.coverage,
+                          sizeof(double)),
+              0);
   }
 }
 

@@ -11,16 +11,20 @@
 // A concurrent-clients test drives submissions from multiple threads
 // while feedback retrains — the TSan job runs this suite. Both retrain
 // cases also require that the admission queue sheds nothing across a swap.
+// A width-4 spilled retrain's holdout accuracies are pinned to
+// EvaluateAccuracy over the published artifacts.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -400,6 +404,71 @@ TEST(AdaptiveServerTest, SubmitsInFlightAcrossForcedRetrainAreAllServed) {
               0)
         << "torn response: tuple " << i << " version " << r.model_version;
   }
+}
+
+// A retrain scores its holdout on the retrain pool, in chunks, over the
+// artifacts the registry serves: the candidate's compiled forest and the
+// incumbent's kept from its publish. Both accuracies must be exactly what
+// EvaluateAccuracy reads through a session over those same artifacts.
+TEST(AdaptiveServerTest, RetrainHoldoutAccuraciesMatchEvaluateAccuracy) {
+  AdaptiveServerOptions options = LoopOptions();
+  options.drift.lambda = 1e9;  // retrain only when forced
+  options.retrain.max_regression = 1.0;  // publish every candidate
+  options.retrain.spill_to_storage = true;
+  options.retrain.spill_path =
+      std::string(::testing::TempDir()) + "/adaptive_holdout_spill.udt";
+  ForestConfig config;
+  config.num_trees = 5;
+  config.seed = 21;
+  config.num_threads = 4;
+  // Generation 1 learns the flipped association, so it scores the
+  // unflipped holdout badly and the candidates score it well: the two
+  // accuracies cannot stand in for each other.
+  auto server_or = AdaptiveServer::Create(
+      MakeStream(120, 700, /*flipped=*/true), ForestTrainer(config), options);
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  AdaptiveServer& server = *server_or.value();
+
+  // Exactly one window of feedback; the holdout is its every fourth tuple
+  // (holdout_fraction 0.25).
+  const Dataset labeled = MakeStream(
+      static_cast<int>(options.retrain.window_capacity), 701,
+      /*flipped=*/false);
+  Dataset holdout(labeled.schema());
+  for (int i = 0; i < labeled.num_tuples(); ++i) {
+    const UncertainTuple& tuple = labeled.tuple(i);
+    serve::ServeResult result = server.Submit(&tuple).get();
+    ASSERT_TRUE(result.status.ok());
+    auto fed = server.Feedback(tuple, tuple.label, result);
+    ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+    ASSERT_FALSE(fed->has_value());
+    if (i % 4 == 3) {
+      ASSERT_TRUE(holdout.AddTuple(tuple).ok());
+    }
+  }
+
+  auto accuracy_of = [&](uint64_t version) {
+    serve::ModelHandle handle =
+        server.registry().Resolve(server.model_name(), version);
+    UDT_CHECK(handle != nullptr);
+    PredictSession session(handle->servable);
+    return EvaluateAccuracy(session, holdout);
+  };
+  for (int round = 0; round < 2; ++round) {
+    const uint64_t incumbent = server.live_version();
+    auto report = server.ForceRetrain("holdout");
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report->published);
+    EXPECT_EQ(report->holdout_tuples, holdout.num_tuples());
+    EXPECT_EQ(report->candidate_accuracy, accuracy_of(report->version))
+        << "round " << round;
+    EXPECT_EQ(report->incumbent_accuracy, accuracy_of(incumbent))
+        << "round " << round;
+    if (round == 0) {
+      EXPECT_LT(report->incumbent_accuracy, report->candidate_accuracy);
+    }
+  }
+  std::remove(options.retrain.spill_path.c_str());
 }
 
 }  // namespace

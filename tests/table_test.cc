@@ -4,7 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "table/csv.h"
 #include "table/dataset.h"
 #include "table/point_dataset.h"
+#include "table/schema_io.h"
 #include "table/uncertainty_injector.h"
 #include "tree/classify.h"
 
@@ -471,6 +476,51 @@ TEST(CsvTest, FileRoundTrip) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->num_tuples(), 2);
   EXPECT_FALSE(ReadCsvFile("/nonexistent/definitely/not.csv").ok());
+}
+
+// LineReader::AppendNext reads what Next reads — CRLF endings, empty
+// lines, a line far longer than a file's stream buffer, a last line
+// without a newline — appending the lines back to back, and reports
+// truncation with the same message and line number. Read from a string,
+// from a buffered file and from an unbuffered one.
+TEST(LineReaderTest, AppendNextReadsWhatNextReads) {
+  const std::string text = "first\r\n\n" + std::string(100000, 'x') +
+                           "y\nshort\r\nlast";
+  const std::string path = ::testing::TempDir() + "/line_reader_probe.txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  for (int source = 0; source < 3; ++source) {
+    std::istringstream from_string(text);
+    std::ifstream from_file;
+    if (source == 2) from_file.rdbuf()->pubsetbuf(nullptr, 0);
+    if (source > 0) from_file.open(path, std::ios::binary);
+    std::istream& in = source == 0 ? static_cast<std::istream&>(from_string)
+                                   : from_file;
+    std::istringstream by_line(text);
+    LineReader next_reader(by_line, "probe");
+    LineReader append_reader(in, "probe");
+    std::string joined;
+    std::string collected = "kept";
+    std::vector<size_t> ends;
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(next_reader.Next("line").ok());
+      ASSERT_TRUE(append_reader.AppendNext("line", &collected).ok())
+          << "source " << source;
+      EXPECT_EQ(append_reader.line_number(), next_reader.line_number());
+      joined += next_reader.line();
+      ends.push_back(collected.size());
+    }
+    EXPECT_EQ(collected, "kept" + joined) << "source " << source;
+    EXPECT_EQ(ends, (std::vector<size_t>{9, 9, 100010, 100015, 100019}));
+    const Status next_end = next_reader.Next("more");
+    const Status append_end = append_reader.AppendNext("more", &collected);
+    ASSERT_FALSE(append_end.ok());
+    EXPECT_EQ(append_end.message(), next_end.message());
+    EXPECT_EQ(collected.size(), 100019u);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -245,6 +246,58 @@ TEST(ParallelForTest, NestsInsidePoolTasks) {
   for (int t = 0; t < kTasks; ++t) {
     for (size_t i = 0; i < kRange; ++i) {
       ASSERT_EQ(hits[t][i].load(), 1) << "task " << t << " index " << i;
+    }
+  }
+}
+
+// The forest's shape on a caller-owned pool: an external thread submits
+// one task per tree, and each task forks subtree tasks into groups of its
+// own and waits on them from inside a worker — nested group waits three
+// levels deep, with an attribute loop over the same pool at every node.
+// At every width (0-3 workers plus the waiting caller) each task runs
+// exactly once and every wait returns.
+TEST(TaskPoolTest, NestedGroupWaitsRunEveryTaskOnceAtEveryWidth) {
+  constexpr int kTrees = 8;
+  constexpr int kDepth = 3;
+  constexpr int kNodesPerTree = (1 << (kDepth + 1)) - 1;  // heap ids 1..15
+  constexpr size_t kRange = 24;
+  for (int width = 1; width <= 4; ++width) {
+    TaskPool pool(width - 1);
+    std::vector<std::atomic<int>> runs(kTrees * (kNodesPerTree + 1));
+    std::vector<std::atomic<int>> loop_hits(runs.size() * kRange);
+    // Runs node `node` (heap numbering) of tree `tree`, then its subtree.
+    std::function<void(int, int, int)> grow = [&](int tree, int node,
+                                                  int depth) {
+      const size_t id = static_cast<size_t>(tree * (kNodesPerTree + 1) + node);
+      ++runs[id];
+      pool.ParallelFor(kRange, 4, [&](int, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) ++loop_hits[id * kRange + i];
+      });
+      if (depth == kDepth) return;
+      TaskGroup children;
+      for (int c = 0; c < 2; ++c) {
+        pool.Submit(&children, [&grow, tree, node, depth, c] {
+          grow(tree, 2 * node + c, depth + 1);
+        });
+      }
+      pool.Wait(&children);
+    };
+    TaskGroup trees;
+    for (int t = 0; t < kTrees; ++t) {
+      pool.Submit(&trees, [&grow, t] { grow(t, 1, 0); });
+    }
+    pool.Wait(&trees);
+    for (int t = 0; t < kTrees; ++t) {
+      for (int node = 1; node <= kNodesPerTree; ++node) {
+        const size_t id =
+            static_cast<size_t>(t * (kNodesPerTree + 1) + node);
+        ASSERT_EQ(runs[id].load(), 1)
+            << "width " << width << " tree " << t << " node " << node;
+        for (size_t i = 0; i < kRange; ++i) {
+          ASSERT_EQ(loop_hits[id * kRange + i].load(), 1)
+              << "width " << width << " tree " << t << " node " << node;
+        }
+      }
     }
   }
 }
